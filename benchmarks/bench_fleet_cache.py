@@ -1,7 +1,7 @@
 """Router-tier response cache — the cache-hit fast-path benchmark.
 
 The claim, asserted: answering a repeated ``(image, query)`` from the
-router-tier :class:`~repro.serve.shared_cache.SharedResponseCache` is at
+router-tier :class:`~repro.serve.cache.VersionedCache` is at
 least ``MIN_SPEEDUP``x faster than the replica round-trip the miss path
 pays (pipe hop + queue + simulated fixed-latency forward + pipe hop
 back).  The model latency is simulated wall time, so the comparison is
@@ -10,8 +10,8 @@ the router.
 
 Also verifies the invalidation half of the design under load: after a
 rolling reload mid-sequence, every response carries the new weights —
-the epoch bump makes the warm cache unreachable in O(1) without a
-flush message ever racing a request.
+the router invalidates its warm cache in one step, and any response
+still in flight from the old weights is refused insertion.
 """
 
 import faulthandler
@@ -98,7 +98,7 @@ def test_router_cache_hit_beats_replica_round_trip(results_dir, tmp_path):
         stale = sum(
             1 for sample in pool
             if router.ground(sample.image, sample.query,
-                             timeout=60.0)[2] != 3.0)
+                             timeout=60.0).version != 3.0)
         post_stats = router.stats()
 
     speedup = miss_mean / hit_mean
@@ -114,7 +114,7 @@ def test_router_cache_hit_beats_replica_round_trip(results_dir, tmp_path):
         f"{post_stats.cache_hit_rate:8.2%}  "
         f"({post_stats.cache_hits} hits / {post_stats.cache_misses} "
         f"misses)",
-        f"  reload epoch bump        : epoch={post_stats.cache_epoch}, "
+        f"  reload invalidation      : version={post_stats.cache_epoch}, "
         f"stale responses after reload: {stale}",
     ]
     write_artifact(results_dir, "fleet_cache.txt", "\n".join(lines))

@@ -94,8 +94,8 @@ def test_fleet_soak_and_scaling(results_dir, tmp_path):
         assert router.wait_healthy(120.0), "replica count not restored"
         stats = router.stats()
         # a post-reload response proves the new weights actually serve
-        box = router.ground(pool[0].image, pool[0].query, timeout=60.0)
-    assert box[2] == 2.0, "reloaded weights not observable in responses"
+        answer = router.ground(pool[0].image, pool[0].query, timeout=60.0)
+    assert answer.version == 2.0, "reloaded weights not observable"
     assert stats.respawns >= 1, "injected crash produced no respawn"
     assert stats.reloads == 1
     violations = report.check(slo_p99=SLO_P99)

@@ -71,7 +71,7 @@ def test_mixed_scenario_soak_baselines(results_dir, tmp_path):
         report = run_soak(
             router, trace, reload_at=RELOAD_AT,
             reload_checkpoint=checkpoint,
-            post_reload_check=lambda r: getattr(r, "version", None) == 2.0)
+            post_reload_check=lambda r: r.version == 2.0)
         router.wait_healthy(30.0)
         report = dataclasses.replace(report, stats=router.stats())
 

@@ -59,8 +59,8 @@ def test_serve_throughput(results_dir):
     naive_wall = time.perf_counter() - start
     naive_qps = len(trace) / naive_wall
 
-    with ServeEngine(grounder, max_batch=MAX_BATCH, max_wait=0.002,
-                     cache_size=256) as engine:
+    with ServeEngine(grounder.ranked(top_k=1), max_batch=MAX_BATCH,
+                     max_wait=0.002, cache_size=256) as engine:
         start = time.perf_counter()
         served = engine.ground_many(trace)
         served_wall = time.perf_counter() - start
@@ -68,7 +68,8 @@ def test_serve_throughput(results_dir):
     served_qps = len(trace) / served_wall
     speedup = served_qps / naive_qps
 
-    assert np.array_equal(served, naive), (
+    # The top-1 response's box is the paper's answer, byte for byte.
+    assert np.array_equal(np.stack([r.top_box for r in served]), naive), (
         "served boxes diverged from the one-at-a-time baseline"
     )
     assert stats.cache_hits > 0, "repeated trace produced zero cache hits"

@@ -296,7 +296,8 @@ def cmd_serve_bench(args) -> int:
     baseline_seconds = time.perf_counter() - start
     baseline_qps = len(trace) / baseline_seconds
 
-    with ServeEngine(grounder, max_batch=args.max_batch, max_wait=args.max_wait,
+    with ServeEngine(grounder.ranked(top_k=1), max_batch=args.max_batch,
+                     max_wait=args.max_wait,
                      cache_size=args.cache_size) as engine:
         start = time.perf_counter()
         engine.ground_many(trace)
@@ -480,17 +481,13 @@ def cmd_serve_fleet(args) -> int:
         with FleetRouter(spec, config) as router:
             if not router.wait_healthy(config.spawn_timeout):
                 raise SystemExit("fleet failed to become healthy")
-            # In simulated mode the reloaded weights are observable in
-            # every response (version lands in box[2]), so the soak can
-            # verify no post-reload response came from stale weights.
+            # Simulated and oracle replicas stamp their weights version
+            # on every response, so the soak can verify no post-reload
+            # response came from stale weights.
             post_check = None
-            if reload_checkpoint is not None:
-                if args.trace_mix:
-                    # Oracle responses carry the weights version field.
-                    post_check = (
-                        lambda r: getattr(r, "version", None) == 2.0)
-                elif args.simulated:
-                    post_check = lambda box: box[2] == 2.0  # noqa: E731
+            if reload_checkpoint is not None and (args.trace_mix
+                                                  or args.simulated):
+                post_check = lambda r: r.version == 2.0  # noqa: E731
             report = run_soak(router, trace, reload_at=reload_at,
                               reload_checkpoint=reload_checkpoint,
                               post_reload_check=post_check,
@@ -582,7 +579,8 @@ def cmd_profile(args) -> int:
         trace = synthetic_trace(pool, args.requests, repeat_fraction=0.3)
         grounder.ground(trace[0].image, trace[0].query)  # warm
         with profile() as prof:
-            with ServeEngine(grounder, max_batch=args.max_batch) as engine:
+            with ServeEngine(grounder.ranked(top_k=1),
+                             max_batch=args.max_batch) as engine:
                 engine.ground_many(trace)
         print(engine.stats().render())
         print()

@@ -16,7 +16,6 @@ from repro.core.detector import TargetDetectionNetwork
 from repro.core.response import (
     GroundingResponse,
     freeze_response,
-    is_response,
     responses_equal,
     thaw_response,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "freeze_response",
     "thaw_response",
     "responses_equal",
-    "is_response",
     "attention_mask_loss",
     "detection_loss",
     "yollo_loss",

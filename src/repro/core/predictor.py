@@ -17,7 +17,9 @@ class Grounder:
     """Bundle a trained YOLLO model with its vocabulary.
 
     Exposes the single-query API used by the examples and implements the
-    batch grounder protocol consumed by :func:`repro.eval.evaluate_grounder`.
+    batch grounder protocol consumed by :func:`repro.eval.evaluate_grounder`
+    (``samples -> (n, 4)`` boxes).  Serving takes the ranked protocol
+    instead: ``ServeEngine(grounder.ranked(top_k=1))``.
 
     ``clause_conditioning=True`` parses each query with
     :func:`repro.lang.parse` and feeds the compiled per-clause token
@@ -124,23 +126,17 @@ class Grounder:
     def ranked(self, top_k: int = 5,
                not_found_threshold: float = 0.0) -> "RankedGrounder":
         """Adapter that makes the ranked protocol this grounder's
-        ``__call__`` — plug it into ``ServeEngine``/``FleetRouter`` to
-        serve structured responses instead of single boxes."""
+        ``__call__`` — the protocol ``ServeEngine``/``FleetRouter``
+        serve.  ``top_k=1`` serves the paper's single answer box."""
         return RankedGrounder(self, top_k=top_k,
                               not_found_threshold=not_found_threshold)
-
-    def serve(self, **kwargs) -> "ServeEngine":  # noqa: F821 (lazy import)
-        """Wrap this grounder in a micro-batching :class:`ServeEngine`."""
-        from repro.serve import ServeEngine
-
-        return ServeEngine(self, **kwargs)
 
 
 class RankedGrounder:
     """Batch-protocol adapter returning :class:`GroundingResponse` lists.
 
     Wraps a :class:`Grounder` so that ``__call__`` yields ranked
-    responses — the shape the scenario serving stack caches and ships.
+    responses — the one shape the serving stack caches and ships.
     Weight-reload plumbing (``.model``) and compiled-inference telemetry
     (``.plan_cache``) pass through to the wrapped grounder, so a
     ``RankedGrounder`` drops into a serving replica unchanged.
@@ -175,9 +171,3 @@ class RankedGrounder:
             samples, top_k=self.top_k,
             not_found_threshold=self.not_found_threshold,
         )
-
-    def serve(self, **kwargs) -> "ServeEngine":  # noqa: F821 (lazy import)
-        """Serve ranked responses through a micro-batching engine."""
-        from repro.serve import ServeEngine
-
-        return ServeEngine(self, **kwargs)

@@ -1,23 +1,19 @@
 """Structured grounding responses: ranked boxes + an explicit not-found.
 
-The single ``(4,)`` argmax box that every serving layer shipped until
-now is the wrong answer shape for two of the scenario workloads
-(:mod:`repro.scenarios`): *crowded* scenes ask queries that several
-objects satisfy (the answer is a ranked list) or that **no** object
-satisfies (the answer is "not found", which an argmax box cannot say).
+:class:`GroundingResponse` is the one answer every serving tier handles
+(:class:`~repro.serve.ServeEngine`, both cache tiers, the fleet and the
+soak harness): ranked boxes with per-box confidences, plus an explicit
+``not_found`` decision taken against a calibrated ``threshold`` (see
+:func:`repro.eval.metrics.calibrate_not_found_threshold`).  The paper's
+single YOLLO answer is the ``top_k=1`` response: its :attr:`top_box` is
+the argmax anchor box :meth:`repro.core.YolloModel.predict` decodes.
+Crowded scenes (:mod:`repro.scenarios`) need the longer ranked list and
+the "not found" answer an argmax box cannot give.  A ``version``
+fingerprint of the serving weights rides along so reload harnesses can
+verify a response's provenance end to end (0.0 when the grounder does
+not track one).
 
-:class:`GroundingResponse` is the wire/cache format for those answers:
-ranked boxes with per-box confidences, plus an explicit ``not_found``
-decision taken against a calibrated ``threshold`` (see
-:func:`repro.eval.metrics.calibrate_not_found_threshold`).  A
-``version`` fingerprint of the serving weights rides along so reload
-harnesses can verify a response's provenance end to end (0.0 when the
-grounder does not track one).
-
-Every serving tier stores and returns responses by value.  The
-copy-in/copy-out helpers here generalise the previous
-``np.array(box, copy=True)`` idiom so both shapes flow through the
-same cache code paths:
+Every serving tier stores and returns responses by value:
 
 * :func:`freeze_response` — deep, read-only copy for cache insertion
   (mutating a served response must never corrupt later hits);
@@ -30,7 +26,6 @@ same cache code paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -82,8 +77,7 @@ class GroundingResponse:
     def top_box(self) -> np.ndarray:
         """Best box, or a zero box when the response carries none.
 
-        Lets single-box consumers (the legacy protocol) read a ranked
-        response without special-casing emptiness.
+        For a ``top_k=1`` response this is the paper's one answer box.
         """
         if len(self.boxes):
             return self.boxes[0]
@@ -116,50 +110,30 @@ class GroundingResponse:
                 f"version={self.version})")
 
 
-#: What serving layers shuttle around: the legacy (4,) box or a
-#: structured ranked response.
-ResponseLike = Union[np.ndarray, GroundingResponse]
+def freeze_response(response: GroundingResponse) -> GroundingResponse:
+    """Deep read-only copy for cache insertion."""
+    return response.copy(readonly=True)
 
 
-def is_response(value) -> bool:
-    """Is ``value`` a structured response (vs a legacy box array)?"""
-    return isinstance(value, GroundingResponse)
+def thaw_response(response: GroundingResponse) -> GroundingResponse:
+    """Deep writable copy handed to a caller."""
+    return response.copy(readonly=False)
 
 
-def freeze_response(value: ResponseLike) -> ResponseLike:
-    """Deep read-only copy for cache insertion (either answer shape)."""
-    if isinstance(value, GroundingResponse):
-        return value.copy(readonly=True)
-    frozen = np.array(value, copy=True)
-    frozen.setflags(write=False)
-    return frozen
-
-
-def thaw_response(value: ResponseLike) -> ResponseLike:
-    """Deep writable copy handed to a caller (either answer shape)."""
-    if isinstance(value, GroundingResponse):
-        return value.copy(readonly=False)
-    return np.array(value, copy=True)
-
-
-def responses_equal(a: ResponseLike, b: ResponseLike) -> bool:
-    """Byte-identical equality across both answer shapes.
+def responses_equal(a: GroundingResponse, b: GroundingResponse) -> bool:
+    """Byte-identical equality of two responses.
 
     Arrays compare by dtype + shape + raw bytes (so NaNs and signed
-    zeros are compared exactly, not numerically); structured responses
-    additionally compare the decision fields.
+    zeros are compared exactly, not numerically), and the decision
+    fields must match too.
     """
-    if isinstance(a, GroundingResponse) != isinstance(b, GroundingResponse):
-        return False
-    if isinstance(a, GroundingResponse):
-        return (
-            _arrays_identical(a.boxes, b.boxes)
-            and _arrays_identical(a.scores, b.scores)
-            and a.not_found == b.not_found
-            and a.threshold == b.threshold
-            and a.version == b.version
-        )
-    return _arrays_identical(np.asarray(a), np.asarray(b))
+    return (
+        _arrays_identical(a.boxes, b.boxes)
+        and _arrays_identical(a.scores, b.scores)
+        and a.not_found == b.not_found
+        and a.threshold == b.threshold
+        and a.version == b.version
+    )
 
 
 def _arrays_identical(a: np.ndarray, b: np.ndarray) -> bool:

@@ -2,32 +2,32 @@
 
 ``ServeEngine`` queues incoming (image, query) requests, batches them
 dynamically (up to ``max_batch`` requests or ``max_wait`` seconds), runs
-one ``no_grad`` forward per batch through any grounder implementing the
-batch protocol, and answers repeats from an LRU cache.  ``ServerStats``
-reports p50/p95/p99 latency, throughput, queue depth, cache hit rate,
-and the batch-size histogram.
+one ``no_grad`` forward per batch through any ranked grounder, and
+answers repeats from a ``VersionedCache``.  ``ServerStats`` reports
+p50/p95/p99 latency, throughput, queue depth, cache hit rate, and the
+batch-size histogram.
 
 ``FleetRouter`` scales that engine out: N replica subprocesses behind a
 least-loaded router with bounded-queue backpressure (typed
 ``Overloaded`` shedding), per-request deadlines with one cross-replica
 retry, crash detection + respawn, and rolling hot weight reloads
-verified by a checksum handshake.  A router-tier
-``SharedResponseCache`` answers repeats before admission, tagged with a
-weights epoch that a completed reload bumps — stale boxes are
-unreachable the instant new weights are live, and hits survive replica
-respawns.  ``run_soak`` replays a timed trace against the fleet — with
-deterministic fault injection — and asserts the no-lost-requests /
-no-stale-responses / p99 SLO invariants.
+verified by a checksum handshake.  A router-tier ``VersionedCache``
+answers repeats before admission; a completed reload invalidates it, so
+stale answers are unreachable the instant new weights are live, and
+hits survive replica respawns.  ``run_soak`` replays a timed trace
+against the fleet — with deterministic fault injection — and asserts the
+no-lost-requests / no-stale-responses / p99 SLO invariants.
 
-Both tiers speak two answer protocols: the legacy ``(4,)`` top-1 box
-and the ranked :class:`~repro.core.GroundingResponse` (top-k boxes,
-calibrated ``not_found`` decision) — see :mod:`repro.core.response`.
+Every tier handles one answer type, the ranked
+:class:`~repro.core.GroundingResponse` (top-k boxes, calibrated
+``not_found`` decision; ``top_k=1`` is the paper's single box) — see
+:mod:`repro.core.response`.
 Scenario-tagged traces (:mod:`repro.scenarios`) additionally let the
 soak harness report per-scenario p99 and assert that no-target queries
 are never answered "found".
 """
 
-from repro.serve.cache import LRUCache, image_digest
+from repro.serve.cache import CacheStats, VersionedCache, image_digest
 from repro.serve.engine import (
     EngineDrainTimeout,
     EngineStopped,
@@ -54,7 +54,6 @@ from repro.serve.replica import (
     load_checkpoint_payload,
     state_checksum,
 )
-from repro.serve.shared_cache import SharedCacheStats, SharedResponseCache
 from repro.serve.soak import SoakReport, run_soak
 from repro.serve.stats import ServerStats, StatsRecorder
 from repro.serve.trace import (
@@ -65,9 +64,8 @@ from repro.serve.trace import (
 )
 
 __all__ = [
-    "LRUCache",
-    "SharedResponseCache",
-    "SharedCacheStats",
+    "VersionedCache",
+    "CacheStats",
     "image_digest",
     "ServeEngine",
     "EngineStopped",

@@ -1,26 +1,42 @@
-"""LRU result cache for the serving engine.
+"""Versioned LRU response cache, the one cache class of both serving tiers.
 
-Cache keys combine a content digest of the image with the raw query
-string, so two requests for the same pixels and words share one entry
-no matter which array object carries them.
+Each :class:`~repro.serve.ServeEngine` (and so each fleet replica) and
+the :class:`~repro.serve.FleetRouter` own one :class:`VersionedCache`
+keyed on ``(image_digest, query)`` (the router prefixes the model
+identity).  Values are :class:`~repro.core.GroundingResponse` objects,
+stored by value: ``put`` keeps a read-only deep copy, and ``get`` hands
+that shared copy back, so callers thaw it before giving it to user code.
 
-The cache is the single source of truth for its own telemetry: ``get``
-counts hits and misses (alongside the existing eviction counter), so
-the engine's :class:`~repro.serve.stats.ServerStats` reads the numbers
-straight off the cache instead of keeping a parallel tally that can
-drift.  Callers that serve a request *as if* from the cache without a
-lookup — the engine's in-flight dedup collapses identical queued
-requests onto one forward slot — credit the cache explicitly through
-:meth:`LRUCache.count_hit` / :meth:`LRUCache.count_miss`.
+**Invalidation is versioned.**  A caller reads :attr:`VersionedCache
+.version` before it computes a response and passes it to ``put``.
+:meth:`VersionedCache.invalidate` bumps the version and drops every
+entry in one step under the lock, so the moment it returns no old entry
+can be served, and a response computed before it (a batch in flight, a
+response crossing the pipe) is refused by ``put``.  New weights call
+``invalidate``; a failed weight roll calls nothing, so nothing is lost.
+
+**The cache is the only tally of its own hits and misses.**  The tallies
+are counters in a :class:`~repro.obs.MetricsRegistry` under a caller
+chosen prefix (``serve.cache_*`` for the engine, ``serve.fleet.cache.*``
+for the router).  They count answers, not lookups, so a request that
+looks twice is still counted once: a *hit* is a ``get`` that found an
+entry, and a *miss* is a freshly computed response offered to ``put``
+(whether stored or refused).  A disabled cache (``capacity == 0``)
+stores and counts nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
-from typing import Hashable, Optional
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional
 
 import numpy as np
+
+from repro.core.response import GroundingResponse, freeze_response
+from repro.obs.metrics import MetricsRegistry
 
 
 def image_digest(image: np.ndarray) -> str:
@@ -33,76 +49,134 @@ def image_digest(image: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-class LRUCache:
-    """A bounded mapping that evicts the least-recently-used entry.
+@dataclass(frozen=True)
+class CacheStats:
+    """One snapshot of a :class:`VersionedCache`."""
 
-    ``get`` refreshes recency; ``put`` inserts (or refreshes) and evicts
-    from the cold end once ``capacity`` is exceeded.  ``capacity == 0``
-    disables caching entirely (every ``get`` misses).
-
-    Lookup outcomes accumulate in :attr:`hits` / :attr:`misses`
-    (evictions in :attr:`evictions`); pass ``count=False`` to ``get``
-    for a probe that should not affect the tallies (the engine probes at
-    submit time but only counts the request's *final* outcome, so one
-    request never counts twice).
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self.evictions = 0
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+    capacity: int
+    size: int
+    version: int
+    hits: int
+    misses: int
+    evictions: int
+    #: Responses refused because they were computed under an older
+    #: version than the cache is serving.
+    stale_puts: int
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of counted lookups answered from the cache."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def count_hit(self) -> None:
-        """Credit one hit decided outside ``get`` (e.g. in-flight dedup)."""
-        self.hits += 1
+    def as_dict(self) -> Dict[str, float]:
+        return {
+            "capacity": self.capacity,
+            "size": self.size,
+            "version": self.version,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "stale_puts": self.stale_puts,
+            "hit_rate": self.hit_rate,
+        }
 
-    def count_miss(self) -> None:
-        """Record one miss decided outside ``get``."""
-        self.misses += 1
 
-    def get(self, key: Hashable, count: bool = True) -> Optional[object]:
-        """Return the cached value (refreshing recency) or ``None``."""
-        if key not in self._entries:
-            if count:
-                self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        if count:
-            self.hits += 1
-        return self._entries[key]
+class VersionedCache:
+    """Thread-safe LRU of ``key -> GroundingResponse`` with a version.
 
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert ``value``, evicting the coldest entries past capacity."""
+    ``get`` refreshes recency; ``put`` inserts (or refreshes) and evicts
+    from the cold end once ``capacity`` is exceeded.  ``registry`` and
+    ``prefix`` place the ``hits``/``misses``/``evictions``/``stale_puts``
+    counters and the ``version`` gauge; a private registry is used when
+    none is given.
+    """
+
+    def __init__(self, capacity: int,
+                 registry: Optional[MetricsRegistry] = None,
+                 prefix: str = "cache."):
+        if capacity < 0:
+            raise ValueError("capacity must be non-negative")
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, GroundingResponse]" = \
+            OrderedDict()
+        self._version = 0
+        registry = registry if registry is not None else MetricsRegistry()
+        self._hits = registry.counter(prefix + "hits")
+        self._misses = registry.counter(prefix + "misses")
+        self._evictions = registry.counter(prefix + "evictions")
+        self._stale_puts = registry.counter(prefix + "stale_puts")
+        self._version_gauge = registry.gauge(prefix + "version")
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    @property
+    def version(self) -> int:
+        """The version a response must be computed under to be stored."""
+        with self._lock:
+            return self._version
+
+    def get(self, key: Hashable) -> Optional[GroundingResponse]:
+        """The stored (read-only) response for ``key``, or ``None``.
+
+        A found entry becomes the most recently used and counts a hit.
+        """
+        with self._lock:
+            response = self._entries.get(key)
+            if response is not None:
+                self._entries.move_to_end(key)
+                self._hits.inc()
+            return response
+
+    def put(self, key: Hashable, response: GroundingResponse,
+            version: int) -> bool:
+        """Store a read-only copy of a response computed under ``version``.
+
+        Counts one miss.  Returns ``False`` without storing when the
+        cache is disabled or ``version`` is older than the current one
+        (the response belongs to weights no longer served; counted in
+        ``stale_puts``).
+        """
         if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+            return False
+        stored = freeze_response(response)
+        with self._lock:
+            self._misses.inc()
+            if version != self._version:
+                self._stale_puts.inc()
+                return False
+            self._entries[key] = stored
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions.inc()
+            return True
 
-    def clear(self) -> None:
-        """Drop every entry (hit/miss/eviction tallies are kept)."""
-        self._entries.clear()
+    def invalidate(self) -> int:
+        """Drop every entry and bump the version; returns the new one."""
+        with self._lock:
+            self._entries.clear()
+            self._version += 1
+            self._version_gauge.set(self._version)
+            return self._version
 
     def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction tallies (entries are kept)."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        """Zero the tallies (entries and version are kept)."""
+        with self._lock:
+            for counter in (self._hits, self._misses, self._evictions,
+                            self._stale_puts):
+                counter.reset()
+
+    def stats(self) -> CacheStats:
+        with self._lock:
+            return CacheStats(
+                capacity=self.capacity,
+                size=len(self._entries),
+                version=self._version,
+                hits=self._hits.value,
+                misses=self._misses.value,
+                evictions=self._evictions.value,
+                stale_puts=self._stale_puts.value,
+            )

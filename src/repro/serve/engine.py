@@ -3,25 +3,19 @@
 Requests enter a queue; a worker thread collects up to ``max_batch`` of
 them (waiting at most ``max_wait`` seconds after the first arrival) and
 runs ONE batched forward pass under ``no_grad`` through the wrapped
-grounder.  Repeated (image, query) pairs are answered from an LRU cache
-without touching the model at all.  Every request's latency, every
-batch's size, and the queue depth are recorded into a
-:class:`repro.serve.stats.StatsRecorder`.
+grounder.  Repeated (image, query) pairs are answered from a
+:class:`~repro.serve.cache.VersionedCache` without touching the model
+at all.  Every request's latency, every batch's size, and the queue
+depth are recorded into a :class:`repro.serve.stats.StatsRecorder`.
 
-Any object implementing the repo's batch-grounder protocol works:
-``grounder(samples) -> (n, 4) boxes`` over :class:`GroundingSample`
-lists — :class:`repro.core.Grounder` (true batched forward) and
-:class:`repro.twostage.TwoStageGrounder` (per-sample internally, but
-still cached and instrumented) both qualify.  Grounders that return a
-list of :class:`repro.core.GroundingResponse` (ranked boxes +
-confidences + an explicit not-found decision, e.g.
-:class:`repro.core.RankedGrounder` or the scenario oracles) are served
-through exactly the same batching and caching paths: responses are
-frozen (deep read-only copies) on cache insertion and thawed (deep
-writable copies) on the way out, so a caller can never mutate a cached
-ranked list.  One engine serves one protocol — a cache key is
-``(image_digest, query)``, so mixing single-box and ranked grounders
-behind one cache would alias entries of different shapes.
+The engine serves one protocol: ``grounder(samples)`` returns one
+:class:`~repro.core.GroundingResponse` per :class:`GroundingSample`
+(ranked boxes + confidences + an explicit not-found decision).
+``Grounder(...).ranked(top_k=1)`` serves the paper's single answer box;
+:class:`repro.core.RankedGrounder` with a larger ``top_k`` and the
+scenario oracles serve ranked lists.  Responses are frozen (deep
+read-only copies) on cache insertion and thawed (deep writable copies)
+on the way out, so a caller can never mutate a cached answer.
 """
 
 from __future__ import annotations
@@ -36,14 +30,10 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.autograd import no_grad
-from repro.core.response import (
-    GroundingResponse,
-    freeze_response,
-    thaw_response,
-)
+from repro.core.response import GroundingResponse, thaw_response
 from repro.data.refcoco import GroundingSample
 from repro.obs import MetricsRegistry, trace_span
-from repro.serve.cache import LRUCache, image_digest
+from repro.serve.cache import VersionedCache, image_digest
 from repro.serve.stats import ServerStats, StatsRecorder
 from repro.text.tokenizer import normalize_query, tokenize
 
@@ -99,7 +89,7 @@ class ServeEngine:
     Parameters
     ----------
     grounder:
-        Any batch grounder (``samples -> (n, 4) boxes``).
+        Any ranked batch grounder (``samples -> [GroundingResponse]``).
     max_batch:
         Largest batch one forward pass may carry.
     max_wait:
@@ -108,15 +98,17 @@ class ServeEngine:
         whatever has already accumulated in the queue (burst traffic
         fills batches without ever sleeping).
     cache_size:
-        LRU entries for (image digest, query) -> box; 0 disables.
+        LRU entries for (image digest, query) -> response; 0 disables.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry` the engine publishes
-        its ``serve.*`` metrics into; defaults to a private registry
-        (readable via :attr:`metrics`).
+        its ``serve.*`` metrics (the cache's ``serve.cache_*`` tallies
+        included) into; defaults to a private registry (readable via
+        :attr:`metrics`).
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`.
     ``submit`` starts the worker lazily, so the one-liner
-    ``Grounder(...).serve().ground(image, "red dog")`` also works.
+    ``ServeEngine(grounder.ranked(top_k=1)).ground(image, "red dog")``
+    also works.
     Submitting after a completed ``stop`` restarts the worker (documented
     lazy restart); submitting while a ``stop`` is draining raises
     :class:`EngineStopped`, and a shutdown resolves every still-queued
@@ -125,7 +117,8 @@ class ServeEngine:
 
     def __init__(
         self,
-        grounder: Callable[[Sequence[GroundingSample]], np.ndarray],
+        grounder: Callable[[Sequence[GroundingSample]],
+                           List[GroundingResponse]],
         max_batch: int = 16,
         max_wait: float = 0.002,
         cache_size: int = 256,
@@ -139,13 +132,9 @@ class ServeEngine:
         self.max_batch = max_batch
         self.max_wait = max_wait
         self._queue: "queue.Queue" = queue.Queue()
-        self._cache = LRUCache(cache_size)
-        self._cache_lock = threading.Lock()
-        # Bumped by ``clear_cache``: a batch that was already in flight
-        # when the cache was cleared must not insert its (potentially
-        # stale) boxes afterwards.
-        self._cache_version = 0
-        self._recorder = StatsRecorder(registry=metrics, cache=self._cache)
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._cache = VersionedCache(cache_size, registry, "serve.cache_")
+        self._recorder = StatsRecorder(registry=registry, cache=self._cache)
         self._thread: threading.Thread = None
         # Guards the submit/stop race: enqueueing a request and pushing
         # the shutdown sentinel are serialised, so a request either lands
@@ -159,6 +148,11 @@ class ServeEngine:
     def metrics(self) -> MetricsRegistry:
         """The registry this engine's ``serve.*`` metrics live in."""
         return self._recorder.registry
+
+    @property
+    def cache(self) -> VersionedCache:
+        """The response cache; new weights call its ``invalidate()``."""
+        return self._cache
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -237,8 +231,7 @@ class ServeEngine:
     # ------------------------------------------------------------------
     def submit(self, image: np.ndarray, query: str) -> Future:
         """Enqueue one request; the future resolves to the grounder's
-        answer — a (4,) box, or a :class:`~repro.core.GroundingResponse`
-        when the wrapped grounder speaks the ranked protocol.
+        :class:`~repro.core.GroundingResponse`.
 
         Submitting to a fully stopped engine restarts the worker (the
         documented lazy-start behaviour backing the one-liner usage);
@@ -252,13 +245,10 @@ class ServeEngine:
         # model pass) in every tier downstream.
         query = normalize_query(str(query))
         key = (image_digest(image), query)
-        with self._cache_lock:
-            # Uncounted probe: the request's final outcome (hit, miss,
-            # or dedup hit) is credited once, at completion time.
-            cached = self._cache.get(key, count=False)
+        cached = self._cache.get(key)
         future: Future = Future()
         if cached is not None:
-            self._recorder.record_completion(time.perf_counter() - now, hit=True)
+            self._recorder.record_completion(time.perf_counter() - now)
             future.set_result(thaw_response(cached))
             return future
         with self._lifecycle:
@@ -268,18 +258,18 @@ class ServeEngine:
             self._queue.put(_Pending(_make_sample(image, query), key, future, now))
         return future
 
-    def ground(self, image: np.ndarray, query: str, timeout: float = 60.0) -> np.ndarray:
+    def ground(self, image: np.ndarray, query: str,
+               timeout: float = 60.0) -> GroundingResponse:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(image, query).result(timeout=timeout)
 
-    def ground_many(self, requests: Iterable, timeout: float = 300.0):
+    def ground_many(self, requests: Iterable,
+                    timeout: float = 300.0) -> List[GroundingResponse]:
         """Submit a burst of requests and gather the answers in order.
 
         ``requests`` yields objects with ``image`` and ``query``
         attributes (e.g. :class:`repro.serve.TraceRequest`) or
-        ``(image, query)`` tuples.  Single-box grounders yield a stacked
-        ``(n, 4)`` array; ranked grounders yield the list of
-        :class:`~repro.core.GroundingResponse` in submission order.
+        ``(image, query)`` tuples.
         """
         futures = []
         for request in requests:
@@ -288,31 +278,15 @@ class ServeEngine:
             else:
                 image, query = request
             futures.append(self.submit(image, query))
-        results = [future.result(timeout=timeout) for future in futures]
-        if any(isinstance(r, GroundingResponse) for r in results):
-            return results
-        return np.stack(results) if results else np.empty((0, 4))
+        return [future.result(timeout=timeout) for future in futures]
 
     def stats(self) -> ServerStats:
         """Snapshot of throughput, latency, cache, and batching telemetry."""
         return self._recorder.snapshot()
 
     def reset_stats(self) -> None:
+        """Zero the engine's metrics, the cache's tallies included."""
         self._recorder.reset()
-
-    def clear_cache(self) -> None:
-        """Drop every cached response; safe against in-flight batches.
-
-        Used by the serving replica when new weights are hot-loaded:
-        boxes computed by the old weights must not survive the swap.
-        The internal cache version is bumped so a batch that was already
-        running its forward pass when the clear happened cannot insert
-        its (old-weights) results afterwards — its waiters still get
-        their boxes, but nothing enters the cache.
-        """
-        with self._cache_lock:
-            self._cache.clear()
-            self._cache_version += 1
 
     # ------------------------------------------------------------------
     # Worker
@@ -351,44 +325,35 @@ class ServeEngine:
         for _key, milliseconds in plan_cache.drain_compile_events():
             self._recorder.record_compile(milliseconds)
 
-    def _resolve(self, pending: _Pending, value, hit: bool) -> None:
+    def _resolve(self, pending: _Pending, response: GroundingResponse) -> None:
         latency = time.perf_counter() - pending.enqueued
-        self._recorder.record_completion(latency, hit=hit)
-        pending.future.set_result(thaw_response(value))
+        self._recorder.record_completion(latency)
+        pending.future.set_result(thaw_response(response))
 
     @staticmethod
-    def _normalize_results(raw, count: int) -> List:
-        """Coerce a grounder's batch output to one value per sample.
-
-        Single-box grounders return an array reshapable to ``(n, 4)``;
-        ranked grounders return a list of ``GroundingResponse``.  Either
-        way the worker gets a flat list it can cache and resolve with
-        the same copy-in/copy-out discipline.
-        """
-        if (isinstance(raw, (list, tuple))
-                and any(isinstance(v, GroundingResponse) for v in raw)):
-            if len(raw) != count or not all(
-                    isinstance(v, GroundingResponse) for v in raw):
-                raise TypeError(
-                    f"ranked grounder must return one GroundingResponse "
-                    f"per sample ({count}), got {len(raw)} item(s)")
-            return list(raw)
-        boxes = np.asarray(raw, dtype=np.float64).reshape(count, 4)
-        return [boxes[i] for i in range(count)]
+    def _check_results(raw, count: int) -> List[GroundingResponse]:
+        """The grounder's batch output, checked to be one response per
+        sample."""
+        responses = list(raw)
+        if len(responses) != count or not all(
+                isinstance(r, GroundingResponse) for r in responses):
+            raise TypeError(
+                f"grounder must return one GroundingResponse per sample "
+                f"({count}), got {type(raw).__name__} of "
+                f"{len(responses)} item(s)")
+        return responses
 
     def _run_batch(self, batch: List[_Pending]) -> None:
         depth = self._queue.qsize()
-        with self._cache_lock:
-            cache_version = self._cache_version
+        version = self._cache.version
         # Re-check the cache at execution time (a request queued during a
         # burst may have been answered by an earlier batch by now) and
         # collapse identical in-flight requests onto one forward slot.
         groups: "dict[Tuple[str, str], List[_Pending]]" = {}
         for pending in batch:
-            with self._cache_lock:
-                cached = self._cache.get(pending.key, count=False)
+            cached = self._cache.get(pending.key)
             if cached is not None:
-                self._resolve(pending, cached, hit=True)
+                self._resolve(pending, cached)
                 continue
             groups.setdefault(pending.key, []).append(pending)
         if not groups:
@@ -397,7 +362,7 @@ class ServeEngine:
         try:
             with trace_span("serve.batch"), no_grad():
                 raw = self.grounder(samples)
-            values = self._normalize_results(raw, len(samples))
+            responses = self._check_results(raw, len(samples))
         except Exception as exc:  # surface the failure on every waiter
             for group in groups.values():
                 for pending in group:
@@ -406,18 +371,18 @@ class ServeEngine:
         finally:
             self._drain_compile_events()
         self._recorder.record_batch(len(samples), depth)
-        with self._cache_lock:
-            # A clear_cache() since this batch started (hot weight
-            # reload) means these results came from retired weights:
-            # serve the waiters, but keep the results out of the cache.
-            if self._cache_version == cache_version:
-                for key, value in zip(groups, values):
-                    self._cache.put(key, freeze_response(value))
-        for group, value in zip(groups.values(), values):
-            # The first requester paid for the forward pass; in-flight
-            # duplicates were deduplicated, which counts as cache service.
-            for index, pending in enumerate(group):
-                self._resolve(pending, value, hit=index > 0)
+        for (key, group), response in zip(groups.items(), responses):
+            # The first requester paid for the forward pass: its put
+            # counts the miss.  An invalidate() since this batch started
+            # (hot weight reload) makes the put refuse these retired
+            # weights' answers; the waiters are served all the same.
+            self._cache.put(key, response, version)
+            self._resolve(group[0], response)
+            for pending in group[1:]:
+                # In-flight duplicates read the answer back through the
+                # cache, which counts their hits.
+                cached = self._cache.get(key)
+                self._resolve(pending, response if cached is None else cached)
 
     def _worker(self) -> None:
         while True:

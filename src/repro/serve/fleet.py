@@ -27,13 +27,14 @@ micro-batching :class:`~repro.serve.ServeEngine`, see
   weight checksum against the payload the router read itself.  The rest
   of the fleet keeps serving; no in-flight request is dropped.
 * **Router-tier response cache** — a
-  :class:`~repro.serve.shared_cache.SharedResponseCache` keyed on
-  ``(image_digest, query)`` answers repeats before admission (no pipe
-  round-trip, and hits survive replica respawns).  Every entry carries
-  a weights-epoch tag; a completed rolling reload bumps the epoch
-  (instantly unreaching every pre-reload box), a failed roll leaves the
-  old epoch valid, and responses dispatched under an older epoch are
-  refused insertion — stale results can neither be served nor stored.
+  :class:`~repro.serve.cache.VersionedCache` (the class each replica's
+  engine caches with too) keyed on ``(model_id, image_digest, query)``
+  answers repeats before admission (no pipe round-trip, and hits
+  survive replica respawns).  A completed rolling reload invalidates it
+  (dropping every pre-reload response and bumping its version), a failed
+  roll leaves it untouched, and responses dispatched under an older
+  version are refused insertion — stale results can neither be served
+  nor stored.
 
 Every counter and distribution is published as ``serve.fleet.*`` into a
 :class:`~repro.obs.MetricsRegistry`; :meth:`FleetRouter.stats` snapshots
@@ -57,11 +58,10 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.response import thaw_response
+from repro.core.response import GroundingResponse, thaw_response
 from repro.obs import MetricsRegistry
 from repro.runtime.retry import backoff_delay
-from repro.serve.cache import image_digest
-from repro.serve.shared_cache import SharedResponseCache
+from repro.serve.cache import VersionedCache, image_digest
 from repro.text.tokenizer import normalize_query
 from repro.serve.replica import (
     ReplicaSpec,
@@ -120,8 +120,8 @@ class FleetConfig:
     #: behind one replica).
     max_replica_inflight: int = 32
     #: Router-tier response cache entries (0 disables).  Repeats hit in
-    #: the router without a replica round-trip; a rolling reload bumps
-    #: the cache's weights epoch so stale boxes are never served.
+    #: the router without a replica round-trip; a completed rolling
+    #: reload invalidates the cache so stale responses are never served.
     router_cache: int = 256
     #: Per-attempt deadline (seconds) used when ``submit`` gives none.
     default_deadline: float = 30.0
@@ -176,11 +176,11 @@ class FleetStats:
     latency_p95: float
     latency_p99: float
     reload_seconds_total: float
-    #: Router-tier shared-cache counters (0s when ``router_cache=0``).
+    #: Router-tier cache tallies (0s when ``router_cache=0``).
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    #: Weights epoch the shared cache is serving (bumped per reload).
+    #: Version of the router cache: completed rolling reloads so far.
     cache_epoch: int = 0
     replicas: Tuple[Dict[str, Any], ...] = ()
 
@@ -242,15 +242,15 @@ class _FleetRequest:
     done: bool = False
     #: Model this request must be served by (``None`` = any replica).
     model: Optional[str] = None
-    #: Shared-cache key ``(model_id, image_digest, query)`` — ``None``
+    #: Router-cache key ``(model_id, image_digest, query)`` — ``None``
     #: when the router cache is disabled or the request is untargeted in
     #: a heterogeneous fleet (any replica may answer, so no single model
     #: identity exists to key the entry under).
     key: Optional[Tuple[str, str, str]] = None
-    #: Weights epoch at submit time — the response is inserted into the
-    #: shared cache under this tag, so a box that races a completed
-    #: weight roll is refused rather than cached as current.
-    epoch: int = 0
+    #: Router-cache version at submit time — the response is offered to
+    #: the cache under it, so an answer that races a completed weight
+    #: roll is refused rather than cached as current.
+    version: int = 0
 
 
 class _Slot:
@@ -320,7 +320,8 @@ class FleetRouter:
         self._slots: Dict[int, _Slot] = {}
         self._admission: "queue.Queue" = queue.Queue(
             maxsize=self.config.max_queue)
-        self._response_cache = SharedResponseCache(self.config.router_cache)
+        self._response_cache = VersionedCache(
+            self.config.router_cache, self.metrics, "serve.fleet.cache.")
         self._retry_heap: List[Tuple[float, int, _FleetRequest]] = []
         self._seq = itertools.count()
         #: Last rolled checkpoint per model identity — respawned
@@ -345,10 +346,6 @@ class FleetRouter:
         self._m_latency = m.histogram("serve.fleet.latency_seconds")
         self._m_reload_s = m.histogram("serve.fleet.reload_seconds")
         self._m_depth = m.histogram("serve.fleet.replica_queue_depth")
-        self._m_cache_hits = m.counter("serve.fleet.cache.hits")
-        self._m_cache_misses = m.counter("serve.fleet.cache.misses")
-        self._m_cache_evictions = m.counter("serve.fleet.cache.evictions")
-        self._m_cache_epoch = m.gauge("serve.fleet.cache.epoch")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -475,8 +472,7 @@ class FleetRouter:
                deadline: Optional[float] = None,
                model: Optional[str] = None) -> Future:
         """Enqueue one request; the future resolves to the replica's
-        answer — a (4,) box, or a :class:`~repro.core.GroundingResponse`
-        when replicas serve the ranked protocol — or a typed
+        :class:`~repro.core.GroundingResponse` or a typed
         :class:`FleetError`; it is never left unresolved.
 
         ``model`` pins the request to replicas serving that model
@@ -484,16 +480,16 @@ class FleetRouter:
         resolves the future with :class:`UnknownModel`.  In a
         homogeneous fleet ``model=None`` targets the fleet's single
         model; in a heterogeneous fleet it means "any replica" — and
-        such requests bypass the shared cache, since no one model
+        such requests bypass the router cache, since no one model
         identity can vouch for the answer.
 
-        Repeats are answered from the router-tier shared cache before
+        Repeats are answered from the router-tier cache before
         admission: no queue slot, no replica round-trip, and the hit
         survives any replica crash or respawn.  Entries are keyed by
         ``(model_id, image_digest, query)`` — a hit is only ever served
-        back to the model that computed it — and only current-epoch
-        entries are served, so a completed weight roll instantly stops
-        every pre-reload box from being returned.
+        back to the model that computed it — and a completed weight roll
+        invalidates the cache, so no pre-reload response is returned
+        after it.
         """
         if not self._started:
             self.start()
@@ -515,27 +511,25 @@ class FleetRouter:
         self._m_submitted.inc()
         enqueued = self._now()
         key: Optional[Tuple[str, str, str]] = None
-        epoch = 0
+        version = 0
         if self._response_cache.capacity and target is not None:
             key = (target, image_digest(image), query)
             cached = self._response_cache.get(key)
             if cached is not None:
-                self._m_cache_hits.inc()
                 self._m_completed.inc()
                 self._m_latency.observe(self._now() - enqueued)
-                # Defensive thaw: the stored value is shared by every
-                # later hit and must not be mutable through a response
-                # (ranked lists deep-copy their box and score arrays).
+                # Defensive thaw: the stored response is shared by every
+                # later hit and must not be mutable through a caller's
+                # copy (thaw deep-copies its box and score arrays).
                 future.set_result(thaw_response(cached))
                 return future
-            self._m_cache_misses.inc()
-            epoch = self._response_cache.epoch
+            version = self._response_cache.version
         req = _FleetRequest(
             req_id=next(self._seq), image=image, query=query,
             deadline=float(deadline if deadline is not None
                            else self.config.default_deadline),
             future=future, enqueued=enqueued,
-            model=target, key=key, epoch=epoch,
+            model=target, key=key, version=version,
         )
         try:
             self._admission.put_nowait(req)
@@ -549,7 +543,7 @@ class FleetRouter:
     def ground(self, image: np.ndarray, query: str,
                deadline: Optional[float] = None,
                timeout: float = 60.0,
-               model: Optional[str] = None) -> np.ndarray:
+               model: Optional[str] = None) -> GroundingResponse:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(image, query, deadline=deadline,
                            model=model).result(timeout=timeout)
@@ -558,8 +552,8 @@ class FleetRouter:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def response_cache(self) -> SharedResponseCache:
-        """The router-tier shared cache (capacity 0 when disabled)."""
+    def response_cache(self) -> VersionedCache:
+        """The router-tier cache (capacity 0 when disabled)."""
         return self._response_cache
 
     def alive_replicas(self) -> int:
@@ -580,14 +574,6 @@ class FleetRouter:
         with self._lock:
             infos = tuple(self._slots[i].info() for i in sorted(self._slots))
         cache = self._response_cache.stats()
-        # The shared cache is the counting authority; catch the registry
-        # counters/gauge up to it (hit/miss are also incremented live on
-        # the submit path — the deltas heal any divergence).
-        self._m_cache_hits.inc(cache.hits - self._m_cache_hits.value)
-        self._m_cache_misses.inc(cache.misses - self._m_cache_misses.value)
-        self._m_cache_evictions.inc(
-            cache.evictions - self._m_cache_evictions.value)
-        self._m_cache_epoch.set(cache.epoch)
         latencies = self._m_latency.values()
         p50, p95, p99 = (
             self.metrics.histogram("serve.fleet.latency_seconds")
@@ -610,7 +596,7 @@ class FleetRouter:
             cache_hits=cache.hits,
             cache_misses=cache.misses,
             cache_evictions=cache.evictions,
-            cache_epoch=cache.epoch,
+            cache_epoch=cache.version,
             replicas=infos,
         )
 
@@ -692,17 +678,16 @@ class FleetRouter:
                 "checksum": checksum, "seconds": seconds,
             })
             self.logger.log(f"replica {index} reloaded in {seconds:.3f}s")
-        # Whole roll succeeded (each reloaded replica flushed its private
-        # LRU before acking): advance the shared cache's weights epoch in
-        # one atomic step.  Every pre-reload entry is unreachable from
-        # this instant; a raise anywhere above skips the bump, leaving
-        # the old epoch — still being served by the fleet — valid.  The
-        # epoch is fleet-global, so in a heterogeneous fleet rolling one
-        # model also evicts the *other* models' entries: deliberately
-        # conservative (a cold cache is a latency cost; a stale answer
-        # is a correctness bug).
-        epoch = self._response_cache.bump_epoch()
-        self._m_cache_epoch.set(epoch)
+        # Whole roll succeeded (each reloaded replica invalidated its own
+        # cache before acking): invalidate the router cache in one atomic
+        # step.  No pre-reload entry is served from this instant, and no
+        # response dispatched before it can be stored; a raise anywhere
+        # above skips this, leaving the entries of the weights the fleet
+        # still serves valid.  The cache is fleet-global, so in a
+        # heterogeneous fleet rolling one model also drops the *other*
+        # models' entries: deliberately conservative (a cold cache is a
+        # latency cost; a stale answer is a correctness bug).
+        self._response_cache.invalidate()
         self._m_reloads.inc()
         report.wall_seconds = self._now() - started
         return report
@@ -826,8 +811,8 @@ class FleetRouter:
             self._m_completed.inc()
             self._m_latency.observe(self._now() - req.enqueued)
             # Defensive copy: the caller owns its answer outright —
-            # mutating it must never reach the shared cache or another
-            # waiter (thaw deep-copies ranked responses too).
+            # mutating it must never reach the router cache or another
+            # waiter.
             req.future.set_result(thaw_response(result))
 
     def _handle_failure(self, req: _FleetRequest, error: FleetError) -> None:
@@ -861,7 +846,7 @@ class FleetRouter:
                 break
             kind = message[0]
             if kind == "response":
-                _, req_id, box = message
+                _, req_id, response = message
                 with self._lock:
                     req = slot.in_flight.pop(req_id, None)
                 if req is None:
@@ -870,13 +855,13 @@ class FleetRouter:
                     with self._lock:
                         slot.served += 1
                     if req.key is not None:
-                        # Tagged with the submit-time epoch: if a weight
-                        # roll completed while this response was in
-                        # flight, the insert is refused — a pre-reload
-                        # box never enters the post-reload cache.
-                        self._response_cache.put(req.key, box,
-                                                 epoch=req.epoch)
-                    self._finish(req, result=box)
+                        # Offered under the submit-time version: if a
+                        # weight roll completed while this response was
+                        # in flight, the put is refused — a pre-reload
+                        # answer never enters the post-reload cache.
+                        self._response_cache.put(req.key, response,
+                                                 req.version)
+                    self._finish(req, result=response)
             elif kind == "error":
                 _, req_id, detail = message
                 with self._lock:

@@ -7,16 +7,17 @@ replica builds its grounder, wraps it in the ordinary micro-batching
 :class:`~repro.serve.ServeEngine`, and then services a duplex pipe:
 
 * ``("request", req_id, image, query)`` — submitted to the engine; the
-  future's completion callback ships ``("response", req_id, box)`` (or
-  ``("error", req_id, detail)``) back to the router.
+  future's completion callback ships ``("response", req_id, response)``
+  (a :class:`~repro.core.GroundingResponse`, or ``("error", req_id,
+  detail)``) back to the router.
 * ``("reload", path)`` — loads a :mod:`repro.runtime` checkpoint into
-  the grounder's weights, flushes the engine's response cache (a box
-  computed by the old weights must not outlive them), and answers
-  ``("reloaded", checksum,
-  seconds)``, where ``checksum`` is :func:`state_checksum` over the
-  replica's *re-extracted* post-load state — the router compares it to
-  the checksum of the checkpoint payload it read itself, so a torn or
-  partial load cannot silently serve wrong weights.
+  the grounder's weights, invalidates the engine's response cache (an
+  answer computed by the old weights must not outlive them), and
+  answers ``("reloaded", checksum, seconds)``, where ``checksum`` is
+  :func:`state_checksum` over the replica's *re-extracted* post-load
+  state — the router compares it to the checksum of the checkpoint
+  payload it read itself, so a torn or partial load cannot silently
+  serve wrong weights.
 * ``("stop",)`` — drain the engine and exit cleanly.
 
 A heartbeat thread reports queue depth and served count every
@@ -39,6 +40,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
+from repro.core.response import GroundingResponse
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.faults import FaultPlan, SimulatedCrash
 from repro.serve.engine import ServeEngine
@@ -98,12 +100,14 @@ class LatencyGrounder:
     """Deterministic fixed-latency model stand-in for fleet harnesses.
 
     Each batch call sleeps ``latency`` seconds (one simulated forward
-    pass) and answers ``[image.sum(), len(tokens), version, bias]`` per
-    sample, where ``version``/``bias`` are its only "weights" — so hot
-    reloads are observable in the responses and the checksum handshake
-    round-trips exactly.  Because its cost is wall time rather than CPU,
-    N replicas overlap it even on one core: the honest scaling model for
-    a fleet fronting fixed-latency model servers.
+    pass) and answers each sample with a ``top_k=1`` response whose box
+    is ``[image.sum(), len(tokens), version, bias]`` and whose
+    ``version`` is the weights version.  ``version``/``bias`` are its
+    only "weights", so hot reloads are observable in the responses and
+    the checksum handshake round-trips exactly.  Because its cost is
+    wall time rather than CPU, N replicas overlap it even on one core:
+    the honest scaling model for a fleet fronting fixed-latency model
+    servers.
     """
 
     def __init__(self, latency: float = 0.002, version: float = 0.0,
@@ -117,11 +121,13 @@ class LatencyGrounder:
         if self.latency > 0:
             time.sleep(self.latency)
         self.batches += 1
-        return np.stack([
-            np.array([float(s.image.sum()), float(len(s.tokens)),
-                      self.version, self.bias])
+        return [
+            GroundingResponse(
+                boxes=[float(s.image.sum()), float(len(s.tokens)),
+                       self.version, self.bias],
+                scores=[1.0], version=self.version)
             for s in samples
-        ])
+        ]
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {"version": np.array([self.version]),
@@ -144,10 +150,11 @@ def build_yollo_grounder(dataset_name: str = "RefCOCO", scale: float = 0.1,
                          compiled: bool = False):
     """Reconstruct a real YOLLO grounder inside a replica process.
 
-    Replicas are seeded identically by the entry point before this runs,
-    so every replica initialises bit-identical weights even without a
-    ``model_path`` — a request answers the same no matter which replica
-    serves it.
+    Returns the ``top_k=1`` ranked grounder: each response's box is the
+    paper's single answer.  Replicas are seeded identically by the entry
+    point before this runs, so every replica initialises bit-identical
+    weights even without a ``model_path`` — a request answers the same
+    no matter which replica serves it.
     """
     from repro.backbone import load_pretrained_backbone
     from repro.core import Grounder, YolloConfig, YolloModel
@@ -166,7 +173,7 @@ def build_yollo_grounder(dataset_name: str = "RefCOCO", scale: float = 0.1,
     grounder = Grounder(model, dataset.vocab)
     if compiled:
         grounder.compile()
-    return grounder
+    return grounder.ranked(top_k=1)
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +184,8 @@ class ReplicaSpec:
     """Everything a replica process needs to build and serve its engine.
 
     ``builder`` must be a module-level callable (picklable by qualified
-    name) returning a batch grounder; ``builder_kwargs`` are passed to
-    it verbatim inside the replica.
+    name) returning a ranked batch grounder; ``builder_kwargs`` are
+    passed to it verbatim inside the replica.
     """
 
     builder: Callable[..., Any]
@@ -271,12 +278,13 @@ def _replica_entry(spec: ReplicaSpec, replica_id: int, generation: int,
                 try:
                     payload = load_checkpoint_payload(path)
                     state = apply_weights(grounder, payload)
-                    # Boxes computed by the old weights must not outlive
-                    # them: flush the engine's LRU (and invalidate any
-                    # in-flight batch's pending inserts) before acking,
-                    # so the router never re-admits traffic to a replica
-                    # that could still answer from pre-reload results.
-                    engine.clear_cache()
+                    # Answers computed by the old weights must not
+                    # outlive them: invalidate the engine's cache (which
+                    # also refuses any in-flight batch's inserts) before
+                    # acking, so the router never re-admits traffic to a
+                    # replica that could still answer from pre-reload
+                    # results.
+                    engine.cache.invalidate()
                     checksum = state_checksum(state)
                     send(("reloaded", checksum,
                           time.perf_counter() - started))

@@ -15,8 +15,8 @@ cache tier end to end: the router-tier hit counters land in the
 report's :class:`~repro.serve.fleet.FleetStats`, and an optional
 ``post_reload_check`` verifies the *content* of every successful
 response submitted after a mid-run rolling reload completed — a result
-computed by pre-reload weights (served from an unflushed replica LRU or
-a stale cache entry) is counted in ``stale_served``.
+computed by pre-reload weights (served from an uninvalidated replica or
+router cache) is counted in ``stale_served``.
 
 Scenario-mix traces (:mod:`repro.scenarios`) add two more dimensions:
 
@@ -24,9 +24,8 @@ Scenario-mix traces (:mod:`repro.scenarios`) add two more dimensions:
   scenario's own latency percentile (``scenario_p99``), so one slow
   workload cannot hide inside the aggregate p99;
 * requests marked ``expect_not_found`` (the described object is absent)
-  must be answered with a ranked
-  :class:`~repro.core.GroundingResponse` whose ``not_found`` is True —
-  anything else is a ``false_found`` correctness violation.
+  must be answered with ``not_found`` True — anything else is a
+  ``false_found`` correctness violation.
 
 :meth:`SoakReport.check` turns the classification into a pass/fail
 verdict: zero lost requests, zero stale responses, zero false-found
@@ -56,13 +55,6 @@ from repro.serve.fleet import (
 from repro.serve.trace import TimedRequest
 
 
-def _describe(result) -> str:
-    """Short human-readable rendering of either answer shape."""
-    if isinstance(result, GroundingResponse):
-        return repr(result)
-    return str(np.asarray(result).tolist())
-
-
 @dataclass(frozen=True)
 class SoakReport:
     """Outcome of one soak run: per-request classification plus stats."""
@@ -80,9 +72,9 @@ class SoakReport:
     reload_error: Optional[str] = None
     failures: Tuple[str, ...] = ()
     #: Successful responses (submitted after a mid-run reload completed)
-    #: whose content failed ``post_reload_check`` — boxes computed from
-    #: pre-reload weights.  Must be zero: the epoch-invalidation
-    #: protocol exists to make these impossible.
+    #: whose content failed ``post_reload_check`` — answers computed from
+    #: pre-reload weights.  Must be zero: versioned cache invalidation
+    #: exists to make these impossible.
     stale_served: int = 0
     #: Requests whose described object was absent (``expect_not_found``).
     no_target_requests: int = 0
@@ -224,8 +216,9 @@ def run_soak(
     reload_at: Optional[int] = None,
     reload_checkpoint: Optional[str] = None,
     settle_timeout: float = 60.0,
-    post_reload_check: Optional[Callable[[Any], bool]] = None,
-    content_check: Optional[Callable[[TimedRequest, Any], bool]] = None,
+    post_reload_check: Optional[Callable[[GroundingResponse], bool]] = None,
+    content_check: Optional[
+        Callable[[TimedRequest, GroundingResponse], bool]] = None,
 ) -> SoakReport:
     """Replay ``trace`` against ``router`` and classify every outcome.
 
@@ -237,15 +230,14 @@ def run_soak(
     are awaited up to ``settle_timeout``; anything still unresolved is
     counted as **lost**.
 
-    ``post_reload_check`` receives the result of every *successful*
-    response whose request was submitted after the rolling reload had
-    completed — a (4,) box, or a ranked
-    :class:`~repro.core.GroundingResponse` when replicas serve the
-    structured protocol — and returns ``True`` if it was computed by
-    the new weights (e.g. it carries the reloaded checkpoint's version
-    fingerprint).  Responses failing the check are counted in
-    :attr:`SoakReport.stale_served` — the checksum-verified "zero
-    responses from pre-reload weights" invariant.
+    ``post_reload_check`` receives the
+    :class:`~repro.core.GroundingResponse` of every *successful* request
+    submitted after the rolling reload had completed and returns
+    ``True`` if it was computed by the new weights (e.g. it carries the
+    reloaded checkpoint's version fingerprint).  Responses failing the
+    check are counted in :attr:`SoakReport.stale_served` — the
+    checksum-verified "zero responses from pre-reload weights"
+    invariant.
 
     ``content_check`` receives ``(request, result)`` for every
     successful response and returns ``True`` if the answer is the one
@@ -309,25 +301,22 @@ def run_soak(
             if tag:
                 scenario_latencies.setdefault(tag, []).append(
                     finished_in.get(index, 0.0))
-            if expect_absent and not (
-                    isinstance(result, GroundingResponse)
-                    and result.not_found):
+            if expect_absent and not result.not_found:
                 counts["false_found"] += 1
                 failures.append(
                     f"no-target query answered found: {request.query!r} "
-                    f"-> {_describe(result)}")
+                    f"-> {result!r}")
             if post_reload and post_reload_check is not None \
                     and not post_reload_check(result):
                 counts["stale"] += 1
-                failures.append(
-                    f"stale response after reload: {_describe(result)}")
+                failures.append(f"stale response after reload: {result!r}")
             if content_check is not None \
                     and not content_check(request, result):
                 counts["mismatch"] += 1
                 failures.append(
                     f"content check failed for {request.query!r} "
                     f"(model={getattr(request, 'model', '')!r}) "
-                    f"-> {_describe(result)}")
+                    f"-> {result!r}")
         except Overloaded:
             counts["shed"] += 1
         except DeadlineExceeded:

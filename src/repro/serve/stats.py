@@ -53,12 +53,9 @@ class ServerStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Hit fraction over the cache-sourced hit/miss tallies.
-
-        ``cache_hits``/``cache_misses`` are read from the
-        :class:`~repro.serve.cache.LRUCache` itself (the single counting
-        authority), so this rate cannot drift from the cache's own view.
-        """
+        """Hit fraction over the tallies of the engine's
+        :class:`~repro.serve.cache.VersionedCache` (the only counting
+        authority)."""
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
@@ -124,13 +121,10 @@ class StatsRecorder:
     registry unless one is injected, in which case the engine's numbers
     appear alongside whatever else that registry tracks.
 
-    When a ``cache`` (:class:`~repro.serve.cache.LRUCache`) is attached,
-    the cache is the counting authority for hits and misses:
-    :meth:`record_completion` credits the cache's tallies (keeping the
-    ``serve.cache_hits``/``serve.cache_misses`` registry counters in
-    lockstep for external observers) and :meth:`snapshot` reads the
-    cache's numbers back, so the engine's hit-rate can never drift from
-    the cache's own view.
+    Cache hits, misses and evictions are not recorded here: the
+    attached ``cache`` (:class:`~repro.serve.cache.VersionedCache`)
+    counts them itself, :meth:`snapshot` reads its tallies and
+    :meth:`reset` zeroes them.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
@@ -140,8 +134,6 @@ class StatsRecorder:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._requests = self.registry.counter("serve.requests")
         self._completed = self.registry.counter("serve.completed")
-        self._hits = self.registry.counter("serve.cache_hits")
-        self._misses = self.registry.counter("serve.cache_misses")
         self._latencies = self.registry.histogram("serve.latency_seconds")
         self._batch_sizes = self.registry.histogram("serve.batch_size")
         self._queue_depths = self.registry.histogram("serve.queue_depth")
@@ -152,9 +144,9 @@ class StatsRecorder:
     def reset(self) -> None:
         """Reset the engine's own metrics (other registry entries stay)."""
         with self._lock:
-            for metric in (self._requests, self._completed, self._hits,
-                           self._misses, self._latencies, self._batch_sizes,
-                           self._queue_depths, self._compile_ms):
+            for metric in (self._requests, self._completed, self._latencies,
+                           self._batch_sizes, self._queue_depths,
+                           self._compile_ms):
                 metric.reset()
             self._first_request = 0.0
             self._last_completion = 0.0
@@ -168,15 +160,10 @@ class StatsRecorder:
                 self._first_request = now
             self._requests.inc()
 
-    def record_completion(self, latency: float, hit: bool) -> None:
+    def record_completion(self, latency: float) -> None:
         now = time.perf_counter()
         with self._lock:
             self._completed.inc()
-            (self._hits if hit else self._misses).inc()
-            if self._cache is not None:
-                # The cache is the counting authority; the registry
-                # counters above mirror it for external observers.
-                self._cache.count_hit() if hit else self._cache.count_miss()
             self._latencies.observe(latency)
             self._last_completion = now
 
@@ -196,14 +183,9 @@ class StatsRecorder:
             batch_sizes = self._batch_sizes.values()
             depths = self._queue_depths.values()
             requests, completed = self._requests.value, self._completed.value
-            if self._cache is not None:
-                hits, misses = self._cache.hits, self._cache.misses
-                evictions = self._cache.evictions
-            else:
-                hits, misses = self._hits.value, self._misses.value
-                evictions = 0
             compile_ms = self._compile_ms.values()
             wall = max(0.0, self._last_completion - self._first_request)
+        cache = self._cache.stats() if self._cache is not None else None
         timing = summarize_latencies(latencies)
         histogram: Dict[int, int] = {}
         for size in batch_sizes:
@@ -212,8 +194,8 @@ class StatsRecorder:
         return ServerStats(
             requests=requests,
             completed=completed,
-            cache_hits=hits,
-            cache_misses=misses,
+            cache_hits=cache.hits if cache else 0,
+            cache_misses=cache.misses if cache else 0,
             batches=len(batch_sizes),
             wall_seconds=wall,
             latency_p50=timing.p50,
@@ -225,5 +207,5 @@ class StatsRecorder:
             timing=timing,
             compile_count=len(compile_ms),
             compile_ms_total=float(sum(compile_ms)),
-            cache_evictions=evictions,
+            cache_evictions=cache.evictions if cache else 0,
         )

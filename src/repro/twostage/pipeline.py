@@ -84,16 +84,6 @@ class TwoStageGrounder:
 
     __call__ = ground_batch
 
-    def serve(self, **kwargs):
-        """Wrap this grounder in a micro-batching :class:`ServeEngine`.
-
-        Two-stage grounding has no batched forward, so the engine's win
-        here comes from the result cache and the shared telemetry.
-        """
-        from repro.serve import ServeEngine
-
-        return ServeEngine(self, **kwargs)
-
     def proposal_time(self, sample: GroundingSample) -> float:
         """Stage-i wall-clock for one sample (Table 5's parenthesis)."""
         start = time.perf_counter()

@@ -113,6 +113,17 @@ class TestNMS:
     def test_empty_input(self):
         assert len(nms(np.empty((0, 4)), np.empty(0))) == 0
 
+    def test_tied_scores_keep_index_order(self):
+        # Rounded scores tie often; an unstable sort kept index 497
+        # first here while argmax (the top-1 answer) is 26.
+        scores = np.round(np.random.default_rng(0).random(576), 1)
+        boxes = np.stack([[i * 20.0, 0.0, i * 20.0 + 10, 10.0]
+                          for i in range(len(scores))])
+        keep = nms(boxes, scores)
+        assert keep[0] == scores.argmax()
+        assert keep.tolist() == np.argsort(-scores, kind="stable").tolist()
+        assert nms(boxes, scores, max_keep=1).tolist() == [scores.argmax()]
+
 
 class TestUniformTopKMatcher:
     def _grid_anchors(self, n=6, size=10.0):

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import responses_equal
 from repro.data.refcoco import GroundingSample
 from repro.runtime import CheckpointManager, FaultPlan
 from repro.serve import (
@@ -144,10 +145,11 @@ class TestFleetServing:
             assert router.wait_healthy(60.0)
             futures = [router.submit(s.image, s.query)
                        for s in samples for _ in range(4)]
-            boxes = [f.result(timeout=30.0) for f in futures]
-        for box, sample in zip(boxes, [s for s in samples for _ in range(4)]):
-            assert box.shape == (4,)
-            assert box[0] == pytest.approx(float(sample.image.sum()))
+            answers = [f.result(timeout=30.0) for f in futures]
+        for answer, sample in zip(answers,
+                                  [s for s in samples for _ in range(4)]):
+            assert answer.boxes.shape == (1, 4)
+            assert answer.top_box[0] == pytest.approx(float(sample.image.sum()))
         stats = router.stats()
         assert stats.completed == len(futures)
         assert stats.shed == 0
@@ -201,8 +203,8 @@ class TestFleetServing:
             assert router.wait_healthy(60.0)
             futures = [router.submit(samples[i % 4].image, f"req {i}")
                        for i in range(24)]
-            boxes = [f.result(timeout=60.0) for f in futures]
-            assert len(boxes) == 24
+            answers = [f.result(timeout=60.0) for f in futures]
+            assert len(answers) == 24
             assert router.wait_healthy(60.0), "replica count not restored"
         stats = router.stats()
         assert stats.respawns >= 1
@@ -228,14 +230,14 @@ class TestHotReload:
         with FleetRouter(latency_spec(), cfg) as router:
             assert router.wait_healthy(60.0)
             before = router.ground(samples[0].image, samples[0].query)
-            assert before[2] == 0.0 and before[3] == 1.0
+            assert before.version == 0.0 and before.top_box[3] == 1.0
             report = router.reload_weights(ckpt, timeout=60.0)
             assert report.checksum == state_checksum(state)
             assert len(report.replicas) == 2
             assert all(r["checksum"] == report.checksum
                        for r in report.replicas)
             after = router.ground(samples[0].image, samples[0].query)
-            assert after[2] == 7.0 and after[3] == 3.0
+            assert after.version == 7.0 and after.top_box[3] == 3.0
         assert router.stats().reloads == 1
 
     def test_corrupt_checkpoint_is_rejected_before_any_replica(
@@ -250,8 +252,8 @@ class TestHotReload:
             with pytest.raises(CheckpointCorruptError):
                 router.reload_weights(ckpt)
             # fleet still serves the old weights
-            box = router.ground(np.ones((4, 4, 3)), "still up")
-            assert box[2] == 0.0 and box[3] == 1.0
+            answer = router.ground(np.ones((4, 4, 3)), "still up")
+            assert answer.version == 0.0 and answer.top_box[3] == 1.0
 
     def test_respawned_replica_joins_at_reloaded_weights(self, tmp_path):
         from repro.runtime.faults import SimulatedCrash  # noqa: F401
@@ -267,9 +269,9 @@ class TestHotReload:
             assert len(report.replicas) == 1
             # first request kills generation 0; the respawn must come
             # back at the *reloaded* weights, not the built-in defaults
-            box = router.ground(samples[0].image, samples[0].query,
-                                timeout=120.0)
-            assert box[2] == 5.0 and box[3] == 2.0
+            answer = router.ground(samples[0].image, samples[0].query,
+                                   timeout=120.0)
+            assert answer.version == 5.0 and answer.top_box[3] == 2.0
         assert router.stats().respawns >= 1
 
 
@@ -284,10 +286,11 @@ class TestRouterCache:
         with FleetRouter(latency_spec(), cfg) as router:
             assert router.wait_healthy(60.0)
             first = router.ground(samples[0].image, samples[0].query)
-            first[:] = -1.0  # clobbering the returned box ...
+            first.boxes[:] = -1.0  # clobbering the returned response ...
             second = router.ground(samples[0].image, samples[0].query)
             stats = router.stats()
-        assert second[0] == pytest.approx(float(samples[0].image.sum()))
+        assert second.top_box[0] == pytest.approx(
+            float(samples[0].image.sum()))
         assert stats.cache_hits == 1 and stats.cache_misses == 1
         assert stats.cache_hit_rate == pytest.approx(0.5)
         # the hit never reached a replica
@@ -307,16 +310,17 @@ class TestRouterCache:
             for variant in ["  The red car. ", "THE RED CAR",
                             "the  red\tcar!"]:
                 again = router.ground(samples[0].image, variant)
-                assert again.tobytes() == first.tobytes()
+                assert responses_equal(again, first)
             stats = router.stats()
         assert stats.cache_hits == 3 and stats.cache_misses == 1
         assert sum(r["served"] for r in stats.replicas) == 1
 
     def test_reload_flushes_replica_lru(self, tmp_path):
-        """THE headline regression: replica-private LRUs must be cleared
-        by the reload message, or repeats keep serving old-weight boxes.
+        """THE headline regression: replica-private caches must be
+        invalidated by the reload message, or repeats keep serving
+        old-weight answers.
 
-        Router cache off so the replica LRU is the only cache in play.
+        Router cache off so the replica cache is the only one in play.
         """
         samples = make_samples(1)
         ckpt, _ = save_checkpoint(tmp_path, version=7, bias=3)
@@ -325,13 +329,13 @@ class TestRouterCache:
         with FleetRouter(latency_spec(cache_size=16), cfg) as router:
             assert router.wait_healthy(60.0)
             before = router.ground(samples[0].image, samples[0].query)
-            assert before[2] == 0.0 and before[3] == 1.0
-            # warm the replica LRU with the old-weight box
+            assert before.version == 0.0 and before.top_box[3] == 1.0
+            # warm the replica cache with the old-weight answer
             router.ground(samples[0].image, samples[0].query)
             router.reload_weights(ckpt, timeout=60.0)
             after = router.ground(samples[0].image, samples[0].query)
-        assert after[2] == 7.0 and after[3] == 3.0, (
-            f"stale box served from unflushed replica LRU: {after.tolist()}")
+        assert after.version == 7.0 and after.top_box[3] == 3.0, (
+            f"stale answer served from uninvalidated replica cache: {after!r}")
 
     def test_completed_reload_bumps_epoch_and_invalidates(self, tmp_path):
         samples = make_samples(1)
@@ -342,13 +346,13 @@ class TestRouterCache:
             assert router.wait_healthy(60.0)
             router.ground(samples[0].image, samples[0].query)
             hit = router.ground(samples[0].image, samples[0].query)
-            assert hit[2] == 0.0  # served from router tier, old weights
+            assert hit.version == 0.0  # served from router tier, old weights
             router.reload_weights(ckpt, timeout=60.0)
             after = router.ground(samples[0].image, samples[0].query)
             stats = router.stats()
-        assert after[2] == 4.0 and after[3] == 6.0, (
-            f"stale box served from router cache after reload: "
-            f"{after.tolist()}")
+        assert after.version == 4.0 and after.top_box[3] == 6.0, (
+            f"stale answer served from router cache after reload: "
+            f"{after!r}")
         assert stats.cache_epoch == 1
         assert stats.cache_hits == 1 and stats.cache_misses == 2
 
@@ -365,11 +369,11 @@ class TestRouterCache:
             warm = router.ground(samples[0].image, samples[0].query)
             with pytest.raises(CheckpointCorruptError):
                 router.reload_weights(ckpt)
-            # the aborted roll must NOT bump the epoch: the cached box is
+            # the aborted roll must NOT invalidate: the cached answer is
             # still correct for the weights actually serving
             again = router.ground(samples[0].image, samples[0].query)
             stats = router.stats()
-        assert again.tolist() == warm.tolist()
+        assert responses_equal(again, warm)
         assert stats.cache_epoch == 0
         assert stats.cache_hits == 1
 
@@ -386,9 +390,9 @@ class TestRouterCache:
                                  timeout=120.0)
             hit = router.ground(samples[0].image, samples[0].query)
             stats = router.stats()
-        assert hit.tolist() == warm.tolist()
+        assert responses_equal(hit, warm)
         assert stats.respawns >= 1
-        # the respawned replica has an empty private LRU, but the
+        # the respawned replica has an empty private cache, but the
         # router-tier entry outlives it (same weights epoch)
         assert stats.cache_hits >= 1
         assert stats.cache_epoch == 0
@@ -412,8 +416,8 @@ class TestRouterCache:
             report = run_soak(
                 router, trace, reload_at=20, reload_checkpoint=ckpt,
                 settle_timeout=120.0,
-                # boxes computed by the reloaded weights carry version 2
-                post_reload_check=lambda box: box[2] == 2.0,
+                # answers computed by the reloaded weights carry version 2
+                post_reload_check=lambda response: response.version == 2.0,
             )
             assert router.wait_healthy(60.0), report.render()
         assert report.lost == 0, report.render()
@@ -498,7 +502,7 @@ class TestHeterogeneousFleet:
                               model="model-b")
             stats = router.stats()
         # the "version" weight is the model identity made observable
-        assert a[2] == 1.0 and b[2] == 2.0
+        assert a.version == 1.0 and b.version == 2.0
         models = {r["model"] for r in stats.replicas}
         assert models == {"model-a", "model-b"}
 
@@ -521,9 +525,9 @@ class TestHeterogeneousFleet:
             hit_b = router.ground(samples[0].image, samples[0].query,
                                   model="model-b")
             stats = router.stats()
-        assert first_a[2] == 1.0 and first_b[2] == 2.0
-        assert hit_a.tolist() == first_a.tolist()
-        assert hit_b.tolist() == first_b.tolist()
+        assert first_a.version == 1.0 and first_b.version == 2.0
+        assert responses_equal(hit_a, first_a)
+        assert responses_equal(hit_b, first_b)
         assert stats.cache_hits == 2 and stats.cache_misses == 2
         # only the two misses reached replicas
         assert sum(r["served"] for r in stats.replicas) == 2
@@ -540,7 +544,7 @@ class TestHeterogeneousFleet:
         # untagged answers depend on which replica served them, so they
         # must never enter (or hit) the shared cache
         assert stats.cache_hits == 0 and stats.cache_misses == 0
-        assert one[2] in (1.0, 2.0) and two[2] in (1.0, 2.0)
+        assert one.version in (1.0, 2.0) and two.version in (1.0, 2.0)
 
     def test_unknown_model_is_typed_and_lists_fleet(self):
         from repro.serve import UnknownModel
@@ -572,8 +576,8 @@ class TestHeterogeneousFleet:
                               model="model-a")
             b = router.ground(samples[0].image, samples[0].query,
                               model="model-b")
-        assert a[2] == 7.0, "model-a did not pick up the reload"
-        assert b[2] == 2.0, "reload leaked into model-b's replicas"
+        assert a.version == 7.0, "model-a did not pick up the reload"
+        assert b.version == 2.0, "reload leaked into model-b's replicas"
 
     def test_reload_unknown_model_is_typed(self, tmp_path):
         from repro.serve import UnknownModel

@@ -377,6 +377,33 @@ class TestPredictRanked:
         with pytest.raises(ValueError):
             model.predict_ranked(images, token_ids, token_mask, top_k=0)
 
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_top1_response_is_the_predict_box(self, compiled):
+        """The ``top_k=1`` response serving ships is the paper's answer:
+        byte for byte the argmax box ``predict`` decodes."""
+        from repro.data import REFCOCO, build_dataset, encode_batch
+        from repro.utils import seed_everything
+
+        seed_everything(31)
+        dataset = build_dataset(REFCOCO.scaled(0.05))
+        cfg = YolloConfig(
+            backbone="tiny", d_model=12, d_rel=16, ffn_hidden=16,
+            head_hidden=16, num_rel2att=2,
+            max_query_length=max(6, dataset.max_query_length),
+        )
+        model = YolloModel(cfg, vocab_size=len(dataset.vocab)).eval()
+        if compiled:
+            model.compile()
+        batch = encode_batch(dataset["val"], dataset.vocab,
+                             cfg.max_query_length)
+        arrays = (batch["images"], batch["token_ids"], batch["token_mask"])
+        predictions = model.predict(*arrays)
+        responses = model.predict_ranked(*arrays, top_k=1)
+        assert len(responses) == len(predictions) > 1
+        for prediction, response in zip(predictions, responses):
+            assert len(response) == 1
+            assert response.top_box.tobytes() == prediction.box.tobytes()
+
 
 # ----------------------------------------------------------------------
 # Weak scenario
@@ -488,7 +515,7 @@ class TestFleetMixedSoak:
             report = run_soak(
                 router, trace, reload_at=20,
                 reload_checkpoint=checkpoint,
-                post_reload_check=lambda r: getattr(r, "version", None) == 2.0)
+                post_reload_check=lambda r: r.version == 2.0)
             router.wait_healthy(15.0)
             report = dataclasses.replace(report, stats=router.stats())
 

@@ -1,4 +1,4 @@
-"""Serving engine: micro-batching, LRU cache, telemetry, traces."""
+"""Serving engine: micro-batching, versioned cache, telemetry, traces."""
 
 import threading
 import time
@@ -6,16 +6,22 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import Grounder, YolloConfig, YolloModel
+from repro.core import (
+    Grounder,
+    GroundingResponse,
+    YolloConfig,
+    YolloModel,
+    responses_equal,
+)
 from repro.data import REFCOCO, build_dataset
 from repro.serve import (
     EngineDrainTimeout,
     EngineStopped,
-    LRUCache,
     ServeEngine,
     ServerStats,
     TraceRequest,
     image_digest,
+    VersionedCache,
     synthetic_trace,
 )
 from repro.utils import seed_everything
@@ -24,6 +30,13 @@ from repro.utils import seed_everything
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
+def stub_responses(samples):
+    """One top-1 response per sample whose box encodes the request."""
+    return [GroundingResponse(boxes=[s.image.sum(), len(s.tokens), 1.0, 2.0],
+                              scores=[1.0])
+            for s in samples]
+
+
 class StubGrounder:
     """Deterministic grounder that records every batch it is handed."""
 
@@ -35,12 +48,7 @@ class StubGrounder:
         if self.fail:
             raise RuntimeError("model exploded")
         self.batches.append(len(samples))
-        return np.stack(
-            [
-                np.array([s.image.sum(), len(s.tokens), 1.0, 2.0])
-                for s in samples
-            ]
-        )
+        return stub_responses(samples)
 
 
 def make_image(value, shape=(3, 4, 6)):
@@ -60,33 +68,42 @@ def tiny_grounder():
     return Grounder(model, dataset.vocab), dataset
 
 
+def top_boxes(responses):
+    return np.stack([r.top_box for r in responses])
+
+
+def response(value):
+    return GroundingResponse(boxes=[value] * 4, scores=[1.0])
+
+
 # ----------------------------------------------------------------------
-# LRU cache
+# Versioned LRU cache
 # ----------------------------------------------------------------------
 class TestLRUCache:
     def test_put_get_roundtrip(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        assert cache.get("a") == 1 and "a" in cache
+        cache = VersionedCache(2)
+        assert cache.put("a", response(1), cache.version)
+        assert responses_equal(cache.get("a"), response(1))
 
     def test_eviction_is_least_recently_used(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        cache = VersionedCache(2)
+        cache.put("a", response(1), 0)
+        cache.put("b", response(2), 0)
         cache.get("a")  # refresh "a": "b" is now coldest
-        cache.put("c", 3)
+        cache.put("c", response(3), 0)
         assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.evictions == 1
+        assert cache.get("a").top_box[0] == 1
+        assert cache.get("c").top_box[0] == 3
+        assert cache.stats().evictions == 1
 
     def test_zero_capacity_disables(self):
-        cache = LRUCache(0)
-        cache.put("a", 1)
+        cache = VersionedCache(0)
+        assert cache.put("a", response(1), 0) is False
         assert cache.get("a") is None and len(cache) == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LRUCache(-1)
+            VersionedCache(-1)
 
     def test_image_digest_content_sensitive(self):
         a = make_image(1.0)
@@ -105,9 +122,9 @@ class TestServeEngine:
             futures = [
                 engine.submit(make_image(i), f"query {i}") for i in range(10)
             ]
-            boxes = [f.result(timeout=10) for f in futures]
-        for i, box in enumerate(boxes):
-            assert box[0] == pytest.approx(make_image(i).sum())
+            answers = [f.result(timeout=10) for f in futures]
+        for i, answer in enumerate(answers):
+            assert answer.top_box[0] == pytest.approx(make_image(i).sum())
         assert all(size <= 4 for size in stub.batches)
         assert sum(stub.batches) == 10  # every unique request computed once
 
@@ -115,16 +132,16 @@ class TestServeEngine:
         stub = StubGrounder()
         requests = [TraceRequest(make_image(i), f"q{i}") for i in range(7)]
         with ServeEngine(stub, max_batch=3) as engine:
-            boxes = engine.ground_many(requests)
-        assert boxes.shape == (7, 4)
-        for i in range(7):
-            assert boxes[i, 0] == pytest.approx(make_image(i).sum())
+            answers = engine.ground_many(requests)
+        assert len(answers) == 7
+        for i, answer in enumerate(answers):
+            assert answer.top_box[0] == pytest.approx(make_image(i).sum())
 
     def test_partial_batch_flushes_after_max_wait(self):
         stub = StubGrounder()
         with ServeEngine(stub, max_batch=64, max_wait=0.01) as engine:
-            box = engine.ground(make_image(3), "lonely request", timeout=10)
-        assert box[0] == pytest.approx(make_image(3).sum())
+            answer = engine.ground(make_image(3), "lonely request", timeout=10)
+        assert answer.top_box[0] == pytest.approx(make_image(3).sum())
         assert stub.batches == [1]
 
     def test_cache_hit_skips_forward_and_is_byte_identical(self):
@@ -135,7 +152,7 @@ class TestServeEngine:
             second = engine.ground(image, "red dog", timeout=10)
             stats = engine.stats()
         assert sum(stub.batches) == 1  # second request never reached the model
-        assert first.tobytes() == second.tobytes()
+        assert responses_equal(first, second)
         assert stats.cache_hits == 1 and stats.cache_misses == 1
         assert stats.cache_hit_rate == pytest.approx(0.5)
 
@@ -144,10 +161,10 @@ class TestServeEngine:
         image = make_image(9)
         with ServeEngine(stub, max_batch=8) as engine:
             futures = [engine.submit(image, "same query") for _ in range(6)]
-            boxes = [f.result(timeout=10) for f in futures]
+            answers = [f.result(timeout=10) for f in futures]
             stats = engine.stats()
         assert sum(stub.batches) == 1  # one forward slot for six requests
-        assert all(b.tobytes() == boxes[0].tobytes() for b in boxes)
+        assert all(responses_equal(a, answers[0]) for a in answers)
         assert stats.cache_hits == 5 and stats.cache_misses == 1
 
     def test_query_variants_share_one_cache_entry(self):
@@ -160,7 +177,7 @@ class TestServeEngine:
             for variant in ["  The red car. ", "THE RED CAR",
                             "the  red\tcar!"]:
                 again = engine.ground(image, variant, timeout=10)
-                assert again.tobytes() == first.tobytes()
+                assert responses_equal(again, first)
             stats = engine.stats()
         assert sum(stub.batches) == 1
         assert stats.cache_hits == 3 and stats.cache_misses == 1
@@ -170,9 +187,10 @@ class TestServeEngine:
         image = make_image(2)
         with ServeEngine(stub) as engine:
             first = engine.ground(image, "q", timeout=10)
-            first[:] = -1.0  # clobbering the returned array ...
+            first.boxes[:] = -1.0  # clobbering the returned response ...
             second = engine.ground(image, "q", timeout=10)
-        assert second[0] == pytest.approx(image.sum())  # ... cannot poison the cache
+        # ... cannot poison the cache
+        assert second.top_box[0] == pytest.approx(image.sum())
 
     def test_cache_disabled_recomputes(self):
         stub = StubGrounder()
@@ -183,6 +201,17 @@ class TestServeEngine:
             stats = engine.stats()
         assert sum(stub.batches) == 2
         assert stats.cache_hits == 0
+
+    def test_bare_boxes_are_rejected(self):
+        """Only responses are served: a grounder answering ``(n, 4)``
+        boxes fails its waiters with a TypeError."""
+        def boxes_only(samples):
+            return np.zeros((len(samples), 4))
+
+        with ServeEngine(boxes_only) as engine:
+            future = engine.submit(make_image(1), "q")
+            with pytest.raises(TypeError, match="GroundingResponse"):
+                future.result(timeout=10)
 
     def test_grounder_failure_propagates_to_waiters(self):
         with ServeEngine(StubGrounder(fail=True)) as engine:
@@ -237,7 +266,7 @@ class _BlockingGrounder:
     def __call__(self, samples):
         self.entered.set()
         assert self.release.wait(30.0), "blocking grounder never released"
-        return np.zeros((len(samples), 4))
+        return [GroundingResponse() for _ in samples]
 
 
 class TestStopSemantics:
@@ -330,10 +359,7 @@ class _CountingBlockingGrounder:
         self.calls += 1
         self.entered.set()
         assert self.release.wait(30.0), "blocking grounder never released"
-        return np.stack(
-            [np.array([s.image.sum(), len(s.tokens), 1.0, 2.0])
-             for s in samples]
-        )
+        return stub_responses(samples)
 
 
 class TestClearCache:
@@ -342,7 +368,7 @@ class TestClearCache:
         image = make_image(3)
         with ServeEngine(stub) as engine:
             engine.ground(image, "q", timeout=10)
-            engine.clear_cache()
+            engine.cache.invalidate()
             engine.ground(image, "q", timeout=10)
             stats = engine.stats()
         assert sum(stub.batches) == 2  # no hit across the clear
@@ -354,12 +380,12 @@ class TestClearCache:
         with ServeEngine(stub) as engine:
             engine.ground(image, "q", timeout=10)
             engine.ground(image, "q", timeout=10)  # hit
-            engine.clear_cache()
+            engine.cache.invalidate()
             stats = engine.stats()
         assert stats.cache_hits == 1 and stats.cache_misses == 1
 
     def test_clear_during_in_flight_batch_blocks_reinsert(self):
-        """A forward racing ``clear_cache`` must not repopulate the cache.
+        """A forward racing ``invalidate`` must not repopulate the cache.
 
         The batch snapshot was computed by the *old* weights; letting it
         land after the clear would resurrect exactly the staleness the
@@ -370,15 +396,16 @@ class TestClearCache:
         with ServeEngine(blocker, max_wait=0.005) as engine:
             future = engine.submit(image, "q")
             assert blocker.entered.wait(10.0)
-            engine.clear_cache()  # fires while the forward is in flight
+            engine.cache.invalidate()  # fires while the forward is in flight
             blocker.release.set()
-            box = future.result(timeout=10.0)
-            assert box[0] == pytest.approx(image.sum())
+            answer = future.result(timeout=10.0)
+            assert answer.top_box[0] == pytest.approx(image.sum())
             # The in-flight result must NOT have been inserted: the same
             # request goes back to the model.
             second = engine.ground(image, "q", timeout=10.0)
-            assert second[0] == pytest.approx(image.sum())
+            assert second.top_box[0] == pytest.approx(image.sum())
         assert blocker.calls == 2
+        assert engine.cache.stats().stale_puts == 1
 
     def test_stats_and_registry_counters_agree_live(self):
         from repro.obs import MetricsRegistry
@@ -390,11 +417,22 @@ class TestClearCache:
             engine.ground(image, "q", timeout=10)
             engine.ground(image, "q", timeout=10)
             stats = engine.stats()
-        # LRUCache is the counting authority; the registry mirrors it.
+        # The cache's tallies are the registry counters themselves.
         assert stats.cache_hits == registry.counter("serve.cache_hits").value
         assert stats.cache_misses \
             == registry.counter("serve.cache_misses").value
         assert stats.cache_evictions == 0
+        assert (stats.cache_hits, stats.cache_misses) == (1, 1)
+
+    def test_reset_stats_zeroes_cache_tallies(self):
+        stub = StubGrounder()
+        image = make_image(8)
+        with ServeEngine(stub) as engine:
+            engine.ground(image, "q", timeout=10)
+            engine.reset_stats()
+            engine.ground(image, "q", timeout=10)  # the entry survived
+            stats = engine.stats()
+        assert (stats.cache_hits, stats.cache_misses) == (1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -433,27 +471,28 @@ class TestServeYollo:
         grounder, dataset = tiny_grounder
         samples = list(dataset["val"])
         direct = grounder.ground_batch(samples)
-        with grounder.serve(max_batch=4) as engine:
+        with ServeEngine(grounder.ranked(top_k=1), max_batch=4) as engine:
             served = engine.ground_many(
                 [TraceRequest(s.image, s.query) for s in samples]
             )
-        assert np.array_equal(served, direct)
+        assert all(len(r) == 1 for r in served)
+        assert np.array_equal(top_boxes(served), direct)
 
     def test_cached_response_byte_identical_to_uncached(self, tiny_grounder):
         grounder, dataset = tiny_grounder
         sample = dataset["val"][0]
-        with grounder.serve() as engine:
+        with ServeEngine(grounder.ranked(top_k=1)) as engine:
             uncached = engine.ground(sample.image, sample.query, timeout=30)
             cached = engine.ground(sample.image, sample.query, timeout=30)
             stats = engine.stats()
-        assert uncached.tobytes() == cached.tobytes()
+        assert responses_equal(uncached, cached)
         assert stats.cache_hits == 1
 
     def test_model_stays_in_eval_mode_under_serving(self, tiny_grounder):
         grounder, dataset = tiny_grounder
         grounder.model.eval()
         sample = dataset["val"][0]
-        with grounder.serve() as engine:
+        with ServeEngine(grounder.ranked(top_k=1)) as engine:
             engine.ground(sample.image, sample.query, timeout=30)
         assert not grounder.model.training
 
@@ -470,12 +509,13 @@ class TestServeCompiled:
         eager = grounder.ground_batch(samples)
         grounder.compile()
         try:
-            with grounder.serve(max_batch=4) as engine:
+            with ServeEngine(grounder.ranked(top_k=1),
+                             max_batch=4) as engine:
                 served = engine.ground_many(
                     [TraceRequest(s.image, s.query) for s in samples]
                 )
                 stats = engine.stats()
-            assert served.tobytes() == eager.tobytes()
+            assert top_boxes(served).tobytes() == eager.tobytes()
             assert stats.compile_count >= 1
             assert stats.compile_ms_total > 0.0
             assert "compile" in stats.render()
@@ -486,7 +526,7 @@ class TestServeCompiled:
     def test_eager_engine_records_no_compiles(self, tiny_grounder):
         grounder, dataset = tiny_grounder
         sample = dataset["val"][0]
-        with grounder.serve() as engine:
+        with ServeEngine(grounder.ranked(top_k=1)) as engine:
             engine.ground(sample.image, sample.query, timeout=30)
             stats = engine.stats()
         assert stats.compile_count == 0
@@ -497,7 +537,7 @@ class TestServeCompiled:
         sample = dataset["val"][0]
         grounder.compile()
         try:
-            with grounder.serve() as engine:
+            with ServeEngine(grounder.ranked(top_k=1)) as engine:
                 engine.ground(sample.image, sample.query, timeout=30)
                 lookups_after_miss = grounder.plan_cache.lookups
                 cached = engine.ground(sample.image, sample.query, timeout=30)
@@ -506,7 +546,7 @@ class TestServeCompiled:
             # plan-cache interaction: the lookup counter never moved.
             assert stats.cache_hits == 1
             assert grounder.plan_cache.lookups == lookups_after_miss
-            assert cached.shape == (4,)
+            assert cached.boxes.shape == (1, 4)
         finally:
             grounder.uncompile()
 
@@ -562,15 +602,15 @@ class TestServeCompiled:
             # cache_size=0: every request must reach the model, so the
             # racing submitters genuinely exercise plan compilation for
             # whatever batch shapes the engine happens to form.
-            with grounder.serve(max_batch=4, max_wait=0.001,
-                                cache_size=0) as engine:
+            with ServeEngine(grounder.ranked(top_k=1), max_batch=4,
+                             max_wait=0.001, cache_size=0) as engine:
 
                 def submit(index):
                     try:
                         sample = samples[index % len(samples)]
                         got = engine.ground(sample.image, sample.query,
                                             timeout=60)
-                        assert got.tobytes() == eager[
+                        assert got.top_box.tobytes() == eager[
                             index % len(samples)
                         ].tobytes()
                     except BaseException as exc:
@@ -599,7 +639,7 @@ class TestServeCompiled:
         sample = dataset["val"][0]
         grounder.compile()
         try:
-            with grounder.serve() as engine:
+            with ServeEngine(grounder.ranked(top_k=1)) as engine:
                 engine.ground(sample.image, sample.query, timeout=30)
                 histogram = engine.metrics.histogram("serve.compile_ms")
                 assert len(histogram.values()) >= 1
@@ -639,7 +679,7 @@ class TestServeMetrics:
         latencies = [0.010, 0.020, 0.030, 0.500]
         for latency in latencies:
             recorder.record_request()
-            recorder.record_completion(latency, hit=False)
+            recorder.record_completion(latency)
         stats = recorder.snapshot()
         p50, p95, p99 = percentiles(latencies, (50.0, 95.0, 99.0))
         assert stats.latency_p50 == p50
@@ -692,6 +732,6 @@ class TestInferenceAllocatesNoGraph:
         grounder, dataset = tiny_grounder
         sample = dataset["val"][0]
         with record_grad_children() as tracked:
-            with grounder.serve() as engine:
+            with ServeEngine(grounder.ranked(top_k=1)) as engine:
                 engine.ground(sample.image, sample.query, timeout=30)
         assert tracked == []
