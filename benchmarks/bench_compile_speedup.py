@@ -2,7 +2,7 @@
 
 Traces the tiny-preset YOLLO forward into an execution plan (constant
 folding, BatchNorm folding, conv/add epilogue fusion, arena buffer
-reuse, per-node conv autotuning) and times ``predict`` eager vs
+reuse, persistent conv pad/column buffers) and times ``predict`` eager vs
 compiled.  Measurement is single-query (batch 1), matching the paper's
 deployment-style Table-5 timing and ``repro.eval.timing``.  Timing is
 min-of-N: the minimum over repeated passes is the stable estimator for

@@ -2,14 +2,17 @@
 
 Convolution and pooling use an im2col strategy: the padded input is
 gathered into a ``(N, C, KH, KW, OH, OW)`` column tensor with strided
-slicing (one slice per kernel offset), after which the convolution is a
-single ``tensordot``.  Backward passes scatter-add through the same
-slices, which keeps both directions vectorised.
+slicing (one slice per kernel tap, dilation included), after which the
+convolution is one batched ``matmul`` — a GEMM per sample, landing
+directly in NCHW, so a sample's bytes do not depend on its batch.  The
+backward pass is two more batched GEMMs and a scatter-add through the
+same slices.  This is the only conv kernel: the graph executor calls
+:func:`_im2col` into its persistent buffers and repeats the GEMM.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -24,82 +27,31 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return (int(value[0]), int(value[1]))
 
 
-#: Memoised gather indices for the fancy-indexing im2col path, keyed on
-#: (padded height, padded width, kernel, stride).  Batch and channel
-#: counts do not enter the key: the index addresses the flattened H*W
-#: plane and broadcasts over the leading (N, C) axes.
-_IM2COL_INDEX_CACHE: Dict[Tuple[int, int, int, int, int, int], np.ndarray] = {}
-_IM2COL_CACHE_STATS = {"hits": 0, "misses": 0}
-
-#: Column tensors up to this many elements use the memoised single-gather
-#: path, where the per-call cost is dominated by Python/slice dispatch
-#: rather than memory bandwidth.  Larger gathers fall back to the strided
-#: slice loop, which moves big planes with contiguous copies and wins on
-#: stem-sized feature maps.
-_IM2COL_GATHER_MAX_ELEMENTS = 50_000
-
-
-def _im2col_indices(
-    h: int, w: int, kernel: Tuple[int, int], stride: Tuple[int, int]
-) -> np.ndarray:
-    """Flat H*W gather indices of shape ``(KH, KW, OH, OW)``, memoised."""
-    key = (h, w, kernel[0], kernel[1], stride[0], stride[1])
-    index = _IM2COL_INDEX_CACHE.get(key)
-    if index is None:
-        _IM2COL_CACHE_STATS["misses"] += 1
-        kh, kw = kernel
-        sh, sw = stride
-        oh = (h - kh) // sh + 1
-        ow = (w - kw) // sw + 1
-        rows = np.arange(kh)[:, None, None, None] + sh * np.arange(oh)[None, None, :, None]
-        cols = np.arange(kw)[None, :, None, None] + sw * np.arange(ow)[None, None, None, :]
-        index = rows * w + cols  # (KH, KW, OH, OW)
-        _IM2COL_INDEX_CACHE[key] = index
-    else:
-        _IM2COL_CACHE_STATS["hits"] += 1
-    return index
-
-
-def im2col_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters and entry count of the im2col index cache."""
-    return dict(_IM2COL_CACHE_STATS, entries=len(_IM2COL_INDEX_CACHE))
-
-
-def clear_im2col_cache() -> None:
-    """Drop memoised im2col indices and reset the hit/miss counters."""
-    _IM2COL_INDEX_CACHE.clear()
-    _IM2COL_CACHE_STATS["hits"] = 0
-    _IM2COL_CACHE_STATS["misses"] = 0
-
-
 def _im2col(
     x: np.ndarray,
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
+    dilation: Tuple[int, int] = (1, 1),
     out: np.ndarray = None,
 ) -> np.ndarray:
     """Gather kernel windows of an already-padded NCHW array.
 
-    Small column tensors take a single fancy gather driven by memoised
-    indices; large ones take the strided slice loop (see
-    ``_IM2COL_GATHER_MAX_ELEMENTS``).  Both produce bitwise-identical
-    columns — the choice is purely a speed heuristic.  ``out``, when
-    given, must be a contiguous ``(N, C, KH, KW, OH, OW)`` buffer and is
-    filled in place (used by the graph executor's arena).
+    Tap ``(i, j)`` reads the strided slice starting at ``(i*dh, j*dw)``,
+    so dilation costs nothing beyond the offsets.  ``out``, when given,
+    must be a contiguous ``(N, C, KH, KW, OH, OW)`` buffer and is filled
+    in place (used by the graph executor's persistent buffers).
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
-    oh = (h - kh) // sh + 1
-    ow = (w - kw) // sw + 1
+    dh, dw = dilation
+    oh = (h - dh * (kh - 1) - 1) // sh + 1
+    ow = (w - dw * (kw - 1) - 1) // sw + 1
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype) if out is None else out
-    if cols.size <= _IM2COL_GATHER_MAX_ELEMENTS and x.flags.c_contiguous:
-        index = _im2col_indices(h, w, kernel, stride)
-        np.take(x.reshape(n, c, h * w), index, axis=2, out=cols)
-    else:
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = x[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = x[:, :, i * dh : i * dh + sh * oh : sh,
+                                 j * dw : j * dw + sw * ow : sw]
     return cols
 
 
@@ -108,15 +60,18 @@ def _col2im(
     padded_shape: Tuple[int, int, int, int],
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
+    dilation: Tuple[int, int] = (1, 1),
 ) -> np.ndarray:
     """Scatter-add kernel windows back into a padded NCHW array."""
     kh, kw = kernel
     sh, sw = stride
+    dh, dw = dilation
     oh, ow = cols.shape[-2:]
     out = np.zeros(padded_shape, dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
+            out[:, :, i * dh : i * dh + sh * oh : sh,
+                j * dw : j * dw + sw * ow : sw] += cols[:, :, i, j]
     return out
 
 
@@ -126,22 +81,26 @@ def conv2d(
     bias: Tensor = None,
     stride: IntPair = 1,
     padding: IntPair = 0,
+    dilation: IntPair = 1,
 ) -> Tensor:
     """2-D cross-correlation of NCHW input with an FCKK weight tensor."""
     x = as_tensor(x)
     weight = as_tensor(weight)
     stride = _pair(stride)
     padding = _pair(padding)
-    kh, kw = weight.shape[2], weight.shape[3]
+    dilation = _pair(dilation)
+    f, c, kh, kw = weight.shape
     ph, pw = padding
 
     x_pad = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    cols = _im2col(x_pad, (kh, kw), stride)
-    # (N, C, KH, KW, OH, OW) x (F, C, KH, KW) -> (N, OH, OW, F)
-    value = np.tensordot(cols, weight.data, axes=([1, 2, 3], [1, 2, 3]))
-    value = value.transpose(0, 3, 1, 2)
+    cols = _im2col(x_pad, (kh, kw), stride, dilation)
+    n, oh, ow = cols.shape[0], cols.shape[4], cols.shape[5]
+    # One GEMM per sample: (F, C*KH*KW) @ (C*KH*KW, OH*OW), already NCHW.
+    w2 = weight.data.reshape(f, c * kh * kw)
+    cols3 = cols.reshape(n, c * kh * kw, oh * ow)
+    value = np.matmul(w2, cols3).reshape(n, f, oh, ow)
     if bias is not None:
-        value = value + bias.data.reshape(1, -1, 1, 1)
+        value += bias.data.reshape(1, -1, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = x._make_child(value, parents)
@@ -150,17 +109,15 @@ def conv2d(
         in_h, in_w = x.shape[2], x.shape[3]
 
         def backward(grad: np.ndarray) -> None:
+            g3 = grad.reshape(n, f, oh * ow)
             if weight.requires_grad:
-                # (N, F, OH, OW) x (N, C, KH, KW, OH, OW) over N, OH, OW
-                grad_w = np.tensordot(grad, cols, axes=([0, 2, 3], [0, 4, 5]))
-                weight._accumulate(grad_w)
+                grad_w = np.matmul(g3, cols3.transpose(0, 2, 1)).sum(0)
+                weight._accumulate(grad_w.reshape(weight.shape))
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                # (N, F, OH, OW) x (F, C, KH, KW) -> (N, OH, OW, C, KH, KW)
-                grad_cols = np.tensordot(grad, weight.data, axes=([1], [0]))
-                grad_cols = grad_cols.transpose(0, 3, 4, 5, 1, 2)
-                grad_pad = _col2im(grad_cols, padded_shape, (kh, kw), stride)
+                grad_cols = np.matmul(w2.T, g3).reshape(n, c, kh, kw, oh, ow)
+                grad_pad = _col2im(grad_cols, padded_shape, (kh, kw), stride, dilation)
                 grad_x = grad_pad[:, :, ph : ph + in_h, pw : pw + in_w]
                 x._accumulate(grad_x)
 

@@ -17,7 +17,6 @@ from repro.backbone import build_backbone
 from repro.core.config import YolloConfig
 from repro.nn import (
     Conv2d,
-    DilatedConv2d,
     Embedding,
     LayerNorm,
     Linear,
@@ -40,8 +39,8 @@ class DilatedBottleneck(Module):
         super().__init__()
         mid = max(channels // 2, 4)
         self.reduce = Conv2d(channels, mid, kernel_size=1)
-        self.dilated = DilatedConv2d(mid, mid, kernel_size=3,
-                                     dilation=dilation)
+        self.dilated = Conv2d(mid, mid, kernel_size=3, padding=dilation,
+                              dilation=dilation)
         self.expand = Conv2d(mid, channels, kernel_size=1)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -213,14 +213,34 @@ class YolloModel(Module):
             probs = np.where(inside[None, :], probs, -1.0)
         return probs, offsets, last_mask
 
+    def _rank_sample(self, anchors: np.ndarray, probs: np.ndarray,
+                     offsets: np.ndarray, top_k: int, nms_iou: float):
+        """NMS-ranked decode of one sample's in-bounds anchors.
+
+        Returns ``(boxes, scores, anchor_indices)`` best-first; the
+        indices address the full anchor grid.  Every in-bounds anchor is
+        decoded at once, so one vectorised pass serves any ``top_k``.
+        """
+        valid = probs >= 0.0  # cross-boundary anchors carry -1
+        if not valid.any():
+            valid = np.ones_like(probs, dtype=bool)
+        boxes = clip_boxes(
+            decode_offsets(anchors[valid], offsets[valid]),
+            self.config.image_height, self.config.image_width,
+        )
+        scores = probs[valid]
+        keep = nms(boxes, scores, iou_threshold=nms_iou, max_keep=top_k)
+        return boxes[keep], scores[keep], np.flatnonzero(valid)[keep]
+
     def predict(self, images: np.ndarray, token_ids: np.ndarray,
                 token_mask: Optional[np.ndarray] = None,
                 clause_masks: Optional[np.ndarray] = None,
                 ) -> List[GroundingPrediction]:
         """Run inference and decode the top-1 box per sample.
 
-        Cross-boundary anchors are excluded from the top-1 choice; see
-        :meth:`_predict_arrays`.
+        The top-1 answer is :meth:`predict_ranked`'s first entry: the
+        best in-bounds anchor (see :meth:`_predict_arrays`), decoded by
+        the same path.
         """
         probs, offsets, last_mask = self._predict_arrays(
             images, token_ids, token_mask, clause_masks)
@@ -228,14 +248,13 @@ class YolloModel(Module):
         grid_h, grid_w = self.encoder.grid_h, self.encoder.grid_w
         predictions: List[GroundingPrediction] = []
         for b in range(probs.shape[0]):
-            best = int(probs[b].argmax())
-            box = decode_offsets(anchors[best], offsets[b, best])
-            box = clip_boxes(box, self.config.image_height, self.config.image_width)
+            boxes, scores, indices = self._rank_sample(
+                anchors, probs[b], offsets[b], top_k=1, nms_iou=0.6)
             predictions.append(
                 GroundingPrediction(
-                    box=box,
-                    score=float(probs[b, best]),
-                    anchor_index=best,
+                    box=boxes[0],
+                    score=float(scores[0]),
+                    anchor_index=int(indices[0]),
                     attention_map=last_mask[b].reshape(grid_h, grid_w),
                 )
             )
@@ -265,19 +284,10 @@ class YolloModel(Module):
         anchors = self.anchor_grid.all_anchors()
         responses: List[GroundingResponse] = []
         for b in range(probs.shape[0]):
-            valid = probs[b] >= 0.0  # cross-boundary anchors carry -1
-            if not valid.any():
-                valid = np.ones_like(probs[b], dtype=bool)
-            candidate_boxes = clip_boxes(
-                decode_offsets(anchors[valid], offsets[b, valid]),
-                self.config.image_height, self.config.image_width,
-            )
-            candidate_scores = probs[b, valid]
-            keep = nms(candidate_boxes, candidate_scores,
-                       iou_threshold=nms_iou, max_keep=top_k)
-            scores = candidate_scores[keep]
+            boxes, scores, _ = self._rank_sample(
+                anchors, probs[b], offsets[b], top_k, nms_iou)
             responses.append(GroundingResponse(
-                boxes=candidate_boxes[keep],
+                boxes=boxes,
                 scores=scores,
                 not_found=bool(len(scores) == 0
                                or scores[0] < not_found_threshold),

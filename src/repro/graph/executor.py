@@ -20,10 +20,9 @@ persistent arena: output buffers are allocated once at build time,
 pooled by ``(dtype, element count)``, and handed to later nodes as
 earlier values die.  A node's inputs are released only *after* its own
 output buffer is acquired, so a kernel never reads and writes the same
-storage.  Convolutions additionally carry private pad/column scratch
-buffers and are autotuned at build time between the memoised im2col
-path and a ``sliding_window_view`` contraction (bitwise-identical,
-shape-dependent winners).
+storage.  Convolutions run eager ``conv2d``'s own kernel (im2col gather
+plus one batched GEMM, dilation included) with private pad/column
+scratch buffers, writing straight into their NCHW arena buffer.
 
 **Observability.**  When an op-level profiler is active, each kernel
 execution is recorded via :meth:`Profiler.record_op` under the node's
@@ -39,7 +38,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.autograd.functional import _im2col, _pair
 from repro.autograd.tensor import Tensor, no_grad
@@ -136,7 +134,6 @@ class ExecutionPlan:
         self.traced = traced
         self.graph: Graph = traced.graph
         self.fallbacks = 0
-        self.autotune: Dict[str, str] = {}
         self._lock = threading.Lock()
         self._build()
 
@@ -559,16 +556,9 @@ class ExecutionPlan:
             # batch and NaN activations mean the model is already broken.)
             offsets = [(i, j) for i in range(kh) for j in range(kw)]
             mask_buf = np.empty((n, c, oh, ow), dtype=bool)
-            # Producers may hand us a transposed view (the conv kernels'
-            # "view" variants); one contiguising copy beats kh*kw strided
-            # traversals and changes no values.
-            contig_buf = np.empty((n, c, h, w), dtype=node.inputs[0].dtype)
 
             def kernel_max_pool():
                 x = slots[ia]
-                if not x.flags.c_contiguous:
-                    np.copyto(contig_buf, x)
-                    x = contig_buf
                 i0, j0 = offsets[0]
                 np.copyto(out, x[:, :, i0:i0 + sh * oh:sh, j0:j0 + sw * ow:sw])
                 for i, j in offsets[1:]:
@@ -586,17 +576,26 @@ class ExecutionPlan:
         return kernel_avg_pool
 
     # -- convolution ----------------------------------------------------
-    def _build_conv_kernel(self, node: Node, out: np.ndarray) -> Callable[[], np.ndarray]:
+    def _build_conv_kernel(self, node: Node, out: Optional[np.ndarray]) -> Callable[[], np.ndarray]:
+        """Eager ``conv2d``'s own im2col + batched GEMM into the arena.
+
+        The input is padded into a persistent buffer, gathered into
+        persistent columns, multiplied straight into the output buffer
+        viewed as ``(N, F, OH*OW)``, and the fused bias/BN/ReLU epilogue
+        runs in place in NCHW — the same arithmetic as eager, so the
+        result is bitwise identical.
+        """
         slots = self._slots
         args = node.attrs.get("args", ())
         kwargs = node.attrs.get("kwargs", {})
         x_node, w_node = node.inputs[0], node.inputs[1]
-        if not w_node.is_constant:
+        if out is None or not w_node.is_constant:
             return self._build_generic_kernel(node)
         ix = self._slot_of[x_node.id]
         weight = w_node.value
         stride = _pair(_literal(args, kwargs, 3, "stride", 1))
         ph, pw = _pair(_literal(args, kwargs, 4, "padding", 0))
+        dilation = _pair(_literal(args, kwargs, 5, "dilation", 1))
         bias_slot = args[2] if len(args) > 2 else kwargs.get("bias")
         bias = None
         if isinstance(bias_slot, Slot):
@@ -605,122 +604,42 @@ class ExecutionPlan:
                 return self._build_generic_kernel(node)
             bias = bias_node.value
 
-        epilogue = self._build_nhwc_epilogue(node, bias)
+        epilogue = self._build_conv_epilogue(node, bias)
         n, c, h, w = x_node.shape
-        kh, kw = weight.shape[2], weight.shape[3]
-        hp, wp = h + 2 * ph, w + 2 * pw
-        sh, sw = stride
-        oh = (hp - kh) // sh + 1
-        ow = (wp - kw) // sw + 1
-
-        pad_buf = np.zeros((n, c, hp, wp), dtype=x_node.dtype) if (ph or pw) else None
+        f, _, kh, kw = weight.shape
+        oh, ow = out.shape[2], out.shape[3]
+        w2 = weight.reshape(f, c * kh * kw)
+        pad_buf = None
+        if ph or pw:
+            pad_buf = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x_node.dtype)
         cols_buf = np.empty((n, c, kh, kw, oh, ow), dtype=x_node.dtype)
-        # Unpadded convs (1x1 heads) may receive transposed views from a
-        # "view"-variant producer; gather paths want contiguous input.
-        contig_buf = None if pad_buf is not None else np.empty(
-            (n, c, h, w), dtype=x_node.dtype
-        )
+        cols3 = cols_buf.reshape(n, c * kh * kw, oh * ow)
+        out3 = out.reshape(n, f, oh * ow)
 
-        def padded() -> np.ndarray:
+        def kernel_conv() -> np.ndarray:
             x = slots[ix]
-            if pad_buf is None:
-                if x.flags.c_contiguous:
-                    return x
-                np.copyto(contig_buf, x)
-                return contig_buf
-            pad_buf[:, :, ph:ph + h, pw:pw + w] = x
-            return pad_buf
-
-        def conv_im2col() -> np.ndarray:
-            cols = _im2col(padded(), (kh, kw), stride, out=cols_buf)
-            tmp = np.tensordot(cols, weight, axes=([1, 2, 3], [1, 2, 3]))
-            epilogue(tmp)
-            np.copyto(out, tmp.transpose(0, 3, 1, 2))
+            if pad_buf is not None:
+                pad_buf[:, :, ph:ph + h, pw:pw + w] = x
+                x = pad_buf
+            _im2col(x, (kh, kw), stride, dilation, out=cols_buf)
+            np.matmul(w2, cols3, out=out3)
+            epilogue(out)
             return out
+        return kernel_conv
 
-        def conv_swv() -> np.ndarray:
-            view = sliding_window_view(padded(), (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-            tmp = np.tensordot(view, weight, axes=([1, 4, 5], [1, 2, 3]))
-            epilogue(tmp)
-            np.copyto(out, tmp.transpose(0, 3, 1, 2))
-            return out
+    def _build_conv_epilogue(self, node: Node, bias: Optional[np.ndarray]) -> Callable:
+        """In-place bias, folded BN and ReLU on the NCHW conv output.
 
-        # "view" variants skip the NCHW materialisation: the contraction
-        # output is fresh memory each call, so handing consumers a
-        # transposed view is safe, and every downstream kernel is either
-        # elementwise, a copying pad/gather, or a BLAS call that
-        # contiguises its operands — all layout-independent bitwise.
-        def conv_im2col_view() -> np.ndarray:
-            cols = _im2col(padded(), (kh, kw), stride, out=cols_buf)
-            tmp = np.tensordot(cols, weight, axes=([1, 2, 3], [1, 2, 3]))
-            epilogue(tmp)
-            return tmp.transpose(0, 3, 1, 2)
-
-        def conv_swv_view() -> np.ndarray:
-            view = sliding_window_view(padded(), (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-            tmp = np.tensordot(view, weight, axes=([1, 4, 5], [1, 2, 3]))
-            epilogue(tmp)
-            return tmp.transpose(0, 3, 1, 2)
-
-        # "gemm" gathers straight into the (N*OH*OW, C*KH*KW) layout the
-        # contraction wants, so np.dot runs with zero internal copies —
-        # tensordot would first transpose-copy the (N,C,KH,KW,OH,OW)
-        # columns.  The 2-D operands are bitwise identical to
-        # tensordot's, hence so is the product.
-        f = weight.shape[0]
-        contraction = c * kh * kw
-        c_off = (np.arange(c) * hp * wp)[None, None, :, None, None]
-        row_off = (
-            (sh * np.arange(oh))[:, None, None, None, None]
-            + np.arange(kh)[None, None, None, :, None]
-        ) * wp
-        col_off = (
-            (sw * np.arange(ow))[None, :, None, None, None]
-            + np.arange(kw)[None, None, None, None, :]
-        )
-        gemm_index = (c_off + row_off + col_off).reshape(-1)
-        weight_t = np.ascontiguousarray(
-            weight.reshape(f, contraction).T
-        )
-        gemm_cols = np.empty((n, gemm_index.size), dtype=x_node.dtype)
-        gemm_out = np.empty((n * oh * ow, f), dtype=node.dtype)
-
-        def conv_gemm() -> np.ndarray:
-            flat = padded().reshape(n, c * hp * wp)
-            np.take(flat, gemm_index, axis=1, out=gemm_cols)
-            a = gemm_cols.reshape(n * oh * ow, contraction)
-            np.dot(a, weight_t, out=gemm_out)
-            tmp = gemm_out.reshape(n, oh, ow, f)
-            epilogue(tmp)
-            return tmp.transpose(0, 3, 1, 2)
-
-        kernel = self._autotune_conv(
-            node,
-            ("im2col", conv_im2col),
-            ("swv", conv_swv),
-            ("im2col-view", conv_im2col_view),
-            ("swv-view", conv_swv_view),
-            ("gemm", conv_gemm),
-        )
-        return kernel
-
-    def _build_nhwc_epilogue(self, node: Node, bias: Optional[np.ndarray]) -> Callable:
-        """In-place epilogue on the (N, OH, OW, F) contraction output.
-
-        Bias, folded BN, and ReLU are elementwise along the channel axis,
-        so applying them channels-last before the single NCHW copy gives
-        bitwise-identical values to the eager NCHW sequence while saving
-        one full-tensor allocation per fused op.
+        Each step is the in-place twin of the eager elementwise op, with
+        the same ``(1, C, 1, 1)`` operands, so values match bit for bit.
         """
         steps: List[Callable[[np.ndarray], None]] = []
         if bias is not None:
-            bias_last = bias.reshape(-1)
-            steps.append(lambda t: np.add(t, bias_last, out=t))
+            bias4 = bias.reshape(1, -1, 1, 1)
+            steps.append(lambda t: np.add(t, bias4, out=t))
         for step in node.attrs.get("epilogue", ()):
             if step["op"] == "bn_affine":
-                mean, denom, scale, shift = (
-                    node.inputs[i].value.reshape(-1) for i in step["slots"]
-                )
+                mean, denom, scale, shift = (node.inputs[i].value for i in step["slots"])
 
                 def bn_step(t, m=mean, d=denom, s=scale, b=shift):
                     np.subtract(t, m, out=t)
@@ -735,41 +654,6 @@ class ExecutionPlan:
             for fn in steps:
                 fn(tmp)
         return apply
-
-    def _autotune_conv(self, node: Node,
-                       *variants) -> Callable[[], np.ndarray]:
-        """Pick the fastest of several bitwise-identical conv strategies.
-
-        Measured on the traced input values at build time; the losers
-        are discarded.  Any candidate that fails bitwise validation is
-        rejected here rather than waiting for the generic validator.
-        """
-        ix = self._slot_of[node.inputs[0].id]
-        saved = self._slots[ix]
-        self._slots[ix] = node.inputs[0].value
-        try:
-            candidates = []
-            for name, fn in variants:
-                try:
-                    result = fn()
-                    if not _bitwise_equal(result, node.value):
-                        continue
-                    best = float("inf")
-                    for _ in range(2):
-                        start = time.perf_counter()
-                        fn()
-                        best = min(best, time.perf_counter() - start)
-                    candidates.append((best, name, fn))
-                except Exception:
-                    continue
-        finally:
-            self._slots[ix] = saved
-        if not candidates:
-            return self._build_generic_kernel(node)
-        candidates.sort(key=lambda item: item[0])
-        _, name, fn = candidates[0]
-        self.autotune[f"%{node.id}:{node.name}"] = name
-        return fn
 
     # -- generic eager replay -------------------------------------------
     def _build_generic_kernel(self, node: Node) -> Callable[[], Any]:
@@ -872,9 +756,6 @@ class ExecutionPlan:
             f"arena: {self.arena_buffers} buffers, "
             f"{self.arena_bytes / 1024:.1f} KiB, {self.arena_reuses} reuses",
         ]
-        if self.autotune:
-            chosen = ", ".join(f"{k}->{v}" for k, v in sorted(self.autotune.items()))
-            lines.append(f"conv autotune: {chosen}")
         return "\n".join(lines)
 
 

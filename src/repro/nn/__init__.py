@@ -8,7 +8,6 @@ from repro.nn.module import (
 )
 from repro.nn.layers import (
     Conv2d,
-    DilatedConv2d,
     Dropout,
     Embedding,
     FeedForward,
@@ -39,7 +38,6 @@ __all__ = [
     "StateDictShapeError",
     "Linear",
     "Conv2d",
-    "DilatedConv2d",
     "Embedding",
     "Dropout",
     "Flatten",

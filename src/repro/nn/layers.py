@@ -1,4 +1,5 @@
-"""Core layers: linear, convolution, embedding, dropout, containers."""
+"""Core layers: linear, convolution (strided, padded, dilated), embedding,
+dropout, containers."""
 
 from __future__ import annotations
 
@@ -31,87 +32,32 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution over NCHW inputs (cross-correlation, zero padding)."""
+    """2-D convolution over NCHW inputs (cross-correlation, zero padding).
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, bias: bool = True,
-                 rng: np.random.Generator = None):
-        super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Parameter(init.kaiming_normal(shape, rng=rng))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-
-class DilatedConv2d(Module):
-    """2-D convolution with a dilation rate, via kernel expansion.
-
-    The autograd ``conv2d`` primitive (and the compiled executor's
-    autotuned kernels behind it) has no dilation parameter, so dilation
-    is lowered algebraically instead: the dense ``k x k`` weight is
-    scattered into a zero-stuffed ``(d(k-1)+1)`` square kernel with a
-    constant 0/1 placement matrix, and the standard convolution runs on
-    that.  The scatter is a ``matmul`` against a constant, so gradients
-    flow to the dense weight and the graph tracer captures the whole
-    layer with the ordinary conv machinery (autotuner included).
-
-    ``dilation=1`` skips the expansion and is bit-exact with
-    :class:`Conv2d` given the same weights.
+    ``dilation`` spaces the kernel taps ``dilation`` pixels apart (the
+    YOLOF dilated encoder's receptive-field widening); the gather reads
+    the spaced taps directly, so no zero taps are multiplied.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 dilation: int = 1, stride: int = 1,
-                 padding: Optional[int] = None, bias: bool = True,
-                 rng: np.random.Generator = None):
+                 stride: int = 1, padding: int = 0, dilation: int = 1,
+                 bias: bool = True, rng: np.random.Generator = None):
         super().__init__()
         if dilation < 1:
             raise ValueError(f"dilation must be >= 1, got {dilation}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.dilation = dilation
         self.stride = stride
-        #: Effective (zero-stuffed) kernel span.
-        self.span = dilation * (kernel_size - 1) + 1
-        # Default padding keeps the spatial size at stride 1 ("same").
-        self.padding = padding if padding is not None else self.span // 2
+        self.padding = padding
+        self.dilation = dilation
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(init.kaiming_normal(shape, rng=rng))
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
-        if dilation > 1:
-            # (k*k, span*span) 0/1 scatter: tap (i, j) of the dense
-            # kernel lands at (i*d, j*d) of the expanded kernel.
-            placement = np.zeros((kernel_size * kernel_size,
-                                  self.span * self.span))
-            for i in range(kernel_size):
-                for j in range(kernel_size):
-                    placement[i * kernel_size + j,
-                              (i * dilation) * self.span + j * dilation] = 1.0
-            self._placement = placement
-        else:
-            self._placement = None
-
-    def expanded_weight(self) -> Tensor:
-        """The zero-stuffed kernel the convolution actually runs with."""
-        if self._placement is None:
-            return self.weight
-        flat = self.weight.reshape(
-            self.out_channels * self.in_channels,
-            self.kernel_size * self.kernel_size)
-        spread = flat.matmul(Tensor(self._placement))
-        return spread.reshape(self.out_channels, self.in_channels,
-                              self.span, self.span)
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.expanded_weight(), self.bias,
-                      stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight, self.bias, stride=self.stride,
+                      padding=self.padding, dilation=self.dilation)
 
 
 class Embedding(Module):

@@ -105,20 +105,39 @@ class TestFeedForward:
         assert ffn.fc2.weight.grad is not None
 
 
+def naive_conv(x, weight, bias, stride, padding, dilation):
+    """Direct four-loop cross-correlation (output rows/cols, kernel taps)."""
+    n, c, h, w = x.shape
+    f, _, k, _ = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    span = dilation * (k - 1) + 1
+    oh = (h + 2 * padding - span) // stride + 1
+    ow = (w + 2 * padding - span) // stride + 1
+    out = np.zeros((n, f, oh, ow))
+    for y in range(oh):
+        for z in range(ow):
+            for i in range(k):
+                for j in range(k):
+                    tap = xp[:, :, y * stride + i * dilation, z * stride + j * dilation]
+                    out[:, :, y, z] += tap @ weight[:, :, i, j].T
+    return out + bias.reshape(1, -1, 1, 1)
+
+
 class TestDilatedConv2d:
-    def test_expanded_kernel_is_zero_stuffed(self):
-        layer = nn.DilatedConv2d(2, 3, kernel_size=3, dilation=2)
-        expanded = layer.expanded_weight().data
-        assert expanded.shape == (3, 2, 5, 5)
-        manual = np.zeros_like(expanded)
-        manual[:, :, ::2, ::2] = layer.weight.data
-        assert np.array_equal(expanded, manual)
-        # the zero taps really are zero
-        assert np.array_equal(expanded[:, :, 1::2, :], 
-                              np.zeros_like(expanded[:, :, 1::2, :]))
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    def test_matches_naive_reference(self, dilation, stride):
+        layer = nn.Conv2d(2, 3, 3, stride=stride, padding=dilation, dilation=dilation)
+        layer.bias.data[:] = [0.5, -0.25, 1.0]
+        x = make((2, 2, 9, 8))
+        expected = naive_conv(x.data, layer.weight.data, layer.bias.data,
+                              stride, dilation, dilation)
+        out = layer(x).data
+        assert out.shape == expected.shape
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     def test_dilation_one_matches_conv2d_bitwise(self):
-        dilated = nn.DilatedConv2d(2, 4, kernel_size=3, dilation=1)
+        dilated = nn.Conv2d(2, 4, kernel_size=3, padding=1, dilation=1)
         plain = nn.Conv2d(2, 4, kernel_size=3, padding=1)
         plain.weight.data[:] = dilated.weight.data
         x = make((1, 2, 6, 6))
@@ -126,22 +145,23 @@ class TestDilatedConv2d:
 
     def test_same_padding_preserves_spatial_size(self):
         for dilation in (1, 2, 3):
-            layer = nn.DilatedConv2d(3, 3, kernel_size=3, dilation=dilation)
+            layer = nn.Conv2d(3, 3, kernel_size=3, padding=dilation, dilation=dilation)
             assert layer(make((1, 3, 9, 9))).shape == (1, 3, 9, 9)
 
     def test_matches_conv_on_expanded_kernel(self):
-        """Dilated conv == standard conv run with the zero-stuffed kernel."""
-        layer = nn.DilatedConv2d(2, 3, kernel_size=3, dilation=2)
+        """Dilated conv == standard conv run with a zero-stuffed kernel."""
+        layer = nn.Conv2d(2, 3, kernel_size=3, padding=2, dilation=2)
         reference = nn.Conv2d(2, 3, kernel_size=5, padding=2)
-        reference.weight.data[:] = layer.expanded_weight().data
+        reference.weight.data[:] = 0.0
+        reference.weight.data[:, :, ::2, ::2] = layer.weight.data
         x = make((2, 2, 8, 8))
         assert np.allclose(layer(x).data, reference(x).data)
 
     def test_grad_reaches_dense_weight(self):
-        layer = nn.DilatedConv2d(2, 2, kernel_size=3, dilation=2)
+        layer = nn.Conv2d(2, 2, kernel_size=3, stride=2, padding=1, dilation=2)
         gradient_check(lambda *i: layer(i[0]),
-                       [make((1, 2, 6, 6))] + layer.parameters())
+                       [make((1, 2, 7, 6))] + layer.parameters())
 
     def test_rejects_bad_dilation(self):
         with pytest.raises(ValueError):
-            nn.DilatedConv2d(2, 2, kernel_size=3, dilation=0)
+            nn.Conv2d(2, 2, kernel_size=3, dilation=0)

@@ -165,6 +165,10 @@ class TestPresetSmoke:
         model.compile()
         compiled = model.predict_ranked(
             val["images"], val["token_ids"], val["token_mask"], top_k=3)
+        # every conv (dilated ones included) runs the shared kernel, not
+        # the generic eager replay
+        plans = list(model.plan_cache._plans.values())
+        assert plans and all(plan.fallbacks == 0 for plan in plans)
         model.uncompile()
         assert all(responses_equal(a, b)
                    for a, b in zip(responses, compiled))
