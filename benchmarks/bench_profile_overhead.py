@@ -25,11 +25,11 @@ import time
 import pytest
 from conftest import write_artifact
 
+from repro.autograd.interpose import _FUNCTION_OPS, _TENSOR_METHODS
+from repro.autograd.tensor import Tensor
 from repro.core import YolloConfig, YolloModel, YolloTrainer
 from repro.data import REFCOCO, build_dataset
 from repro.obs import SpanTotals, collect_spans, profile, trace_span
-from repro.obs.profiler import _FUNCTION_OPS, _TENSOR_METHODS
-from repro.autograd.tensor import Tensor
 from repro.utils import seed_everything
 
 pytestmark = pytest.mark.slow
@@ -109,7 +109,7 @@ def test_patches_fully_removed_after_profiling():
     assert prof.op_stats(), "profiler saw no ops"
 
     for attr in _TENSOR_METHODS:
-        assert not hasattr(getattr(Tensor, attr), "_obs_original"), (
+        assert not hasattr(getattr(Tensor, attr), "__wrapped__"), (
             f"Tensor.{attr} still wrapped after profiling"
         )
     for label in _FUNCTION_OPS:
@@ -117,7 +117,7 @@ def test_patches_fully_removed_after_profiling():
             if module is None or not getattr(module, "__name__", "").startswith("repro"):
                 continue
             bound = getattr(module, label, None)
-            assert not hasattr(bound, "_obs_original"), (
+            assert not hasattr(bound, "__wrapped__"), (
                 f"{module.__name__}.{label} still wrapped after profiling"
             )
 

@@ -5,6 +5,8 @@ It provides a :class:`Tensor` with a dynamic computation graph, the full
 set of primitive operations needed by the YOLLO model and its baselines
 (dense linear algebra, convolution, pooling, softmax, embedding lookup),
 and a finite-difference gradient checker used by the test suite.
+:mod:`repro.autograd.interpose` is the one mechanism that temporarily
+wraps those primitives for the op profiler and the graph tracer.
 """
 
 from repro.autograd.tensor import (

@@ -7,9 +7,10 @@ arithmetic without rebuilding the dynamic tape:
 - :mod:`repro.graph.ir` — the graph IR: :class:`Node` (input / constant
   / op) and :class:`Graph` (nodes in execution order, explicit tensor
   edges).
-- :mod:`repro.graph.trace` — :func:`trace` runs a function once under a
-  tracing context layered on the autograd op tables and records every
-  primitive op, external numpy helper, and constant it touches.
+- :mod:`repro.graph.trace` — :func:`trace` runs a function once with a
+  per-thread handler on :mod:`repro.autograd.interpose` (the op
+  interposer the profiler also uses) and records every primitive op,
+  external numpy helper, and constant it touches on that thread.
 - :mod:`repro.graph.passes` — dead-node elimination, constant folding of
   weight subgraphs, BatchNorm folding (running-stats buffers collapse
   into one ``bn_affine`` node), and conv/bias/BN/ReLU epilogue fusion.

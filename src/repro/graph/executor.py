@@ -11,8 +11,10 @@ repeats the shift/exp/sum sequence).  Plan construction *proves* this:
 each kernel is executed once on the traced input values and its output
 compared bitwise (shape, dtype, bytes) against the value the eager pass
 produced.  Any kernel that disagrees — or raises — is replaced by a
-generic eager-replay fallback reconstructed from the node's recorded
-call template, so a plan can never silently drift from eager semantics.
+generic eager replay: the original op the tracer recorded on the node,
+called with the node's call template, so a plan can never silently
+drift from eager semantics.  Ops without a dedicated kernel take the
+same replay at build time; ``plan.fallbacks`` counts both.
 
 **Allocation reuse.**  Buffer liveness analysis (aliases such as
 ``reshape``/``transpose`` extend their base buffer's lifetime) feeds a
@@ -47,10 +49,8 @@ from repro.obs import trace_span
 
 #: Ops whose kernels write into pooled arena buffers via ``out=``.
 _POOLED_OPS = frozenset({
-    "add", "sub", "neg", "mul", "div", "pow", "maximum", "where",
-    "exp", "log", "tanh", "sigmoid", "relu", "abs", "clip",
-    "matmul", "concatenate", "softmax", "log_softmax",
-    "bn_affine", "conv2d", "max_pool2d",
+    "add", "sub", "mul", "div", "pow", "tanh", "matmul", "concatenate",
+    "softmax", "bn_affine", "conv2d", "max_pool2d",
 })
 
 #: Ops whose output is a view of their (base) input buffer.
@@ -133,9 +133,12 @@ class ExecutionPlan:
     def __init__(self, traced: TracedGraph):
         self.traced = traced
         self.graph: Graph = traced.graph
-        self.fallbacks = 0
+        self._generic_nodes: set = set()
         self._lock = threading.Lock()
         self._build()
+        #: Nodes run by the generic eager replay, whether chosen at build
+        #: time or after a kernel failed validation.
+        self.fallbacks = len(self._generic_nodes)
 
     # ------------------------------------------------------------------
     # Plan construction
@@ -240,9 +243,7 @@ class ExecutionPlan:
             except Exception:
                 ok = False
             if not ok:
-                fallback = self._build_generic_kernel(node)
-                steps[index] = (slot, node, fallback)
-                self.fallbacks += 1
+                steps[index] = (slot, node, self._build_generic_kernel(node))
             slots[slot] = node.value
 
     # ------------------------------------------------------------------
@@ -258,10 +259,10 @@ class ExecutionPlan:
         if op == "conv2d":
             return self._build_conv_kernel(node, out)
 
-        if op in ("add", "sub", "mul", "div", "maximum"):
+        if op in ("add", "sub", "mul", "div"):
             ufunc = {
                 "add": np.add, "sub": np.subtract, "mul": np.multiply,
-                "div": np.true_divide, "maximum": np.maximum,
+                "div": np.true_divide,
             }[op]
             ia, ib = in_slots[0], in_slots[1]
             epilogue = node.attrs.get("epilogue")
@@ -276,44 +277,12 @@ class ExecutionPlan:
                 return ufunc(slots[ia], slots[ib], out=out)
             return kernel_binary
 
-        if op in ("neg", "exp", "log", "tanh", "abs"):
-            ufunc = {
-                "neg": np.negative, "exp": np.exp, "log": np.log,
-                "tanh": np.tanh, "abs": np.abs,
-            }[op]
+        if op == "tanh":
             ia = in_slots[0]
 
-            def kernel_unary():
-                return ufunc(slots[ia], out=out)
-            return kernel_unary
-
-        if op == "relu":
-            ia = in_slots[0]
-
-            def kernel_relu():
-                a = slots[ia]
-                return np.multiply(a, a > 0, out=out)
-            return kernel_relu
-
-        if op == "sigmoid":
-            ia = in_slots[0]
-
-            def kernel_sigmoid():
-                np.negative(slots[ia], out=out)
-                np.exp(out, out=out)
-                np.add(out, 1.0, out=out)
-                np.true_divide(1.0, out, out=out)
-                return out
-            return kernel_sigmoid
-
-        if op == "leaky_relu":
-            ia = in_slots[0]
-            slope = _literal(args, kwargs, 1, "negative_slope", 0.01)
-
-            def kernel_leaky():
-                a = slots[ia]
-                return a * np.where(a > 0, 1.0, slope)
-            return kernel_leaky
+            def kernel_tanh():
+                return np.tanh(slots[ia], out=out)
+            return kernel_tanh
 
         if op == "pow":
             ia = in_slots[0]
@@ -322,25 +291,6 @@ class ExecutionPlan:
             def kernel_pow():
                 return np.power(slots[ia], exponent, out=out)
             return kernel_pow
-
-        if op == "clip":
-            ia = in_slots[0]
-            low = _literal(args, kwargs, 1, "low", None)
-            high = _literal(args, kwargs, 2, "high", None)
-
-            def kernel_clip():
-                return np.clip(slots[ia], low, high, out=out)
-            return kernel_clip
-
-        if op == "where":
-            ic, ia, ib = in_slots[0], in_slots[1], in_slots[2]
-
-            def kernel_where():
-                condition = np.asarray(slots[ic], dtype=bool)
-                result = np.where(condition, slots[ia], slots[ib])
-                np.copyto(out, result)
-                return out
-            return kernel_where
 
         if op == "matmul":
             ia, ib = in_slots[0], in_slots[1]
@@ -356,42 +306,26 @@ class ExecutionPlan:
                 return np.concatenate([slots[i] for i in in_slots], axis=axis, out=out)
             return kernel_concat
 
-        if op == "stack":
-            axis = _literal(args, kwargs, 1, "axis", 0)
-
-            def kernel_stack():
-                return np.stack([slots[i] for i in in_slots], axis=axis)
-            return kernel_stack
-
-        if op in ("softmax", "log_softmax"):
+        if op == "softmax":
             ia = in_slots[0]
             axis = _literal(args, kwargs, 1, "axis", -1)
-            if op == "softmax":
-                def kernel_softmax():
-                    x = slots[ia]
-                    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-                    np.exp(out, out=out)
-                    np.true_divide(out, out.sum(axis=axis, keepdims=True), out=out)
-                    return out
-                return kernel_softmax
 
-            def kernel_log_softmax():
+            def kernel_softmax():
                 x = slots[ia]
                 np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-                log_sum = np.log(np.exp(out).sum(axis=axis, keepdims=True))
-                np.subtract(out, log_sum, out=out)
+                np.exp(out, out=out)
+                np.true_divide(out, out.sum(axis=axis, keepdims=True), out=out)
                 return out
-            return kernel_log_softmax
+            return kernel_softmax
 
-        if op in ("sum", "max"):
+        if op == "sum":
             ia = in_slots[0]
             axis = _literal(args, kwargs, 1, "axis", None)
             keepdims = _literal(args, kwargs, 2, "keepdims", False)
-            reducer = "sum" if op == "sum" else "max"
 
-            def kernel_reduce():
-                return getattr(slots[ia], reducer)(axis=axis, keepdims=keepdims)
-            return kernel_reduce
+            def kernel_sum():
+                return slots[ia].sum(axis=axis, keepdims=keepdims)
+            return kernel_sum
 
         if op in ("mean", "var"):
             return self._build_mean_var_kernel(node, in_slots, args, kwargs)
@@ -467,11 +401,8 @@ class ExecutionPlan:
                 return slots[iw][np.asarray(slots[ii], dtype=np.int64)]
             return kernel_embedding
 
-        if op == "pad2d":
-            return self._build_pad_kernel(node, in_slots, args, kwargs)
-
-        if op in ("max_pool2d", "avg_pool2d"):
-            return self._build_pool_kernel(node, in_slots, args, kwargs, out)
+        if op == "max_pool2d":
+            return self._build_max_pool_kernel(node, in_slots, args, kwargs, out)
 
         if op == "external":
             fn = node.attrs["fn"]
@@ -517,63 +448,40 @@ class ExecutionPlan:
             return squared.sum(axis=axis, keepdims=keepdims) / divisor
         return kernel_var
 
-    def _build_pad_kernel(self, node: Node, in_slots: List[int],
-                          args: Tuple, kwargs: Dict) -> Callable[[], np.ndarray]:
+    def _build_max_pool_kernel(self, node: Node, in_slots: List[int],
+                               args: Tuple, kwargs: Dict,
+                               out: np.ndarray) -> Callable[[], np.ndarray]:
+        """Max values only: inference needs no argmax indices.
+
+        A running first-max-wins comparison over the kernel offsets
+        (flat row-major order) replicates eager's
+        ``take_along_axis(argmax)`` exactly: strict ``>`` keeps the
+        earliest window on ties, which is argmax's tie rule.  (The one
+        divergence is NaN activations, where argmax treats NaN as the
+        maximum; build-time validation covers the traced batch and NaN
+        activations mean the model is already broken.)
+        """
         slots = self._slots
         ia = in_slots[0]
-        ph, pw = _pair(_literal(args, kwargs, 1, "padding", 0))
-        in_shape = node.inputs[0].shape
-        buffer = np.zeros(node.shape, dtype=node.dtype)
-        h, w = in_shape[2], in_shape[3]
-
-        def kernel_pad():
-            buffer[:, :, ph:ph + h, pw:pw + w] = slots[ia]
-            return buffer
-        return kernel_pad
-
-    def _build_pool_kernel(self, node: Node, in_slots: List[int],
-                           args: Tuple, kwargs: Dict,
-                           out: Optional[np.ndarray]) -> Callable[[], np.ndarray]:
-        slots = self._slots
-        ia = in_slots[0]
-        kernel_size = _pair(_literal(args, kwargs, 1, "kernel", None))
+        kh, kw = _pair(_literal(args, kwargs, 1, "kernel", None))
         stride_arg = _literal(args, kwargs, 2, "stride", None)
-        stride = kernel_size if stride_arg is None else _pair(stride_arg)
+        sh, sw = (kh, kw) if stride_arg is None else _pair(stride_arg)
         n, c, h, w = node.inputs[0].shape
-        kh, kw = kernel_size
-        sh, sw = stride
         oh = (h - kh) // sh + 1
         ow = (w - kw) // sw + 1
+        offsets = [(i, j) for i in range(kh) for j in range(kw)]
+        mask_buf = np.empty((n, c, oh, ow), dtype=bool)
 
-        if node.op == "max_pool2d":
-            # Inference needs the max values only, not argmax indices.  A
-            # running first-max-wins comparison over the kernel offsets
-            # (flat row-major order) replicates eager's
-            # ``take_along_axis(argmax)`` exactly: strict ``>`` keeps the
-            # earliest window on ties, which is argmax's tie rule.  (The
-            # one divergence is NaN activations, where argmax treats NaN
-            # as the maximum; build-time validation covers the traced
-            # batch and NaN activations mean the model is already broken.)
-            offsets = [(i, j) for i in range(kh) for j in range(kw)]
-            mask_buf = np.empty((n, c, oh, ow), dtype=bool)
-
-            def kernel_max_pool():
-                x = slots[ia]
-                i0, j0 = offsets[0]
-                np.copyto(out, x[:, :, i0:i0 + sh * oh:sh, j0:j0 + sw * ow:sw])
-                for i, j in offsets[1:]:
-                    window = x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-                    np.greater(window, out, out=mask_buf)
-                    np.copyto(out, window, where=mask_buf)
-                return out
-            return kernel_max_pool
-
-        cols_buf = np.empty((n, c, kh, kw, oh, ow), dtype=node.inputs[0].dtype)
-
-        def kernel_avg_pool():
-            cols = _im2col(slots[ia], kernel_size, stride, out=cols_buf)
-            return cols.mean(axis=(2, 3))
-        return kernel_avg_pool
+        def kernel_max_pool():
+            x = slots[ia]
+            i0, j0 = offsets[0]
+            np.copyto(out, x[:, :, i0:i0 + sh * oh:sh, j0:j0 + sw * ow:sw])
+            for i, j in offsets[1:]:
+                window = x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+                np.greater(window, out, out=mask_buf)
+                np.copyto(out, window, where=mask_buf)
+            return out
+        return kernel_max_pool
 
     # -- convolution ----------------------------------------------------
     def _build_conv_kernel(self, node: Node, out: Optional[np.ndarray]) -> Callable[[], np.ndarray]:
@@ -666,16 +574,8 @@ class ExecutionPlan:
         kw_t = node.attrs.get("kwargs", {})
         epilogue = node.attrs.get("epilogue", ())
         wrap = kind in ("method", "function") and attr not in ("__getitem__",)
-
-        def resolve_callable():
-            if kind == "method":
-                fn = getattr(Tensor, attr)
-            elif kind == "function":
-                from repro.obs.profiler import _FUNCTION_OPS
-                fn = getattr(_FUNCTION_OPS[attr], attr)
-            else:
-                fn = node.attrs["fn"]
-            return getattr(fn, "_obs_original", fn)
+        fn = node.attrs.get("fn")
+        self._generic_nodes.add(node.id)
 
         def substitute(template, values):
             if isinstance(template, Slot):
@@ -690,7 +590,6 @@ class ExecutionPlan:
 
         def kernel_generic():
             values = [slots[i] for i in in_slots]
-            fn = resolve_callable()
             call_args = substitute(arg_t, values)
             if kind == "method" and attr == "__getitem__":
                 call_args = (Tensor(values[0]),) + tuple(call_args[1:])

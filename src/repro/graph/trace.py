@@ -1,12 +1,12 @@
 """Trace one eager forward pass into a static :class:`~repro.graph.ir.Graph`.
 
-The tracer layers on the same interposition points the obs profiler
-uses (:data:`repro.obs.profiler._TENSOR_METHODS` and
-:data:`repro.obs.profiler._FUNCTION_OPS`): while a trace is running,
-every primitive tensor method and autograd free function is wrapped to
-record a node after computing its eager result, so the captured values
-are — by construction — the eager values.  Three extra capture points
-cover what the op tables cannot see:
+The tracer is a per-thread handler on :mod:`repro.autograd.interpose`,
+the same op interposer the obs profiler uses: while a trace runs, every
+primitive tensor method and autograd free function called *on the
+tracing thread* records a node after computing its eager result, so
+the captured values are — by construction — the eager values.  Calls
+on other threads keep going to the op profiler, if one is active.  Two
+extra interposition points cover what the op tables cannot see:
 
 - ``Tensor.__init__`` is hooked so arrays produced by traced ops (or by
   registered external helpers) that get re-wrapped via ``Tensor(arr)``
@@ -16,34 +16,29 @@ cover what the op tables cannot see:
 - A registry of *external* numpy helpers (``rel2att._relation_weight_mask``
   and friends) records data-dependent pure-numpy computations as single
   opaque nodes; tuple returns get per-element ``tuple_get`` nodes.
-- Untracked tensors and arrays reaching a traced op (parameters, BN
-  running-stat reshapes, python scalars) are lifted to ``constant``
-  nodes on first use.
+
+Untracked tensors and arrays reaching a traced op (parameters, BN
+running-stat reshapes, python scalars) are lifted to ``constant`` nodes
+on first use.  Every op node keeps the original callable it recorded
+(``attrs["fn"]``), which the executor's generic eager replay calls.
 
 Composite tensor methods (``sub``, ``mean``, ``var``, ``stack``,
-``softmax``) are recorded as one node each; the re-entrancy guard
-suppresses their interior primitives, exactly like the profiler's
-attribution rule.  The executor replicates each composite's eager
-arithmetic operation-for-operation, which is what keeps compiled
-outputs bit-exact.
-
-Tracing temporarily *suspends* an active op-level profiler: both
-facilities patch the same bindings, and stacking wrappers would either
-trace the profiler's wrappers or leave stale originals behind.  The
-profiler's patches are reinstalled as soon as the trace finishes, so
-``profile --target serve --compiled`` can compile plans mid-profile.
+``softmax``) are recorded as one node each; the interposer's
+re-entrancy guard suppresses their interior primitives, exactly like
+the profiler's attribution rule.  The executor replicates each
+composite's eager arithmetic operation-for-operation, which is what
+keeps compiled outputs bit-exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
-import sys
-import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd import interpose
 from repro.autograd.tensor import Tensor, as_tensor, no_grad
 from repro.graph.ir import Graph, Node, Slot
 
@@ -63,16 +58,20 @@ _BINARY_METHODS = frozenset(
     {"__add__", "__sub__", "__mul__", "__truediv__", "matmul", "maximum"}
 )
 
-# Re-entrancy guard, separate from the profiler's: interior primitives of
-# a composite op are suppressed so each composite is one node.
-_tls = threading.local()
-
-_active_tracer: Optional["Tracer"] = None
-_trace_lock = threading.Lock()
-
 
 class TraceError(RuntimeError):
     """Raised when a forward pass cannot be captured faithfully."""
+
+
+def _extra_points() -> List[interpose.Point]:
+    """``Tensor.__init__`` and the externals, on top of the op tables."""
+    points: List[interpose.Point] = [
+        (Tensor, "__init__", interpose.Op("init", "__init__", "init")),
+    ]
+    for module_name, attr, label in _EXTERNAL_FUNCTIONS:
+        module = importlib.import_module(module_name)
+        points.append((module, attr, interpose.Op("external", attr, label)))
+    return points
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +134,7 @@ def tree_unflatten(spec: Tuple, leaves: Iterator[Any]) -> Any:
 # The tracer
 # ----------------------------------------------------------------------
 class Tracer:
-    """Records one forward pass; install/uninstall around the call."""
+    """Interposer handler that records one forward pass on its thread."""
 
     def __init__(self, name: str):
         self.graph = Graph(name)
@@ -144,10 +143,6 @@ class Tracer:
         self._tensor_nodes: Dict[int, Node] = {}
         self._array_nodes: Dict[int, Node] = {}
         self._keepalive: List[Any] = []
-        self._thread = threading.get_ident()
-        self._patched_methods: List[Tuple[str, object]] = []
-        self._patched_modules: List[Tuple[object, str, object]] = []
-        self._patched_init: Optional[Callable] = None
 
     # ------------------------------------------------------------------
     # Node registration / resolution
@@ -192,30 +187,34 @@ class Tracer:
         return value
 
     # ------------------------------------------------------------------
-    # Recording
+    # Interposer handler
     # ------------------------------------------------------------------
-    def _record_call(self, kind: str, attr: str, label: str,
-                     args: Sequence[Any], kwargs: Dict[str, Any], out: Any) -> None:
-        inputs: List[Node] = []
-        arg_template = tuple(self._template(a, inputs) for a in args)
-        kw_template = {k: self._template(v, inputs) for k, v in kwargs.items()}
-        attrs = {"kind": kind, "attr": attr, "args": arg_template, "kwargs": kw_template}
-        if isinstance(out, Tensor):
-            node = self.graph.add_node(label, inputs, attrs, value=out.data, name=label)
-            self.register_tensor(out, node)
-        else:
-            raise TraceError(f"traced op {label!r} returned non-Tensor {type(out)!r}")
+    def intercept(self, op: interpose.Op, fn: Callable, args: tuple, kwargs: dict):
+        if op.kind == "init":
+            fn(*args, **kwargs)
+            self._adopt(*args, **kwargs)
+            return None
+        if op.attr in _BINARY_METHODS and len(args) > 1:
+            args = (args[0], as_tensor(args[1])) + args[2:]
+        out = interpose.call_guarded(fn, args, kwargs)
+        self._record(op, fn, args, kwargs, out)
+        return out
 
-    def _record_external(self, label: str, fn: Callable,
-                         args: Sequence[Any], kwargs: Dict[str, Any], out: Any) -> None:
+    def _record(self, op: interpose.Op, fn: Callable,
+                args: Sequence[Any], kwargs: Dict[str, Any], out: Any) -> None:
         inputs: List[Node] = []
-        arg_template = tuple(self._template(a, inputs) for a in args)
-        kw_template = {k: self._template(v, inputs) for k, v in kwargs.items()}
         attrs = {
-            "kind": "external", "fn": fn,
-            "args": arg_template, "kwargs": kw_template,
+            "kind": op.kind, "attr": op.attr, "fn": fn,
+            "args": tuple(self._template(a, inputs) for a in args),
+            "kwargs": {k: self._template(v, inputs) for k, v in kwargs.items()},
         }
-        node = self.graph.add_node("external", inputs, attrs, value=out, name=label)
+        if op.kind != "external":
+            if not isinstance(out, Tensor):
+                raise TraceError(f"traced op {op.label!r} returned non-Tensor {type(out)!r}")
+            node = self.graph.add_node(op.label, inputs, attrs, value=out.data, name=op.label)
+            self.register_tensor(out, node)
+            return
+        node = self.graph.add_node("external", inputs, attrs, value=out, name=op.label)
         if isinstance(out, np.ndarray):
             node.set_value(out)
             self.register_array(out, node)
@@ -225,147 +224,32 @@ class Tracer:
                     continue
                 getter = self.graph.add_node(
                     "tuple_get", [node], {"kind": "tuple_get", "index": index},
-                    value=element, name=f"{label}[{index}]",
+                    value=element, name=f"{op.label}[{index}]",
                 )
                 self.register_array(element, getter)
         else:
-            raise TraceError(f"external {label!r} returned unsupported {type(out)!r}")
+            raise TraceError(f"external {op.label!r} returned unsupported {type(out)!r}")
 
-    # ------------------------------------------------------------------
-    # Wrappers
-    # ------------------------------------------------------------------
-    def _wrap_method(self, attr: str, label: str, original: Callable) -> Callable:
-        tracer = self
-        coerce_other = attr in _BINARY_METHODS
-
-        def wrapped(self_t, *args, **kwargs):
-            if getattr(_tls, "busy", False) or threading.get_ident() != tracer._thread:
-                return original(self_t, *args, **kwargs)
-            if coerce_other and args:
-                args = (as_tensor(args[0]),) + args[1:]
-            _tls.busy = True
-            try:
-                out = original(self_t, *args, **kwargs)
-            finally:
-                _tls.busy = False
-            tracer._record_call("method", attr, label, (self_t,) + args, kwargs, out)
-            return out
-
-        wrapped.__name__ = getattr(original, "__name__", attr)
-        wrapped._graph_original = original
-        return wrapped
-
-    def _wrap_function(self, label: str, original: Callable) -> Callable:
-        tracer = self
-
-        def wrapped(*args, **kwargs):
-            if getattr(_tls, "busy", False) or threading.get_ident() != tracer._thread:
-                return original(*args, **kwargs)
-            _tls.busy = True
-            try:
-                out = original(*args, **kwargs)
-            finally:
-                _tls.busy = False
-            tracer._record_call("function", label, label, args, kwargs, out)
-            return out
-
-        wrapped.__name__ = getattr(original, "__name__", label)
-        wrapped._graph_original = original
-        return wrapped
-
-    def _wrap_external(self, label: str, original: Callable) -> Callable:
-        tracer = self
-
-        def wrapped(*args, **kwargs):
-            if getattr(_tls, "busy", False) or threading.get_ident() != tracer._thread:
-                return original(*args, **kwargs)
-            _tls.busy = True
-            try:
-                out = original(*args, **kwargs)
-            finally:
-                _tls.busy = False
-            tracer._record_external(label, original, args, kwargs, out)
-            return out
-
-        wrapped.__name__ = getattr(original, "__name__", label)
-        wrapped._graph_original = original
-        return wrapped
-
-    def _make_init_hook(self, original_init: Callable) -> Callable:
-        tracer = self
-
-        def traced_init(tensor_self, data, requires_grad=False, name=""):
-            original_init(tensor_self, data, requires_grad, name)
-            if getattr(_tls, "busy", False) or threading.get_ident() != tracer._thread:
-                return
-            source = data.data if isinstance(data, Tensor) else data
-            if not isinstance(source, np.ndarray):
-                return
-            node = tracer._array_nodes.get(id(source))
-            if node is None:
-                return
-            if tensor_self.data is source:
-                # Adopted as-is: the new tensor aliases the node's value.
-                tracer._tensor_nodes[id(tensor_self)] = node
-                tracer._keepalive.append(tensor_self)
-            else:
-                # __init__ copied (dtype cast): record it so the compiled
-                # plan reproduces the cast under the dtype active at run
-                # time, exactly as eager construction would.
-                cast = tracer.graph.add_node(
-                    "cast", [node], {"kind": "cast"},
-                    value=tensor_self.data, name="cast",
-                )
-                tracer.register_tensor(tensor_self, cast)
-
-        return traced_init
-
-    # ------------------------------------------------------------------
-    # Patch installation (mirrors repro.obs.profiler)
-    # ------------------------------------------------------------------
-    def _install(self) -> None:
-        from repro.obs.profiler import _FUNCTION_OPS, _TENSOR_METHODS
-
-        for attr, label in _TENSOR_METHODS.items():
-            original = getattr(Tensor, attr)
-            setattr(Tensor, attr, self._wrap_method(attr, label, original))
-            self._patched_methods.append((attr, original))
-
-        # Free functions: patch the defining module and every module that
-        # froze a direct binding via ``from repro.autograd import conv2d``.
-        originals = {
-            label: getattr(module, label) for label, module in _FUNCTION_OPS.items()
-        }
-        wrappers = {
-            label: self._wrap_function(label, fn) for label, fn in originals.items()
-        }
-        for module in list(sys.modules.values()):
-            if module is None or not getattr(module, "__name__", "").startswith("repro"):
-                continue
-            for label, fn in originals.items():
-                if getattr(module, label, None) is fn:
-                    setattr(module, label, wrappers[label])
-                    self._patched_modules.append((module, label, fn))
-
-        for module_name, attr, label in _EXTERNAL_FUNCTIONS:
-            module = importlib.import_module(module_name)
-            original = getattr(module, attr)
-            setattr(module, attr, self._wrap_external(label, original))
-            self._patched_modules.append((module, attr, original))
-
-        self._patched_init = Tensor.__init__
-        Tensor.__init__ = self._make_init_hook(self._patched_init)
-
-    def _uninstall(self) -> None:
-        if self._patched_init is not None:
-            Tensor.__init__ = self._patched_init
-            self._patched_init = None
-        for module, attr, original in self._patched_modules:
-            setattr(module, attr, original)
-        self._patched_modules = []
-        for attr, original in self._patched_methods:
-            setattr(Tensor, attr, original)
-        self._patched_methods = []
+    def _adopt(self, tensor: Tensor, data: Any, *_, **__) -> None:
+        """Wire a freshly constructed tensor to the node producing its data."""
+        source = data.data if isinstance(data, Tensor) else data
+        if not isinstance(source, np.ndarray):
+            return
+        node = self._array_nodes.get(id(source))
+        if node is None:
+            return
+        if tensor.data is source:
+            # Adopted as-is: the new tensor aliases the node's value.
+            self._tensor_nodes[id(tensor)] = node
+            self._keepalive.append(tensor)
+        else:
+            # __init__ copied (dtype cast): record it so the compiled
+            # plan reproduces the cast under the dtype active at run
+            # time, exactly as eager construction would.
+            cast = self.graph.add_node(
+                "cast", [node], {"kind": "cast"}, value=tensor.data, name="cast",
+            )
+            self.register_tensor(tensor, cast)
 
 
 # ----------------------------------------------------------------------
@@ -409,48 +293,33 @@ class TracedGraph:
 def trace(fn: Callable, *args: Any, name: str = "") -> TracedGraph:
     """Run ``fn(*args)`` once under the tracer and return its graph.
 
-    Runs under ``no_grad`` (plans are inference-only) and suspends an
-    active op-level profiler for the duration of the call.  Tensor and
-    ndarray positional arguments become graph inputs; every other
-    argument is baked into the trace as a literal.
+    Runs under ``no_grad`` (plans are inference-only).  Only this
+    thread's ops are recorded, so traces on different threads may run
+    at once and an active op profiler keeps recording every other
+    thread; a nested trace on the same thread raises ``RuntimeError``.
+    Tensor and ndarray positional arguments become graph inputs; every
+    other argument is baked into the trace as a literal.
     """
-    from repro.obs.profiler import get_active_profiler
-
-    global _active_tracer
     fn_name = name or getattr(fn, "__qualname__", getattr(fn, "__name__", "fn"))
-    with _trace_lock:
-        if _active_tracer is not None:
-            raise TraceError("a trace is already in progress")
-        tracer = Tracer(fn_name)
-        _active_tracer = tracer
-        profiler = get_active_profiler()
+    tracer = Tracer(fn_name)
+    with no_grad():
+        input_binding: List[Tuple[str, Any]] = []
+        for position, arg in enumerate(args):
+            if isinstance(arg, Tensor):
+                node = tracer.graph.add_input(f"arg{position}", arg.data)
+                tracer.register_tensor(arg, node)
+                input_binding.append(("array", len(tracer.graph.inputs) - 1))
+            elif isinstance(arg, np.ndarray):
+                node = tracer.graph.add_input(f"arg{position}", arg)
+                tracer.register_array(arg, node)
+                input_binding.append(("array", len(tracer.graph.inputs) - 1))
+            else:
+                input_binding.append(("literal", arg))
+        interpose.attach(tracer, this_thread=True, extra=_extra_points())
         try:
-            with no_grad():
-                input_binding: List[Tuple[str, Any]] = []
-                for position, arg in enumerate(args):
-                    if isinstance(arg, Tensor):
-                        node = tracer.graph.add_input(f"arg{position}", arg.data)
-                        tracer.register_tensor(arg, node)
-                        input_binding.append(("array", len(tracer.graph.inputs) - 1))
-                    elif isinstance(arg, np.ndarray):
-                        node = tracer.graph.add_input(f"arg{position}", arg)
-                        tracer.register_array(arg, node)
-                        input_binding.append(("array", len(tracer.graph.inputs) - 1))
-                    else:
-                        input_binding.append(("literal", arg))
-                if profiler is not None:
-                    profiler._uninstall_patches()
-                try:
-                    tracer._install()
-                    try:
-                        out = fn(*args)
-                    finally:
-                        tracer._uninstall()
-                finally:
-                    if profiler is not None:
-                        profiler._install_patches()
+            out = fn(*args)
         finally:
-            _active_tracer = None
+            interpose.detach(tracer)
 
     leaves, spec = tree_flatten(out)
     if not leaves:

@@ -7,7 +7,9 @@ Three layers, designed to be adopted piecemeal:
   implementation shared by serving stats, eval timing, and benchmarks.
 - :mod:`repro.obs.profiler` — zero-overhead-when-off op profiler over
   ``repro.autograd`` (forward/backward attribution, shapes, bytes) plus
-  :func:`trace_span` structural annotations.
+  :func:`trace_span` structural annotations.  It times ops as the
+  shared handler on :mod:`repro.autograd.interpose`, the op interposer
+  the graph tracer also uses; nothing stays wrapped once both are done.
 - :mod:`repro.obs.report` — ASCII hot-op/span tables; Chrome
   ``trace_event`` export lives on :class:`Profiler` itself.
 

@@ -3,17 +3,19 @@
 Design goals, in order:
 
 1. **Zero overhead when off.**  Nothing in the hot path is permanently
-   wrapped.  While a :class:`Profiler` with ``ops=True`` is active, the
-   primitive tensor operations (``matmul``, ``conv2d``, ``softmax``,
-   elementwise ops, reductions, …) are *temporarily* replaced by timing
-   wrappers — on :class:`Tensor` itself for methods, and on every module
-   that holds a ``from repro.autograd import conv2d``-style binding
-   (found by scanning ``sys.modules`` for attributes that *are* the
-   original function).  On exit every binding is restored, so the
-   profiling-off code path is byte-identical to an uninstrumented build.
-   Inactive :func:`trace_span` blocks cost one global list check.
+   wrapped.  While a :class:`Profiler` with ``ops=True`` is active it is
+   the shared handler on :mod:`repro.autograd.interpose`, the one
+   mechanism that temporarily wraps the primitive tensor operations
+   (``matmul``, ``conv2d``, ``softmax``, elementwise ops, reductions, …)
+   on :class:`Tensor` and on every ``repro.*`` module binding.  The
+   graph tracer is the other handler on the same mechanism; a thread
+   that is tracing records into its graph, every other thread into the
+   profiler.  When the last handler detaches every binding is restored,
+   so the profiling-off code path is byte-identical to an
+   uninstrumented build.  Inactive :func:`trace_span` blocks cost one
+   global list check.
 
-2. **Forward/backward attribution.**  Each wrapped op also wraps the
+2. **Forward/backward attribution.**  Each timed op also wraps the
    backward closure it records on its output tensor, so the reverse pass
    is timed per-op and reported separately.
 
@@ -24,33 +26,25 @@ Design goals, in order:
    the same time, nested or not.
 
 Composite ops (``mean``, ``sub``, ``var``, ``stack``) suppress the
-recording of the primitives they are built from (a thread-local
-re-entrancy guard), so each forward numpy FLOP is attributed exactly
-once.  Backward time of a composite is attributed to its outermost
-closure; interior closures created while the guard was held run
-untimed, which slightly under-reports composite backward time — an
-accepted approximation documented in DESIGN.md.
+recording of the primitives they are built from (the interposer's
+thread-local re-entrancy guard), so each forward numpy FLOP is
+attributed exactly once.  Backward time of a composite is attributed to
+its outermost closure; interior closures created while the guard was
+held run untimed, which slightly under-reports composite backward time
+— an accepted approximation documented in DESIGN.md.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-import repro.autograd.functional
-import repro.autograd.tensor
+from repro.autograd import interpose
 from repro.autograd.tensor import Tensor
-
-# The package __init__ re-exports a ``tensor`` *function* that shadows
-# the submodule attribute, so ``import repro.autograd.tensor as m``
-# would bind the function; go through sys.modules for the modules.
-_functional = sys.modules["repro.autograd.functional"]
-_tensor_mod = sys.modules["repro.autograd.tensor"]
 
 # ----------------------------------------------------------------------
 # Span broadcasting
@@ -127,56 +121,7 @@ def collect_spans(collector: Optional[SpanTotals] = None):
         _remove_collector(collector)
 
 
-# ----------------------------------------------------------------------
-# Primitive op tables
-# ----------------------------------------------------------------------
-#: Tensor methods wrapped while profiling (attribute name -> op label).
-_TENSOR_METHODS: Dict[str, str] = {
-    "__add__": "add",
-    "__sub__": "sub",
-    "__neg__": "neg",
-    "__mul__": "mul",
-    "__truediv__": "div",
-    "__pow__": "pow",
-    "__getitem__": "index",
-    "matmul": "matmul",
-    "exp": "exp",
-    "log": "log",
-    "tanh": "tanh",
-    "sigmoid": "sigmoid",
-    "relu": "relu",
-    "leaky_relu": "leaky_relu",
-    "abs": "abs",
-    "clip": "clip",
-    "maximum": "maximum",
-    "sum": "sum",
-    "mean": "mean",
-    "max": "max",
-    "var": "var",
-    "reshape": "reshape",
-    "transpose": "transpose",
-}
-
-#: Free functions wrapped while profiling: op label -> defining module.
-_FUNCTION_OPS: Dict[str, object] = {
-    "conv2d": _functional,
-    "max_pool2d": _functional,
-    "avg_pool2d": _functional,
-    "pad2d": _functional,
-    "softmax": _functional,
-    "log_softmax": _functional,
-    "embedding_lookup": _functional,
-    "where": _tensor_mod,
-    "concatenate": _tensor_mod,
-    "stack": _tensor_mod,
-}
-
-# Thread-local re-entrancy guard: ops called from inside another
-# instrumented op are attributed to the outer op.
-_tls = threading.local()
-
-#: The single profiler currently patching ops (spans may have several
-#: collectors, but op wrappers close over exactly one profiler).
+#: The single op-level profiler attached to the interposer, if any.
 _op_profiler: Optional["Profiler"] = None
 
 
@@ -224,7 +169,7 @@ class Profiler:
     Parameters
     ----------
     ops:
-        Patch the autograd primitives (op-level events).  Only one
+        Time the autograd primitives (op-level events).  Only one
         ops-profiler may be active at a time.  ``ops=False`` collects
         spans only — cheap enough to wrap timing loops.
     """
@@ -235,8 +180,6 @@ class Profiler:
         self._events_lock = threading.Lock()
         self._t0: Optional[float] = None
         self._t1: Optional[float] = None
-        self._patched_modules: List[Tuple[object, str, object]] = []
-        self._patched_methods: List[Tuple[str, object]] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -246,10 +189,8 @@ class Profiler:
         if self._t0 is not None:
             raise RuntimeError("Profiler instances are single-use")
         if self.ops:
-            if _op_profiler is not None:
-                raise RuntimeError("another op-level Profiler is already active")
+            interpose.attach(self)  # raises if another op profiler is attached
             _op_profiler = self
-            self._install_patches()
         self._t0 = time.perf_counter()
         _add_collector(self)
         return self
@@ -259,7 +200,7 @@ class Profiler:
         self._t1 = time.perf_counter()
         _remove_collector(self)
         if self.ops:
-            self._uninstall_patches()
+            interpose.detach(self)
             _op_profiler = None
         return False
 
@@ -285,11 +226,11 @@ class Profiler:
     def record_op(self, name: str, start: float, duration: float,
                   shape: Optional[Tuple[int, ...]] = None, nbytes: int = 0,
                   phase: str = "forward") -> None:
-        """Record an op event from outside the patching machinery.
+        """Record one op event.
 
-        Used by the graph executor to attribute compiled-plan kernels
+        The graph executor calls this to attribute compiled-plan kernels
         (including fused labels like ``conv2d+bn+relu``), which run as
-        raw numpy and never pass through the patched autograd bindings.
+        raw numpy and never pass through the interposed bindings.
         """
         event = TraceEvent(
             name=name, category="op", phase=phase,
@@ -299,102 +240,36 @@ class Profiler:
         with self._events_lock:
             self.events.append(event)
 
-    def _record_op(self, name: str, start: float, duration: float,
-                   out, phase: str) -> None:
-        shape = None
-        nbytes = 0
+    def intercept(self, op: interpose.Op, fn: Callable, args: tuple, kwargs: dict):
+        """Interposer handler: time one primitive op, hook its backward."""
+        if op.kind not in ("method", "function"):  # a tracer's extra points
+            return fn(*args, **kwargs)
+        started = time.perf_counter()
+        out = interpose.call_guarded(fn, args, kwargs)
+        duration = time.perf_counter() - started
         if isinstance(out, Tensor):
-            shape = tuple(out.data.shape)
-            nbytes = int(out.data.nbytes)
-        event = TraceEvent(
-            name=name, category="op", phase=phase,
-            start=start, duration=duration,
-            thread=threading.get_ident(), shape=shape, nbytes=nbytes,
-        )
-        with self._events_lock:
-            self.events.append(event)
-
-    # ------------------------------------------------------------------
-    # Patching machinery
-    # ------------------------------------------------------------------
-    def _make_op_wrapper(self, label: str, fn: Callable) -> Callable:
-        profiler = self
-
-        def wrapped(*args, **kwargs):
-            if getattr(_tls, "busy", False):
-                return fn(*args, **kwargs)
-            _tls.busy = True
-            started = time.perf_counter()
-            try:
-                out = fn(*args, **kwargs)
-            finally:
-                _tls.busy = False
-            profiler._record_op(
-                label, started, time.perf_counter() - started, out, "forward"
-            )
-            if isinstance(out, Tensor) and out._backward is not None:
-                profiler._hook_backward(label, out)
-            return out
-
-        wrapped.__name__ = getattr(fn, "__name__", label)
-        wrapped.__qualname__ = getattr(fn, "__qualname__", label)
-        wrapped.__doc__ = getattr(fn, "__doc__", None)
-        wrapped._obs_original = fn
-        return wrapped
+            self.record_op(op.label, started, duration,
+                           tuple(out.data.shape), int(out.data.nbytes))
+            if out._backward is not None:
+                self._hook_backward(op.label, out)
+        else:
+            self.record_op(op.label, started, duration)
+        return out
 
     def _hook_backward(self, label: str, out: Tensor) -> None:
         inner = out._backward
         profiler = self
 
         def timed_backward(grad):
-            if getattr(_tls, "busy", False):
+            if interpose.is_busy():
                 return inner(grad)
-            _tls.busy = True
             started = time.perf_counter()
-            try:
-                inner(grad)
-            finally:
-                _tls.busy = False
-            profiler._record_op(
-                label, started, time.perf_counter() - started, None, "backward"
+            interpose.call_guarded(inner, (grad,), {})
+            profiler.record_op(
+                label, started, time.perf_counter() - started, phase="backward"
             )
 
         out._backward = timed_backward
-
-    def _install_patches(self) -> None:
-        # Tensor methods: one patch on the class covers every call site.
-        for attr, label in _TENSOR_METHODS.items():
-            original = getattr(Tensor, attr)
-            setattr(Tensor, attr, self._make_op_wrapper(label, original))
-            self._patched_methods.append((attr, original))
-
-        # Free functions: patch the defining module *and* every module
-        # holding a direct binding (``from repro.autograd import conv2d``
-        # freezes the function object into the importer's namespace, so
-        # patching only the source module would miss those call sites).
-        originals = {
-            label: getattr(module, label)
-            for label, module in _FUNCTION_OPS.items()
-        }
-        wrappers = {
-            label: self._make_op_wrapper(label, fn)
-            for label, fn in originals.items()
-        }
-        for module in list(sys.modules.values()):
-            if module is None or not getattr(module, "__name__", "").startswith("repro"):
-                continue
-            for label, fn in originals.items():
-                if getattr(module, label, None) is fn:
-                    setattr(module, label, wrappers[label])
-                    self._patched_modules.append((module, label, fn))
-
-    def _uninstall_patches(self) -> None:
-        for attr, original in self._patched_methods:
-            setattr(Tensor, attr, original)
-        self._patched_methods = []
-        for module, label, original in self._patched_modules:
-            setattr(module, label, original)
-        self._patched_modules = []
 
     # ------------------------------------------------------------------
     # Aggregation and export
@@ -499,5 +374,5 @@ def profile(ops: bool = True):
 
 
 def get_active_profiler() -> Optional[Profiler]:
-    """The op-level profiler currently patching autograd, if any."""
+    """The op-level profiler attached to the op interposer, if any."""
     return _op_profiler

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import tensor
+from repro.autograd.interpose import _FUNCTION_OPS, _TENSOR_METHODS
 from repro.autograd.tensor import Tensor
 from repro.obs import (
     Counter,
@@ -24,7 +25,6 @@ from repro.obs import (
     render_profile,
     trace_span,
 )
-from repro.obs.profiler import _FUNCTION_OPS, _TENSOR_METHODS
 from repro.viz import ascii_bar, render_bars_ascii
 
 
@@ -285,7 +285,7 @@ class TestProfilerOps:
                 name = getattr(module, "__name__", "")
                 if module is None or not name.startswith("repro"):
                     continue
-                assert not hasattr(getattr(module, label, None), "_obs_original")
+                assert not hasattr(getattr(module, label, None), "__wrapped__")
 
     def test_patched_function_bindings_record(self):
         # Call through the package attribute — the enable-time scan
