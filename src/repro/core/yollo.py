@@ -185,9 +185,7 @@ class YolloModel(Module):
         forward, and clause masks vary per query in ways a shape-keyed
         plan cache cannot capture.
         """
-        was_training = self.training
-        self.eval()
-        with no_grad():
+        with self.evaluating(), no_grad():
             if clause_masks is None \
                     and getattr(self, "_plan_cache", None) is not None:
                 output = self._compiled_forward(images, token_ids, token_mask)
@@ -198,8 +196,6 @@ class YolloModel(Module):
                 probs = softmax(output.cls_logits, axis=-1).data[..., 1]  # (B, A)
                 offsets = output.reg_offsets.data
                 last_mask = softmax(output.attention_masks[-1], axis=-1).data
-        if was_training:
-            self.train()
 
         anchors = self.anchor_grid.all_anchors()
         margin = 0.25 * self.anchor_grid.stride

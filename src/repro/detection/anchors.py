@@ -8,6 +8,7 @@ in Section 3.3 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -58,8 +59,14 @@ class AnchorGrid:
         """Every anchor in image coordinates: ``(grid_h*grid_w*K, 4)``.
 
         Ordering is row-major over cells with the K anchors contiguous
-        per cell, matching the detection head's output layout.
+        per cell, matching the detection head's output layout.  The grid
+        is frozen, so the array is built once and the same read-only
+        array is returned on every call.
         """
+        return self._anchors
+
+    @cached_property
+    def _anchors(self) -> np.ndarray:
         base = self.base_anchors()
         ys = (np.arange(self.grid_h) + 0.5) * self.stride
         xs = (np.arange(self.grid_w) + 0.5) * self.stride
@@ -71,8 +78,9 @@ class AnchorGrid:
             axis=-1,
         ).reshape(-1, 2)  # (cells, 2) as (cx, cy)
         shifts = np.concatenate([centers, centers], axis=-1)  # (cells, 4)
-        anchors = shifts[:, None, :] + base[None, :, :]
-        return anchors.reshape(-1, 4)
+        anchors = (shifts[:, None, :] + base[None, :, :]).reshape(-1, 4)
+        anchors.setflags(write=False)
+        return anchors
 
     def cell_index(self, anchor_index: int) -> Tuple[int, int, int]:
         """Map a flat anchor index back to ``(row, col, k)``."""

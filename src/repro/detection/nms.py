@@ -1,4 +1,17 @@
-"""Greedy non-maximum suppression (used by the two-stage proposal stage)."""
+"""Greedy non-maximum suppression.
+
+Used by YOLLO's ranked decode (``YolloModel.predict_ranked`` and
+``predict``) and by the two-stage RPN proposal stage
+(``RPNProposer.propose``).  IoU rows are computed only for boxes that
+can still be kept: when a kept box has no row yet, one ``iou_matrix``
+call covers it and the next live candidates that could fill the
+remaining ``max_keep`` slots.  Each call is at most ``(max_keep - 1, n)``
+and no row is computed twice, so the cost is O(max_keep * n) per call
+and O(rows * n) overall with ``rows <= n`` — far below the full n x n
+matrix when ``max_keep`` is small next to n (the decode keeps 5 of a
+few hundred anchors).  ``max_keep=None`` may keep every box, so it
+builds the full matrix in one call.
+"""
 
 from __future__ import annotations
 
@@ -19,17 +32,21 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5,
     if len(boxes) == 0:
         return np.empty(0, dtype=np.int64)
     order = np.argsort(-scores, kind="stable")
-    if max_keep == 1:  # the best box is always kept: skip the n x n IoUs
-        return order[:1].astype(np.int64)
-    ious = iou_matrix(boxes, boxes)
+    limit = len(boxes) if max_keep is None else max_keep
     keep = []
     suppressed = np.zeros(len(boxes), dtype=bool)
-    for idx in order:
+    rows = {}
+    for pos, idx in enumerate(order.tolist()):
         if suppressed[idx]:
             continue
         keep.append(idx)
-        if max_keep is not None and len(keep) >= max_keep:
+        if len(keep) >= limit:
             break
-        suppressed |= ious[idx] > iou_threshold
+        if idx not in rows:
+            # This box and the next live candidates that could still be
+            # kept; the last slot never needs a row.
+            live = order[pos:][~suppressed[order[pos:]]][: limit - len(keep)]
+            rows = dict(zip(live.tolist(), iou_matrix(boxes[live], boxes)))
+        suppressed |= rows[idx] > iou_threshold
         suppressed[idx] = True
     return np.asarray(keep, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -129,6 +130,22 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    @contextmanager
+    def evaluating(self) -> Iterator["Module"]:
+        """Run the block in eval mode, then restore training mode if set.
+
+        An already-evaluating module is left alone, so the recursive mode
+        walk is skipped on the serving path.
+        """
+        was_training = self.training
+        if was_training:
+            self.eval()
+        try:
+            yield self
+        finally:
+            if was_training:
+                self.train()
 
     # ------------------------------------------------------------------
     # Persistence

@@ -53,10 +53,8 @@ class ListenerMatcher(Module):
     def forward(self, image: np.ndarray, proposals: ProposalSet,
                 token_ids: np.ndarray, token_mask: np.ndarray) -> np.ndarray:
         """Inference scores (plain array) for a proposal set."""
-        self.eval()
-        with no_grad():
+        with self.evaluating(), no_grad():
             scores = self.score_proposals(image, proposals.boxes, token_ids, token_mask)
-        self.train()
         return scores.data.copy()
 
 

@@ -159,14 +159,12 @@ class RPNProposer(Module):
 
     def propose(self, image: np.ndarray) -> ProposalSet:
         """Run the RPN on one image and decode top proposals."""
-        self.eval()
-        with no_grad():
+        with self.evaluating(), no_grad():
             cls, reg = self.forward(Tensor(image[None]))
             probs = softmax(cls, axis=-1).data[0, :, 1]
             offsets = reg.data[0]
-        self.train()
         anchors = self.anchor_grid.all_anchors()
-        order = np.argsort(-probs)[: self.max_proposals * 4]
+        order = np.argsort(-probs, kind="stable")[: self.max_proposals * 4]
         decoded = decode_offsets(anchors[order], offsets[order])
         decoded = clip_boxes(decoded, self.image_height, self.image_width)
         keep = nms(decoded, probs[order], iou_threshold=self.nms_iou,

@@ -86,12 +86,10 @@ class SpeakerScorer(Module):
     def forward(self, image: np.ndarray, proposals: ProposalSet,
                 token_ids: np.ndarray, token_mask: np.ndarray) -> np.ndarray:
         """Inference scores for a proposal set (higher = better match)."""
-        self.eval()
-        with no_grad():
+        with self.evaluating(), no_grad():
             scores = self.log_likelihoods(
                 image, proposals.boxes, token_ids, token_mask
             )
-        self.train()
         return scores.data.copy()
 
 

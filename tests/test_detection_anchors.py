@@ -47,6 +47,14 @@ def test_row_major_ordering(grid):
     assert np.isclose((second_cell[0] + second_cell[2]) / 2, 12.0)
 
 
+def test_all_anchors_built_once_and_read_only(grid):
+    anchors = grid.all_anchors()
+    assert grid.all_anchors() is anchors
+    assert not anchors.flags.writeable
+    with pytest.raises(ValueError):
+        anchors[0, 0] = 0.0
+
+
 def test_cell_index_roundtrip(grid):
     for flat in (0, 7, grid.num_anchors - 1):
         row, col, k = grid.cell_index(flat)

@@ -1,9 +1,11 @@
 """Anchor matcher, balanced sampler, NMS."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.detection import AnchorMatcher, BalancedSampler, nms
+from repro.detection import AnchorMatcher, BalancedSampler, iou_matrix, nms
 
 
 def anchors_around(target, offsets):
@@ -123,6 +125,60 @@ class TestNMS:
         assert keep[0] == scores.argmax()
         assert keep.tolist() == np.argsort(-scores, kind="stable").tolist()
         assert nms(boxes, scores, max_keep=1).tolist() == [scores.argmax()]
+
+    @staticmethod
+    def _random_boxes(seed, n=300):
+        """Overlapping boxes with rounded (often tied) scores."""
+        rng = np.random.default_rng(seed)
+        corners = rng.uniform(0.0, 60.0, size=(n, 2))
+        sizes = rng.uniform(2.0, 30.0, size=(n, 2))
+        boxes = np.concatenate([corners, corners + sizes], axis=1)
+        return boxes, np.round(rng.random(n), 1)
+
+    @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.6, 0.9])
+    @pytest.mark.parametrize("max_keep", [None, 1, 5, 20])
+    def test_matches_dense_reference(self, iou_threshold, max_keep):
+        def dense_nms(boxes, scores):
+            # The full n x n IoU matrix, built up front.
+            order = np.argsort(-scores, kind="stable")
+            ious = iou_matrix(boxes, boxes)
+            keep = []
+            suppressed = np.zeros(len(boxes), dtype=bool)
+            for idx in order:
+                if suppressed[idx]:
+                    continue
+                keep.append(idx)
+                if max_keep is not None and len(keep) >= max_keep:
+                    break
+                suppressed |= ious[idx] > iou_threshold
+                suppressed[idx] = True
+            return np.asarray(keep, dtype=np.int64)
+
+        for seed in range(4):
+            boxes, scores = self._random_boxes(seed)
+            expected = dense_nms(boxes, scores)
+            keep = nms(boxes, scores, iou_threshold=iou_threshold,
+                       max_keep=max_keep)
+            assert keep.dtype == np.int64
+            assert keep.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("max_keep", [1, 5, 20])
+    def test_never_builds_the_full_iou_matrix(self, monkeypatch, max_keep):
+        module = importlib.import_module("repro.detection.nms")
+        calls = []
+
+        def counting_iou(boxes_a, boxes_b):
+            out = iou_matrix(boxes_a, boxes_b)
+            calls.append(out.shape)
+            return out
+
+        monkeypatch.setattr(module, "iou_matrix", counting_iou)
+        boxes, scores = self._random_boxes(0)
+        keep = nms(boxes, scores, iou_threshold=0.5, max_keep=max_keep)
+        assert len(keep) == max_keep
+        assert len(calls) <= len(keep) - 1
+        assert all(rows <= max_keep - 1 for rows, _ in calls)
+        assert sum(rows for rows, _ in calls) < len(boxes)
 
 
 class TestUniformTopKMatcher:

@@ -55,6 +55,22 @@ def test_train_eval_propagates():
     assert model.child.training
 
 
+@pytest.mark.parametrize("training", [False, True])
+def test_evaluating_restores_mode(training):
+    model = Parent().train(training)
+    with model.evaluating():
+        assert not model.training and not model.child.training
+    assert model.training == model.child.training == training
+
+
+def test_evaluating_restores_mode_on_error():
+    model = Parent()
+    with pytest.raises(RuntimeError):
+        with model.evaluating():
+            raise RuntimeError("forward failed")
+    assert model.training and model.child.training
+
+
 def test_state_dict_roundtrip():
     a, b = Parent(), Parent()
     a.bias.data[:] = 7.0

@@ -202,3 +202,26 @@ class TestPipeline:
         assert tracked == [], (
             f"two-stage inference allocated {len(tracked)} grad-tracked tensors"
         )
+
+
+class TestInferenceKeepsMode:
+    """Inference switches to eval mode and hands back the mode it found."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("kind", ["rpn", "listener", "speaker"])
+    def test_mode_restored(self, dataset, matcher_kwargs, kind, training):
+        sample = dataset["val"][0]
+        if kind == "rpn":
+            module = RPNProposer(backbone="tiny", max_proposals=5)
+            module.train(training)
+            module.propose(sample.image)
+        else:
+            cls = ListenerMatcher if kind == "listener" else SpeakerScorer
+            module = cls(dataset.vocab, **matcher_kwargs)
+            module.train(training)
+            proposals = SegmentationProposer(
+                rng=np.random.default_rng(0)).propose(sample.image)
+            ids, mask = dataset.vocab.encode(sample.tokens,
+                                             module.max_query_length)
+            module(sample.image, proposals, ids, mask)
+        assert all(m.training == training for m in module.modules())

@@ -205,3 +205,37 @@ class TestPresetSmoke:
                 top_k=1)[0]
             answers[name] = response.boxes.tobytes() + response.scores.tobytes()
         assert len(set(answers.values())) > 1
+
+
+# ----------------------------------------------------------------------
+# Ranked decode: a batch answers like its samples one at a time
+# ----------------------------------------------------------------------
+class TestRankedDecode:
+    @pytest.fixture(scope="class")
+    def requests(self, dataset):
+        samples = [sample for split in ("train", "val", "testA", "testB")
+                   for sample in dataset[split]][:16]
+        assert len(samples) == 16
+        return encode_batch(samples, dataset.vocab, _maxlen(dataset))
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("top_k", [1, 5])
+    def test_batch_equals_single_samples(self, dataset, requests, compiled,
+                                         top_k):
+        from repro.utils import seed_everything
+
+        seed_everything(5)
+        model = build_model("tiny", vocab_size=len(dataset.vocab),
+                            max_query_length=_maxlen(dataset))
+        model.eval()
+        if compiled:
+            model.compile()
+        images, token_ids, token_mask = (
+            requests["images"], requests["token_ids"], requests["token_mask"])
+        batch = model.predict_ranked(images, token_ids, token_mask,
+                                     top_k=top_k)
+        singles = [model.predict_ranked(images[i:i + 1], token_ids[i:i + 1],
+                                        token_mask[i:i + 1], top_k=top_k)[0]
+                   for i in range(len(images))]
+        assert all(len(response) <= top_k for response in batch)
+        assert all(responses_equal(a, b) for a, b in zip(batch, singles))
