@@ -1,10 +1,8 @@
 """Figure 4 — training curves; benchmarks one YOLLO training step."""
 
-import numpy as np
 from conftest import write_artifact
 
-from repro.core.trainer import TrainingHistory, YolloTrainer
-from repro.data.loader import encode_batch
+from repro.core.trainer import YolloTrainer
 from repro.experiments import figure4
 
 import pytest
@@ -26,7 +24,6 @@ def test_figure4_curves(context, results_dir, benchmark):
     model, _, _ = context.yollo("RefCOCO")
     dataset = context.dataset("RefCOCO")
     trainer = YolloTrainer(model, dataset)
-    batch = encode_batch(dataset["train"][:8], dataset.vocab,
-                         model.config.max_query_length)
-    history = TrainingHistory()
-    benchmark(lambda: trainer._step(batch, history))
+    # An effectively unbounded run: the benchmark decides how many steps.
+    trainer.begin_run(iterations=10**9)
+    benchmark(lambda: trainer.apply_step(trainer.forward_backward()))

@@ -20,6 +20,7 @@ from repro.data.render import render_scene
 from repro.data.scenes import CATEGORIES, COLORS, Scene, SceneGenerator
 from repro.nn import Linear, Module, softmax_cross_entropy
 from repro.optim import Adam
+from repro.runtime import CallbackTask, TrainingSupervisor
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
@@ -79,10 +80,11 @@ def pretrain_backbone(
 
     Returns a history dict with per-step losses and accuracies; the
     classification heads are discarded, matching the paper's use of
-    ImageNet weights.  With ``checkpoint_dir`` set the loop runs under a
-    :class:`repro.runtime.TrainingSupervisor`: progress is checkpointed
-    every ``checkpoint_every`` steps, anomalous steps are skipped, and
-    ``resume=True`` continues a killed run from the newest checkpoint.
+    ImageNet weights.  The loop runs under a
+    :class:`repro.runtime.TrainingSupervisor`, which skips anomalous
+    steps; ``checkpoint_dir`` adds checkpoints every ``checkpoint_every``
+    steps and ``resume=True`` (which needs ``checkpoint_dir``) continues
+    a killed run from the newest checkpoint.
     """
     rng = rng if rng is not None else spawn_rng("backbone-pretrain")
     logger = logger or ProgressLogger("pretrain", enabled=False)
@@ -126,8 +128,6 @@ def pretrain_backbone(
             f"cat={pending['category_acc']:.2f} color={pending['color_acc']:.2f}"
         )
 
-    from repro.runtime import CallbackTask, TrainingSupervisor
-
     task = CallbackTask(
         total_iterations=steps,
         forward_backward=forward_backward,
@@ -148,17 +148,13 @@ def pretrain_backbone(
         ),
         result=lambda: history,
     )
-    if checkpoint_dir is not None:
-        TrainingSupervisor(
-            task,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every or max(1, steps // 4),
-            resume=resume,
-            logger=logger,
-        ).run()
-    else:
-        while task.iteration < task.total_iterations:
-            task.apply_step(task.forward_backward())
+    TrainingSupervisor(
+        task,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every or max(1, steps // 4),
+        resume=resume,
+        logger=logger,
+    ).run()
     return history
 
 

@@ -183,11 +183,14 @@ def _cmd_train_dist(args) -> int:
 
 def cmd_train(args) -> int:
     from repro.core import YolloTrainer
+    from repro.runtime import TrainingSupervisor
     from repro.utils import ProgressLogger
 
     _setup(args)
     if args.workers > 1:
         return _cmd_train_dist(args)
+    if args.resume and not args.checkpoint_dir:
+        raise SystemExit("--resume requires --checkpoint-dir")
     dataset = _build_dataset(args)
     model, config = _build_model(args, dataset)
     if args.preset:
@@ -197,29 +200,21 @@ def cmd_train(args) -> int:
               f"{preset_fingerprint(args.preset, max_query_length=config.max_query_length)})")
     trainer = YolloTrainer(model, dataset, config,
                            logger=ProgressLogger("train", enabled=not args.quiet))
-    if args.checkpoint_dir:
-        from repro.runtime import TrainingSupervisor
-
-        trainer.begin_run(epochs=args.epochs, eval_every=args.eval_every)
-        supervisor = TrainingSupervisor(
-            trainer,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            logger=ProgressLogger("supervisor", enabled=not args.quiet),
-        )
-        report = supervisor.run()
-        history = trainer.history
-        if report.resumed_from is not None:
-            print(f"resumed from iteration {report.resumed_from}")
-        if report.skipped_steps or report.rollbacks or report.checkpoint_failures:
-            print(f"recovered from faults: {report.skipped_steps} skipped step(s), "
-                  f"{report.rollbacks} rollback(s), "
-                  f"{report.checkpoint_failures} failed checkpoint write(s)")
-    elif args.resume:
-        raise SystemExit("--resume requires --checkpoint-dir")
-    else:
-        history = trainer.train(epochs=args.epochs, eval_every=args.eval_every)
+    trainer.begin_run(epochs=args.epochs, eval_every=args.eval_every)
+    report = TrainingSupervisor(
+        trainer,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        resume=args.resume,
+        logger=ProgressLogger("supervisor", enabled=not args.quiet),
+    ).run()
+    history = trainer.history
+    if report.resumed_from is not None:
+        print(f"resumed from iteration {report.resumed_from}")
+    if report.skipped_steps or report.rollbacks or report.checkpoint_failures:
+        print(f"recovered from faults: {report.skipped_steps} skipped step(s), "
+              f"{report.rollbacks} rollback(s), "
+              f"{report.checkpoint_failures} failed checkpoint write(s)")
     if history.curve.values:
         print(history.curve.render_ascii())
     model.save(args.out)
@@ -545,13 +540,12 @@ def cmd_profile(args) -> int:
 
     if args.target == "train-step":
         from repro.core import YolloTrainer
+        from repro.runtime import TrainingSupervisor
 
         trainer = YolloTrainer(model, dataset, config)
         trainer.begin_run(iterations=args.steps)
         with profile() as prof:
-            for _ in range(args.steps):
-                loss = trainer.forward_backward()
-                trainer.apply_step(loss)
+            TrainingSupervisor(trainer).run()
     elif args.target == "infer":
         from repro.core import Grounder
 

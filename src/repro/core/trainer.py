@@ -35,6 +35,7 @@ from repro.eval.curves import TrainingCurve
 from repro.eval.metrics import evaluate_grounder
 from repro.obs import MetricsRegistry, get_registry, trace_span
 from repro.optim import Adam, clip_grad_norm
+from repro.runtime import TrainingSupervisor
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
@@ -197,22 +198,19 @@ class YolloTrainer:
         eval_samples: int = 32,
         keep_best: bool = False,
     ) -> TrainingHistory:
-        """Run the optimisation loop.
+        """Run the optimisation loop under a :class:`TrainingSupervisor`.
 
         ``eval_every > 0`` evaluates validation ACC@0.5 on a fixed subset
         every that many iterations (recorded into the Figure-4 curve).
         ``keep_best`` restores the best-evaluated weights at the end of
-        the run (see :meth:`begin_run`).
+        the run (see :meth:`begin_run`).  The supervisor writes no
+        checkpoints here; it skips a non-finite or spiking step instead
+        of applying it.
         """
         self.begin_run(epochs=epochs, eval_every=eval_every,
                        eval_split=eval_split, eval_samples=eval_samples,
                        keep_best=keep_best)
-        while self.iteration < self.total_iterations:
-            loss_value = self.forward_backward()
-            self.apply_step(loss_value)
-            if self.eval_every and self.iteration % self.eval_every == 0:
-                self.periodic_eval()
-        self.finalize()
+        TrainingSupervisor(self, logger=self.logger).run()
         return self.history
 
     # ------------------------------------------------------------------
@@ -288,26 +286,6 @@ class YolloTrainer:
             f"iter {self.iteration} loss={loss_value:.3f}"
         )
 
-    def _step(self, batch: Dict[str, np.ndarray], history: TrainingHistory) -> float:
-        """One optimisation step on an explicit batch (fixed-batch loops).
-
-        Bypasses the epoch machinery and records into the given history
-        instead of ``self.history``.
-        """
-        loss_value = self._forward_backward_batch(batch)
-        breakdown = self._pending
-        self._pending = None
-        if self.config.grad_clip:
-            clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
-        self.optimizer.step()
-        if self.scheduler is not None:
-            self.scheduler.step()
-        history.losses.append(float(loss_value))
-        history.loss_components.append(
-            {"att": breakdown.att, "cls": breakdown.cls, "reg": breakdown.reg}
-        )
-        return loss_value
-
     def skip_step(self) -> None:
         """Advance past an anomalous step without touching the weights."""
         self._pending = None
@@ -317,7 +295,18 @@ class YolloTrainer:
         self.history.iterations = self.iteration
 
     def periodic_eval(self) -> None:
-        self._record_eval(self.history, self._eval_subset, self.iteration)
+        if not self._eval_subset:
+            return
+        report = evaluate_grounder(self.grounder, self._eval_subset)
+        self.history.curve.record(self.iteration, report.acc_at_50)
+        self.logger.log(
+            f"iter {self.iteration}: val ACC@0.5 = {report.acc_at_50:.3f}")
+        if self._keep_best and (self._best_score is None
+                                or report.acc_at_50 > self._best_score):
+            self._best_score = report.acc_at_50
+            self._best_weights = [
+                param.data.copy() for param in self.optimizer.parameters
+            ]
 
     def finalize(self) -> None:
         """Trailing evaluation so the curve always ends at the last step."""
@@ -382,17 +371,3 @@ class YolloTrainer:
         self._epoch_order = None if order is None else np.asarray(order).copy()
         self.history = TrainingHistory.from_state(state["history"])
         self._pending = None
-
-    # ------------------------------------------------------------------
-    def _record_eval(self, history: TrainingHistory, subset, iteration: int) -> None:
-        if not subset:
-            return
-        report = evaluate_grounder(self.grounder, subset)
-        history.curve.record(iteration, report.acc_at_50)
-        self.logger.log(f"iter {iteration}: val ACC@0.5 = {report.acc_at_50:.3f}")
-        if self._keep_best and (self._best_score is None
-                                or report.acc_at_50 > self._best_score):
-            self._best_score = report.acc_at_50
-            self._best_weights = [
-                param.data.copy() for param in self.optimizer.parameters
-            ]

@@ -1,8 +1,9 @@
 """Distributed data-parallel training runtime.
 
-Process-based workers (``spawn``), a pipe-mesh collective layer with a
-deterministic ring all-reduce, sharded sampling, and a replicated-step
-trainer that keeps N workers bit-exact with a single-process run.  See
+Process-based workers (``spawn``), a pipe-mesh collective layer,
+sharded sampling, and a replicated-step trainer that reduces gradient
+slots in slot order, keeping N workers bit-exact with a single-process
+run.  See
 DESIGN.md ("Distributed training") for the protocol, the determinism
 contract, and the failure model.
 

@@ -6,13 +6,10 @@ that, :class:`Collective` implements the small set of collectives the
 data-parallel runtime needs:
 
 * ``broadcast`` — root fans an arbitrary picklable object out to every
-  rank (initial weights, resume payloads);
-* ``all_reduce`` — deterministic *ring* all-reduce over a flat float
-  buffer: reduce-scatter then all-gather, fixed chunk boundaries and a
-  fixed accumulation order, so two runs at the same world size produce
-  bit-identical sums;
-* ``all_gather`` / ``gather`` / ``barrier`` — built from the same
-  ordered primitives.
+  rank (initial weights, resume payloads, and each gradient slot from
+  the rank that computed it);
+* ``all_gather`` / ``gather`` / ``barrier`` — star patterns through one
+  root, built from the same ordered primitives.
 
 Every receive is bounded by a timeout (straggler detection) and every
 message carries an (op, sequence) header so a desynchronised group
@@ -20,17 +17,10 @@ fails loudly (:class:`ProtocolError`) instead of silently reducing the
 wrong step's gradients.  A dead peer surfaces as :class:`PeerLostError`
 (EOF on its pipe) or :class:`CollectiveTimeout`; the worker runtime
 turns either into a group-rebuild request.
-
-The ring steps are deliberately *rank-serialised* (rank 0 sends first,
-every other rank receives before sending).  Fully concurrent sends can
-deadlock on OS pipe buffers once payloads outgrow them; serialising
-costs one pipe latency per hop, which is noise at the scales this
-runtime targets, and keeps the protocol trivially deadlock-free.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -210,61 +200,3 @@ class Collective:
             self._send(0, "ag-in", seq, obj)
             return self._recv(0, "ag-out", seq)
 
-    def all_reduce(self, flat: np.ndarray) -> np.ndarray:
-        """Deterministic ring all-reduce (sum) over a flat 1-D buffer.
-
-        Reduce-scatter then all-gather over ``world_size`` fixed chunks.
-        Within a chunk the accumulation order is the ring order starting
-        from the chunk's owner, so the floating-point result is a pure
-        function of (values, world size) — bit-identical run to run.
-        """
-        flat = np.asarray(flat)
-        if flat.ndim != 1:
-            raise ValueError("all_reduce expects a flat 1-D buffer")
-        if self.world_size == 1:
-            return flat.copy()
-
-        world = self.world_size
-        sizes = self.all_gather(int(flat.size))
-        if len(set(sizes)) != 1:
-            raise ProtocolError(
-                f"rank {self.rank}: all_reduce buffer sizes differ: {sizes}"
-            )
-
-        result = flat.copy()
-        bounds = [(i * flat.size) // world for i in range(world + 1)]
-        chunk = lambda i: result[bounds[i % world]:bounds[i % world + 1]]  # noqa: E731
-        right = (self.rank + 1) % world
-        left = (self.rank - 1) % world
-
-        started = time.perf_counter()
-        with trace_span("dist.allreduce"):
-            # Reduce-scatter: after W-1 steps rank r owns the full sum of
-            # chunk (r+1) mod W.
-            for step in range(world - 1):
-                seq = self._next_seq()
-                send_idx = (self.rank - step) % world
-                recv_idx = (self.rank - step - 1) % world
-                if self.rank == 0:
-                    self._send(right, "rs", seq, chunk(send_idx).copy())
-                    incoming = self._recv(left, "rs", seq)
-                else:
-                    incoming = self._recv(left, "rs", seq)
-                    self._send(right, "rs", seq, chunk(send_idx).copy())
-                chunk(recv_idx)[...] += incoming
-            # All-gather: circulate the reduced chunks.
-            for step in range(world - 1):
-                seq = self._next_seq()
-                send_idx = (self.rank - step + 1) % world
-                recv_idx = (self.rank - step) % world
-                if self.rank == 0:
-                    self._send(right, "ag", seq, chunk(send_idx).copy())
-                    incoming = self._recv(left, "ag", seq)
-                else:
-                    incoming = self._recv(left, "ag", seq)
-                    self._send(right, "ag", seq, chunk(send_idx).copy())
-                chunk(recv_idx)[...] = incoming
-        self.metrics.histogram("dist.allreduce_seconds").observe(
-            time.perf_counter() - started
-        )
-        return result

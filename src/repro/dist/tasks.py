@@ -9,7 +9,7 @@ step.  The protocol (duck-typed, like ``SupervisedTask``):
 * ``iteration`` / ``total_iterations`` / ``eval_every`` attributes;
 * ``parameters()``, ``slot_forward_backward(iteration, slot, indices)``
   (returns ``(loss, components)`` with gradients left on the
-  parameters), ``install_reduced(flat, manifest, loss, components)``
+  parameters), ``set_reduced_gradients(flat, manifest, loss, components)``
   (alias the reduced bucket into ``param.grad`` views),
   ``apply_step(loss)`` / ``skip_step()``;
 * the usual state surface: ``state_dict`` / ``load_state_dict`` /
@@ -109,8 +109,9 @@ class YolloDistTask:
             "att": breakdown.att, "cls": breakdown.cls, "reg": breakdown.reg,
         }
 
-    def install_reduced(self, flat: np.ndarray, manifest: TensorManifest,
-                        loss: float, components: Dict[str, float]) -> None:
+    def set_reduced_gradients(self, flat: np.ndarray,
+                              manifest: TensorManifest, loss: float,
+                              components: Dict[str, float]) -> None:
         _install_grad_views(self.parameters(), flat, manifest)
         self.trainer._flat_grads = flat
         # apply_step only reads the detached component values from the
@@ -218,8 +219,9 @@ class PretrainDistTask:
         }
         return float(loss.data), components
 
-    def install_reduced(self, flat: np.ndarray, manifest: TensorManifest,
-                        loss: float, components: Dict[str, float]) -> None:
+    def set_reduced_gradients(self, flat: np.ndarray,
+                              manifest: TensorManifest, loss: float,
+                              components: Dict[str, float]) -> None:
         _install_grad_views(self.parameters(), flat, manifest)
         self._flat = flat
         self._pending = dict(components)

@@ -10,24 +10,18 @@ Determinism contract
 --------------------
 Every iteration's *global* batch is cut into ``grad_shards`` fixed
 micro-batch slots by the task's :class:`~repro.dist.ShardedSampler`.
-In the default ``canonical`` mode each slot's weighted gradient bucket
-is computed by exactly one rank (with a per-``(iteration, slot)`` RNG
-stream, so the result is rank-independent), shipped to every rank, and
-summed **in slot order** everywhere.  The reduced gradient is therefore
-a pure function of the global seed and iteration — bit-identical for
-1, 2, or 4 workers — and since every rank then applies the identical
-optimiser step, model replicas never drift.
+Each slot's weighted gradient bucket is computed by exactly one rank
+(with a per-``(iteration, slot)`` RNG stream, so the result is
+rank-independent), broadcast to every rank, and summed **in slot
+order** everywhere.  The reduced gradient is therefore a pure function
+of the global seed and iteration — bit-identical for 1, 2, or 4
+workers — and since every rank then applies the identical optimiser
+step, model replicas never drift.
 
-``bucketed`` mode instead accumulates each rank's owned slots locally
-and runs a ring all-reduce over fixed-size buckets: cheaper on the wire
-(each rank ships its partial sum once instead of every slot bucket),
-deterministic for a *fixed* world size, but not bit-exact across world
-sizes (ring accumulation order depends on the ring length).
-
-In canonical mode with ``overlap=True`` a communication thread streams
-slot buckets (in slot order) while the main thread is still computing
-the remaining owned slots — the all-reduce/broadcast traffic for slot
-``k`` overlaps the backward pass of slot ``k+1``.
+A communication thread broadcasts the slot buckets (in slot order)
+while the main thread is still computing the remaining owned slots, so
+the traffic for slot ``k`` runs during the backward pass of slot
+``k+1``.
 
 Anomalies and rollback stay replicated: the reduced loss and gradients
 are identical on every rank, so every rank's guard reaches the same
@@ -60,16 +54,11 @@ class DistConfig:
     """Algorithmic knobs of the data-parallel runtime."""
 
     grad_shards: int = 4      #: micro-batch slots per global batch
-    mode: str = "canonical"   #: "canonical" (bit-exact) or "bucketed"
-    overlap: bool = True      #: overlap comm with remaining slot compute
-    bucket_bytes: int = 1 << 20  #: ring all-reduce bucket size (bucketed mode)
     timeout: float = 120.0    #: per-receive straggler timeout (seconds)
 
     def __post_init__(self):
         if self.grad_shards < 1:
             raise ValueError("grad_shards must be >= 1")
-        if self.mode not in ("canonical", "bucketed"):
-            raise ValueError(f"unknown dist mode {self.mode!r}")
 
 
 class DistributedTrainer(SupervisedTask):
@@ -141,10 +130,7 @@ class DistributedTrainer(SupervisedTask):
         # checkpoints.  grad_shards *is* included — it changes the
         # micro-batch decomposition and hence the training trajectory.
         data = dict(self.task.fingerprint_data())
-        data["dist"] = {
-            "grad_shards": self.config.grad_shards,
-            "mode": self.config.mode,
-        }
+        data["dist"] = {"grad_shards": self.config.grad_shards}
         return data
 
     def state_dict(self) -> Dict[str, Any]:
@@ -176,25 +162,20 @@ class DistributedTrainer(SupervisedTask):
         slots = sampler.slots(iteration)
         weights = sampler.slot_weights(iteration)
         with self.metrics.timer("dist.step_seconds"), trace_span("dist.step"):
-            if self.config.mode == "canonical":
-                payloads = self._exchange_canonical(iteration, slots, weights)
-                flat = np.zeros(self._manifest.total_size,
-                                dtype=self._manifest.flat_dtype)
-                loss = 0.0
-                components: Dict[str, float] = {}
-                # Slot-order summation on every rank: the reduction is a
-                # pure function of the slot payloads, not of world size.
-                for slot_id in range(len(slots)):
-                    slot_flat, slot_loss, slot_components = payloads[slot_id]
-                    flat += slot_flat
-                    loss += slot_loss
-                    for key, value in slot_components.items():
-                        components[key] = components.get(key, 0.0) + value
-            else:
-                flat, loss, components = self._exchange_bucketed(
-                    iteration, slots, weights
-                )
-        self.task.install_reduced(flat, self._manifest, loss, components)
+            payloads = self._exchange(iteration, slots, weights)
+            flat = np.zeros(self._manifest.total_size,
+                            dtype=self._manifest.flat_dtype)
+            loss = 0.0
+            components: Dict[str, float] = {}
+            # Slot-order summation on every rank: the reduction is a
+            # pure function of the slot payloads, not of world size.
+            for slot_id in range(len(slots)):
+                slot_flat, slot_loss, slot_components = payloads[slot_id]
+                flat += slot_flat
+                loss += slot_loss
+                for key, value in slot_components.items():
+                    components[key] = components.get(key, 0.0) + value
+        self.task.set_reduced_gradients(flat, self._manifest, loss, components)
         return loss
 
     def apply_step(self, loss: float) -> None:
@@ -230,7 +211,7 @@ class DistributedTrainer(SupervisedTask):
             key: value * weight for key, value in components.items()
         }
 
-    def _exchange_canonical(
+    def _exchange(
         self, iteration: int, slots: List[np.ndarray], weights: List[float]
     ) -> Dict[int, SlotPayload]:
         """Every rank ends up holding every slot's weighted payload."""
@@ -241,20 +222,9 @@ class DistributedTrainer(SupervisedTask):
                 for s in self._mine
             }
         payloads: Dict[int, SlotPayload] = {}
-        if not self.config.overlap:
-            for s in self._mine:
-                payloads[s] = self._compute_slot(
-                    iteration, s, slots[s], weights[s]
-                )
-            for s in range(len(slots)):
-                owner = self._owner_of[s]
-                obj = payloads.get(s) if owner == rank else None
-                payloads[s] = self.collective.broadcast(obj, root=owner)
-            return payloads
-
-        # Overlapped: the comm thread walks slots in order, broadcasting
-        # each from its owner, while the main thread keeps computing the
-        # remaining owned slots and feeding them through the queue.
+        # The comm thread walks slots in order, broadcasting each from
+        # its owner, while the main thread keeps computing the remaining
+        # owned slots and feeding them through the queue.
         ready: "queue.Queue[SlotPayload]" = queue.Queue()
         failures: List[BaseException] = []
 
@@ -271,48 +241,12 @@ class DistributedTrainer(SupervisedTask):
             target=pump, name="dist-comm", daemon=True
         )
         pump_thread.start()
-        try:
-            for s in self._mine:
-                ready.put(self._compute_slot(iteration, s, slots[s], weights[s]))
-        except BaseException:
-            # The comm thread is daemonic and times out on its own; the
-            # worker is about to die and the group will rebuild.
-            raise
+        # If a slot raises, the daemonic comm thread times out on its
+        # own; the worker is about to die and the group will rebuild.
+        for s in self._mine:
+            ready.put(self._compute_slot(iteration, s, slots[s], weights[s]))
         pump_thread.join()
         if failures:
             raise failures[0]
         return payloads
 
-    def _exchange_bucketed(
-        self, iteration: int, slots: List[np.ndarray], weights: List[float]
-    ) -> Tuple[np.ndarray, float, Dict[str, float]]:
-        """Locally accumulate owned slots, then ring all-reduce buckets."""
-        local = np.zeros(self._manifest.total_size,
-                         dtype=self._manifest.flat_dtype)
-        local_loss = 0.0
-        local_components: Dict[str, float] = {}
-        for s in self._mine:
-            slot_flat, slot_loss, slot_components = self._compute_slot(
-                iteration, s, slots[s], weights[s]
-            )
-            local += slot_flat
-            local_loss += slot_loss
-            for key, value in slot_components.items():
-                local_components[key] = local_components.get(key, 0.0) + value
-
-        reduced = np.empty_like(local)
-        step = max(1, self.config.bucket_bytes // local.dtype.itemsize)
-        for start in range(0, max(1, local.size), step):
-            reduced[start:start + step] = self.collective.all_reduce(
-                local[start:start + step]
-            )
-
-        # Scalars reduce in rank order (deterministic for a fixed world).
-        gathered = self.collective.all_gather((local_loss, local_components))
-        loss = 0.0
-        components: Dict[str, float] = {}
-        for rank_loss, rank_components in gathered:
-            loss += rank_loss
-            for key, value in rank_components.items():
-                components[key] = components.get(key, 0.0) + value
-        return reduced, loss, components

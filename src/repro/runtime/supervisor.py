@@ -48,7 +48,8 @@ class SupervisedTask:
     ``total_iterations`` and ``eval_every`` attributes and implement
     the step/state methods below.  ``forward_backward`` may return
     ``None`` to signal a no-op iteration (e.g. a skipped sample in the
-    listener's ranking loop); the guard is not consulted for those.
+    listener's ranking loop); the guard is not consulted for those, but
+    the iteration still counts toward the eval and checkpoint schedule.
     """
 
     iteration: int = 0
@@ -108,7 +109,13 @@ class SupervisorReport:
 
 
 class TrainingSupervisor:
-    """Wrap a :class:`SupervisedTask` into a resumable, guarded ``run()``."""
+    """Wrap a :class:`SupervisedTask` into a resumable, guarded ``run()``.
+
+    Every trainer in the package steps through :meth:`run`.  Without a
+    ``checkpoint_dir`` the run is guarded but not persisted (rollbacks
+    fall back to the run-start snapshot), and ``resume=True`` is
+    rejected at construction.
+    """
 
     def __init__(
         self,
@@ -126,6 +133,8 @@ class TrainingSupervisor:
         retry_sleep: Callable[[float], None] = time.sleep,
         metrics: Optional[MetricsRegistry] = None,
     ):
+        if resume and checkpoint_dir is None:
+            raise ValueError("resume=True requires a checkpoint_dir")
         self.task = task
         self.checkpoint_every = checkpoint_every
         self.resume = resume
@@ -177,24 +186,23 @@ class TrainingSupervisor:
             loss = task.forward_backward()
             if loss is None:
                 task.skip_step()  # no-op iteration (e.g. unusable sample)
-                continue
-            if self.fault_plan is not None:
-                self.fault_plan.mutate_gradients(upcoming, task.parameters())
-                loss = self.fault_plan.mutate_loss(upcoming, loss)
-
-            verdict = self.guard.assess(loss, task.parameters())
-            if verdict.action is GuardAction.PROCEED:
-                task.apply_step(loss)
-            elif verdict.action is GuardAction.SKIP:
-                self.logger.log(
-                    f"skipping iteration {upcoming}: {verdict.reason}"
-                )
-                task.skip_step()
-                report.skipped_steps += 1
-                self.metrics.counter("runtime.skipped_steps").inc()
-            else:  # ROLLBACK
-                self._rollback(report, initial_snapshot, verdict.reason)
-                continue
+            else:
+                if self.fault_plan is not None:
+                    self.fault_plan.mutate_gradients(upcoming, task.parameters())
+                    loss = self.fault_plan.mutate_loss(upcoming, loss)
+                verdict = self.guard.assess(loss, task.parameters())
+                if verdict.action is GuardAction.PROCEED:
+                    task.apply_step(loss)
+                elif verdict.action is GuardAction.SKIP:
+                    self.logger.log(
+                        f"skipping iteration {upcoming}: {verdict.reason}"
+                    )
+                    task.skip_step()
+                    report.skipped_steps += 1
+                    self.metrics.counter("runtime.skipped_steps").inc()
+                else:  # ROLLBACK
+                    self._rollback(report, initial_snapshot, verdict.reason)
+                    continue
 
             if task.eval_every and task.iteration % task.eval_every == 0:
                 self._guarded_eval(report)

@@ -30,6 +30,7 @@ from repro.data.scenes import SceneGenerator
 from repro.nn import Conv2d, Embedding, GlobalAvgPool2d, Linear, Module, \
     softmax_cross_entropy
 from repro.optim import Adam
+from repro.runtime import CallbackTask, TrainingSupervisor
 from repro.scenarios.registry import (
     Scenario,
     ScenarioSample,
@@ -138,7 +139,8 @@ def train_weak_model(
     model = WeakContrastiveModel(len(vocab), rng=rng)
     optimizer = Adam(model.parameters(), lr=learning_rate)
     losses: List[float] = []
-    for _ in range(steps):
+
+    def forward_backward(step: int) -> float:
         batch_indices = rng.choice(
             len(samples), size=min(batch_size, len(samples)), replace=False)
         batch = [samples[int(i)] for i in batch_indices]
@@ -147,8 +149,15 @@ def train_weak_model(
         model.zero_grad()
         loss = contrastive_loss(model(images, token_ids, token_mask))
         loss.backward()
+        return float(loss.item())
+
+    def apply_update(step: int, loss_value: float) -> None:
         optimizer.step()
-        losses.append(float(loss.item()))
+        losses.append(loss_value)
+
+    TrainingSupervisor(CallbackTask(
+        steps, forward_backward, apply_update, optimizer=optimizer,
+        modules={"model": model}, rng=rng)).run()
     return {"model": model, "losses": losses, "max_length": max_length}
 
 

@@ -17,6 +17,7 @@ from repro.data.refcoco import GroundingSample
 from repro.detection import iou_matrix
 from repro.nn import Embedding, Linear, LSTM, Module, margin_ranking_loss
 from repro.optim import Adam
+from repro.runtime import CallbackTask, TrainingSupervisor
 from repro.text.vocab import Vocabulary
 from repro.twostage.proposals import ProposalSet
 from repro.twostage.regions import RegionEncoder
@@ -81,9 +82,10 @@ def train_listener(
     whose proposals all miss the target (IoU < 0.3) are skipped — the
     standard two-stage training-time consequence of stage-i misses.
 
-    With ``checkpoint_dir`` set the loop runs under a
-    :class:`repro.runtime.TrainingSupervisor` (checkpoint/resume plus
-    anomaly skip-step); ``resume=True`` continues a killed run.
+    The loop runs under a :class:`repro.runtime.TrainingSupervisor`,
+    which skips anomalous steps; ``checkpoint_dir`` adds checkpoints
+    every ``checkpoint_every`` steps and ``resume=True`` (which needs
+    ``checkpoint_dir``) continues a killed run.
     """
     rng = rng if rng is not None else spawn_rng("listener-train")
     logger = logger or ProgressLogger("listener", enabled=False)
@@ -125,8 +127,6 @@ def train_listener(
         losses.append(loss_value)
         logger.periodic(f"step {step}/{steps} loss={loss_value:.3f}")
 
-    from repro.runtime import CallbackTask, TrainingSupervisor
-
     task = CallbackTask(
         total_iterations=steps,
         forward_backward=forward_backward,
@@ -142,19 +142,11 @@ def train_listener(
         ),
         result=lambda: losses,
     )
-    if checkpoint_dir is not None:
-        TrainingSupervisor(
-            task,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every or max(1, steps // 4),
-            resume=resume,
-            logger=logger,
-        ).run()
-    else:
-        while task.iteration < task.total_iterations:
-            loss_value = task.forward_backward()
-            if loss_value is None:
-                task.skip_step()
-            else:
-                task.apply_step(loss_value)
+    TrainingSupervisor(
+        task,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every or max(1, steps // 4),
+        resume=resume,
+        logger=logger,
+    ).run()
     return losses

@@ -19,6 +19,7 @@ from repro.data.refcoco import GroundingSample
 from repro.detection import iou_matrix
 from repro.nn import Embedding, Linear, LSTM, Module, softmax_cross_entropy
 from repro.optim import Adam
+from repro.runtime import CallbackTask, TrainingSupervisor
 from repro.text.vocab import Vocabulary
 from repro.twostage.proposals import ProposalSet
 from repro.twostage.regions import RegionEncoder
@@ -111,9 +112,10 @@ def train_speaker(
     query likelihood must beat a random distractor region's by the
     margin (Mao et al., 2016).
 
-    With ``checkpoint_dir`` set the loop runs under a
-    :class:`repro.runtime.TrainingSupervisor` (checkpoint/resume plus
-    anomaly skip-step); ``resume=True`` continues a killed run.
+    The loop runs under a :class:`repro.runtime.TrainingSupervisor`,
+    which skips anomalous steps; ``checkpoint_dir`` adds checkpoints
+    every ``checkpoint_every`` steps and ``resume=True`` (which needs
+    ``checkpoint_dir``) continues a killed run.
     """
     rng = rng if rng is not None else spawn_rng("speaker-train")
     logger = logger or ProgressLogger("speaker", enabled=False)
@@ -155,8 +157,6 @@ def train_speaker(
         losses.append(loss_value)
         logger.periodic(f"step {step}/{steps} loss={loss_value:.3f}")
 
-    from repro.runtime import CallbackTask, TrainingSupervisor
-
     task = CallbackTask(
         total_iterations=steps,
         forward_backward=forward_backward,
@@ -172,15 +172,11 @@ def train_speaker(
         ),
         result=lambda: losses,
     )
-    if checkpoint_dir is not None:
-        TrainingSupervisor(
-            task,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every or max(1, steps // 4),
-            resume=resume,
-            logger=logger,
-        ).run()
-    else:
-        while task.iteration < task.total_iterations:
-            task.apply_step(task.forward_backward())
+    TrainingSupervisor(
+        task,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every or max(1, steps // 4),
+        resume=resume,
+        logger=logger,
+    ).run()
     return losses

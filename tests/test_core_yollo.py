@@ -59,13 +59,16 @@ class TestTrainer:
     def test_loss_decreases_on_fixed_batch(self, dataset, cfg):
         model = YolloModel(cfg, vocab_size=len(dataset.vocab))
         trainer = YolloTrainer(model, dataset, cfg)
-        from repro.core.trainer import TrainingHistory
-
         batch = encode_batch(dataset["train"][:4], dataset.vocab, cfg.max_query_length)
-        history = TrainingHistory()
-        first = trainer._step(batch, history)
+
+        def step():
+            loss = trainer._forward_backward_batch(batch)
+            trainer.apply_step(loss)
+            return loss
+
+        first = step()
         for _ in range(15):
-            last = trainer._step(batch, history)
+            last = step()
         assert last < first
 
     def test_train_records_history_and_curve(self, dataset, cfg):

@@ -121,8 +121,6 @@ class TestPresetSmoke:
     @pytest.mark.parametrize("name", _smoke_params())
     def test_build_train_predict_checkpoint_compile(self, name, dataset,
                                                     tmp_path):
-        from repro.core.trainer import TrainingHistory
-
         config = lower_config(name, max_query_length=_maxlen(dataset))
         model = build_model(name, vocab_size=len(dataset.vocab),
                             max_query_length=_maxlen(dataset))
@@ -131,7 +129,8 @@ class TestPresetSmoke:
         trainer = YolloTrainer(model, dataset, config)
         batch = encode_batch(dataset["train"][:2], dataset.vocab,
                              config.max_query_length)
-        loss = trainer._step(batch, TrainingHistory())
+        loss = trainer._forward_backward_batch(batch)
+        trainer.apply_step(loss)
         assert np.isfinite(loss)
 
         # ranked protocol answers with valid, ordered scores
