@@ -23,10 +23,12 @@ class Grounder:
 
     ``clause_conditioning=True`` parses each query with
     :func:`repro.lang.parse` and feeds the compiled per-clause token
-    masks to the model's clause-conditioned Rel2Att path.  Queries that
-    compile to the flat fallback (trivial or single-clause trees) run
-    the unchanged flat path, so turning the flag on never perturbs
-    simple queries.
+    masks to the model's clause-conditioned Rel2Att path; every batch
+    then carries a ``(B, C, L)`` mask array, so a compiled model runs
+    clause and flat queries through the same plan.  Queries that compile
+    to the flat fallback (trivial or single-clause trees) get all-zero
+    rows and keep their flat attention, so turning the flag on never
+    changes simple queries' answers.
     """
 
     def __init__(self, model: YolloModel, vocab: Vocabulary,
@@ -38,11 +40,8 @@ class Grounder:
     def _clause_masks(
         self, queries: Sequence[str]
     ) -> Optional[np.ndarray]:
-        """Compile ``queries`` to a ``(B, C, L)`` batch of clause masks.
-
-        Returns ``None`` (the exact flat path) when conditioning is off
-        or every query falls back.
-        """
+        """Compile ``queries`` to a ``(B, C, L)`` batch of clause masks,
+        or ``None`` (the flat forward) when conditioning is off."""
         if not self.clause_conditioning:
             return None
         from repro.lang import clause_token_masks, pad_clause_masks, parse

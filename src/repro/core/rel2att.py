@@ -55,28 +55,59 @@ def _relation_weight_mask(
     return weights * block[None]
 
 
-def _attention_normalizers(
-    weights: np.ndarray, num_regions: int, balanced: bool
-) -> Tuple[np.ndarray, ...]:
-    """Divisor arrays for the relation-map averages.
+def _block_sums(matrix, rows, m: int, balanced: bool) -> list:
+    """Sums of ``matrix`` ``(B, k, k)`` over its image rows and its
+    query rows, then the same over its transpose's rows, as ``(B, C, k)``.
 
-    ``balanced`` returns the four per-block divisors (image/query columns
-    then rows); otherwise the two whole-axis divisors.  Kept as one plain
-    numpy function (rather than inline expressions) so the graph tracer
-    can capture the token-mask-dependent normalisers as a single node.
+    ``rows`` ``(B, C, n)`` restricts the query rows to one subset per
+    clause (a clause's weight mask is the flat one restricted to the
+    outer product of its row, so all ``C`` clauses cost one matmul per
+    side and share the image-row sums); ``None`` sums every query row
+    (``C = 1``).  ``balanced`` keeps the two row blocks apart, else
+    they are added.  Works on arrays and on Tensors.
     """
-    m = num_regions
-    if balanced:
-        return (
-            np.maximum(weights[:, :m, :].sum(axis=1), 1.0),
-            np.maximum(weights[:, m:, :].sum(axis=1), 1.0),
-            np.maximum(weights[:, :, :m].sum(axis=2), 1.0),
-            np.maximum(weights[:, :, m:].sum(axis=2), 1.0),
-        )
-    return (
-        np.maximum(weights.sum(axis=1), 1.0),
-        np.maximum(weights.sum(axis=2), 1.0),
-    )
+    sums = []
+    for x in (matrix, matrix.swapaxes(1, 2)):
+        image = x[:, :m, :].sum(axis=1, keepdims=True)
+        text = (x[:, m:, :].sum(axis=1, keepdims=True) if rows is None
+                else rows @ x[:, m:, :])
+        sums += [image, text] if balanced else [image + text]
+    return sums
+
+
+def _attention_normalizers(
+    weights: np.ndarray, rows: Optional[np.ndarray], num_regions: int,
+    balanced: bool,
+) -> Tuple[np.ndarray, ...]:
+    """Divisors for the relation-map averages: the :func:`_block_sums`
+    of the weight mask, floored at one.  Kept as one plain numpy
+    function so the graph tracer captures the mask-dependent divisors
+    as a single node."""
+    return tuple(np.maximum(count, 1.0) for count in
+                 _block_sums(weights, rows, num_regions, balanced))
+
+
+def _clause_pooling_arrays(
+    clause_masks: np.ndarray, token_mask: Optional[np.ndarray],
+    num_regions: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask-derived arrays of the clause pooling: ``(rows, keep, pool)``.
+
+    ``rows`` ``(B, C, n)`` are the clause rows on valid tokens; ``keep``
+    ``(B, 1)`` is 1 where a sample has fewer than two non-empty rows (it
+    keeps its flat attention); ``pool`` ``(B, C, k)`` weighs each clause
+    by ``1/active`` on the image side and ``row/coverage`` on the text
+    side, zero for kept samples.  Kept as one plain numpy function so
+    the graph tracer records it as a single node.
+    """
+    rows = clause_masks * (1.0 if token_mask is None else token_mask[:, None])
+    act = (rows.sum(axis=2) > 0).astype(np.float64)  # (B, C)
+    active = act.sum(axis=1, keepdims=True)
+    conditioned = (active >= 2.0).astype(np.float64)
+    image = (act / np.maximum(active, 1.0))[:, :, None].repeat(num_regions, 2)
+    text = rows / np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
+    pool = np.concatenate([image, text], axis=2) * conditioned[:, :, None]
+    return rows, 1.0 - conditioned, pool
 
 
 class Rel2AttModule(Module):
@@ -104,33 +135,28 @@ class Rel2AttModule(Module):
         x2 = concatenate([self.ffn_v2(image_seq), self.ffn_t2(query_seq)], axis=1)
         return x1.matmul(x2.swapaxes(1, 2)) / np.sqrt(self.config.d_rel)
 
-    def _attention_scores(self, relation: Tensor,
-                          weights: np.ndarray, m: int) -> Tensor:
-        """Joint attention vector ``(B, k)`` from the relation map."""
-        masked = relation * Tensor(weights)
-        normalizers = _attention_normalizers(
-            weights, m, self.config.block_balanced_attention
-        )
-        if self.config.block_balanced_attention:
+    def _attention_scores(self, masked: Tensor, weights: np.ndarray,
+                          m: int, rows: Optional[np.ndarray] = None
+                          ) -> Tensor:
+        """Joint attention vectors ``(B, C, k)`` from the masked relation
+        map ``relation * weights``, one per clause row (``C = 1`` flat)."""
+        balanced = self.config.block_balanced_attention
+        parts = _block_sums(masked, None if rows is None else Tensor(rows),
+                            m, balanced)
+        scores = [part / Tensor(normalizer) for part, normalizer in zip(
+            parts, _attention_normalizers(weights, rows, m, balanced))]
+        if balanced:
             # Average each block of R separately before summing, so the
             # co-attention blocks (n entries) carry the same weight as
             # the much larger self-attention blocks (m entries).  With a
             # plain mean over all k entries the query's contribution to
             # att_v is diluted by m/n ~ 15x and grounding barely
             # conditions on the language.
-            att_cols = (
-                masked[:, :m, :].sum(axis=1) / Tensor(normalizers[0])
-                + masked[:, m:, :].sum(axis=1) / Tensor(normalizers[1])
-            )
-            att_rows = (
-                masked[:, :, :m].sum(axis=2) / Tensor(normalizers[2])
-                + masked[:, :, m:].sum(axis=2) / Tensor(normalizers[3])
-            )
+            att_cols, att_rows = scores[0] + scores[1], scores[2] + scores[3]
         else:
             # Strict Eq. (3)-(4) reading: plain masked means over each axis.
-            att_cols = masked.sum(axis=1) / Tensor(normalizers[0])
-            att_rows = masked.sum(axis=2) / Tensor(normalizers[1])
-        return (att_cols + att_rows) * self.att_gain  # (B, k)
+            att_cols, att_rows = scores
+        return (att_cols + att_rows) * self.att_gain
 
     def forward(
         self,
@@ -145,14 +171,15 @@ class Rel2AttModule(Module):
         the attended sequences are the element-wise products of Eq. (4)-(5).
 
         ``clause_masks`` — ``(B, C, n)`` 0/1 rows from
-        :func:`repro.lang.clause_token_masks` — switches the block into
+        :func:`repro.lang.pad_clause_masks` — switches the block into
         clause-conditioned mode: the relation map is computed once, the
         attention averages are re-taken per clause over that clause's
         token subset, and the per-clause vectors are pooled (mean over
         active clauses on the image side; per-token normalised sum on
-        the text side).  Samples whose rows are all zero take the flat
-        average, bit-exact with ``clause_masks=None``.  No parameters
-        are added, so the state-dict layout is unchanged.
+        the text side).  Samples with fewer than two non-empty rows
+        (all-zero rows included) keep the flat average, equal to
+        ``clause_masks=None``.  No parameters are added, so the
+        state-dict layout is unchanged.
         """
         batch, m = image_seq.shape[0], image_seq.shape[1]
         n = query_seq.shape[1]
@@ -162,10 +189,16 @@ class Rel2AttModule(Module):
             batch, m, n, token_mask,
             self.config.use_self_attention, self.config.use_co_attention,
         )
-        att = self._attention_scores(relation, weights, m)
+        masked = relation * Tensor(weights)
+        att = self._attention_scores(masked, weights, m)[:, 0]  # (B, k)
         if clause_masks is not None:
-            att = self._clause_conditioned(
-                relation, att, token_mask, clause_masks, m, n)
+            # Every clause's averages at once, pooled over the clause
+            # axis; no Python branch reads the masks, so a traced plan
+            # replays any mask pattern.
+            rows, keep, pool = _clause_pooling_arrays(
+                clause_masks, token_mask, m)
+            per_clause = self._attention_scores(masked, weights, m, rows)
+            att = att * Tensor(keep) + (per_clause * Tensor(pool)).sum(axis=1)
 
         att_v = att[:, :m]
         att_t = att[:, m:]
@@ -179,57 +212,6 @@ class Rel2AttModule(Module):
         attended_v = image_seq * att_v.tanh().expand_dims(-1)
         attended_t = query_seq * att_t.tanh().expand_dims(-1)
         return attended_v, attended_t, att_v, att_t
-
-    def _clause_conditioned(
-        self,
-        relation: Tensor,
-        att_flat: Tensor,
-        token_mask: Optional[np.ndarray],
-        clause_masks: np.ndarray,
-        m: int,
-        n: int,
-    ) -> Tensor:
-        """Pool per-clause attention averages over the shared relation map.
-
-        For each clause the flat averages are re-taken with the token
-        axis restricted to that clause's tokens; the image-side vectors
-        are averaged over a sample's active clauses and the text-side
-        vectors summed with per-token normalisation (a token attended by
-        two clauses is not double-counted).  Samples with fewer than two
-        active clauses keep their flat attention unchanged.
-        """
-        batch = clause_masks.shape[0]
-        base_mask = token_mask if token_mask is not None \
-            else np.ones((batch, n))
-        att_v_sum: Optional[Tensor] = None
-        att_t_sum: Optional[Tensor] = None
-        coverage = np.zeros((batch, n))
-        active = np.zeros(batch)
-        for index in range(clause_masks.shape[1]):
-            row = clause_masks[:, index] * base_mask  # (B, n)
-            act = (row.sum(axis=1) > 0).astype(np.float64)
-            if not act.any():
-                continue
-            weights = _relation_weight_mask(
-                batch, m, n, row,
-                self.config.use_self_attention,
-                self.config.use_co_attention,
-            )
-            att_c = self._attention_scores(relation, weights, m)
-            term_v = att_c[:, :m] * Tensor(act[:, None])
-            term_t = att_c[:, m:] * Tensor(row)
-            att_v_sum = term_v if att_v_sum is None else att_v_sum + term_v
-            att_t_sum = term_t if att_t_sum is None else att_t_sum + term_t
-            coverage += row
-            active += act
-        conditioned = (active >= 2.0).astype(np.float64)[:, None]  # (B, 1)
-        if att_v_sum is None or not conditioned.any():
-            return att_flat
-        att_v = att_v_sum / Tensor(np.maximum(active, 1.0)[:, None])
-        att_t = att_t_sum / Tensor(np.maximum(coverage, 1.0))
-        att_clause = concatenate([att_v, att_t], axis=1)
-        return (att_flat * Tensor(1.0 - conditioned)
-                + att_clause * Tensor(conditioned))
 
 
 class Rel2AttStack(Module):

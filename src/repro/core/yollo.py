@@ -76,8 +76,11 @@ class YolloModel(Module):
         bit-exact against the trace at build time) but runs the forward
         pass through a :class:`repro.graph.ExecutionPlan` — constant
         folding, BatchNorm folding, epilogue fusion, and arena buffer
-        reuse — compiled lazily per input shape ``(B, H, W, L)`` and
-        cached in a :class:`repro.graph.PlanCache`.
+        reuse — compiled lazily per input signature (the shape and dtype
+        of images, token ids, token mask and clause masks, ``None`` for
+        an absent argument) and cached in a
+        :class:`repro.graph.PlanCache`.  Clause masks are a traced
+        input, so clause-conditioned batches replay the same plans.
         """
         from repro.graph import PlanCache
 
@@ -94,17 +97,16 @@ class YolloModel(Module):
         """The active :class:`repro.graph.PlanCache`, or ``None``."""
         return getattr(self, "_plan_cache", None)
 
-    def _plan_key(self, images: np.ndarray, token_ids: np.ndarray,
-                  token_mask: Optional[np.ndarray]) -> tuple:
-        return (
-            tuple(images.shape),
-            tuple(token_ids.shape),
-            token_mask is None,
-            str(np.asarray(images).dtype),
-        )
+    @staticmethod
+    def _plan_key(*arrays: Optional[np.ndarray]) -> tuple:
+        """``(shape, dtype)`` of every array argument, ``None`` if absent."""
+        return tuple(None if array is None
+                     else (np.shape(array), np.asarray(array).dtype.str)
+                     for array in arrays)
 
     def _compiled_forward(self, images: np.ndarray, token_ids: np.ndarray,
-                          token_mask: Optional[np.ndarray]) -> YolloOutput:
+                          token_mask: Optional[np.ndarray],
+                          clause_masks: Optional[np.ndarray]) -> YolloOutput:
         """Run ``forward`` through a cached execution plan (eval only).
 
         On a cache miss the forward pass is traced, optimised, and
@@ -117,21 +119,20 @@ class YolloModel(Module):
         from repro.graph import ExecutionPlan, optimize_graph, trace
 
         cache = self._plan_cache
-        key = self._plan_key(images, token_ids, token_mask)
+        args = (images, token_ids, token_mask, clause_masks)
+        key = self._plan_key(*args)
         plan = cache.get(key)
         if plan is None:
             start = _time.perf_counter()
-            traced = trace(
-                self.forward, Tensor(images), token_ids, token_mask,
-                name="yollo.forward",
-            )
+            traced = trace(self.forward, Tensor(images), *args[1:],
+                           name="yollo.forward")
             optimize_graph(traced.graph)
             plan = ExecutionPlan(traced)
             cache.store(key, plan, (_time.perf_counter() - start) * 1e3)
         # Keep the eager span name so model-time attribution (e.g.
         # eval.timing MODEL_SPANS) sees compiled runs as forward time.
         with trace_span("yollo.forward"):
-            return plan.run(Tensor(images), token_ids, token_mask)
+            return plan.run(Tensor(images), *args[1:])
 
     def train(self, mode: bool = True) -> "YolloModel":
         # Plans bake eval-mode state (BN running stats fold to
@@ -179,16 +180,11 @@ class YolloModel(Module):
         practice): an anchor hanging off the image decodes to a clipped
         sliver, and its classification score is weakly supervised, so
         letting it win produces degenerate boxes.
-
-        Clause-conditioned batches (``clause_masks`` not ``None``) always
-        run eager: compiled plans are traced over the three-argument
-        forward, and clause masks vary per query in ways a shape-keyed
-        plan cache cannot capture.
         """
         with self.evaluating(), no_grad():
-            if clause_masks is None \
-                    and getattr(self, "_plan_cache", None) is not None:
-                output = self._compiled_forward(images, token_ids, token_mask)
+            if getattr(self, "_plan_cache", None) is not None:
+                output = self._compiled_forward(images, token_ids, token_mask,
+                                                clause_masks)
             else:
                 output = self.forward(Tensor(images), token_ids, token_mask,
                                       clause_masks)

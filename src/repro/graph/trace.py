@@ -49,6 +49,7 @@ from repro.graph.ir import Graph, Node, Slot
 _EXTERNAL_FUNCTIONS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.core.rel2att", "_relation_weight_mask", "rel2att.weight_mask"),
     ("repro.core.rel2att", "_attention_normalizers", "rel2att.att_normalizers"),
+    ("repro.core.rel2att", "_clause_pooling_arrays", "rel2att.clause_pooling"),
     ("repro.core.word2pix", "_word_mask_arrays", "word2pix.mask_arrays"),
 )
 

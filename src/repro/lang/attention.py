@@ -8,9 +8,11 @@ averaging over the whole flat token bag.
 
 Fallback semantics: a query with fewer than two clause contexts (a bare
 attribute reference, or a single-clause expression) compiles to ``None``
-— the model's flat-token path, bit-exact with the unconditioned
-forward.  Truncation at ``max_length`` can also demote a query to the
-flat path when it leaves fewer than two non-empty contexts.
+and is batched as all-zero rows, which the model treats as the flat
+token path (equal to the unconditioned forward).  Truncation at
+``max_length`` can also demote a query to the flat path when it leaves
+fewer than two non-empty contexts.  Batches are padded to a fixed
+clause count, so clause and flat queries share one compiled plan.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.lang.tree import RelationTree, Span
+
+#: Clause rows every batch is padded to: the head context plus two
+#: clause contexts, which is what a conditioned ``compositional``
+#: query yields at ``max_length=20``.
+CLAUSE_ROWS = 3
 
 
 def clause_contexts(tree: RelationTree) -> List[List[Span]]:
@@ -80,17 +87,17 @@ def clause_token_masks(tree: RelationTree,
 
 
 def pad_clause_masks(rows: Sequence[Optional[np.ndarray]],
-                     max_length: int) -> Optional[np.ndarray]:
+                     max_length: int) -> np.ndarray:
     """Stack per-sample masks into one ``(B, C, L)`` batch array.
 
     Samples compiled to ``None`` get all-zero rows — the per-sample
-    flat fallback inside the clause-conditioned forward.  Returns
-    ``None`` when every sample fell back (the whole batch runs the
-    plain flat path).
+    flat fallback inside the clause-conditioned forward.  ``C`` is
+    :data:`CLAUSE_ROWS`, or the longest sample's row count when that is
+    larger, so a compiled model keeps one plan per batch size whether a
+    batch holds clause queries or none.
     """
-    if all(row is None for row in rows):
-        return None
-    num_clauses = max(row.shape[0] for row in rows if row is not None)
+    num_clauses = max([CLAUSE_ROWS] + [row.shape[0] for row in rows
+                                       if row is not None])
     out = np.zeros((len(rows), num_clauses, max_length), dtype=np.float64)
     for index, row in enumerate(rows):
         if row is not None:

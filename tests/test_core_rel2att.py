@@ -192,6 +192,56 @@ class TestClauseConditioning:
         assert not np.allclose(out_flat.data, out_cond.data)
 
 
+class TestClausePoolingReference:
+    """The vectorised clause pooling equals one ``_attention_scores``
+    pass per clause row, pooled as documented."""
+
+    @staticmethod
+    def reference(module, v, t, token_mask, clause_masks):
+        cfg, (batch, m), n = module.config, v.shape[:2], t.shape[1]
+        relation = module.relation_map(v, t)
+        base = np.ones((batch, n)) if token_mask is None else token_mask
+        image, text = np.zeros((batch, m)), np.zeros((batch, n))
+        coverage, active = np.zeros((batch, n)), np.zeros((batch, 1))
+        for c in range(clause_masks.shape[1]):
+            row = clause_masks[:, c] * base
+            act = (row.sum(axis=1, keepdims=True) > 0).astype(float)
+            weights = _relation_weight_mask(
+                batch, m, n, row, cfg.use_self_attention,
+                cfg.use_co_attention)
+            att = module._attention_scores(
+                relation * Tensor(weights), weights, m).data[:, 0]
+            image += att[:, :m] * act
+            text += att[:, m:] * row
+            coverage += row
+            active += act
+        return (image / np.maximum(active, 1.0),
+                text / np.maximum(coverage, 1.0), active[:, 0] >= 2)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"block_balanced_attention": False},
+        {"use_self_attention": False}, {"use_co_attention": False},
+    ])
+    def test_matches_per_clause_scores(self, overrides):
+        module = Rel2AttModule(config(**overrides))
+        v, t = sequences(m=6, n=5, batch=4, seed=3)
+        token_mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
+                               [1, 1, 1, 1, 0], [1, 1, 0, 0, 0]], float)
+        masks = np.zeros((4, 3, 5))
+        masks[:, 0, :2] = 1.0
+        masks[:, 1, 1:4] = 1.0
+        masks[:, 2, 3:] = 1.0  # covers PAD in samples 1-3
+        masks[3, 0] = 0.0  # sample 3: one active row -> flat
+        _, _, att_v, att_t = module(v, t, token_mask, masks)
+        image, text, conditioned = self.reference(module, v, t,
+                                                  token_mask, masks)
+        assert conditioned.tolist() == [True, True, True, False]
+        np.testing.assert_allclose(att_v.data[:3], image[:3],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att_t.data[:3], text[:3],
+                                   rtol=0, atol=1e-12)
+
+
 class TestRel2AttStack:
     def test_stack_depth_respected(self):
         stack = Rel2AttStack(config())

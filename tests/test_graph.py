@@ -440,6 +440,62 @@ class TestCompiledPredict:
         # Eager path still works and matches.
         model.predict(batch["images"], batch["token_ids"], batch["token_mask"])
 
+    def test_plan_key_covers_argument_dtypes(self, dataset):
+        """Same shapes, other dtypes: a new plan, not a CompileError."""
+        model, cfg = make_model(dataset)
+        batch = batch_of(dataset, cfg, n=2)
+        images, ids, mask = (batch["images"], batch["token_ids"],
+                             batch["token_mask"])
+        variants = [(ids, mask), (ids.astype(np.int32), mask),
+                    (ids, mask.astype(bool)), (ids, None)]
+        eager = [model.predict(images, i, m) for i, m in variants]
+        model.compile()
+        compiled = [model.predict(images, i, m) for i, m in variants]
+        for left, right in zip(eager, compiled):
+            assert_predictions_bitwise_equal(left, right)
+        assert model.plan_cache.stats()["compiles"] == len(variants)
+
+    def test_trace_does_not_freeze_clause_masks(self, dataset):
+        """One plan traced on one mask pattern replays every other one
+        bit-exactly: the masks are an input, not a traced constant."""
+        model, cfg = make_model(dataset)
+        batch = batch_of(dataset, cfg, n=3)
+        length = cfg.max_query_length
+        short = int(batch["token_mask"].sum(axis=1).min())
+        assert short < length  # some sample has PAD positions
+
+        def pattern(*spans):
+            masks = np.zeros((3, 3, length))
+            for row, (start, end) in enumerate(spans):
+                masks[:, row, start:end] = 1.0
+            return masks
+
+        traced_on = pattern((0, 2), (1, 3))
+        replays = [
+            np.zeros((3, 3, length)),  # every sample flat
+            pattern((0, 2)),  # one active row: below the threshold
+            pattern((0, 1), (1, 2), (2, short)),  # three active rows
+            pattern((0, 1), (0, length)),  # a row covering PAD
+        ]
+        mixed = pattern((0, 1), (1, 2), (0, length))
+        mixed[1] = 0.0  # one flat sample inside a conditioned batch
+        replays.append(mixed)
+        images, ids, mask = (batch["images"], batch["token_ids"],
+                             batch["token_mask"])
+        eager = [model.predict(images, ids, mask, clause_masks=m)
+                 for m in [traced_on] + replays]
+        model.compile()
+        compiled = [model.predict(images, ids, mask, clause_masks=m)
+                    for m in [traced_on] + replays]
+        for left, right in zip(eager, compiled):
+            assert_predictions_bitwise_equal(left, right)
+        assert model.plan_cache.stats()["compiles"] == 1
+        (plan,) = model.plan_cache._plans.values()
+        assert plan.fallbacks == 0
+        # the replays really differ, so equality above is not vacuous
+        maps = {p.attention_map.tobytes() for preds in compiled for p in preds}
+        assert len(maps) > 3
+
     def test_grounder_compile_roundtrip(self, dataset):
         model, cfg = make_model(dataset)
         grounder = Grounder(model, dataset.vocab)

@@ -12,6 +12,7 @@ from repro.lang import (
     parse,
     resolve_tree,
 )
+from repro.lang.attention import CLAUSE_ROWS
 from repro.scenarios import available_scenarios, get_scenario
 from repro.text import tokenize
 
@@ -202,7 +203,13 @@ class TestClauseMasks:
         assert batch.shape == (3, 3, 8)
         assert not batch[0].any()
         assert batch[2, 2].sum() == 0  # short sample zero-padded
-        assert pad_clause_masks([None, None], 8) is None
+        # an all-flat batch keeps the fixed clause count (one plan per
+        # batch size), and a longer query widens its batch
+        flat = pad_clause_masks([None, None], 8)
+        assert flat.shape == (2, CLAUSE_ROWS, 8) and not flat.any()
+        wide = pad_clause_masks([None, np.ones((CLAUSE_ROWS + 2, 8))], 8)
+        assert wide.shape == (2, CLAUSE_ROWS + 2, 8)
+        assert not wide[0].any() and wide[1].all()
 
 
 # ----------------------------------------------------------------------

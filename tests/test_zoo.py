@@ -110,17 +110,30 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 # Full-registry smoke: every preset earns its registry slot
 # ----------------------------------------------------------------------
+def _clause_masks(token_mask):
+    """Three clause rows for every other sample, flat rows elsewhere."""
+    batch, length = token_mask.shape
+    masks = np.zeros((batch, 3, length))
+    masks[::2, 0, :2] = 1.0
+    masks[::2, 1, 1:3] = 1.0
+    masks[::2, 2, 2:] = 1.0
+    return masks
+
+
 def _smoke_params():
     fast = available_presets(tier="fast")
     full = available_presets(tier="full")
-    return fast + [pytest.param(name, marks=pytest.mark.slow)
-                   for name in full]
+    return ([pytest.param(name, False, id=name) for name in fast]
+            + [pytest.param(name, True, id=f"{name}+clauses")
+               for name in fast]
+            + [pytest.param(name, False, id=name, marks=pytest.mark.slow)
+               for name in full])
 
 
 class TestPresetSmoke:
-    @pytest.mark.parametrize("name", _smoke_params())
-    def test_build_train_predict_checkpoint_compile(self, name, dataset,
-                                                    tmp_path):
+    @pytest.mark.parametrize("name,clauses", _smoke_params())
+    def test_build_train_predict_checkpoint_compile(self, name, clauses,
+                                                    dataset, tmp_path):
         config = lower_config(name, max_query_length=_maxlen(dataset))
         model = build_model(name, vocab_size=len(dataset.vocab),
                             max_query_length=_maxlen(dataset))
@@ -137,8 +150,10 @@ class TestPresetSmoke:
         model.eval()
         val = encode_batch(dataset["val"][:2], dataset.vocab,
                            config.max_query_length)
+        clause_masks = _clause_masks(val["token_mask"]) if clauses else None
         responses = model.predict_ranked(
-            val["images"], val["token_ids"], val["token_mask"], top_k=3)
+            val["images"], val["token_ids"], val["token_mask"], top_k=3,
+            clause_masks=clause_masks)
         assert len(responses) == 2
         for response in responses:
             assert response.boxes.shape[1] == 4
@@ -156,14 +171,16 @@ class TestPresetSmoke:
         clone.load_state_dict(record.payload)
         clone.eval()
         restored = clone.predict_ranked(
-            val["images"], val["token_ids"], val["token_mask"], top_k=3)
+            val["images"], val["token_ids"], val["token_mask"], top_k=3,
+            clause_masks=clause_masks)
         assert all(responses_equal(a, b)
                    for a, b in zip(responses, restored))
 
         # compiled inference replays bit-exactly
         model.compile()
         compiled = model.predict_ranked(
-            val["images"], val["token_ids"], val["token_mask"], top_k=3)
+            val["images"], val["token_ids"], val["token_mask"], top_k=3,
+            clause_masks=clause_masks)
         # every conv (dilated ones included) runs the shared kernel, not
         # the generic eager replay
         plans = list(model.plan_cache._plans.values())
@@ -218,9 +235,13 @@ class TestRankedDecode:
         return encode_batch(samples, dataset.vocab, _maxlen(dataset))
 
     @pytest.mark.parametrize("compiled", [False, True])
-    @pytest.mark.parametrize("top_k", [1, 5])
+    @pytest.mark.parametrize("top_k,clauses", [
+        pytest.param(1, False, id="1"), pytest.param(5, False, id="5"),
+        pytest.param(1, True, id="1+clauses"),
+        pytest.param(5, True, id="5+clauses"),
+    ])
     def test_batch_equals_single_samples(self, dataset, requests, compiled,
-                                         top_k):
+                                         top_k, clauses):
         from repro.utils import seed_everything
 
         seed_everything(5)
@@ -231,10 +252,17 @@ class TestRankedDecode:
             model.compile()
         images, token_ids, token_mask = (
             requests["images"], requests["token_ids"], requests["token_mask"])
+        # with clauses, flat samples share their batch with clause ones
+        masks = _clause_masks(token_mask) if clauses else None
         batch = model.predict_ranked(images, token_ids, token_mask,
-                                     top_k=top_k)
-        singles = [model.predict_ranked(images[i:i + 1], token_ids[i:i + 1],
-                                        token_mask[i:i + 1], top_k=top_k)[0]
-                   for i in range(len(images))]
+                                     top_k=top_k, clause_masks=masks)
+        singles = [model.predict_ranked(
+            images[i:i + 1], token_ids[i:i + 1], token_mask[i:i + 1],
+            top_k=top_k,
+            clause_masks=None if masks is None else masks[i:i + 1])[0]
+            for i in range(len(images))]
         assert all(len(response) <= top_k for response in batch)
         assert all(responses_equal(a, b) for a, b in zip(batch, singles))
+        if compiled:
+            plans = list(model.plan_cache._plans.values())
+            assert len(plans) == 2 and all(p.fallbacks == 0 for p in plans)
