@@ -60,7 +60,7 @@ def test_serve_throughput(results_dir):
     naive_qps = len(trace) / naive_wall
 
     with ServeEngine(grounder.ranked(top_k=1), max_batch=MAX_BATCH,
-                     max_wait=0.002, cache_size=256) as engine:
+                     cache_size=256) as engine:
         start = time.perf_counter()
         served = engine.ground_many(trace)
         served_wall = time.perf_counter() - start

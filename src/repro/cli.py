@@ -292,7 +292,6 @@ def cmd_serve_bench(args) -> int:
     baseline_qps = len(trace) / baseline_seconds
 
     with ServeEngine(grounder.ranked(top_k=1), max_batch=args.max_batch,
-                     max_wait=args.max_wait,
                      cache_size=args.cache_size) as engine:
         start = time.perf_counter()
         engine.ground_many(trace)
@@ -751,8 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--repeat-fraction", type=float, default=0.3,
                              help="fraction of requests repeating earlier ones")
     serve_bench.add_argument("--max-batch", type=int, default=16)
-    serve_bench.add_argument("--max-wait", type=float, default=0.002,
-                             help="seconds to wait for batch stragglers")
     serve_bench.add_argument("--cache-size", type=int, default=256,
                              help="LRU result-cache entries (0 disables)")
     serve_bench.add_argument("--compiled", action="store_true",

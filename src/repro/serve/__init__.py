@@ -1,11 +1,11 @@
 """Serving layer: micro-batched, cached, fault-tolerant grounding inference.
 
-``ServeEngine`` queues incoming (image, query) requests, batches them
-dynamically (up to ``max_batch`` requests or ``max_wait`` seconds), runs
-one ``no_grad`` forward per batch through any ranked grounder, and
-answers repeats from a ``VersionedCache``.  ``ServerStats`` reports
-p50/p95/p99 latency, throughput, queue depth, cache hit rate, and the
-batch-size histogram.
+``ServeEngine`` queues incoming (image, query) requests and, as soon as
+its worker is free, batches whatever is queued (up to ``max_batch``
+requests, never waiting for stragglers), runs one ``no_grad`` forward
+per batch through any ranked grounder, and answers repeats from a
+``VersionedCache``.  ``ServerStats`` reports p50/p95/p99 latency,
+throughput, queue depth, cache hit rate, and the batch-size histogram.
 
 ``FleetRouter`` scales that engine out: N replica subprocesses behind a
 least-loaded router with bounded-queue backpressure (typed

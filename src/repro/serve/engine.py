@@ -1,9 +1,11 @@
 """Micro-batching inference engine — the serving layer over any grounder.
 
-Requests enter a queue; a worker thread collects up to ``max_batch`` of
-them (waiting at most ``max_wait`` seconds after the first arrival) and
-runs ONE batched forward pass under ``no_grad`` through the wrapped
-grounder.  Repeated (image, query) pairs are answered from a
+Requests enter a queue; one worker thread takes the first, adds whatever
+else is already queued (up to ``max_batch``) and at once runs ONE
+batched forward pass under ``no_grad`` through the wrapped grounder.  It
+never sleeps waiting for stragglers: a lone query dispatches as soon as
+it arrives, and under load the requests that queue during one forward
+form the next batch.  Repeated (image, query) pairs are answered from a
 :class:`~repro.serve.cache.VersionedCache` without touching the model
 at all.  Every request's latency, every batch's size, and the queue
 depth are recorded into a :class:`repro.serve.stats.StatsRecorder`.
@@ -91,12 +93,12 @@ class ServeEngine:
     grounder:
         Any ranked batch grounder (``samples -> [GroundingResponse]``).
     max_batch:
-        Largest batch one forward pass may carry.
+        Largest batch one forward pass may carry.  The worker dispatches
+        what is queued as soon as it is free; it never waits for a
+        batch to fill.
     max_wait:
-        Seconds the worker waits after the first queued request for
-        stragglers before running a partial batch.  Zero still batches
-        whatever has already accumulated in the queue (burst traffic
-        fills batches without ever sleeping).
+        Accepted and ignored (it must still be non-negative); it will be
+        removed together with its last caller in the benchmark harness.
     cache_size:
         LRU entries for (image digest, query) -> response; 0 disables.
     metrics:
@@ -120,7 +122,7 @@ class ServeEngine:
         grounder: Callable[[Sequence[GroundingSample]],
                            List[GroundingResponse]],
         max_batch: int = 16,
-        max_wait: float = 0.002,
+        max_wait: float = 0.0,
         cache_size: int = 256,
         metrics: MetricsRegistry = None,
     ):
@@ -130,7 +132,6 @@ class ServeEngine:
             raise ValueError("max_wait must be non-negative")
         self.grounder = grounder
         self.max_batch = max_batch
-        self.max_wait = max_wait
         self._queue: "queue.Queue" = queue.Queue()
         registry = metrics if metrics is not None else MetricsRegistry()
         self._cache = VersionedCache(cache_size, registry, "serve.cache_")
@@ -292,24 +293,21 @@ class ServeEngine:
     # Worker
     # ------------------------------------------------------------------
     def _collect_batch(self, first: _Pending) -> Tuple[List[_Pending], bool]:
-        """Gather up to ``max_batch`` requests, waiting at most ``max_wait``."""
+        """``first`` plus whatever is already queued, up to ``max_batch``.
+
+        Never waits: the one worker is idle whenever it collects, so
+        waiting for stragglers would only delay the requests in hand.
+        """
         batch = [first]
-        deadline = time.perf_counter() + self.max_wait
-        keep_running = True
         while len(batch) < self.max_batch:
-            remaining = deadline - time.perf_counter()
             try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
-                keep_running = False
-                break
+                return batch, False
             batch.append(item)
-        return batch, keep_running
+        return batch, True
 
     def _drain_compile_events(self) -> None:
         """Attribute plan compilations to ``serve.compile_ms``.

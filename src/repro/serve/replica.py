@@ -196,7 +196,6 @@ class ReplicaSpec:
     #: this, so two presets can never cross-serve each other's answers.
     model_id: str = ""
     max_batch: int = 8
-    max_wait: float = 0.002
     cache_size: int = 256
     heartbeat_interval: float = 0.05
     seed: int = 0
@@ -221,7 +220,6 @@ def _replica_entry(spec: ReplicaSpec, replica_id: int, generation: int,
             apply_weights(grounder, load_checkpoint_payload(
                 spec.initial_checkpoint))
         engine = ServeEngine(grounder, max_batch=spec.max_batch,
-                             max_wait=spec.max_wait,
                              cache_size=spec.cache_size)
         engine.start()
 

@@ -316,7 +316,7 @@ class TestEngineRankedProtocol:
         sample = next(s for s in crowded_samples if not s.is_no_target)
         grounder = OracleRankedGrounder(
             answer_table(crowded_samples), latency=0.0)
-        with ServeEngine(grounder, max_batch=2, max_wait=0.0) as engine:
+        with ServeEngine(grounder, max_batch=2) as engine:
             first = engine.ground(sample.image, sample.query)
             second = engine.ground(sample.image, sample.query)
             assert isinstance(first, GroundingResponse)
@@ -332,7 +332,7 @@ class TestEngineRankedProtocol:
         sample = next(s for s in crowded_samples if s.is_no_target)
         grounder = OracleRankedGrounder(
             answer_table(crowded_samples), latency=0.0)
-        with ServeEngine(grounder, max_batch=2, max_wait=0.0) as engine:
+        with ServeEngine(grounder, max_batch=2) as engine:
             for _ in range(2):
                 response = engine.ground(sample.image, sample.query)
                 assert response.not_found and len(response) == 0

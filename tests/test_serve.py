@@ -118,7 +118,7 @@ class TestLRUCache:
 class TestServeEngine:
     def test_all_requests_resolve_with_correct_results(self):
         stub = StubGrounder()
-        with ServeEngine(stub, max_batch=4, max_wait=0.001) as engine:
+        with ServeEngine(stub, max_batch=4) as engine:
             futures = [
                 engine.submit(make_image(i), f"query {i}") for i in range(10)
             ]
@@ -137,12 +137,30 @@ class TestServeEngine:
         for i, answer in enumerate(answers):
             assert answer.top_box[0] == pytest.approx(make_image(i).sum())
 
-    def test_partial_batch_flushes_after_max_wait(self):
+    def test_lone_request_does_not_wait_for_batch_mates(self):
+        # max_wait is ignored: a lone request dispatches at once instead
+        # of sleeping a second for stragglers that never come.
         stub = StubGrounder()
-        with ServeEngine(stub, max_batch=64, max_wait=0.01) as engine:
+        with ServeEngine(stub, max_batch=64, max_wait=1.0) as engine:
+            start = time.perf_counter()
             answer = engine.ground(make_image(3), "lonely request", timeout=10)
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.25
         assert answer.top_box[0] == pytest.approx(make_image(3).sum())
         assert stub.batches == [1]
+
+    def test_requests_queued_during_a_forward_form_the_next_batch(self):
+        blocker = _CountingBlockingGrounder()
+        with ServeEngine(blocker, max_batch=8) as engine:
+            futures = [engine.submit(make_image(0), "q0")]
+            assert blocker.entered.wait(10.0)
+            futures += [engine.submit(make_image(i), f"q{i}")
+                        for i in range(1, 6)]
+            blocker.release.set()
+            answers = [f.result(timeout=10) for f in futures]
+        assert blocker.sizes == [1, 5]
+        for i, answer in enumerate(answers):
+            assert answer.top_box[0] == pytest.approx(make_image(i).sum())
 
     def test_cache_hit_skips_forward_and_is_byte_identical(self):
         stub = StubGrounder()
@@ -157,15 +175,22 @@ class TestServeEngine:
         assert stats.cache_hit_rate == pytest.approx(0.5)
 
     def test_in_flight_duplicates_deduplicated(self):
-        stub = StubGrounder()
+        blocker = _CountingBlockingGrounder()
         image = make_image(9)
-        with ServeEngine(stub, max_batch=8) as engine:
+        with ServeEngine(blocker, max_batch=8) as engine:
+            # Hold the worker in another forward so the six duplicates
+            # queue together and meet in one batch.
+            held = engine.submit(make_image(1), "held")
+            assert blocker.entered.wait(10.0)
             futures = [engine.submit(image, "same query") for _ in range(6)]
+            blocker.release.set()
+            held.result(timeout=10)
             answers = [f.result(timeout=10) for f in futures]
             stats = engine.stats()
-        assert sum(stub.batches) == 1  # one forward slot for six requests
+        assert blocker.sizes == [1, 1]  # one forward slot for six requests
         assert all(responses_equal(a, answers[0]) for a in answers)
-        assert stats.cache_hits == 5 and stats.cache_misses == 1
+        assert answers[0].top_box[0] == pytest.approx(image.sum())
+        assert stats.cache_hits == 5 and stats.cache_misses == 2
 
     def test_query_variants_share_one_cache_entry(self):
         """Whitespace/case/trailing-punctuation variants normalise at the
@@ -348,15 +373,15 @@ class TestStopSemantics:
 # Cache invalidation (weight reloads flush the response cache)
 # ----------------------------------------------------------------------
 class _CountingBlockingGrounder:
-    """Blocking grounder that also counts forwards and returns real boxes."""
+    """Blocking grounder that records batch sizes and returns real boxes."""
 
     def __init__(self):
         self.entered = threading.Event()
         self.release = threading.Event()
-        self.calls = 0
+        self.sizes = []
 
     def __call__(self, samples):
-        self.calls += 1
+        self.sizes.append(len(samples))
         self.entered.set()
         assert self.release.wait(30.0), "blocking grounder never released"
         return stub_responses(samples)
@@ -393,7 +418,7 @@ class TestClearCache:
         """
         blocker = _CountingBlockingGrounder()
         image = make_image(7)
-        with ServeEngine(blocker, max_wait=0.005) as engine:
+        with ServeEngine(blocker) as engine:
             future = engine.submit(image, "q")
             assert blocker.entered.wait(10.0)
             engine.cache.invalidate()  # fires while the forward is in flight
@@ -404,7 +429,7 @@ class TestClearCache:
             # request goes back to the model.
             second = engine.ground(image, "q", timeout=10.0)
             assert second.top_box[0] == pytest.approx(image.sum())
-        assert blocker.calls == 2
+        assert blocker.sizes == [1, 1]
         assert engine.cache.stats().stale_puts == 1
 
     def test_stats_and_registry_counters_agree_live(self):
@@ -603,7 +628,7 @@ class TestServeCompiled:
             # racing submitters genuinely exercise plan compilation for
             # whatever batch shapes the engine happens to form.
             with ServeEngine(grounder.ranked(top_k=1), max_batch=4,
-                             max_wait=0.001, cache_size=0) as engine:
+                             cache_size=0) as engine:
 
                 def submit(index):
                     try:
