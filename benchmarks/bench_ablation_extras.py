@@ -46,4 +46,4 @@ def test_ablation_extras(context, results_dir, benchmark):
     _, grounder, _ = context.yollo(DATASET, tag="extra-base",
                                    epochs=context.preset.ablation_epochs)
     sample = context.dataset(DATASET)["val"][0]
-    benchmark(lambda: grounder.ground_batch([sample]))
+    benchmark(lambda: grounder([sample]))

@@ -59,7 +59,7 @@ def test_serve_throughput(results_dir):
     naive_wall = time.perf_counter() - start
     naive_qps = len(trace) / naive_wall
 
-    with ServeEngine(grounder.ranked(top_k=1), max_batch=MAX_BATCH,
+    with ServeEngine(grounder, max_batch=MAX_BATCH,
                      cache_size=256) as engine:
         start = time.perf_counter()
         served = engine.ground_many(trace)

@@ -33,4 +33,4 @@ def test_table2_overall(context, results_dir, benchmark):
 
     _, grounder, _ = context.yollo("RefCOCO")
     sample = context.dataset("RefCOCO")["val"][0]
-    benchmark(lambda: grounder.ground_batch([sample]))
+    benchmark(lambda: grounder([sample]))

@@ -69,9 +69,9 @@ def main() -> None:
     print(f"YOLLO:            {yollo_report.acc_at_50:.2%}")
 
     print("\n== Latency (per query) ==")
-    two_stage_time = time_grounder(two_stage.ground_batch, val[:8],
+    two_stage_time = time_grounder(two_stage, val[:8],
                                    proposal_timer=two_stage.proposal_time)
-    yollo_time = time_grounder(yollo.ground_batch, val[:8])
+    yollo_time = time_grounder(yollo, val[:8])
     ratio = two_stage_time.total_mean / yollo_time.mean
     print(f"speaker+listener: {two_stage_time.mean * 1000:.1f}ms "
           f"(+{two_stage_time.proposal_mean * 1000:.1f}ms proposals)")

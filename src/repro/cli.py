@@ -291,7 +291,7 @@ def cmd_serve_bench(args) -> int:
     baseline_seconds = time.perf_counter() - start
     baseline_qps = len(trace) / baseline_seconds
 
-    with ServeEngine(grounder.ranked(top_k=1), max_batch=args.max_batch,
+    with ServeEngine(grounder, max_batch=args.max_batch,
                      cache_size=args.cache_size) as engine:
         start = time.perf_counter()
         engine.ground_many(trace)
@@ -319,6 +319,7 @@ def cmd_serve_fleet(args) -> int:
         FleetConfig, FleetRouter, ReplicaSpec, build_latency_grounder,
         build_yollo_grounder, run_soak, timed_trace,
     )
+    from repro.serve.fleet import SPAWN_TIMEOUT
     from repro.utils.seeding import spawn_rng
 
     _setup(args)
@@ -473,7 +474,7 @@ def cmd_serve_fleet(args) -> int:
     )
     try:
         with FleetRouter(spec, config) as router:
-            if not router.wait_healthy(config.spawn_timeout):
+            if not router.wait_healthy(SPAWN_TIMEOUT):
                 raise SystemExit("fleet failed to become healthy")
             # Simulated and oracle replicas stamp their weights version
             # on every response, so the soak can verify no post-reload
@@ -556,10 +557,10 @@ def cmd_profile(args) -> int:
         samples = pool[: args.requests]
         # Warm allocation paths (and with --compiled, build the plan
         # before profiling so the trace shows steady-state replay).
-        grounder.ground_batch(samples[:1])
+        grounder(samples[:1])
         with profile() as prof:
             for sample in samples:
-                grounder.ground_batch([sample])
+                grounder([sample])
     else:  # serve
         from repro.core import Grounder
         from repro.serve import ServeEngine, synthetic_trace
@@ -572,8 +573,7 @@ def cmd_profile(args) -> int:
         trace = synthetic_trace(pool, args.requests, repeat_fraction=0.3)
         grounder.ground(trace[0].image, trace[0].query)  # warm
         with profile() as prof:
-            with ServeEngine(grounder.ranked(top_k=1),
-                             max_batch=args.max_batch) as engine:
+            with ServeEngine(grounder, max_batch=args.max_batch) as engine:
                 engine.ground_many(trace)
         print(engine.stats().render())
         print()

@@ -22,7 +22,7 @@ from repro.core.response import (
 from repro.core.yollo import GroundingPrediction, YolloModel, YolloOutput
 from repro.core.losses import LossBreakdown, attention_mask_loss, detection_loss, yollo_loss
 from repro.core.trainer import TrainingHistory, YolloTrainer
-from repro.core.predictor import Grounder, RankedGrounder
+from repro.core.predictor import Grounder
 
 __all__ = [
     "YolloConfig",
@@ -49,5 +49,4 @@ __all__ = [
     "YolloTrainer",
     "TrainingHistory",
     "Grounder",
-    "RankedGrounder",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -16,10 +17,16 @@ from repro.text.vocab import Vocabulary
 class Grounder:
     """Bundle a trained YOLLO model with its vocabulary.
 
-    Exposes the single-query API used by the examples and implements the
-    batch grounder protocol consumed by :func:`repro.eval.evaluate_grounder`
-    (``samples -> (n, 4)`` boxes).  Serving takes the ranked protocol
-    instead: ``ServeEngine(grounder.ranked(top_k=1))``.
+    Calling a grounder is the one batch protocol every consumer speaks:
+    ``grounder(samples)`` returns one best-first
+    :class:`~repro.core.GroundingResponse` per sample.  Evaluation and
+    timing (:func:`repro.eval.evaluate_grounder`,
+    :func:`repro.eval.time_grounder`) score each response's ``top_box``;
+    :class:`~repro.serve.ServeEngine` serves the responses as they are.
+    A plain ``Grounder(model, vocab)`` answers top-1 with threshold 0.0,
+    the paper's single box; :meth:`ranked` gives longer lists.
+    :meth:`ground` keeps the single-query attention-map path
+    (:class:`~repro.core.GroundingPrediction`) for Figure 5 and the CLI.
 
     ``clause_conditioning=True`` parses each query with
     :func:`repro.lang.parse` and feeds the compiled per-clause token
@@ -30,6 +37,12 @@ class Grounder:
     rows and keep their flat attention, so turning the flag on never
     changes simple queries' answers.
     """
+
+    #: Boxes per response and the score below which a response declares
+    #: ``not_found``; :meth:`ranked` is the one way to change them.  The
+    #: defaults answer the paper's single box.
+    top_k = 1
+    not_found_threshold = 0.0
 
     def __init__(self, model: YolloModel, vocab: Vocabulary,
                  clause_conditioning: bool = False):
@@ -86,87 +99,24 @@ class Grounder:
             clause_masks=self._clause_masks([query]),
         )[0]
 
-    def ground_batch(self, samples: Sequence[GroundingSample]) -> np.ndarray:
-        """Grounder protocol: samples -> predicted boxes ``(n, 4)``."""
-        batch = encode_batch(samples, self.vocab, self.max_query_length)
-        predictions: List[GroundingPrediction] = self.model.predict(
-            batch["images"], batch["token_ids"], batch["token_mask"],
-            clause_masks=self._clause_masks([s.query for s in samples]),
-        )
-        return np.stack([p.box for p in predictions])
-
-    __call__ = ground_batch
-
-    # ------------------------------------------------------------------
-    # Ranked (structured-response) protocol
-    # ------------------------------------------------------------------
-    def ground_ranked(self, image: np.ndarray, query: str, top_k: int = 5,
-                      not_found_threshold: float = 0.0) -> GroundingResponse:
-        """Ranked answer for one query: boxes + scores + ``not_found``."""
-        ids, mask = self.vocab.encode(query, self.max_query_length)
-        return self.model.predict_ranked(
-            image[None], ids[None], mask[None],
-            top_k=top_k, not_found_threshold=not_found_threshold,
-            clause_masks=self._clause_masks([query]),
-        )[0]
-
-    def ground_batch_ranked(
-        self, samples: Sequence[GroundingSample], top_k: int = 5,
-        not_found_threshold: float = 0.0,
+    def __call__(
+        self, samples: Sequence[GroundingSample]
     ) -> List[GroundingResponse]:
-        """Batched ranked protocol: samples -> response list."""
+        """Grounder protocol: samples -> one best-first response each."""
         batch = encode_batch(samples, self.vocab, self.max_query_length)
         return self.model.predict_ranked(
             batch["images"], batch["token_ids"], batch["token_mask"],
-            top_k=top_k, not_found_threshold=not_found_threshold,
+            top_k=self.top_k, not_found_threshold=self.not_found_threshold,
             clause_masks=self._clause_masks([s.query for s in samples]),
         )
 
     def ranked(self, top_k: int = 5,
-               not_found_threshold: float = 0.0) -> "RankedGrounder":
-        """Adapter that makes the ranked protocol this grounder's
-        ``__call__`` — the protocol ``ServeEngine``/``FleetRouter``
-        serve.  ``top_k=1`` serves the paper's single answer box."""
-        return RankedGrounder(self, top_k=top_k,
-                              not_found_threshold=not_found_threshold)
-
-
-class RankedGrounder:
-    """Batch-protocol adapter returning :class:`GroundingResponse` lists.
-
-    Wraps a :class:`Grounder` so that ``__call__`` yields ranked
-    responses — the one shape the serving stack caches and ships.
-    Weight-reload plumbing (``.model``) and compiled-inference telemetry
-    (``.plan_cache``) pass through to the wrapped grounder, so a
-    ``RankedGrounder`` drops into a serving replica unchanged.
-    """
-
-    def __init__(self, grounder: Grounder, top_k: int = 5,
-                 not_found_threshold: float = 0.0):
-        self.grounder = grounder
-        self.top_k = int(top_k)
-        self.not_found_threshold = float(not_found_threshold)
-
-    @property
-    def name(self) -> str:
-        return f"{self.grounder.name}-ranked"
-
-    @property
-    def model(self) -> YolloModel:
-        return self.grounder.model
-
-    @property
-    def vocab(self) -> Vocabulary:
-        return self.grounder.vocab
-
-    @property
-    def plan_cache(self):
-        return self.grounder.plan_cache
-
-    def __call__(
-        self, samples: Sequence[GroundingSample]
-    ) -> List[GroundingResponse]:
-        return self.grounder.ground_batch_ranked(
-            samples, top_k=self.top_k,
-            not_found_threshold=self.not_found_threshold,
-        )
+               not_found_threshold: float = 0.0) -> "Grounder":
+        """A grounder over the same model, vocabulary and clause setting
+        that answers up to ``top_k`` boxes, declaring ``not_found`` when
+        the best score falls below ``not_found_threshold``.  The model,
+        and so its compiled plan cache, is shared rather than copied."""
+        grounder = copy.copy(self)
+        grounder.top_k = int(top_k)
+        grounder.not_found_threshold = float(not_found_threshold)
+        return grounder

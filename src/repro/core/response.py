@@ -1,9 +1,12 @@
 """Structured grounding responses: ranked boxes + an explicit not-found.
 
-:class:`GroundingResponse` is the one answer every serving tier handles
-(:class:`~repro.serve.ServeEngine`, both cache tiers, the fleet and the
-soak harness): ranked boxes with per-box confidences, plus an explicit
-``not_found`` decision taken against a calibrated ``threshold`` (see
+:class:`GroundingResponse` is the one answer every grounder returns
+(``grounder(samples) -> [GroundingResponse]``, one per sample) and every
+consumer handles: evaluation and timing score its :attr:`top_box`, and
+every serving tier (:class:`~repro.serve.ServeEngine`, both cache tiers,
+the fleet and the soak harness) ships it whole.  It carries ranked
+boxes with per-box confidences, plus an explicit ``not_found`` decision
+taken against a calibrated ``threshold`` (see
 :func:`repro.eval.metrics.calibrate_not_found_threshold`).  The paper's
 single YOLLO answer is the ``top_k=1`` response: its :attr:`top_box` is
 the argmax anchor box :meth:`repro.core.YolloModel.predict` decodes.

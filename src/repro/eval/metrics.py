@@ -1,9 +1,10 @@
 """Grounding metrics: ACC@eta, the ACC sweep, and mean IoU (Section 4.3).
 
-``evaluate_grounder`` works with anything exposing the grounder protocol:
-a callable mapping a list of :class:`GroundingSample` to predicted boxes
-``(n, 4)``.  Both YOLLO (via its batch predictor) and the two-stage
-baselines implement it, so every table uses one evaluation path.
+``evaluate_grounder`` works with anything speaking the grounder
+protocol: a callable mapping a list of :class:`GroundingSample` to one
+best-first :class:`~repro.core.GroundingResponse` per sample, scored by
+its ``top_box``.  YOLLO, the two-stage baselines and the serving stack
+all speak it, so every table uses one evaluation path.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
+from repro.core.response import GroundingResponse
 from repro.data.refcoco import GroundingSample
 from repro.detection import box_area
 
 #: The IoU thresholds of the COCO-style ACC metric (0.5:0.05:0.95).
 SWEEP_THRESHOLDS = tuple(np.arange(0.5, 0.96, 0.05).round(2))
 
-GrounderFn = Callable[[Sequence[GroundingSample]], np.ndarray]
+GrounderFn = Callable[[Sequence[GroundingSample]], List[GroundingResponse]]
 
 
 def pairwise_ious(predicted: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -84,14 +86,13 @@ class MetricReport:
 
 def evaluate_grounder(grounder: GrounderFn, samples: Sequence[GroundingSample],
                       batch_size: int = 32) -> MetricReport:
-    """Run a grounder over samples and compute every metric."""
-    predictions: List[np.ndarray] = []
+    """Run a grounder over samples and score each response's top box."""
+    predicted: List[np.ndarray] = []
     for start in range(0, len(samples), batch_size):
         chunk = list(samples[start : start + batch_size])
-        predictions.append(np.asarray(grounder(chunk)).reshape(len(chunk), 4))
-    predicted = np.concatenate(predictions) if predictions else np.empty((0, 4))
+        predicted.extend(response.top_box for response in grounder(chunk))
     targets = np.stack([s.target_box for s in samples]) if samples else np.empty((0, 4))
-    ious = pairwise_ious(predicted, targets)
+    ious = pairwise_ious(np.array(predicted).reshape(-1, 4), targets)
     return MetricReport(
         acc=accuracy_sweep(ious),
         acc_at_50=accuracy_at_iou(ious, 0.5),

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.data.refcoco import GroundingSample
+from repro.eval.metrics import GrounderFn
 from repro.obs.metrics import Histogram
 from repro.obs.profiler import SpanTotals, collect_spans
 
@@ -77,7 +78,7 @@ def summarize_latencies(
 
 
 def time_grounder(
-    grounder: Callable[[Sequence[GroundingSample]], np.ndarray],
+    grounder: GrounderFn,
     samples: Sequence[GroundingSample],
     warmup: int = 2,
     proposal_timer: Optional[Callable[[GroundingSample], float]] = None,
@@ -163,11 +164,9 @@ def compare_eager_compiled(
     was_compiled = getattr(grounder, "plan_cache", None) is not None
     grounder.uncompile()
     try:
-        eager = time_grounder(grounder.ground_batch, samples, warmup=warmup)
+        eager = time_grounder(grounder, samples, warmup=warmup)
         grounder.compile()
-        compiled = time_grounder(
-            grounder.ground_batch, samples, warmup=max(warmup, 1)
-        )
+        compiled = time_grounder(grounder, samples, warmup=max(warmup, 1))
         cache = grounder.plan_cache
         events = cache.drain_compile_events()
         return EagerCompiledComparison(

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from repro.eval import TimingReport, format_table, time_grounder
 from repro.experiments.context import ExperimentContext
 from repro.twostage import RPNProposer
@@ -34,7 +32,7 @@ def collect(context: ExperimentContext) -> Dict[str, TimingReport]:
         grounder = context.baseline(kind, DATASET)
         rpn_timer = lambda sample: _time_rpn(rpn, sample)
         results[kind] = time_grounder(
-            grounder.ground_batch, samples, proposal_timer=rpn_timer
+            grounder, samples, proposal_timer=rpn_timer
         )
 
     for backbone, label in (("resnet50", "YOLLO (ResNet-50 C4 backbone)"),
@@ -47,15 +45,15 @@ def collect(context: ExperimentContext) -> Dict[str, TimingReport]:
                 DATASET, tag="timing-resnet101",
                 epochs=0, backbone="resnet101",
             )
-        results[label] = time_grounder(grounder.ground_batch, samples)
+        results[label] = time_grounder(grounder, samples)
 
     # Graph-compiled variant of the ResNet-50 row: same weights, same
     # bit-exact outputs, traced/fused/arena-executed forward pass.
     yollo50.compile()
     try:
-        yollo50.ground_batch(samples[:1])  # compile outside the timing
+        yollo50(samples[:1])  # compile outside the timing
         results["YOLLO (ResNet-50, compiled)"] = time_grounder(
-            yollo50.ground_batch, samples
+            yollo50, samples
         )
     finally:
         yollo50.uncompile()

@@ -3,7 +3,7 @@
 ``ServeEngine`` queues incoming (image, query) requests and, as soon as
 its worker is free, batches whatever is queued (up to ``max_batch``
 requests, never waiting for stragglers), runs one ``no_grad`` forward
-per batch through any ranked grounder, and answers repeats from a
+per batch through any grounder, and answers repeats from a
 ``VersionedCache``.  ``ServerStats`` reports p50/p95/p99 latency,
 throughput, queue depth, cache hit rate, and the batch-size histogram.
 

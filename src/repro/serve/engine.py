@@ -10,12 +10,13 @@ form the next batch.  Repeated (image, query) pairs are answered from a
 at all.  Every request's latency, every batch's size, and the queue
 depth are recorded into a :class:`repro.serve.stats.StatsRecorder`.
 
-The engine serves one protocol: ``grounder(samples)`` returns one
-:class:`~repro.core.GroundingResponse` per :class:`GroundingSample`
-(ranked boxes + confidences + an explicit not-found decision).
-``Grounder(...).ranked(top_k=1)`` serves the paper's single answer box;
-:class:`repro.core.RankedGrounder` with a larger ``top_k`` and the
-scenario oracles serve ranked lists.  Responses are frozen (deep
+The engine serves the one grounder protocol: ``grounder(samples)``
+returns one :class:`~repro.core.GroundingResponse` per
+:class:`GroundingSample` (ranked boxes + confidences + an explicit
+not-found decision), so any grounder the evaluator scores is served
+unchanged.  A plain ``Grounder(model, vocab)`` and the two-stage
+baselines serve the paper's single answer box; ``Grounder.ranked`` and
+the scenario oracles serve ranked lists.  Responses are frozen (deep
 read-only copies) on cache insertion and thawed (deep writable copies)
 on the way out, so a caller can never mutate a cached answer.
 """
@@ -91,7 +92,7 @@ class ServeEngine:
     Parameters
     ----------
     grounder:
-        Any ranked batch grounder (``samples -> [GroundingResponse]``).
+        Any grounder (``samples -> [GroundingResponse]``).
     max_batch:
         Largest batch one forward pass may carry.  The worker dispatches
         what is queued as soon as it is free; it never waits for a
@@ -109,7 +110,7 @@ class ServeEngine:
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`.
     ``submit`` starts the worker lazily, so the one-liner
-    ``ServeEngine(grounder.ranked(top_k=1)).ground(image, "red dog")``
+    ``ServeEngine(grounder).ground(image, "red dog")``
     also works.
     Submitting after a completed ``stop`` restarts the worker (documented
     lazy restart); submitting while a ``stop`` is draining raises

@@ -73,6 +73,16 @@ from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
 
+#: Fractional jitter on retry and respawn backoff delays.
+RETRY_JITTER = 0.5
+#: Seconds a spawned replica may take to report ready.
+SPAWN_TIMEOUT = 120.0
+#: Generations a replica slot may reach before it stays dead.
+MAX_RESPAWNS = 8
+#: Seconds between monitor sweeps (liveness, heartbeats, deadlines).
+MONITOR_INTERVAL = 0.005
+
+
 class FleetError(RuntimeError):
     """Base class for fleet-level request failures."""
 
@@ -129,13 +139,7 @@ class FleetConfig:
     retry_attempts: int = 2
     retry_base_delay: float = 0.005
     retry_max_delay: float = 0.25
-    retry_jitter: float = 0.5
     heartbeat_timeout: float = 5.0
-    #: Seconds a spawned replica may take to report ready.
-    spawn_timeout: float = 120.0
-    respawn: bool = True
-    max_respawns: int = 8
-    monitor_interval: float = 0.005
     stop_timeout: float = 30.0
 
     def __post_init__(self):
@@ -825,7 +829,7 @@ class FleetRouter:
                     req.attempts,
                     base_delay=self.config.retry_base_delay,
                     max_delay=self.config.retry_max_delay,
-                    jitter=self.config.retry_jitter,
+                    jitter=RETRY_JITTER,
                     rng=self._rng,
                 )
                 self._m_retries.inc()
@@ -897,7 +901,7 @@ class FleetRouter:
                 slot.state = "lost"
 
     def _monitor_loop(self) -> None:
-        while not self._closing.wait(self.config.monitor_interval):
+        while not self._closing.wait(MONITOR_INTERVAL):
             now = self._now()
             with self._lock:
                 slots = list(self._slots.values())
@@ -917,7 +921,7 @@ class FleetRouter:
                 now - slot.last_heartbeat > self.config.heartbeat_timeout):
             self._declare_dead(slot, "missed heartbeats")
         elif state == "starting" and (
-                now - slot.started_at > self.config.spawn_timeout):
+                now - slot.started_at > SPAWN_TIMEOUT):
             self._declare_dead(slot, "never became ready")
         elif state == "dead" and slot.respawn_at is not None \
                 and now >= slot.respawn_at:
@@ -941,13 +945,12 @@ class FleetRouter:
             slot.in_flight.clear()
             slot.depth = 0
             process, conn = slot.process, slot.conn
-            if (self.config.respawn and not self._closed
-                    and slot.generation + 1 <= self.config.max_respawns):
+            if not self._closed and slot.generation + 1 <= MAX_RESPAWNS:
                 slot.respawn_at = self._now() + backoff_delay(
                     slot.generation + 1,
                     base_delay=self.config.retry_base_delay,
                     max_delay=self.config.retry_max_delay,
-                    jitter=self.config.retry_jitter,
+                    jitter=RETRY_JITTER,
                     rng=self._rng,
                 )
         self.logger.log(f"replica {slot.index} dead ({reason}); "

@@ -150,8 +150,8 @@ def build_yollo_grounder(dataset_name: str = "RefCOCO", scale: float = 0.1,
                          compiled: bool = False):
     """Reconstruct a real YOLLO grounder inside a replica process.
 
-    Returns the ``top_k=1`` ranked grounder: each response's box is the
-    paper's single answer.  Replicas are seeded identically by the entry
+    Returns a plain top-1 :class:`~repro.core.Grounder`: each
+    response's box is the paper's single answer.  Replicas are seeded identically by the entry
     point before this runs, so every replica initialises bit-identical
     weights even without a ``model_path`` — a request answers the same
     no matter which replica serves it.
@@ -173,7 +173,7 @@ def build_yollo_grounder(dataset_name: str = "RefCOCO", scale: float = 0.1,
     grounder = Grounder(model, dataset.vocab)
     if compiled:
         grounder.compile()
-    return grounder.ranked(top_k=1)
+    return grounder
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +184,7 @@ class ReplicaSpec:
     """Everything a replica process needs to build and serve its engine.
 
     ``builder`` must be a module-level callable (picklable by qualified
-    name) returning a ranked batch grounder; ``builder_kwargs`` are
+    name) returning a grounder; ``builder_kwargs`` are
     passed to it verbatim inside the replica.
     """
 

@@ -2,9 +2,9 @@
 
 Stage i proposes boxes for the image; stage ii scores every proposal
 against the query with one or more matchers (listener / speaker); the
-top-scoring proposal is the answer.  Implements the same batch-grounder
-protocol as :class:`repro.core.Grounder` so a single evaluation and
-timing path serves both paradigms.
+top-scoring proposal is the answer.  Speaks the one grounder protocol
+(``samples -> [GroundingResponse]``) of :class:`repro.core.Grounder`, so
+one evaluation, timing and serving path covers both paradigms.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.autograd import no_grad
+from repro.core.response import GroundingResponse
 from repro.data.refcoco import GroundingSample
 from repro.obs import trace_span
 
@@ -34,14 +35,11 @@ class TwoStageGrounder:
         "speaker+listener" rows of the paper's tables.
     """
 
-    def __init__(self, proposer, matchers: Dict[str, object],
-                 cache_proposals: bool = True):
+    def __init__(self, proposer, matchers: Dict[str, object]):
         if not matchers:
             raise ValueError("at least one matcher is required")
         self.proposer = proposer
         self.matchers = dict(matchers)
-        self.cache_proposals = cache_proposals
-        self._proposal_cache: Dict[int, object] = {}
         self.last_proposal_seconds = 0.0
         self.last_matching_seconds = 0.0
 
@@ -49,17 +47,11 @@ class TwoStageGrounder:
     def name(self) -> str:
         return "+".join(self.matchers)
 
-    def _proposals_for(self, sample: GroundingSample):
-        key = id(sample.scene)
-        if self.cache_proposals and key in self._proposal_cache:
-            return self._proposal_cache[key]
-        proposals = self.proposer.propose(sample.image)
-        if self.cache_proposals:
-            self._proposal_cache[key] = proposals
-        return proposals
+    def ground_sample(self, sample: GroundingSample) -> GroundingResponse:
+        """Ground one sample: the argmax proposal with its ensemble score.
 
-    def ground_sample(self, sample: GroundingSample) -> np.ndarray:
-        """Ground one sample; records stage timings for Table 5."""
+        Records stage timings for Table 5.
+        """
         start = time.perf_counter()
         with trace_span("twostage.propose"):
             proposals = self.proposer.propose(sample.image)
@@ -76,13 +68,15 @@ class TwoStageGrounder:
                 spread = scores.std() + 1e-8
                 combined = combined + (scores - scores.mean()) / spread
         self.last_matching_seconds = time.perf_counter() - start
-        return proposals.boxes[int(combined.argmax())]
+        best = int(combined.argmax())
+        return GroundingResponse(boxes=proposals.boxes[best:best + 1],
+                                 scores=combined[best:best + 1])
 
-    def ground_batch(self, samples: Sequence[GroundingSample]) -> np.ndarray:
-        """Batch grounder protocol: samples -> boxes ``(n, 4)``."""
-        return np.stack([self.ground_sample(sample) for sample in samples])
-
-    __call__ = ground_batch
+    def __call__(
+        self, samples: Sequence[GroundingSample]
+    ) -> List[GroundingResponse]:
+        """Grounder protocol: samples -> one top-1 response each."""
+        return [self.ground_sample(sample) for sample in samples]
 
     def proposal_time(self, sample: GroundingSample) -> float:
         """Stage-i wall-clock for one sample (Table 5's parenthesis)."""

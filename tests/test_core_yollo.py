@@ -167,10 +167,11 @@ class TestGrounder:
         prediction = grounder.ground(sample.image, sample.query)
         assert prediction.box.shape == (4,)
 
-    def test_ground_batch_protocol(self, dataset, cfg, model):
+    def test_grounder_protocol(self, dataset, cfg, model):
         grounder = Grounder(model, dataset.vocab)
-        boxes = grounder(dataset["val"][:3])
-        assert boxes.shape == (3, 4)
+        responses = grounder(dataset["val"][:3])
+        assert len(responses) == 3
+        assert all(r.boxes.shape == (1, 4) for r in responses)
 
     def test_unknown_words_handled(self, dataset, cfg, model):
         grounder = Grounder(model, dataset.vocab)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import GroundingResponse
 from repro.data import REFCOCO, build_dataset
+from repro.data.loader import encode_batch
 from repro.eval import (
     TrainingCurve,
     accuracy_at_iou,
@@ -27,6 +29,32 @@ from repro.eval.timing import summarize_latencies
 @pytest.fixture(scope="module")
 def dataset():
     return build_dataset(REFCOCO.scaled(0.03))
+
+
+def perfect(samples):
+    """Grounder answering every sample with its target box."""
+    return [GroundingResponse(boxes=s.target_box, scores=[1.0])
+            for s in samples]
+
+
+def zero_grounder(samples):
+    """Grounder answering every sample with the zero box."""
+    return [GroundingResponse(boxes=np.zeros(4), scores=[1.0])
+            for s in samples]
+
+
+def tiny_grounder(dataset, seed=17):
+    from repro.core import Grounder, YolloConfig, YolloModel
+    from repro.utils import seed_everything
+
+    seed_everything(seed)
+    cfg = YolloConfig(
+        backbone="tiny", d_model=12, d_rel=16, ffn_hidden=16,
+        head_hidden=16, num_rel2att=2,
+        max_query_length=max(6, dataset.max_query_length),
+    )
+    model = YolloModel(cfg, vocab_size=len(dataset.vocab)).eval()
+    return Grounder(model, dataset.vocab)
 
 
 class TestMetrics:
@@ -87,14 +115,12 @@ class TestMetrics:
         assert pairwise_ious(np.empty((0, 4)), np.empty((0, 4))).shape == (0,)
 
     def test_evaluate_perfect_grounder(self, dataset):
-        perfect = lambda samples: np.stack([s.target_box for s in samples])
         report = evaluate_grounder(perfect, dataset["val"])
         assert report.acc_at_50 == 1.0
         assert report.miou == pytest.approx(1.0)
 
     def test_evaluate_terrible_grounder(self, dataset):
-        terrible = lambda samples: np.zeros((len(samples), 4))
-        report = evaluate_grounder(terrible, dataset["val"])
+        report = evaluate_grounder(zero_grounder, dataset["val"])
         assert report.acc_at_50 == 0.0
 
     def test_evaluate_batches_correctly(self, dataset):
@@ -102,30 +128,39 @@ class TestMetrics:
 
         def grounder(samples):
             calls.append(len(samples))
-            return np.stack([s.target_box for s in samples])
+            return perfect(samples)
 
         evaluate_grounder(grounder, dataset["val"], batch_size=3)
         assert sum(calls) == len(dataset["val"])
         assert max(calls) <= 3
 
+    def test_yollo_ious_match_predict_boxes_bytewise(self, dataset):
+        # Scoring response top boxes must reproduce scoring the paper's
+        # single predicted box, so cached eval reports stay valid.
+        grounder = tiny_grounder(dataset)
+        samples = list(dataset["val"])
+        report = evaluate_grounder(grounder, samples, batch_size=5)
+        batch = encode_batch(samples, dataset.vocab, grounder.max_query_length)
+        boxes = np.stack([p.box for p in grounder.model.predict(
+            batch["images"], batch["token_ids"], batch["token_mask"])])
+        targets = np.stack([s.target_box for s in samples])
+        assert report.ious.tobytes() == pairwise_ious(boxes, targets).tobytes()
+
     def test_report_as_dict(self, dataset):
-        perfect = lambda samples: np.stack([s.target_box for s in samples])
         report = evaluate_grounder(perfect, dataset["val"])
         assert set(report.as_dict()) == {"ACC", "ACC@0.5", "ACC@0.75", "MIOU"}
 
 
 class TestTiming:
     def test_reports_stats(self, dataset):
-        grounder = lambda samples: np.zeros((len(samples), 4))
-        report = time_grounder(grounder, dataset["val"][:4], warmup=1)
+        report = time_grounder(zero_grounder, dataset["val"][:4], warmup=1)
         assert report.num_queries == 4
         assert report.mean >= 0.0
         assert report.total_mean == report.mean
 
     def test_proposal_timer_adds(self, dataset):
-        grounder = lambda samples: np.zeros((len(samples), 4))
         report = time_grounder(
-            grounder, dataset["val"][:3], proposal_timer=lambda s: 0.5
+            zero_grounder, dataset["val"][:3], proposal_timer=lambda s: 0.5
         )
         assert report.proposal_mean == pytest.approx(0.5)
         assert report.total_mean == pytest.approx(report.mean + 0.5)
@@ -150,7 +185,7 @@ class TestTiming:
         def grounder(samples):
             with trace_span("yollo.forward"):
                 pass  # the span *is* the model time here
-            return np.zeros((len(samples), 4))
+            return zero_grounder(samples)
 
         report = time_grounder(grounder, dataset["val"][:3], warmup=0)
         assert report.model_mean > 0.0
@@ -160,26 +195,16 @@ class TestTiming:
         )
 
     def test_unspanned_grounder_has_zero_model_time(self, dataset):
-        grounder = lambda samples: np.zeros((len(samples), 4))
-        report = time_grounder(grounder, dataset["val"][:2], warmup=0)
+        report = time_grounder(zero_grounder, dataset["val"][:2], warmup=0)
         assert report.model_mean == 0.0
         assert report.overhead_mean == report.mean
 
 
 class TestEagerCompiledComparison:
     def test_compares_and_restores_eager_mode(self, dataset):
-        from repro.core import Grounder, YolloConfig, YolloModel
         from repro.eval import compare_eager_compiled
-        from repro.utils import seed_everything
 
-        seed_everything(17)
-        cfg = YolloConfig(
-            backbone="tiny", d_model=12, d_rel=16, ffn_hidden=16,
-            head_hidden=16, num_rel2att=2,
-            max_query_length=max(6, dataset.max_query_length),
-        )
-        model = YolloModel(cfg, vocab_size=len(dataset.vocab)).eval()
-        grounder = Grounder(model, dataset.vocab)
+        grounder = tiny_grounder(dataset)
         comparison = compare_eager_compiled(
             grounder, dataset["val"][:3], warmup=1
         )

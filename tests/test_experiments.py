@@ -88,8 +88,8 @@ class TestContext:
 
     def test_baseline_builds(self, context):
         grounder = context.baseline("listener", "RefCOCO")
-        boxes = grounder(context.dataset("RefCOCO")["val"][:2])
-        assert boxes.shape == (2, 4)
+        responses = grounder(context.dataset("RefCOCO")["val"][:2])
+        assert [r.boxes.shape for r in responses] == [(1, 4), (1, 4)]
 
     def test_scenario_dataset_cached_and_named(self, context):
         dataset = context.scenario_dataset("crowded")

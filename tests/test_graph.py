@@ -5,7 +5,7 @@ import pytest
 
 from repro import autograd
 from repro.autograd import Tensor, no_grad
-from repro.core import Grounder, YolloConfig, YolloModel
+from repro.core import Grounder, YolloConfig, YolloModel, responses_equal
 from repro.data import REFCOCO, build_dataset
 from repro.data.loader import encode_batch
 from repro.graph import (
@@ -500,13 +500,30 @@ class TestCompiledPredict:
         model, cfg = make_model(dataset)
         grounder = Grounder(model, dataset.vocab)
         samples = dataset["val"][:2]
-        eager = grounder.ground_batch(samples)
+        eager = grounder(samples)
         grounder.compile()
-        compiled = grounder.ground_batch(samples)
-        assert eager.tobytes() == compiled.tobytes()
+        compiled = grounder(samples)
+        assert all(responses_equal(a, b) for a, b in zip(eager, compiled))
         assert grounder.plan_cache is model.plan_cache
         grounder.uncompile()
         assert grounder.plan_cache is None
+
+    def test_ranked_grounder_reuses_compiled_plans(self, dataset):
+        model, cfg = make_model(dataset)
+        samples = dataset["val"][:2]
+        grounder = Grounder(model, dataset.vocab).compile()
+        grounder(samples)  # warm: the one plan for this batch shape
+        compiles = grounder.plan_cache.compiles
+        ranked = grounder.ranked(top_k=3)
+        responses = ranked(samples)
+        assert ranked.plan_cache is grounder.plan_cache
+        assert ranked.plan_cache.compiles == compiles
+        assert all(len(r) <= 3 for r in responses)
+        # the top-1 answer is shared: ranking only lengthens the list
+        for short, long in zip(grounder(samples), responses):
+            assert short.top_box.tobytes() == long.top_box.tobytes()
+        assert (grounder.top_k, ranked.top_k) == (1, 3)
+        grounder.uncompile()
 
 
 # ----------------------------------------------------------------------

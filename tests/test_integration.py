@@ -66,7 +66,7 @@ def test_attention_concentrates_on_targets(setup):
 
 def test_predictions_are_nondegenerate(setup):
     dataset, cfg, _, trainer, _ = setup
-    boxes = trainer.grounder.ground_batch(dataset["val"][:8])
+    boxes = np.stack([r.top_box for r in trainer.grounder(dataset["val"][:8])])
     widths = boxes[:, 2] - boxes[:, 0]
     heights = boxes[:, 3] - boxes[:, 1]
     assert np.all(widths > 1.0) and np.all(heights > 1.0)
@@ -86,7 +86,7 @@ def test_same_eval_path_for_both_paradigms(setup):
 
 def test_timing_protocol_for_both_paradigms(setup):
     dataset, _, _, trainer, _ = setup
-    report = time_grounder(trainer.grounder.ground_batch, dataset["val"][:3], warmup=1)
+    report = time_grounder(trainer.grounder, dataset["val"][:3], warmup=1)
     assert report.mean > 0
 
 

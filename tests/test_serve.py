@@ -14,6 +14,7 @@ from repro.core import (
     responses_equal,
 )
 from repro.data import REFCOCO, build_dataset
+from repro.eval import evaluate_grounder, pairwise_ious
 from repro.serve import (
     EngineDrainTimeout,
     EngineStopped,
@@ -24,6 +25,7 @@ from repro.serve import (
     VersionedCache,
     synthetic_trace,
 )
+from repro.twostage import ListenerMatcher, SegmentationProposer, TwoStageGrounder
 from repro.utils import seed_everything
 
 
@@ -493,20 +495,33 @@ class TestSyntheticTrace:
 # ----------------------------------------------------------------------
 class TestServeYollo:
     def test_engine_matches_direct_predictions(self, tiny_grounder):
-        grounder, dataset = tiny_grounder
+        yollo, dataset = tiny_grounder
         samples = list(dataset["val"])
-        direct = grounder.ground_batch(samples)
-        with ServeEngine(grounder.ranked(top_k=1), max_batch=4) as engine:
-            served = engine.ground_many(
-                [TraceRequest(s.image, s.query) for s in samples]
-            )
-        assert all(len(r) == 1 for r in served)
-        assert np.array_equal(top_boxes(served), direct)
+        targets = np.stack([s.target_box for s in samples])
+        listener = ListenerMatcher(dataset.vocab, embed_dim=12,
+                                   max_query_length=dataset.max_query_length)
+        # Full quality and no jitter: proposals depend on the image only,
+        # so the evaluator's pass and the served pass see the same ones.
+        two_stage = TwoStageGrounder(
+            SegmentationProposer(quality=1.0, jitter_copies=0),
+            {"listener": listener})
+        for grounder in (yollo, two_stage):
+            direct = top_boxes(grounder(samples))
+            report = evaluate_grounder(grounder, samples)
+            with ServeEngine(grounder, max_batch=4) as engine:
+                served = engine.ground_many(
+                    [TraceRequest(s.image, s.query) for s in samples]
+                )
+            assert all(len(r) == 1 for r in served), grounder
+            assert np.array_equal(top_boxes(served), direct), grounder
+            # the served top boxes are exactly the ones the evaluator scores
+            assert pairwise_ious(top_boxes(served), targets).tobytes() == \
+                report.ious.tobytes(), grounder
 
     def test_cached_response_byte_identical_to_uncached(self, tiny_grounder):
         grounder, dataset = tiny_grounder
         sample = dataset["val"][0]
-        with ServeEngine(grounder.ranked(top_k=1)) as engine:
+        with ServeEngine(grounder) as engine:
             uncached = engine.ground(sample.image, sample.query, timeout=30)
             cached = engine.ground(sample.image, sample.query, timeout=30)
             stats = engine.stats()
@@ -517,7 +532,7 @@ class TestServeYollo:
         grounder, dataset = tiny_grounder
         grounder.model.eval()
         sample = dataset["val"][0]
-        with ServeEngine(grounder.ranked(top_k=1)) as engine:
+        with ServeEngine(grounder) as engine:
             engine.ground(sample.image, sample.query, timeout=30)
         assert not grounder.model.training
 
@@ -531,11 +546,10 @@ class TestServeCompiled:
     ):
         grounder, dataset = tiny_grounder
         samples = list(dataset["val"])[:4]
-        eager = grounder.ground_batch(samples)
+        eager = top_boxes(grounder(samples))
         grounder.compile()
         try:
-            with ServeEngine(grounder.ranked(top_k=1),
-                             max_batch=4) as engine:
+            with ServeEngine(grounder, max_batch=4) as engine:
                 served = engine.ground_many(
                     [TraceRequest(s.image, s.query) for s in samples]
                 )
@@ -551,7 +565,7 @@ class TestServeCompiled:
     def test_eager_engine_records_no_compiles(self, tiny_grounder):
         grounder, dataset = tiny_grounder
         sample = dataset["val"][0]
-        with ServeEngine(grounder.ranked(top_k=1)) as engine:
+        with ServeEngine(grounder) as engine:
             engine.ground(sample.image, sample.query, timeout=30)
             stats = engine.stats()
         assert stats.compile_count == 0
@@ -562,7 +576,7 @@ class TestServeCompiled:
         sample = dataset["val"][0]
         grounder.compile()
         try:
-            with ServeEngine(grounder.ranked(top_k=1)) as engine:
+            with ServeEngine(grounder) as engine:
                 engine.ground(sample.image, sample.query, timeout=30)
                 lookups_after_miss = grounder.plan_cache.lookups
                 cached = engine.ground(sample.image, sample.query, timeout=30)
@@ -581,7 +595,7 @@ class TestServeCompiled:
         grounder, dataset = tiny_grounder
         samples = list(dataset["val"])
         expected = {
-            batch: grounder.ground_batch(samples[:batch]) for batch in (1, 2)
+            batch: top_boxes(grounder(samples[:batch])) for batch in (1, 2)
         }
         grounder.compile(max_plans=4)
         errors = []
@@ -589,7 +603,7 @@ class TestServeCompiled:
         def pound(batch):
             try:
                 for _ in range(5):
-                    got = grounder.ground_batch(samples[:batch])
+                    got = top_boxes(grounder(samples[:batch]))
                     assert got.tobytes() == expected[batch].tobytes()
             except BaseException as exc:
                 errors.append(exc)
@@ -620,14 +634,14 @@ class TestServeCompiled:
 
         grounder, dataset = tiny_grounder
         samples = list(dataset["val"])[:6]
-        eager = grounder.ground_batch(samples)
+        eager = top_boxes(grounder(samples))
         grounder.compile(max_plans=8)
         errors = []
         try:
             # cache_size=0: every request must reach the model, so the
             # racing submitters genuinely exercise plan compilation for
             # whatever batch shapes the engine happens to form.
-            with ServeEngine(grounder.ranked(top_k=1), max_batch=4,
+            with ServeEngine(grounder, max_batch=4,
                              cache_size=0) as engine:
 
                 def submit(index):
@@ -664,7 +678,7 @@ class TestServeCompiled:
         sample = dataset["val"][0]
         grounder.compile()
         try:
-            with ServeEngine(grounder.ranked(top_k=1)) as engine:
+            with ServeEngine(grounder) as engine:
                 engine.ground(sample.image, sample.query, timeout=30)
                 histogram = engine.metrics.histogram("serve.compile_ms")
                 assert len(histogram.values()) >= 1
@@ -757,6 +771,6 @@ class TestInferenceAllocatesNoGraph:
         grounder, dataset = tiny_grounder
         sample = dataset["val"][0]
         with record_grad_children() as tracked:
-            with ServeEngine(grounder.ranked(top_k=1)) as engine:
+            with ServeEngine(grounder) as engine:
                 engine.ground(sample.image, sample.query, timeout=30)
         assert tracked == []

@@ -147,12 +147,16 @@ class TestSpeaker:
 
 
 class TestPipeline:
-    def test_ground_batch_protocol(self, dataset, matcher_kwargs):
+    def test_grounder_protocol(self, dataset, matcher_kwargs):
         listener = ListenerMatcher(dataset.vocab, **matcher_kwargs)
         proposer = SegmentationProposer(rng=np.random.default_rng(2))
         grounder = TwoStageGrounder(proposer, {"listener": listener})
-        boxes = grounder(dataset["val"][:3])
-        assert boxes.shape == (3, 4)
+        responses = grounder(dataset["val"][:3])
+        assert len(responses) == 3
+        for response in responses:
+            assert response.boxes.shape == (1, 4)
+            assert response.scores.shape == (1,)
+            assert not response.not_found
 
     def test_requires_matcher(self, dataset):
         with pytest.raises(ValueError):
