@@ -42,7 +42,7 @@ def _run(world_size: int):
         builder=build_yollo_task,
         task_kwargs=dict(
             dataset_name="RefCOCO", scale=0.2, grad_shards=GRAD_SHARDS,
-            iterations=ITERATIONS, eval_every=0, backbone="tiny",
+            iterations=ITERATIONS, eval_every=0, preset="tiny",
             pretrain_steps=1,
             config_overrides=dict(batch_size=BATCH_SIZE),
         ),

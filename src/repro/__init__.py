@@ -63,12 +63,10 @@ def quick_grounder(dataset_scale: float = 0.5, epochs: int = 10):
     of minutes on one CPU core.  Accuracy keeps improving well past this
     budget — see ``examples/train_full_model.py`` for the full recipe.
     """
-    from repro.backbone import load_pretrained_backbone
+    from repro.zoo import build_yollo_model
 
     dataset = build_dataset(REFCOCO.scaled(dataset_scale))
-    config = YolloConfig(max_query_length=max(8, dataset.max_query_length))
-    backbone = load_pretrained_backbone(config.backbone, steps=300)
-    model = YolloModel(config, vocab_size=len(dataset.vocab), backbone=backbone)
-    trainer = YolloTrainer(model, dataset, config)
+    model = build_yollo_model("yollo", dataset, pretrain_steps=300)
+    trainer = YolloTrainer(model, dataset, model.config)
     trainer.train(epochs=epochs)
     return trainer.grounder, dataset

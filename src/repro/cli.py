@@ -6,15 +6,21 @@ Usage::
     python -m repro.cli evaluate --dataset RefCOCO --model model.npz
     python -m repro.cli ground --dataset RefCOCO --model model.npz --query "red dog"
     python -m repro.cli serve-bench --dataset RefCOCO --requests 128
+    python -m repro.cli serve-fleet --presets tiny-topk --model topk.npz --reload-at 60
     python -m repro.cli serve-fleet --simulated --replicas 3 --kill-replica 0:5 --reload-at 60
     python -m repro.cli serve-fleet --trace-mix mixed --replicas 2 --reload-at 40
     python -m repro.cli serve-fleet --presets tiny,tiny-word2pix --replicas 4
     python -m repro.cli train --preset tiny-dilated --epochs 2 --out dilated.npz
+    python -m repro.cli evaluate --preset tiny-dilated --model dilated.npz
     python -m repro.cli profile --target train-step --out trace.json
     python -m repro.cli tables --preset smoke --only table1 table5
     python -m repro.cli experiments --scenario compositional --preset smoke
     python -m repro.cli serve-fleet --trace-mix compositional --reload-at 40
     python -m repro.cli parse --query "there is a red car . the dog next to it"
+
+Every subcommand that builds a model takes ``--preset`` (a
+:mod:`repro.zoo` preset; ``--presets`` for ``serve-fleet``): the preset
+that trained a checkpoint is the one that loads it.
 
 ``python -m repro`` is an alias for ``python -m repro.cli``.
 """
@@ -83,9 +89,19 @@ def _preset_list(value: str) -> List[str]:
     return [_preset_name(name) for name in names]
 
 
+def _add_preset(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--preset", type=_preset_name, default=default,
+                        metavar="NAME",
+                        help=f"repro.zoo model preset (default {default}); "
+                             f"a checkpoint loads under the preset that "
+                             f"trained it")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    from repro.data import DATASET_SPECS
+
     parser.add_argument("--dataset", default="RefCOCO",
-                        choices=["RefCOCO", "RefCOCO+", "RefCOCOg"])
+                        choices=list(DATASET_SPECS))
     parser.add_argument("--scale", type=float, default=0.5,
                         help="dataset size multiplier")
     parser.add_argument("--seed", type=int, default=0)
@@ -101,37 +117,22 @@ def _setup(args) -> None:
     seed_everything(args.seed)
 
 
-def _build_dataset(args):
-    from repro.data import REFCOCO, REFCOCO_PLUS, REFCOCOG, build_dataset
+def _dataset_and_model(args):
+    """The ``--dataset`` data and the ``--preset`` model (``--model`` loaded)."""
+    from repro.data import DATASET_SPECS, build_dataset
+    from repro.zoo import build_yollo_model
 
-    spec = {"RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS, "RefCOCOg": REFCOCOG}[
-        args.dataset
-    ]
-    return build_dataset(spec.scaled(args.scale))
-
-
-def _build_model(args, dataset):
-    from repro.backbone import load_pretrained_backbone
-    from repro.core import YolloConfig, YolloModel
-
-    preset = getattr(args, "preset", None)
-    if preset:
-        # Zoo presets carry the whole architecture (backbone included);
-        # --backbone is ignored in favour of the preset's choice.
-        from repro.zoo import lower_config
-
-        config = lower_config(
-            preset, max_query_length=max(8, dataset.max_query_length))
-    else:
-        config = YolloConfig(backbone=args.backbone,
-                             max_query_length=max(8, dataset.max_query_length))
-    backbone = load_pretrained_backbone(config.backbone, steps=args.pretrain_steps)
-    return YolloModel(config, vocab_size=len(dataset.vocab), backbone=backbone), config
+    dataset = build_dataset(DATASET_SPECS[args.dataset].scaled(args.scale))
+    model = build_yollo_model(args.preset, dataset,
+                              pretrain_steps=args.pretrain_steps,
+                              model_path=getattr(args, "model", None))
+    return dataset, model
 
 
 def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
     """Build a :class:`repro.dist.WorkerSpec` from CLI arguments."""
     from repro.dist import DistConfig, WorkerSpec, build_yollo_task, warm_backbone
+    from repro.zoo import lower_config
 
     return WorkerSpec(
         builder=build_yollo_task,
@@ -142,7 +143,7 @@ def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
             epochs=getattr(args, "epochs", None),
             iterations=getattr(args, "steps", None) if profile else None,
             eval_every=getattr(args, "eval_every", 0) if not profile else 0,
-            backbone=args.backbone,
+            preset=args.preset,
             pretrain_steps=args.pretrain_steps,
         ),
         dist=DistConfig(grad_shards=args.grad_shards),
@@ -152,7 +153,7 @@ def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
         checkpoint_every=getattr(args, "checkpoint_every", 0),
         resume=getattr(args, "resume", False),
         warmup=warm_backbone,
-        warmup_kwargs=dict(name=args.backbone,
+        warmup_kwargs=dict(name=lower_config(args.preset).backbone,
                            pretrain_steps=args.pretrain_steps),
         profile=profile,
         profile_out=profile_out,
@@ -185,19 +186,17 @@ def cmd_train(args) -> int:
     from repro.core import YolloTrainer
     from repro.runtime import TrainingSupervisor
     from repro.utils import ProgressLogger
+    from repro.zoo import preset_fingerprint
 
     _setup(args)
     if args.workers > 1:
         return _cmd_train_dist(args)
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    dataset = _build_dataset(args)
-    model, config = _build_model(args, dataset)
-    if args.preset:
-        from repro.zoo import preset_fingerprint
-
-        print(f"model preset: {args.preset} (config fingerprint "
-              f"{preset_fingerprint(args.preset, max_query_length=config.max_query_length)})")
+    dataset, model = _dataset_and_model(args)
+    config = model.config
+    print(f"model preset: {args.preset} (config fingerprint "
+          f"{preset_fingerprint(args.preset, max_query_length=config.max_query_length)})")
     trainer = YolloTrainer(model, dataset, config,
                            logger=ProgressLogger("train", enabled=not args.quiet))
     trainer.begin_run(epochs=args.epochs, eval_every=args.eval_every)
@@ -227,9 +226,7 @@ def cmd_evaluate(args) -> int:
     from repro.eval import evaluate_grounder, format_table
 
     _setup(args)
-    dataset = _build_dataset(args)
-    model, _ = _build_model(args, dataset)
-    model.load(args.model)
+    dataset, model = _dataset_and_model(args)
     grounder = Grounder(model, dataset.vocab)
     rows = []
     for split in dataset.split_names():
@@ -247,9 +244,7 @@ def cmd_ground(args) -> int:
     from repro.viz import render_attention_ascii
 
     _setup(args)
-    dataset = _build_dataset(args)
-    model, _ = _build_model(args, dataset)
-    model.load(args.model)
+    dataset, model = _dataset_and_model(args)
     grounder = Grounder(model, dataset.vocab)
     sample = dataset["val"][args.index]
     query = args.query or sample.query
@@ -269,10 +264,7 @@ def cmd_serve_bench(args) -> int:
     from repro.serve import ServeEngine, synthetic_trace
 
     _setup(args)
-    dataset = _build_dataset(args)
-    model, _ = _build_model(args, dataset)
-    if args.model:
-        model.load(args.model)
+    dataset, model = _dataset_and_model(args)
     model.eval()
     grounder = Grounder(model, dataset.vocab)
     if args.compiled:
@@ -317,7 +309,7 @@ def cmd_serve_fleet(args) -> int:
     from repro.runtime import CheckpointManager, FaultPlan
     from repro.serve import (
         FleetConfig, FleetRouter, ReplicaSpec, build_latency_grounder,
-        build_yollo_grounder, run_soak, timed_trace,
+        run_soak, timed_trace,
     )
     from repro.serve.fleet import SPAWN_TIMEOUT
     from repro.utils.seeding import spawn_rng
@@ -326,9 +318,11 @@ def cmd_serve_fleet(args) -> int:
     if args.presets and (args.trace_mix or args.simulated):
         raise SystemExit("--presets cannot be combined with "
                          "--trace-mix or --simulated")
-    if args.presets and args.reload_at is not None:
-        raise SystemExit("--reload-at is not supported with --presets "
-                         "(a heterogeneous reload must name its model)")
+    model_mode = not (args.trace_mix or args.simulated)
+    presets = args.presets or ["tiny"]
+    if len(presets) > 1 and (args.reload_at is not None or args.model):
+        raise SystemExit("--reload-at and --model need a single preset "
+                         "(heterogeneous weights must name their model)")
     fault_plan = None
     if args.kill_replica:
         kills = {}
@@ -355,29 +349,6 @@ def cmd_serve_fleet(args) -> int:
             max_batch=args.max_batch, cache_size=args.cache_size,
             seed=args.seed, fault_plan=fault_plan,
         )
-    elif args.presets:
-        # Heterogeneous mode: one replica group per zoo preset.  Requests
-        # are model-tagged, the router routes them only to matching
-        # replicas, and the shared response cache keys on the preset —
-        # two presets can never cross-serve each other's answers.
-        from repro.zoo import build_preset_grounder
-
-        dataset = _build_dataset(args)
-        pool = list(dataset["val"]) or list(dataset["train"])
-        preset_kwargs = dict(dataset_name=args.dataset, scale=args.scale,
-                             pretrain_steps=args.pretrain_steps)
-        spec = [
-            ReplicaSpec(
-                builder=build_preset_grounder,
-                builder_kwargs=dict(preset_kwargs, preset=name),
-                model_id=name,
-                max_batch=args.max_batch, cache_size=args.cache_size,
-                seed=args.seed,
-                dtype="float64" if args.float64 else "float32",
-                fault_plan=fault_plan,
-            )
-            for name in args.presets
-        ]
     elif args.simulated:
         from repro.data.refcoco import GroundingSample
 
@@ -396,47 +367,36 @@ def cmd_serve_fleet(args) -> int:
             seed=args.seed, fault_plan=fault_plan,
         )
     else:
-        dataset = _build_dataset(args)
-        pool = list(dataset["val"]) or list(dataset["train"])
-        spec = ReplicaSpec(
-            builder=build_yollo_grounder,
-            builder_kwargs=dict(
-                dataset_name=args.dataset, scale=args.scale,
-                backbone=args.backbone, pretrain_steps=args.pretrain_steps,
-                model_path=args.model,
-            ),
-            max_batch=args.max_batch, cache_size=args.cache_size,
-            seed=args.seed,
-            dtype="float64" if args.float64 else "float32",
-            fault_plan=fault_plan,
-        )
+        # Model mode: one replica group per zoo preset.  Requests are
+        # model-tagged, the router routes them only to matching
+        # replicas, and the shared response cache keys on the preset —
+        # two presets can never cross-serve each other's answers.
+        from repro.data import DATASET_SPECS, build_dataset
+        from repro.zoo import build_preset_grounder
 
-    reload_at = None
-    reload_checkpoint = None
-    reload_dir = None
-    if args.reload_at is not None:
-        # Roll the fleet onto a checkpoint mid-soak.  In simulated mode
-        # the new weights are observably different (version bump shows
-        # up in every response); for real models we re-checkpoint the
-        # current weights — the rolling protocol and checksum handshake
-        # are what is being exercised.
-        reload_dir = tempfile.TemporaryDirectory(prefix="fleet-reload-")
-        manager = CheckpointManager(reload_dir.name)
-        if args.simulated or args.trace_mix:
-            payload = {"version": np.array([2.0]), "bias": np.array([1.0])}
-        else:
-            probe = spec.builder(**spec.builder_kwargs)
-            target = (probe if hasattr(probe, "state_dict")
-                      else probe.model)
-            payload = target.state_dict()
-        reload_checkpoint = manager.save(payload, 1)
-        reload_at = args.reload_at
+        dataset = build_dataset(DATASET_SPECS[args.dataset].scaled(args.scale))
+        pool = list(dataset["val"]) or list(dataset["train"])
+        preset_kwargs = dict(dataset_name=args.dataset, scale=args.scale,
+                             pretrain_steps=args.pretrain_steps,
+                             model_path=args.model)
+        spec = [
+            ReplicaSpec(
+                builder=build_preset_grounder,
+                builder_kwargs=dict(preset_kwargs, preset=name),
+                model_id=name,
+                max_batch=args.max_batch, cache_size=args.cache_size,
+                seed=args.seed,
+                dtype="float64" if args.float64 else "float32",
+                fault_plan=fault_plan,
+            )
+            for name in presets
+        ]
 
     if trace is None:
         trace = timed_trace(pool, args.requests, rate_qps=args.rate,
                             repeat_fraction=args.repeat_fraction)
     content_check = None
-    if args.presets:
+    if model_mode:
         # Tag requests round-robin across the presets, then precompute —
         # per preset, in this process — the answer a single-engine
         # deployment of that preset would give.  Replica processes are
@@ -447,12 +407,11 @@ def cmd_serve_fleet(args) -> int:
         from repro.serve import image_digest
         from repro.serve.engine import _make_sample
         from repro.utils.seeding import seed_everything
-        from repro.zoo import build_preset_grounder
 
         for index, request in enumerate(trace):
-            request.model = args.presets[index % len(args.presets)]
+            request.model = presets[index % len(presets)]
         expected = {}
-        for name in args.presets:
+        for name in presets:
             seed_everything(args.seed)
             reference = build_preset_grounder(preset=name, **preset_kwargs)
             for request in trace:
@@ -467,6 +426,25 @@ def cmd_serve_fleet(args) -> int:
                    str(request.query))
             return responses_equal(expected[key], result)
 
+    reload_at = None
+    reload_checkpoint = None
+    reload_dir = None
+    if args.reload_at is not None:
+        # Roll the fleet onto a checkpoint mid-soak.  In simulated mode
+        # the new weights are observably different (version bump shows
+        # up in every response); a model fleet re-checkpoints its
+        # preset's current weights — the rolling protocol and checksum
+        # handshake are what is being exercised, and every response
+        # still matches the reference.
+        reload_dir = tempfile.TemporaryDirectory(prefix="fleet-reload-")
+        manager = CheckpointManager(reload_dir.name)
+        if model_mode:
+            payload = reference.model.state_dict()
+        else:
+            payload = {"version": np.array([2.0]), "bias": np.array([1.0])}
+        reload_checkpoint = manager.save(payload, 1)
+        reload_at = args.reload_at
+
     config = FleetConfig(
         replicas=args.replicas, max_queue=args.max_queue,
         default_deadline=args.deadline,
@@ -480,8 +458,7 @@ def cmd_serve_fleet(args) -> int:
             # on every response, so the soak can verify no post-reload
             # response came from stale weights.
             post_check = None
-            if reload_checkpoint is not None and (args.trace_mix
-                                                  or args.simulated):
+            if reload_checkpoint is not None and not model_mode:
                 post_check = lambda r: r.version == 2.0  # noqa: E731
             report = run_soak(router, trace, reload_at=reload_at,
                               reload_checkpoint=reload_checkpoint,
@@ -501,8 +478,9 @@ def cmd_serve_fleet(args) -> int:
                 print(f"SOAK VIOLATION: {violation}")
             return 1
         print("soak passed: no lost requests, SLO held, fleet healthy")
-        if args.presets:
-            print(f"heterogeneous fleet: {len(args.presets)} preset(s); "
+        if model_mode:
+            kind = "heterogeneous fleet" if len(presets) > 1 else "fleet"
+            print(f"{kind}: {len(presets)} preset(s); "
                   f"every response bit-identical to its preset's "
                   f"single-engine answer (zero cross-preset serves)")
         return 0
@@ -533,10 +511,8 @@ def cmd_profile(args) -> int:
         print(f"\nwrote Chrome trace (rank 0) to {out} "
               f"(open in chrome://tracing)")
         return 0
-    dataset = _build_dataset(args)
-    model, config = _build_model(args, dataset)
-    if args.model:
-        model.load(args.model)
+    dataset, model = _dataset_and_model(args)
+    config = model.config
 
     if args.target == "train-step":
         from repro.core import YolloTrainer
@@ -693,12 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train a YOLLO model")
     _add_common(train)
     train.add_argument("--epochs", type=int, default=10)
-    train.add_argument("--preset", type=_preset_name, default=None,
-                       metavar="NAME",
-                       help="build the model from a repro.zoo preset "
-                            "(overrides --backbone; the preset's config "
-                            "fingerprint is stamped into checkpoints)")
-    train.add_argument("--backbone", default="resnet50")
+    _add_preset(train, "yollo")
     train.add_argument("--pretrain-steps", type=int, default=300)
     train.add_argument("--eval-every", type=int, default=50)
     train.add_argument("--out", default="yollo.npz")
@@ -723,14 +694,14 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="evaluate a checkpoint")
     _add_common(evaluate)
     evaluate.add_argument("--model", required=True)
-    evaluate.add_argument("--backbone", default="resnet50")
+    _add_preset(evaluate, "yollo")
     evaluate.add_argument("--pretrain-steps", type=int, default=1)
     evaluate.set_defaults(func=cmd_evaluate)
 
     ground = sub.add_parser("ground", help="ground one query in a val image")
     _add_common(ground)
     ground.add_argument("--model", required=True)
-    ground.add_argument("--backbone", default="resnet50")
+    _add_preset(ground, "yollo")
     ground.add_argument("--pretrain-steps", type=int, default=1)
     ground.add_argument("--query", default=None,
                         help="free-form query (defaults to the sample's)")
@@ -743,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(serve_bench)
     serve_bench.add_argument("--model", default=None,
                              help="checkpoint to serve (default: fresh weights)")
-    serve_bench.add_argument("--backbone", default="tiny")
+    _add_preset(serve_bench, "tiny")
     serve_bench.add_argument("--pretrain-steps", type=int, default=1)
     serve_bench.add_argument("--requests", type=int, default=128,
                              help="synthetic trace length")
@@ -793,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "false \"found\" for a no-target query")
     fleet.add_argument("--presets", type=_preset_list, default=None,
                        metavar="A,B",
-                       help="serve a heterogeneous fleet: one replica "
-                            "group per repro.zoo preset, model-tagged "
+                       help="repro.zoo presets to serve (default tiny): "
+                            "one replica group per preset, model-tagged "
                             "routing, preset-keyed shared cache; the soak "
                             "asserts every response is bit-identical to "
                             "its preset's single-engine answer")
@@ -802,8 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated per-batch forward latency seconds "
                             "(with --simulated)")
     fleet.add_argument("--model", default=None,
-                       help="checkpoint replicas serve (real-model mode)")
-    fleet.add_argument("--backbone", default="tiny")
+                       help="checkpoint replicas serve (single preset)")
     fleet.add_argument("--pretrain-steps", type=int, default=1)
     fleet.add_argument("--kill-replica", nargs="*", default=None,
                        metavar="ID:ORDINAL",
@@ -811,7 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "ORDINAL-th request (e.g. 0:3)")
     fleet.add_argument("--reload-at", type=int, default=None,
                        help="start a rolling hot weight reload after this "
-                            "many requests have been submitted")
+                            "many requests have been submitted (single "
+                            "preset)")
     fleet.add_argument("--slo-p99", type=float, default=None,
                        help="fail the soak if p99 latency exceeds this "
                             "many seconds")
@@ -825,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["train-step", "infer", "serve"])
     prof.add_argument("--model", default=None,
                       help="checkpoint to profile (default: fresh weights)")
-    prof.add_argument("--backbone", default="tiny")
+    _add_preset(prof, "tiny")
     prof.add_argument("--pretrain-steps", type=int, default=1)
     prof.add_argument("--steps", type=int, default=1,
                       help="training steps to profile (train-step target)")

@@ -20,6 +20,7 @@ from repro.data.scenes import (
 from repro.data.render import render_scene
 from repro.data.expressions import ExpressionGenerator, describe_location
 from repro.data.refcoco import (
+    DATASET_SPECS,
     DatasetSpec,
     GroundingDataset,
     GroundingSample,
@@ -43,6 +44,7 @@ __all__ = [
     "render_scene",
     "ExpressionGenerator",
     "describe_location",
+    "DATASET_SPECS",
     "DatasetSpec",
     "GroundingSample",
     "GroundingDataset",

@@ -69,6 +69,9 @@ REFCOCOG = DatasetSpec(
     same_type_density=1.6,
     scenes_per_split={"train": 120, "val": 25},
 )
+#: Dataset name -> spec; the one name lookup every harness uses.
+DATASET_SPECS: Dict[str, DatasetSpec] = {
+    spec.name: spec for spec in (REFCOCO, REFCOCO_PLUS, REFCOCOG)}
 
 
 @dataclass

@@ -280,20 +280,6 @@ class PretrainDistTask:
 # Spawn-safe builders (module-level; only picklable kwargs)
 # ----------------------------------------------------------------------
 
-_DATASET_SPECS = None
-
-
-def _dataset_spec(name: str):
-    global _DATASET_SPECS
-    if _DATASET_SPECS is None:
-        from repro.data import REFCOCO, REFCOCO_PLUS, REFCOCOG
-
-        _DATASET_SPECS = {
-            "RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS, "RefCOCOg": REFCOCOG,
-        }
-    return _DATASET_SPECS[name]
-
-
 def warm_backbone(name: str = "tiny", pretrain_steps: int = 1,
                   image_height: int = 48, image_width: int = 72) -> None:
     """Populate the on-disk backbone cache before workers race for it.
@@ -315,29 +301,19 @@ def build_yollo_task(
     epochs: Optional[int] = None,
     iterations: Optional[int] = None,
     eval_every: int = 0,
-    backbone: str = "tiny",
+    preset: str = "tiny",
     pretrain_steps: int = 1,
     config_overrides: Optional[Dict[str, Any]] = None,
 ) -> YolloDistTask:
-    """Build a YOLLO training replica inside a worker process."""
-    from repro.backbone import load_pretrained_backbone
-    from repro.core import YolloConfig, YolloModel, YolloTrainer
-    from repro.data import build_dataset
+    """Build a YOLLO training replica of a zoo preset inside a worker."""
+    from repro.core import YolloTrainer
+    from repro.data import DATASET_SPECS, build_dataset
+    from repro.zoo import build_yollo_model
 
-    dataset = build_dataset(_dataset_spec(dataset_name).scaled(scale))
-    config = YolloConfig(
-        backbone=backbone,
-        max_query_length=max(8, dataset.max_query_length),
-    )
-    if config_overrides:
-        config = config.with_overrides(**config_overrides)
-    pretrained = load_pretrained_backbone(
-        config.backbone, steps=pretrain_steps,
-        image_height=config.image_height, image_width=config.image_width,
-    )
-    model = YolloModel(config, vocab_size=len(dataset.vocab),
-                       backbone=pretrained)
-    trainer = YolloTrainer(model, dataset, config)
+    dataset = build_dataset(DATASET_SPECS[dataset_name].scaled(scale))
+    model = build_yollo_model(preset, dataset, pretrain_steps=pretrain_steps,
+                              **(config_overrides or {}))
+    trainer = YolloTrainer(model, dataset, model.config)
     trainer.begin_run(epochs=epochs, iterations=iterations,
                       eval_every=eval_every)
     return YolloDistTask(trainer, grad_shards=grad_shards)

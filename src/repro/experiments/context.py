@@ -23,13 +23,7 @@ from repro.autograd import set_default_dtype
 from repro.backbone import load_pretrained_backbone
 from repro.backbone.pretrain import default_cache_dir
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
-from repro.data import (
-    GroundingDataset,
-    REFCOCO,
-    REFCOCO_PLUS,
-    REFCOCOG,
-    build_dataset,
-)
+from repro.data import DATASET_SPECS, GroundingDataset, build_dataset
 from repro.eval import MetricReport, TrainingCurve, evaluate_grounder
 from repro.experiments.config import ExperimentPreset, get_preset
 from repro.optim import WarmupCosineLR
@@ -44,12 +38,7 @@ from repro.twostage import (
 )
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import seed_everything, spawn_rng
-
-DATASET_SPECS = {
-    "RefCOCO": REFCOCO,
-    "RefCOCO+": REFCOCO_PLUS,
-    "RefCOCOg": REFCOCOG,
-}
+from repro.zoo import build_model, get_preset as get_model_preset, lower_config
 
 DATASET_NAMES = tuple(DATASET_SPECS)
 
@@ -69,8 +58,6 @@ class ExperimentContext:
                  verbose: bool = True, model_preset: Optional[str] = None):
         self.preset = preset or get_preset()
         if model_preset is not None:
-            from repro.zoo import get_preset as get_model_preset
-
             get_model_preset(model_preset)  # fail fast on unknown names
         self.model_preset = model_preset
         self.seed = seed
@@ -203,15 +190,13 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # YOLLO models
     # ------------------------------------------------------------------
-    def yollo_config(self, **overrides) -> YolloConfig:
-        if self.model_preset is not None:
-            from repro.zoo import lower_config
+    def _config_overrides(self, **overrides) -> Dict[str, object]:
+        return {"max_query_length": self.max_query_length(), **overrides}
 
-            base = lower_config(self.model_preset,
-                                max_query_length=self.max_query_length())
-        else:
-            base = YolloConfig(max_query_length=self.max_query_length())
-        return base.with_overrides(**overrides) if overrides else base
+    def yollo_config(self, **overrides) -> YolloConfig:
+        """The model preset (default ``yollo``) at the shared query length."""
+        return lower_config(self.model_preset or "yollo",
+                            **self._config_overrides(**overrides))
 
     def yollo(self, dataset_name: str, tag: str = "main",
               epochs: Optional[int] = None,
@@ -237,17 +222,19 @@ class ExperimentContext:
         curve_path = os.path.join(self.cache_dir, f"yollo-{key}-curve.json")
         curve = TrainingCurve(label=dataset_name)
 
-        def build(unit_tag: str) -> YolloModel:
-            # Model init runs inside the unit's RNG scope so the produced
-            # weights are a function of (seed, unit_tag) alone.
-            with self._unit_seed(unit_tag):
-                return YolloModel(
-                    config, vocab_size=len(dataset.vocab),
-                    pretrained_embeddings=embeddings, backbone=backbone,
-                )
+        def build() -> YolloModel:
+            # Called inside a unit's RNG scope; the backbone was loaded
+            # before it, so the scope's stream goes to model init alone.
+            return build_model(
+                self.model_preset or "yollo", len(dataset.vocab),
+                pretrained_embeddings=embeddings, backbone=backbone,
+                **self._config_overrides(**config_overrides))
 
         if os.path.exists(weights_path) and os.path.exists(curve_path):
-            model = build(f"yollo-{key}")
+            # Model init runs inside the unit's RNG scope so the produced
+            # weights are a function of (seed, unit_tag) alone.
+            with self._unit_seed(f"yollo-{key}"):
+                model = build()
             model.load(weights_path)
             with open(curve_path) as handle:
                 payload = json.load(handle)
@@ -268,10 +255,7 @@ class ExperimentContext:
                 per_epoch = -(-len(dataset["train"]) // config.batch_size)
                 total_steps = max(2, epochs * per_epoch)
                 with self._unit_seed(unit_tag):
-                    model = YolloModel(
-                        config, vocab_size=len(dataset.vocab),
-                        pretrained_embeddings=embeddings, backbone=backbone,
-                    )
+                    model = build()
                     # Warmup + cosine decay: the constant-LR runs were
                     # prone to late-training loss spikes that destroyed
                     # an already-good model; decaying into the tail

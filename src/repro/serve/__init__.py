@@ -50,7 +50,6 @@ from repro.serve.replica import (
     LatencyGrounder,
     ReplicaSpec,
     build_latency_grounder,
-    build_yollo_grounder,
     load_checkpoint_payload,
     state_checksum,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "ReplicaSpec",
     "LatencyGrounder",
     "build_latency_grounder",
-    "build_yollo_grounder",
     "state_checksum",
     "load_checkpoint_payload",
     "SoakReport",

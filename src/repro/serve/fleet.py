@@ -578,12 +578,7 @@ class FleetRouter:
         with self._lock:
             infos = tuple(self._slots[i].info() for i in sorted(self._slots))
         cache = self._response_cache.stats()
-        latencies = self._m_latency.values()
-        p50, p95, p99 = (
-            self.metrics.histogram("serve.fleet.latency_seconds")
-            .percentile((50.0, 95.0, 99.0))
-            if latencies else (0.0, 0.0, 0.0)
-        )
+        p50, p95, p99 = self._m_latency.percentile((50.0, 95.0, 99.0))
         return FleetStats(
             submitted=self._m_submitted.value,
             completed=self._m_completed.value,

@@ -144,38 +144,6 @@ def build_latency_grounder(latency: float = 0.002, version: float = 0.0,
     return LatencyGrounder(latency=latency, version=version, bias=bias)
 
 
-def build_yollo_grounder(dataset_name: str = "RefCOCO", scale: float = 0.1,
-                         backbone: str = "tiny", pretrain_steps: int = 1,
-                         model_path: Optional[str] = None,
-                         compiled: bool = False):
-    """Reconstruct a real YOLLO grounder inside a replica process.
-
-    Returns a plain top-1 :class:`~repro.core.Grounder`: each
-    response's box is the paper's single answer.  Replicas are seeded identically by the entry
-    point before this runs, so every replica initialises bit-identical
-    weights even without a ``model_path`` — a request answers the same
-    no matter which replica serves it.
-    """
-    from repro.backbone import load_pretrained_backbone
-    from repro.core import Grounder, YolloConfig, YolloModel
-    from repro.data import REFCOCO, REFCOCO_PLUS, REFCOCOG, build_dataset
-
-    spec = {"RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS,
-            "RefCOCOg": REFCOCOG}[dataset_name]
-    dataset = build_dataset(spec.scaled(scale))
-    config = YolloConfig(backbone=backbone,
-                         max_query_length=max(8, dataset.max_query_length))
-    net = load_pretrained_backbone(config.backbone, steps=pretrain_steps)
-    model = YolloModel(config, vocab_size=len(dataset.vocab), backbone=net)
-    if model_path:
-        model.load(model_path)
-    model.eval()
-    grounder = Grounder(model, dataset.vocab)
-    if compiled:
-        grounder.compile()
-    return grounder
-
-
 # ----------------------------------------------------------------------
 # Replica process
 # ----------------------------------------------------------------------

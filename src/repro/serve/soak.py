@@ -42,9 +42,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.response import GroundingResponse
+from repro.obs.metrics import percentiles
 from repro.serve.fleet import (
     DeadlineExceeded,
     FleetError,
@@ -333,7 +332,7 @@ def run_soak(
         reload_task.join(max(0.01, settle_deadline - time.monotonic()))
 
     scenario_p99 = {
-        name: float(np.percentile(np.asarray(values), 99.0))
+        name: percentiles(values, (99.0,))[0]
         for name, values in scenario_latencies.items()
     }
     return SoakReport(

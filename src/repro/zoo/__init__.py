@@ -3,9 +3,11 @@
 Named presets — flat ``YolloConfig`` override dicts spanning the
 pluggable component axes (context encoder, fusion stack, anchor
 matcher, classification loss) — validated and lowered into model
-builders.  See :mod:`repro.zoo.registry` for the lookup API and
-:mod:`repro.zoo.presets` for the built-in entries (imported here so
-the registry is populated on ``import repro.zoo``).
+builders; :func:`build_yollo_model` is the one constructor every
+harness builds a YOLLO model through.  See :mod:`repro.zoo.registry`
+for the lookup API and :mod:`repro.zoo.presets` for the built-in
+entries (imported here so the registry is populated on
+``import repro.zoo``).
 """
 
 from repro.zoo.registry import (
@@ -14,6 +16,7 @@ from repro.zoo.registry import (
     available_presets,
     build_model,
     build_preset_grounder,
+    build_yollo_model,
     get_preset,
     lower_config,
     preset_fingerprint,
@@ -27,6 +30,7 @@ __all__ = [
     "available_presets",
     "build_model",
     "build_preset_grounder",
+    "build_yollo_model",
     "get_preset",
     "lower_config",
     "preset_fingerprint",

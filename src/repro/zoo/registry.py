@@ -3,9 +3,12 @@
 A *preset* is a named flat config dict — overrides over the
 ``YolloConfig`` defaults, in the spirit of detection-lab config files —
 registered here at import time (importing :mod:`repro.zoo` pulls in the
-built-in presets), so every harness that builds a model (the training
-CLI, the experiment context, the serving fleet, the zoo benchmark)
-enumerates variants by name instead of hard-coding constructor calls.
+built-in presets), so every harness that builds a model (the CLI, the
+distributed trainer, the experiment context, the serving fleet, the zoo
+benchmark) enumerates variants by name instead of hard-coding
+constructor calls.
+:func:`build_yollo_model` is the one constructor they share: preset and
+dataset in, a model on its pretrained backbone out.
 
 Lowering (:func:`lower_config`) normalises the flat dict (YAML-ish
 lists become the tuples the dataclass expects) and validates it through
@@ -140,13 +143,46 @@ def preset_fingerprint(preset: Union[str, ModelPreset],
 def build_model(preset: Union[str, ModelPreset], vocab_size: int,
                 pretrained_embeddings: Optional[np.ndarray] = None,
                 backbone=None, **extra_overrides: object):
-    """Instantiate a :class:`~repro.core.YolloModel` from a preset."""
+    """Instantiate a :class:`~repro.core.YolloModel` from a preset.
+
+    The architecture alone: ``backbone=None`` initialises a fresh trunk;
+    :func:`build_yollo_model` passes the pretrained one.
+    """
     from repro.core import YolloModel
 
     config = lower_config(preset, **extra_overrides)
     return YolloModel(config, vocab_size,
                       pretrained_embeddings=pretrained_embeddings,
                       backbone=backbone)
+
+
+def build_yollo_model(preset: Union[str, ModelPreset], dataset,
+                      pretrain_steps: int = 1,
+                      model_path: Optional[str] = None,
+                      **config_overrides: object):
+    """Build a preset's model on its pretrained backbone for ``dataset``.
+
+    The one constructor behind the CLI, the distributed trainer, the
+    serving replicas and :func:`repro.quick_grounder`.  The query
+    length defaults to the dataset's (at least 8); ``config_overrides``
+    apply on top.  Random numbers are drawn backbone first, then model,
+    so a caller that seeds and builds its dataset just before calling
+    this gets the same weights in every process.  ``model_path`` loads
+    a saved checkpoint over the fresh weights.
+    """
+    from repro.backbone import load_pretrained_backbone
+
+    overrides = {"max_query_length": max(8, dataset.max_query_length),
+                 **config_overrides}
+    config = lower_config(preset, **overrides)
+    backbone = load_pretrained_backbone(
+        config.backbone, steps=pretrain_steps,
+        image_height=config.image_height, image_width=config.image_width)
+    model = build_model(preset, len(dataset.vocab), backbone=backbone,
+                        **overrides)
+    if model_path:
+        model.load(model_path)
+    return model
 
 
 def build_preset_grounder(preset: str = "tiny",
@@ -157,29 +193,19 @@ def build_preset_grounder(preset: str = "tiny",
                           not_found_threshold: float = 0.0):
     """Reconstruct a preset's ranked grounder inside a replica process.
 
-    The zoo analogue of :func:`repro.serve.replica.build_yollo_grounder`:
-    module-level and kwarg-picklable so it works as a ``ReplicaSpec``
+    Module-level and kwarg-picklable so it works as a ``ReplicaSpec``
     builder under ``spawn``.  Replicas are seeded before this runs, so
     every replica built from the *same preset and seed* initialises
-    bit-identical weights — the property the heterogeneous-fleet soak
-    leans on when it compares fleet responses against a single-engine
-    reference built the same way in the parent.
+    bit-identical weights — the property the fleet soak leans on when
+    it compares fleet responses against a single-engine reference built
+    the same way in the parent.
     """
-    from repro.backbone import load_pretrained_backbone
     from repro.core import Grounder
-    from repro.data import REFCOCO, REFCOCO_PLUS, REFCOCOG, build_dataset
+    from repro.data import DATASET_SPECS, build_dataset
 
-    spec = {"RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS,
-            "RefCOCOg": REFCOCOG}[dataset_name]
-    dataset = build_dataset(spec.scaled(scale))
-    config = lower_config(
-        preset, max_query_length=max(8, dataset.max_query_length))
-    net = load_pretrained_backbone(config.backbone, steps=pretrain_steps)
-    from repro.core import YolloModel
-
-    model = YolloModel(config, vocab_size=len(dataset.vocab), backbone=net)
-    if model_path:
-        model.load(model_path)
+    dataset = build_dataset(DATASET_SPECS[dataset_name].scaled(scale))
+    model = build_yollo_model(preset, dataset, pretrain_steps=pretrain_steps,
+                              model_path=model_path)
     model.eval()
     grounder = Grounder(model, dataset.vocab)
     if compiled:

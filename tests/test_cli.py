@@ -130,7 +130,26 @@ class TestParser:
     def test_train_preset_parses(self):
         args = build_parser().parse_args(["train", "--preset", "tiny-focal"])
         assert args.preset == "tiny-focal"
-        assert build_parser().parse_args(["train"]).preset is None
+        assert build_parser().parse_args(["train"]).preset == "yollo"
+
+    def test_default_presets_keep_the_paper_config(self):
+        """``yollo`` lowers to the config the paper-scale defaults built,
+        so checkpoints trained with the defaults keep their fingerprint."""
+        from dataclasses import asdict
+
+        from repro.core import YolloConfig
+        from repro.runtime.checkpoint import config_fingerprint
+        from repro.zoo import lower_config
+
+        paper = config_fingerprint(asdict(
+            YolloConfig(backbone="resnet50", max_query_length=12)))
+        for command in (["train"], ["evaluate", "--model", "m.npz"],
+                        ["ground", "--model", "m.npz"]):
+            preset = build_parser().parse_args(command).preset
+            assert config_fingerprint(asdict(
+                lower_config(preset, max_query_length=12))) == paper
+        for command in ("serve-bench", "profile"):
+            assert build_parser().parse_args([command]).preset == "tiny"
 
     def test_train_unknown_preset_lists_zoo(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -157,7 +176,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["serve-fleet", "--presets", "tiny", "--simulated"])
         with pytest.raises(SystemExit):
-            main(["serve-fleet", "--presets", "tiny", "--reload-at", "5"])
+            main(["serve-fleet", "--presets", "tiny,tiny-word2pix",
+                  "--reload-at", "5"])
+        with pytest.raises(SystemExit):
+            main(["serve-fleet", "--presets", "tiny,tiny-word2pix",
+                  "--model", "m.npz"])
 
     def test_experiments_model_preset_parses(self):
         args = build_parser().parse_args(
@@ -186,7 +209,7 @@ class TestEndToEnd:
     def test_train_then_evaluate_then_ground(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         checkpoint = str(tmp_path / "model.npz")
-        common = ["--scale", "0.03", "--backbone", "tiny", "--pretrain-steps", "1"]
+        common = ["--scale", "0.03", "--preset", "tiny", "--pretrain-steps", "1"]
 
         code = main(["train", "--epochs", "1", "--out", checkpoint, "--quiet",
                      "--eval-every", "0"] + common)
@@ -215,6 +238,38 @@ class TestEndToEnd:
         assert "model preset: tiny-topk" in out
         assert "config fingerprint" in out
         assert os.path.exists(checkpoint)
+
+        # The flag that trained the checkpoint is the flag that loads it.
+        common = ["--model", checkpoint, "--preset", "tiny-topk",
+                  "--scale", "0.03", "--pretrain-steps", "1"]
+        assert main(["evaluate"] + common) == 0
+        assert "ACC@0.5" in capsys.readouterr().out
+        assert main(["ground", "--query", "red dog"] + common) == 0
+        assert "box:" in capsys.readouterr().out
+        assert main(["serve-bench", "--requests", "4"] + common) == 0
+        assert "micro-batched" in capsys.readouterr().out
+        assert main(["profile", "--target", "infer", "--requests", "2",
+                     "--out", str(tmp_path / "trace.json")] + common) == 0
+        assert "Hot ops" in capsys.readouterr().out
+
+    def test_dist_workers_train_the_preset(self, tmp_path, monkeypatch):
+        """``train --workers`` builds the ``--preset`` model in every
+        worker, not a default architecture."""
+        from repro.cli import _dist_spec
+        from repro.dist import build_yollo_task
+        from repro.zoo import lower_config
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        args = build_parser().parse_args(
+            ["train", "--workers", "2", "--preset", "tiny-word2pix",
+             "--scale", "0.03", "--pretrain-steps", "1", "--epochs", "1"])
+        spec = _dist_spec(args)
+        assert spec.warmup_kwargs["name"] == "tiny"
+        task = build_yollo_task(**spec.task_kwargs)
+        max_len = max(8, task.trainer.dataset.max_query_length)
+        assert task.trainer.config == lower_config(
+            "tiny-word2pix", max_query_length=max_len)
+        assert task.trainer.config.fusion == "word2pix"
 
     @pytest.mark.dist
     def test_heterogeneous_preset_fleet_soak(self, tmp_path, capsys,

@@ -270,7 +270,7 @@ def test_pretrain_bit_exact_across_world_sizes():
 @pytest.mark.dist
 def test_yollo_training_bit_exact_1_2_4_workers():
     kwargs = dict(dataset_name="RefCOCO", scale=0.05, grad_shards=4,
-                  iterations=3, eval_every=0, backbone="tiny",
+                  iterations=3, eval_every=0, preset="tiny",
                   pretrain_steps=1, config_overrides=dict(batch_size=8))
     states = {}
     for world in (1, 2, 4):

@@ -646,7 +646,7 @@ class TestCliCheckpointing:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         checkpoint_dir = str(tmp_path / "ckpts")
-        common = ["train", "--scale", "0.03", "--backbone", "tiny",
+        common = ["train", "--scale", "0.03", "--preset", "tiny",
                   "--pretrain-steps", "1", "--epochs", "1", "--quiet",
                   "--eval-every", "0", "--out", str(tmp_path / "model.npz"),
                   "--checkpoint-dir", checkpoint_dir, "--checkpoint-every", "2"]
@@ -665,7 +665,7 @@ class TestCliCheckpointing:
 
         with pytest.raises(SystemExit):
             main(["train", "--resume", "--quiet", "--scale", "0.03",
-                  "--backbone", "tiny", "--pretrain-steps", "1",
+                  "--preset", "tiny", "--pretrain-steps", "1",
                   "--epochs", "1"])
 
 

@@ -77,7 +77,7 @@ def test_resume_without_checkpoint_dir_is_rejected():
 def test_cli_resume_without_checkpoint_dir_exits_with_message():
     with pytest.raises(SystemExit, match="--resume requires --checkpoint-dir"):
         main(["train", "--resume", "--quiet", "--scale", "0.05",
-              "--epochs", "1", "--backbone", "tiny"])
+              "--epochs", "1", "--preset", "tiny"])
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,35 @@ class TestRegistry:
         assert preset_fingerprint(twin) != preset_fingerprint("tiny")
 
 
+class TestConstructor:
+    def test_preset_grounder_matches_hand_built_weights(self, tmp_path,
+                                                        monkeypatch):
+        """The zoo constructor draws random numbers in the order the
+        hand-built sequence did (dataset, backbone, model), so serving
+        replicas and cached weights keep their exact values."""
+        from repro.backbone import load_pretrained_backbone
+        from repro.core import YolloModel
+        from repro.utils import seed_everything
+        from repro.zoo import build_preset_grounder
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        seed_everything(0)
+        built = build_preset_grounder(preset="tiny", scale=0.1,
+                                      pretrain_steps=1).model.state_dict()
+
+        seed_everything(0)
+        dataset = build_dataset(REFCOCO.scaled(0.1))
+        config = lower_config("tiny", max_query_length=_maxlen(dataset))
+        backbone = load_pretrained_backbone(config.backbone, steps=1)
+        by_hand = YolloModel(config, vocab_size=len(dataset.vocab),
+                             backbone=backbone).state_dict()
+
+        assert list(built) == list(by_hand)
+        for key in by_hand:
+            assert built[key].dtype == by_hand[key].dtype, key
+            assert built[key].tobytes() == by_hand[key].tobytes(), key
+
+
 # ----------------------------------------------------------------------
 # Full-registry smoke: every preset earns its registry slot
 # ----------------------------------------------------------------------
