@@ -17,7 +17,8 @@ import os
 
 from conftest import write_artifact
 
-from repro.dist import DistConfig, WorkerGroup, WorkerSpec, build_yollo_task, warm_backbone
+from repro.backbone import load_pretrained_backbone
+from repro.dist import DistConfig, WorkerGroup, WorkerSpec, build_yollo_task
 
 import pytest
 
@@ -41,15 +42,14 @@ def _run(world_size: int):
     spec = WorkerSpec(
         builder=build_yollo_task,
         task_kwargs=dict(
-            dataset_name="RefCOCO", scale=0.2, grad_shards=GRAD_SHARDS,
-            iterations=ITERATIONS, eval_every=0, preset="tiny",
-            pretrain_steps=1,
+            dataset_name="RefCOCO", scale=0.2, iterations=ITERATIONS,
+            eval_every=0, preset="tiny", pretrain_steps=1,
             config_overrides=dict(batch_size=BATCH_SIZE),
         ),
         dist=DistConfig(grad_shards=GRAD_SHARDS, timeout=300.0),
         seed=0,
-        warmup=warm_backbone,
-        warmup_kwargs=dict(name="tiny", pretrain_steps=1),
+        warmup=load_pretrained_backbone,
+        warmup_kwargs=dict(name="tiny", steps=1),
     )
     report = WorkerGroup(spec, world_size=world_size).run()
     # Steady-state per-step seconds on rank 0 (every rank's step is the

@@ -12,6 +12,7 @@ from repro.backbone.resnet import BasicBlock, MiniResNet
 from repro.backbone.vgg import MiniVGG
 from repro.backbone.factory import BACKBONE_PRESETS, build_backbone
 from repro.backbone.pretrain import (
+    BackbonePretrainTask,
     ClassificationHead,
     load_pretrained_backbone,
     pretrain_backbone,
@@ -24,6 +25,7 @@ __all__ = [
     "build_backbone",
     "BACKBONE_PRESETS",
     "pretrain_backbone",
+    "BackbonePretrainTask",
     "load_pretrained_backbone",
     "ClassificationHead",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import shutil
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.data.render import render_scene
 from repro.data.scenes import CATEGORIES, COLORS, Scene, SceneGenerator
 from repro.nn import Linear, Module, softmax_cross_entropy
 from repro.optim import Adam
-from repro.runtime import CallbackTask, TrainingSupervisor
+from repro.runtime import SupervisedTask, TrainingSupervisor
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
@@ -63,6 +63,138 @@ def _sample_classification_batch(
     return np.stack(images), categories[: len(images)], colors[: len(images)]
 
 
+class BackbonePretrainTask(SupervisedTask):
+    """Backbone pretraining as one :class:`repro.runtime.SupervisedTask`.
+
+    :func:`pretrain_backbone` drives it in one process, drawing every
+    batch from ``rng``; :class:`repro.dist.DistributedTrainer` drives it
+    on every rank through :meth:`slot_forward_backward`, where each slot
+    renders ``len(indices)`` images from its own ``(iteration, slot)``
+    stream.  The task is generative, so the indices themselves are never
+    read.  The checkpoint payload (``iteration``, ``optimizer``,
+    ``modules``, ``rng``, ``extra``) and the fingerprint are those of
+    the closure loop this class replaced, so older checkpoints resume.
+    """
+
+    def __init__(
+        self,
+        backbone: Module,
+        steps: int = 60,
+        batch_size: int = 16,
+        lr: float = 1e-3,
+        image_height: int = 48,
+        image_width: int = 72,
+        rng: Optional[np.random.Generator] = None,
+        logger: Optional[ProgressLogger] = None,
+    ):
+        self.rng = rng if rng is not None else spawn_rng("backbone-pretrain")
+        self.logger = logger or ProgressLogger("pretrain", enabled=False)
+        self.backbone = backbone
+        self.generator = SceneGenerator(height=image_height, width=image_width,
+                                        rng=self.rng)
+        # The head must draw its initial weights from the pretrain's own
+        # stream: pulling from the process-global generator here would
+        # shift every later init for cache-miss runs only, making cold-
+        # and warm-cache training runs diverge.
+        self.head = ClassificationHead(backbone.out_channels, rng=self.rng)
+        self.optimizer = Adam(backbone.parameters() + self.head.parameters(),
+                              lr=lr)
+        self.batch_size = batch_size
+        # Generative: there is no dataset, so the data-parallel sampler
+        # sees one batch-sized "epoch" and only decides slot sizes.
+        self.num_samples = batch_size
+        self.image_size = [image_height, image_width]
+        self.iteration = 0
+        self.total_iterations = steps
+        self.history: Dict[str, List[float]] = {
+            "loss": [], "category_acc": [], "color_acc": [],
+        }
+        self._pending: Dict[str, float] = {}
+
+    def parameters(self) -> List:
+        return self.optimizer.parameters
+
+    def _forward_backward(self, count: int, rng: np.random.Generator) -> float:
+        images, categories, colors = _sample_classification_batch(
+            self.generator, count, rng
+        )
+        cat_logits, color_logits = self.head(self.backbone(Tensor(images)))
+        loss = softmax_cross_entropy(cat_logits, categories) + softmax_cross_entropy(
+            color_logits, colors
+        )
+        self.optimizer.zero_grad()
+        loss.backward()
+        self._pending = {
+            "category_acc": float(
+                (cat_logits.data.argmax(axis=1) == categories).mean()
+            ),
+            "color_acc": float((color_logits.data.argmax(axis=1) == colors).mean()),
+        }
+        return float(loss.data)
+
+    def forward_backward(self) -> float:
+        return self._forward_backward(self.batch_size, self.rng)
+
+    def slot_forward_backward(
+        self, iteration: int, slot: int, indices: np.ndarray
+    ) -> Tuple[float, Dict[str, float]]:
+        """One data-parallel slot: loss, accuracies, and gradients."""
+        rng = spawn_rng(f"dist-pretrain-i{iteration}-s{slot}")
+        loss = self._forward_backward(len(indices), rng)
+        return loss, self._pending
+
+    def set_reduced_step(self, flat: np.ndarray, loss: float,
+                         components: Dict[str, float]) -> None:
+        """Record the slot-reduced accuracies for :meth:`apply_step`."""
+        self._pending = dict(components)
+
+    def apply_step(self, loss: float) -> None:
+        self.optimizer.step()
+        self.iteration += 1
+        self.history["loss"].append(loss)
+        self.history["category_acc"].append(self._pending["category_acc"])
+        self.history["color_acc"].append(self._pending["color_acc"])
+        self.logger.periodic(
+            f"step {self.iteration}/{self.total_iterations} loss={loss:.3f} "
+            f"cat={self._pending['category_acc']:.2f} "
+            f"color={self._pending['color_acc']:.2f}"
+        )
+
+    def skip_step(self) -> None:
+        self.optimizer.zero_grad()
+        self.iteration += 1
+
+    def fingerprint_data(self) -> Dict[str, Any]:
+        return {
+            "task": "backbone-pretrain",
+            "steps": self.total_iterations,
+            "batch_size": self.batch_size,
+            "lr": self.optimizer.lr,
+            "image": self.image_size,
+        }
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {
+            "iteration": self.iteration,
+            "optimizer": self.optimizer.state_dict(),
+            "modules": {"backbone": self.backbone.state_dict(),
+                        "head": self.head.state_dict()},
+            "rng": self.rng.bit_generator.state,
+            "extra": {k: list(v) for k, v in self.history.items()},
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self.iteration = int(state["iteration"])
+        self.optimizer.load_state_dict(state["optimizer"])
+        self.backbone.load_state_dict(state["modules"]["backbone"])
+        self.head.load_state_dict(state["modules"]["head"])
+        self.rng.bit_generator.state = state["rng"]
+        self.history = {k: list(v) for k, v in state["extra"].items()}
+
+    def result(self) -> Dict[str, List[float]]:
+        return self.history
+
+
 def pretrain_backbone(
     backbone: Module,
     steps: int = 60,
@@ -80,82 +212,25 @@ def pretrain_backbone(
 
     Returns a history dict with per-step losses and accuracies; the
     classification heads are discarded, matching the paper's use of
-    ImageNet weights.  The loop runs under a
+    ImageNet weights.  The :class:`BackbonePretrainTask` runs under a
     :class:`repro.runtime.TrainingSupervisor`, which skips anomalous
     steps; ``checkpoint_dir`` adds checkpoints every ``checkpoint_every``
     steps and ``resume=True`` (which needs ``checkpoint_dir``) continues
     a killed run from the newest checkpoint.
     """
-    rng = rng if rng is not None else spawn_rng("backbone-pretrain")
-    logger = logger or ProgressLogger("pretrain", enabled=False)
-    generator = SceneGenerator(height=image_height, width=image_width, rng=rng)
-    # The head must draw its initial weights from the pretrain's own
-    # stream: pulling from the process-global generator here would shift
-    # every later init for cache-miss runs only, making cold- and
-    # warm-cache training runs diverge.
-    head = ClassificationHead(backbone.out_channels, rng=rng)
-    optimizer = Adam(backbone.parameters() + head.parameters(), lr=lr)
-
-    history: Dict[str, List[float]] = {"loss": [], "category_acc": [], "color_acc": []}
-    pending: Dict[str, float] = {}
-
-    def forward_backward(step: int) -> float:
-        images, categories, colors = _sample_classification_batch(
-            generator, batch_size, rng
-        )
-        features = backbone(Tensor(images))
-        cat_logits, color_logits = head(features)
-        loss = softmax_cross_entropy(cat_logits, categories) + softmax_cross_entropy(
-            color_logits, colors
-        )
-        optimizer.zero_grad()
-        loss.backward()
-        pending["category_acc"] = float(
-            (cat_logits.data.argmax(axis=1) == categories).mean()
-        )
-        pending["color_acc"] = float(
-            (color_logits.data.argmax(axis=1) == colors).mean()
-        )
-        return float(loss.data)
-
-    def apply_update(step: int, loss_value: float) -> None:
-        optimizer.step()
-        history["loss"].append(loss_value)
-        history["category_acc"].append(pending["category_acc"])
-        history["color_acc"].append(pending["color_acc"])
-        logger.periodic(
-            f"step {step}/{steps} loss={loss_value:.3f} "
-            f"cat={pending['category_acc']:.2f} color={pending['color_acc']:.2f}"
-        )
-
-    task = CallbackTask(
-        total_iterations=steps,
-        forward_backward=forward_backward,
-        apply_update=apply_update,
-        optimizer=optimizer,
-        modules={"backbone": backbone, "head": head},
-        rng=rng,
-        fingerprint_data={
-            "task": "backbone-pretrain",
-            "steps": steps,
-            "batch_size": batch_size,
-            "lr": lr,
-            "image": [image_height, image_width],
-        },
-        extra_state=lambda: {k: list(v) for k, v in history.items()},
-        load_extra_state=lambda saved: history.update(
-            {k: list(v) for k, v in saved.items()}
-        ),
-        result=lambda: history,
+    task = BackbonePretrainTask(
+        backbone, steps=steps, batch_size=batch_size, lr=lr,
+        image_height=image_height, image_width=image_width, rng=rng,
+        logger=logger,
     )
     TrainingSupervisor(
         task,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every or max(1, steps // 4),
         resume=resume,
-        logger=logger,
+        logger=task.logger,
     ).run()
-    return history
+    return task.history
 
 
 def default_cache_dir() -> str:

@@ -131,7 +131,8 @@ def _dataset_and_model(args):
 
 def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
     """Build a :class:`repro.dist.WorkerSpec` from CLI arguments."""
-    from repro.dist import DistConfig, WorkerSpec, build_yollo_task, warm_backbone
+    from repro.backbone import load_pretrained_backbone
+    from repro.dist import DistConfig, WorkerSpec, build_yollo_task
     from repro.zoo import lower_config
 
     return WorkerSpec(
@@ -139,7 +140,6 @@ def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
         task_kwargs=dict(
             dataset_name=args.dataset,
             scale=args.scale,
-            grad_shards=args.grad_shards,
             epochs=getattr(args, "epochs", None),
             iterations=getattr(args, "steps", None) if profile else None,
             eval_every=getattr(args, "eval_every", 0) if not profile else 0,
@@ -152,9 +152,9 @@ def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         checkpoint_every=getattr(args, "checkpoint_every", 0),
         resume=getattr(args, "resume", False),
-        warmup=warm_backbone,
+        warmup=load_pretrained_backbone,
         warmup_kwargs=dict(name=lower_config(args.preset).backbone,
-                           pretrain_steps=args.pretrain_steps),
+                           steps=args.pretrain_steps),
         profile=profile,
         profile_out=profile_out,
         profile_top=top,
@@ -174,9 +174,9 @@ def _cmd_train_dist(args) -> int:
     # a saveable model (the workers ship state, not an .npz).
     task = build_yollo_task(**spec.task_kwargs)
     task.load_state_dict(report.final_state)
-    if task.trainer.history.curve.values:
-        print(task.trainer.history.curve.render_ascii())
-    task.trainer.model.save(args.out)
+    if task.history.curve.values:
+        print(task.history.curve.render_ascii())
+    task.model.save(args.out)
     print(f"saved checkpoint to {args.out} "
           f"(trained on {args.workers} worker(s))")
     return 0

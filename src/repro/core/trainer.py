@@ -20,13 +20,13 @@ parameters and losses identical to an uninterrupted 2N-iteration run.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.autograd import Tensor
 from repro.core.config import YolloConfig
-from repro.core.losses import yollo_loss
+from repro.core.losses import LossBreakdown, yollo_loss
 from repro.core.predictor import Grounder
 from repro.core.yollo import YolloModel
 from repro.data.loader import encode_batch
@@ -127,9 +127,8 @@ class YolloTrainer:
         self._epoch_cursor = 0
         self._epoch = 0
         self._pending = None
-        #: When the distributed trainer installs reduced gradients, every
-        #: ``param.grad`` is a view into this flat buffer and clipping
-        #: happens on the buffer itself (one shared norm computation).
+        #: Set by :meth:`set_reduced_step`: the reduced gradient buffer
+        #: every ``param.grad`` views, clipped in place as one vector.
         self._flat_grads: Optional[np.ndarray] = None
         # Best-eval weight tracking (see begin_run(keep_best=...)).
         self._keep_best = False
@@ -236,9 +235,10 @@ class YolloTrainer:
 
     def forward_backward(self) -> float:
         """Loss and gradients for the next minibatch; no parameter update."""
-        return self._forward_backward_batch(self._next_batch())
+        return self._forward_backward_batch(self._next_batch(), self._rng)
 
-    def _forward_backward_batch(self, batch: Dict[str, np.ndarray]) -> float:
+    def _forward_backward_batch(self, batch: Dict[str, np.ndarray],
+                                rng: np.random.Generator) -> float:
         with self.metrics.timer("train.forward_backward_seconds"):
             with trace_span("train.forward"):
                 output = self.model(
@@ -251,13 +251,50 @@ class YolloTrainer:
                     batch["target_boxes"],
                     self.model.anchor_grid,
                     self.config,
-                    rng=self._rng,
+                    rng=rng,
                 )
             self.optimizer.zero_grad()
             with trace_span("train.backward"):
                 breakdown.total.backward()
         self._pending = breakdown
         return float(breakdown.total.data)
+
+    # ------------------------------------------------------------------
+    # Data-parallel protocol (driven by repro.dist.DistributedTrainer)
+    # ------------------------------------------------------------------
+    @property
+    def num_samples(self) -> int:
+        return len(self._train_samples)
+
+    @property
+    def batch_size(self) -> int:
+        return self.config.batch_size
+
+    def slot_forward_backward(
+        self, iteration: int, slot: int, indices: np.ndarray
+    ) -> Tuple[float, Dict[str, float]]:
+        """Loss, loss components, and gradients of one micro-batch slot.
+
+        The anchor sampler draws from the slot's own ``(iteration,
+        slot)`` stream, so the result does not depend on which rank
+        computes the slot; the trainer's own RNG is never consumed.
+        """
+        samples = [self._train_samples[i] for i in indices]
+        batch = encode_batch(samples, self.dataset.vocab, self.config.max_query_length)
+        loss = self._forward_backward_batch(
+            batch, spawn_rng(f"dist-loss-i{iteration}-s{slot}"))
+        breakdown, self._pending = self._pending, None
+        return loss, {"att": breakdown.att, "cls": breakdown.cls, "reg": breakdown.reg}
+
+    def set_reduced_step(self, flat: np.ndarray, loss: float,
+                         components: Dict[str, float]) -> None:
+        """Record the slot-reduced step for :meth:`apply_step`.
+
+        Every ``param.grad`` is already a view into ``flat``, so
+        clipping runs once on the whole buffer.
+        """
+        self._flat_grads = flat
+        self._pending = LossBreakdown(total=Tensor(np.asarray(loss)), **components)
 
     def apply_step(self, loss_value: float) -> None:
         """Clip, update parameters, and record the step into history."""

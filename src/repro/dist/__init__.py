@@ -3,7 +3,9 @@
 Process-based workers (``spawn``), a pipe-mesh collective layer,
 sharded sampling, and a replicated-step trainer that reduces gradient
 slots in slot order, keeping N workers bit-exact with a single-process
-run.  See
+run.  Every rank drives the same task object a single-process run
+steps (``YolloTrainer`` or ``BackbonePretrainTask``), built inside the
+worker by ``build_yollo_task`` / ``build_pretrain_task``.  See
 DESIGN.md ("Distributed training") for the protocol, the determinism
 contract, and the failure model.
 
@@ -20,13 +22,7 @@ from repro.dist.collective import (
 )
 from repro.dist.flatten import TensorManifest, flatten_tensors, unflatten_tensors
 from repro.dist.sampler import ShardedSampler, owned_slots, slot_bounds
-from repro.dist.tasks import (
-    PretrainDistTask,
-    YolloDistTask,
-    build_pretrain_task,
-    build_yollo_task,
-    warm_backbone,
-)
+from repro.dist.tasks import build_pretrain_task, build_yollo_task
 from repro.dist.trainer import DistConfig, DistributedTrainer
 from repro.dist.worker import (
     DistReport,
@@ -47,11 +43,8 @@ __all__ = [
     "ShardedSampler",
     "owned_slots",
     "slot_bounds",
-    "PretrainDistTask",
-    "YolloDistTask",
     "build_pretrain_task",
     "build_yollo_task",
-    "warm_backbone",
     "DistConfig",
     "DistributedTrainer",
     "DistReport",

@@ -41,15 +41,16 @@ def owned_slots(rank: int, world_size: int, grad_shards: int) -> List[int]:
 class ShardedSampler:
     """Rank-invariant epoch shuffling and micro-batch slot decomposition.
 
-    Mirrors ``YolloTrainer``'s epoch arithmetic (``ceil(n / batch)``
-    iterations per epoch, last batch short) but derives each epoch's
-    permutation from a seeded stream instead of consuming the trainer's
-    RNG, so every rank reconstructs the identical order locally with no
-    communication.
+    :class:`~repro.dist.DistributedTrainer` builds one from
+    ``DistConfig.grad_shards`` and the task's ``num_samples`` and
+    ``batch_size``.  It mirrors ``YolloTrainer``'s epoch arithmetic
+    (``ceil(n / batch)`` iterations per epoch, last batch short) but
+    derives each epoch's permutation from a seeded stream instead of
+    consuming the trainer's RNG, so every rank reconstructs the
+    identical order locally with no communication.
     """
 
-    def __init__(self, num_samples: int, batch_size: int, grad_shards: int,
-                 seed_tag: str = "dist-sampler"):
+    def __init__(self, num_samples: int, batch_size: int, grad_shards: int):
         if num_samples < 1:
             raise ValueError("ShardedSampler needs at least one sample")
         if batch_size < 1 or grad_shards < 1:
@@ -57,7 +58,6 @@ class ShardedSampler:
         self.num_samples = num_samples
         self.batch_size = batch_size
         self.grad_shards = grad_shards
-        self.seed_tag = seed_tag
         self._epoch = -1
         self._order: np.ndarray = np.empty(0, dtype=np.int64)
 
@@ -68,7 +68,7 @@ class ShardedSampler:
     def epoch_order(self, epoch: int) -> np.ndarray:
         """The epoch's sample permutation (cached per epoch)."""
         if epoch != self._epoch:
-            rng = spawn_rng(f"{self.seed_tag}-epoch{epoch}")
+            rng = spawn_rng(f"dist-sampler-epoch{epoch}")
             self._order = rng.permutation(self.num_samples)
             self._epoch = epoch
         return self._order

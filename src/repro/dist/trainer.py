@@ -1,22 +1,33 @@
 """Data-parallel step engine: replicated state, reduced gradients.
 
 :class:`DistributedTrainer` is a :class:`repro.runtime.SupervisedTask`
-facade over a :class:`repro.dist.tasks.DataParallelTask`, so one
+facade over one training task, so one
 :class:`~repro.runtime.TrainingSupervisor` per rank drives the whole
 distributed run — anomaly guards, skip/rollback, and (on rank 0)
 checkpointing all work unchanged.
 
+The task is the same object a single-process run steps
+(:class:`repro.core.YolloTrainer` or
+:class:`repro.backbone.pretrain.BackbonePretrainTask`).  Beyond the
+``SupervisedTask`` surface it provides ``num_samples`` and
+``batch_size`` (the sampler's shape),
+``slot_forward_backward(iteration, slot, indices)`` (returns ``(loss,
+components)`` with gradients left on the parameters), and
+``set_reduced_step(flat, loss, components)`` (records the reduced step
+for ``apply_step``; the trainer has already pointed every
+``param.grad`` at its slice of ``flat``).
+
 Determinism contract
 --------------------
 Every iteration's *global* batch is cut into ``grad_shards`` fixed
-micro-batch slots by the task's :class:`~repro.dist.ShardedSampler`.
-Each slot's weighted gradient bucket is computed by exactly one rank
-(with a per-``(iteration, slot)`` RNG stream, so the result is
-rank-independent), broadcast to every rank, and summed **in slot
-order** everywhere.  The reduced gradient is therefore a pure function
-of the global seed and iteration — bit-identical for 1, 2, or 4
-workers — and since every rank then applies the identical optimiser
-step, model replicas never drift.
+micro-batch slots by a :class:`~repro.dist.ShardedSampler` built from
+the task's sample count and batch size.  Each slot's weighted gradient
+bucket is computed by exactly one rank (with a per-``(iteration,
+slot)`` RNG stream, so the result is rank-independent), broadcast to
+every rank, and summed **in slot order** everywhere.  The reduced
+gradient is therefore a pure function of the global seed and iteration
+— bit-identical for 1, 2, or 4 workers — and since every rank then
+applies the identical optimiser step, model replicas never drift.
 
 A communication thread broadcasts the slot buckets (in slot order)
 while the main thread is still computing the remaining owned slots, so
@@ -40,8 +51,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.dist.collective import Collective
-from repro.dist.flatten import TensorManifest, flatten_tensors
-from repro.dist.sampler import slot_bounds
+from repro.dist.flatten import TensorManifest, flatten_tensors, unflatten_tensors
+from repro.dist.sampler import ShardedSampler, slot_bounds
 from repro.obs import MetricsRegistry, get_registry, trace_span
 from repro.runtime.supervisor import SupervisedTask
 
@@ -75,11 +86,9 @@ class DistributedTrainer(SupervisedTask):
         self.collective = collective
         self.config = config or DistConfig()
         self.metrics = metrics if metrics is not None else get_registry()
-        if task.sampler.grad_shards != self.config.grad_shards:
-            raise ValueError(
-                f"task sampler has {task.sampler.grad_shards} grad shards, "
-                f"config expects {self.config.grad_shards}"
-            )
+        self.sampler = ShardedSampler(num_samples=task.num_samples,
+                                      batch_size=task.batch_size,
+                                      grad_shards=self.config.grad_shards)
         self._templates = [p.data for p in task.parameters()]
         self._manifest = TensorManifest.of(self._templates)
         bounds = slot_bounds(self.config.grad_shards, collective.world_size)
@@ -158,9 +167,8 @@ class DistributedTrainer(SupervisedTask):
     # ------------------------------------------------------------------
     def forward_backward(self) -> float:
         iteration = self.task.iteration  # 0-based index of the upcoming step
-        sampler = self.task.sampler
-        slots = sampler.slots(iteration)
-        weights = sampler.slot_weights(iteration)
+        slots = self.sampler.slots(iteration)
+        weights = self.sampler.slot_weights(iteration)
         with self.metrics.timer("dist.step_seconds"), trace_span("dist.step"):
             payloads = self._exchange(iteration, slots, weights)
             flat = np.zeros(self._manifest.total_size,
@@ -175,7 +183,10 @@ class DistributedTrainer(SupervisedTask):
                 loss += slot_loss
                 for key, value in slot_components.items():
                     components[key] = components.get(key, 0.0) + value
-        self.task.set_reduced_gradients(flat, self._manifest, loss, components)
+        for param, view in zip(self.task.parameters(),
+                               unflatten_tensors(flat, self._manifest)):
+            param.grad = view
+        self.task.set_reduced_step(flat, loss, components)
         return loss
 
     def apply_step(self, loss: float) -> None:

@@ -62,8 +62,8 @@ class WorkerSpec:
     """Everything a worker process needs to reconstruct its replica.
 
     ``builder`` must be a module-level callable (picklable by qualified
-    name) returning a data-parallel task; ``task_kwargs`` are passed to
-    it verbatim inside the worker.
+    name) returning a task :class:`DistributedTrainer` can drive;
+    ``task_kwargs`` are passed to it verbatim inside the worker.
     """
 
     builder: Callable[..., Any]

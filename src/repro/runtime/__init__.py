@@ -28,7 +28,6 @@ from repro.runtime.retry import (
     backoff_delay,
     graceful,
     retry_call,
-    with_retry,
 )
 from repro.runtime.faults import FaultPlan, SimulatedCrash, corrupt_file
 from repro.runtime.supervisor import (
@@ -53,7 +52,6 @@ __all__ = [
     "RetryExhaustedError",
     "backoff_delay",
     "retry_call",
-    "with_retry",
     "graceful",
     "FaultPlan",
     "SimulatedCrash",

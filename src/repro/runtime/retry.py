@@ -8,7 +8,6 @@ logged and swallowed via :func:`graceful`.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Any, Callable, Optional, Tuple, Type
 
@@ -82,22 +81,6 @@ def retry_call(
                     f"{exc!r}; retrying in {delay:.2f}s"
                 )
             sleep(delay)
-
-
-def with_retry(**retry_kwargs) -> Callable:
-    """Decorator form of :func:`retry_call`."""
-
-    def decorate(fn: Callable) -> Callable:
-        kwargs_for_call = dict(retry_kwargs)
-        kwargs_for_call.setdefault("describe", fn.__name__)
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            return retry_call(lambda: fn(*args, **kwargs), **kwargs_for_call)
-
-        return wrapper
-
-    return decorate
 
 
 def graceful(

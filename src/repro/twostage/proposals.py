@@ -27,7 +27,6 @@ from repro.backbone import build_backbone
 from repro.data.refcoco import GroundingSample
 from repro.detection import (
     AnchorGrid,
-    AnchorMatcher,
     BalancedSampler,
     MatchResult,
     clip_boxes,
@@ -38,6 +37,7 @@ from repro.detection import (
 )
 from repro.nn import Conv2d, Module, smooth_l1, softmax_cross_entropy
 from repro.optim import Adam
+from repro.runtime import CallbackTask, TrainingSupervisor
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
@@ -184,11 +184,12 @@ def train_rpn(
     """Train the RPN to propose *every* object (class-agnostic, query-blind).
 
     Each scene's full object set supervises the anchors: an anchor is
-    positive if it overlaps any object.  Returns per-step losses.
+    positive if it overlaps any object.  The loop runs under a
+    :class:`repro.runtime.TrainingSupervisor`, which skips anomalous
+    steps.  Returns per-step losses.
     """
     rng = rng if rng is not None else spawn_rng("rpn-train")
     logger = logger or ProgressLogger("rpn", enabled=False)
-    matcher = AnchorMatcher(rho_high=0.5, rho_low=0.25)
     sampler = BalancedSampler(batch_size=128)
     optimizer = Adam(rpn.parameters(), lr=lr)
     anchors = rpn.anchor_grid.all_anchors()
@@ -196,7 +197,8 @@ def train_rpn(
 
     # De-duplicate scenes (several samples share one scene/image).
     unique = list({id(s.scene): s for s in samples}.values())
-    for step in range(steps):
+
+    def forward_backward(step: int) -> float:
         chosen = [unique[int(i)] for i in rng.integers(0, len(unique), size=batch_size)]
         images = np.stack([s.image for s in chosen])
         cls, reg = rpn(Tensor(images))
@@ -221,7 +223,23 @@ def train_rpn(
         total = total / float(batch_size)
         optimizer.zero_grad()
         total.backward()
+        return float(total.data)
+
+    def apply_update(step: int, loss_value: float) -> None:
         optimizer.step()
-        losses.append(float(total.data))
-        logger.periodic(f"step {step + 1}/{steps} loss={losses[-1]:.3f}")
+        losses.append(loss_value)
+        logger.periodic(f"step {step}/{steps} loss={loss_value:.3f}")
+
+    TrainingSupervisor(CallbackTask(
+        total_iterations=steps,
+        forward_backward=forward_backward,
+        apply_update=apply_update,
+        optimizer=optimizer,
+        modules={"rpn": rpn},
+        rng=rng,
+        extra_state=lambda: {"losses": list(losses)},
+        load_extra_state=lambda saved: losses.__setitem__(
+            slice(None), saved["losses"]
+        ),
+    ), logger=logger).run()
     return losses

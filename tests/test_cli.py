@@ -266,10 +266,10 @@ class TestEndToEnd:
         spec = _dist_spec(args)
         assert spec.warmup_kwargs["name"] == "tiny"
         task = build_yollo_task(**spec.task_kwargs)
-        max_len = max(8, task.trainer.dataset.max_query_length)
-        assert task.trainer.config == lower_config(
+        max_len = max(8, task.dataset.max_query_length)
+        assert task.config == lower_config(
             "tiny-word2pix", max_query_length=max_len)
-        assert task.trainer.config.fusion == "word2pix"
+        assert task.model.config.fusion == "word2pix"
 
     @pytest.mark.dist
     def test_heterogeneous_preset_fleet_soak(self, tmp_path, capsys,

@@ -62,7 +62,7 @@ class TestTrainer:
         batch = encode_batch(dataset["train"][:4], dataset.vocab, cfg.max_query_length)
 
         def step():
-            loss = trainer._forward_backward_batch(batch)
+            loss = trainer._forward_backward_batch(batch, trainer._rng)
             trainer.apply_step(loss)
             return loss
 

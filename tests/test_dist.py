@@ -13,6 +13,7 @@ from multiprocessing import Pipe, get_context
 import numpy as np
 import pytest
 
+from repro.backbone import load_pretrained_backbone
 from repro.dist import (
     Collective,
     CollectiveTimeout,
@@ -29,7 +30,6 @@ from repro.dist import (
     owned_slots,
     slot_bounds,
     unflatten_tensors,
-    warm_backbone,
 )
 
 
@@ -226,6 +226,30 @@ def test_clip_grad_norm_flat_matches_per_tensor():
 
 
 # ----------------------------------------------------------------------
+# Task builders: the workers run the single-process task objects
+# ----------------------------------------------------------------------
+def test_builders_return_the_single_process_tasks(tmp_path, monkeypatch):
+    from repro.backbone import build_backbone, pretrain
+    from repro.core import YolloTrainer
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    supervised = []
+    real_supervisor = pretrain.TrainingSupervisor
+
+    def spy(task, **kwargs):
+        supervised.append(task)
+        return real_supervisor(task, **kwargs)
+
+    monkeypatch.setattr(pretrain, "TrainingSupervisor", spy)
+    pretrain.pretrain_backbone(build_backbone("tiny"), steps=1, batch_size=2)
+    assert type(build_pretrain_task(steps=1, batch_size=2)) is type(supervised[0])
+
+    trainer = build_yollo_task(scale=0.03, iterations=2)
+    assert isinstance(trainer, YolloTrainer)
+    assert trainer.total_iterations == 2
+
+
+# ----------------------------------------------------------------------
 # Spawn integration (real worker processes)
 # ----------------------------------------------------------------------
 def _assert_states_equal(a, b, path=""):
@@ -246,12 +270,11 @@ def _assert_states_equal(a, b, path=""):
 def _pretrain_spec(**overrides):
     base = dict(
         builder=build_pretrain_task,
-        task_kwargs=dict(backbone="tiny", steps=3, grad_shards=4,
-                         batch_size=8, lr=1e-3),
+        task_kwargs=dict(backbone="tiny", steps=3, batch_size=8, lr=1e-3),
         dist=DistConfig(grad_shards=4, timeout=60.0),
         seed=0,
-        warmup=warm_backbone,
-        warmup_kwargs=dict(name="tiny", pretrain_steps=1),
+        warmup=load_pretrained_backbone,
+        warmup_kwargs=dict(name="tiny", steps=1),
     )
     base.update(overrides)
     return WorkerSpec(**base)
@@ -269,16 +292,16 @@ def test_pretrain_bit_exact_across_world_sizes():
 
 @pytest.mark.dist
 def test_yollo_training_bit_exact_1_2_4_workers():
-    kwargs = dict(dataset_name="RefCOCO", scale=0.05, grad_shards=4,
-                  iterations=3, eval_every=0, preset="tiny",
-                  pretrain_steps=1, config_overrides=dict(batch_size=8))
+    kwargs = dict(dataset_name="RefCOCO", scale=0.05, iterations=3,
+                  eval_every=0, preset="tiny", pretrain_steps=1,
+                  config_overrides=dict(batch_size=8))
     states = {}
     for world in (1, 2, 4):
         spec = WorkerSpec(
             builder=build_yollo_task, task_kwargs=kwargs,
             dist=DistConfig(grad_shards=4, timeout=120.0), seed=0,
-            warmup=warm_backbone,
-            warmup_kwargs=dict(name="tiny", pretrain_steps=1),
+            warmup=load_pretrained_backbone,
+            warmup_kwargs=dict(name="tiny", steps=1),
         )
         report = WorkerGroup(spec, world_size=world).run()
         states[world] = report.final_state
@@ -292,8 +315,8 @@ def test_worker_crash_triggers_rebuild_and_completion():
 
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         spec = _pretrain_spec(
-            task_kwargs=dict(backbone="tiny", steps=4, grad_shards=4,
-                             batch_size=8, lr=1e-3),
+            task_kwargs=dict(backbone="tiny", steps=4, batch_size=8,
+                             lr=1e-3),
             dist=DistConfig(grad_shards=4, timeout=30.0),
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=1,
@@ -311,8 +334,7 @@ def test_worker_crash_triggers_rebuild_and_completion():
     # the fault invisible to the final state.
     clean = WorkerGroup(
         _pretrain_spec(task_kwargs=dict(backbone="tiny", steps=4,
-                                        grad_shards=4, batch_size=8,
-                                        lr=1e-3)),
+                                        batch_size=8, lr=1e-3)),
         world_size=1,
     ).run()
     _assert_states_equal(clean.final_state, report.final_state)

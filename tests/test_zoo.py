@@ -171,7 +171,7 @@ class TestPresetSmoke:
         trainer = YolloTrainer(model, dataset, config)
         batch = encode_batch(dataset["train"][:2], dataset.vocab,
                              config.max_query_length)
-        loss = trainer._forward_backward_batch(batch)
+        loss = trainer._forward_backward_batch(batch, trainer._rng)
         trainer.apply_step(loss)
         assert np.isfinite(loss)
 
