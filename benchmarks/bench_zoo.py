@@ -24,14 +24,13 @@ import numpy as np
 import pytest
 from conftest import write_artifact
 
-from repro.core import Grounder, YolloTrainer, responses_equal
+from repro.core import Grounder, YolloTrainer
 from repro.data import REFCOCO, build_dataset
 from repro.eval import evaluate_grounder
 from repro.serve import (
-    FleetConfig, FleetRouter, ReplicaSpec, image_digest, run_soak,
+    FleetConfig, FleetRouter, ReplicaSpec, preset_reference_check, run_soak,
     timed_trace,
 )
-from repro.serve.engine import _make_sample
 from repro.utils import seed_everything
 from repro.zoo import (
     available_presets, build_model, build_preset_grounder, get_preset,
@@ -141,24 +140,9 @@ def _heterogeneous_soak_leg():
     pool = list(dataset["val"]) or list(dataset["train"])
     trace = timed_trace(pool, SOAK_REQUESTS, rate_qps=SOAK_RATE_QPS,
                         repeat_fraction=0.5)
-    for index, request in enumerate(trace):
-        request.model = SOAK_PRESETS[index % len(SOAK_PRESETS)]
-
     # Per preset, the answer a single-engine deployment would give.
-    expected = {}
-    for name in SOAK_PRESETS:
-        seed_everything(SEED)
-        reference = build_preset_grounder(preset=name, **preset_kwargs)
-        for request in trace:
-            key = (name, image_digest(request.image), str(request.query))
-            if request.model == name and key not in expected:
-                expected[key] = reference(
-                    [_make_sample(request.image, request.query)])[0]
-
-    def content_check(request, result):
-        key = (request.model, image_digest(request.image),
-               str(request.query))
-        return responses_equal(expected[key], result)
+    content_check, _ = preset_reference_check(trace, SOAK_PRESETS, SEED,
+                                              **preset_kwargs)
 
     config = FleetConfig(replicas=len(SOAK_PRESETS), max_queue=256,
                          default_deadline=60.0, router_cache=256)

@@ -19,10 +19,11 @@ from repro.backbone import load_pretrained_backbone
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
 from repro.data import REFCOCO, build_dataset
 from repro.eval import evaluate_grounder
+from repro.runtime import read_checkpoint, write_checkpoint
 from repro.text import SkipGramWord2Vec, build_corpus
 from repro.utils import ProgressLogger, seed_everything
 
-CHECKPOINT = os.path.join(os.path.dirname(__file__), "output", "yollo-refcoco.npz")
+CHECKPOINT = os.path.join(os.path.dirname(__file__), "output", "yollo-refcoco.ckpt")
 
 
 def main() -> None:
@@ -59,12 +60,12 @@ def main() -> None:
         print(f"{split}: {metrics}")
 
     os.makedirs(os.path.dirname(CHECKPOINT), exist_ok=True)
-    model.save(CHECKPOINT)
+    write_checkpoint(CHECKPOINT, model.state_dict())
     print(f"checkpoint written to {CHECKPOINT}")
 
     # Demonstrate reload.
     clone = YolloModel(config, vocab_size=len(dataset.vocab))
-    clone.load(CHECKPOINT)
+    clone.load_state_dict(read_checkpoint(CHECKPOINT).payload)
     print("checkpoint reloads cleanly")
 
 

@@ -20,7 +20,8 @@ from repro.data.render import render_scene
 from repro.data.scenes import CATEGORIES, COLORS, Scene, SceneGenerator
 from repro.nn import Linear, Module, softmax_cross_entropy
 from repro.optim import Adam
-from repro.runtime import SupervisedTask, TrainingSupervisor
+from repro.runtime import (SupervisedTask, TrainingSupervisor, read_checkpoint,
+                           write_checkpoint)
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
@@ -250,8 +251,9 @@ def load_pretrained_backbone(
 ):
     """Build a backbone preset with synthetic-ImageNet weights, cached.
 
-    The first call for a given (preset, steps, size) trains and writes an
-    ``.npz`` under the cache directory; later calls load it instantly.
+    The first call for a given (preset, steps, size) trains and writes a
+    :mod:`repro.runtime` checkpoint under the cache directory; later
+    calls load it instantly.
     This mirrors downloading the paper's ImageNet checkpoint.
     """
     from repro.backbone.factory import build_backbone
@@ -260,10 +262,10 @@ def load_pretrained_backbone(
     cache_dir = cache_dir or default_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
     cache_path = os.path.join(
-        cache_dir, f"backbone-{name}-{steps}-{image_height}x{image_width}.npz"
+        cache_dir, f"backbone-{name}-{steps}-{image_height}x{image_width}.ckpt"
     )
     if os.path.exists(cache_path):
-        backbone.load(cache_path)
+        backbone.load_state_dict(read_checkpoint(cache_path).payload)
         return backbone
     # A killed pretrain resumes from its checkpoints instead of restarting;
     # the checkpoint directory is removed once the final weights are cached.
@@ -279,6 +281,6 @@ def load_pretrained_backbone(
         checkpoint_every=max(1, steps // 4),
         resume=True,
     )
-    backbone.save(cache_path)
+    write_checkpoint(cache_path, backbone.state_dict())
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
     return backbone

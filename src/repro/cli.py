@@ -2,16 +2,16 @@
 
 Usage::
 
-    python -m repro.cli train --dataset RefCOCO --epochs 10 --out model.npz
-    python -m repro.cli evaluate --dataset RefCOCO --model model.npz
-    python -m repro.cli ground --dataset RefCOCO --model model.npz --query "red dog"
+    python -m repro.cli train --dataset RefCOCO --epochs 10 --out model.ckpt
+    python -m repro.cli evaluate --dataset RefCOCO --model model.ckpt
+    python -m repro.cli ground --dataset RefCOCO --model model.ckpt --query "red dog"
     python -m repro.cli serve-bench --dataset RefCOCO --requests 128
-    python -m repro.cli serve-fleet --presets tiny-topk --model topk.npz --reload-at 60
+    python -m repro.cli serve-fleet --presets tiny-topk --model topk.ckpt --reload-at 60
     python -m repro.cli serve-fleet --simulated --replicas 3 --kill-replica 0:5 --reload-at 60
     python -m repro.cli serve-fleet --trace-mix mixed --replicas 2 --reload-at 40
     python -m repro.cli serve-fleet --presets tiny,tiny-word2pix --replicas 4
-    python -m repro.cli train --preset tiny-dilated --epochs 2 --out dilated.npz
-    python -m repro.cli evaluate --preset tiny-dilated --model dilated.npz
+    python -m repro.cli train --preset tiny-dilated --epochs 2 --out dilated.ckpt
+    python -m repro.cli evaluate --preset tiny-dilated --model dilated.ckpt
     python -m repro.cli profile --target train-step --out trace.json
     python -m repro.cli tables --preset smoke --only table1 table5
     python -m repro.cli experiments --scenario compositional --preset smoke
@@ -20,7 +20,8 @@ Usage::
 
 Every subcommand that builds a model takes ``--preset`` (a
 :mod:`repro.zoo` preset; ``--presets`` for ``serve-fleet``): the preset
-that trained a checkpoint is the one that loads it.
+that trained a checkpoint is the one that loads it: ``train --out``
+writes a :mod:`repro.runtime` checkpoint stamped with its preset.
 
 ``python -m repro`` is an alias for ``python -m repro.cli``.
 """
@@ -164,6 +165,7 @@ def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
 
 def _cmd_train_dist(args) -> int:
     from repro.dist import WorkerGroup, build_yollo_task
+    from repro.zoo import save_yollo_model
 
     spec = _dist_spec(args)
     report = WorkerGroup(spec, world_size=args.workers).run()
@@ -171,12 +173,12 @@ def _cmd_train_dist(args) -> int:
         print(f"recovered from worker failure: finished at world size "
               f"{report.world_size} after {report.generations} generation(s)")
     # Rebuild the task locally to decode the replicated final state into
-    # a saveable model (the workers ship state, not an .npz).
+    # a saveable model (the workers ship trainer state, not a model file).
     task = build_yollo_task(**spec.task_kwargs)
     task.load_state_dict(report.final_state)
     if task.history.curve.values:
         print(task.history.curve.render_ascii())
-    task.model.save(args.out)
+    save_yollo_model(task.model, args.out, args.preset)
     print(f"saved checkpoint to {args.out} "
           f"(trained on {args.workers} worker(s))")
     return 0
@@ -186,7 +188,7 @@ def cmd_train(args) -> int:
     from repro.core import YolloTrainer
     from repro.runtime import TrainingSupervisor
     from repro.utils import ProgressLogger
-    from repro.zoo import preset_fingerprint
+    from repro.zoo import preset_fingerprint, save_yollo_model
 
     _setup(args)
     if args.workers > 1:
@@ -196,7 +198,7 @@ def cmd_train(args) -> int:
     dataset, model = _dataset_and_model(args)
     config = model.config
     print(f"model preset: {args.preset} (config fingerprint "
-          f"{preset_fingerprint(args.preset, max_query_length=config.max_query_length)})")
+          f"{preset_fingerprint(args.preset)})")
     trainer = YolloTrainer(model, dataset, config,
                            logger=ProgressLogger("train", enabled=not args.quiet))
     trainer.begin_run(epochs=args.epochs, eval_every=args.eval_every)
@@ -216,7 +218,7 @@ def cmd_train(args) -> int:
               f"{report.checkpoint_failures} failed checkpoint write(s)")
     if history.curve.values:
         print(history.curve.render_ascii())
-    model.save(args.out)
+    save_yollo_model(model, args.out, args.preset)
     print(f"saved checkpoint to {args.out}")
     return 0
 
@@ -304,12 +306,13 @@ def cmd_serve_bench(args) -> int:
 
 def cmd_serve_fleet(args) -> int:
     """Soak a fault-tolerant replica fleet against a timed trace."""
+    import os
     import tempfile
 
-    from repro.runtime import CheckpointManager, FaultPlan
+    from repro.runtime import FaultPlan, write_checkpoint
     from repro.serve import (
         FleetConfig, FleetRouter, ReplicaSpec, build_latency_grounder,
-        run_soak, timed_trace,
+        preset_reference_check, run_soak, timed_trace,
     )
     from repro.serve.fleet import SPAWN_TIMEOUT
     from repro.utils.seeding import spawn_rng
@@ -397,34 +400,10 @@ def cmd_serve_fleet(args) -> int:
                             repeat_fraction=args.repeat_fraction)
     content_check = None
     if model_mode:
-        # Tag requests round-robin across the presets, then precompute —
-        # per preset, in this process — the answer a single-engine
-        # deployment of that preset would give.  Replica processes are
-        # seeded identically, so every fleet response must match its
-        # preset's reference byte for byte; one preset answering another
-        # preset's request (routing or cache cross-talk) fails the soak.
-        from repro.core import responses_equal
-        from repro.serve import image_digest
-        from repro.serve.engine import _make_sample
-        from repro.utils.seeding import seed_everything
-
-        for index, request in enumerate(trace):
-            request.model = presets[index % len(presets)]
-        expected = {}
-        for name in presets:
-            seed_everything(args.seed)
-            reference = build_preset_grounder(preset=name, **preset_kwargs)
-            for request in trace:
-                key = (name, image_digest(request.image), str(request.query))
-                if request.model == name and key not in expected:
-                    expected[key] = reference(
-                        [_make_sample(request.image, request.query)])[0]
-        seed_everything(args.seed)
-
-        def content_check(request, result):
-            key = (request.model, image_digest(request.image),
-                   str(request.query))
-            return responses_equal(expected[key], result)
+        # Every fleet response must match its preset's single-engine
+        # reference byte for byte (no cross-preset serves).
+        content_check, references = preset_reference_check(
+            trace, presets, args.seed, **preset_kwargs)
 
     reload_at = None
     reload_checkpoint = None
@@ -437,12 +416,12 @@ def cmd_serve_fleet(args) -> int:
         # handshake are what is being exercised, and every response
         # still matches the reference.
         reload_dir = tempfile.TemporaryDirectory(prefix="fleet-reload-")
-        manager = CheckpointManager(reload_dir.name)
         if model_mode:
-            payload = reference.model.state_dict()
+            payload = references[presets[0]].model.state_dict()
         else:
             payload = {"version": np.array([2.0]), "bias": np.array([1.0])}
-        reload_checkpoint = manager.save(payload, 1)
+        reload_checkpoint = write_checkpoint(
+            os.path.join(reload_dir.name, "reload.ckpt"), payload)
         reload_at = args.reload_at
 
     config = FleetConfig(
@@ -672,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preset(train, "yollo")
     train.add_argument("--pretrain-steps", type=int, default=300)
     train.add_argument("--eval-every", type=int, default=50)
-    train.add_argument("--out", default="yollo.npz")
+    train.add_argument("--out", default="yollo.ckpt")
     train.add_argument("--checkpoint-dir", default=None,
                        help="run under the fault-tolerant supervisor, writing "
                             "rotated checkpoints here")

@@ -27,6 +27,7 @@ from repro.data import DATASET_SPECS, GroundingDataset, build_dataset
 from repro.eval import MetricReport, TrainingCurve, evaluate_grounder
 from repro.experiments.config import ExperimentPreset, get_preset
 from repro.optim import WarmupCosineLR
+from repro.runtime import read_checkpoint, write_checkpoint
 from repro.text import SkipGramWord2Vec, Vocabulary, build_corpus
 from repro.twostage import (
     ListenerMatcher,
@@ -171,10 +172,9 @@ class ExperimentContext:
         """Skip-gram embeddings over the shared vocabulary (cached)."""
         if self._word2vec is None:
             vocab = self.shared_vocab()
-            path = os.path.join(self.cache_dir, "word2vec.npz")
+            path = os.path.join(self.cache_dir, "word2vec.ckpt")
             if os.path.exists(path):
-                with np.load(path) as archive:
-                    matrix = archive["embeddings"]
+                matrix = read_checkpoint(path).payload["embeddings"]
                 if matrix.shape[0] == len(vocab):
                     self._word2vec = matrix
                     return self._word2vec
@@ -184,7 +184,7 @@ class ExperimentContext:
                 model = SkipGramWord2Vec(vocab, dim=24)
                 model.train(corpus, epochs=2)
             self._word2vec = model.embedding_matrix()
-            np.savez(path, embeddings=self._word2vec)
+            write_checkpoint(path, {"embeddings": self._word2vec})
         return self._word2vec
 
     # ------------------------------------------------------------------
@@ -218,7 +218,7 @@ class ExperimentContext:
         )
         embeddings = self.word2vec_matrix()
 
-        weights_path = os.path.join(self.cache_dir, f"yollo-{key}.npz")
+        weights_path = os.path.join(self.cache_dir, f"yollo-{key}.ckpt")
         curve_path = os.path.join(self.cache_dir, f"yollo-{key}-curve.json")
         curve = TrainingCurve(label=dataset_name)
 
@@ -235,7 +235,7 @@ class ExperimentContext:
             # weights are a function of (seed, unit_tag) alone.
             with self._unit_seed(f"yollo-{key}"):
                 model = build()
-            model.load(weights_path)
+            model.load_state_dict(read_checkpoint(weights_path).payload)
             with open(curve_path) as handle:
                 payload = json.load(handle)
             curve.iterations = payload["iterations"]
@@ -283,7 +283,7 @@ class ExperimentContext:
                     f"YOLLO[{tag}] on {dataset_name} degenerate "
                     f"(best val ACC {score:.3f}); rerolling unit seed")
             _, model, curve = best
-            model.save(weights_path)
+            write_checkpoint(weights_path, model.state_dict())
             with open(curve_path, "w") as handle:
                 json.dump({"iterations": curve.iterations,
                            "values": curve.values}, handle)
@@ -334,15 +334,15 @@ class ExperimentContext:
         return grounder
 
     def _trained_matcher(self, name: str, dataset_name: str, build, train):
-        path = os.path.join(self.cache_dir, f"{name}-{dataset_name}.npz")
+        path = os.path.join(self.cache_dir, f"{name}-{dataset_name}.ckpt")
         with self._unit_seed(f"{name}-{dataset_name}"):
             matcher = build()
             if os.path.exists(path):
-                matcher.load(path)
+                matcher.load_state_dict(read_checkpoint(path).payload)
             else:
                 self.logger.log(f"training {name} baseline on {dataset_name}")
                 train(matcher)
-                matcher.save(path)
+                write_checkpoint(path, matcher.state_dict())
         return matcher
 
     # ------------------------------------------------------------------

@@ -57,10 +57,6 @@ class EntityPhrase:
                 return attr
         return None
 
-    @property
-    def is_anaphoric(self) -> bool:
-        return self.pronoun is not None
-
 
 @dataclass
 class RelationClause:
@@ -107,12 +103,6 @@ class RelationTree:
         for _, (start, end) in self.segments:
             out.extend(self.tokens[start:end])
         return out
-
-    @property
-    def target_entity(self) -> Optional[EntityPhrase]:
-        if not self.targets:
-            return None
-        return self.entities[self.targets[0]]
 
     @property
     def is_trivial(self) -> bool:

@@ -34,7 +34,8 @@ class Module:
 
     Child modules and parameters assigned as attributes are registered
     automatically, supporting recursive parameter collection, train/eval
-    mode propagation, and ``state_dict`` persistence (numpy ``.npz``).
+    mode propagation, and ``state_dict`` persistence (written to disk as a
+    :mod:`repro.runtime` checkpoint).
     Non-trainable state that must survive checkpointing (batch-norm
     running statistics, for instance) is declared with
     :meth:`register_buffer` and travels with the parameters through
@@ -207,15 +208,6 @@ class Module:
             param.data[...] = converted[name]
         for name, (module, attr) in buffer_owners.items():
             setattr(module, attr, converted_buffers[name].copy())
-
-    def save(self, path: str) -> None:
-        """Serialise the parameters to an ``.npz`` file."""
-        np.savez(path, **self.state_dict())
-
-    def load(self, path: str) -> None:
-        """Load parameters previously written by :meth:`save`."""
-        with np.load(path) as archive:
-            self.load_state_dict({key: archive[key] for key in archive.files})
 
     # ------------------------------------------------------------------
     # Call protocol

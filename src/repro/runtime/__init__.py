@@ -16,6 +16,8 @@ from repro.runtime.checkpoint import (
     CheckpointManager,
     FingerprintMismatchError,
     config_fingerprint,
+    read_checkpoint,
+    write_checkpoint,
 )
 from repro.runtime.guards import (
     AnomalyGuard,
@@ -45,6 +47,8 @@ __all__ = [
     "CheckpointManager",
     "FingerprintMismatchError",
     "config_fingerprint",
+    "read_checkpoint",
+    "write_checkpoint",
     "AnomalyGuard",
     "GuardAction",
     "GuardVerdict",

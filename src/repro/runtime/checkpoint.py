@@ -1,24 +1,29 @@
-"""Atomic, checksummed, rotated training checkpoints.
+"""Atomic, checksummed checkpoints: the one file format for weights.
 
-A checkpoint is a single file::
+Training resumes, ``train --out`` models, cached backbones and fleet
+reloads are all written by :func:`write_checkpoint` and read by
+:func:`read_checkpoint`.  A checkpoint is a single file::
 
     MAGIC (14 bytes) || sha256 hexdigest of body (64 bytes) || "\\n" || body
 
 where ``body`` is the pickled record ``{"fingerprint", "iteration",
 "payload"}``.  Writes go to a temporary file in the same directory,
 are fsynced, and then atomically renamed into place, so a crash
-mid-write can never shadow a good checkpoint with a torn one.  Loads
-verify the checksum and fall back to the previous rotation when the
-newest file is corrupt.
+mid-write can never shadow a good checkpoint with a torn one.  Reads
+verify the checksum and unpickle through an allowlist of numpy's array,
+dtype and scalar reconstructors, so loading a file never runs code.
+:class:`CheckpointManager` rotates files under one directory and falls
+back to the previous rotation when the newest file is corrupt.
 
-The fingerprint is a stable hash of the training configuration; a
-resume against a checkpoint written under a different configuration is
-refused rather than silently producing a chimera run.
+The fingerprint is a stable hash of the configuration; a checkpoint
+written under a different configuration is refused rather than silently
+producing a chimera run or model.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -27,6 +32,13 @@ from typing import Any, Dict, List, Optional
 
 MAGIC = b"REPRO-CKPT-v1\n"
 _DIGEST_LEN = 64  # sha256 hexdigest
+
+#: The only globals a checkpoint body may name (numpy 1.x and 2.x paths);
+#: builtin containers and scalars need none.
+_ALLOWED_GLOBALS = {("numpy", "dtype"), ("numpy", "ndarray")} | {
+    (f"numpy.{core}.{module}", name) for core in ("core", "_core")
+    for module, name in (("multiarray", "_reconstruct"),
+                         ("multiarray", "scalar"), ("numeric", "_frombuffer"))}
 
 
 class CheckpointError(RuntimeError):
@@ -55,6 +67,65 @@ class Checkpoint:
     iteration: int
     fingerprint: Optional[str]
     payload: Dict[str, Any]
+
+
+class _AllowlistUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) not in _ALLOWED_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"global {module}.{name} is not allowed in a checkpoint")
+        return super().find_class(module, name)
+
+
+def write_checkpoint(path: str, payload: Any,
+                     fingerprint: Optional[str] = None,
+                     iteration: int = 0) -> str:
+    """Atomically write one checksummed checkpoint file; returns ``path``."""
+    record = {"fingerprint": fingerprint, "iteration": int(iteration),
+              "payload": payload}
+    body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as handle:
+        handle.writelines((MAGIC, digest, b"\n", body))
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    return path
+
+
+def read_checkpoint(path: str, fingerprint: Optional[str] = None) -> Checkpoint:
+    """Read and verify one checkpoint file.
+
+    An unreadable, torn or tampered file, or one naming a global outside
+    the allowlist, raises :class:`CheckpointCorruptError` without running
+    anything; a stamp other than ``fingerprint`` (when both are set)
+    raises :class:`FingerprintMismatchError`.
+    """
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise CheckpointCorruptError(f"cannot read {path}: {exc}") from exc
+    header_len = len(MAGIC) + _DIGEST_LEN + 1
+    if len(raw) < header_len or not raw.startswith(MAGIC):
+        raise CheckpointCorruptError(f"{path}: bad or truncated header")
+    digest = raw[len(MAGIC) : len(MAGIC) + _DIGEST_LEN]
+    body = raw[header_len:]
+    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+        raise CheckpointCorruptError(f"{path}: checksum mismatch")
+    try:
+        record = _AllowlistUnpickler(io.BytesIO(body)).load()
+    except Exception as exc:
+        raise CheckpointCorruptError(f"{path}: unpickle failed: {exc}") from exc
+    stamp = record.get("fingerprint")
+    if fingerprint is not None and stamp is not None and stamp != fingerprint:
+        raise FingerprintMismatchError(
+            f"{path} was written under configuration {stamp}, "
+            f"this run is {fingerprint}; refusing to load it"
+        )
+    return Checkpoint(path=path, iteration=int(record["iteration"]),
+                      fingerprint=stamp, payload=record["payload"])
 
 
 class CheckpointManager:
@@ -110,25 +181,9 @@ class CheckpointManager:
         self._write_index += 1
         if self.fault_plan is not None:
             self.fault_plan.on_checkpoint_write(index)
-        body = pickle.dumps(
-            {
-                "fingerprint": self.fingerprint,
-                "iteration": int(iteration),
-                "payload": payload,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        digest = hashlib.sha256(body).hexdigest().encode("ascii")
-        path = self.path_for(iteration)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(digest)
-            handle.write(b"\n")
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        path = write_checkpoint(self.path_for(iteration), payload,
+                                fingerprint=self.fingerprint,
+                                iteration=iteration)
         if self.fault_plan is not None:
             self.fault_plan.after_checkpoint_write(index, path)
         self._rotate()
@@ -145,36 +200,8 @@ class CheckpointManager:
     # Read
     # ------------------------------------------------------------------
     def load(self, path: str) -> Checkpoint:
-        """Load and verify one checkpoint file."""
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise CheckpointCorruptError(f"cannot read {path}: {exc}") from exc
-        header_len = len(MAGIC) + _DIGEST_LEN + 1
-        if len(raw) < header_len or not raw.startswith(MAGIC):
-            raise CheckpointCorruptError(f"{path}: bad or truncated header")
-        digest = raw[len(MAGIC) : len(MAGIC) + _DIGEST_LEN]
-        body = raw[header_len:]
-        if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
-            raise CheckpointCorruptError(f"{path}: checksum mismatch")
-        try:
-            record = pickle.loads(body)
-        except Exception as exc:
-            raise CheckpointCorruptError(f"{path}: unpickle failed: {exc}") from exc
-        fingerprint = record.get("fingerprint")
-        if (self.fingerprint is not None and fingerprint is not None
-                and fingerprint != self.fingerprint):
-            raise FingerprintMismatchError(
-                f"{path} was written under configuration {fingerprint}, "
-                f"this run is {self.fingerprint}; refusing to resume"
-            )
-        return Checkpoint(
-            path=path,
-            iteration=int(record["iteration"]),
-            fingerprint=fingerprint,
-            payload=record["payload"],
-        )
+        """Load and verify one checkpoint file against this run's fingerprint."""
+        return read_checkpoint(path, fingerprint=self.fingerprint)
 
     def load_latest(self) -> Optional[Checkpoint]:
         """Newest valid checkpoint, falling back across corrupt rotations.

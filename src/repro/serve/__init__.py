@@ -50,10 +50,9 @@ from repro.serve.replica import (
     LatencyGrounder,
     ReplicaSpec,
     build_latency_grounder,
-    load_checkpoint_payload,
     state_checksum,
 )
-from repro.serve.soak import SoakReport, run_soak
+from repro.serve.soak import SoakReport, preset_reference_check, run_soak
 from repro.serve.stats import ServerStats, StatsRecorder
 from repro.serve.trace import (
     TimedRequest,
@@ -90,7 +89,7 @@ __all__ = [
     "LatencyGrounder",
     "build_latency_grounder",
     "state_checksum",
-    "load_checkpoint_payload",
     "SoakReport",
+    "preset_reference_check",
     "run_soak",
 ]

@@ -60,13 +60,13 @@ import numpy as np
 
 from repro.core.response import GroundingResponse, thaw_response
 from repro.obs import MetricsRegistry
+from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.retry import backoff_delay
 from repro.serve.cache import VersionedCache, image_digest
 from repro.text.tokenizer import normalize_query
 from repro.serve.replica import (
     ReplicaSpec,
     _replica_entry,
-    load_checkpoint_payload,
     state_checksum,
 )
 from repro.utils.logging import ProgressLogger
@@ -555,11 +555,6 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def response_cache(self) -> VersionedCache:
-        """The router-tier cache (capacity 0 when disabled)."""
-        return self._response_cache
-
     def alive_replicas(self) -> int:
         with self._lock:
             return sum(1 for slot in self._slots.values()
@@ -632,8 +627,7 @@ class FleetRouter:
         elif model not in self.model_ids:
             raise UnknownModel(model, self.model_ids)
         started = self._now()
-        payload = load_checkpoint_payload(checkpoint_path)
-        expected = state_checksum(payload)
+        expected = state_checksum(read_checkpoint(checkpoint_path).payload)
         # Respawns of this model from here on join at the new weights.
         self._current_checkpoints[model] = checkpoint_path
         report = ReloadReport(path=checkpoint_path, checksum=expected)

@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.core.response import GroundingResponse
-from repro.runtime.checkpoint import CheckpointManager
+from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.faults import FaultPlan, SimulatedCrash
 from repro.serve.engine import ServeEngine
 from repro.utils.seeding import seed_everything
@@ -68,17 +68,6 @@ def state_checksum(state: Dict[str, Any]) -> str:
         digest.update(str(value.shape).encode("ascii"))
         digest.update(value.tobytes())
     return digest.hexdigest()
-
-
-def load_checkpoint_payload(path: str) -> Dict[str, Any]:
-    """Read and verify one checkpoint file, returning its payload.
-
-    Goes through :class:`~repro.runtime.CheckpointManager`'s reader so
-    the file-level sha256 is checked — a corrupt checkpoint raises
-    rather than loading garbage weights.
-    """
-    manager = CheckpointManager(os.path.dirname(os.path.abspath(path)))
-    return manager.load(path).payload
 
 
 def apply_weights(grounder, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -185,8 +174,8 @@ def _replica_entry(spec: ReplicaSpec, replica_id: int, generation: int,
         seed_everything(spec.seed)
         grounder = spec.builder(**spec.builder_kwargs)
         if spec.initial_checkpoint:
-            apply_weights(grounder, load_checkpoint_payload(
-                spec.initial_checkpoint))
+            apply_weights(grounder,
+                          read_checkpoint(spec.initial_checkpoint).payload)
         engine = ServeEngine(grounder, max_batch=spec.max_batch,
                              cache_size=spec.cache_size)
         engine.start()
@@ -242,8 +231,8 @@ def _replica_entry(spec: ReplicaSpec, replica_id: int, generation: int,
                 _, path = message
                 started = time.perf_counter()
                 try:
-                    payload = load_checkpoint_payload(path)
-                    state = apply_weights(grounder, payload)
+                    state = apply_weights(grounder,
+                                          read_checkpoint(path).payload)
                     # Answers computed by the old weights must not
                     # outlive them: invalidate the engine's cache (which
                     # also refuses any in-flight batch's inserts) before

@@ -42,8 +42,10 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.response import GroundingResponse
+from repro.core.response import GroundingResponse, responses_equal
 from repro.obs.metrics import percentiles
+from repro.serve.cache import image_digest
+from repro.serve.engine import _make_sample
 from repro.serve.fleet import (
     DeadlineExceeded,
     FleetError,
@@ -52,6 +54,7 @@ from repro.serve.fleet import (
     Overloaded,
 )
 from repro.serve.trace import TimedRequest
+from repro.utils.seeding import seed_everything
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,45 @@ class _ReloadTask:
             self.thread.join(timeout)
             if self.thread.is_alive() and self.error is None:
                 self.error = f"reload still running after {timeout}s"
+
+
+def preset_reference_check(
+    trace: Sequence[TimedRequest], presets: Sequence[str], seed: int,
+    **preset_kwargs: Any,
+) -> Tuple[Callable[[TimedRequest, GroundingResponse], bool], Dict[str, Any]]:
+    """Tag ``trace`` round-robin across ``presets``; build its content check.
+
+    Per preset, this process builds the single-engine reference grounder
+    (:func:`repro.zoo.build_preset_grounder`, seeded like the replicas)
+    and records its answer to each request tagged with that preset.
+    Returns ``(content_check, references)``: the :func:`run_soak` check
+    passes only responses byte-identical to their preset's reference,
+    and ``references`` maps each preset to its reference grounder.
+    """
+    from repro.zoo import build_preset_grounder
+
+    for index, request in enumerate(trace):
+        request.model = presets[index % len(presets)]
+    expected: Dict[Tuple[str, str, str], GroundingResponse] = {}
+    references: Dict[str, Any] = {}
+    for name in presets:
+        seed_everything(seed)
+        reference = build_preset_grounder(preset=name, **preset_kwargs)
+        references[name] = reference
+        for request in trace:
+            key = (name, image_digest(request.image), str(request.query))
+            if request.model == name and key not in expected:
+                expected[key] = reference(
+                    [_make_sample(request.image, request.query)])[0]
+    seed_everything(seed)
+
+    def content_check(request: TimedRequest,
+                      result: GroundingResponse) -> bool:
+        key = (request.model, image_digest(request.image),
+               str(request.query))
+        return responses_equal(expected[key], result)
+
+    return content_check, references
 
 
 def run_soak(

@@ -18,7 +18,7 @@ from repro.twostage.proposals import (
 )
 from repro.twostage.listener import ListenerMatcher, train_listener
 from repro.twostage.speaker import SpeakerScorer, train_speaker
-from repro.twostage.pipeline import TwoStageGrounder, train_matchers
+from repro.twostage.pipeline import TwoStageGrounder
 
 __all__ = [
     "crop_and_resize",
@@ -33,5 +33,4 @@ __all__ = [
     "SpeakerScorer",
     "train_speaker",
     "TwoStageGrounder",
-    "train_matchers",
 ]

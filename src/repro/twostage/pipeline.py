@@ -9,9 +9,8 @@ one evaluation, timing and serving path covers both paradigms.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -83,45 +82,3 @@ class TwoStageGrounder:
         start = time.perf_counter()
         self.proposer.propose(sample.image)
         return time.perf_counter() - start
-
-
-def train_matchers(
-    matchers: Dict[str, object],
-    samples: Sequence[GroundingSample],
-    proposer=None,
-    *,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
-    resume: bool = False,
-    logger=None,
-    listener_kwargs: Optional[Dict] = None,
-    speaker_kwargs: Optional[Dict] = None,
-) -> Dict[str, List[float]]:
-    """Fault-tolerantly train every matcher of a two-stage ensemble.
-
-    Each matcher trains under its own checkpoint sub-directory, so a
-    crash while training the speaker of a "speaker+listener" ensemble
-    resumes the speaker mid-run instead of re-training the finished
-    listener.  Returns per-matcher loss curves keyed like ``matchers``.
-    """
-    from repro.twostage.listener import ListenerMatcher, train_listener
-    from repro.twostage.speaker import SpeakerScorer, train_speaker
-
-    losses: Dict[str, List[float]] = {}
-    for name, matcher in matchers.items():
-        subdir = os.path.join(checkpoint_dir, name) if checkpoint_dir else None
-        common = dict(checkpoint_dir=subdir, checkpoint_every=checkpoint_every,
-                      resume=resume, logger=logger)
-        if isinstance(matcher, ListenerMatcher):
-            if proposer is None:
-                raise ValueError("training a listener requires a proposer")
-            losses[name] = train_listener(
-                matcher, samples, proposer, **common, **(listener_kwargs or {})
-            )
-        elif isinstance(matcher, SpeakerScorer):
-            losses[name] = train_speaker(
-                matcher, samples, **common, **(speaker_kwargs or {})
-            )
-        else:
-            raise TypeError(f"matcher {name!r} has unknown type {type(matcher)!r}")
-    return losses

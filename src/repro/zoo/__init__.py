@@ -4,9 +4,10 @@ Named presets — flat ``YolloConfig`` override dicts spanning the
 pluggable component axes (context encoder, fusion stack, anchor
 matcher, classification loss) — validated and lowered into model
 builders; :func:`build_yollo_model` is the one constructor every
-harness builds a YOLLO model through.  See :mod:`repro.zoo.registry`
-for the lookup API and :mod:`repro.zoo.presets` for the built-in
-entries (imported here so the registry is populated on
+harness builds a YOLLO model through, and :func:`save_yollo_model` the
+one writer of its preset-stamped weights file.  See
+:mod:`repro.zoo.registry` for the lookup API and :mod:`repro.zoo.presets`
+for the built-in entries (imported here so the registry is populated on
 ``import repro.zoo``).
 """
 
@@ -21,6 +22,7 @@ from repro.zoo.registry import (
     lower_config,
     preset_fingerprint,
     register_preset,
+    save_yollo_model,
 )
 from repro.zoo import presets as _presets  # noqa: F401 (populates registry)
 
@@ -35,4 +37,5 @@ __all__ = [
     "lower_config",
     "preset_fingerprint",
     "register_preset",
+    "save_yollo_model",
 ]

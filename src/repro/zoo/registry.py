@@ -28,7 +28,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.config import YolloConfig
-from repro.runtime.checkpoint import config_fingerprint
+from repro.runtime.checkpoint import (config_fingerprint, read_checkpoint,
+                                     write_checkpoint)
 
 #: Preset tiers: ``fast`` presets are small enough for tier-1 tests;
 #: ``full`` presets are paper-scale and only run under ``-m slow``.
@@ -168,7 +169,9 @@ def build_yollo_model(preset: Union[str, ModelPreset], dataset,
     apply on top.  Random numbers are drawn backbone first, then model,
     so a caller that seeds and builds its dataset just before calling
     this gets the same weights in every process.  ``model_path`` loads
-    a saved checkpoint over the fresh weights.
+    a :func:`save_yollo_model` file over the fresh weights; one written
+    under another preset or other ``config_overrides`` raises
+    :class:`~repro.runtime.FingerprintMismatchError`.
     """
     from repro.backbone import load_pretrained_backbone
 
@@ -181,8 +184,22 @@ def build_yollo_model(preset: Union[str, ModelPreset], dataset,
     model = build_model(preset, len(dataset.vocab), backbone=backbone,
                         **overrides)
     if model_path:
-        model.load(model_path)
+        fingerprint = preset_fingerprint(preset, **config_overrides)
+        model.load_state_dict(
+            read_checkpoint(model_path, fingerprint=fingerprint).payload)
     return model
+
+
+def save_yollo_model(model, path: str,
+                     preset: Union[str, ModelPreset]) -> str:
+    """Write ``model``'s ``state_dict`` as a checkpoint stamped with its preset.
+
+    The stamp leaves out the dataset-derived query length, so
+    :func:`build_yollo_model` loads the file under the same preset at any
+    scale and refuses it under any other; fleets reload it as is.
+    """
+    return write_checkpoint(path, model.state_dict(),
+                            fingerprint=preset_fingerprint(preset))
 
 
 def build_preset_grounder(preset: str = "tiny",

@@ -17,6 +17,7 @@ class TestParser:
         args = build_parser().parse_args(["train"])
         assert args.dataset == "RefCOCO"
         assert args.epochs == 10
+        assert args.out == "yollo.ckpt"
 
     def test_evaluate_requires_model(self):
         with pytest.raises(SystemExit):
@@ -27,7 +28,7 @@ class TestParser:
             build_parser().parse_args(["tables", "--only", "table9"])
 
     def test_ground_query_optional(self):
-        args = build_parser().parse_args(["ground", "--model", "m.npz"])
+        args = build_parser().parse_args(["ground", "--model", "m.ckpt"])
         assert args.query is None
 
     def test_serve_bench_defaults(self):
@@ -143,8 +144,8 @@ class TestParser:
 
         paper = config_fingerprint(asdict(
             YolloConfig(backbone="resnet50", max_query_length=12)))
-        for command in (["train"], ["evaluate", "--model", "m.npz"],
-                        ["ground", "--model", "m.npz"]):
+        for command in (["train"], ["evaluate", "--model", "m.ckpt"],
+                        ["ground", "--model", "m.ckpt"]):
             preset = build_parser().parse_args(command).preset
             assert config_fingerprint(asdict(
                 lower_config(preset, max_query_length=12))) == paper
@@ -180,7 +181,7 @@ class TestParser:
                   "--reload-at", "5"])
         with pytest.raises(SystemExit):
             main(["serve-fleet", "--presets", "tiny,tiny-word2pix",
-                  "--model", "m.npz"])
+                  "--model", "m.ckpt"])
 
     def test_experiments_model_preset_parses(self):
         args = build_parser().parse_args(
@@ -205,10 +206,88 @@ class TestParser:
             build_parser().parse_args(["profile", "--target", "nonsense"])
 
 
+SMALL = ["--scale", "0.03", "--pretrain-steps", "1"]
+
+
+@pytest.fixture(scope="module")
+def tiny_model_file(tmp_path_factory):
+    """``train --preset tiny --out`` once: the file, the model it wrote,
+    and the backbone cache it trained against."""
+    import repro.zoo
+
+    root = tmp_path_factory.mktemp("model-file")
+    path = str(root / "m.ckpt")
+    written = {}
+    save = repro.zoo.save_yollo_model
+
+    def capture(model, out, preset):
+        written["model"] = model
+        return save(model, out, preset)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+        patch.setattr(repro.zoo, "save_yollo_model", capture)
+        assert main(["train", "--preset", "tiny", "--epochs", "1", "--quiet",
+                     "--eval-every", "0", "--out", path] + SMALL) == 0
+    return path, written["model"], str(root / "cache")
+
+
+class TestModelFile:
+    """``train --out`` writes the one checkpoint format, stamped with its
+    preset: the same file loads under ``--preset tiny``, is refused under
+    any other preset, and is what a fleet reload reads."""
+
+    def _dataset(self):
+        from repro.data import REFCOCO, build_dataset
+        from repro.utils import seed_everything
+
+        seed_everything(0)  # the CLI's --seed default
+        return build_dataset(REFCOCO.scaled(0.03))
+
+    def test_other_preset_refuses_the_file(self, tiny_model_file,
+                                           monkeypatch):
+        from repro.runtime import FingerprintMismatchError
+        from repro.zoo import build_yollo_model
+
+        path, _, cache = tiny_model_file
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache)
+        with pytest.raises(FingerprintMismatchError):
+            build_yollo_model("tiny-focal", self._dataset(), model_path=path)
+        with pytest.raises(FingerprintMismatchError):
+            main(["evaluate", "--preset", "tiny-focal", "--model", path]
+                 + SMALL)
+
+    def test_fleet_reader_reproduces_the_trained_model(self, tiny_model_file,
+                                                       monkeypatch):
+        from repro.autograd import set_default_dtype
+        from repro.core import Grounder, responses_equal
+        from repro.runtime import read_checkpoint
+        from repro.serve import state_checksum
+        from repro.zoo import build_model, build_yollo_model
+
+        path, trained, cache = tiny_model_file
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache)
+        set_default_dtype(np.float32)  # the CLI trains in float32
+        dataset = self._dataset()
+        payload = read_checkpoint(path).payload
+        assert state_checksum(payload) == state_checksum(trained.state_dict())
+
+        reloaded = build_model("tiny", len(dataset.vocab),
+                               max_query_length=trained.config.max_query_length)
+        reloaded.load_state_dict(payload)
+        loaded = build_yollo_model("tiny", dataset, model_path=path)
+        samples = dataset["val"][:3]
+        expected = Grounder(trained.eval(), dataset.vocab)(samples)
+        for model in (reloaded, loaded):
+            answers = Grounder(model.eval(), dataset.vocab)(samples)
+            assert all(responses_equal(a, b)  # byte-identical
+                       for a, b in zip(expected, answers))
+
+
 class TestEndToEnd:
     def test_train_then_evaluate_then_ground(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        checkpoint = str(tmp_path / "model.npz")
+        checkpoint = str(tmp_path / "model.ckpt")
         common = ["--scale", "0.03", "--preset", "tiny", "--pretrain-steps", "1"]
 
         code = main(["train", "--epochs", "1", "--out", checkpoint, "--quiet",
@@ -229,7 +308,7 @@ class TestEndToEnd:
 
     def test_train_with_model_preset(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        checkpoint = str(tmp_path / "preset.npz")
+        checkpoint = str(tmp_path / "preset.ckpt")
         code = main(["train", "--preset", "tiny-topk", "--epochs", "1",
                      "--scale", "0.03", "--pretrain-steps", "1",
                      "--eval-every", "0", "--quiet", "--out", checkpoint])

@@ -7,6 +7,7 @@ from repro.autograd import Tensor
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
 from repro.data import REFCOCO, build_dataset
 from repro.data.loader import encode_batch
+from repro.runtime import read_checkpoint, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +82,10 @@ class TestTrainer:
 
     def test_save_load_preserves_predictions(self, dataset, cfg, tmp_path):
         model = YolloModel(cfg, vocab_size=len(dataset.vocab))
-        path = str(tmp_path / "yollo.npz")
-        model.save(path)
+        path = str(tmp_path / "yollo.ckpt")
+        write_checkpoint(path, model.state_dict())
         clone = YolloModel(cfg, vocab_size=len(dataset.vocab))
-        clone.load(path)
+        clone.load_state_dict(read_checkpoint(path).payload)
         batch = encode_batch(dataset["val"][:2], dataset.vocab, cfg.max_query_length)
         a = model.predict(batch["images"], batch["token_ids"], batch["token_mask"])
         b = clone.predict(batch["images"], batch["token_ids"], batch["token_mask"])
@@ -147,10 +148,10 @@ class TestClauseConditionedInference:
                                                  tmp_path):
         """Clause conditioning adds no parameters; old checkpoints load."""
         model = YolloModel(cfg, vocab_size=len(dataset.vocab))
-        path = str(tmp_path / "yollo.npz")
-        model.save(path)
+        path = str(tmp_path / "yollo.ckpt")
+        write_checkpoint(path, model.state_dict())
         clone = YolloModel(cfg, vocab_size=len(dataset.vocab))
-        clone.load(path)
+        clone.load_state_dict(read_checkpoint(path).payload)
         grounder = Grounder(clone, dataset.vocab, clause_conditioning=True)
         reference = Grounder(model, dataset.vocab, clause_conditioning=True)
         image = dataset["val"][0].image

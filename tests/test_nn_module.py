@@ -7,6 +7,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.nn import Linear, Module, Parameter, Sequential
+from repro.runtime import read_checkpoint, write_checkpoint
 
 
 class Child(Module):
@@ -98,12 +99,12 @@ def test_load_state_dict_shape_mismatch():
 
 
 def test_save_load_file(tmp_path):
-    path = os.path.join(tmp_path, "model.npz")
+    path = os.path.join(tmp_path, "model.ckpt")
     a = Parent()
     a.child.weight.data[:] = 3.0
-    a.save(path)
+    write_checkpoint(path, a.state_dict())
     b = Parent()
-    b.load(path)
+    b.load_state_dict(read_checkpoint(path).payload)
     assert np.allclose(b.child.weight.data, 3.0)
 
 
@@ -178,11 +179,11 @@ class TestBuffers:
         with pytest.raises(ValueError):
             StatefulParent().load_state_dict(state)
 
-    def test_buffers_survive_npz_roundtrip(self, tmp_path):
-        path = os.path.join(tmp_path, "model.npz")
+    def test_buffers_survive_checkpoint_roundtrip(self, tmp_path):
+        path = os.path.join(tmp_path, "model.ckpt")
         a = StatefulParent()
         a.child.counter = np.array([4.0, 5.0, 6.0])
-        a.save(path)
+        write_checkpoint(path, a.state_dict())
         b = StatefulParent()
-        b.load(path)
+        b.load_state_dict(read_checkpoint(path).payload)
         assert np.array_equal(b.child.counter, [4.0, 5.0, 6.0])

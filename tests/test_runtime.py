@@ -31,7 +31,9 @@ from repro.runtime import (
     config_fingerprint,
     corrupt_file,
     graceful,
+    read_checkpoint,
     retry_call,
+    write_checkpoint,
 )
 from repro.utils import seed_everything
 
@@ -131,6 +133,47 @@ class TestCheckpointManager:
         reader = CheckpointManager(str(tmp_path), fingerprint="bbb")
         with pytest.raises(FingerprintMismatchError):
             reader.load_latest()
+
+    @pytest.mark.parametrize("call", [os.mkdir, os.system, eval],
+                             ids=["os.mkdir", "os.system", "eval"])
+    def test_disallowed_global_raises_without_running(self, tmp_path, call):
+        """A validly checksummed file that pickles any global outside the
+        numpy allowlist is refused before that global is ever called."""
+        import hashlib
+        import pickle
+
+        from repro.runtime.checkpoint import MAGIC
+
+        marker = tmp_path / "ran"
+        argument = {os.mkdir: str(marker),
+                    os.system: f"mkdir {marker}",
+                    eval: f"__import__('os').mkdir({str(marker)!r})"}[call]
+
+        class Exploit:
+            def __reduce__(self):
+                return call, (argument,)
+
+        body = pickle.dumps({"fingerprint": None, "iteration": 0,
+                             "payload": {"weights": Exploit()}})
+        path = tmp_path / "evil.ckpt"
+        path.write_bytes(MAGIC + hashlib.sha256(body).hexdigest().encode()
+                         + b"\n" + body)
+        with pytest.raises(CheckpointCorruptError, match="not allowed"):
+            read_checkpoint(str(path))
+        with pytest.raises(CheckpointCorruptError):
+            CheckpointManager(str(tmp_path)).load(str(path))
+        assert not marker.exists()
+
+    def test_write_read_roundtrip_matches_manager(self, tmp_path):
+        """The module-level writer and reader are the manager's format."""
+        path = write_checkpoint(str(tmp_path / "model.ckpt"), payload(2.0),
+                                fingerprint="abc", iteration=7)
+        record = CheckpointManager(str(tmp_path), fingerprint="abc").load(path)
+        assert record.iteration == 7 and record.fingerprint == "abc"
+        assert np.array_equal(read_checkpoint(path).payload["weights"],
+                              record.payload["weights"])
+        with pytest.raises(FingerprintMismatchError):
+            read_checkpoint(path, fingerprint="xyz")
 
     def test_config_fingerprint_stable_and_sensitive(self):
         a = config_fingerprint({"lr": 0.1, "bs": 4})
