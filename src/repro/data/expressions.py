@@ -8,21 +8,26 @@ them through flavour-specific templates:
 * ``refcoco+`` — short phrases, **no** location words (appearance only);
 * ``refcocog`` — long sentences with relational clauses (avg ~8.4 tokens).
 
-Every emitted expression is verified to denote exactly one object under
-the grammar's compositional semantics (:meth:`Constraints.resolve`), so
-ground truth is unambiguous by construction — mirroring the human
-verification step of the ReferItGame annotation protocol.
+Every candidate is lowered to the relation tree its rendering parses to
+(:meth:`Constraints.tree`, no parsing) and kept only when
+:func:`repro.lang.resolve_tree`, the one interpreter of the grammar,
+returns exactly its target, so ground truth is unambiguous by
+construction — mirroring the human verification step of the ReferItGame
+annotation protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.data.scenes import Scene, SceneObject
 from repro.utils.seeding import spawn_rng
+
+if TYPE_CHECKING:
+    from repro.lang.tree import RelationTree
 
 LOCATION_WORDS = ("left", "right", "top", "bottom", "middle")
 SIZE_WORDS = {"big": ("big", "large"), "small": ("small", "little")}
@@ -102,15 +107,77 @@ def relation_between(target: SceneObject, anchor: SceneObject) -> str:
     return "next to"
 
 
+def reference_tree(category: str,
+                   attributes: Sequence[Tuple[str, Optional[str]]],
+                   relations: Sequence[Optional[str]] = (),
+                   anchor: Tuple[Optional[str], Optional[str]] = (None, None),
+                   ) -> "RelationTree":
+    """Lower a description straight to the tree its rendering parses to.
+
+    ``attributes`` are ``(kind, value)`` pairs on the target and
+    ``relations`` its clauses; ``None`` values are skipped.  Ego sides
+    (``"side:left"``) take no anchor; every other relation binds to
+    ``anchor``, a ``(category, colour)`` pair.
+    """
+    # Lazy import: repro.lang's lexicon and semantics import this module.
+    from repro.lang.tree import (
+        Attribute, EntityPhrase, RelationClause, RelationTree)
+
+    def entity(noun, pairs):
+        return EntityPhrase(head=noun, category=noun, span=(0, 0),
+                            attributes=[Attribute(kind, value)
+                                        for kind, value in pairs
+                                        if value is not None])
+
+    tree = RelationTree(query="", tokens=[], targets=[0],
+                        entities=[entity(category, attributes)])
+    for relation in relations:
+        if relation is None:
+            continue
+        anchor_index = None
+        if not relation.startswith("side:"):
+            tree.entities.append(entity(anchor[0], [("color", anchor[1])]))
+            anchor_index = len(tree.entities) - 1
+        tree.clauses.append(RelationClause(relation, target=0,
+                                           anchor=anchor_index))
+    return tree
+
+
+_Reference = TypeVar("_Reference")
+
+
+def choose_reference(scene: Scene, target: SceneObject,
+                     candidates: Sequence[_Reference],
+                     rng: np.random.Generator) -> Optional[_Reference]:
+    """Pick among the two simplest candidates that denote exactly ``target``.
+
+    A candidate denotes ``target`` when ``resolve_tree`` of its
+    ``tree()`` returns ``[target]``; its complexity is the number of
+    attributes and clauses on the target.  Preferring simpler references
+    while sampling among the two simplest levels present keeps variety;
+    the choice is one ``rng.integers`` draw.
+    """
+    from repro.lang.semantics import resolve_tree
+
+    unique: List[Tuple[int, _Reference]] = []
+    for candidate in candidates:
+        tree = candidate.tree()
+        resolved = resolve_tree(tree, scene)
+        if len(resolved) == 1 and resolved[0] is target:
+            unique.append((len(tree.entities[0].attributes)
+                           + len(tree.clauses_of(0)), candidate))
+    if not unique:
+        return None
+    unique.sort(key=lambda pair: pair[0])
+    pool = [c for level, c in unique if level <= unique[0][0] + 1]
+    return pool[int(rng.integers(0, len(pool)))]
+
+
 @dataclass(frozen=True)
 class Constraints:
-    """A compositional reference: filters applied in a fixed order.
-
-    ``resolve`` implements the semantics: filter by category, then
-    colour; apply the size superlative; apply the absolute-location
-    selector; finally apply the relation (directional predicate with
-    respect to the anchor, nearest candidate wins).
-    """
+    """A compositional reference: category, colour, relative size,
+    absolute location, and a directional relation to an anchor object
+    unique by category and colour."""
 
     category: str
     color: Optional[str] = None
@@ -120,58 +187,12 @@ class Constraints:
     anchor_category: Optional[str] = None
     anchor_color: Optional[str] = None
 
-    def resolve(self, scene: Scene) -> List[SceneObject]:
-        candidates = [o for o in scene.objects if o.category == self.category]
-        if self.color is not None:
-            candidates = [o for o in candidates if o.color == self.color]
-        if self.size is not None and candidates:
-            candidates = self._apply_size(candidates)
-        if self.location is not None and candidates:
-            candidates = self._apply_location(candidates)
-        if self.relation is not None and candidates:
-            candidates = self._apply_relation(scene, candidates)
-        return candidates
-
-    def _apply_size(self, candidates: List[SceneObject]) -> List[SceneObject]:
-        if len(candidates) == 1:
-            return candidates
-        areas = np.asarray([o.area for o in candidates])
-        index = int(areas.argmax()) if self.size == "big" else int(areas.argmin())
-        ordered = np.sort(areas)
-        if self.size == "big" and ordered[-1] < ordered[-2] * _SIZE_RATIO:
-            return []
-        if self.size == "small" and ordered[0] * _SIZE_RATIO > ordered[1]:
-            return []
-        return [candidates[index]]
-
-    def _apply_location(self, candidates: List[SceneObject]) -> List[SceneObject]:
-        if len(candidates) == 1:
-            return candidates
-        chosen = [o for o in candidates if describe_location(o, candidates) == self.location]
-        return chosen
-
-    def _apply_relation(self, scene: Scene, candidates: List[SceneObject]) -> List[SceneObject]:
-        anchors = [
-            o
-            for o in scene.objects
-            if o.category == self.anchor_category
-            and (self.anchor_color is None or o.color == self.anchor_color)
-        ]
-        if len(anchors) != 1:
-            return []
-        anchor = anchors[0]
-        satisfying = [
-            o
-            for o in candidates
-            if o is not anchor and relation_between(o, anchor) == self.relation
-        ]
-        if not satisfying:
-            return []
-        distances = [
-            np.hypot(o.center[0] - anchor.center[0], o.center[1] - anchor.center[1])
-            for o in satisfying
-        ]
-        return [satisfying[int(np.argmin(distances))]]
+    def tree(self) -> "RelationTree":
+        return reference_tree(
+            self.category,
+            [("color", self.color), ("size", self.size),
+             ("location", self.location)],
+            [self.relation], (self.anchor_category, self.anchor_color))
 
 
 class ExpressionGenerator:
@@ -194,7 +215,8 @@ class ExpressionGenerator:
                  rng: Optional[np.random.Generator] = None) -> Optional[str]:
         """Return a query uniquely denoting ``target``, or ``None``."""
         rng = rng if rng is not None else self._rng
-        constraints = self._find_unique_constraints(scene, target, rng)
+        constraints = choose_reference(
+            scene, target, self._candidate_constraints(scene, target, rng), rng)
         if constraints is None:
             return None
         return self._render(constraints, rng)
@@ -267,36 +289,6 @@ class ExpressionGenerator:
                 )
             )
         return results
-
-    def _find_unique_constraints(self, scene: Scene, target: SceneObject,
-                                 rng: np.random.Generator) -> Optional[Constraints]:
-        options = self._candidate_constraints(scene, target, rng)
-        unique = [c for c in options if self._denotes(scene, c, target)]
-        if not unique:
-            return None
-        # Prefer simpler references but keep variety: sample among the
-        # simplest two complexity levels present.
-        unique.sort(key=self._complexity)
-        simplest = self._complexity(unique[0])
-        pool = [c for c in unique if self._complexity(c) <= simplest + 1]
-        return pool[int(rng.integers(0, len(pool)))]
-
-    @staticmethod
-    def _denotes(scene: Scene, constraints: Constraints, target: SceneObject) -> bool:
-        resolved = constraints.resolve(scene)
-        return len(resolved) == 1 and resolved[0] is target
-
-    @staticmethod
-    def _complexity(constraints: Constraints) -> int:
-        return sum(
-            attr is not None
-            for attr in (
-                constraints.color,
-                constraints.size,
-                constraints.location,
-                constraints.relation,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Rendering

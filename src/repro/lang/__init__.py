@@ -11,8 +11,8 @@ The subsystem has three layers:
   masks consumed by the clause-conditioned Rel2Att forward (flat-token
   fallback for trivial/single-clause trees);
 * :mod:`repro.lang.semantics` — interprets trees against synthetic
-  scenes, the verified-by-construction ground truth the compositional
-  scenario is built on.
+  scenes; the one interpreter every data generator verifies its ground
+  truth with.
 """
 
 from repro.lang.tree import (

@@ -1,20 +1,27 @@
 """Compositional semantics: interpret relation trees against scenes.
 
-``resolve_tree`` evaluates a parsed query on a
-:class:`~repro.data.scenes.Scene`, mirroring the verified-uniqueness
-semantics of the expression generators (:mod:`repro.data.expressions`
-for attributes and directional relations, :mod:`repro.scenarios.driving`
-for the ego-anchored side/ordinal/depth selectors) — but driven by the
-*tree*, so nested relative clauses, negated attributes, conjunctions
-and resolved anaphora compose.  The compositional scenario generates a
-candidate query, parses it with the real parser, and only emits it when
-this interpreter confirms the intended referents: ground truth is
-correct by construction *through the parser*.
+``resolve_tree`` is the one interpreter that decides what a description
+denotes.  It evaluates a parsed query on a
+:class:`~repro.data.scenes.Scene`, driven by the *tree*, so nested
+relative clauses, negated attributes, conjunctions and resolved anaphora
+compose.  Each entity filters its category's objects in one fixed
+order: colour (negated colour included), size superlative, absolute
+location, relational clauses in tree order (directional, ego side,
+past/before depth), and the ego-distance ordinal last.
+
+Every data generator verifies its ground truth here.  The base grammar
+(:mod:`repro.data.expressions`) and the driving grammar
+(:mod:`repro.scenarios.driving`) lower each candidate description to a
+tree directly and keep it only if this interpreter returns exactly its
+target; the compositional scenario renders a candidate query, parses it
+with the real parser, and checks the parse.  Ground truth is therefore
+correct by construction under exactly the semantics the parser's trees
+are given.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +35,40 @@ from repro.lang.tree import EntityPhrase, RelationTree
 
 #: Directional relations with scene-level semantics.
 _DIRECTIONAL = {"left of", "right of", "above", "below", "next to"}
+#: Attribute kinds applied before the clauses, in this order.
+_ATTRIBUTE_ORDER = ("color", "size", "location")
+
+#: Pixel margin for the side decision (an object straddling the ego
+#: column within this margin is neither clearly left nor right).
+_SIDE_MARGIN = 3.0
+#: Minimum ego-distance gap between consecutive ordinal ranks.
+_ORDINAL_GAP = 3.0
+#: Minimum ego-distance difference for a depth ("past"/"before") claim.
+_DEPTH_MARGIN = 3.0
+
+
+def ego_point(scene: Scene) -> Tuple[float, float]:
+    """The camera position: bottom-centre of the canvas."""
+    return (scene.width / 2.0, float(scene.height))
+
+
+def ego_distance(obj: SceneObject, scene: Scene) -> float:
+    """Euclidean distance from the ego point to the object centre."""
+    ex, ey = ego_point(scene)
+    cx, cy = obj.center
+    return float(np.hypot(cx - ex, cy - ey))
+
+
+def ego_side(obj: SceneObject, scene: Scene) -> Optional[str]:
+    """``"left"`` / ``"right"`` of the ego column, or ``None`` if too close
+    to call with the safety margin."""
+    ex, _ = ego_point(scene)
+    cx, _ = obj.center
+    if cx < ex - _SIDE_MARGIN:
+        return "left"
+    if cx > ex + _SIDE_MARGIN:
+        return "right"
+    return None
 
 
 class UnsupportedRelationError(ValueError):
@@ -62,12 +103,15 @@ def _resolve_entity(tree: RelationTree, scene: Scene, index: int,
     if entity.category is None:
         return []
     candidates = [o for o in scene.objects if o.category == entity.category]
-    candidates = _apply_attributes(entity, candidates, scene)
+    candidates = _apply_attributes(entity, candidates)
     for clause in tree.clauses_of(index):
         if not candidates:
             break
         candidates = _apply_clause(tree, scene, clause, candidates,
                                    visiting + (index,))
+    ordinal = entity.attribute("ordinal")
+    if ordinal is not None and candidates:
+        candidates = _apply_ordinal(int(ordinal.value), candidates, scene)
     if not entity.plural and not entity.quantified_all:
         return candidates if len(candidates) == 1 else []
     # Plural reference: every match, ranked large-to-small (the crowded
@@ -79,33 +123,28 @@ def _resolve_entity(tree: RelationTree, scene: Scene, index: int,
 
 
 def _apply_attributes(entity: EntityPhrase,
-                      candidates: List[SceneObject],
-                      scene: Scene) -> List[SceneObject]:
-    for attribute in entity.attributes:
-        if not candidates:
-            return []
-        if attribute.kind == "color":
-            if attribute.negated:
-                candidates = [o for o in candidates
-                              if o.color != attribute.value]
+                      candidates: List[SceneObject]) -> List[SceneObject]:
+    for kind in _ATTRIBUTE_ORDER:
+        for attribute in entity.attributes:
+            if attribute.kind != kind:
+                continue
+            if not candidates:
+                return []
+            if kind == "color":
+                candidates = [o for o in candidates if (
+                    o.color == attribute.value) != attribute.negated]
+            elif kind == "size":
+                candidates = _apply_size(attribute.value, candidates)
             else:
                 candidates = [o for o in candidates
-                              if o.color == attribute.value]
-        elif attribute.kind == "size":
-            candidates = _apply_size(attribute.value, candidates)
-        elif attribute.kind == "location":
-            candidates = [o for o in candidates
-                          if describe_location(o, candidates)
-                          == attribute.value]
-        elif attribute.kind == "ordinal":
-            candidates = _apply_ordinal(int(attribute.value), candidates,
-                                        scene)
+                              if describe_location(o, candidates)
+                              == attribute.value]
     return candidates
 
 
 def _apply_size(word: str, candidates: List[SceneObject],
                 ) -> List[SceneObject]:
-    """Area-superlative semantics, as in ``Constraints._apply_size``."""
+    """Area superlative: the clear extreme by ``_SIZE_RATIO``, or nothing."""
     if len(candidates) == 1:
         return candidates
     wants_big = word in ("big", "large")
@@ -122,9 +161,8 @@ def _apply_size(word: str, candidates: List[SceneObject],
 
 def _apply_ordinal(rank: int, candidates: List[SceneObject],
                    scene: Scene) -> List[SceneObject]:
-    """Ego-distance ordinal (driving grammar), gap rule included."""
-    from repro.scenarios.driving import _ORDINAL_GAP, ego_distance
-
+    """1-based rank by ego distance; ranks must be ``_ORDINAL_GAP`` apart
+    on both sides, so a pixel of jitter cannot swap "second" and "third"."""
     index = rank - 1
     if index < 0 or index >= len(candidates):
         return []
@@ -143,8 +181,6 @@ def _apply_clause(tree: RelationTree, scene: Scene, clause,
                   candidates: List[SceneObject],
                   visiting: tuple) -> List[SceneObject]:
     if clause.relation.startswith("side:"):
-        from repro.scenarios.driving import ego_side
-
         side = clause.relation.split(":", 1)[1]
         kept = [o for o in candidates if ego_side(o, scene) == side]
         if clause.negated:
@@ -183,9 +219,9 @@ def _apply_clause(tree: RelationTree, scene: Scene, clause,
 
 def _apply_depth(relation: str, candidates: List[SceneObject],
                  anchor: SceneObject, scene: Scene) -> List[SceneObject]:
-    """``past``/``before`` ego-depth semantics (driving grammar)."""
-    from repro.scenarios.driving import _DEPTH_MARGIN, ego_distance
-
+    """``past`` (farther from the ego than the anchor) / ``before``
+    (nearer); the satisfier nearest the anchor's depth must win by
+    ``_DEPTH_MARGIN``."""
     anchor_dist = ego_distance(anchor, scene)
     if relation == "past":
         kept = [o for o in candidates if o is not anchor

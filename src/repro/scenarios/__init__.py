@@ -51,9 +51,8 @@ from repro.scenarios.driving import (
     DrivingExpressionGenerator,
     DrivingSceneGenerator,
     build_driving,
-    ego_distance,
-    ego_side,
 )
+from repro.lang.semantics import ego_distance, ego_side
 from repro.scenarios.oracle import OracleRankedGrounder, build_oracle_grounder
 from repro.scenarios.weak import (
     WeakContrastiveModel,

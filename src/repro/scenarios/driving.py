@@ -16,22 +16,27 @@ base grammar uses:
   anchor that is itself unique by category+colour;
 * **colour** — as in the base grammar.
 
-Like :mod:`repro.data.expressions`, every emitted expression is
-verified to denote exactly one object under
-:meth:`DrivingConstraints.resolve` before it is rendered, so ground
-truth stays unambiguous by construction.
+Like :mod:`repro.data.expressions`, every candidate is lowered to its
+relation tree (:meth:`DrivingConstraints.tree`) and rendered only when
+:func:`repro.lang.resolve_tree`, which also owns the ego geometry
+(:func:`~repro.lang.semantics.ego_side`,
+:func:`~repro.lang.semantics.ego_distance`) and its margins, returns
+exactly the target, so ground truth stays unambiguous by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.data.expressions import choose_reference, reference_tree
 from repro.data.render import render_scene
 from repro.data.scenes import COLORS, Scene, SceneObject
 from repro.detection.boxes import iou_matrix
+from repro.lang.semantics import _DEPTH_MARGIN, ego_distance, ego_side
+from repro.lang.tree import RelationTree
 from repro.scenarios.registry import (
     Scenario,
     ScenarioSample,
@@ -53,47 +58,10 @@ NOUNS: Dict[str, str] = {
 
 ORDINAL_WORDS = ("nearest", "second", "third", "fourth")
 
-#: Pixel margin for the side decision (an object straddling the ego
-#: column within this margin is neither clearly left nor right).
-_SIDE_MARGIN = 3.0
-#: Minimum ego-distance gap between consecutive ordinal ranks.
-_ORDINAL_GAP = 3.0
-#: Minimum ego-distance difference for a depth ("past"/"before") claim.
-_DEPTH_MARGIN = 3.0
-
-
-def ego_point(scene: Scene) -> Tuple[float, float]:
-    """The camera position: bottom-centre of the canvas."""
-    return (scene.width / 2.0, float(scene.height))
-
-
-def ego_distance(obj: SceneObject, scene: Scene) -> float:
-    """Euclidean distance from the ego point to the object centre."""
-    ex, ey = ego_point(scene)
-    cx, cy = obj.center
-    return float(np.hypot(cx - ex, cy - ey))
-
-
-def ego_side(obj: SceneObject, scene: Scene) -> Optional[str]:
-    """``"left"`` / ``"right"`` of the ego column, or ``None`` if too close
-    to call with the safety margin."""
-    ex, _ = ego_point(scene)
-    cx, _ = obj.center
-    if cx < ex - _SIDE_MARGIN:
-        return "left"
-    if cx > ex + _SIDE_MARGIN:
-        return "right"
-    return None
-
-
 @dataclass(frozen=True)
 class DrivingConstraints:
-    """An ego-anchored compositional reference.
-
-    ``resolve`` applies the filters in a fixed order: category, colour,
-    side, depth relation against the anchor, and finally the ordinal
-    rank by ego distance over whatever candidates remain.
-    """
+    """An ego-anchored compositional reference: category, colour, side,
+    depth relation against an anchor, and ordinal rank by ego distance."""
 
     category: str
     color: Optional[str] = None
@@ -104,63 +72,12 @@ class DrivingConstraints:
     anchor_category: Optional[str] = None
     anchor_color: Optional[str] = None
 
-    def resolve(self, scene: Scene) -> List[SceneObject]:
-        candidates = [o for o in scene.objects
-                      if o.category == self.category]
-        if self.color is not None:
-            candidates = [o for o in candidates if o.color == self.color]
-        if self.side is not None:
-            candidates = [o for o in candidates
-                          if ego_side(o, scene) == self.side]
-        if self.relation is not None and candidates:
-            candidates = self._apply_relation(scene, candidates)
-        if self.ordinal is not None and candidates:
-            candidates = self._apply_ordinal(scene, candidates)
-        return candidates
-
-    def _apply_relation(self, scene: Scene,
-                        candidates: List[SceneObject]) -> List[SceneObject]:
-        anchors = [
-            o for o in scene.objects
-            if o.category == self.anchor_category
-            and (self.anchor_color is None or o.color == self.anchor_color)
-        ]
-        if len(anchors) != 1:
-            return []
-        anchor_dist = ego_distance(anchors[0], scene)
-        if self.relation == "past":
-            kept = [o for o in candidates if o is not anchors[0]
-                    and ego_distance(o, scene) > anchor_dist + _DEPTH_MARGIN]
-        else:  # "before"
-            kept = [o for o in candidates if o is not anchors[0]
-                    and ego_distance(o, scene) < anchor_dist - _DEPTH_MARGIN]
-        if not kept:
-            return []
-        # The nearest satisfier to the anchor's depth wins (and must win
-        # by the same margin, or the reference is ambiguous).
-        gaps = [abs(ego_distance(o, scene) - anchor_dist) for o in kept]
-        order = np.argsort(gaps)
-        if len(kept) > 1 and gaps[order[1]] - gaps[order[0]] < _DEPTH_MARGIN:
-            return []
-        return [kept[int(order[0])]]
-
-    def _apply_ordinal(self, scene: Scene,
-                       candidates: List[SceneObject]) -> List[SceneObject]:
-        rank = self.ordinal - 1
-        if rank < 0 or rank >= len(candidates):
-            return []
-        distances = np.asarray(
-            [ego_distance(o, scene) for o in candidates])
-        order = np.argsort(distances)
-        ordered = distances[order]
-        # Ranks must be separated by a real gap on both sides, so a
-        # pixel of jitter cannot swap "second" and "third".
-        if rank > 0 and ordered[rank] - ordered[rank - 1] < _ORDINAL_GAP:
-            return []
-        if rank + 1 < len(ordered) \
-                and ordered[rank + 1] - ordered[rank] < _ORDINAL_GAP:
-            return []
-        return [candidates[int(order[rank])]]
+    def tree(self) -> RelationTree:
+        side = None if self.side is None else f"side:{self.side}"
+        ordinal = None if self.ordinal is None else str(self.ordinal)
+        return reference_tree(
+            self.category, [("color", self.color), ("ordinal", ordinal)],
+            [side, self.relation], (self.anchor_category, self.anchor_color))
 
 
 class DrivingSceneGenerator:
@@ -225,7 +142,8 @@ class DrivingExpressionGenerator:
 
     def generate(self, scene: Scene, target: SceneObject,
                  rng: np.random.Generator) -> Optional[str]:
-        constraints = self._find_unique(scene, target, rng)
+        constraints = choose_reference(
+            scene, target, self._candidates(scene, target, rng), rng)
         if constraints is None:
             return None
         return self._render(constraints, rng)
@@ -289,30 +207,6 @@ class DrivingExpressionGenerator:
                 relation=relation, anchor_category=anchor.category,
                 anchor_color=anchor.color))
         return results
-
-    def _find_unique(self, scene: Scene, target: SceneObject,
-                     rng: np.random.Generator,
-                     ) -> Optional[DrivingConstraints]:
-        options = [c for c in self._candidates(scene, target, rng)
-                   if self._denotes(scene, c, target)]
-        if not options:
-            return None
-        options.sort(key=self._complexity)
-        simplest = self._complexity(options[0])
-        pool = [c for c in options if self._complexity(c) <= simplest + 1]
-        return pool[int(rng.integers(0, len(pool)))]
-
-    @staticmethod
-    def _denotes(scene: Scene, constraints: DrivingConstraints,
-                 target: SceneObject) -> bool:
-        resolved = constraints.resolve(scene)
-        return len(resolved) == 1 and resolved[0] is target
-
-    @staticmethod
-    def _complexity(constraints: DrivingConstraints) -> int:
-        return sum(attr is not None for attr in (
-            constraints.color, constraints.side, constraints.ordinal,
-            constraints.relation))
 
     # ------------------------------------------------------------------
     def _render(self, c: DrivingConstraints,

@@ -9,11 +9,13 @@ from repro.data import ExpressionGenerator, Scene, SceneObject
 from repro.data.expressions import (
     Constraints,
     LOCATION_WORDS,
+    choose_reference,
     describe_location,
     describe_size,
     relation_between,
 )
 from repro.data.scenes import SceneGenerator
+from repro.lang import resolve_tree
 from repro.text import tokenize
 
 
@@ -62,17 +64,27 @@ class TestDescriptors:
         assert relation_between(close, anchor) == "next to"
 
 
+def resolve(constraints, scene, plural=False):
+    """``resolve_tree`` over the lowered candidate (optionally plural)."""
+    tree = constraints.tree()
+    tree.entities[0].plural = plural
+    return resolve_tree(tree, scene)
+
+
 class TestConstraints:
     def test_category_filter(self, two_dogs):
-        assert len(Constraints(category="dog").resolve(two_dogs)) == 2
-        assert Constraints(category="car").resolve(two_dogs) == []
+        assert len(resolve(Constraints(category="dog"), two_dogs,
+                           plural=True)) == 2
+        # Singular "the dog" among two dogs is ambiguous.
+        assert resolve(Constraints(category="dog"), two_dogs) == []
+        assert resolve(Constraints(category="car"), two_dogs) == []
 
     def test_color_filter(self, two_dogs):
-        out = Constraints(category="dog", color="red").resolve(two_dogs)
+        out = resolve(Constraints(category="dog", color="red"), two_dogs)
         assert len(out) == 1 and out[0].color == "red"
 
     def test_location_selector(self, two_dogs):
-        out = Constraints(category="dog", location="left").resolve(two_dogs)
+        out = resolve(Constraints(category="dog", location="left"), two_dogs)
         assert out == [two_dogs.objects[0]]
 
     def test_size_selector(self):
@@ -80,7 +92,7 @@ class TestConstraints:
             obj("dog", "red", (0, 0, 20, 20)),
             obj("dog", "blue", (30, 30, 36, 36)),
         ])
-        out = Constraints(category="dog", size="big").resolve(scene)
+        out = resolve(Constraints(category="dog", size="big"), scene)
         assert out == [scene.objects[0]]
 
     def test_ambiguous_size_resolves_empty(self):
@@ -88,7 +100,7 @@ class TestConstraints:
             obj("dog", "red", (0, 0, 10, 10)),
             obj("dog", "blue", (20, 20, 30, 30)),
         ])
-        assert Constraints(category="dog", size="big").resolve(scene) == []
+        assert resolve(Constraints(category="dog", size="big"), scene) == []
 
     def test_relation_requires_unique_anchor(self):
         scene = Scene(48, 72, [
@@ -98,7 +110,30 @@ class TestConstraints:
         ])
         c = Constraints(category="dog", relation="left of",
                         anchor_category="car", anchor_color="red")
-        assert c.resolve(scene) == []
+        assert resolve(c, scene) == []
+
+    def test_colour_applies_before_size(self):
+        # "big blue dog": the biggest blue dog, not the biggest dog.
+        from repro.lang import parse
+
+        scene = Scene(48, 72, [
+            obj("dog", "red", (0, 0, 30, 30)),
+            obj("dog", "blue", (40, 0, 56, 16)),
+            obj("dog", "blue", (40, 30, 46, 36)),
+        ])
+        assert resolve_tree(parse("big blue dog"), scene) == [scene.objects[1]]
+
+    def test_lowered_tree_matches_parse(self):
+        from repro.lang import parse
+
+        c = Constraints(category="dog", color="red", relation="left of",
+                        anchor_category="car", anchor_color="blue")
+        lowered, parsed = c.tree(), parse("the red dog to the left of the blue car")
+        assert [(e.category, e.attributes) for e in lowered.entities] == \
+            [(e.category, e.attributes) for e in parsed.entities]
+        assert [(k.relation, k.target, k.anchor) for k in lowered.clauses] == \
+            [(k.relation, k.target, k.anchor) for k in parsed.clauses]
+        assert lowered.targets == parsed.targets
 
 
 class TestGenerators:
@@ -119,8 +154,10 @@ class TestGenerators:
                 if query is None:
                     continue
                 checked += 1
-                constraints = expr._find_unique_constraints(scene, target, rng)
-                resolved = constraints.resolve(scene)
+                constraints = choose_reference(
+                    scene, target,
+                    expr._candidate_constraints(scene, target, rng), rng)
+                resolved = resolve_tree(constraints.tree(), scene)
                 assert len(resolved) == 1 and resolved[0] is target
         assert checked > 10
 
