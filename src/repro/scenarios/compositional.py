@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.data.render import render_scene
 from repro.data.scenes import CATEGORIES, Scene, SceneGenerator, SceneObject
-from repro.lang import parse, resolve_tree
+from repro.lang import UnsupportedRelationError, parse, resolve_tree
 from repro.lang.tree import RelationTree
 from repro.scenarios.registry import (
     Scenario,
@@ -108,7 +108,7 @@ def _verified(query: str, scene: Scene,
         return None
     try:
         resolved = resolve_tree(tree, scene)
-    except Exception:
+    except UnsupportedRelationError:
         return None
     if len(resolved) != expect:
         return None
@@ -123,7 +123,9 @@ def _anaphora_query(scene: Scene, rng: np.random.Generator,
     if not anchors:
         return None
     rng.shuffle(anchors)
-    present = {o.category for o in scene.objects}
+    # Scene-ordered, never set-ordered: set iteration follows the
+    # per-process string hash, and the shuffles below must not.
+    present = list(dict.fromkeys(o.category for o in scene.objects))
     for anchor in anchors[:4]:
         if no_target:
             absent = [c for c in CATEGORIES if c not in present]
@@ -161,7 +163,7 @@ def _nested_query(scene: Scene, rng: np.random.Generator,
     if not inner_anchors:
         return None
     rng.shuffle(inner_anchors)
-    categories = list({o.category for o in scene.objects})
+    categories = list(dict.fromkeys(o.category for o in scene.objects))
     for inner in inner_anchors[:4]:
         rng.shuffle(categories)
         for mid_category in categories[:3]:
@@ -187,13 +189,13 @@ def _nested_query(scene: Scene, rng: np.random.Generator,
 def _negation_query(scene: Scene, rng: np.random.Generator,
                     ) -> Optional[Tuple[str, List[SceneObject]]]:
     """``the CAT that is not COLOR`` with a verified-unique referent."""
-    categories = list({o.category for o in scene.objects})
+    categories = list(dict.fromkeys(o.category for o in scene.objects))
     rng.shuffle(categories)
     for category in categories:
         group = [o for o in scene.objects if o.category == category]
         if len(group) < 2:
             continue
-        colors = list({o.color for o in group})
+        colors = list(dict.fromkeys(o.color for o in group))
         rng.shuffle(colors)
         for color in colors:
             query = f"the {category} that is not {color}"
