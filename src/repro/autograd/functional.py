@@ -1,18 +1,27 @@
 """Structured differentiable operations: convolution, pooling, softmax.
 
-Convolution and pooling use an im2col strategy: the padded input is
-gathered into a ``(N, C, KH, KW, OH, OW)`` column tensor with strided
-slicing (one slice per kernel tap, dilation included), after which the
-convolution is one batched ``matmul`` — a GEMM per sample, landing
-directly in NCHW, so a sample's bytes do not depend on its batch.  The
-backward pass is two more batched GEMMs and a scatter-add through the
-same slices.  This is the only conv kernel: the graph executor calls
-:func:`_im2col` into its persistent buffers and repeats the GEMM.
+Every windowed op reads its input through :func:`_taps`: one strided
+view per kernel tap ``(i, j)``, in row-major tap order, dilation
+included.  Convolution gathers the taps of the padded input into a
+``(N, C, KH, KW, OH, OW)`` column tensor (im2col), after which it is
+one batched ``matmul`` — a GEMM per sample, landing directly in NCHW,
+so a sample's bytes do not depend on its batch.  The backward pass is
+two more batched GEMMs and a scatter-add through the same views.  This
+is the only conv kernel: the graph executor calls :func:`_im2col` into
+its persistent buffers and repeats the GEMM.
+
+Pooling builds no column tensor.  Max pooling is a running
+``np.maximum`` over the tap views (:func:`_max_pool`, which the graph
+executor also calls into its arena buffer) and its backward hands each
+output's gradient to the first tap, in row-major order, equal to the
+max, which is ``argmax``'s tie rule.  Average pooling sums the views.
+Both backward passes add into the input-gradient views with ``+=``, so
+overlapping windows accumulate.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +36,29 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return (int(value[0]), int(value[1]))
 
 
+def _taps(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    dilation: Tuple[int, int] = (1, 1),
+) -> List[np.ndarray]:
+    """Strided views of an NCHW array, one per kernel tap, row-major.
+
+    Tap ``(i, j)`` is the ``(N, C, OH, OW)`` slice starting at
+    ``(i*dh, j*dw)``: element ``[..., p, q]`` is the input a window at
+    output ``(p, q)`` reads through that tap.  The views share ``x``'s
+    memory, so writing into them writes into ``x``.
+    """
+    h, w = x.shape[2], x.shape[3]
+    kh, kw = kernel
+    sh, sw = stride
+    dh, dw = dilation
+    oh = (h - dh * (kh - 1) - 1) // sh + 1
+    ow = (w - dw * (kw - 1) - 1) // sw + 1
+    return [x[:, :, i * dh : i * dh + sh * oh : sh, j * dw : j * dw + sw * ow : sw]
+            for i in range(kh) for j in range(kw)]
+
+
 def _im2col(
     x: np.ndarray,
     kernel: Tuple[int, int],
@@ -34,24 +66,18 @@ def _im2col(
     dilation: Tuple[int, int] = (1, 1),
     out: np.ndarray = None,
 ) -> np.ndarray:
-    """Gather kernel windows of an already-padded NCHW array.
+    """Gather the kernel taps of an already-padded NCHW array.
 
-    Tap ``(i, j)`` reads the strided slice starting at ``(i*dh, j*dw)``,
-    so dilation costs nothing beyond the offsets.  ``out``, when given,
-    must be a contiguous ``(N, C, KH, KW, OH, OW)`` buffer and is filled
-    in place (used by the graph executor's persistent buffers).
+    ``out``, when given, must be a contiguous ``(N, C, KH, KW, OH, OW)``
+    buffer and is filled in place (used by the graph executor's
+    persistent buffers).
     """
-    n, c, h, w = x.shape
+    taps = _taps(x, kernel, stride, dilation)
+    n, c, oh, ow = taps[0].shape
     kh, kw = kernel
-    sh, sw = stride
-    dh, dw = dilation
-    oh = (h - dh * (kh - 1) - 1) // sh + 1
-    ow = (w - dw * (kw - 1) - 1) // sw + 1
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype) if out is None else out
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i * dh : i * dh + sh * oh : sh,
-                                 j * dw : j * dw + sw * ow : sw]
+    for (i, j), tap in zip(np.ndindex(kh, kw), taps):
+        cols[:, :, i, j] = tap
     return cols
 
 
@@ -63,15 +89,9 @@ def _col2im(
     dilation: Tuple[int, int] = (1, 1),
 ) -> np.ndarray:
     """Scatter-add kernel windows back into a padded NCHW array."""
-    kh, kw = kernel
-    sh, sw = stride
-    dh, dw = dilation
-    oh, ow = cols.shape[-2:]
     out = np.zeros(padded_shape, dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i * dh : i * dh + sh * oh : sh,
-                j * dw : j * dw + sw * ow : sw] += cols[:, :, i, j]
+    for (i, j), tap in zip(np.ndindex(*kernel), _taps(out, kernel, stride, dilation)):
+        tap += cols[:, :, i, j]
     return out
 
 
@@ -125,26 +145,52 @@ def conv2d(
     return out
 
 
+def _max_pool(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
+              out: np.ndarray = None) -> np.ndarray:
+    """Max pooling of an NCHW array: a running maximum over the tap views.
+
+    The one max-pool kernel: eager forward calls it, and the graph
+    executor calls it with ``out`` set to its arena buffer.  A NaN in a
+    window makes that output NaN, as ``argmax`` would pick it.
+    """
+    taps = _taps(x, kernel, stride)
+    if out is None:
+        out = taps[0].copy()
+    else:
+        np.copyto(out, taps[0])
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out
+
+
 def max_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
     """Max pooling over NCHW input."""
     x = as_tensor(x)
     kernel = _pair(kernel)
     stride = kernel if stride is None else _pair(stride)
-    cols = _im2col(x.data, kernel, stride)
-    n, c, kh, kw, oh, ow = cols.shape
-    flat = cols.reshape(n, c, kh * kw, oh, ow)
-    argmax = flat.argmax(axis=2)
-    value = np.take_along_axis(flat, argmax[:, :, None], axis=2).squeeze(2)
+    value = _max_pool(x.data, kernel, stride)
 
     out = x._make_child(value, (x,))
     if out.requires_grad:
-        in_shape = x.shape
 
         def backward(grad: np.ndarray) -> None:
-            grad_flat = np.zeros_like(flat)
-            np.put_along_axis(grad_flat, argmax[:, :, None], grad[:, :, None], axis=2)
-            grad_cols = grad_flat.reshape(n, c, kh, kw, oh, ow)
-            x._accumulate(_col2im(grad_cols, in_shape, kernel, stride))
+            # Each output's gradient goes to the first tap equal to its
+            # max; ``unclaimed`` marks outputs no earlier tap has taken.
+            # ``grad * hit`` is several times faster than a ``where=``
+            # add; a non-finite ``grad`` (a step that is lost anyway)
+            # also turns the window's other input gradients NaN.
+            grad_x = np.zeros(x.shape, dtype=grad.dtype)
+            unclaimed = None
+            for tap, grad_tap in zip(_taps(x.data, kernel, stride),
+                                     _taps(grad_x, kernel, stride)):
+                hit = tap == value
+                if unclaimed is None:
+                    unclaimed = ~hit
+                else:
+                    hit &= unclaimed
+                    unclaimed ^= hit
+                grad_tap += grad * hit
+            x._accumulate(grad_x)
 
         out._backward = backward
     return out
@@ -155,21 +201,19 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
     x = as_tensor(x)
     kernel = _pair(kernel)
     stride = kernel if stride is None else _pair(stride)
-    cols = _im2col(x.data, kernel, stride)
-    value = cols.mean(axis=(2, 3))
+    scale = 1.0 / (kernel[0] * kernel[1])
+    taps = _taps(x.data, kernel, stride)
+    value = sum(taps[1:], taps[0]) * scale
 
     out = x._make_child(value, (x,))
     if out.requires_grad:
-        in_shape = x.shape
-        kh, kw = kernel
-        scale = 1.0 / (kh * kw)
 
         def backward(grad: np.ndarray) -> None:
-            n, c, oh, ow = grad.shape
-            grad_cols = np.broadcast_to(
-                grad[:, :, None, None] * scale, (n, c, kh, kw, oh, ow)
-            ).copy()
-            x._accumulate(_col2im(grad_cols, in_shape, kernel, stride))
+            grad_x = np.zeros(x.shape, dtype=grad.dtype)
+            share = grad * scale
+            for grad_tap in _taps(grad_x, kernel, stride):
+                grad_tap += share
+            x._accumulate(grad_x)
 
         out._backward = backward
     return out

@@ -7,6 +7,15 @@ reverse topological order.
 
 Broadcasting follows numpy semantics; gradients flowing into a broadcast
 operand are reduced back to the operand's shape by :func:`_unbroadcast`.
+
+Gradient ownership: a non-leaf tensor keeps the first gradient it
+receives as is, so the ``.grad`` arrays of intermediate tensors may
+alias each other (a reshape's gradient is a view of its output's), and
+no backward closure mutates a gradient in place.  A leaf (a tensor with
+no parents, e.g. a parameter) owns its ``.grad``: it copies the first
+gradient it receives, so optimizers may clip it in place and the data
+parallel trainer may replace it with a view of its own buffer.  A
+gradient passed to :meth:`Tensor.backward` from outside is copied too.
 """
 
 from __future__ import annotations
@@ -55,6 +64,19 @@ def no_grad():
         yield
     finally:
         _grad_state.enabled = previous
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``x[index]`` is numpy basic indexing (a view, no repeats).
+
+    Ints, slices, ``None`` and ``Ellipsis``, alone or in a tuple.  Bools
+    are ints to Python but index numpy as masks, so they are excluded.
+    """
+    if isinstance(index, tuple):
+        return all(_is_basic_index(item) for item in index)
+    if isinstance(index, (bool, np.bool_)):
+        return False
+    return index is None or index is Ellipsis or isinstance(index, (int, np.integer, slice))
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -160,8 +182,12 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``self.grad`` (see the ownership rule above)."""
         if self.grad is None:
-            self.grad = np.array(grad, dtype=DEFAULT_DTYPE, copy=True)
+            if self._parents:
+                self.grad = np.asarray(grad, dtype=DEFAULT_DTYPE)
+            else:
+                self.grad = np.array(grad, dtype=DEFAULT_DTYPE, copy=True)
         else:
             self.grad = self.grad + grad
 
@@ -174,7 +200,7 @@ class Tensor:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data, dtype=DEFAULT_DTYPE)
         else:
-            grad = np.asarray(grad, dtype=DEFAULT_DTYPE)
+            grad = np.array(grad, dtype=DEFAULT_DTYPE, copy=True)
             if grad.shape != self.data.shape:
                 raise ValueError(
                     f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}"
@@ -562,10 +588,16 @@ class Tensor:
         out = self._make_child(self.data[index], (self,))
         if out.requires_grad:
             a = self
+            # A basic index selects each element at most once, so its
+            # gradient is assigned; fancy indices may repeat and add up.
+            basic = _is_basic_index(index)
 
             def backward(grad: np.ndarray) -> None:
                 full_grad = np.zeros_like(a.data, dtype=DEFAULT_DTYPE)
-                np.add.at(full_grad, index, grad)
+                if basic:
+                    full_grad[index] = grad
+                else:
+                    np.add.at(full_grad, index, grad)
                 a._accumulate(full_grad)
 
             out._backward = backward

@@ -73,21 +73,24 @@ def build_matcher(config: YolloConfig):
 
 
 def classification_loss(picked_logits: Tensor, labels: np.ndarray,
-                        config: YolloConfig) -> Tensor:
+                        config: YolloConfig,
+                        weights: Optional[np.ndarray] = None) -> Tensor:
     """Classification term over sampled anchors, per ``config.cls_loss``.
 
     ``"softmax_ce"`` is the paper's 2-way softmax cross-entropy;
     ``"focal"`` collapses the two logits into the target-vs-background
     margin and applies sigmoid focal loss (easy negatives are
-    down-weighted rather than balanced purely by sampling).
+    down-weighted rather than balanced purely by sampling).  Per-anchor
+    ``weights`` make it a weighted mean instead of a plain one.
     """
     if config.cls_loss == "softmax_ce":
-        return softmax_cross_entropy(picked_logits, labels)
+        return softmax_cross_entropy(picked_logits, labels, weights=weights)
     if config.cls_loss == "focal":
         margin = picked_logits[:, 1] - picked_logits[:, 0]
         return sigmoid_focal_loss(margin, labels,
                                   alpha=config.focal_alpha,
-                                  gamma=config.focal_gamma)
+                                  gamma=config.focal_gamma,
+                                  weights=weights)
     raise ValueError(
         f"unknown cls_loss {config.cls_loss!r}; valid losses: "
         f"softmax_ce, focal")
@@ -108,33 +111,51 @@ def detection_loss(
     are sampled (balanced positive/negative), classification is the
     configured loss over the sampled anchors, and regression is
     smooth-L1 on the positives only (the ``p_i^*`` factor).
-    Returns ``(cls_loss, reg_loss)`` tensors averaged over the batch.
+    Returns ``(cls_loss, reg_loss)`` tensors: the batch average of each
+    sample's mean over its anchors.
+
+    Matching and sampling run per sample, in batch order, so the rng
+    draws are those of a per-sample loop.  The losses then run once
+    over the anchors gathered from the whole batch, each weighted by
+    ``1 / (n_b * B)`` where ``n_b`` is its sample's anchor count.
     """
     anchors = anchor_grid.all_anchors()
     matcher = build_matcher(config)
     sampler = BalancedSampler(batch_size=config.anchor_batch)
     batch = cls_logits.shape[0]
 
-    cls_terms: List[Tensor] = []
-    reg_terms: List[Tensor] = []
+    sampled: List[np.ndarray] = []
+    labels: List[np.ndarray] = []
+    regressed: List[np.ndarray] = []
+    offset_targets: List[np.ndarray] = []
     for b in range(batch):
         match = matcher.match(anchors, target_boxes[b])
-        indices, labels = sampler.sample(match, rng=rng)
-        picked_logits = cls_logits[b][indices]
-        cls_terms.append(classification_loss(picked_logits, labels, config))
+        indices, sample_labels = sampler.sample(match, rng=rng)
+        sampled.append(indices)
+        labels.append(sample_labels)
 
         if config.regress_ignore_band:
-            regressed = np.flatnonzero(match.ious >= config.rho_low)
-            if len(regressed) == 0:
-                regressed = match.positive_indices
+            chosen = np.flatnonzero(match.ious >= config.rho_low)
+            if len(chosen) == 0:
+                chosen = match.positive_indices
         else:
-            regressed = match.positive_indices
-        picked_offsets = reg_offsets[b][regressed]
-        offset_targets = match.offsets[regressed]
-        reg_terms.append(smooth_l1(picked_offsets, offset_targets).sum(axis=-1).mean())
+            chosen = match.positive_indices
+        regressed.append(chosen)
+        offset_targets.append(match.offsets[chosen])
 
-    cls_loss = sum(cls_terms[1:], cls_terms[0]) / float(batch)
-    reg_loss = sum(reg_terms[1:], reg_terms[0]) / float(batch)
+    def gather(values: Tensor, per_sample: List[np.ndarray]):
+        """``values[b, i]`` for every sample's indices, and each one's weight."""
+        counts = [len(indices) for indices in per_sample]
+        rows = np.repeat(np.arange(batch), counts)
+        weights = np.concatenate([np.full(n, 1.0 / (n * batch)) for n in counts])
+        return values[rows, np.concatenate(per_sample)], weights
+
+    picked_logits, cls_weights = gather(cls_logits, sampled)
+    cls_loss = classification_loss(picked_logits, np.concatenate(labels), config,
+                                   weights=cls_weights)
+    picked_offsets, reg_weights = gather(reg_offsets, regressed)
+    per_anchor = smooth_l1(picked_offsets, np.concatenate(offset_targets)).sum(axis=-1)
+    reg_loss = (per_anchor * Tensor(reg_weights)).sum()
     return cls_loss, reg_loss
 
 

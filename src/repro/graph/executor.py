@@ -24,7 +24,8 @@ earlier values die.  A node's inputs are released only *after* its own
 output buffer is acquired, so a kernel never reads and writes the same
 storage.  Convolutions run eager ``conv2d``'s own kernel (im2col gather
 plus one batched GEMM, dilation included) with private pad/column
-scratch buffers, writing straight into their NCHW arena buffer.
+scratch buffers, writing straight into their NCHW arena buffer; max
+pooling runs eager's ``_max_pool`` into its arena buffer the same way.
 
 **Observability.**  When an op-level profiler is active, each kernel
 execution is recorded via :meth:`Profiler.record_op` under the node's
@@ -41,8 +42,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd.functional import _im2col, _pair
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.functional import _im2col, _max_pool, _pair
+from repro.autograd.tensor import Tensor, _is_basic_index, no_grad
 from repro.graph.ir import Graph, Node, Slot
 from repro.graph.trace import TracedGraph
 from repro.obs import trace_span
@@ -55,13 +56,6 @@ _POOLED_OPS = frozenset({
 
 #: Ops whose output is a view of their (base) input buffer.
 _VIEW_OPS = frozenset({"reshape", "transpose", "tuple_get"})
-
-
-def _is_basic_index(index: Any) -> bool:
-    """Whether ``x[index]`` is guaranteed to return a numpy view."""
-    if isinstance(index, tuple):
-        return all(_is_basic_index(item) for item in index)
-    return index is None or index is Ellipsis or isinstance(index, (int, slice))
 
 
 def _template_has_slot(template: Any) -> bool:
@@ -451,36 +445,15 @@ class ExecutionPlan:
     def _build_max_pool_kernel(self, node: Node, in_slots: List[int],
                                args: Tuple, kwargs: Dict,
                                out: np.ndarray) -> Callable[[], np.ndarray]:
-        """Max values only: inference needs no argmax indices.
-
-        A running first-max-wins comparison over the kernel offsets
-        (flat row-major order) replicates eager's
-        ``take_along_axis(argmax)`` exactly: strict ``>`` keeps the
-        earliest window on ties, which is argmax's tie rule.  (The one
-        divergence is NaN activations, where argmax treats NaN as the
-        maximum; build-time validation covers the traced batch and NaN
-        activations mean the model is already broken.)
-        """
+        """Eager ``max_pool2d``'s own kernel, writing into the arena buffer."""
         slots = self._slots
         ia = in_slots[0]
-        kh, kw = _pair(_literal(args, kwargs, 1, "kernel", None))
+        kernel = _pair(_literal(args, kwargs, 1, "kernel", None))
         stride_arg = _literal(args, kwargs, 2, "stride", None)
-        sh, sw = (kh, kw) if stride_arg is None else _pair(stride_arg)
-        n, c, h, w = node.inputs[0].shape
-        oh = (h - kh) // sh + 1
-        ow = (w - kw) // sw + 1
-        offsets = [(i, j) for i in range(kh) for j in range(kw)]
-        mask_buf = np.empty((n, c, oh, ow), dtype=bool)
+        stride = kernel if stride_arg is None else _pair(stride_arg)
 
         def kernel_max_pool():
-            x = slots[ia]
-            i0, j0 = offsets[0]
-            np.copyto(out, x[:, :, i0:i0 + sh * oh:sh, j0:j0 + sw * ow:sw])
-            for i, j in offsets[1:]:
-                window = x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-                np.greater(window, out, out=mask_buf)
-                np.copyto(out, window, where=mask_buf)
-            return out
+            return _max_pool(slots[ia], kernel, stride, out=out)
         return kernel_max_pool
 
     # -- convolution ----------------------------------------------------

@@ -110,9 +110,90 @@ class TestPooling:
     def test_avg_pool_grad(self):
         gradient_check(lambda x: avg_pool2d(x, 2, 1), [make((2, 3, 5, 5))])
 
+    @pytest.mark.parametrize("kernel,stride,shape", [(3, 2, (2, 2, 9, 8)), (2, 3, (1, 2, 8, 7))])
+    def test_avg_pool_grad_overlap_and_gaps(self, kernel, stride, shape):
+        x = make(shape)
+        out = avg_pool2d(x, kernel, stride).data
+        for p in range(out.shape[2]):
+            for q in range(out.shape[3]):
+                window = x.data[:, :, p * stride:p * stride + kernel,
+                                q * stride:q * stride + kernel]
+                assert np.allclose(out[:, :, p, q], window.mean(axis=(2, 3)))
+        gradient_check(lambda x: avg_pool2d(x, kernel, stride), [x])
+
     def test_max_pool_stride(self):
         out = max_pool2d(make((1, 1, 6, 6)), 2, stride=3)
         assert out.shape == (1, 1, 2, 2)
+
+
+def reference_max_pool(x, kernel, stride, grad):
+    """Max pooling as an im2col gather and an ``argmax`` over the taps.
+
+    Returns the pooled values and the input gradient for output
+    gradient ``grad``: each output's gradient goes to its window's
+    argmax, scattered back tap by tap.
+    """
+    (kh, kw), (sh, sw) = kernel, stride
+    n, c, h, w = x.shape
+    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    cols = np.stack([x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] for i, j in taps], axis=2)
+    argmax = cols.argmax(axis=2)
+    grad_x = np.zeros_like(x)
+    for k, (i, j) in enumerate(taps):
+        grad_x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += np.where(argmax == k, grad, 0.0)
+    return cols.max(axis=2), grad_x
+
+
+def relu_with_ties(shape, seed):
+    """ReLU'd activations: mostly tied zeros, of both signs, and positive
+    values rounded so that they tie too."""
+    data = np.round(np.random.default_rng(seed).normal(size=shape) - 1.0, 1)
+    data[..., ::5] = 0.0
+    return Tensor(data).relu().data
+
+
+class TestMaxPoolKernel:
+    CASES = [
+        pytest.param((2, 3, 8, 8), (2, 2), (2, 2), id="k2s2"),
+        pytest.param((2, 3, 9, 9), (3, 3), (2, 2), id="k3s2-overlap"),
+        pytest.param((2, 2, 8, 8), (2, 2), (3, 3), id="k2s3-gaps"),
+        pytest.param((2, 3, 7, 9), (2, 2), (2, 2), id="odd-hw"),
+        pytest.param((1, 2, 7, 10), (3, 2), (1, 2), id="rect-overlap"),
+    ]
+
+    @pytest.mark.parametrize("shape,kernel,stride", CASES)
+    @pytest.mark.parametrize("ties", [True, False], ids=["relu-ties", "tie-free"])
+    def test_matches_im2col_argmax_reference(self, shape, kernel, stride, ties):
+        data = relu_with_ties(shape, 0) if ties else np.random.default_rng(0).normal(size=shape)
+        x = Tensor(data, requires_grad=True)
+        out = max_pool2d(x, kernel, stride)
+        grad = np.random.default_rng(1).normal(size=out.shape)
+        out.backward(grad)
+        value, grad_x = reference_max_pool(data, kernel, stride, grad)
+        assert np.array_equal(out.data, value)
+        assert np.array_equal(x.grad, grad_x)
+        if ties:
+            assert (value == 0).mean() > 0.1  # the tie rule was exercised
+
+    @pytest.mark.parametrize("shape,kernel,stride", CASES)
+    def test_gradcheck_tie_free(self, shape, kernel, stride):
+        gradient_check(lambda x: max_pool2d(x, kernel, stride), [make(shape, 3)])
+
+    @pytest.mark.parametrize("shape,kernel,stride", CASES)
+    def test_compiled_matches_eager_bytewise(self, shape, kernel, stride):
+        from repro import autograd
+        from repro.graph import ExecutionPlan, trace
+
+        def fn(t):
+            return autograd.max_pool2d(t, kernel, stride)
+
+        x = relu_with_ties(shape, 2)
+        plan = ExecutionPlan(trace(fn, Tensor(x)))
+        assert plan.num_kernels == 1 and plan.fallbacks == 0
+        other = relu_with_ties(shape, 4)
+        for data in (x, other):
+            assert plan.run(Tensor(data)).data.tobytes() == fn(Tensor(data)).data.tobytes()
 
 
 class TestPad2d:

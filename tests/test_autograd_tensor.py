@@ -222,6 +222,39 @@ class TestShapes:
     def test_getitem_slice_grad(self):
         gradient_check(lambda a: a[:, 1:3], [make((3, 5))])
 
+    def test_getitem_basic_index_grad(self):
+        t = Tensor(np.zeros((3, 4, 5)), requires_grad=True)
+        out = t[1, ..., None, 1:4]
+        grad = np.arange(12.0).reshape(out.shape)
+        out.backward(grad)
+        expected = np.zeros((3, 4, 5))
+        expected[1, :, 1:4] = grad[:, 0]
+        assert np.array_equal(t.grad, expected)
+        gradient_check(lambda a: a[np.int64(2), ::2, None], [make((3, 5, 2))])
+
+    def test_getitem_fancy_duplicates_accumulate(self):
+        t = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        t[[0, 0, 2]].backward(np.ones((3, 3)))
+        assert np.array_equal(t.grad[:, 0], [2.0, 0.0, 1.0, 0.0])
+        t.zero_grad()
+        rows, cols = np.array([1, 1, 3]), np.array([2, 2, 0])
+        t[rows, cols].backward(np.array([1.0, 2.0, 4.0]))
+        assert t.grad[1, 2] == 3.0 and t.grad[3, 0] == 4.0 and t.grad.sum() == 7.0
+
+    def test_bool_index_is_not_basic(self):
+        from repro.autograd.tensor import _is_basic_index
+
+        assert _is_basic_index((0, slice(None), None, Ellipsis, np.int64(1)))
+        for index in (True, np.True_, (0, False), np.array([True, False]), [0, 0], np.array(1)):
+            assert not _is_basic_index(index)
+        t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        t[True].backward(np.ones((1, 2, 3)))
+        assert np.array_equal(t.grad, np.ones((2, 3)))
+        t.zero_grad()
+        mask = np.array([[True, False, True], [False, False, True]])
+        t[mask].backward(np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(t.grad, [[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
+
 
 class TestGraph:
     def test_backward_requires_grad(self):
@@ -267,6 +300,38 @@ class TestGraph:
         (t * 2).backward(np.array([1.0]))
         t.zero_grad()
         assert t.grad is None
+
+    def test_leaves_never_share_a_grad_array(self):
+        from repro.optim import clip_grad_norm
+
+        a = Tensor([3.0, 4.0], requires_grad=True)
+        b = Tensor([1.0, 1.0], requires_grad=True)
+        (a + b).backward(np.array([3.0, 4.0]))
+        assert a.grad is not b.grad
+        clip_grad_norm([a], max_norm=1.0)
+        assert np.allclose(a.grad, [0.6, 0.8])
+        assert np.array_equal(b.grad, [3.0, 4.0])
+
+    def test_external_backward_grad_is_not_aliased(self):
+        leaf = Tensor([1.0, 2.0], requires_grad=True)
+        grad = np.array([1.0, 1.0])
+        leaf.backward(grad)
+        node = leaf * 2.0
+        node_grad = np.array([1.0, 1.0])
+        node.backward(node_grad)
+        grad[:] = 7.0
+        node_grad[:] = 7.0
+        assert np.array_equal(leaf.grad, [3.0, 3.0])
+        assert np.array_equal(node.grad, [1.0, 1.0])
+
+    def test_intermediate_grads_may_alias(self):
+        """A non-leaf keeps the gradient it is handed instead of copying it."""
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        mid = a * 2.0
+        flat = mid.reshape(6)
+        flat.sum().backward()
+        assert np.shares_memory(mid.grad, flat.grad)
+        assert not np.shares_memory(a.grad, mid.grad)
 
     def test_diamond_graph_grad(self):
         t = Tensor([2.0], requires_grad=True)

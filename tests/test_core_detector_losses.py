@@ -8,9 +8,13 @@ from repro.core import TargetDetectionNetwork, YolloConfig
 from repro.core.losses import (
     attention_mask_loss,
     build_gt_mask,
+    build_matcher,
+    classification_loss,
     detection_loss,
     yollo_loss,
 )
+from repro.detection import BalancedSampler
+from repro.nn import smooth_l1
 
 
 def config(**overrides):
@@ -117,6 +121,105 @@ class TestDetectionLoss:
         )
         assert float(cls_loss.data) < 1e-3
         assert float(reg_loss.data) < 1e-6
+
+
+def reference_detection_loss(cls_logits, reg_offsets, target_boxes, anchor_grid,
+                             config, rng):
+    """Eqs. (7)-(8) as a per-sample loop: each sample's mean losses,
+    averaged over the batch."""
+    anchors = anchor_grid.all_anchors()
+    matcher = build_matcher(config)
+    sampler = BalancedSampler(batch_size=config.anchor_batch)
+    cls_terms, reg_terms = [], []
+    for b in range(cls_logits.shape[0]):
+        match = matcher.match(anchors, target_boxes[b])
+        indices, labels = sampler.sample(match, rng=rng)
+        cls_terms.append(classification_loss(cls_logits[b][indices], labels, config))
+        regressed = match.positive_indices
+        if config.regress_ignore_band:
+            band = np.flatnonzero(match.ious >= config.rho_low)
+            regressed = band if len(band) else regressed
+        offsets = smooth_l1(reg_offsets[b][regressed], match.offsets[regressed])
+        reg_terms.append(offsets.sum(axis=-1).mean())
+    batch = float(cls_logits.shape[0])
+    return sum(cls_terms) / batch, sum(reg_terms) / batch
+
+
+class TestBatchedDetectionLoss:
+    """The one-gather detection loss equals the per-sample loop."""
+
+    # The third box is too small for any anchor to reach rho_low, so the
+    # ignore band falls back to the forced positive.
+    BOXES = np.array([[8.0, 8.0, 24.0, 24.0], [30.0, 10.0, 70.0, 46.0],
+                      [40.0, 20.0, 41.0, 21.0]])
+
+    @pytest.mark.parametrize("cls_loss", ["softmax_ce", "focal"])
+    @pytest.mark.parametrize("matcher", ["iou", "topk"])
+    @pytest.mark.parametrize("band", [False, True], ids=["positives", "ignore-band"])
+    def test_matches_per_sample_loop(self, detector, cls_loss, matcher, band):
+        cfg = config(cls_loss=cls_loss, matcher=matcher, regress_ignore_band=band,
+                     anchor_batch=64)
+        num_anchors = detector.anchor_grid.num_anchors
+        data = np.random.default_rng(5)
+        cls_data = data.normal(size=(3, num_anchors, 2))
+        reg_data = data.normal(size=(3, num_anchors, 4))
+
+        results = []
+        for loss_fn in (detection_loss, reference_detection_loss):
+            cls = Tensor(cls_data, requires_grad=True)
+            reg = Tensor(reg_data, requires_grad=True)
+            rng = np.random.default_rng(11)
+            cls_loss_t, reg_loss_t = loss_fn(cls, reg, self.BOXES, detector.anchor_grid,
+                                             cfg, rng)
+            (cls_loss_t + reg_loss_t * 0.5).backward()
+            results.append((float(cls_loss_t.data), float(reg_loss_t.data),
+                            cls.grad, reg.grad, rng.bit_generator.state))
+        (cls_b, reg_b, gcls_b, greg_b, state_b), (cls_r, reg_r, gcls_r, greg_r, state_r) = results
+        assert cls_b == pytest.approx(cls_r, rel=1e-12)
+        assert reg_b == pytest.approx(reg_r, rel=1e-12)
+        np.testing.assert_allclose(gcls_b, gcls_r, rtol=1e-12, atol=1e-17)
+        np.testing.assert_allclose(greg_b, greg_r, rtol=1e-12, atol=1e-17)
+        assert state_b == state_r
+
+
+class TestTrainerTrajectory:
+    """Ten ``YolloTrainer`` steps give the losses the per-sample loss loop
+    gave before the detection loss was batched."""
+
+    PINNED = {
+        "paper": [15.174734417667736, 10.470592431367349, 9.773535808796442,
+                  9.23235819847754, 9.081080171781549, 9.035740740979296,
+                  8.805257500821918, 8.879766225855414, 8.629731068871692,
+                  8.618158974292449],
+        "focal-topk-band": [14.641044511117688, 9.812283534652128, 9.293011154893819,
+                            8.714018802146505, 8.48645143139656, 8.417555971802523,
+                            8.254378922564609, 8.272142401610399, 8.27169494360834,
+                            8.143047052570504],
+    }
+    OVERRIDES = {
+        "paper": {},
+        "focal-topk-band": dict(cls_loss="focal", matcher="topk", regress_ignore_band=True),
+    }
+
+    @pytest.mark.parametrize("variant", ["paper", "focal-topk-band"])
+    def test_loss_trajectory_is_pinned(self, variant):
+        from repro.core import YolloModel, YolloTrainer
+        from repro.data import REFCOCO, build_dataset
+        from repro.utils import seed_everything
+
+        seed_everything(0)
+        dataset = build_dataset(REFCOCO.scaled(0.04))
+        cfg = YolloConfig(backbone="tiny", d_model=12, d_rel=16, ffn_hidden=16,
+                          head_hidden=16, num_rel2att=2,
+                          max_query_length=max(6, dataset.max_query_length),
+                          batch_size=4, **self.OVERRIDES[variant])
+        trainer = YolloTrainer(YolloModel(cfg, vocab_size=len(dataset.vocab)), dataset, cfg)
+        losses = []
+        for _ in range(10):
+            loss = trainer.forward_backward()
+            trainer.apply_step(loss)
+            losses.append(loss)
+        np.testing.assert_allclose(losses, self.PINNED[variant], rtol=1e-10, atol=0)
 
 
 class TestYolloLoss:
