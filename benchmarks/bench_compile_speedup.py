@@ -1,9 +1,10 @@
 """Graph-compiled inference vs eager — the compile pipeline must pay.
 
 Traces the tiny-preset YOLLO forward into an execution plan (constant
-folding, BatchNorm folding, conv/add epilogue fusion, arena buffer
-reuse, persistent conv pad/column buffers) and times ``predict`` eager vs
-compiled.  Measurement is single-query (batch 1), matching the paper's
+folding, BatchNorm folding, conv/add epilogue fusion, buffers laid
+out in the plan cache's one workspace) and times ``predict`` eager vs
+compiled, printing the bytes that workspace holds beside the speed-up,
+so a memory regression shows next to a latency one.  Measurement is single-query (batch 1), matching the paper's
 deployment-style Table-5 timing and ``repro.eval.timing``.  Timing is
 min-of-N: the minimum over repeated passes is the stable estimator for
 CPU microbenchmarks, where the mean is polluted by scheduler noise.
@@ -76,6 +77,7 @@ def test_compiled_inference_speedup(results_dir):
         assert e.attention_map.tobytes() == c.attention_map.tobytes()
 
     compiled_wall = _time_predict(model, batch)
+    workspace_kib = model.plan_cache.stats()["workspace_bytes"] / 1024
     model.uncompile()
     eager_wall = _time_predict(model, batch)
 
@@ -92,6 +94,7 @@ def test_compiled_inference_speedup(results_dir):
         f"  eager    : {eager_wall * 1e3:8.2f} ms/query",
         f"  compiled : {compiled_wall * 1e3:8.2f} ms/query",
         f"  speedup  : {speedup:8.2f} x  (floor {MIN_SPEEDUP}x)",
+        f"  workspace: {workspace_kib:8.1f} KiB  (plan cache: arena + conv scratch)",
         f"  first call (trace+passes+plan+run): {compile_wall * 1e3:.1f} ms",
         "  outputs  : bit-exact (boxes, scores, attention maps)",
     ]

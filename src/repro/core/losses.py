@@ -114,10 +114,11 @@ def detection_loss(
     Returns ``(cls_loss, reg_loss)`` tensors: the batch average of each
     sample's mean over its anchors.
 
-    Matching and sampling run per sample, in batch order, so the rng
-    draws are those of a per-sample loop.  The losses then run once
-    over the anchors gathered from the whole batch, each weighted by
-    ``1 / (n_b * B)`` where ``n_b`` is its sample's anchor count.
+    Matching runs once for the whole batch; sampling runs per sample,
+    in batch order, so the rng draws are those of a per-sample loop.
+    The losses then run once over the anchors gathered from the whole
+    batch, each weighted by ``1 / (n_b * B)`` where ``n_b`` is its
+    sample's anchor count.
     """
     anchors = anchor_grid.all_anchors()
     matcher = build_matcher(config)
@@ -128,8 +129,7 @@ def detection_loss(
     labels: List[np.ndarray] = []
     regressed: List[np.ndarray] = []
     offset_targets: List[np.ndarray] = []
-    for b in range(batch):
-        match = matcher.match(anchors, target_boxes[b])
+    for match in matcher.match_batch(anchors, target_boxes):
         indices, sample_labels = sampler.sample(match, rng=rng)
         sampled.append(indices)
         labels.append(sample_labels)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -56,15 +57,19 @@ class AnchorMatcher:
 
     def match(self, anchors: np.ndarray, target_box: np.ndarray) -> MatchResult:
         """Produce labels and regression targets for one ground-truth box."""
-        target = np.asarray(target_box, dtype=np.float64).reshape(1, 4)
-        ious = iou_matrix(anchors, target)[:, 0]
-        labels = np.full(len(anchors), -1, dtype=np.int64)
+        return self.match_batch(anchors, np.reshape(target_box, (1, 4)))[0]
+
+    def match_batch(self, anchors: np.ndarray, target_boxes: np.ndarray) -> List[MatchResult]:
+        """:meth:`match` for each of ``(B, 4)`` boxes, computed as one batch."""
+        targets = _as_targets(target_boxes)
+        ious = iou_matrix(targets, anchors)  # (B, A)
+        labels = np.full(ious.shape, -1, dtype=np.int64)
         labels[ious < self.rho_low] = 0
         labels[ious >= self.rho_high] = 1
-        if self.force_match and not (labels == 1).any():
-            labels[int(ious.argmax())] = 1
-        offsets = encode_offsets(anchors, np.broadcast_to(target, anchors.shape))
-        return MatchResult(labels=labels, offsets=offsets, ious=ious)
+        if self.force_match:
+            unmatched = np.flatnonzero(~(labels == 1).any(axis=1))
+            labels[unmatched, ious[unmatched].argmax(axis=1)] = 1
+        return _results(labels, anchors, targets, ious)
 
 
 class UniformTopKMatcher:
@@ -95,18 +100,33 @@ class UniformTopKMatcher:
 
     def match(self, anchors: np.ndarray, target_box: np.ndarray) -> MatchResult:
         """Produce labels and regression targets for one ground-truth box."""
+        return self.match_batch(anchors, np.reshape(target_box, (1, 4)))[0]
+
+    def match_batch(self, anchors: np.ndarray, target_boxes: np.ndarray) -> List[MatchResult]:
+        """:meth:`match` for each of ``(B, 4)`` boxes, computed as one batch."""
         anchors = np.asarray(anchors, dtype=np.float64)
-        target = np.asarray(target_box, dtype=np.float64).reshape(1, 4)
-        ious = iou_matrix(anchors, target)[:, 0]
+        targets = _as_targets(target_boxes)
+        ious = iou_matrix(targets, anchors)  # (B, A)
         anchor_centers = boxes_to_cxcywh(anchors)[:, :2]
-        target_center = boxes_to_cxcywh(target)[0, :2]
-        distances = np.abs(anchor_centers - target_center).sum(axis=1)
+        target_centers = boxes_to_cxcywh(targets)[:, None, :2]
+        distances = np.abs(anchor_centers - target_centers).sum(axis=-1)
 
         k = min(self.topk, len(anchors))
-        order = np.argsort(distances, kind="stable")
-        selected = order[:k]
-        labels = np.zeros(len(anchors), dtype=np.int64)
+        selected = np.argsort(distances, axis=1, kind="stable")[:, :k]
+        labels = np.zeros(ious.shape, dtype=np.int64)
         labels[ious >= self.ignore_threshold] = -1
-        labels[selected] = 1
-        offsets = encode_offsets(anchors, np.broadcast_to(target, anchors.shape))
-        return MatchResult(labels=labels, offsets=offsets, ious=ious)
+        labels[np.arange(len(targets))[:, None], selected] = 1
+        return _results(labels, anchors, targets, ious)
+
+
+def _as_targets(target_boxes: np.ndarray) -> np.ndarray:
+    return np.asarray(target_boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def _results(labels: np.ndarray, anchors: np.ndarray, targets: np.ndarray,
+             ious: np.ndarray) -> List[MatchResult]:
+    """One :class:`MatchResult` per target row; offsets encoded at once."""
+    anchors = np.asarray(anchors, dtype=np.float64)
+    offsets = encode_offsets(anchors[None], targets[:, None])  # (B, A, 4)
+    return [MatchResult(labels=labels[b], offsets=offsets[b], ious=ious[b])
+            for b in range(len(targets))]

@@ -15,10 +15,12 @@ arithmetic without rebuilding the dynamic tape:
   weight subgraphs, BatchNorm folding (running-stats buffers collapse
   into one ``bn_affine`` node), and conv/bias/BN/ReLU epilogue fusion.
 - :mod:`repro.graph.executor` — :class:`ExecutionPlan` (topologically
-  scheduled kernels, buffer-liveness analysis, a persistent arena
-  allocator that reuses output buffers, build-time kernel validation
-  against the traced values) and :class:`PlanCache` (plans keyed on
-  input shapes, so dynamic serving batches compile once per shape).
+  scheduled kernels, buffer-liveness analysis that lays output buffers
+  and conv scratch out at byte offsets in one workspace, build-time
+  kernel validation against the traced values) and :class:`PlanCache`
+  (plans keyed on input shapes, so dynamic serving batches compile once
+  per shape; all of a cache's plans share one workspace sized to the
+  largest and run one at a time under its lock).
 
 Bit-exactness is the contract: every kernel replicates the eager numpy
 arithmetic operation for operation, and plan construction verifies each

@@ -16,16 +16,31 @@ called with the node's call template, so a plan can never silently
 drift from eager semantics.  Ops without a dedicated kernel take the
 same replay at build time; ``plan.fallbacks`` counts both.
 
-**Allocation reuse.**  Buffer liveness analysis (aliases such as
-``reshape``/``transpose`` extend their base buffer's lifetime) feeds a
-persistent arena: output buffers are allocated once at build time,
-pooled by ``(dtype, element count)``, and handed to later nodes as
-earlier values die.  A node's inputs are released only *after* its own
-output buffer is acquired, so a kernel never reads and writes the same
+**Allocation reuse.**  Every pooled output buffer and the conv scratch
+live at byte offsets inside one plan-sized layout.  Buffer liveness
+analysis (aliases such as ``reshape``/``transpose`` extend their base
+buffer's lifetime) lays out the arena: a buffer's region returns to a
+pool keyed by size once its value dies and is handed to a later buffer
+of that size.  A node's inputs are released only *after* its own output
+region is acquired, so a kernel never reads and writes the same
 storage.  Convolutions run eager ``conv2d``'s own kernel (im2col gather
-plus one batched GEMM, dilation included) with private pad/column
-scratch buffers, writing straight into their NCHW arena buffer; max
-pooling runs eager's ``_max_pool`` into its arena buffer the same way.
+plus one batched GEMM, dilation included): the padded input and the
+columns live in one scratch region after the arena, shared by every
+conv because each conv's scratch is dead once it returns, and the pad
+border is zeroed on every call.  The GEMM writes straight into the NCHW
+arena buffer; max pooling runs eager's ``_max_pool`` into its arena
+buffer the same way.  ``plan.workspace_bytes`` is arena plus scratch.
+
+**One workspace per cache.**  A plan's kernels are closures over views
+into a workspace buffer, rebuilt only when the buffer they see changes,
+so ``run`` pays nothing per call for the indirection.  A
+:class:`PlanCache` owns one workspace, sized to its largest plan, and
+one lock under which its plans run one at a time; growing or shrinking
+that buffer unbinds every plan, so none keeps an old buffer alive.  A
+plan built or run outside a cache owns a private workspace, which the
+cache takes over on ``store`` when that plan is its largest.  Between
+runs a plan's slot table holds only constants, so an idle plan pins no
+input or activation.
 
 **Observability.**  When an op-level profiler is active, each kernel
 execution is recorded via :meth:`Profiler.record_op` under the node's
@@ -95,30 +110,59 @@ class CompileError(RuntimeError):
     """Raised when a traced graph cannot be planned."""
 
 
+#: Byte alignment of every region laid out in a workspace.
+_ALIGN = 64
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+def _view(buffer: np.ndarray, offset: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """The ``shape``/``dtype`` array stored at byte ``offset`` of ``buffer``."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return buffer[offset:offset + nbytes].view(dtype).reshape(shape)
+
+
 class _Arena:
-    """Build-time buffer pool: flat arrays keyed by (dtype, element count)."""
+    """Build-time layout of pooled output buffers at byte offsets.
+
+    A buffer whose value has died returns its region to a pool keyed by
+    the region's size; a later buffer of that size takes it over, any
+    other is placed at the end of the span.
+    """
 
     def __init__(self):
-        self._free: Dict[Tuple[str, int], List[np.ndarray]] = {}
-        self.allocated_bytes = 0
+        self._free: Dict[int, List[int]] = {}
+        self.nbytes = 0
         self.buffer_count = 0
         self.reuse_count = 0
 
-    def acquire(self, shape: Tuple[int, ...], dtype) -> Tuple[np.ndarray, Tuple[str, int], np.ndarray]:
-        size = int(np.prod(shape)) if shape else 1
-        key = (str(dtype), size)
-        free = self._free.get(key)
+    def acquire(self, nbytes: int) -> int:
+        free = self._free.get(_aligned(nbytes))
         if free:
-            flat = free.pop()
             self.reuse_count += 1
-        else:
-            flat = np.empty(size, dtype=dtype)
-            self.allocated_bytes += int(flat.nbytes)
-            self.buffer_count += 1
-        return flat.reshape(shape), key, flat
+            return free.pop()
+        offset = self.nbytes
+        self.nbytes += _aligned(nbytes)
+        self.buffer_count += 1
+        return offset
 
-    def release(self, key: Tuple[str, int], flat: np.ndarray) -> None:
-        self._free.setdefault(key, []).append(flat)
+    def release(self, nbytes: int, offset: int) -> None:
+        self._free.setdefault(_aligned(nbytes), []).append(offset)
+
+
+class _Workspace:
+    """One byte buffer that plans lay their buffers out in, and the lock
+    under which one plan at a time runs over it.
+
+    A :class:`PlanCache` owns one for all of its plans; a plan outside
+    a cache owns a private one.
+    """
+
+    def __init__(self, nbytes: int = 0):
+        self.buffer = np.empty(nbytes, dtype=np.uint8)
+        self.lock = threading.Lock()
 
 
 class ExecutionPlan:
@@ -127,12 +171,11 @@ class ExecutionPlan:
     def __init__(self, traced: TracedGraph):
         self.traced = traced
         self.graph: Graph = traced.graph
-        self._generic_nodes: set = set()
-        self._lock = threading.Lock()
+        #: Generic eager replays by node id, whether chosen at build time
+        #: or after a kernel failed validation.
+        self._generic: Dict[int, Callable[[], Any]] = {}
         self._build()
-        #: Nodes run by the generic eager replay, whether chosen at build
-        #: time or after a kernel failed validation.
-        self.fallbacks = len(self._generic_nodes)
+        self.fallbacks = len(self._generic)
 
     # ------------------------------------------------------------------
     # Plan construction
@@ -150,40 +193,67 @@ class ExecutionPlan:
         for node in graph.nodes:
             if node.is_constant:
                 self._slots[self._slot_of[node.id]] = node.value
+        #: The slot table between runs: constants only, so an idle plan
+        #: pins no input or activation.
+        self._idle_slots = list(self._slots)
 
         schedule = [n for n in graph.nodes if not (n.is_input or n.is_constant)]
+        self._lay_out(graph, schedule)
+        self._schedule = [(self._slot_of[node.id], node, node.nbytes) for node in schedule]
+        self.num_kernels = len(schedule)
+
+        self._workspace = _Workspace(self.workspace_bytes)
+        self._bind(self._workspace.buffer)
+        self._validate()
+        # Traced values are no longer needed; keep constants.
+        for node in schedule + graph.inputs:
+            node.value = None
+        self._slots[:] = self._idle_slots
+
+    def _lay_out(self, graph: Graph, schedule: List[Node]) -> None:
+        """Place every pooled output buffer and the conv scratch region.
+
+        Output buffers share the arena by liveness; the scratch region
+        follows it and is shared by every convolution, since each conv's
+        padded input and columns live only while that conv runs.
+        """
         base = self._alias_bases(graph)
         last_use = self._liveness(graph, schedule, base)
-
         arena = _Arena()
-        owned: Dict[int, Tuple[Tuple[str, int], np.ndarray]] = {}
-        steps: List[Tuple[int, Callable[[], np.ndarray], Node]] = []
+        #: Byte offset of each pooled node's output buffer, by node id.
+        self._offsets: Dict[int, int] = {}
+        live: Dict[int, Tuple[int, int]] = {}  # node id -> (bytes, offset)
+        scratch = 0
         for position, node in enumerate(schedule):
-            out_buf = None
             if node.op in _POOLED_OPS and node.shape is not None:
-                out_buf, key, flat = arena.acquire(node.shape, node.dtype)
-                owned[node.id] = (key, flat)
+                offset = self._offsets[node.id] = arena.acquire(node.nbytes)
+                live[node.id] = (node.nbytes, offset)
+                if node.op == "conv2d" and self._conv_params(node) is not None:
+                    scratch = max(scratch, self._conv_scratch(node)[3])
             # Free inputs only after this node's buffer exists: a kernel
             # must never be handed its own operand's storage as output.
             for src_base in {base[src.id] for src in node.inputs}:
-                if last_use.get(src_base) == position and src_base in owned:
-                    key, flat = owned.pop(src_base)
-                    arena.release(key, flat)
-            kernel = self._build_kernel(node, out_buf)
-            steps.append((self._slot_of[node.id], node, kernel))
-        self.arena_bytes = arena.allocated_bytes
+                if last_use.get(src_base) == position and src_base in live:
+                    arena.release(*live.pop(src_base))
+        self.arena_bytes = arena.nbytes
         self.arena_buffers = arena.buffer_count
         self.arena_reuses = arena.reuse_count
+        self.scratch_bytes = scratch
+        #: Bytes of workspace this plan runs in: arena plus conv scratch.
+        self.workspace_bytes = arena.nbytes + scratch
 
-        self._validate(steps)
+    def _bind(self, buffer: np.ndarray) -> None:
+        """Build every kernel over views into ``buffer``."""
         self._steps = [
-            (slot, kernel, node.name, node.shape, node.nbytes if node.value is not None else 0)
-            for slot, node, kernel in steps
+            (slot, self._generic.get(node.id) or self._build_kernel(node, buffer))
+            for slot, node, _ in self._schedule
         ]
-        # Traced activation values are no longer needed; keep constants.
-        for node in schedule:
-            node.value = None
-        self.num_kernels = len(self._steps)
+        self._bound: Optional[np.ndarray] = buffer
+
+    def _unbind(self) -> None:
+        """Drop the kernels, and with them every view into the workspace."""
+        self._steps = []
+        self._bound = None
 
     def _alias_bases(self, graph: Graph) -> Dict[int, int]:
         base: Dict[int, int] = {}
@@ -217,7 +287,7 @@ class ExecutionPlan:
             last_use[base[node.id]] = float("inf")
         return last_use
 
-    def _validate(self, steps: List[Tuple[int, Node, Callable]]) -> None:
+    def _validate(self) -> None:
         """Run every kernel on the traced values; fall back on mismatch.
 
         After each comparison the slot is reset to the traced value, so
@@ -226,9 +296,9 @@ class ExecutionPlan:
         slots = self._slots
         for input_node in self.graph.inputs:
             slots[self._slot_of[input_node.id]] = input_node.value
-        for index, (slot, node, kernel) in enumerate(steps):
+        for index, (slot, node, _) in enumerate(self._schedule):
             try:
-                produced = kernel()
+                produced = self._steps[index][1]()
                 ok = (
                     _bitwise_equal(produced, node.value)
                     if isinstance(node.value, np.ndarray)
@@ -237,21 +307,25 @@ class ExecutionPlan:
             except Exception:
                 ok = False
             if not ok:
-                steps[index] = (slot, node, self._build_generic_kernel(node))
+                self._steps[index] = (slot, self._build_generic_kernel(node))
             slots[slot] = node.value
 
     # ------------------------------------------------------------------
     # Kernel construction
     # ------------------------------------------------------------------
-    def _build_kernel(self, node: Node, out: Optional[np.ndarray]) -> Callable[[], Any]:
+    def _build_kernel(self, node: Node, buffer: np.ndarray) -> Callable[[], Any]:
+        """The node's dedicated kernel, writing a pooled output into its
+        region of ``buffer``; the generic replay when it has none."""
         slots = self._slots
+        offset = self._offsets.get(node.id)
+        out = None if offset is None else _view(buffer, offset, node.shape, node.dtype)
         in_slots = [self._slot_of[src.id] for src in node.inputs]
         args = node.attrs.get("args", ())
         kwargs = node.attrs.get("kwargs", {})
         op = node.op
 
         if op == "conv2d":
-            return self._build_conv_kernel(node, out)
+            return self._build_conv_kernel(node, out, buffer)
 
         if op in ("add", "sub", "mul", "div"):
             ufunc = {
@@ -457,52 +531,84 @@ class ExecutionPlan:
         return kernel_max_pool
 
     # -- convolution ----------------------------------------------------
-    def _build_conv_kernel(self, node: Node, out: Optional[np.ndarray]) -> Callable[[], np.ndarray]:
-        """Eager ``conv2d``'s own im2col + batched GEMM into the arena.
-
-        The input is padded into a persistent buffer, gathered into
-        persistent columns, multiplied straight into the output buffer
-        viewed as ``(N, F, OH*OW)``, and the fused bias/BN/ReLU epilogue
-        runs in place in NCHW — the same arithmetic as eager, so the
-        result is bitwise identical.
-        """
-        slots = self._slots
+    def _conv_params(self, node: Node) -> Optional[Tuple]:
+        """``(weight, bias, stride, padding, dilation)`` of a conv the
+        dedicated kernel runs; ``None`` for one that takes the replay
+        (no arena buffer, or a weight or bias that is not a constant)."""
         args = node.attrs.get("args", ())
         kwargs = node.attrs.get("kwargs", {})
-        x_node, w_node = node.inputs[0], node.inputs[1]
-        if out is None or not w_node.is_constant:
-            return self._build_generic_kernel(node)
-        ix = self._slot_of[x_node.id]
-        weight = w_node.value
-        stride = _pair(_literal(args, kwargs, 3, "stride", 1))
-        ph, pw = _pair(_literal(args, kwargs, 4, "padding", 0))
-        dilation = _pair(_literal(args, kwargs, 5, "dilation", 1))
+        w_node = node.inputs[1]
+        if node.shape is None or not w_node.is_constant:
+            return None
         bias_slot = args[2] if len(args) > 2 else kwargs.get("bias")
         bias = None
         if isinstance(bias_slot, Slot):
             bias_node = node.inputs[bias_slot.index]
             if not bias_node.is_constant:
-                return self._build_generic_kernel(node)
+                return None
             bias = bias_node.value
+        return (w_node.value, bias,
+                _pair(_literal(args, kwargs, 3, "stride", 1)),
+                _pair(_literal(args, kwargs, 4, "padding", 0)),
+                _pair(_literal(args, kwargs, 5, "dilation", 1)))
 
+    def _conv_scratch(self, node: Node) -> Tuple[Optional[Tuple[int, ...]], Tuple[int, ...], int, int]:
+        """The conv's padded-input shape (``None`` without padding), its
+        ``(N, C, KH, KW, OH, OW)`` column shape, the columns' byte offset
+        in the scratch region, and the bytes the conv needs there."""
+        weight, _, _, (ph, pw), _ = self._conv_params(node)
+        n, c, h, w = node.inputs[0].shape
+        itemsize = node.inputs[0].dtype.itemsize
+        padded = (n, c, h + 2 * ph, w + 2 * pw) if ph or pw else None
+        cols = (n, c, weight.shape[2], weight.shape[3], node.shape[2], node.shape[3])
+        cols_at = _aligned(int(np.prod(padded)) * itemsize) if padded else 0
+        return padded, cols, cols_at, cols_at + int(np.prod(cols)) * itemsize
+
+    def _build_conv_kernel(self, node: Node, out: Optional[np.ndarray],
+                           buffer: np.ndarray) -> Callable[[], np.ndarray]:
+        """Eager ``conv2d``'s own im2col + batched GEMM into the arena.
+
+        The input is padded and gathered into columns in the plan's
+        conv scratch region, multiplied straight into the output buffer
+        viewed as ``(N, F, OH*OW)``, and the fused bias/BN/ReLU epilogue
+        runs in place in NCHW — the same arithmetic as eager, so the
+        result is bitwise identical.  Other convs and other plans write
+        the scratch region too, so the pad border is zeroed on every call.
+        """
+        params = self._conv_params(node)
+        if params is None:
+            return self._build_generic_kernel(node)
+        slots = self._slots
+        weight, bias, stride, (ph, pw), dilation = params
+        x_node = node.inputs[0]
+        ix = self._slot_of[x_node.id]
         epilogue = self._build_conv_epilogue(node, bias)
         n, c, h, w = x_node.shape
         f, _, kh, kw = weight.shape
-        oh, ow = out.shape[2], out.shape[3]
+        padded_shape, cols_shape, cols_at, _ = self._conv_scratch(node)
+        scratch = self.arena_bytes
+        cols = _view(buffer, scratch + cols_at, cols_shape, x_node.dtype)
+        cols3 = cols.reshape(n, c * kh * kw, cols_shape[4] * cols_shape[5])
+        out3 = out.reshape(n, f, cols_shape[4] * cols_shape[5])
         w2 = weight.reshape(f, c * kh * kw)
-        pad_buf = None
-        if ph or pw:
-            pad_buf = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x_node.dtype)
-        cols_buf = np.empty((n, c, kh, kw, oh, ow), dtype=x_node.dtype)
-        cols3 = cols_buf.reshape(n, c * kh * kw, oh * ow)
-        out3 = out.reshape(n, f, oh * ow)
+        padded = interior = None
+        borders: List[np.ndarray] = []
+        if padded_shape is not None:
+            padded = _view(buffer, scratch, padded_shape, x_node.dtype)
+            interior = padded[:, :, ph:ph + h, pw:pw + w]
+            if ph:
+                borders += [padded[:, :, :ph], padded[:, :, ph + h:]]
+            if pw:
+                borders += [padded[:, :, ph:ph + h, :pw], padded[:, :, ph:ph + h, pw + w:]]
 
         def kernel_conv() -> np.ndarray:
             x = slots[ix]
-            if pad_buf is not None:
-                pad_buf[:, :, ph:ph + h, pw:pw + w] = x
-                x = pad_buf
-            _im2col(x, (kh, kw), stride, dilation, out=cols_buf)
+            if padded is not None:
+                for border in borders:
+                    border.fill(0)
+                np.copyto(interior, x)
+                x = padded
+            _im2col(x, (kh, kw), stride, dilation, out=cols)
             np.matmul(w2, cols3, out=out3)
             epilogue(out)
             return out
@@ -548,7 +654,6 @@ class ExecutionPlan:
         epilogue = node.attrs.get("epilogue", ())
         wrap = kind in ("method", "function") and attr not in ("__getitem__",)
         fn = node.attrs.get("fn")
-        self._generic_nodes.add(node.id)
 
         def substitute(template, values):
             if isinstance(template, Slot):
@@ -577,6 +682,7 @@ class ExecutionPlan:
                 elif step["op"] == "relu":
                     value = value * (value > 0)
             return value
+        self._generic[node.id] = kernel_generic
         return kernel_generic
 
     # ------------------------------------------------------------------
@@ -585,39 +691,58 @@ class ExecutionPlan:
     def run(self, *args: Any) -> Any:
         """Replay the plan on new inputs; returns the traced structure.
 
-        Output arrays are fresh copies — arena buffers are recycled on
-        the next call, so results must not alias plan-owned storage.
+        Runs under the workspace's lock.  Output arrays are fresh copies —
+        the workspace is overwritten by the next run of any plan sharing
+        it, so results must not alias it.
         """
+        arrays = self.traced.bind(args)
+        for array, (shape, dtype) in zip(arrays, self._input_examples):
+            if array is None or tuple(array.shape) != shape or array.dtype != dtype:
+                raise CompileError(
+                    f"plan for {self.traced.fn_name} expects input "
+                    f"{shape}/{dtype}, got "
+                    f"{None if array is None else (array.shape, array.dtype)}"
+                )
+        while True:
+            workspace = self._workspace
+            with workspace.lock:
+                # A cache may have moved this plan to another workspace
+                # while this thread waited for the lock.
+                if workspace is self._workspace:
+                    leaves = self._execute(workspace, arrays)
+                    break
+        return self.traced.unflatten(leaves)
+
+    def _execute(self, workspace: _Workspace, arrays: List[np.ndarray]) -> List[np.ndarray]:
+        """Run every kernel; the caller holds ``workspace.lock``."""
         from repro.obs.profiler import get_active_profiler
 
-        arrays = self.traced.bind(args)
-        with self._lock:
-            slots = self._slots
-            for slot, array, (shape, dtype) in zip(
-                self._input_slots, arrays, self._input_examples
-            ):
-                if array is None or tuple(array.shape) != shape or array.dtype != dtype:
-                    raise CompileError(
-                        f"plan for {self.traced.fn_name} expects input "
-                        f"{shape}/{dtype}, got "
-                        f"{None if array is None else (array.shape, array.dtype)}"
-                    )
+        if workspace.buffer.nbytes < self.workspace_bytes:
+            # Only a private workspace is ever too small: one a cache
+            # emptied when it evicted this plan.
+            workspace.buffer = np.empty(self.workspace_bytes, dtype=np.uint8)
+        if self._bound is not workspace.buffer:
+            self._bind(workspace.buffer)
+        slots = self._slots
+        try:
+            for slot, array in zip(self._input_slots, arrays):
                 slots[slot] = array
             profiler = get_active_profiler()
             with trace_span("graph.execute"):
                 if profiler is None:
-                    for slot, kernel, _, _, _ in self._steps:
+                    for slot, kernel in self._steps:
                         slots[slot] = kernel()
                 else:
-                    for slot, kernel, name, shape, nbytes in self._steps:
+                    for (slot, kernel), (_, node, nbytes) in zip(self._steps, self._schedule):
                         start = time.perf_counter()
                         slots[slot] = kernel()
                         profiler.record_op(
-                            name, start, time.perf_counter() - start,
-                            shape=shape, nbytes=nbytes,
+                            node.name, start, time.perf_counter() - start,
+                            shape=node.shape, nbytes=nbytes,
                         )
-            leaves = [np.array(slots[slot], copy=True) for slot in self._output_slots]
-        return self.traced.unflatten(leaves)
+            return [np.array(slots[slot], copy=True) for slot in self._output_slots]
+        finally:
+            slots[:] = self._idle_slots
 
     __call__ = run
 
@@ -627,6 +752,8 @@ class ExecutionPlan:
             f"{self.fallbacks} eager fallbacks",
             f"arena: {self.arena_buffers} buffers, "
             f"{self.arena_bytes / 1024:.1f} KiB, {self.arena_reuses} reuses",
+            f"workspace: {self.workspace_bytes / 1024:.1f} KiB "
+            f"(arena + {self.scratch_bytes / 1024:.1f} KiB conv scratch)",
         ]
         return "\n".join(lines)
 
@@ -634,14 +761,18 @@ class ExecutionPlan:
 class PlanCache:
     """LRU cache of :class:`ExecutionPlan` objects keyed by input signature.
 
-    Tracks lookup/hit/compile counters and queues compile events (key,
-    milliseconds) for the serving layer to drain into its stats.
+    Every plan in the cache runs in the cache's one workspace, sized to
+    its largest plan, under the workspace's lock: one plan runs at a
+    time, and the cache holds one plan's worth of buffers, not one per
+    plan.  Tracks lookup/hit/compile counters and queues compile events
+    (key, milliseconds) for the serving layer to drain into its stats.
     """
 
     def __init__(self, max_plans: int = 32):
         self.max_plans = max_plans
         self._plans: "OrderedDict[Any, ExecutionPlan]" = OrderedDict()
         self._lock = threading.Lock()
+        self._workspace = _Workspace()
         self.lookups = 0
         self.hits = 0
         self.compiles = 0
@@ -658,14 +789,48 @@ class PlanCache:
             return plan
 
     def store(self, key: Any, plan: ExecutionPlan, compile_ms: float) -> None:
-        with self._lock:
+        """Add ``plan`` and adopt it into the cache's workspace.
+
+        When the plan is the largest, its own buffer becomes the cache's
+        workspace; otherwise that buffer is dropped.
+        """
+        with self._lock, self._workspace.lock:
             self.compiles += 1
             self._compile_events.append((key, compile_ms))
+            dropped = [self._plans.get(key)]
             self._plans[key] = plan
             self._plans.move_to_end(key)
             while len(self._plans) > self.max_plans:
-                self._plans.popitem(last=False)
+                dropped.append(self._plans.popitem(last=False)[1])
                 self.evictions += 1
+            spare = None
+            if isinstance(plan, ExecutionPlan) and plan._workspace is not self._workspace:
+                with plan._workspace.lock:
+                    spare = plan._workspace.buffer
+                    plan._workspace = self._workspace
+            for old in dropped:
+                if old is not plan:
+                    self._release(old)
+            self._fit(spare)
+
+    def _release(self, plan: Any) -> None:
+        """Give a plan leaving the cache an empty private workspace."""
+        if isinstance(plan, ExecutionPlan) and plan._workspace is self._workspace:
+            plan._unbind()
+            plan._workspace = _Workspace()
+
+    def _fit(self, spare: Optional[np.ndarray] = None) -> None:
+        """Size the workspace to the largest plan (``spare`` when it is
+        that size), and unbind every plan from any other buffer, so no
+        plan keeps an old workspace alive.  Holds the workspace lock."""
+        plans = [p for p in self._plans.values() if isinstance(p, ExecutionPlan)]
+        need = max((plan.workspace_bytes for plan in plans), default=0)
+        if self._workspace.buffer.nbytes != need:
+            fits = spare is not None and spare.nbytes == need
+            self._workspace.buffer = spare if fits else np.empty(need, dtype=np.uint8)
+        for plan in plans:
+            if plan._bound is not None and plan._bound is not self._workspace.buffer:
+                plan._unbind()
 
     def drain_compile_events(self) -> List[Tuple[Any, float]]:
         """Return and clear compile events recorded since the last drain."""
@@ -674,9 +839,12 @@ class PlanCache:
             return events
 
     def clear(self) -> None:
-        with self._lock:
+        with self._lock, self._workspace.lock:
+            for plan in self._plans.values():
+                self._release(plan)
             self._plans.clear()
             self._compile_events = []
+            self._fit()
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -688,4 +856,6 @@ class PlanCache:
             "hits": self.hits,
             "compiles": self.compiles,
             "evictions": self.evictions,
+            # Bytes the cache holds for all its plans: one workspace.
+            "workspace_bytes": int(self._workspace.buffer.nbytes),
         }

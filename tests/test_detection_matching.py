@@ -282,3 +282,56 @@ class TestUniformTopKMatcher:
             UniformTopKMatcher(topk=0)
         with pytest.raises(ValueError):
             UniformTopKMatcher(ignore_threshold=1.5)
+
+
+def reference_match(matcher, anchors, target_box):
+    """The one-box matchers before matching was batched."""
+    from repro.detection import UniformTopKMatcher
+    from repro.detection.boxes import boxes_to_cxcywh, encode_offsets
+
+    anchors = np.asarray(anchors, dtype=np.float64)
+    target = np.asarray(target_box, dtype=np.float64).reshape(1, 4)
+    ious = iou_matrix(anchors, target)[:, 0]
+    if isinstance(matcher, UniformTopKMatcher):
+        distances = np.abs(boxes_to_cxcywh(anchors)[:, :2]
+                           - boxes_to_cxcywh(target)[0, :2]).sum(axis=1)
+        selected = np.argsort(distances, kind="stable")[:min(matcher.topk, len(anchors))]
+        labels = np.zeros(len(anchors), dtype=np.int64)
+        labels[ious >= matcher.ignore_threshold] = -1
+        labels[selected] = 1
+    else:
+        labels = np.full(len(anchors), -1, dtype=np.int64)
+        labels[ious < matcher.rho_low] = 0
+        labels[ious >= matcher.rho_high] = 1
+        if matcher.force_match and not (labels == 1).any():
+            labels[int(ious.argmax())] = 1
+    offsets = encode_offsets(anchors, np.broadcast_to(target, anchors.shape))
+    return labels, offsets, ious
+
+
+class TestMatchBatch:
+    """``match_batch`` gives every box the bytes the one-box loop gave."""
+
+    @pytest.mark.parametrize("make", [
+        lambda m: m.AnchorMatcher(),
+        lambda m: m.AnchorMatcher(rho_high=0.9, rho_low=0.1, force_match=False),
+        lambda m: m.UniformTopKMatcher(topk=4),
+        lambda m: m.UniformTopKMatcher(topk=1, ignore_threshold=0.3),
+    ], ids=["iou", "iou-no-force", "topk", "topk-1"])
+    def test_equals_one_box_loop(self, make):
+        from repro import detection
+        from repro.detection.anchors import AnchorGrid
+
+        matcher = make(detection)
+        anchors = AnchorGrid(6, 9, 8).all_anchors()
+        rng = np.random.default_rng(3)
+        corners = rng.uniform(-10.0, 80.0, size=(16, 2))
+        boxes = np.concatenate([corners, corners + rng.uniform(0.5, 50.0, (16, 2))], 1)
+        boxes[3, 2:] = boxes[3, :2]  # a zero-area box: no anchor overlaps it
+        matches = matcher.match_batch(anchors, boxes)
+        assert len(matches) == len(boxes)
+        for match, box in zip(matches, boxes):
+            for got, want in zip((match.labels, match.offsets, match.ious),
+                                 reference_match(matcher, anchors, box)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()

@@ -259,6 +259,59 @@ class TestExecutor:
         text = plan.describe()
         assert "kernels" in text and "arena" in text
 
+    def test_idle_plan_pins_no_input_or_activation(self):
+        import gc
+        import weakref
+
+        scale = Tensor(np.linspace(0.5, 2.0, 4))
+
+        def fn(x):
+            total = x.sum(axis=1, keepdims=True)  # not pooled, not an output
+            return (x * total + scale).relu()
+
+        traced = trace(fn, Tensor(np.zeros((8, 4))))
+        optimize_graph(traced.graph)
+        plan = ExecutionPlan(traced)
+        index = next(i for i, (_, node, _) in enumerate(plan._schedule)
+                     if node.op == "sum")
+        slot, kernel = plan._steps[index]
+        produced = []
+
+        def spy():
+            value = kernel()
+            produced.append(weakref.ref(value))
+            return value
+
+        plan._steps[index] = (slot, spy)
+        x = np.random.default_rng(0).normal(size=(8, 4))
+        expected = fn(Tensor(x)).data
+        given = weakref.ref(x)
+        assert plan.run(x).data.tobytes() == expected.tobytes()
+        del x
+        gc.collect()
+        assert given() is None
+        assert len(produced) == 1 and produced[0]() is None
+
+    def test_padded_conv_in_a_dirty_workspace(self):
+        """Pad borders live in shared scratch: garbage there changes nothing."""
+        rng = np.random.default_rng(4)
+        w1 = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        w2 = Tensor(rng.normal(size=(2, 3, 3, 3)))
+
+        def fn(x):
+            h = autograd.functional.conv2d(x, w1, padding=1).relu()
+            return autograd.functional.conv2d(h, w2, padding=(2, 1), stride=2)
+
+        traced = trace(fn, Tensor(np.zeros((2, 2, 7, 6))))
+        optimize_graph(traced.graph)
+        plan = ExecutionPlan(traced)
+        assert plan.fallbacks == 0 and plan.scratch_bytes > 0
+        assert plan.workspace_bytes == plan.arena_bytes + plan.scratch_bytes
+        for seed in range(3):
+            plan._workspace.buffer[:] = 255  # NaN bytes everywhere
+            x = np.random.default_rng(seed).normal(size=(2, 2, 7, 6))
+            assert plan.run(x).data.tobytes() == fn(Tensor(x)).data.tobytes()
+
 
 # ----------------------------------------------------------------------
 # Plan cache
@@ -362,6 +415,161 @@ class TestPlanCache:
         )
         assert retained == small.arena_bytes
         assert f"{small.arena_bytes / 1024:.1f} KiB" in small.describe()
+        # The cache's one workspace shrank to the plan it still holds.
+        assert cache.stats()["workspace_bytes"] == small.workspace_bytes
+        assert f"{small.workspace_bytes / 1024:.1f} KiB" in small.describe()
+
+    def test_evicted_plan_still_runs_privately(self):
+        w = Tensor(np.linspace(-1.0, 1.0, 16).reshape(4, 4))
+
+        def fn(x):
+            return (x.matmul(w) + 1.0).relu().sum(axis=1)
+
+        plans = {}
+        for batch in (64, 2):
+            traced = trace(fn, Tensor(np.zeros((batch, 4))))
+            optimize_graph(traced.graph)
+            plans[batch] = ExecutionPlan(traced)
+        cache = PlanCache(max_plans=1)
+        cache.store(64, plans[64], 1.0)
+        assert plans[64]._workspace is cache._workspace
+        cache.store(2, plans[2], 1.0)  # evicts the batch-64 plan
+        assert cache.stats()["workspace_bytes"] == plans[2].workspace_bytes
+        x = np.random.default_rng(1).normal(size=(64, 4))
+        assert plans[64].run(x).data.tobytes() == fn(Tensor(x)).data.tobytes()
+        assert plans[64]._workspace.buffer.nbytes == plans[64].workspace_bytes
+        assert cache.stats()["workspace_bytes"] == plans[2].workspace_bytes
+
+
+class TestSharedWorkspace:
+    """One workspace per plan cache, sized to its largest plan."""
+
+    @staticmethod
+    def _batches(dataset, sizes):
+        pool = list(dataset["train"]) + list(dataset["val"])
+        return {n: [pool[i % len(pool)] for i in range(n)] for n in sizes}
+
+    @staticmethod
+    def _root(array):
+        while array.base is not None:
+            array = array.base
+        return array
+
+    def test_sixteen_batch_shapes_hold_one_workspace(self, dataset):
+        model, _ = make_model(dataset)
+        grounder = Grounder(model, dataset.vocab).compile()
+        batches = self._batches(dataset, range(1, 17))
+        for batch in batches.values():
+            grounder(batch)
+        cache = grounder.plan_cache
+        plans = list(cache._plans.values())
+        assert len(plans) == 16 and all(p.fallbacks == 0 for p in plans)
+        largest = max(plans, key=lambda p: p.workspace_bytes)
+        assert largest is plans[-1]  # the batch-16 plan
+        stats = cache.stats()
+        assert stats["workspace_bytes"] == largest.workspace_bytes
+        assert stats["workspace_bytes"] < sum(p.workspace_bytes for p in plans)
+        # No plan or conv kernel owns a buffer of its own: every array a
+        # pooled kernel closes over is a view of the cache's workspace
+        # or a trace-time constant.
+        for batch in batches.values():
+            grounder(batch)  # every plan binds into the final buffer
+        buffer = cache._workspace.buffer
+        constants = {id(self._root(node.value)) for p in plans
+                     for node in p.graph.nodes if node.is_constant
+                     and isinstance(node.value, np.ndarray)}
+        convs = 0
+        for plan in plans:
+            assert plan._workspace is cache._workspace and plan._bound is buffer
+            for (_, node, _), (_, kernel) in zip(plan._schedule, plan._steps):
+                if node.op not in ("conv2d", "matmul", "softmax", "add"):
+                    continue
+                convs += node.op == "conv2d"
+                for cell in kernel.__closure__ or ():
+                    if isinstance(cell.cell_contents, np.ndarray):
+                        root = self._root(cell.cell_contents)
+                        assert root is buffer or id(root) in constants, node.name
+        assert convs > 0
+        # Answers after every plan ran in the one workspace: unchanged.
+        eager = Grounder(make_model(dataset)[0], dataset.vocab)
+        for batch in (batches[16], batches[3]):
+            assert all(responses_equal(a, b)
+                       for a, b in zip(grounder(batch), eager(batch)))
+
+    def test_two_threads_run_two_plans_of_one_cache(self, dataset):
+        import sys
+        import threading
+
+        model, _ = make_model(dataset)
+        grounder = Grounder(model, dataset.vocab)
+        batches = self._batches(dataset, (2, 5))
+        expected = {n: grounder(batch) for n, batch in batches.items()}
+        grounder.compile()
+        for batch in batches.values():
+            grounder(batch)  # compile both plans before the race
+        answers = {n: [] for n in batches}
+        errors = []
+
+        def serve(n):
+            try:
+                for _ in range(15):
+                    answers[n].append(grounder(batches[n]))
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=serve, args=(n,))
+                   for n in (2, 5, 2, 5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = grounder.plan_cache.stats()
+        assert stats["compiles"] == 2 and stats["plans"] == 2
+        for n, runs in answers.items():
+            assert len(runs) == 30
+            for responses in runs:
+                assert all(responses_equal(a, b)
+                           for a, b in zip(responses, expected[n]))
+
+    def test_growth_eviction_and_clear_resize_the_workspace(self, dataset):
+        import gc
+        import weakref
+
+        model, _ = make_model(dataset)
+        grounder = Grounder(model, dataset.vocab).compile(max_plans=2)
+        cache = grounder.plan_cache
+        batches = self._batches(dataset, (1, 4, 2))
+        grounder(batches[1])
+        (one,) = cache._plans.values()
+        first_buffer = weakref.ref(cache._workspace.buffer)
+        assert cache.stats()["workspace_bytes"] == one.workspace_bytes
+        grounder(batches[4])  # larger: its own buffer becomes the cache's
+        four = list(cache._plans.values())[-1]
+        gc.collect()
+        assert first_buffer() is None  # no plan kept the old buffer alive
+        assert cache.stats()["workspace_bytes"] == four.workspace_bytes
+        assert one._bound is None and four._bound is cache._workspace.buffer
+        grounder(batches[1])  # rebinds lazily into the grown buffer
+        assert one._bound is cache._workspace.buffer
+        grounder(batches[2])  # evicts the batch-4 plan (least recent)
+        assert four not in cache._plans.values()
+        two = list(cache._plans.values())[-1]
+        assert cache.stats()["workspace_bytes"] == max(
+            one.workspace_bytes, two.workspace_bytes)
+        assert four._workspace is not cache._workspace and four._bound is None
+        expected = Grounder(make_model(dataset)[0], dataset.vocab)(batches[4])
+        model.train()  # clear(): every plan leaves, the workspace empties
+        model.eval()
+        assert len(cache) == 0 and cache.stats()["workspace_bytes"] == 0
+        assert all(responses_equal(a, b)
+                   for a, b in zip(grounder(batches[4]), expected))
 
 
 # ----------------------------------------------------------------------
