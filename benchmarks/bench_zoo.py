@@ -131,7 +131,7 @@ def _heterogeneous_soak_leg():
         ReplicaSpec(builder=build_preset_grounder,
                     builder_kwargs=dict(preset_kwargs, preset=name),
                     model_id=name, max_batch=8, cache_size=64,
-                    seed=SEED, dtype="float64")
+                    seed=SEED)
         for name in SOAK_PRESETS
     ]
 

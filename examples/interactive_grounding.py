@@ -14,7 +14,6 @@ import os
 import numpy as np
 
 from repro import quick_grounder
-from repro.autograd import set_default_dtype
 from repro.data import ExpressionGenerator
 from repro.utils import seed_everything
 from repro.viz import draw_box, overlay_attention, render_attention_ascii, save_ppm
@@ -23,7 +22,6 @@ OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
 
 def main() -> None:
-    set_default_dtype(np.float32)
     seed_everything(0)
     grounder, dataset = quick_grounder(dataset_scale=0.3, epochs=6)
     os.makedirs(OUTPUT_DIR, exist_ok=True)

@@ -10,7 +10,6 @@ stage-i misses, while YOLLO runs a single conditioned detection pass.
 
 import numpy as np
 
-from repro.autograd import set_default_dtype
 from repro.backbone import load_pretrained_backbone
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
 from repro.data import REFCOCO, build_dataset
@@ -28,7 +27,6 @@ from repro.utils import seed_everything
 
 
 def main() -> None:
-    set_default_dtype(np.float32)
     seed_everything(3)
     dataset = build_dataset(REFCOCO.scaled(0.5))
     train, val = dataset["train"], dataset["val"]

@@ -9,14 +9,12 @@ Runs in a couple of minutes on one CPU core::
 import numpy as np
 
 from repro import quick_grounder
-from repro.autograd import set_default_dtype
 from repro.detection import iou_matrix
 from repro.utils import seed_everything
 from repro.viz import render_attention_ascii
 
 
 def main() -> None:
-    set_default_dtype(np.float32)  # ~2x faster training on CPU
     seed_everything(0)
 
     print("Training a small YOLLO model on synthetic RefCOCO ...")

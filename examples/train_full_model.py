@@ -12,9 +12,6 @@ checkpoint so it can be reloaded later.
 import os
 import sys
 
-import numpy as np
-
-from repro.autograd import set_default_dtype
 from repro.backbone import load_pretrained_backbone
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
 from repro.data import REFCOCO, build_dataset
@@ -28,7 +25,6 @@ CHECKPOINT = os.path.join(os.path.dirname(__file__), "output", "yollo-refcoco.ck
 
 def main() -> None:
     epochs = int(sys.argv[1]) if len(sys.argv) > 1 else 10
-    set_default_dtype(np.float32)
     seed_everything(0)
     logger = ProgressLogger("train")
 

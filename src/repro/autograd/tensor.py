@@ -26,16 +26,19 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-#: Active float dtype for all tensors.  float64 by default (exact
-#: gradient checking); switch to float32 with :func:`set_default_dtype`
-#: for roughly 2x faster training in the experiment harness.
-DEFAULT_DTYPE = np.float64
+#: The compute dtype: every float a model holds or computes is float32.
+#: :func:`set_default_dtype` exists only so tests can run float64
+#: gradient checks.
+DEFAULT_DTYPE = np.float32
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the global float dtype (``np.float32`` or ``np.float64``)."""
+    """Set the global float dtype (``np.float32`` or ``np.float64``).
+
+    A test hook for float64 gradient checks; program code never calls it.
+    """
     global DEFAULT_DTYPE
     dtype = np.dtype(dtype).type
     if dtype not in (np.float32, np.float64):
@@ -46,6 +49,15 @@ def set_default_dtype(dtype) -> None:
 def get_default_dtype():
     """Return the active float dtype."""
     return DEFAULT_DTYPE
+
+
+def as_compute_array(value) -> np.ndarray:
+    """``value`` as an array, a float array cast to the compute dtype."""
+    array = np.asarray(value)
+    if array.dtype.kind == "f" and array.dtype != DEFAULT_DTYPE:
+        array = array.astype(DEFAULT_DTYPE)
+    return array
+
 
 _grad_state = threading.local()
 
@@ -111,11 +123,9 @@ class Tensor:
     def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
         if isinstance(data, Tensor):
             data = data.data
-        array = np.asarray(data)
+        array = as_compute_array(data)
         if array.dtype.kind not in ("f", "i", "u", "b"):
             raise TypeError(f"unsupported tensor dtype: {array.dtype}")
-        if array.dtype.kind == "f" and array.dtype != DEFAULT_DTYPE:
-            array = array.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = array
         self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
         self.grad: Optional[np.ndarray] = None

@@ -22,6 +22,8 @@ Every subcommand that builds a model takes ``--preset`` (a
 :mod:`repro.zoo` preset; ``--presets`` for ``serve-fleet``): the preset
 that trained a checkpoint is the one that loads it: ``train --out``
 writes a :mod:`repro.runtime` checkpoint stamped with its preset.
+Every subcommand computes in float32, the one compute dtype; none
+takes a dtype option.
 
 ``python -m repro`` is an alias for ``python -m repro.cli``.
 """
@@ -106,15 +108,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.5,
                         help="dataset size multiplier")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--float64", action="store_true",
-                        help="train in float64 (default float32)")
 
 
 def _setup(args) -> None:
-    from repro.autograd import set_default_dtype
     from repro.utils import seed_everything
 
-    set_default_dtype(np.float64 if args.float64 else np.float32)
     seed_everything(args.seed)
 
 
@@ -149,7 +147,6 @@ def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
         ),
         dist=DistConfig(grad_shards=args.grad_shards),
         seed=args.seed,
-        dtype="float64" if args.float64 else "float32",
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         checkpoint_every=getattr(args, "checkpoint_every", 0),
         resume=getattr(args, "resume", False),
@@ -389,7 +386,6 @@ def cmd_serve_fleet(args) -> int:
                 model_id=name,
                 max_batch=args.max_batch, cache_size=args.cache_size,
                 seed=args.seed,
-                dtype="float64" if args.float64 else "float32",
                 fault_plan=fault_plan,
             )
             for name in presets

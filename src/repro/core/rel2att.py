@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, concatenate
+from repro.autograd import Tensor, concatenate, get_default_dtype
 from repro.core.config import YolloConfig
 from repro.nn import FeedForward, Module, Parameter, Sequential
 from repro.obs import trace_span
@@ -40,12 +40,12 @@ def _relation_weight_mask(
     its block is enabled.
     """
     k = num_regions + num_tokens
-    valid = np.ones((batch, k))
+    valid = np.ones((batch, k), dtype=get_default_dtype())
     if token_mask is not None:
         valid[:, num_regions:] = token_mask
     weights = valid[:, :, None] * valid[:, None, :]
 
-    block = np.ones((k, k))
+    block = np.ones((k, k), dtype=valid.dtype)
     if not use_self_attention:
         block[:num_regions, :num_regions] = 0.0
         block[num_regions:, num_regions:] = 0.0
@@ -100,10 +100,11 @@ def _clause_pooling_arrays(
     side, zero for kept samples.  Kept as one plain numpy function so
     the graph tracer records it as a single node.
     """
+    dtype = get_default_dtype()
     rows = clause_masks * (1.0 if token_mask is None else token_mask[:, None])
-    act = (rows.sum(axis=2) > 0).astype(np.float64)  # (B, C)
+    act = (rows.sum(axis=2) > 0).astype(dtype)  # (B, C)
     active = act.sum(axis=1, keepdims=True)
-    conditioned = (active >= 2.0).astype(np.float64)
+    conditioned = (active >= 2.0).astype(dtype)
     image = (act / np.maximum(active, 1.0))[:, :, None].repeat(num_regions, 2)
     text = rows / np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
     pool = np.concatenate([image, text], axis=2) * conditioned[:, :, None]

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, softmax
+from repro.autograd import Tensor, get_default_dtype, softmax
 from repro.core.config import YolloConfig
 from repro.nn import FeedForward, Linear, Module, Parameter, Sequential
 from repro.obs import trace_span
@@ -44,9 +44,9 @@ def _word_mask_arrays(
     mask-dependent arrays as one external node.
     """
     if token_mask is None:
-        valid = np.ones((batch, num_tokens))
+        valid = np.ones((batch, num_tokens), dtype=get_default_dtype())
     else:
-        valid = np.asarray(token_mask, dtype=np.float64)
+        valid = np.asarray(token_mask, dtype=get_default_dtype())
     mask3 = valid[:, :, None]
     bias = (mask3 - 1.0) * 1e4
     norm = np.maximum(valid.sum(axis=1, keepdims=True), 1.0)

@@ -31,7 +31,6 @@ from repro.data.refcoco import (
     dataset_statistics,
 )
 from repro.data.loader import BatchIterator, encode_batch
-from repro.data.augment import augment_samples, color_jitter, flip_tokens, hflip_sample
 
 __all__ = [
     "CATEGORIES",
@@ -55,8 +54,4 @@ __all__ = [
     "REFCOCOG",
     "BatchIterator",
     "encode_batch",
-    "augment_samples",
-    "color_jitter",
-    "flip_tokens",
-    "hflip_sample",
 ]

@@ -6,6 +6,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.autograd import get_default_dtype
 from repro.data.refcoco import GroundingSample
 from repro.text.vocab import Vocabulary
 from repro.utils.seeding import spawn_rng
@@ -23,7 +24,7 @@ def encode_batch(
     """
     images = np.stack([s.image for s in samples])
     ids = np.empty((len(samples), max_query_length), dtype=np.int64)
-    mask = np.empty((len(samples), max_query_length), dtype=np.float64)
+    mask = np.empty((len(samples), max_query_length), dtype=get_default_dtype())
     for row, sample in enumerate(samples):
         ids[row], mask[row] = vocab.encode(sample.tokens, max_query_length)
     boxes = np.stack([s.target_box for s in samples])

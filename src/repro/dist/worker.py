@@ -34,8 +34,6 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.dist.collective import Collective, CollectiveError
 from repro.dist.trainer import DistConfig, DistributedTrainer
 from repro.obs import MetricsRegistry, get_registry
@@ -70,7 +68,6 @@ class WorkerSpec:
     task_kwargs: Dict[str, Any] = field(default_factory=dict)
     dist: DistConfig = field(default_factory=DistConfig)
     seed: int = 0
-    dtype: str = "float64"
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 0
     keep: int = 3
@@ -113,9 +110,6 @@ class DistReport:
 def _worker_entry(spec: WorkerSpec, rank: int, world_size: int,
                   generation: int, peer_conns: Dict[int, Any],
                   report_conn) -> None:
-    from repro.autograd import set_default_dtype
-
-    set_default_dtype(np.float64 if spec.dtype == "float64" else np.float32)
     seed_everything(spec.seed)
     registry = get_registry()
     registry.gauge("dist.rank").set(rank)

@@ -24,7 +24,6 @@ class ExperimentPreset:
     eval_limit: int = 32  #: max samples evaluated per split
     timing_samples: int = 8
     eval_every: int = 50  #: iterations between Figure-4 curve points
-    use_float32: bool = True
 
 
 PRESETS = {

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import set_default_dtype
 from repro.backbone import load_pretrained_backbone
 from repro.backbone.pretrain import default_cache_dir
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
@@ -70,8 +69,6 @@ class ExperimentContext:
                 else f"{self.preset.name}-{model_preset}")
         self.cache_dir = os.path.join(root, "experiments", leaf)
         os.makedirs(self.cache_dir, exist_ok=True)
-        if self.preset.use_float32:
-            set_default_dtype(np.float32)
         seed_everything(seed)
 
         self._datasets: Dict[str, GroundingDataset] = {}

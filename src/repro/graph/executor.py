@@ -452,14 +452,10 @@ class ExecutionPlan:
             return kernel_tuple_get
 
         if op == "cast":
-            ia = in_slots[0]
+            ia, dtype = in_slots[0], node.dtype
 
             def kernel_cast():
-                from repro.autograd.tensor import DEFAULT_DTYPE
-                array = np.asarray(slots[ia])
-                if array.dtype.kind == "f" and array.dtype != DEFAULT_DTYPE:
-                    array = array.astype(DEFAULT_DTYPE)
-                return array
+                return np.asarray(slots[ia]).astype(dtype, copy=False)
             return kernel_cast
 
         if op == "embedding_lookup":

@@ -245,8 +245,7 @@ class Tracer:
             self._keepalive.append(tensor)
         else:
             # __init__ copied (dtype cast): record it so the compiled
-            # plan reproduces the cast under the dtype active at run
-            # time, exactly as eager construction would.
+            # plan casts to the dtype the trace saw.
             cast = self.graph.add_node(
                 "cast", [node], {"kind": "cast"}, value=tensor.data, name="cast",
             )

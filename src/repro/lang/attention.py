@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd import get_default_dtype
 from repro.lang.tree import RelationTree, Span
 
 #: Clause rows every batch is padded to: the head context plus two
@@ -56,7 +57,7 @@ def clause_contexts(tree: RelationTree) -> List[List[Span]]:
 
 
 def _mask_from_spans(spans: Sequence[Span], max_length: int) -> np.ndarray:
-    mask = np.zeros(max_length, dtype=np.float64)
+    mask = np.zeros(max_length, dtype=get_default_dtype())
     for start, end in spans:
         start = max(0, min(start, max_length))
         end = max(0, min(end, max_length))
@@ -98,7 +99,8 @@ def pad_clause_masks(rows: Sequence[Optional[np.ndarray]],
     """
     num_clauses = max([CLAUSE_ROWS] + [row.shape[0] for row in rows
                                        if row is not None])
-    out = np.zeros((len(rows), num_clauses, max_length), dtype=np.float64)
+    out = np.zeros((len(rows), num_clauses, max_length),
+                   dtype=get_default_dtype())
     for index, row in enumerate(rows):
         if row is not None:
             out[index, :row.shape[0]] = row

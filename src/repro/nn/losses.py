@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd import Tensor, as_tensor, log_softmax, where
+from repro.autograd import Tensor, as_tensor, get_default_dtype, log_softmax, where
 
 
 def softmax_cross_entropy(
@@ -27,7 +27,7 @@ def softmax_cross_entropy(
     picked = flat[rows, targets.reshape(-1)]
     if weights is None:
         return -picked.mean()
-    flat_weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    flat_weights = np.asarray(weights, dtype=get_default_dtype()).reshape(-1)
     total = max(float(flat_weights.sum()), 1e-12)
     return -(picked * Tensor(flat_weights)).sum() / total
 
@@ -46,7 +46,7 @@ def _weighted_mean(per_element: Tensor,
                    weights: Optional[np.ndarray]) -> Tensor:
     if weights is None:
         return per_element.mean()
-    weight_t = Tensor(np.asarray(weights, dtype=np.float64))
+    weight_t = Tensor(np.asarray(weights, dtype=get_default_dtype()))
     total = max(float(weight_t.data.sum()), 1e-12)
     return (per_element * weight_t).sum() / total
 
@@ -57,7 +57,7 @@ def binary_cross_entropy_with_logits(
     weights: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Numerically stable elementwise BCE over raw logits."""
-    targets_t = Tensor(np.asarray(targets, dtype=np.float64))
+    targets_t = Tensor(np.asarray(targets, dtype=get_default_dtype()))
     return _weighted_mean(_bce_elements(logits, targets_t), weights)
 
 
@@ -82,7 +82,7 @@ def sigmoid_focal_loss(
     """
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
-    targets_arr = np.asarray(targets, dtype=np.float64)
+    targets_arr = np.asarray(targets, dtype=get_default_dtype())
     targets_t = Tensor(targets_arr)
     per_element = _bce_elements(logits, targets_t)
     if gamma > 0:
@@ -102,7 +102,7 @@ def smooth_l1(
     beta: float = 1.0,
 ) -> Tensor:
     """Elementwise smooth-L1 (Huber) as in Fast R-CNN Eq. (3); returns per-element losses."""
-    diff = predictions - as_tensor(np.asarray(targets, dtype=np.float64))
+    diff = predictions - as_tensor(np.asarray(targets, dtype=get_default_dtype()))
     abs_diff = diff.abs()
     quadratic = (diff * diff) * (0.5 / beta)
     linear = abs_diff - 0.5 * beta

@@ -8,7 +8,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.autograd.tensor import get_default_dtype
+from repro.autograd.tensor import as_compute_array, get_default_dtype
 
 
 class StateDictKeyError(KeyError):
@@ -54,7 +54,7 @@ class Module:
         elif isinstance(value, Module):
             self._modules[key] = value
         elif key in self.__dict__.get("_buffers", ()):
-            value = np.asarray(value)
+            value = as_compute_array(value)
             self._buffers[key] = value
         object.__setattr__(self, key, value)
 
@@ -67,8 +67,9 @@ class Module:
         The buffer is exposed as a plain attribute; re-assigning the
         attribute (``self.running_mean = ...``) keeps the registry in
         sync, so exponential-average updates need no special casing.
+        Float buffers are held in the compute dtype, like parameters.
         """
-        value = np.asarray(value)
+        value = as_compute_array(value)
         self._buffers[name] = value
         object.__setattr__(self, name, value)
         return value
@@ -166,8 +167,7 @@ class Module:
         listing both sets, and shape mismatches raise
         ``StateDictShapeError`` (a ``ValueError``) listing every
         offending entry — silent numpy broadcasting never happens.
-        Parameters are converted to the active default dtype; buffers
-        keep the snapshot's dtype so resume stays bit-exact.
+        Float parameters and buffers are converted to the compute dtype.
         """
         own = dict(self.named_parameters())
         buffer_owners = {
@@ -189,7 +189,7 @@ class Module:
         converted = {
             name: np.asarray(state[name], dtype=get_default_dtype()) for name in own
         }
-        converted_buffers = {name: np.asarray(state[name]) for name in own_buffers}
+        converted_buffers = {name: as_compute_array(state[name]) for name in own_buffers}
         mismatched = [
             f"{name}: expected {param.shape}, got {converted[name].shape}"
             for name, param in own.items()

@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, concatenate, stack, zeros
+from repro.autograd import Tensor, concatenate, get_default_dtype, stack, zeros
 from repro.nn import init
 from repro.nn.layers import Linear
 from repro.nn.module import Module
@@ -94,7 +94,7 @@ class LSTM(Module):
         for t in range(steps):
             h_new, c_new = self.cell(x[:, t], (h, c))
             if mask is not None:
-                keep = Tensor(mask[:, t : t + 1].astype(np.float64))
+                keep = Tensor(mask[:, t : t + 1].astype(get_default_dtype()))
                 h = keep * h_new + (1.0 - keep) * h
                 c = keep * c_new + (1.0 - keep) * c
             else:

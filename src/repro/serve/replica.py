@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
+from repro.autograd.tensor import as_compute_array
 from repro.core.response import GroundingResponse
 from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.faults import FaultPlan, SimulatedCrash
@@ -53,17 +54,18 @@ from repro.utils.seeding import seed_everything
 def state_checksum(state: Dict[str, Any]) -> str:
     """Content hash of a state dict, canonicalised for the handshake.
 
-    Keys are visited in sorted order and every value is hashed as
-    float64 bytes plus its shape, so the checksum depends only on the
-    weight *values* — float32 weights hash identically before pickling,
-    after a pipe round-trip, and after a load/re-extract cycle (float32
-    -> float64 is exact).  Router and replica both compute this: the
-    router over the checkpoint payload it read, the replica over its
-    model's re-extracted state after loading.
+    Keys are visited in sorted order and every value is hashed as its
+    bytes plus its shape, floats in the compute dtype — what a model
+    holds after loading them — so the checksum depends only on the
+    weight values the model serves.  A float64 payload hashes like the
+    float32 copy a replica loads from it, before pickling, after a pipe
+    round-trip and after a load/re-extract cycle.  Router and replica
+    both compute this: the router over the checkpoint payload it read,
+    the replica over its model's re-extracted state after loading.
     """
     digest = hashlib.sha256()
     for key in sorted(state):
-        value = np.ascontiguousarray(np.asarray(state[key], dtype=np.float64))
+        value = np.ascontiguousarray(as_compute_array(state[key]))
         digest.update(key.encode("utf-8"))
         digest.update(str(value.shape).encode("ascii"))
         digest.update(value.tobytes())
@@ -156,7 +158,6 @@ class ReplicaSpec:
     cache_size: int = 256
     heartbeat_interval: float = 0.05
     seed: int = 0
-    dtype: str = "float64"
     #: Checkpoint applied right after build (respawned replicas join the
     #: fleet at the weights of the last completed rolling reload).
     initial_checkpoint: Optional[str] = None
@@ -166,11 +167,7 @@ class ReplicaSpec:
 def _replica_entry(spec: ReplicaSpec, replica_id: int, generation: int,
                    conn) -> None:
     """Process entry point: build, serve the pipe, die realistically."""
-    from repro.autograd import set_default_dtype
-
     try:
-        set_default_dtype(np.float64 if spec.dtype == "float64"
-                          else np.float32)
         seed_everything(spec.seed)
         grounder = spec.builder(**spec.builder_kwargs)
         if spec.initial_checkpoint:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import get_default_dtype
 from repro.utils.seeding import get_rng
 
 
@@ -17,7 +18,7 @@ def sinusoidal_position_table(max_length: int, dim: int) -> np.ndarray:
     table = np.empty((max_length, dim), dtype=np.float64)
     table[:, 0::2] = np.sin(angular)
     table[:, 1::2] = np.cos(angular)
-    return table
+    return table.astype(get_default_dtype())
 
 
 def learned_position_table(max_length: int, dim: int,

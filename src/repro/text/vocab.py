@@ -6,6 +6,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd import get_default_dtype
 from repro.text.tokenizer import tokenize
 
 PAD_TOKEN = "<pad>"
@@ -69,7 +70,7 @@ class Vocabulary:
         tokens = tokenize(text_or_tokens) if isinstance(text_or_tokens, str) else list(text_or_tokens)
         tokens = tokens[:max_length]
         ids = np.full(max_length, self.pad_id, dtype=np.int64)
-        mask = np.zeros(max_length, dtype=np.float64)
+        mask = np.zeros(max_length, dtype=get_default_dtype())
         for i, token in enumerate(tokens):
             ids[i] = self.token_to_id(token)
             mask[i] = 1.0

@@ -5,8 +5,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.autograd import set_default_dtype
+from repro.autograd import get_default_dtype, set_default_dtype
 from repro.utils import seed_everything
+
+#: The compute dtype every test starts from (float32).
+COMPUTE_DTYPE = get_default_dtype()
 
 
 @contextmanager
@@ -49,10 +52,17 @@ def _deterministic_module():
 
 @pytest.fixture(autouse=True)
 def _deterministic():
-    """Every test starts from the same seed and float64 tensors."""
-    set_default_dtype(np.float64)
+    """Every test starts from the same seed and the compute dtype."""
+    set_default_dtype(COMPUTE_DTYPE)
     seed_everything(1234)
     yield
+    set_default_dtype(COMPUTE_DTYPE)
+
+
+@pytest.fixture
+def float64():
+    """Run one test in float64: finite-difference gradient checks and
+    references pinned to float64 arithmetic opt in with this fixture."""
     set_default_dtype(np.float64)
 
 

@@ -49,6 +49,7 @@ class TestConv2d:
         pytest.param(1, 2, 2, id="1-2-dilation2"),
         pytest.param(2, (1, 2), (2, 3), id="2-1x2-dilation2x3"),
     ])
+    @pytest.mark.usefixtures("float64")
     def test_gradients(self, stride, padding, dilation):
         x, w, b = make((2, 2, 5, 6)), make((3, 2, 3, 3), 1), make((3,), 2)
         gradient_check(
@@ -107,9 +108,11 @@ class TestPooling:
         x = Tensor(np.ones((1, 1, 4, 4)))
         assert np.allclose(avg_pool2d(x, 2).data, 1.0)
 
+    @pytest.mark.usefixtures("float64")
     def test_avg_pool_grad(self):
         gradient_check(lambda x: avg_pool2d(x, 2, 1), [make((2, 3, 5, 5))])
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("kernel,stride,shape", [(3, 2, (2, 2, 9, 8)), (2, 3, (1, 2, 8, 7))])
     def test_avg_pool_grad_overlap_and_gaps(self, kernel, stride, shape):
         x = make(shape)
@@ -162,6 +165,7 @@ class TestMaxPoolKernel:
         pytest.param((1, 2, 7, 10), (3, 2), (1, 2), id="rect-overlap"),
     ]
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("shape,kernel,stride", CASES)
     @pytest.mark.parametrize("ties", [True, False], ids=["relu-ties", "tie-free"])
     def test_matches_im2col_argmax_reference(self, shape, kernel, stride, ties):
@@ -176,6 +180,7 @@ class TestMaxPoolKernel:
         if ties:
             assert (value == 0).mean() > 0.1  # the tie rule was exercised
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("shape,kernel,stride", CASES)
     def test_gradcheck_tie_free(self, shape, kernel, stride):
         gradient_check(lambda x: max_pool2d(x, kernel, stride), [make(shape, 3)])
@@ -202,6 +207,7 @@ class TestPad2d:
         assert out.shape == (1, 1, 4, 4)
         assert out.data.sum() == 4
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         gradient_check(lambda x: pad2d(x, (1, 2)), [make((2, 2, 3, 3))])
 
@@ -219,6 +225,7 @@ class TestSoftmax:
         x = make((3, 5))
         assert np.allclose(log_softmax(x).data, np.log(softmax(x).data))
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_gradients(self, axis):
         gradient_check(lambda x: softmax(x, axis=axis), [make((3, 4))])
@@ -237,6 +244,7 @@ class TestEmbedding:
         assert np.allclose(weight.grad[1], [2.0, 2.0])
         assert np.allclose(weight.grad[2], [1.0, 1.0])
 
+    @pytest.mark.usefixtures("float64")
     def test_grad_check_2d_indices(self):
         weight = make((6, 4))
         idx = np.array([[0, 5], [3, 3]])

@@ -7,6 +7,7 @@ from repro.autograd import Tensor, gradient_check
 from repro.autograd.tensor import _unbroadcast
 
 
+@pytest.mark.usefixtures("float64")
 def test_detects_incorrect_gradient():
     """A hand-built op with a deliberately wrong backward must fail."""
 
@@ -24,11 +25,13 @@ def test_detects_incorrect_gradient():
         gradient_check(buggy_double, [x])
 
 
+@pytest.mark.usefixtures("float64")
 def test_passes_correct_gradient():
     x = Tensor(np.random.default_rng(0).normal(size=(2, 3)), requires_grad=True)
     assert gradient_check(lambda x: x * 2 + 1, [x])
 
 
+@pytest.mark.usefixtures("float64")
 def test_reports_missing_gradient():
     def disconnected(x: Tensor) -> Tensor:
         return Tensor(x.data * 2.0, requires_grad=True)
@@ -38,6 +41,7 @@ def test_reports_missing_gradient():
         gradient_check(disconnected, [x])
 
 
+@pytest.mark.usefixtures("float64")
 def test_skips_inputs_without_grad():
     x = Tensor(np.ones(2), requires_grad=True)
     const = Tensor(np.ones(2), requires_grad=False)

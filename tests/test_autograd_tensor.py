@@ -31,7 +31,7 @@ class TestConstruction:
     def test_from_list(self):
         t = Tensor([1.0, 2.0, 3.0])
         assert t.shape == (3,)
-        assert t.dtype == np.float64
+        assert t.dtype == np.float32
 
     def test_from_tensor_shares_data(self):
         a = Tensor([1.0, 2.0])
@@ -96,17 +96,21 @@ class TestArithmetic:
     def test_neg(self):
         assert np.allclose((-Tensor([1.0, -2.0])).data, [-1.0, 2.0])
 
+    @pytest.mark.usefixtures("float64")
     def test_add_backward(self):
         gradient_check(lambda a, b: a + b, [make((3, 2)), make((3, 2), 1)])
 
+    @pytest.mark.usefixtures("float64")
     def test_mul_broadcast_backward(self):
         gradient_check(lambda a, b: a * b, [make((3, 2)), make((2,), 1)])
 
+    @pytest.mark.usefixtures("float64")
     def test_div_backward(self):
         b = make((3, 2), 1)
         b.data += 3.0  # keep away from zero
         gradient_check(lambda a, b: a / b, [make((3, 2)), b])
 
+    @pytest.mark.usefixtures("float64")
     def test_pow_backward(self):
         a = make((4,))
         a.data = np.abs(a.data) + 0.5
@@ -126,6 +130,7 @@ class TestMatmul:
         [((3, 4), (4, 5)), ((4,), (4, 5)), ((3, 4), (4,)), ((4,), (4,)),
          ((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((2, 3, 4), (4,))],
     )
+    @pytest.mark.usefixtures("float64")
     def test_matmul_grad(self, shape_a, shape_b):
         gradient_check(lambda a, b: a.matmul(b), [make(shape_a), make(shape_b, 1)])
 
@@ -135,6 +140,7 @@ class TestMatmul:
 
 
 class TestNonlinearities:
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("op", ["exp", "tanh", "sigmoid", "relu", "abs", "sqrt"])
     def test_unary_grad(self, op):
         a = make((3, 4))
@@ -142,6 +148,7 @@ class TestNonlinearities:
             a.data = np.abs(a.data) + 0.5
         gradient_check(lambda a: getattr(a, op)(), [a])
 
+    @pytest.mark.usefixtures("float64")
     def test_log_grad(self):
         a = make((3, 4))
         a.data = np.abs(a.data) + 0.5
@@ -167,6 +174,7 @@ class TestNonlinearities:
 
 
 class TestReductions:
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), ((-1,), False)])
     def test_sum_grad(self, axis, keepdims):
         gradient_check(lambda a: a.sum(axis=axis, keepdims=keepdims), [make((3, 4))])
@@ -174,6 +182,7 @@ class TestReductions:
     def test_mean_value(self):
         assert Tensor([2.0, 4.0]).mean().item() == 3.0
 
+    @pytest.mark.usefixtures("float64")
     def test_mean_axis_grad(self):
         gradient_check(lambda a: a.mean(axis=0), [make((3, 4))])
 
@@ -188,9 +197,11 @@ class TestReductions:
 
 
 class TestShapes:
+    @pytest.mark.usefixtures("float64")
     def test_reshape_grad(self):
         gradient_check(lambda a: a.reshape(4, 3), [make((3, 4))])
 
+    @pytest.mark.usefixtures("float64")
     def test_transpose_grad(self):
         gradient_check(lambda a: a.transpose(1, 0, 2), [make((2, 3, 4))])
 
@@ -219,9 +230,11 @@ class TestShapes:
         out.sum().backward()
         assert np.allclose(t.grad, [[2, 2, 2], [1, 1, 1]])
 
+    @pytest.mark.usefixtures("float64")
     def test_getitem_slice_grad(self):
         gradient_check(lambda a: a[:, 1:3], [make((3, 5))])
 
+    @pytest.mark.usefixtures("float64")
     def test_getitem_basic_index_grad(self):
         t = Tensor(np.zeros((3, 4, 5)), requires_grad=True)
         out = t[1, ..., None, 1:4]
@@ -342,14 +355,17 @@ class TestGraph:
 
 
 class TestFreeFunctions:
+    @pytest.mark.usefixtures("float64")
     def test_concatenate_grad(self):
         gradient_check(
             lambda a, b: concatenate([a, b], axis=1), [make((2, 3)), make((2, 2), 1)]
         )
 
+    @pytest.mark.usefixtures("float64")
     def test_stack_grad(self):
         gradient_check(lambda a, b: stack([a, b], axis=0), [make((2, 3)), make((2, 3), 1)])
 
+    @pytest.mark.usefixtures("float64")
     def test_where_grad(self):
         cond = np.array([True, False, True])
         gradient_check(lambda a, b: where(cond, a, b), [make((3,)), make((3,), 1)])

@@ -153,6 +153,7 @@ class TestBatchedDetectionLoss:
     BOXES = np.array([[8.0, 8.0, 24.0, 24.0], [30.0, 10.0, 70.0, 46.0],
                       [40.0, 20.0, 41.0, 21.0]])
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("cls_loss", ["softmax_ce", "focal"])
     @pytest.mark.parametrize("matcher", ["iou", "topk"])
     @pytest.mark.parametrize("band", [False, True], ids=["positives", "ignore-band"])
@@ -201,6 +202,7 @@ class TestTrainerTrajectory:
         "focal-topk-band": dict(cls_loss="focal", matcher="topk", regress_ignore_band=True),
     }
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("variant", ["paper", "focal-topk-band"])
     def test_loss_trajectory_is_pinned(self, variant):
         from repro.core import YolloModel, YolloTrainer

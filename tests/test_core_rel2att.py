@@ -222,6 +222,7 @@ class TestClausePoolingReference:
         {}, {"block_balanced_attention": False},
         {"use_self_attention": False}, {"use_co_attention": False},
     ])
+    @pytest.mark.usefixtures("float64")
     def test_matches_per_clause_scores(self, overrides):
         module = Rel2AttModule(config(**overrides))
         v, t = sequences(m=6, n=5, batch=4, seed=3)

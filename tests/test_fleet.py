@@ -29,6 +29,7 @@ from repro.serve import (
     state_checksum,
     timed_trace,
 )
+from repro.serve.replica import apply_weights
 from repro.utils.seeding import spawn_rng
 
 
@@ -86,6 +87,22 @@ class TestChecksum:
         assert state_checksum(base) != state_checksum({"w": np.ones((2, 3))})
         assert state_checksum(base) != state_checksum({"w": np.zeros((3, 2))})
         assert state_checksum(base) != state_checksum({"v": np.zeros((2, 3))})
+
+    def test_float64_payload_matches_the_loaded_model(self, tmp_path,
+                                                      monkeypatch):
+        """The router hashes the payload it read, a replica the state it
+        holds after loading it: a float64 payload must hash alike."""
+        from repro.zoo import build_preset_grounder
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        grounder = build_preset_grounder(preset="tiny", scale=0.1,
+                                         pretrain_steps=1)
+        rng = np.random.default_rng(0)
+        payload = {key: value * (1.0 + 0.05 * rng.standard_normal(value.shape))
+                   for key, value in grounder.model.state_dict().items()}
+        assert {value.dtype for value in payload.values()} == {np.dtype(np.float64)}
+        assert state_checksum(payload) == state_checksum(
+            apply_weights(grounder, payload))
 
 
 class TestTimedTrace:

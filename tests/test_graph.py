@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import autograd
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor, get_default_dtype, no_grad
 from repro.core import Grounder, YolloConfig, YolloModel, responses_equal
 from repro.data import REFCOCO, build_dataset
 from repro.data.loader import encode_batch
@@ -283,7 +283,7 @@ class TestExecutor:
             return value
 
         plan._steps[index] = (slot, spy)
-        x = np.random.default_rng(0).normal(size=(8, 4))
+        x = np.random.default_rng(0).normal(size=(8, 4)).astype(get_default_dtype())
         expected = fn(Tensor(x)).data
         given = weakref.ref(x)
         assert plan.run(x).data.tobytes() == expected.tobytes()
@@ -309,7 +309,7 @@ class TestExecutor:
         assert plan.workspace_bytes == plan.arena_bytes + plan.scratch_bytes
         for seed in range(3):
             plan._workspace.buffer[:] = 255  # NaN bytes everywhere
-            x = np.random.default_rng(seed).normal(size=(2, 2, 7, 6))
+            x = np.random.default_rng(seed).normal(size=(2, 2, 7, 6)).astype(get_default_dtype())
             assert plan.run(x).data.tobytes() == fn(Tensor(x)).data.tobytes()
 
 
@@ -435,7 +435,7 @@ class TestPlanCache:
         assert plans[64]._workspace is cache._workspace
         cache.store(2, plans[2], 1.0)  # evicts the batch-64 plan
         assert cache.stats()["workspace_bytes"] == plans[2].workspace_bytes
-        x = np.random.default_rng(1).normal(size=(64, 4))
+        x = np.random.default_rng(1).normal(size=(64, 4)).astype(get_default_dtype())
         assert plans[64].run(x).data.tobytes() == fn(Tensor(x)).data.tobytes()
         assert plans[64]._workspace.buffer.nbytes == plans[64].workspace_bytes
         assert cache.stats()["workspace_bytes"] == plans[2].workspace_bytes

@@ -23,6 +23,7 @@ class TestLinear:
     def test_3d_input(self):
         assert nn.Linear(4, 2)(make((2, 5, 4))).shape == (2, 5, 2)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         layer = nn.Linear(3, 2)
         gradient_check(lambda *i: layer(i[0]), [make((4, 3))] + layer.parameters())
@@ -35,6 +36,7 @@ class TestConv2d:
     def test_stride(self):
         assert nn.Conv2d(3, 6, 3, stride=2, padding=1)(make((1, 3, 8, 8))).shape == (1, 6, 4, 4)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         layer = nn.Conv2d(2, 3, 3, padding=1)
         gradient_check(lambda *i: layer(i[0]), [make((1, 2, 4, 4))] + layer.parameters())
@@ -124,6 +126,7 @@ def naive_conv(x, weight, bias, stride, padding, dilation):
 
 
 class TestDilatedConv2d:
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("dilation", [1, 2, 3])
     def test_matches_naive_reference(self, dilation, stride):
@@ -157,6 +160,7 @@ class TestDilatedConv2d:
         x = make((2, 2, 8, 8))
         assert np.allclose(layer(x).data, reference(x).data)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad_reaches_dense_weight(self):
         layer = nn.Conv2d(2, 2, kernel_size=3, stride=2, padding=1, dilation=2)
         gradient_check(lambda *i: layer(i[0]),

@@ -44,6 +44,7 @@ class TestSoftmaxCrossEntropy:
         targets = np.zeros((2, 3), dtype=np.int64)
         assert softmax_cross_entropy(logits, targets).size == 1
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         gradient_check(
             lambda l: softmax_cross_entropy(l, np.array([0, 1, 2])), [make((3, 4))]
@@ -64,6 +65,7 @@ class TestBCEWithLogits:
         assert np.isfinite(float(loss.data))
         assert float(loss.data) < 1e-6
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         targets = (np.random.default_rng(2).random((3, 3)) > 0.5).astype(float)
         gradient_check(
@@ -84,6 +86,7 @@ class TestSmoothL1:
         loss = smooth_l1(Tensor(np.array([1.5])), np.array([0.0]), beta=2.0)
         assert np.isclose(loss.data[0], 1.5**2 / 4.0)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         gradient_check(lambda p: smooth_l1(p, np.zeros((3, 4))), [make((3, 4))])
 
@@ -97,6 +100,7 @@ class TestMarginRanking:
         loss = margin_ranking_loss(Tensor(np.array(0.0)), Tensor(np.array([1.0])), 0.5)
         assert np.isclose(float(loss.data), 1.5)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         pos, neg = make((1,)), make((4,), 1)
         gradient_check(lambda p, n: margin_ranking_loss(p.sum(), n, 0.3), [pos, neg])
@@ -175,6 +179,7 @@ class TestSigmoidFocalLoss:
         assert float(positive.data) == pytest.approx(
             float(negative.data) / 3.0)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         from repro.nn import sigmoid_focal_loss
 
@@ -184,6 +189,7 @@ class TestSigmoidFocalLoss:
             [make((3, 4), seed=8)],
         )
 
+    @pytest.mark.usefixtures("float64")
     def test_grad_gamma_one(self):
         from repro.nn import sigmoid_focal_loss
 

@@ -62,6 +62,7 @@ class TestBatchNorm2d:
         with pytest.raises(ValueError):
             BatchNorm2d(2)(make((3, 2)))
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         bn = BatchNorm2d(2)
         gradient_check(lambda *i: bn(i[0]), [make((3, 2, 3, 3))] + bn.parameters(),
@@ -89,6 +90,7 @@ class TestGroupNorm2d:
         gn = GroupNorm2d(6, num_groups=4)  # 6 % 4 != 0
         assert gn.num_groups == 1
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         gn = GroupNorm2d(4, num_groups=2)
         gradient_check(lambda *i: gn(i[0]), [make((2, 4, 3, 3))] + gn.parameters(),
@@ -108,6 +110,7 @@ class TestLayerNorm:
         out = ln(make((3, 4))).data
         assert np.allclose(out.mean(axis=-1), 1.0, atol=1e-6)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         ln = LayerNorm(5)
         gradient_check(lambda *i: ln(i[0]), [make((2, 3, 5))] + ln.parameters(),

@@ -1,6 +1,7 @@
 """Recurrent cells: LSTM, GRU, sequence unrolling with masks."""
 
 import numpy as np
+import pytest
 
 from repro.autograd import Tensor, gradient_check
 from repro.nn import GRUCell, LSTM, LSTMCell
@@ -21,6 +22,7 @@ class TestLSTMCell:
         cell = LSTMCell(2, 3)
         assert np.allclose(cell.gates.bias.data[3:6], 1.0)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         cell = LSTMCell(3, 4)
         x = make((2, 3))
@@ -39,6 +41,7 @@ class TestGRUCell:
         out = cell(make((2, 4)), cell.initial_state(2))
         assert out.shape == (2, 5)
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         cell = GRUCell(3, 4)
         x = make((2, 3))
@@ -70,6 +73,7 @@ class TestLSTMSequence:
         # Sample 0 output frozen after step 0.
         assert np.allclose(outputs.data[0, 0], outputs.data[0, 2])
 
+    @pytest.mark.usefixtures("float64")
     def test_grad(self):
         lstm = LSTM(2, 3)
         x = make((2, 3, 2))

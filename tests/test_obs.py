@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd import tensor
+from repro.autograd import get_default_dtype, tensor
 from repro.autograd.interpose import _FUNCTION_OPS, _TENSOR_METHODS
 from repro.autograd.tensor import Tensor
 from repro.obs import (
@@ -262,7 +262,7 @@ class TestProfilerOps:
         matmul = [e for e in prof.events
                   if e.name == "matmul" and e.phase == "forward"]
         assert matmul[0].shape == (4, 4)
-        assert matmul[0].nbytes == 4 * 4 * 8
+        assert matmul[0].nbytes == 4 * 4 * np.dtype(get_default_dtype()).itemsize
 
     def test_composite_ops_record_once(self):
         # mean lowers to sum+div and sub to add+neg; only the top-level
