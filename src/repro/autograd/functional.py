@@ -131,7 +131,9 @@ def conv2d(
         def backward(grad: np.ndarray) -> None:
             g3 = grad.reshape(n, f, oh * ow)
             if weight.requires_grad:
-                grad_w = np.matmul(g3, cols3.transpose(0, 2, 1)).sum(0)
+                # (N, CKK, L) @ (N, L, F) reads cols3 in its own layout;
+                # the transposed product is the (F, CKK) weight gradient.
+                grad_w = np.matmul(cols3, g3.transpose(0, 2, 1)).sum(0).T
                 weight._accumulate(grad_w.reshape(weight.shape))
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))

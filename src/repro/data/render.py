@@ -3,8 +3,8 @@
 Each category renders as a distinct filled glyph in the object's colour,
 so a small CNN can recover category (shape), colour, size and position —
 exactly the attribute classes the referring-expression grammar uses.
-Images are ``(3, H, W)`` float arrays in ``[0, 1]`` with light sensor
-noise and a dark textured background.
+Images are ``(3, H, W)`` arrays in ``[0, 1]``, in the compute dtype
+(float32), with light sensor noise and a dark textured background.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from repro.autograd import get_default_dtype
 from repro.data.scenes import COLOR_VALUES, Scene, SceneObject
 from repro.utils.seeding import spawn_rng
 
@@ -117,11 +118,14 @@ def render_object(canvas: np.ndarray, obj: SceneObject) -> None:
 
 def render_scene(scene: Scene, noise_std: float = 0.02,
                  rng: np.random.Generator = None) -> np.ndarray:
-    """Render a scene to a ``(3, H, W)`` float image in ``[0, 1]``.
+    """Render a scene to a ``(3, H, W)`` image in ``[0, 1]``.
 
     The background is a dim horizontal gradient (so absolute position is
     weakly visible to the CNN, as in natural photographs) plus Gaussian
-    sensor noise.
+    sensor noise.  The scene is painted, noised and clipped in place on
+    one float64 canvas, and only the result is rounded to the compute
+    dtype: each pixel is the rounding of the float64 pixel, and no
+    float64 temporary outlives the call.
     """
     rng = rng if rng is not None else spawn_rng("render")
     canvas = np.zeros((3, scene.height, scene.width))
@@ -130,5 +134,6 @@ def render_scene(scene: Scene, noise_std: float = 0.02,
     for obj in scene.objects:
         render_object(canvas, obj)
     if noise_std > 0:
-        canvas = canvas + rng.normal(0.0, noise_std, size=canvas.shape)
-    return np.clip(canvas, 0.0, 1.0)
+        canvas += rng.normal(0.0, noise_std, size=canvas.shape)
+    np.clip(canvas, 0.0, 1.0, out=canvas)
+    return canvas.astype(get_default_dtype())

@@ -198,24 +198,27 @@ class ExecutionPlan:
         self._idle_slots = list(self._slots)
 
         schedule = [n for n in graph.nodes if not (n.is_input or n.is_constant)]
-        self._lay_out(graph, schedule)
+        base, last_use = self._lay_out(graph, schedule)
         self._schedule = [(self._slot_of[node.id], node, node.nbytes) for node in schedule]
         self.num_kernels = len(schedule)
 
         self._workspace = _Workspace(self.workspace_bytes)
         self._bind(self._workspace.buffer)
-        self._validate()
-        # Traced values are no longer needed; keep constants.
+        self._validate(base, last_use)
+        # Drop the traced values validation still held (the outputs);
+        # keep constants.
         for node in schedule + graph.inputs:
             node.value = None
         self._slots[:] = self._idle_slots
 
-    def _lay_out(self, graph: Graph, schedule: List[Node]) -> None:
+    def _lay_out(self, graph: Graph, schedule: List[Node]
+                 ) -> Tuple[Dict[int, int], Dict[int, float]]:
         """Place every pooled output buffer and the conv scratch region.
 
         Output buffers share the arena by liveness; the scratch region
         follows it and is shared by every convolution, since each conv's
         padded input and columns live only while that conv runs.
+        Returns the alias bases and the last-use map the layout used.
         """
         base = self._alias_bases(graph)
         last_use = self._liveness(graph, schedule, base)
@@ -241,6 +244,7 @@ class ExecutionPlan:
         self.scratch_bytes = scratch
         #: Bytes of workspace this plan runs in: arena plus conv scratch.
         self.workspace_bytes = arena.nbytes + scratch
+        return base, last_use
 
     def _bind(self, buffer: np.ndarray) -> None:
         """Build every kernel over views into ``buffer``."""
@@ -287,13 +291,19 @@ class ExecutionPlan:
             last_use[base[node.id]] = float("inf")
         return last_use
 
-    def _validate(self) -> None:
+    def _validate(self, base: Dict[int, int], last_use: Dict[int, float]) -> None:
         """Run every kernel on the traced values; fall back on mismatch.
 
         After each comparison the slot is reset to the traced value, so
         downstream kernels always validate against pristine eager inputs.
+        Once the last consumer of a buffer has validated, the traced
+        values of that buffer and of its aliases are dropped, so
+        validation holds only the activations a later kernel still reads.
         """
         slots = self._slots
+        aliases: Dict[int, List[Node]] = {}
+        for node in self.graph.inputs + [node for _, node, _ in self._schedule]:
+            aliases.setdefault(base[node.id], []).append(node)
         for input_node in self.graph.inputs:
             slots[self._slot_of[input_node.id]] = input_node.value
         for index, (slot, node, _) in enumerate(self._schedule):
@@ -309,6 +319,11 @@ class ExecutionPlan:
             if not ok:
                 self._steps[index] = (slot, self._build_generic_kernel(node))
             slots[slot] = node.value
+            for src_base in {base[src.id] for src in node.inputs}:
+                if last_use.get(src_base) == index:
+                    for dead in aliases.get(src_base, ()):
+                        dead.value = None
+                        slots[self._slot_of[dead.id]] = None
 
     # ------------------------------------------------------------------
     # Kernel construction

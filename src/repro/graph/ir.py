@@ -42,9 +42,10 @@ class Node:
 
     ``value`` is the array produced for this node during the trace (or a
     tuple of arrays for multi-output external nodes).  Ops keep it until
-    plan construction finishes — constant folding and kernel validation
-    both consume it — after which the executor drops op values to free
-    activation memory; constants keep theirs for the plan's lifetime.
+    kernel validation no longer reads it — constant folding and
+    validation both consume it — and the executor drops each op value
+    once its last consumer has validated; constants keep theirs for the
+    plan's lifetime.
     """
 
     __slots__ = ("id", "op", "inputs", "attrs", "value", "shape", "dtype", "name")

@@ -40,12 +40,16 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def image_digest(image: np.ndarray) -> str:
-    """Content hash of an image array (dtype- and shape-sensitive)."""
+    """Content hash of an image array (dtype- and shape-sensitive).
+
+    The hash reads the contiguous array's buffer in place, so a
+    contiguous image is hashed without a copy.
+    """
     array = np.ascontiguousarray(image)
     digest = hashlib.sha1()
     digest.update(str(array.dtype).encode("ascii"))
     digest.update(str(array.shape).encode("ascii"))
-    digest.update(array.tobytes())
+    digest.update(array)
     return digest.hexdigest()
 
 

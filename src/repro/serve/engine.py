@@ -33,6 +33,7 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.autograd import no_grad
+from repro.autograd.tensor import as_compute_array
 from repro.core.response import GroundingResponse, thaw_response
 from repro.data.refcoco import GroundingSample
 from repro.obs import MetricsRegistry, trace_span
@@ -244,8 +245,10 @@ class ServeEngine:
         self._recorder.record_request()
         # Normalise once at the front door: whitespace/case/punctuation
         # variants of the same query share one cache entry (and one
-        # model pass) in every tier downstream.
+        # model pass) in every tier downstream, and the image is keyed
+        # and batched in the compute dtype whatever the client sent.
         query = normalize_query(str(query))
+        image = as_compute_array(image)
         key = (image_digest(image), query)
         cached = self._cache.get(key)
         future: Future = Future()

@@ -58,6 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.autograd.tensor import as_compute_array
 from repro.core.response import GroundingResponse, thaw_response
 from repro.obs import MetricsRegistry
 from repro.runtime.checkpoint import read_checkpoint
@@ -511,7 +512,9 @@ class FleetRouter:
         # Normalise once at the front door, so whitespace/case variants
         # of one query share a single entry in the router-tier cache AND
         # (via the forwarded request) in every replica's engine cache.
+        # The image is keyed, piped and batched in the compute dtype.
         query = normalize_query(str(query))
+        image = as_compute_array(image)
         self._m_submitted.inc()
         enqueued = self._now()
         key: Optional[Tuple[str, str, str]] = None

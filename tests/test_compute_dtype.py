@@ -9,13 +9,14 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.backbone import build_backbone
+from repro.backbone.pretrain import _sample_classification_batch
 from repro.core.rel2att import (
     _attention_normalizers,
     _clause_pooling_arrays,
     _relation_weight_mask,
 )
 from repro.core.word2pix import _word_mask_arrays
-from repro.data import REFCOCO, build_dataset
+from repro.data import REFCOCO, SceneGenerator, build_dataset
 from repro.data.loader import encode_batch
 from repro.lang import clause_token_masks, pad_clause_masks, parse
 from repro.text import sinusoidal_position_table
@@ -106,3 +107,16 @@ def test_helper_masks_are_float32(dataset):
         *_word_mask_arrays(2, length, None),
     ]
     assert _float_dtypes(helpers) == {np.dtype(np.float32)}
+
+
+def test_batches_hold_float32_images_the_tensor_adopts(dataset):
+    images = encode_batch(dataset["val"][:3], dataset.vocab,
+                          _maxlen(dataset))["images"]
+    assert images.dtype == np.float32
+    assert np.shares_memory(Tensor(images).data, images)
+
+
+def test_pretraining_batches_are_float32():
+    images, _, _ = _sample_classification_batch(
+        SceneGenerator(), 3, np.random.default_rng(0))
+    assert images.dtype == np.float32

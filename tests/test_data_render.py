@@ -1,9 +1,21 @@
 """Scene rasterisation."""
 
 import numpy as np
+import pytest
 
-from repro.data import COLOR_VALUES, Scene, SceneObject
+from repro.data import COLOR_VALUES, Scene, SceneGenerator, SceneObject
 from repro.data.render import GLYPHS, render_object, render_scene
+
+
+def render_scene_float64(scene, noise_std=0.02, rng=None):
+    """Reference render kept in float64 from canvas to clip."""
+    canvas = np.zeros((3, scene.height, scene.width))
+    canvas += np.linspace(0.08, 0.16, scene.width)[None, None, :]
+    for obj in scene.objects:
+        render_object(canvas, obj)
+    if noise_std > 0:
+        canvas = canvas + rng.normal(0.0, noise_std, size=canvas.shape)
+    return np.clip(canvas, 0.0, 1.0)
 
 
 def scene_with(category="ball", color="red", box=(10, 10, 30, 30)):
@@ -58,3 +70,17 @@ def test_noise_controlled_by_std():
     clean = render_scene(scene_with(), noise_std=0.0)
     noisy = render_scene(scene_with(), noise_std=0.05, rng=np.random.default_rng(1))
     assert not np.array_equal(clean, noisy)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("noise_std", [0.0, 0.02, 0.3])
+def test_image_is_the_float32_rounding_of_the_float64_render(seed, noise_std):
+    generator = SceneGenerator(rng=np.random.default_rng(seed))
+    for index in range(4):
+        scene = generator.generate()
+        image = render_scene(scene, noise_std=noise_std,
+                             rng=np.random.default_rng([seed, index]))
+        reference = render_scene_float64(scene, noise_std=noise_std,
+                                         rng=np.random.default_rng([seed, index]))
+        assert image.dtype == np.float32
+        assert image.tobytes() == reference.astype(np.float32).tobytes()

@@ -332,6 +332,20 @@ class TestRouterCache:
         assert stats.cache_hits == 3 and stats.cache_misses == 1
         assert sum(r["served"] for r in stats.replicas) == 1
 
+    def test_float64_and_float32_twins_share_one_entry(self):
+        image = make_samples(1)[0].image
+        cfg = FleetConfig(replicas=2, max_queue=32, default_deadline=20.0,
+                          router_cache=32)
+        with FleetRouter(latency_spec(), cfg) as router:
+            assert router.wait_healthy(60.0)
+            first = router.ground(image, "the red car")
+            second = router.ground(image.astype(np.float32), "the red car")
+            stats = router.stats()
+        assert responses_equal(first, second)
+        assert first.top_box[0] == float(image.astype(np.float32).sum())
+        assert stats.cache_hits == 1 and stats.cache_misses == 1
+        assert sum(r["served"] for r in stats.replicas) == 1
+
     def test_reload_flushes_replica_lru(self, tmp_path):
         """THE headline regression: replica-private caches must be
         invalidated by the reload message, or repeats keep serving

@@ -75,6 +75,12 @@ def test_generated_data_matches_pinned_digest(name):
     assert data_digest(name) == PINNED_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", GENERATORS)
+def test_generated_images_are_float32(name):
+    samples = generated_samples(name, dataset_scale=0.1, scenario_scenes=4)
+    assert {sample.image.dtype for sample in samples} == {np.dtype(np.float32)}
+
+
 def test_compositional_data_ignores_string_hash_seed():
     # Set iteration order follows PYTHONHASHSEED; generated data must not.
     code = ("from tests.test_generated_data import data_digest; "

@@ -292,6 +292,51 @@ class TestExecutor:
         assert given() is None
         assert len(produced) == 1 and produced[0]() is None
 
+    def test_validation_drops_traced_values_after_their_last_use(self, dataset):
+        import gc
+        import weakref
+
+        model, cfg = make_model(dataset)
+        batch = batch_of(dataset, cfg)
+        with no_grad():
+            traced = trace(model.forward, Tensor(batch["images"]),
+                           batch["token_ids"], batch["token_mask"])
+        optimize_graph(traced.graph)
+        early = next(node for node in traced.graph.nodes if node.op == "conv2d")
+        activation = weakref.ref(early.value)
+        seen = []
+
+        class SpyPlan(ExecutionPlan):
+            def _bind(self, buffer):
+                super()._bind(buffer)
+                slot, kernel = self._steps[-1]
+
+                def last_kernel():
+                    gc.collect()
+                    seen.append(activation())
+                    return kernel()
+                self._steps[-1] = (slot, last_kernel)
+
+        plan = SpyPlan(traced)
+        assert seen == [None]
+        assert plan.fallbacks == 0
+
+    def test_failed_kernel_still_falls_back_to_eager_replay(self):
+        fn, clean = self._plan()
+        traced = trace(fn, Tensor(np.zeros((8, 4))))
+        optimize_graph(traced.graph)
+        target = next(node for node in traced.graph.nodes if node.op == "matmul")
+
+        class WrongPlan(ExecutionPlan):
+            def _build_kernel(self, node, buffer):
+                kernel = super()._build_kernel(node, buffer)
+                return (lambda: kernel() + 1.0) if node is target else kernel
+
+        plan = WrongPlan(traced)
+        assert plan.fallbacks == clean.fallbacks + 1
+        x = np.random.default_rng(3).normal(size=(8, 4)).astype(get_default_dtype())
+        assert plan.run(x).data.tobytes() == fn(Tensor(x)).data.tobytes()
+
     def test_padded_conv_in_a_dirty_workspace(self):
         """Pad borders live in shared scratch: garbage there changes nothing."""
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 """Serving engine: micro-batching, versioned cache, telemetry, traces."""
 
+import hashlib
 import threading
 import time
 
@@ -107,6 +108,20 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             VersionedCache(-1)
 
+    @pytest.mark.parametrize("view", ["contiguous", "strided", "transposed",
+                                      "fortran"])
+    def test_image_digest_is_unchanged_by_hashing_in_place(self, view):
+        image = np.arange(3 * 8 * 10, dtype=np.float32).reshape(3, 8, 10) / 7
+        image = {"contiguous": image, "strided": image[:, ::2, 1::3],
+                 "transposed": image.transpose(0, 2, 1),
+                 "fortran": np.asfortranarray(image)}[view]
+        array = np.ascontiguousarray(image)
+        old = hashlib.sha1()
+        old.update(str(array.dtype).encode("ascii"))
+        old.update(str(array.shape).encode("ascii"))
+        old.update(array.tobytes())
+        assert image_digest(image) == old.hexdigest()
+
     def test_image_digest_content_sensitive(self):
         a = make_image(1.0)
         assert image_digest(a) == image_digest(a.copy())
@@ -208,6 +223,23 @@ class TestServeEngine:
             stats = engine.stats()
         assert sum(stub.batches) == 1
         assert stats.cache_hits == 3 and stats.cache_misses == 1
+
+    def test_float64_and_float32_twins_share_one_cache_entry(self):
+        seen = []
+
+        def grounder(samples):
+            seen.extend(s.image.dtype for s in samples)
+            return stub_responses(samples)
+
+        image = np.random.default_rng(0).random((3, 4, 6))
+        with ServeEngine(grounder, max_batch=4) as engine:
+            first = engine.ground(image, "red dog", timeout=10)
+            second = engine.ground(image.astype(np.float32), "red dog",
+                                   timeout=10)
+            stats = engine.stats()
+        assert seen == [np.dtype(np.float32)]
+        assert responses_equal(first, second)
+        assert stats.cache_hits == 1 and stats.cache_misses == 1
 
     def test_cached_result_is_immutable_copy(self):
         stub = StubGrounder()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.data import REFCOCO, build_dataset
+from repro.data import REFCOCO, SceneGenerator, build_dataset
+from repro.data.render import render_scene
 from repro.detection import iou_matrix
 from repro.twostage import (
     ListenerMatcher,
@@ -19,6 +20,7 @@ from repro.twostage import (
     train_rpn,
     train_speaker,
 )
+from tests.test_data_render import render_scene_float64
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,18 @@ class TestSegmentationProposer:
     def test_quality_validation(self):
         with pytest.raises(ValueError):
             SegmentationProposer(quality=0.0)
+
+    def test_float32_and_float64_renders_give_identical_proposals(self):
+        generator = SceneGenerator(rng=np.random.default_rng(8))
+        for index in range(12):
+            scene = generator.generate()
+            image = render_scene(scene, rng=np.random.default_rng(index))
+            reference = render_scene_float64(scene, rng=np.random.default_rng(index))
+            assert image.dtype == np.float32
+            left = SegmentationProposer(rng=np.random.default_rng(index)).propose(image)
+            right = SegmentationProposer(rng=np.random.default_rng(index)).propose(reference)
+            assert left.boxes.tobytes() == right.boxes.tobytes()
+            assert left.scores.tobytes() == right.scores.tobytes()
 
     def test_blank_image_fallback(self):
         proposer = SegmentationProposer(rng=np.random.default_rng(0))
