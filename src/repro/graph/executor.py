@@ -7,14 +7,22 @@ drive the design:
 **Bit-exactness.**  Every kernel replicates the eager numpy arithmetic
 operation-for-operation (``sub`` is IEEE-identical to ``add(neg)``,
 ``mean`` divides by the same ``float(count)`` scalar tensor, ``softmax``
-repeats the shift/exp/sum sequence).  Plan construction *proves* this:
-each kernel is executed once on the traced input values and its output
-compared bitwise (shape, dtype, bytes) against the value the eager pass
-produced.  Any kernel that disagrees — or raises — is replaced by a
-generic eager replay: the original op the tracer recorded on the node,
-called with the node's call template, so a plan can never silently
-drift from eager semantics.  Ops without a dedicated kernel take the
-same replay at build time; ``plan.fallbacks`` counts both.
+repeats the shift/exp/sum sequence).  Plan construction *proves* this
+with the plan's first run: the kernels run once on the traced inputs,
+chained through the plan's own workspace as in every later run, and
+each output is compared bitwise (shape, dtype, bits) against the value
+the eager pass produced, which is dropped right after.  Any kernel that
+disagrees — or raises — is replaced by a generic eager replay: the
+original op the tracer recorded on the node, called with the node's
+call template, so a plan can never silently drift from eager
+semantics.  The replay must then agree, or the build raises
+:class:`CompileError`.  Ops without a dedicated kernel take the same
+replay at build time; ``plan.fallbacks`` counts both.  Since each
+kernel reads what earlier kernels left in the arena, the check covers
+the layout too: a region handed out before its last read corrupts that
+read, and the build fails.  The first run's outputs, checked once more,
+are the answer to the call that compiled the plan
+(:meth:`ExecutionPlan.first_answer`).
 
 **Allocation reuse.**  Every pooled output buffer and the conv scratch
 live at byte offsets inside one plan-sized layout.  Buffer liveness
@@ -35,12 +43,13 @@ buffer the same way.  ``plan.workspace_bytes`` is arena plus scratch.
 into a workspace buffer, rebuilt only when the buffer they see changes,
 so ``run`` pays nothing per call for the indirection.  A
 :class:`PlanCache` owns one workspace, sized to its largest plan, and
-one lock under which its plans run one at a time; growing or shrinking
-that buffer unbinds every plan, so none keeps an old buffer alive.  A
-plan built or run outside a cache owns a private workspace, which the
-cache takes over on ``store`` when that plan is its largest.  Between
-runs a plan's slot table holds only constants, so an idle plan pins no
-input or activation.
+one lock under which its plans run one at a time; a plan built for the
+cache runs its first run there too.  Resizing that buffer unbinds every
+plan bound to it and drops it before the new one is allocated, so no
+plan keeps an old buffer alive and the two are never resident at once.
+A plan built outside a cache owns a private workspace, which it gives
+up on ``store``.  Between runs a plan's slot table holds only
+constants, so an idle plan pins no input or activation.
 
 **Observability.**  When an op-level profiler is active, each kernel
 execution is recorded via :meth:`Profiler.record_op` under the node's
@@ -50,8 +59,10 @@ whole replay runs inside a ``graph.execute`` trace span.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -98,12 +109,27 @@ def _literal(args: Tuple, kwargs: Dict, position: int, name: str, default: Any) 
     return kwargs.get(name, default)
 
 
+#: The unsigned integer type of each item width, for bitwise comparison.
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def _bitwise_equal(a: Any, b: Any) -> bool:
+    """Same shape, dtype and bits.  The arrays are compared as views of
+    the same-width unsigned integer type, without copies, so ``-0.0``
+    differs from ``0.0`` and NaNs match only with the same payload."""
     if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
         return False
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
-    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    bits = _UNSIGNED[a.dtype.itemsize]
+    return bool((a.view(bits) == b.view(bits)).all())
+
+
+def _matches(value: Any, traced: Any) -> bool:
+    """A kernel's output against its node's traced value; tuple-valued
+    externals are checked element by element through their ``tuple_get``
+    nodes."""
+    return _bitwise_equal(value, traced) if isinstance(traced, np.ndarray) else True
 
 
 class CompileError(RuntimeError):
@@ -120,7 +146,7 @@ def _aligned(nbytes: int) -> int:
 
 def _view(buffer: np.ndarray, offset: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
     """The ``shape``/``dtype`` array stored at byte ``offset`` of ``buffer``."""
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     return buffer[offset:offset + nbytes].view(dtype).reshape(shape)
 
 
@@ -160,27 +186,53 @@ class _Workspace:
     a cache owns a private one.
     """
 
-    def __init__(self, nbytes: int = 0):
-        self.buffer = np.empty(nbytes, dtype=np.uint8)
+    def __init__(self):
+        self.buffer = np.empty(0, dtype=np.uint8)
         self.lock = threading.Lock()
+        #: Plans whose kernels hold views of ``buffer``.
+        self.bound: "weakref.WeakSet[ExecutionPlan]" = weakref.WeakSet()
+
+    def resize(self, nbytes: int) -> None:
+        """Replace the buffer with one of ``nbytes``; the caller holds
+        ``lock``.  Every plan bound to the old buffer is unbound and the
+        old buffer dropped before the new one is allocated."""
+        for plan in list(self.bound):
+            plan._unbind()
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self.buffer = np.empty(nbytes, dtype=np.uint8)
 
 
 class ExecutionPlan:
-    """A compiled, replayable forward pass for one input signature."""
+    """A compiled, replayable forward pass for one input signature.
 
-    def __init__(self, traced: TracedGraph):
+    Built in ``workspace`` (a :class:`PlanCache`'s, see
+    :attr:`PlanCache.workspace`) or, without one, in a private
+    workspace.  Construction is the plan's first run, on the traced
+    inputs; :meth:`first_answer` hands its checked outputs over.
+    """
+
+    def __init__(self, traced: TracedGraph, workspace: Optional[_Workspace] = None):
         self.traced = traced
         self.graph: Graph = traced.graph
         #: Generic eager replays by node id, whether chosen at build time
         #: or after a kernel failed validation.
         self._generic: Dict[int, Callable[[], Any]] = {}
-        self._build()
+        self._workspace = workspace if workspace is not None else _Workspace()
+        self._first: Optional[List[np.ndarray]] = self._build()
         self.fallbacks = len(self._generic)
+
+    def first_answer(self) -> Any:
+        """The first run's outputs in the traced structure: the answer
+        for the traced inputs, handed over once."""
+        if self._first is None:
+            raise RuntimeError("the first answer was already taken")
+        leaves, self._first = self._first, None
+        return self.traced.unflatten(leaves)
 
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
+    def _build(self) -> List[np.ndarray]:
         graph = self.graph
         self._slot_of: Dict[int, int] = {node.id: i for i, node in enumerate(graph.nodes)}
         self._slots: List[Any] = [None] * len(graph.nodes)
@@ -198,27 +250,23 @@ class ExecutionPlan:
         self._idle_slots = list(self._slots)
 
         schedule = [n for n in graph.nodes if not (n.is_input or n.is_constant)]
-        base, last_use = self._lay_out(graph, schedule)
+        self._lay_out(graph, schedule)
         self._schedule = [(self._slot_of[node.id], node, node.nbytes) for node in schedule]
         self.num_kernels = len(schedule)
 
-        self._workspace = _Workspace(self.workspace_bytes)
-        self._bind(self._workspace.buffer)
-        self._validate(base, last_use)
-        # Drop the traced values validation still held (the outputs);
-        # keep constants.
-        for node in schedule + graph.inputs:
-            node.value = None
-        self._slots[:] = self._idle_slots
+        workspace = self._workspace
+        with workspace.lock:
+            if workspace.buffer.nbytes < self.workspace_bytes:
+                workspace.resize(self.workspace_bytes)
+            self._bind(workspace.buffer)
+            return self._validate()
 
-    def _lay_out(self, graph: Graph, schedule: List[Node]
-                 ) -> Tuple[Dict[int, int], Dict[int, float]]:
+    def _lay_out(self, graph: Graph, schedule: List[Node]) -> None:
         """Place every pooled output buffer and the conv scratch region.
 
         Output buffers share the arena by liveness; the scratch region
         follows it and is shared by every convolution, since each conv's
         padded input and columns live only while that conv runs.
-        Returns the alias bases and the last-use map the layout used.
         """
         base = self._alias_bases(graph)
         last_use = self._liveness(graph, schedule, base)
@@ -244,20 +292,22 @@ class ExecutionPlan:
         self.scratch_bytes = scratch
         #: Bytes of workspace this plan runs in: arena plus conv scratch.
         self.workspace_bytes = arena.nbytes + scratch
-        return base, last_use
 
     def _bind(self, buffer: np.ndarray) -> None:
-        """Build every kernel over views into ``buffer``."""
+        """Build every kernel over views into ``buffer``, the buffer of
+        this plan's workspace; the caller holds the workspace lock."""
         self._steps = [
             (slot, self._generic.get(node.id) or self._build_kernel(node, buffer))
             for slot, node, _ in self._schedule
         ]
         self._bound: Optional[np.ndarray] = buffer
+        self._workspace.bound.add(self)
 
     def _unbind(self) -> None:
         """Drop the kernels, and with them every view into the workspace."""
         self._steps = []
         self._bound = None
+        self._workspace.bound.discard(self)
 
     def _alias_bases(self, graph: Graph) -> Dict[int, int]:
         base: Dict[int, int] = {}
@@ -291,39 +341,57 @@ class ExecutionPlan:
             last_use[base[node.id]] = float("inf")
         return last_use
 
-    def _validate(self, base: Dict[int, int], last_use: Dict[int, float]) -> None:
-        """Run every kernel on the traced values; fall back on mismatch.
+    def _validate(self) -> List[np.ndarray]:
+        """The plan's first run, on the traced inputs, checked kernel by
+        kernel; returns copies of the output slots.
 
-        After each comparison the slot is reset to the traced value, so
-        downstream kernels always validate against pristine eager inputs.
-        Once the last consumer of a buffer has validated, the traced
-        values of that buffer and of its aliases are dropped, so
-        validation holds only the activations a later kernel still reads.
+        Kernels chain through the workspace as in :meth:`run`: each reads
+        what earlier kernels wrote, never a traced value.  Each output is
+        compared with its node's traced value, which is dropped right
+        after, so the run holds no more than a normal run does.  The
+        output nodes keep theirs until the copies returned are checked
+        once more, so no later kernel may have overwritten an output.
         """
-        slots = self._slots
-        aliases: Dict[int, List[Node]] = {}
-        for node in self.graph.inputs + [node for _, node, _ in self._schedule]:
-            aliases.setdefault(base[node.id], []).append(node)
-        for input_node in self.graph.inputs:
-            slots[self._slot_of[input_node.id]] = input_node.value
-        for index, (slot, node, _) in enumerate(self._schedule):
-            try:
-                produced = self._steps[index][1]()
-                ok = (
-                    _bitwise_equal(produced, node.value)
-                    if isinstance(node.value, np.ndarray)
-                    else True  # tuple-valued externals checked via tuple_get
-                )
-            except Exception:
-                ok = False
-            if not ok:
-                self._steps[index] = (slot, self._build_generic_kernel(node))
+        graph, slots = self.graph, self._slots
+        for slot, node in zip(self._input_slots, graph.inputs):
             slots[slot] = node.value
-            for src_base in {base[src.id] for src in node.inputs}:
-                if last_use.get(src_base) == index:
-                    for dead in aliases.get(src_base, ()):
-                        dead.value = None
-                        slots[self._slot_of[dead.id]] = None
+            node.value = None
+        outputs = {node.id for node in graph.outputs}
+        try:
+            for index, (slot, node, _) in enumerate(self._schedule):
+                slots[slot] = self._check(index, node)
+                if node.id not in outputs:
+                    node.value = None
+            leaves = [np.array(slots[slot], copy=True) for slot in self._output_slots]
+        finally:
+            slots[:] = self._idle_slots
+        for node, leaf in zip(graph.outputs, leaves):
+            if not node.is_constant and node.value is not None:
+                if not _bitwise_equal(leaf, node.value):
+                    raise CompileError(f"{self.traced.fn_name}: output {node!r} "
+                                       f"was overwritten after it was checked")
+        for node in graph.outputs:
+            if not node.is_constant:
+                node.value = None
+        return leaves
+
+    def _check(self, index: int, node: Node) -> Any:
+        """Run step ``index`` and return its output if it matches the
+        traced value.  A dedicated kernel that disagrees or raises gives
+        way to the generic replay, which must agree."""
+        slot, kernel = self._steps[index]
+        try:
+            value = kernel()
+            if _matches(value, node.value):
+                return value
+            error = None
+        except Exception as exc:
+            error = exc
+        if node.id in self._generic:
+            raise CompileError(f"{self.traced.fn_name}: eager replay of {node!r} "
+                               f"disagrees with the trace") from error
+        self._steps[index] = (slot, self._build_generic_kernel(node))
+        return self._check(index, node)
 
     # ------------------------------------------------------------------
     # Kernel construction
@@ -572,8 +640,8 @@ class ExecutionPlan:
         itemsize = node.inputs[0].dtype.itemsize
         padded = (n, c, h + 2 * ph, w + 2 * pw) if ph or pw else None
         cols = (n, c, weight.shape[2], weight.shape[3], node.shape[2], node.shape[3])
-        cols_at = _aligned(int(np.prod(padded)) * itemsize) if padded else 0
-        return padded, cols, cols_at, cols_at + int(np.prod(cols)) * itemsize
+        cols_at = _aligned(math.prod(padded) * itemsize) if padded else 0
+        return padded, cols, cols_at, cols_at + math.prod(cols) * itemsize
 
     def _build_conv_kernel(self, node: Node, out: Optional[np.ndarray],
                            buffer: np.ndarray) -> Callable[[], np.ndarray]:
@@ -729,9 +797,9 @@ class ExecutionPlan:
         from repro.obs.profiler import get_active_profiler
 
         if workspace.buffer.nbytes < self.workspace_bytes:
-            # Only a private workspace is ever too small: one a cache
-            # emptied when it evicted this plan.
-            workspace.buffer = np.empty(self.workspace_bytes, dtype=np.uint8)
+            # Only a private workspace is ever too small: the empty one
+            # a cache gave this plan when it evicted it.
+            workspace.resize(self.workspace_bytes)
         if self._bound is not workspace.buffer:
             self._bind(workspace.buffer)
         slots = self._slots
@@ -799,12 +867,17 @@ class PlanCache:
                 self._plans.move_to_end(key)
             return plan
 
-    def store(self, key: Any, plan: ExecutionPlan, compile_ms: float) -> None:
-        """Add ``plan`` and adopt it into the cache's workspace.
+    @property
+    def workspace(self) -> _Workspace:
+        """The workspace every plan of this cache runs in; build a plan
+        in it (``ExecutionPlan(traced, cache.workspace)``) to validate
+        it there rather than in a buffer of its own."""
+        return self._workspace
 
-        When the plan is the largest, its own buffer becomes the cache's
-        workspace; otherwise that buffer is dropped.
-        """
+    def store(self, key: Any, plan: ExecutionPlan, compile_ms: float) -> None:
+        """Add ``plan``, moving it into the cache's workspace if it was
+        built in a private one, and size the workspace to the largest
+        plan."""
         with self._lock, self._workspace.lock:
             self.compiles += 1
             self._compile_events.append((key, compile_ms))
@@ -814,15 +887,14 @@ class PlanCache:
             while len(self._plans) > self.max_plans:
                 dropped.append(self._plans.popitem(last=False)[1])
                 self.evictions += 1
-            spare = None
             if isinstance(plan, ExecutionPlan) and plan._workspace is not self._workspace:
                 with plan._workspace.lock:
-                    spare = plan._workspace.buffer
+                    plan._unbind()
                     plan._workspace = self._workspace
             for old in dropped:
                 if old is not plan:
                     self._release(old)
-            self._fit(spare)
+            self._fit()
 
     def _release(self, plan: Any) -> None:
         """Give a plan leaving the cache an empty private workspace."""
@@ -830,18 +902,12 @@ class PlanCache:
             plan._unbind()
             plan._workspace = _Workspace()
 
-    def _fit(self, spare: Optional[np.ndarray] = None) -> None:
-        """Size the workspace to the largest plan (``spare`` when it is
-        that size), and unbind every plan from any other buffer, so no
-        plan keeps an old workspace alive.  Holds the workspace lock."""
+    def _fit(self) -> None:
+        """Size the workspace to the largest plan; holds its lock."""
         plans = [p for p in self._plans.values() if isinstance(p, ExecutionPlan)]
         need = max((plan.workspace_bytes for plan in plans), default=0)
         if self._workspace.buffer.nbytes != need:
-            fits = spare is not None and spare.nbytes == need
-            self._workspace.buffer = spare if fits else np.empty(need, dtype=np.uint8)
-        for plan in plans:
-            if plan._bound is not None and plan._bound is not self._workspace.buffer:
-                plan._unbind()
+            self._workspace.resize(need)
 
     def drain_compile_events(self) -> List[Tuple[Any, float]]:
         """Return and clear compile events recorded since the last drain."""

@@ -41,11 +41,10 @@ class Node:
     """One vertex of the IR.
 
     ``value`` is the array produced for this node during the trace (or a
-    tuple of arrays for multi-output external nodes).  Ops keep it until
-    kernel validation no longer reads it — constant folding and
-    validation both consume it — and the executor drops each op value
-    once its last consumer has validated; constants keep theirs for the
-    plan's lifetime.
+    tuple of arrays for multi-output external nodes).  Constant folding
+    reads it, and a plan's first run compares the node's kernel output
+    with it and drops it right after (an output's, once the returned
+    copy is checked); constants keep theirs for the plan's lifetime.
     """
 
     __slots__ = ("id", "op", "inputs", "attrs", "value", "shape", "dtype", "name")
@@ -137,14 +136,12 @@ class Graph:
     # ------------------------------------------------------------------
     # Rewriting
     # ------------------------------------------------------------------
-    def replace_uses(self, old: Node, new: Node) -> None:
-        """Redirect every edge (and output slot) from ``old`` to ``new``."""
-        for node in self.nodes:
+    def replace_uses(self, old: Node, new: Node, users: Iterable[Node]) -> None:
+        """Redirect the edges from ``old`` to ``new`` in ``users`` (its
+        consumers, from :meth:`consumers`) and in the output list."""
+        for node in users:
             node.inputs = [new if src is old else src for src in node.inputs]
         self.outputs = [new if node is old else node for node in self.outputs]
-
-    def insert_before(self, anchor: Node, node: Node) -> None:
-        self.nodes.insert(self.nodes.index(anchor), node)
 
     def remove(self, dead: Iterable[Node]) -> None:
         dead_ids = {node.id for node in dead}

@@ -26,7 +26,7 @@ sequence:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -98,33 +98,31 @@ def fold_batchnorm(graph: Graph) -> int:
     Matches ``add(mul(div(sub(x, mean), denom), scale), shift)`` where
     every right operand is a per-channel ``(1, C, 1, 1)`` constant (the
     running stats fold to constants in :func:`fold_constants`) and every
-    intermediate value has exactly one consumer.  Returns the number of
-    chains folded.
+    intermediate value has exactly one consumer.  One pass over the
+    nodes and one consumer map: each ``bn_affine`` takes its chain's
+    ``sub`` position.  Returns the number of chains folded.
     """
     consumers = graph.consumers()
-    folded = 0
-    for sub_node in list(graph.nodes):
+    folded: Dict[int, Node] = {}  # sub node id -> its bn_affine
+    dead = set()
+    for sub_node in graph.nodes:
         if sub_node.op != "sub" or len(sub_node.inputs) != 2:
             continue
         x, mean = sub_node.inputs
         if not _is_channel_constant(mean, sub_node):
             continue
         chain = [sub_node]
-        ok = True
         for expected_op in ("div", "mul", "add"):
-            users = consumers.get(chain[-1].id, [])
+            users = consumers[chain[-1].id]
             if len(users) != 1:
-                ok = False
                 break
             nxt = users[0]
             if nxt.op != expected_op or len(nxt.inputs) != 2 or nxt.inputs[0] is not chain[-1]:
-                ok = False
                 break
             if not _is_channel_constant(nxt.inputs[1], nxt):
-                ok = False
                 break
             chain.append(nxt)
-        if not ok:
+        if len(chain) != 4:
             continue
         div_node, mul_node, add_node = chain[1], chain[2], chain[3]
         fused = graph.make_node(
@@ -134,12 +132,13 @@ def fold_batchnorm(graph: Graph) -> int:
             value=add_node.value,
             name="bn_affine",
         )
-        graph.insert_before(sub_node, fused)
-        graph.replace_uses(add_node, fused)
-        graph.remove(chain)
-        consumers = graph.consumers()
-        folded += 1
-    return folded
+        consumers[fused.id] = consumers[add_node.id]
+        graph.replace_uses(add_node, fused, consumers[fused.id])
+        folded[sub_node.id] = fused
+        dead.update(node.id for node in chain)
+    graph.nodes = [folded.get(node.id, node) for node in graph.nodes
+                   if node.id in folded or node.id not in dead]
+    return len(folded)
 
 
 #: Producer ops that accept a fused epilogue, and the epilogue ops that
@@ -155,24 +154,20 @@ def fuse_epilogues(graph: Graph) -> int:
     ``conv2d → bn_affine → relu`` becomes one ``conv2d`` node named
     ``conv2d+bn+relu`` whose kernel applies the epilogue in place before
     the output copy; residual ``add → relu`` likewise becomes
-    ``add+relu``.  Returns the number of epilogue ops fused away.
+    ``add+relu``.  One pass over the nodes and one consumer map: a
+    producer absorbs its whole epilogue chain when the pass reaches it,
+    and a fusion only changes the consumers of the producer itself.
+    Returns the number of epilogue ops fused away.
     """
-    fused_total = 0
-    changed = True
-    while changed:
-        changed = False
-        consumers = graph.consumers()
-        for node in list(graph.nodes):
-            if node.op not in _EPILOGUE_PRODUCERS:
-                continue
-            users = consumers.get(node.id, [])
-            if len(users) != 1:
-                continue
-            epilogue = users[0]
-            if epilogue.op not in _EPILOGUE_OPS:
-                continue
-            if epilogue.inputs[0] is not node:
-                continue
+    consumers = graph.consumers()
+    fused = []
+    for node in graph.nodes:
+        if node.op not in _EPILOGUE_PRODUCERS:
+            continue
+        while len(consumers[node.id]) == 1:
+            epilogue = consumers[node.id][0]
+            if epilogue.op not in _EPILOGUE_OPS or epilogue.inputs[0] is not node:
+                break
             steps: List[dict] = list(node.attrs.get("epilogue", []))
             if epilogue.op == "bn_affine":
                 base = len(node.inputs)
@@ -185,12 +180,11 @@ def fuse_epilogues(graph: Graph) -> int:
             node.attrs["epilogue"] = steps
             node.name = f"{node.name}+{suffix}"
             node.set_value(epilogue.value)
-            graph.replace_uses(epilogue, node)
-            graph.remove([epilogue])
-            fused_total += 1
-            changed = True
-            break
-    return fused_total
+            consumers[node.id] = consumers[epilogue.id]
+            graph.replace_uses(epilogue, node, consumers[node.id])
+            fused.append(epilogue)
+    graph.remove(fused)
+    return len(fused)
 
 
 def optimize_graph(graph: Graph) -> Dict[str, int]:

@@ -215,6 +215,39 @@ class TestPasses:
         names = {node.name for node in traced.graph.nodes}
         assert any(name.startswith("conv2d+") for name in names)
 
+    @pytest.mark.parametrize("clauses", [False, True], ids=["flat", "clauses"])
+    @pytest.mark.parametrize("backbone", ["tiny-preset", "tiny-bn"])
+    def test_optimized_tiny_graphs_keep_their_kernels(self, dataset, backbone, clauses):
+        """The one-pass BatchNorm folding and epilogue fusion build the
+        very graphs the restarting passes built."""
+        from collections import Counter
+
+        from repro.zoo import build_model
+
+        relu, bn = ("relu",), ("bn_affine", 2, 3, 4, 5)
+        if backbone == "tiny-preset":
+            seed_everything(31)
+            model = build_model("tiny", vocab_size=len(dataset.vocab),
+                                max_query_length=max(6, dataset.max_query_length))
+            fused = {("conv2d+relu", (relu,)): 5, ("add+relu", (relu,)): 10}
+        else:
+            model, _ = make_model(dataset, backbone="tiny-bn")
+            fused = {("conv2d+bn+relu", (bn, relu)): 3, ("conv2d+bn", (bn,)): 4,
+                     ("conv2d+relu", (relu,)): 2, ("add+relu", (relu,)): 10}
+        grounder = Grounder(model.eval(), dataset.vocab,
+                            clause_conditioning=clauses).compile()
+        grounder(dataset["val"][:3])
+        (plan,) = grounder.plan_cache._plans.values()
+        nodes = [node for _, node, _ in plan._schedule]
+        assert plan.num_kernels == (207 if clauses else 147)
+        assert plan.fallbacks == 0
+        assert not any(node.op == "bn_affine" for node in nodes)
+        steps = Counter(
+            (node.name, tuple((step["op"], *step.get("slots", ()))
+                              for step in node.attrs["epilogue"]))
+            for node in nodes if node.attrs.get("epilogue"))
+        assert steps == fused
+
 
 # ----------------------------------------------------------------------
 # Executor
@@ -336,6 +369,97 @@ class TestExecutor:
         assert plan.fallbacks == clean.fallbacks + 1
         x = np.random.default_rng(3).normal(size=(8, 4)).astype(get_default_dtype())
         assert plan.run(x).data.tobytes() == fn(Tensor(x)).data.tobytes()
+
+    def test_first_answer_is_the_traced_call_handed_over_once(self):
+        fn, plan = self._plan()  # traced on zeros((8, 4))
+        expected = fn(Tensor(np.zeros((8, 4)))).data
+        assert plan.first_answer().data.tobytes() == expected.tobytes()
+        with pytest.raises(RuntimeError):
+            plan.first_answer()
+
+    def test_compile_and_its_first_answer_run_each_kernel_once(self, dataset,
+                                                               monkeypatch):
+        from collections import Counter
+
+        runs = Counter()
+        bind = ExecutionPlan._bind
+
+        def counting_bind(plan, buffer):
+            bind(plan, buffer)
+
+            def counted(node_id, kernel):
+                def step():
+                    runs[node_id] += 1
+                    return kernel()
+                return step
+            plan._steps = [(slot, counted(node.id, kernel)) for (slot, kernel), (_, node, _)
+                           in zip(plan._steps, plan._schedule)]
+
+        monkeypatch.setattr(ExecutionPlan, "_bind", counting_bind)
+        model, cfg = make_model(dataset)
+        batch = batch_of(dataset, cfg)
+        args = (batch["images"], batch["token_ids"], batch["token_mask"])
+        eager = model.predict(*args)
+        model.compile()
+        first = model.predict(*args)  # miss: trace, passes, the first run
+        (plan,) = model.plan_cache._plans.values()
+        kernels = {node.id for _, node, _ in plan._schedule}
+        assert plan.fallbacks == 0 and set(runs) == kernels
+        assert set(runs.values()) == {1}
+        again = model.predict(*args)  # hit: one replay
+        assert set(runs.values()) == {2}
+        assert_predictions_bitwise_equal(eager, first)
+        assert_predictions_bitwise_equal(eager, again)
+
+    def test_arena_region_reused_before_its_last_read_fails_at_build(self):
+        """A layout fault fails the build: the first run chains kernels
+        through the arena, so a clobbered operand is read as such."""
+        from repro.graph.executor import CompileError
+
+        w = Tensor(np.linspace(-1.0, 1.0, 16).reshape(4, 4))
+
+        def fn(x):
+            a = x.matmul(w)
+            b = a * 2.0  # a is read here first...
+            c = b + 0.5  # ...so a faulty layout hands a's region to c
+            return c * a  # ...and this reads c's bytes as a
+
+        class FirstReadFrees(ExecutionPlan):
+            def _liveness(self, graph, schedule, base):
+                first_read = {}
+                for position, node in enumerate(schedule):
+                    for src in node.inputs:
+                        first_read.setdefault(base[src.id], position)
+                for node in graph.outputs:
+                    first_read[base[node.id]] = float("inf")
+                return first_read
+
+        x = Tensor(np.random.default_rng(2).normal(size=(8, 4)))
+        assert ExecutionPlan(trace(fn, x)).fallbacks == 0
+        with pytest.raises(CompileError):
+            FirstReadFrees(trace(fn, x))
+
+    def test_output_overwritten_after_its_check_fails_at_build(self):
+        """No kernel reads the clobbered output: the final check of the
+        copies the first run returns catches it."""
+        from repro.graph.executor import CompileError
+
+        w = Tensor(np.linspace(-1.0, 1.0, 16).reshape(4, 4))
+
+        def fn(x):
+            a = x.matmul(w)
+            return a + 1.0, a * 2.0
+
+        class SharedOutputs(ExecutionPlan):
+            def _lay_out(self, graph, schedule):
+                super()._lay_out(graph, schedule)
+                first, second = graph.outputs
+                self._offsets[second.id] = self._offsets[first.id]
+
+        x = Tensor(np.random.default_rng(2).normal(size=(8, 4)))
+        assert ExecutionPlan(trace(fn, x)).fallbacks == 0
+        with pytest.raises(CompileError, match="overwritten"):
+            SharedOutputs(trace(fn, x))
 
     def test_padded_conv_in_a_dirty_workspace(self):
         """Pad borders live in shared scratch: garbage there changes nothing."""
@@ -583,6 +707,77 @@ class TestSharedWorkspace:
                 assert all(responses_equal(a, b)
                            for a, b in zip(responses, expected[n]))
 
+    def test_a_growing_first_run_frees_the_old_buffer_first(self, dataset, monkeypatch):
+        import gc
+        import weakref
+
+        model, _ = make_model(dataset)
+        grounder = Grounder(model, dataset.vocab).compile()
+        cache = grounder.plan_cache
+        batches = self._batches(dataset, (1, 4))
+        grounder(batches[1])
+        old = weakref.ref(cache._workspace.buffer)
+        seen = []
+        validate = ExecutionPlan._validate
+
+        def spy(plan):
+            gc.collect()
+            seen.append((plan._bound is cache._workspace.buffer, old() is None))
+            return validate(plan)
+
+        monkeypatch.setattr(ExecutionPlan, "_validate", spy)
+        grounder(batches[4])
+        # The batch-4 plan ran first in the cache's grown workspace, and
+        # the old buffer was gone by then: never two workspaces at once.
+        assert seen == [(True, True)]
+        assert cache.stats()["workspace_bytes"] == max(
+            plan.workspace_bytes for plan in cache._plans.values())
+
+    def test_threads_compiling_and_running_share_one_workspace(self, dataset):
+        """First runs grow the workspace under its lock while other
+        threads replay plans in it: every answer stays eager's."""
+        import sys
+        import threading
+
+        model, _ = make_model(dataset)
+        grounder = Grounder(model, dataset.vocab)
+        batches = self._batches(dataset, (1, 2, 3, 4, 5))
+        expected = {n: grounder(batch) for n, batch in batches.items()}
+        grounder.compile()
+        answers = {n: [] for n in batches}
+        errors = []
+
+        def serve(order):
+            try:
+                for _ in range(2):
+                    for n in order:
+                        answers[n].append(grounder(batches[n]))
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        orders = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4), (2, 5, 4, 1, 3)]
+        threads = [threading.Thread(target=serve, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        cache = grounder.plan_cache
+        plans = list(cache._plans.values())
+        assert len(plans) == 5 and all(plan.fallbacks == 0 for plan in plans)
+        assert cache.stats()["workspace_bytes"] == max(p.workspace_bytes for p in plans)
+        for n, runs in answers.items():
+            assert len(runs) == 2 * len(orders)
+            for responses in runs:
+                assert all(responses_equal(a, b)
+                           for a, b in zip(responses, expected[n]))
+
     def test_growth_eviction_and_clear_resize_the_workspace(self, dataset):
         import gc
         import weakref
@@ -641,6 +836,31 @@ class TestCompiledPredict:
         assert_predictions_bitwise_equal(eager, again)
         stats = model.plan_cache.stats()
         assert stats["compiles"] == 1 and stats["hits"] == 1
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("clauses", [False, True], ids=["flat", "clauses"])
+    def test_answer_on_a_miss_equals_eager_and_a_replay(self, dataset, clauses, size):
+        import dataclasses
+
+        from repro.text.tokenizer import tokenize
+
+        samples = list(dataset["val"][:size])
+        if clauses:
+            queries = ["there is a red car . the dog next to it",
+                       "the dog next to the car that is to the left of the lamp",
+                       "the lamp"]
+            samples = [dataclasses.replace(s, query=q, tokens=tokenize(q))
+                       for s, q in zip(samples, queries)]
+        eager = Grounder(make_model(dataset)[0], dataset.vocab,
+                         clause_conditioning=clauses)(samples)
+        grounder = Grounder(make_model(dataset)[0], dataset.vocab,
+                            clause_conditioning=clauses).compile()
+        first = grounder(samples)  # the plan's first run answers
+        replay = grounder(samples)
+        stats = grounder.plan_cache.stats()
+        assert stats["compiles"] == 1 and stats["hits"] == 1
+        for a, b, c in zip(eager, first, replay):
+            assert responses_equal(a, b) and responses_equal(b, c)
 
     def test_compiled_matches_eager_without_mask(self, dataset):
         model, cfg = make_model(dataset)
