@@ -1,4 +1,4 @@
-"""Pooling layers wrapping the functional im2col implementations."""
+"""Pooling layers wrapping the functional strided-view implementations."""
 
 from __future__ import annotations
 
