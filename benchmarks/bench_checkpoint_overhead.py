@@ -2,9 +2,9 @@
 
 Trains the same small YOLLO configuration under the supervisor at
 ``checkpoint_every`` in {0, 10, 50} and reports per-checkpoint wall
-time plus the steady-state training overhead relative to the
-checkpoint-free run, so future PRs can show the runtime layer stays
-off the hot path.
+time plus the checkpoint overhead: the supervisor's measured
+checkpoint seconds over the checkpoint-free run's wall time.  That
+shows whether the runtime layer stays off the hot path.
 """
 
 import os
@@ -62,10 +62,10 @@ def test_checkpoint_overhead(results_dir):
             report.checkpoint_seconds / report.checkpoint_writes * 1000.0
             if report.checkpoint_writes else 0.0
         )
-        overhead = (
-            (report.wall_seconds - baseline_wall) / baseline_wall * 100.0
-            if baseline_wall else 0.0
-        )
+        # The supervisor times its checkpoint writes itself.  The
+        # difference of two single runs' wall times would mostly show
+        # host noise: runs of unchanged code moved by -24% to +9%.
+        overhead = report.checkpoint_seconds / baseline_wall * 100.0
         rows.append([
             str(cadence) if cadence else "off",
             report.checkpoint_writes,

@@ -9,13 +9,21 @@ Broadcasting follows numpy semantics; gradients flowing into a broadcast
 operand are reduced back to the operand's shape by :func:`_unbroadcast`.
 
 Gradient ownership: a non-leaf tensor keeps the first gradient it
-receives as is, so the ``.grad`` arrays of intermediate tensors may
-alias each other (a reshape's gradient is a view of its output's), and
-no backward closure mutates a gradient in place.  A leaf (a tensor with
-no parents, e.g. a parameter) owns its ``.grad``: it copies the first
-gradient it receives, so optimizers may clip it in place and the data
-parallel trainer may replace it with a view of its own buffer.  A
+receives as is, so the gradients handed between intermediate tensors
+may alias each other (a reshape's gradient is a view of its output's),
+and no backward closure mutates a gradient in place.  A leaf (a tensor
+with no parents, e.g. a parameter) owns its ``.grad``: it copies the
+first gradient it receives, so optimizers may clip it in place and the
+data parallel trainer may replace it with a view of its own buffer.  A
 gradient passed to :meth:`Tensor.backward` from outside is copied too.
+
+:meth:`Tensor.backward` releases the graph as it walks it: once a
+non-leaf node has handed its gradient on, it drops its ``.grad``, its
+backward closure and its parent edges, so a step holds its activations
+but not every interior gradient at once.  The tensor ``backward`` was
+called on keeps its ``.grad``, leaves keep theirs, and every tensor
+keeps its ``.data``.  A released node raises ``RuntimeError`` if a
+later ``backward`` reaches it, before any gradient is touched.
 """
 
 from __future__ import annotations
@@ -104,6 +112,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _released_backward(grad) -> None:
+    """The backward closure of a node whose graph a backward pass released."""
+    raise RuntimeError(
+        "backward() reached a graph released by an earlier backward(); "
+        "run the forward again to backpropagate through it"
+    )
 
 
 class Tensor:
@@ -202,7 +218,16 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        Leaves accumulate into their ``.grad``; this tensor keeps the
+        gradient it started from.  The graph is released on the way:
+        every non-leaf node, this one included, drops its backward
+        closure and parent edges once it has run, and every non-leaf
+        other than this one drops its ``.grad``.  A second ``backward``
+        through a released node raises ``RuntimeError`` and changes no
+        gradient.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
@@ -227,15 +252,23 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node._backward is _released_backward:
+                _released_backward(None)
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node._backward = _released_backward
+                node._parents = ()
+                if node is not self:
+                    node.grad = None
 
     # ------------------------------------------------------------------
     # Arithmetic

@@ -338,13 +338,60 @@ class TestGraph:
         assert np.array_equal(node.grad, [1.0, 1.0])
 
     def test_intermediate_grads_may_alias(self):
-        """A non-leaf keeps the gradient it is handed instead of copying it."""
+        """A non-leaf hands on the gradient it is given instead of copying it.
+
+        Interior ``.grad`` is released by ``backward``, so the test records
+        the array each interior backward closure receives.
+        """
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         mid = a * 2.0
         flat = mid.reshape(6)
+        received = {}
+        for key, node in (("mid", mid), ("flat", flat)):
+            inner = node._backward
+
+            def record(grad, key=key, inner=inner):
+                received[key] = grad
+                inner(grad)
+
+            node._backward = record
         flat.sum().backward()
-        assert np.shares_memory(mid.grad, flat.grad)
-        assert not np.shares_memory(a.grad, mid.grad)
+        assert np.shares_memory(received["mid"], received["flat"])
+        assert not np.shares_memory(a.grad, received["mid"])
+
+    def test_backward_releases_interior_nodes(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        mid = a * 3.0
+        out = (mid * mid).sum()
+        out.backward()
+        assert np.array_equal(a.grad, [6.0 * 3.0, 12.0 * 3.0])
+        assert np.array_equal(out.grad, 1.0)
+        assert np.array_equal(mid.data, [3.0, 6.0])
+        for node in (mid, out):
+            assert node._parents == ()
+        assert mid.grad is None
+
+    def test_second_backward_on_root_raises(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        out = (a * 3.0).sum()
+        out.backward()
+        grads = (a.grad.copy(), out.grad.copy())
+        with pytest.raises(RuntimeError, match="released"):
+            out.backward()
+        assert np.array_equal(a.grad, grads[0])
+        assert np.array_equal(out.grad, grads[1])
+
+    def test_backward_through_released_interior_raises(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([5.0, 7.0], requires_grad=True)
+        mid = a * 3.0
+        (mid * 2.0).sum().backward()
+        a_grad = a.grad.copy()
+        again = (mid * b).sum()
+        with pytest.raises(RuntimeError, match="released"):
+            again.backward()
+        assert np.array_equal(a.grad, a_grad)
+        assert b.grad is None and mid.grad is None and again.grad is None
 
     def test_diamond_graph_grad(self):
         t = Tensor([2.0], requires_grad=True)

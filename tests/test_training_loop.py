@@ -8,12 +8,15 @@ checkpoint store is refused instead of silently training from scratch.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
 from repro.backbone import build_backbone, pretrain_backbone
 from repro.cli import main
+from repro.core import YolloTrainer
 from repro.data import REFCOCO, build_dataset
 from repro.nn import Parameter
 from repro.optim import SGD
@@ -25,6 +28,8 @@ from repro.twostage import (
     train_listener,
     train_speaker,
 )
+from repro.utils import seed_everything
+from repro.zoo import build_model
 from tests.test_runtime import make_toy_task, make_yollo_trainer
 
 
@@ -102,6 +107,76 @@ def test_supervised_train_matches_hand_driven_loop():
     assert history.curve.values == manual.history.curve.values
     for a, b in zip(supervised.parameters(), manual.parameters()):
         assert np.array_equal(a.data, b.data)
+
+
+# ----------------------------------------------------------------------
+# Memory of one train step
+# ----------------------------------------------------------------------
+def _graph_tensors(root):
+    """Tensors reachable from ``root`` through parent edges and closures."""
+    seen = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        stack.extend(node._parents)
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            value = cell.cell_contents
+            values = value if isinstance(value, (list, tuple)) else (value,)
+            stack.extend(v for v in values if isinstance(v, Tensor))
+    return list(seen.values())
+
+
+def test_train_step_peaks_at_its_activations(monkeypatch):
+    """Backward releases the graph as it walks it: the step's peak stays
+    near the arrays alive when backward starts (1.02x measured; keeping
+    every interior gradient until backward returned peaked at 1.95x),
+    and the pending loss holds no graph after the step."""
+    seed_everything(7)
+    dataset = build_dataset(REFCOCO.scaled(0.13))  # 32 train samples
+    model = build_model("tiny", len(dataset.vocab),
+                        max_query_length=max(8, dataset.max_query_length),
+                        batch_size=16)
+    trainer = YolloTrainer(model, dataset)
+    trainer.begin_run(iterations=10)
+    trainer.apply_step(trainer.forward_backward())
+
+    outputs = []
+    forward = model.forward
+
+    def holding_forward(*args, **kwargs):
+        outputs.append(forward(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(model, "forward", holding_forward, raising=False)
+    at_backward = []
+    backward = Tensor.backward
+
+    def marking_backward(self, grad=None):
+        at_backward.append(tracemalloc.get_traced_memory()[0])
+        return backward(self, grad)
+
+    monkeypatch.setattr(Tensor, "backward", marking_backward)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trainer.forward_backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    live = at_backward[0] - start
+    assert peak <= 1.25 * live, f"peak {peak / 1e6:.1f} MB, live {live / 1e6:.1f} MB"
+
+    # Only the loss itself is left: no edge or closure leads to an
+    # interior tensor, its gradient or a parameter.
+    root = trainer._pending.total
+    assert _graph_tensors(root) == [root]
+    assert root.grad is not None
+    logits = outputs[0].cls_logits
+    assert logits.grad is None
+    assert logits.data.shape[0] == 16 and np.isfinite(logits.data).all()
 
 
 def _copy_weights(source, target):
