@@ -137,14 +137,16 @@ def test_compositional_soak(results_dir, tmp_path):
         f"accuracy {no_target_accuracy:.2%})",
         f"  stale after reload           : {report.stale_served}",
         f"  aggregate p99                : "
-        f"{report.stats.latency_p99 * 1e3:8.2f} ms",
+        f"{report.stats.latency.p99 * 1e3:8.2f} ms "
+        f"(n={report.stats.latency.count})",
     ]
-    for name, p99 in sorted(report.scenario_p99.items()):
-        lines.append(f"  {name:<28} p99: {p99 * 1e3:8.2f} ms")
+    for name, latency in sorted(report.scenario_latency.items()):
+        lines.append(f"  {name:<28} p99: {latency.p99 * 1e3:8.2f} ms "
+                     f"(n={latency.count})")
     write_artifact(results_dir, "lang_soak.txt", "\n".join(lines))
 
     assert not violations, "; ".join(violations)
     assert report.false_found == 0
     assert report.lost == 0
     assert report.stale_served == 0
-    assert set(report.scenario_p99) == {"compositional"}
+    assert set(report.scenario_latency) == {"compositional"}

@@ -170,5 +170,6 @@ def _heterogeneous_soak_leg():
         f"  router cache hit rate        : "
         f"{report.stats.cache_hit_rate:.2%} epoch={report.stats.cache_epoch}",
         f"  aggregate p99                : "
-        f"{report.stats.latency_p99 * 1e3:8.2f} ms",
+        f"{report.stats.latency.p99 * 1e3:8.2f} ms "
+        f"(n={report.stats.latency.count})",
     ]

@@ -70,10 +70,11 @@ def main() -> None:
     two_stage_time = time_grounder(two_stage, val[:8],
                                    proposal_timer=two_stage.proposal_time)
     yollo_time = time_grounder(yollo, val[:8])
-    ratio = two_stage_time.total_mean / yollo_time.mean
-    print(f"speaker+listener: {two_stage_time.mean * 1000:.1f}ms "
+    ratio = two_stage_time.total_mean / yollo_time.latency.mean
+    print(f"speaker+listener: {two_stage_time.latency.mean * 1000:.1f}ms "
           f"(+{two_stage_time.proposal_mean * 1000:.1f}ms proposals)")
-    print(f"YOLLO:            {yollo_time.mean * 1000:.1f}ms   ({ratio:.1f}x faster)")
+    print(f"YOLLO:            {yollo_time.latency.mean * 1000:.1f}ms   "
+          f"({ratio:.1f}x faster)")
 
 
 if __name__ == "__main__":

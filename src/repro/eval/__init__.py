@@ -14,13 +14,7 @@ from repro.eval.metrics import (
     recall_at_k,
     recall_by_clause_depth,
 )
-from repro.eval.timing import (
-    EagerCompiledComparison,
-    TimingReport,
-    compare_eager_compiled,
-    summarize_latencies,
-    time_grounder,
-)
+from repro.eval.timing import TimingReport, time_grounder
 from repro.eval.curves import TrainingCurve
 from repro.eval.reporting import format_table
 
@@ -38,10 +32,7 @@ __all__ = [
     "recall_by_clause_depth",
     "calibrate_not_found_threshold",
     "time_grounder",
-    "summarize_latencies",
     "TimingReport",
-    "EagerCompiledComparison",
-    "compare_eager_compiled",
     "TrainingCurve",
     "format_table",
 ]

@@ -38,7 +38,7 @@ from repro.twostage import (
 )
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import seed_everything, spawn_rng
-from repro.zoo import build_model, get_preset as get_model_preset, lower_config
+from repro.zoo import get_preset as get_model_preset, lower_config
 
 DATASET_NAMES = tuple(DATASET_SPECS)
 
@@ -222,10 +222,11 @@ class ExperimentContext:
         def build() -> YolloModel:
             # Called inside a unit's RNG scope; the backbone was loaded
             # before it, so the scope's stream goes to model init alone.
-            return build_model(
-                self.model_preset or "yollo", len(dataset.vocab),
-                pretrained_embeddings=embeddings, backbone=backbone,
-                **self._config_overrides(**config_overrides))
+            # ``config`` is the preset lowered with these overrides; passing
+            # the overrides again would collide with a ``backbone`` one.
+            return YolloModel(config, len(dataset.vocab),
+                              pretrained_embeddings=embeddings,
+                              backbone=backbone)
 
         if os.path.exists(weights_path) and os.path.exists(curve_path):
             # Model init runs inside the unit's RNG scope so the produced

@@ -3,10 +3,12 @@
 Every latency/quantile number in the repo flows through this module so
 serving telemetry, the Table-5 timing path, and the profiler all share
 one quantile implementation (:func:`percentiles`, linear interpolation,
-matching ``np.percentile``'s default).  A :class:`MetricsRegistry` is a
-thread-safe name -> metric namespace; subsystems either publish into the
-process-wide registry (:func:`get_registry`) or into a private one
-(e.g. each :class:`repro.serve.ServeEngine` owns its own).
+matching ``np.percentile``'s default) and one latency summary
+(:class:`HistogramSummary`, produced only by :meth:`Histogram.summary`).
+A :class:`MetricsRegistry` is a thread-safe name -> metric namespace;
+subsystems either publish into the process-wide registry
+(:func:`get_registry`) or into a private one (e.g. each
+:class:`repro.serve.ServeEngine` owns its own).
 """
 
 from __future__ import annotations
@@ -62,6 +64,18 @@ class HistogramSummary:
             "p95": self.p95,
             "p99": self.p99,
         }
+
+    def render_ms(self) -> str:
+        """One line of a latency summary in milliseconds.
+
+        ``n`` comes first so a tail quantile over a handful of samples
+        cannot be read as a real tail.
+        """
+        return (
+            f"n={self.count}  mean={self.mean * 1e3:.2f}ms  "
+            f"p50={self.p50 * 1e3:.2f}ms  p95={self.p95 * 1e3:.2f}ms  "
+            f"p99={self.p99 * 1e3:.2f}ms"
+        )
 
 
 _EMPTY_SUMMARY = HistogramSummary(

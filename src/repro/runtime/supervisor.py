@@ -265,9 +265,9 @@ class TrainingSupervisor:
             self.logger.log(f"evaluation degraded, training continues: {exc}")
 
     def _save_checkpoint(self, report: SupervisorReport) -> bool:
+        started = time.perf_counter()
         payload = self.task.state_dict()
         iteration = self.task.iteration
-        started = time.perf_counter()
         try:
             retry_call(
                 lambda: self.manager.save(payload, iteration),

@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.autograd.tensor import as_compute_array
 from repro.core.response import GroundingResponse, thaw_response
-from repro.obs import MetricsRegistry
+from repro.obs import HistogramSummary, MetricsRegistry
 from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.retry import backoff_delay
 from repro.serve.cache import VersionedCache, image_digest
@@ -177,9 +177,7 @@ class FleetStats:
     respawns: int
     reloads: int
     stale_responses: int
-    latency_p50: float
-    latency_p95: float
-    latency_p99: float
+    latency: HistogramSummary
     reload_seconds_total: float
     #: Router-tier cache tallies (0s when ``router_cache=0``).
     cache_hits: int = 0
@@ -209,9 +207,7 @@ class FleetStats:
             f"fleet    {self.completed}/{self.submitted} served, "
             f"{self.shed} shed, {self.deadline_exceeded} deadline-exceeded, "
             f"{self.failed} failed",
-            f"latency  p50={self.latency_p50 * 1e3:.2f}ms  "
-            f"p95={self.latency_p95 * 1e3:.2f}ms  "
-            f"p99={self.latency_p99 * 1e3:.2f}ms",
+            f"latency  {self.latency.render_ms()}",
             f"faults   {self.retries} retries, {self.respawns} respawns, "
             f"{self.stale_responses} stale responses",
             f"reloads  {self.reloads} "
@@ -576,7 +572,6 @@ class FleetRouter:
         with self._lock:
             infos = tuple(self._slots[i].info() for i in sorted(self._slots))
         cache = self._response_cache.stats()
-        p50, p95, p99 = self._m_latency.percentile((50.0, 95.0, 99.0))
         return FleetStats(
             submitted=self._m_submitted.value,
             completed=self._m_completed.value,
@@ -587,8 +582,7 @@ class FleetRouter:
             respawns=self._m_respawns.value,
             reloads=self._m_reloads.value,
             stale_responses=self._m_stale.value,
-            latency_p50=float(p50), latency_p95=float(p95),
-            latency_p99=float(p99),
+            latency=self._m_latency.summary(),
             reload_seconds_total=float(sum(self._m_reload_s.values())),
             cache_hits=cache.hits,
             cache_misses=cache.misses,

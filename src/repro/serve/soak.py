@@ -21,7 +21,7 @@ router cache) is counted in ``stale_served``.
 Scenario-mix traces (:mod:`repro.scenarios`) add two more dimensions:
 
 * every request tagged with a ``scenario`` contributes to that
-  scenario's own latency percentile (``scenario_p99``), so one slow
+  scenario's own latency summary (``scenario_latency``), so one slow
   workload cannot hide inside the aggregate p99;
 * requests marked ``expect_not_found`` (the described object is absent)
   must be answered with ``not_found`` True — anything else is a
@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.response import GroundingResponse, responses_equal
-from repro.obs.metrics import percentiles
+from repro.obs.metrics import Histogram, HistogramSummary
 from repro.serve.cache import image_digest
 from repro.serve.engine import _make_sample
 from repro.serve.fleet import (
@@ -83,9 +84,9 @@ class SoakReport:
     #: Successful answers to no-target requests that claimed "found" —
     #: a correctness violation, must be zero.
     false_found: int = 0
-    #: p99 latency per scenario tag (seconds); only tagged requests that
-    #: completed successfully contribute.
-    scenario_p99: Dict[str, float] = field(default_factory=dict)
+    #: Latency summary per scenario tag (seconds); only tagged requests
+    #: that completed successfully contribute.
+    scenario_latency: Dict[str, HistogramSummary] = field(default_factory=dict)
     #: Successful responses that failed the per-request ``content_check``
     #: (e.g. a heterogeneous-fleet answer that does not match the
     #: request's own model reference) — must be zero.
@@ -121,16 +122,16 @@ class SoakReport:
             violations.append(
                 f"classification mismatch: {self.resolved} resolved vs "
                 f"{self.submitted} submitted")
-        if slo_p99 is not None and self.stats.latency_p99 > slo_p99:
+        if slo_p99 is not None and self.stats.latency.p99 > slo_p99:
             violations.append(
-                f"p99 latency {self.stats.latency_p99 * 1e3:.2f}ms exceeds "
+                f"p99 latency {self.stats.latency.p99 * 1e3:.2f}ms exceeds "
                 f"SLO {slo_p99 * 1e3:.2f}ms")
         if scenario_slo_p99 is not None:
-            for name, p99 in sorted(self.scenario_p99.items()):
-                if p99 > scenario_slo_p99:
+            for name, latency in sorted(self.scenario_latency.items()):
+                if latency.p99 > scenario_slo_p99:
                     violations.append(
-                        f"scenario '{name}' p99 {p99 * 1e3:.2f}ms exceeds "
-                        f"SLO {scenario_slo_p99 * 1e3:.2f}ms")
+                        f"scenario '{name}' p99 {latency.p99 * 1e3:.2f}ms "
+                        f"exceeds SLO {scenario_slo_p99 * 1e3:.2f}ms")
         if expected_replicas is not None \
                 and self.stats.alive != expected_replicas:
             violations.append(
@@ -164,8 +165,8 @@ class SoakReport:
             lines.append(
                 f"absent   {self.no_target_requests} no-target request(s), "
                 f"{self.false_found} false-found")
-        for name, p99 in sorted(self.scenario_p99.items()):
-            lines.append(f"scenario {name:<10} p99={p99 * 1e3:.2f}ms")
+        for name, latency in sorted(self.scenario_latency.items()):
+            lines.append(f"scenario {name:<10} {latency.render_ms()}")
         if self.reload_report is not None:
             lines.append(
                 f"reload   rolled {len(self.reload_report.replicas)} "
@@ -326,7 +327,7 @@ def run_soak(
                               "failed": 0, "lost": 0, "stale": 0,
                               "no_target": 0, "false_found": 0,
                               "mismatch": 0}
-    scenario_latencies: Dict[str, List[float]] = {}
+    scenario_latencies: Dict[str, Histogram] = defaultdict(Histogram)
     failures: List[str] = []
     settle_deadline = time.monotonic() + settle_timeout
     for index, (future, post_reload) in enumerate(zip(futures, after_reload)):
@@ -340,8 +341,7 @@ def run_soak(
             counts["ok"] += 1
             tag = str(getattr(request, "scenario", "") or "")
             if tag:
-                scenario_latencies.setdefault(tag, []).append(
-                    finished_in.get(index, 0.0))
+                scenario_latencies[tag].observe(finished_in.get(index, 0.0))
             if expect_absent and not result.not_found:
                 counts["false_found"] += 1
                 failures.append(
@@ -373,10 +373,6 @@ def run_soak(
     if reload_task is not None:
         reload_task.join(max(0.01, settle_deadline - time.monotonic()))
 
-    scenario_p99 = {
-        name: percentiles(values, (99.0,))[0]
-        for name, values in scenario_latencies.items()
-    }
     return SoakReport(
         submitted=len(futures),
         ok=counts["ok"], shed=counts["shed"], deadline=counts["deadline"],
@@ -389,6 +385,7 @@ def run_soak(
         stale_served=counts["stale"],
         no_target_requests=counts["no_target"],
         false_found=counts["false_found"],
-        scenario_p99=scenario_p99,
+        scenario_latency={name: histogram.summary() for name, histogram
+                          in scenario_latencies.items()},
         content_mismatches=counts["mismatch"],
     )

@@ -6,9 +6,10 @@ into an immutable :class:`ServerStats` report.  All distributions live
 in :mod:`repro.obs` metrics (``serve.*`` names in a
 :class:`~repro.obs.MetricsRegistry`), so quantile semantics are shared
 with the profiler and the Table-5 timing path, and external observers
-can read the same registry the engine publishes into.  Latency
-summarisation reuses :class:`repro.eval.timing.TimingReport`, so serving
-numbers are directly comparable with Table 5.
+can read the same registry the engine publishes into.  Latency is
+reported as the registry histogram's own
+:class:`~repro.obs.metrics.HistogramSummary` — the summary Table 5's
+timing uses too, so serving numbers are directly comparable with it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
-from repro.eval.timing import TimingReport, summarize_latencies
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import HistogramSummary, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -34,15 +32,10 @@ class ServerStats:
     cache_misses: int
     batches: int
     wall_seconds: float
-    latency_p50: float
-    latency_p95: float
-    latency_p99: float
+    latency: HistogramSummary
     queue_depth_max: int
     queue_depth_mean: float
     batch_histogram: Dict[int, int] = field(default_factory=dict)
-    timing: TimingReport = field(
-        default_factory=lambda: TimingReport(mean=0.0, std=0.0, num_queries=0)
-    )
     #: Plan compilations observed (compiled grounders only; 0 for eager).
     compile_count: int = 0
     #: Total milliseconds spent compiling plans, attributed separately
@@ -68,24 +61,6 @@ class ServerStats:
         total = sum(size * count for size, count in self.batch_histogram.items())
         return total / self.batches if self.batches else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "throughput_qps": self.throughput_qps,
-            "latency_mean": self.timing.mean,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cache_evictions": self.cache_evictions,
-            "mean_batch_size": self.mean_batch_size,
-            "queue_depth_max": self.queue_depth_max,
-            "queue_depth_mean": self.queue_depth_mean,
-            "compile_count": self.compile_count,
-            "compile_ms_total": self.compile_ms_total,
-        }
-
     def render(self) -> str:
         """Multi-line human-readable report."""
         histogram = " ".join(
@@ -94,10 +69,7 @@ class ServerStats:
         lines = [
             f"served   {self.completed}/{self.requests} requests in "
             f"{self.wall_seconds:.3f}s  ({self.throughput_qps:.1f} qps)",
-            f"latency  mean={self.timing.mean * 1e3:.2f}ms  "
-            f"p50={self.latency_p50 * 1e3:.2f}ms  "
-            f"p95={self.latency_p95 * 1e3:.2f}ms  "
-            f"p99={self.latency_p99 * 1e3:.2f}ms",
+            f"latency  {self.latency.render_ms()}",
             f"cache    hits={self.cache_hits} misses={self.cache_misses} "
             f"hit-rate={self.cache_hit_rate * 100:.1f}%",
             f"batches  {self.batches} run, mean size {self.mean_batch_size:.1f}"
@@ -179,14 +151,13 @@ class StatsRecorder:
 
     def snapshot(self) -> ServerStats:
         with self._lock:
-            latencies = self._latencies.values()
+            latency = self._latencies.summary()
             batch_sizes = self._batch_sizes.values()
-            depths = self._queue_depths.values()
+            depths = self._queue_depths.summary()
             requests, completed = self._requests.value, self._completed.value
-            compile_ms = self._compile_ms.values()
+            compiles = self._compile_ms.summary()
             wall = max(0.0, self._last_completion - self._first_request)
         cache = self._cache.stats() if self._cache is not None else None
-        timing = summarize_latencies(latencies)
         histogram: Dict[int, int] = {}
         for size in batch_sizes:
             size = int(size)
@@ -198,14 +169,11 @@ class StatsRecorder:
             cache_misses=cache.misses if cache else 0,
             batches=len(batch_sizes),
             wall_seconds=wall,
-            latency_p50=timing.p50,
-            latency_p95=timing.p95,
-            latency_p99=timing.p99,
-            queue_depth_max=int(max(depths)) if depths else 0,
-            queue_depth_mean=float(np.mean(depths)) if depths else 0.0,
+            latency=latency,
+            queue_depth_max=int(depths.maximum),
+            queue_depth_mean=depths.mean,
             batch_histogram=histogram,
-            timing=timing,
-            compile_count=len(compile_ms),
-            compile_ms_total=float(sum(compile_ms)),
+            compile_count=compiles.count,
+            compile_ms_total=compiles.total,
             cache_evictions=cache.evictions if cache else 0,
         )

@@ -23,7 +23,6 @@ from repro.eval import (
     recall_at_k,
 )
 from repro.eval.metrics import SWEEP_THRESHOLDS, pairwise_ious
-from repro.eval.timing import summarize_latencies
 
 
 @pytest.fixture(scope="module")
@@ -154,30 +153,16 @@ class TestMetrics:
 class TestTiming:
     def test_reports_stats(self, dataset):
         report = time_grounder(zero_grounder, dataset["val"][:4], warmup=1)
-        assert report.num_queries == 4
-        assert report.mean >= 0.0
-        assert report.total_mean == report.mean
+        assert report.latency.count == 4
+        assert report.latency.mean >= 0.0
+        assert report.total_mean == report.latency.mean
 
     def test_proposal_timer_adds(self, dataset):
         report = time_grounder(
             zero_grounder, dataset["val"][:3], proposal_timer=lambda s: 0.5
         )
         assert report.proposal_mean == pytest.approx(0.5)
-        assert report.total_mean == pytest.approx(report.mean + 0.5)
-
-    def test_quantiles_match_numpy(self):
-        durations = [0.01, 0.02, 0.03, 0.10]
-        report = summarize_latencies(durations)
-        assert report.p50 == float(np.percentile(durations, 50))
-        assert report.p95 == float(np.percentile(durations, 95))
-        assert report.p99 == float(np.percentile(durations, 99))
-        assert report.mean == pytest.approx(np.mean(durations))
-        assert report.std == pytest.approx(np.std(durations))
-
-    def test_empty_latencies(self):
-        report = summarize_latencies([])
-        assert report.num_queries == 0
-        assert report.mean == 0.0 and report.p99 == 0.0
+        assert report.total_mean == pytest.approx(report.latency.mean + 0.5)
 
     def test_model_time_from_spans(self, dataset):
         from repro.obs import trace_span
@@ -189,33 +174,15 @@ class TestTiming:
 
         report = time_grounder(grounder, dataset["val"][:3], warmup=0)
         assert report.model_mean > 0.0
-        assert report.model_mean <= report.mean
+        assert report.model_mean <= report.latency.mean
         assert report.overhead_mean == pytest.approx(
-            report.mean - report.model_mean
+            report.latency.mean - report.model_mean
         )
 
     def test_unspanned_grounder_has_zero_model_time(self, dataset):
         report = time_grounder(zero_grounder, dataset["val"][:2], warmup=0)
         assert report.model_mean == 0.0
-        assert report.overhead_mean == report.mean
-
-
-class TestEagerCompiledComparison:
-    def test_compares_and_restores_eager_mode(self, dataset):
-        from repro.eval import compare_eager_compiled
-
-        grounder = tiny_grounder(dataset)
-        comparison = compare_eager_compiled(
-            grounder, dataset["val"][:3], warmup=1
-        )
-        assert comparison.eager.mean > 0.0
-        assert comparison.compiled.mean > 0.0
-        assert comparison.plans >= 1
-        assert comparison.compile_ms > 0.0
-        assert comparison.speedup > 0.0
-        assert "speedup" in comparison.render()
-        # The measurement must not leave the grounder compiled.
-        assert grounder.plan_cache is None
+        assert report.overhead_mean == report.latency.mean
 
 
 class TestTrainingCurve:

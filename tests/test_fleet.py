@@ -173,6 +173,19 @@ class TestFleetServing:
         # least-loaded routing used both replicas
         assert sum(1 for r in stats.replicas if r["served"] > 0) == 2
 
+    def test_stats_latency_is_the_router_histogram_summary(self):
+        samples = make_samples(3)
+        cfg = FleetConfig(replicas=1, max_queue=16, default_deadline=15.0)
+        with FleetRouter(latency_spec(), cfg) as router:
+            assert router.wait_healthy(60.0)
+            for sample in samples:
+                router.ground(sample.image, sample.query, timeout=30.0)
+        stats = router.stats()
+        histogram = router.metrics.histogram("serve.fleet.latency_seconds")
+        assert stats.latency == histogram.summary()
+        assert stats.latency.count == stats.completed == len(samples)
+        assert f"n={len(samples)}" in stats.render()
+
     def test_overload_sheds_with_typed_rejection(self):
         samples = make_samples(2)
         cfg = FleetConfig(replicas=1, max_queue=2, max_replica_inflight=1,
@@ -491,23 +504,31 @@ class TestSoakHarness:
         assert violations == [], violations
 
     def test_report_check_flags_violations(self):
+        from repro.obs import Histogram
         from repro.serve import FleetStats, SoakReport
 
+        latency = Histogram("latency")
+        latency.observe_many([0.01, 0.02, 0.5])
         stats = FleetStats(
             submitted=10, completed=8, shed=0, retries=0,
             deadline_exceeded=0, failed=0, respawns=0, reloads=0,
-            stale_responses=0, latency_p50=0.01, latency_p95=0.02,
-            latency_p99=0.5, reload_seconds_total=0.0,
+            stale_responses=0, latency=latency.summary(),
+            reload_seconds_total=0.0,
             replicas=({"index": 0, "state": "up", "generation": 0,
                        "depth": 0, "in_flight": 0, "served": 8},),
         )
         report = SoakReport(submitted=10, ok=8, shed=0, deadline=0,
-                            failed=0, lost=2, wall_seconds=1.0, stats=stats)
-        violations = report.check(slo_p99=0.1, expected_replicas=3)
+                            failed=0, lost=2, wall_seconds=1.0, stats=stats,
+                            scenario_latency={"driving": latency.summary()})
+        violations = report.check(slo_p99=0.1, expected_replicas=3,
+                                  scenario_slo_p99=0.1)
         assert any("lost" in v for v in violations)
-        assert any("p99" in v for v in violations)
+        assert any(v.startswith("p99") for v in violations)
+        assert any("scenario 'driving' p99" in v for v in violations)
         assert any("replicas" in v for v in violations)
-        assert "LOST" in report.render()
+        rendered = report.render()
+        assert "LOST" in rendered
+        assert "scenario driving    n=3 " in rendered
 
 
 @pytest.mark.dist

@@ -87,7 +87,7 @@ def test_same_eval_path_for_both_paradigms(setup):
 def test_timing_protocol_for_both_paradigms(setup):
     dataset, _, _, trainer, _ = setup
     report = time_grounder(trainer.grounder, dataset["val"][:3], warmup=1)
-    assert report.mean > 0
+    assert report.latency.mean > 0
 
 
 def test_float32_training_step_runs(setup):

@@ -64,6 +64,7 @@ class TestHistogram:
         assert summary.count == 4
         assert summary.total == 10.0
         assert summary.mean == 2.5
+        assert summary.std == np.std([1.0, 2.0, 3.0, 4.0])
         assert summary.minimum == 1.0 and summary.maximum == 4.0
         assert summary.p50 == 2.5
         assert summary.as_dict()["p95"] == summary.p95

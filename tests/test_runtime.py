@@ -8,6 +8,7 @@ bit-exact kill/resume equivalence of the supervised YOLLO trainer.
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -436,6 +437,20 @@ class TestSupervisorRecovery:
         assert report.iterations == 6  # the run still completed
         assert report.checkpoint_failures >= 1
         assert len(losses) == 6
+
+    def test_checkpoint_seconds_include_the_state_capture(self, tmp_path):
+        task, _, _ = make_toy_task(total=6)
+        capture = task.state_dict
+
+        def slow_state_dict():
+            time.sleep(0.02)
+            return capture()
+
+        task.state_dict = slow_state_dict
+        report = TrainingSupervisor(task, checkpoint_dir=str(tmp_path),
+                                    checkpoint_every=2).run()
+        assert report.checkpoint_writes >= 3
+        assert report.checkpoint_seconds >= 0.02 * report.checkpoint_writes
 
     def test_resume_continues_toy_run(self, tmp_path):
         task, param, losses = make_toy_task(total=10)

@@ -562,7 +562,7 @@ class TestFleetMixedSoak:
         assert report.stale_served == 0
         assert report.no_target_requests == \
             sum(t.expect_not_found for t in trace)
-        assert set(report.scenario_p99) <= {"driving", "crowded", "weak"}
+        assert set(report.scenario_latency) <= {"driving", "crowded", "weak"}
         assert report.check(expected_replicas=2) == []
         rendered = report.render()
         assert "no-target" in rendered
