@@ -25,7 +25,6 @@ from repro.autograd.tensor import (
     full,
 )
 from repro.autograd.functional import (
-    avg_pool2d,
     conv2d,
     embedding_lookup,
     log_softmax,
@@ -49,7 +48,6 @@ __all__ = [
     "is_grad_enabled",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "pad2d",
     "softmax",
     "log_softmax",

@@ -1,4 +1,4 @@
-"""Structured differentiable operations: convolution, pooling, softmax.
+"""Structured differentiable operations: convolution, max pooling, softmax.
 
 Every windowed op reads its input through :func:`_taps`: one strided
 view per kernel tap ``(i, j)``, in row-major tap order, dilation
@@ -15,9 +15,8 @@ Pooling builds no column tensor.  Max pooling is a running
 ``np.maximum`` over the tap views (:func:`_max_pool`, which the graph
 executor also calls into its arena buffer) and its backward hands each
 output's gradient to the first tap, in row-major order, equal to the
-max, which is ``argmax``'s tie rule.  Average pooling sums the views.
-Both backward passes add into the input-gradient views with ``+=``, so
-overlapping windows accumulate.
+max, which is ``argmax``'s tie rule.  The backward adds into the
+input-gradient views with ``+=``, so overlapping windows accumulate.
 """
 
 from __future__ import annotations
@@ -226,29 +225,6 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
                     hit &= unclaimed
                     unclaimed ^= hit
                 grad_tap += grad * hit
-            x._accumulate(grad_x)
-
-        out._backward = backward
-    return out
-
-
-def avg_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
-    """Average pooling over NCHW input."""
-    x = as_tensor(x)
-    kernel = _pair(kernel)
-    stride = kernel if stride is None else _pair(stride)
-    scale = 1.0 / (kernel[0] * kernel[1])
-    taps = _taps(x.data, kernel, stride)
-    value = sum(taps[1:], taps[0]) * scale
-
-    out = x._make_child(value, (x,))
-    if out.requires_grad:
-
-        def backward(grad: np.ndarray) -> None:
-            grad_x = np.zeros(x.shape, dtype=grad.dtype)
-            share = grad * scale
-            for grad_tap in _taps(grad_x, kernel, stride):
-                grad_tap += share
             x._accumulate(grad_x)
 
         out._backward = backward

@@ -59,7 +59,6 @@ _TENSOR_METHODS: Dict[str, str] = {
     "tanh": "tanh",
     "sigmoid": "sigmoid",
     "relu": "relu",
-    "leaky_relu": "leaky_relu",
     "abs": "abs",
     "clip": "clip",
     "maximum": "maximum",
@@ -75,7 +74,6 @@ _TENSOR_METHODS: Dict[str, str] = {
 _FUNCTION_OPS: Dict[str, object] = {
     "conv2d": _functional,
     "max_pool2d": _functional,
-    "avg_pool2d": _functional,
     "pad2d": _functional,
     "softmax": _functional,
     "log_softmax": _functional,

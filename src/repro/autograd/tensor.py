@@ -179,10 +179,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({np.array2string(self.data, precision=4, threshold=16)}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
@@ -459,19 +455,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        slope = np.where(mask, 1.0, negative_slope)
-        out = self._make_child(self.data * slope, (self,))
-        if out.requires_grad:
-            a = self
-
-            def backward(grad: np.ndarray) -> None:
-                a._accumulate(grad * slope)
-
-            out._backward = backward
-        return out
-
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
         out = self._make_child(np.abs(self.data), (self,))
@@ -617,15 +600,6 @@ class Tensor:
         shape = list(self.shape)
         shape.insert(axis if axis >= 0 else len(shape) + axis + 1, 1)
         return self.reshape(tuple(shape))
-
-    def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        if axis is None:
-            shape = tuple(s for s in self.shape if s != 1)
-        else:
-            if self.shape[axis] != 1:
-                raise ValueError("cannot squeeze a non-singleton dimension")
-            shape = tuple(s for i, s in enumerate(self.shape) if i != axis % self.ndim)
-        return self.reshape(shape)
 
     def __getitem__(self, index) -> "Tensor":
         out = self._make_child(self.data[index], (self,))

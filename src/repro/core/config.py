@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Tuple
 
 
@@ -44,7 +44,6 @@ class YolloConfig:
     backbone: str = "resnet50"
     d_model: int = 32  #: shared width of image/word feature vectors
     max_query_length: int = 20
-    learned_positions: bool = True
     #: Context encoder applied to the backbone feature map before the
     #: flatten/projection step: ``"none"`` (the paper's C4 output goes
     #: straight to the projection) or ``"dilated"`` (a YOLOF-style stack
@@ -68,7 +67,6 @@ class YolloConfig:
     ffn_hidden: int = 48
     use_self_attention: bool = True  #: ablation switch (Table 4)
     use_co_attention: bool = True  #: ablation switch (Table 4)
-    att_loss_on_all_modules: bool = True  #: deep supervision of L_att
     att_gain_init: float = 8.0  #: initial learnable gain on attention logits
     #: Average each relation-map block separately before summing (keeps
     #: the small co-attention blocks from being diluted by the larger
@@ -83,16 +81,12 @@ class YolloConfig:
 
     # Anchor supervision (Section 3.3).  ``matcher`` selects the
     # assignment rule: ``"iou"`` is the paper's rho_high/rho_low IoU
-    # thresholding; ``"topk"`` is YOLOF-style uniform matching (the k
+    # thresholding; ``"topk"`` is YOLOF-style uniform matching (the 4
     # closest anchors are positives regardless of IoU, with an IoU
-    # ignore band above ``topk_ignore_iou``).
+    # ignore band above 0.7).
     matcher: str = "iou"
     rho_high: float = 0.5
     rho_low: float = 0.25
-    topk_candidates: int = 4  #: positives per target under "topk"
-    #: Non-selected anchors with IoU above this are ignored (not pushed
-    #: negative) under the "topk" matcher.
-    topk_ignore_iou: float = 0.7
     anchor_batch: int = 256  #: N — sampled anchors per image
     #: Also regress ignore-band anchors (rho_low <= IoU < rho_high) toward
     #: the target.  Because inference takes the raw top-1 anchor with no
@@ -103,10 +97,9 @@ class YolloConfig:
 
     # Classification loss over sampled anchors: ``"softmax_ce"`` is the
     # paper's 2-way softmax cross-entropy; ``"focal"`` replaces it with
-    # sigmoid focal loss on the target-vs-background logit margin.
+    # sigmoid focal loss (alpha 0.25, gamma 2) on the target-vs-background
+    # logit margin.
     cls_loss: str = "softmax_ce"
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
 
     # Loss (Eq. 9).  lambda_att = 2 departs from the paper's implicit 1:
     # at our scale the attention loss is the long pole and benefits from
@@ -118,7 +111,6 @@ class YolloConfig:
     learning_rate: float = 2e-3
     batch_size: int = 16
     epochs: int = 8
-    grad_clip: float = 5.0
 
     @property
     def num_anchors_per_cell(self) -> int:

@@ -23,7 +23,7 @@ from repro.nn import (
     Module,
     Parameter,
 )
-from repro.text.position import learned_position_table, sinusoidal_position_table
+from repro.text.position import learned_position_table
 
 
 class DilatedBottleneck(Module):
@@ -112,15 +112,9 @@ class FeatureEncoder(Module):
         if pretrained_embeddings is not None:
             self.load_pretrained_embeddings(pretrained_embeddings)
 
-        if config.learned_positions:
-            self.position_table = Parameter(
-                learned_position_table(config.max_query_length, config.d_model)
-            )
-        else:
-            self._fixed_positions = sinusoidal_position_table(
-                config.max_query_length, config.d_model
-            )
-            self.position_table = None
+        self.position_table = Parameter(
+            learned_position_table(config.max_query_length, config.d_model)
+        )
 
         # Learned 2-D position embeddings for image regions.  The query
         # side gets positional embeddings in the paper; regions need the
@@ -168,12 +162,7 @@ class FeatureEncoder(Module):
             raise ValueError(
                 f"query length {n} exceeds max_query_length {self.config.max_query_length}"
             )
-        embedded = self.word_embedding(token_ids)
-        if self.position_table is not None:
-            positions = self.position_table[:n]
-        else:
-            positions = Tensor(self._fixed_positions[:n])
-        return embedded + positions
+        return self.word_embedding(token_ids) + self.position_table[:n]
 
     def forward(self, images: Tensor, token_ids: np.ndarray) -> Tuple[Tensor, Tensor]:
         return self.encode_image(images), self.encode_query(token_ids)

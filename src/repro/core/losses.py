@@ -60,14 +60,13 @@ def build_matcher(config: YolloConfig):
     """Anchor matcher selected by ``config.matcher``.
 
     ``"iou"`` is the paper's rho_high/rho_low thresholding; ``"topk"``
-    is YOLOF-style uniform matching (exactly ``topk_candidates``
-    positives per target regardless of scale).
+    is YOLOF-style uniform matching (the matcher's default 4 positives
+    per target regardless of scale, IoU ignore band above 0.7).
     """
     if config.matcher == "iou":
         return AnchorMatcher(rho_high=config.rho_high, rho_low=config.rho_low)
     if config.matcher == "topk":
-        return UniformTopKMatcher(topk=config.topk_candidates,
-                                  ignore_threshold=config.topk_ignore_iou)
+        return UniformTopKMatcher()
     raise ValueError(
         f"unknown matcher {config.matcher!r}; valid matchers: iou, topk")
 
@@ -79,18 +78,16 @@ def classification_loss(picked_logits: Tensor, labels: np.ndarray,
 
     ``"softmax_ce"`` is the paper's 2-way softmax cross-entropy;
     ``"focal"`` collapses the two logits into the target-vs-background
-    margin and applies sigmoid focal loss (easy negatives are
-    down-weighted rather than balanced purely by sampling).  Per-anchor
-    ``weights`` make it a weighted mean instead of a plain one.
+    margin and applies sigmoid focal loss at its default alpha 0.25 and
+    gamma 2 (easy negatives are down-weighted rather than balanced
+    purely by sampling).  Per-anchor ``weights`` make it a weighted mean
+    instead of a plain one.
     """
     if config.cls_loss == "softmax_ce":
         return softmax_cross_entropy(picked_logits, labels, weights=weights)
     if config.cls_loss == "focal":
         margin = picked_logits[:, 1] - picked_logits[:, 0]
-        return sigmoid_focal_loss(margin, labels,
-                                  alpha=config.focal_alpha,
-                                  gamma=config.focal_gamma,
-                                  weights=weights)
+        return sigmoid_focal_loss(margin, labels, weights=weights)
     raise ValueError(
         f"unknown cls_loss {config.cls_loss!r}; valid losses: "
         f"softmax_ce, focal")
@@ -171,14 +168,13 @@ def yollo_loss(
     """Eq. (9): ``L = L_att + L_cls + lambda * L_reg``.
 
     ``attention_masks`` are the raw per-module masks from the Rel2Att
-    stack; with ``att_loss_on_all_modules`` every module is supervised
-    (deep supervision), otherwise only the last.
+    stack; every module is supervised (deep supervision) and ``L_att``
+    is their mean.
     """
     gt_mask = build_gt_mask(
         target_boxes, anchor_grid.grid_h, anchor_grid.grid_w, anchor_grid.stride
     )
-    supervised = attention_masks if config.att_loss_on_all_modules else attention_masks[-1:]
-    att_terms = [attention_mask_loss(mask, gt_mask) for mask in supervised]
+    att_terms = [attention_mask_loss(mask, gt_mask) for mask in attention_masks]
     att_loss = sum(att_terms[1:], att_terms[0]) / float(len(att_terms))
 
     cls_loss, reg_loss = detection_loss(

@@ -39,6 +39,9 @@ from repro.runtime import TrainingSupervisor
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
+#: Global gradient-norm bound applied before every optimiser update.
+GRAD_CLIP = 5.0
+
 
 @dataclass
 class TrainingHistory:
@@ -109,7 +112,7 @@ class YolloTrainer:
         self._rng = rng if rng is not None else spawn_rng("yollo-trainer")
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         #: Optional LR schedule, built from a factory ``optimizer -> scheduler``
-        #: (e.g. ``lambda opt: StepLR(opt, step_size=100)``) and stepped after
+        #: (e.g. ``lambda opt: WarmupCosineLR(opt, 10, 100)``) and stepped after
         #: every optimiser update.  Its position persists through
         #: ``state_dict``/``load_state_dict`` so resume continues the decay.
         self.scheduler = scheduler(self.optimizer) if scheduler is not None else None
@@ -301,9 +304,7 @@ class YolloTrainer:
         breakdown = self._pending
         self._pending = None
         with self.metrics.timer("train.apply_seconds"), trace_span("train.apply_step"):
-            if self.config.grad_clip:
-                clip_grad_norm(self.optimizer.parameters, self.config.grad_clip,
-                               flat=self._flat_grads)
+            clip_grad_norm(self.optimizer.parameters, GRAD_CLIP, flat=self._flat_grads)
             self._flat_grads = None
             self.optimizer.step()
             if self.scheduler is not None:

@@ -30,7 +30,7 @@ from repro.data.refcoco import (
     build_dataset,
     dataset_statistics,
 )
-from repro.data.loader import BatchIterator, encode_batch
+from repro.data.loader import encode_batch
 
 __all__ = [
     "CATEGORIES",
@@ -52,6 +52,5 @@ __all__ = [
     "REFCOCO",
     "REFCOCO_PLUS",
     "REFCOCOG",
-    "BatchIterator",
     "encode_batch",
 ]

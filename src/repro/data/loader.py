@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.autograd import get_default_dtype
 from repro.data.refcoco import GroundingSample
 from repro.text.vocab import Vocabulary
-from repro.utils.seeding import spawn_rng
 
 
 def encode_batch(
@@ -34,46 +33,3 @@ def encode_batch(
         "token_mask": mask,
         "target_boxes": boxes,
     }
-
-
-class BatchIterator:
-    """Iterate minibatches over a sample list, optionally shuffled.
-
-    The iterator is re-usable: each ``__iter__`` call produces a fresh
-    epoch (with a new permutation when ``shuffle`` is on).
-    """
-
-    def __init__(
-        self,
-        samples: Sequence[GroundingSample],
-        vocab: Vocabulary,
-        max_query_length: int,
-        batch_size: int = 16,
-        shuffle: bool = True,
-        drop_last: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.samples = list(samples)
-        self.vocab = vocab
-        self.max_query_length = max_query_length
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self._rng = rng if rng is not None else spawn_rng("batch-iterator")
-
-    def __len__(self) -> int:
-        full, remainder = divmod(len(self.samples), self.batch_size)
-        return full if (self.drop_last or remainder == 0) else full + 1
-
-    def __iter__(self) -> Iterator[Dict[str, np.ndarray]]:
-        order = np.arange(len(self.samples))
-        if self.shuffle:
-            self._rng.shuffle(order)
-        for start in range(0, len(order), self.batch_size):
-            chunk = order[start : start + self.batch_size]
-            if self.drop_last and len(chunk) < self.batch_size:
-                break
-            batch_samples: List[GroundingSample] = [self.samples[i] for i in chunk]
-            yield encode_batch(batch_samples, self.vocab, self.max_query_length)

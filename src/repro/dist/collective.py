@@ -8,7 +8,7 @@ data-parallel runtime needs:
 * ``broadcast`` — root fans an arbitrary picklable object out to every
   rank (initial weights, resume payloads, and each gradient slot from
   the rank that computed it);
-* ``all_gather`` / ``gather`` / ``barrier`` — star patterns through one
+* ``gather`` / ``barrier`` — star patterns through one
   root, built from the same ordered primitives.
 
 Every receive is bounded by a timeout (straggler detection) and every
@@ -182,21 +182,3 @@ class Collective:
                 return out
             self._send(root, "gather", seq, obj)
             return None
-
-    def all_gather(self, obj: Any) -> List[Any]:
-        """Every rank receives the rank-ordered list of every rank's object."""
-        if self.world_size == 1:
-            return [obj]
-        seq = self._next_seq()
-        with self.metrics.timer("dist.allgather_seconds"), \
-                trace_span("dist.allgather"):
-            if self.rank == 0:
-                gathered = [obj]
-                for peer in range(1, self.world_size):
-                    gathered.append(self._recv(peer, "ag-in", seq))
-                for peer in range(1, self.world_size):
-                    self._send(peer, "ag-out", seq, gathered)
-                return gathered
-            self._send(0, "ag-in", seq, obj)
-            return self._recv(0, "ag-out", seq)
-

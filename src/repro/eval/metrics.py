@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.response import GroundingResponse
 from repro.data.refcoco import GroundingSample
-from repro.detection import box_area
+from repro.detection import box_area, iou_matrix
 
 #: The IoU thresholds of the COCO-style ACC metric (0.5:0.05:0.95).
 SWEEP_THRESHOLDS = tuple(np.arange(0.5, 0.96, 0.05).round(2))
@@ -105,22 +105,6 @@ def evaluate_grounder(grounder: GrounderFn, samples: Sequence[GroundingSample],
 # ----------------------------------------------------------------------
 # Ranked / structured-answer metrics (scenario workloads)
 # ----------------------------------------------------------------------
-def _cross_ious(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Full ``(n, m)`` IoU grid, reusing the vectorised aligned-pair path.
-
-    Tiling ``a`` against ``b`` and reshaping keeps :func:`pairwise_ious`
-    the single IoU implementation the eval layer depends on.
-    """
-    boxes_a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    boxes_b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    n, m = len(boxes_a), len(boxes_b)
-    if n == 0 or m == 0:
-        return np.zeros((n, m))
-    flat = pairwise_ious(np.repeat(boxes_a, m, axis=0),
-                         np.tile(boxes_b, (n, 1)))
-    return flat.reshape(n, m)
-
-
 def recall_at_k(ranked_boxes: Sequence[np.ndarray],
                 target_boxes: Sequence[np.ndarray],
                 k: int, iou_threshold: float = 0.5) -> float:
@@ -145,7 +129,7 @@ def recall_at_k(ranked_boxes: Sequence[np.ndarray],
             continue
         scored += 1
         top = np.asarray(predicted, dtype=np.float64).reshape(-1, 4)[:k]
-        if len(top) and _cross_ious(top, targets).max() >= iou_threshold:
+        if len(top) and iou_matrix(top, targets).max() >= iou_threshold:
             hits += 1
     return hits / scored if scored else 0.0
 

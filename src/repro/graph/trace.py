@@ -99,7 +99,7 @@ def _flatten_into(obj: Any, leaves: List[Any]) -> Tuple:
 
 
 def tree_flatten(obj: Any) -> Tuple[List[Any], Tuple]:
-    """Flatten nested containers into (tensor/array leaves, spec)."""
+    """Split nested containers into (tensor/array leaves, spec)."""
     leaves: List[Any] = []
     spec = _flatten_into(obj, leaves)
     return leaves, spec

@@ -8,20 +8,15 @@ from repro.nn.module import (
 )
 from repro.nn.layers import (
     Conv2d,
-    Dropout,
     Embedding,
     FeedForward,
-    Flatten,
-    LeakyReLU,
     Linear,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn.norm import BatchNorm2d, GroupNorm2d, LayerNorm
-from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from repro.nn.rnn import GRUCell, LSTM, LSTMCell
+from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d
+from repro.nn.rnn import LSTM, LSTMCell
 from repro.nn.losses import (
     binary_cross_entropy_with_logits,
     margin_ranking_loss,
@@ -39,23 +34,16 @@ __all__ = [
     "Linear",
     "Conv2d",
     "Embedding",
-    "Dropout",
-    "Flatten",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
     "Sequential",
     "FeedForward",
     "BatchNorm2d",
     "GroupNorm2d",
     "LayerNorm",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "LSTM",
     "LSTMCell",
-    "GRUCell",
     "softmax_cross_entropy",
     "binary_cross_entropy_with_logits",
     "sigmoid_focal_loss",

@@ -1,5 +1,5 @@
 """Core layers: linear, convolution (strided, padded, dilated), embedding,
-dropout, containers."""
+containers."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 from repro.autograd import Tensor, conv2d, embedding_lookup
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.utils.seeding import get_rng
 
 
 class Linear(Module):
@@ -82,52 +81,9 @@ class Embedding(Module):
         return embedding_lookup(self.weight, indices)
 
 
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (get_rng().random(x.shape) < keep) / keep
-        return x * Tensor(mask)
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Flatten(Module):
-    """Collapse all dimensions after the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
 
 
 class Sequential(Module):

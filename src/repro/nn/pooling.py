@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.autograd import Tensor, avg_pool2d, max_pool2d
+from repro.autograd import Tensor, max_pool2d
 from repro.nn.module import Module
 
 
@@ -16,18 +16,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    """Average pooling over NCHW input."""
-
-    def __init__(self, kernel_size: int, stride: int = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class GlobalAvgPool2d(Module):

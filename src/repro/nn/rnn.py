@@ -1,6 +1,6 @@
 """Recurrent cells used by the two-stage baselines (speaker / listener).
 
-Implements LSTM and GRU cells plus a sequence-unrolling wrapper.  These
+Implements an LSTM cell plus a sequence-unrolling wrapper.  These
 model the RNN query encoders and the captioning decoder of the
 speaker-listener-reinforcer baseline family.
 """
@@ -12,7 +12,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.autograd import Tensor, concatenate, get_default_dtype, stack, zeros
-from repro.nn import init
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 
@@ -43,30 +42,6 @@ class LSTMCell(Module):
 
     def initial_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
         return (zeros((batch_size, self.hidden_size)), zeros((batch_size, self.hidden_size)))
-
-
-class GRUCell(Module):
-    """Single-step GRU cell."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator = None):
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.reset_update = Linear(input_size + hidden_size, 2 * hidden_size, rng=rng)
-        self.candidate = Linear(input_size + hidden_size, hidden_size, rng=rng)
-
-    def forward(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        combined = concatenate([x, h_prev], axis=-1)
-        pre = self.reset_update(combined)
-        hs = self.hidden_size
-        r = pre[:, :hs].sigmoid()
-        z = pre[:, hs:].sigmoid()
-        candidate_input = concatenate([x, r * h_prev], axis=-1)
-        h_tilde = self.candidate(candidate_input).tanh()
-        return (1.0 - z) * h_prev + z * h_tilde
-
-    def initial_state(self, batch_size: int) -> Tensor:
-        return zeros((batch_size, self.hidden_size))
 
 
 class LSTM(Module):

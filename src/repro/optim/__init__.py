@@ -1,14 +1,12 @@
-"""Gradient-descent optimisers and learning-rate schedules."""
+"""Gradient-descent optimisers and a learning-rate schedule."""
 
 from repro.optim.optimizers import SGD, Adam, Optimizer, clip_grad_norm
-from repro.optim.schedulers import ConstantLR, StepLR, WarmupCosineLR
+from repro.optim.schedulers import WarmupCosineLR
 
 __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
     "clip_grad_norm",
-    "ConstantLR",
-    "StepLR",
     "WarmupCosineLR",
 ]

@@ -1,4 +1,4 @@
-"""Learning-rate schedules driving :class:`repro.optim.Optimizer` objects."""
+"""Learning-rate schedule driving :class:`repro.optim.Optimizer` objects."""
 
 from __future__ import annotations
 
@@ -8,13 +8,23 @@ from typing import Dict
 from repro.optim.optimizers import Optimizer
 
 
-class _Scheduler:
-    """Base scheduler: call :meth:`step` once per optimisation step."""
+class WarmupCosineLR:
+    """Linear warmup followed by cosine decay to ``min_lr``.
 
-    def __init__(self, optimizer: Optimizer):
+    Call :meth:`step` once per optimisation step; it sets and returns the
+    optimiser's learning rate for that step.
+    """
+
+    def __init__(self, optimizer: Optimizer, warmup_steps: int, total_steps: int,
+                 min_lr: float = 0.0):
+        if total_steps <= warmup_steps:
+            raise ValueError("total_steps must exceed warmup_steps")
         self.optimizer = optimizer
         self.base_lr = optimizer.lr
         self.step_count = 0
+        self.warmup_steps = warmup_steps
+        self.total_steps = total_steps
+        self.min_lr = min_lr
 
     def step(self) -> float:
         self.step_count += 1
@@ -23,7 +33,12 @@ class _Scheduler:
         return lr
 
     def compute_lr(self, step: int) -> float:
-        raise NotImplementedError
+        if step <= self.warmup_steps and self.warmup_steps > 0:
+            return self.base_lr * step / self.warmup_steps
+        progress = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
+        progress = min(max(progress, 0.0), 1.0)
+        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
+        return self.min_lr + (self.base_lr - self.min_lr) * cosine
 
     # ------------------------------------------------------------------
     # Persistence (checkpoint/resume support)
@@ -52,43 +67,3 @@ class _Scheduler:
         self.step_count = int(state["step_count"])
         if self.step_count > 0:
             self.optimizer.lr = self.compute_lr(self.step_count)
-
-
-class ConstantLR(_Scheduler):
-    """Keep the learning rate fixed (the paper's configuration, lr=5e-5)."""
-
-    def compute_lr(self, step: int) -> float:
-        return self.base_lr
-
-
-class StepLR(_Scheduler):
-    """Decay the learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def compute_lr(self, step: int) -> float:
-        return self.base_lr * self.gamma ** (step // self.step_size)
-
-
-class WarmupCosineLR(_Scheduler):
-    """Linear warmup followed by cosine decay to ``min_lr``."""
-
-    def __init__(self, optimizer: Optimizer, warmup_steps: int, total_steps: int,
-                 min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if total_steps <= warmup_steps:
-            raise ValueError("total_steps must exceed warmup_steps")
-        self.warmup_steps = warmup_steps
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-
-    def compute_lr(self, step: int) -> float:
-        if step <= self.warmup_steps and self.warmup_steps > 0:
-            return self.base_lr * step / self.warmup_steps
-        progress = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
-        progress = min(max(progress, 0.0), 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine

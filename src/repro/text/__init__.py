@@ -8,7 +8,7 @@ then fine-tuned jointly with the rest of YOLLO.
 
 from repro.text.tokenizer import lex, normalize_query, tokenize
 from repro.text.vocab import Vocabulary
-from repro.text.position import learned_position_table, sinusoidal_position_table
+from repro.text.position import learned_position_table
 from repro.text.word2vec import SkipGramWord2Vec
 from repro.text.corpus import build_corpus
 
@@ -17,7 +17,6 @@ __all__ = [
     "lex",
     "normalize_query",
     "Vocabulary",
-    "sinusoidal_position_table",
     "learned_position_table",
     "SkipGramWord2Vec",
     "build_corpus",

@@ -1,8 +1,8 @@
 """Two-stage visual-grounding baselines (the paper's comparison systems).
 
 Stage i proposes query-blind object candidates (:mod:`proposals`): either
-a deterministic selective-search-style segmenter or a trained
-class-agnostic RPN — both reproduce the pathologies the paper attributes
+a deterministic selective-search-style segmenter or a class-agnostic
+RPN — both reproduce the pathologies the paper attributes
 to two-stage pipelines (misaligned boxes, missed targets).  Stage ii
 scores every proposal against the query (:mod:`listener`,
 :mod:`speaker`), paying the per-proposal cost that makes these systems
@@ -10,12 +10,7 @@ scores every proposal against the query (:mod:`listener`,
 """
 
 from repro.twostage.regions import RegionEncoder, crop_and_resize, spatial_features
-from repro.twostage.proposals import (
-    ProposalSet,
-    RPNProposer,
-    SegmentationProposer,
-    train_rpn,
-)
+from repro.twostage.proposals import ProposalSet, RPNProposer, SegmentationProposer
 from repro.twostage.listener import ListenerMatcher, train_listener
 from repro.twostage.speaker import SpeakerScorer, train_speaker
 from repro.twostage.pipeline import TwoStageGrounder
@@ -27,7 +22,6 @@ __all__ = [
     "ProposalSet",
     "SegmentationProposer",
     "RPNProposer",
-    "train_rpn",
     "ListenerMatcher",
     "train_listener",
     "SpeakerScorer",

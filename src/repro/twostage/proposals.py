@@ -6,9 +6,10 @@ Two implementations:
   proposer: foreground segmentation, connected components, plus jittered
   and merged variants.  Its ``quality`` knob controls box misalignment
   and target misses, modelling the detector pathologies of Section 1.
-* :class:`RPNProposer` — a trained class-agnostic region proposal
-  network (the Faster-R-CNN stand-in): backbone + objectness/offset
-  heads over the shared anchor grid, decoded with top-k + NMS.
+* :class:`RPNProposer` — a class-agnostic region proposal network (the
+  Faster-R-CNN stand-in): backbone + objectness/offset heads over the
+  shared anchor grid, decoded with top-k + NMS.  Table 5 times it
+  untrained, since its cost does not depend on its weights.
 
 Both are *query-blind*: nothing about the language query informs stage i,
 which is precisely the structural weakness YOLLO removes.
@@ -17,28 +18,15 @@ which is precisely the structural weakness YOLLO removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 from scipy import ndimage
 
 from repro.autograd import Tensor, no_grad, softmax
 from repro.backbone import build_backbone
-from repro.data.refcoco import GroundingSample
-from repro.detection import (
-    AnchorGrid,
-    BalancedSampler,
-    MatchResult,
-    clip_boxes,
-    decode_offsets,
-    encode_offsets,
-    iou_matrix,
-    nms,
-)
-from repro.nn import Conv2d, Module, smooth_l1, softmax_cross_entropy
-from repro.optim import Adam
-from repro.runtime import CallbackTask, TrainingSupervisor
-from repro.utils.logging import ProgressLogger
+from repro.detection import AnchorGrid, clip_boxes, decode_offsets, nms
+from repro.nn import Conv2d, Module
 from repro.utils.seeding import spawn_rng
 
 
@@ -121,7 +109,7 @@ class SegmentationProposer:
 
 
 class RPNProposer(Module):
-    """Trained class-agnostic RPN (the Faster-R-CNN stage-i stand-in)."""
+    """Class-agnostic RPN (the Faster-R-CNN stage-i stand-in)."""
 
     def __init__(self, image_height: int = 48, image_width: int = 72,
                  backbone: str = "tiny", hidden: int = 32,
@@ -170,76 +158,3 @@ class RPNProposer(Module):
         keep = nms(decoded, probs[order], iou_threshold=self.nms_iou,
                    max_keep=self.max_proposals)
         return ProposalSet(boxes=decoded[keep], scores=probs[order][keep])
-
-
-def train_rpn(
-    rpn: RPNProposer,
-    samples: Sequence[GroundingSample],
-    steps: int = 300,
-    batch_size: int = 8,
-    lr: float = 2e-3,
-    rng: Optional[np.random.Generator] = None,
-    logger: Optional[ProgressLogger] = None,
-) -> List[float]:
-    """Train the RPN to propose *every* object (class-agnostic, query-blind).
-
-    Each scene's full object set supervises the anchors: an anchor is
-    positive if it overlaps any object.  The loop runs under a
-    :class:`repro.runtime.TrainingSupervisor`, which skips anomalous
-    steps.  Returns per-step losses.
-    """
-    rng = rng if rng is not None else spawn_rng("rpn-train")
-    logger = logger or ProgressLogger("rpn", enabled=False)
-    sampler = BalancedSampler(batch_size=128)
-    optimizer = Adam(rpn.parameters(), lr=lr)
-    anchors = rpn.anchor_grid.all_anchors()
-    losses: List[float] = []
-
-    # De-duplicate scenes (several samples share one scene/image).
-    unique = list({id(s.scene): s for s in samples}.values())
-
-    def forward_backward(step: int) -> float:
-        chosen = [unique[int(i)] for i in rng.integers(0, len(unique), size=batch_size)]
-        images = np.stack([s.image for s in chosen])
-        cls, reg = rpn(Tensor(images))
-
-        total = None
-        for b, sample in enumerate(chosen):
-            boxes = sample.scene.boxes()
-            ious = iou_matrix(anchors, boxes)
-            best_iou = ious.max(axis=1)
-            best_obj = ious.argmax(axis=1)
-            labels = np.full(len(anchors), -1, dtype=np.int64)
-            labels[best_iou < 0.25] = 0
-            labels[best_iou >= 0.5] = 1
-            offsets = encode_offsets(anchors, boxes[best_obj])
-            match = MatchResult(labels=labels, offsets=offsets, ious=best_iou)
-            indices, picked_labels = sampler.sample(match, rng=rng)
-            loss = softmax_cross_entropy(cls[b][indices], picked_labels)
-            regressed = np.flatnonzero(best_iou >= 0.25)
-            if len(regressed):
-                loss = loss + smooth_l1(reg[b][regressed], offsets[regressed]).sum(axis=-1).mean()
-            total = loss if total is None else total + loss
-        total = total / float(batch_size)
-        optimizer.zero_grad()
-        total.backward()
-        return float(total.data)
-
-    def apply_update(step: int, loss_value: float) -> None:
-        optimizer.step()
-        losses.append(loss_value)
-        logger.periodic(f"step {step}/{steps} loss={loss_value:.3f}")
-
-    TrainingSupervisor(CallbackTask(
-        total_iterations=steps,
-        forward_backward=forward_backward,
-        apply_update=apply_update,
-        optimizer=optimizer,
-        modules={"rpn": rpn},
-        rng=rng,
-        extra_state=lambda: {"losses": list(losses)},
-        load_extra_state=lambda saved: losses.__setitem__(
-            slice(None), saved["losses"]
-        ),
-    ), logger=logger).run()
-    return losses

@@ -1,7 +1,7 @@
-"""ASCII renderings of scenes, attention maps and predictions.
+"""ASCII renderings of attention maps and bars.
 
 Used by the Figure-5 harness to print qualitative results in terminals
-and log files.
+and log files, and by the profile report for its hot-op bars.
 """
 
 from __future__ import annotations
@@ -54,47 +54,3 @@ def ascii_bar(fraction: float, width: int = 20, fill: str = "#") -> str:
     if fraction > 0.0 and cells == 0:
         cells = 1
     return fill * cells + " " * (width - cells)
-
-
-def render_bars_ascii(labels, values, width: int = 30) -> str:
-    """Horizontal bar chart: one line per (label, value), scaled to max."""
-    labels = list(labels)
-    values = [float(v) for v in values]
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    if not labels:
-        return ""
-    top = max(values) or 1.0
-    label_width = max(len(label) for label in labels)
-    return "\n".join(
-        f"{label:<{label_width}} |{ascii_bar(value / top, width=width)}| {value:.4g}"
-        for label, value in zip(labels, values)
-    )
-
-
-def render_scene_ascii(image: np.ndarray, target_box: Optional[np.ndarray] = None,
-                       predicted_box: Optional[np.ndarray] = None,
-                       cell: int = 4) -> str:
-    """Down-sample an RGB image to ASCII brightness blocks.
-
-    The target box corners are marked ``T`` and the predicted box
-    corners ``P`` (overlaid after brightness rendering).
-    """
-    _, height, width = image.shape
-    grid_h, grid_w = height // cell, width // cell
-    blocks = image[:, : grid_h * cell, : grid_w * cell]
-    brightness = blocks.mean(axis=0).reshape(grid_h, cell, grid_w, cell).mean(axis=(1, 3))
-    normalised = (brightness - brightness.min()) / (np.ptp(brightness) + 1e-12)
-    chars = [[_RAMP[int(round(v * (len(_RAMP) - 1)))] for v in row] for row in normalised]
-
-    def mark(box: np.ndarray, symbol: str) -> None:
-        for x, y in ((box[0], box[1]), (box[2] - 1, box[3] - 1)):
-            row = int(np.clip(y // cell, 0, grid_h - 1))
-            col = int(np.clip(x // cell, 0, grid_w - 1))
-            chars[row][col] = symbol
-
-    if target_box is not None:
-        mark(np.asarray(target_box), "T")
-    if predicted_box is not None:
-        mark(np.asarray(predicted_box), "P")
-    return "\n".join("".join(row) for row in chars)

@@ -49,15 +49,14 @@ register_preset(ModelPreset(
     name="tiny-topk",
     description="Fast tier with YOLOF uniform top-k anchor matching "
                 "instead of rho_high/rho_low IoU thresholds.",
-    config={**_FAST, "matcher": "topk", "topk_candidates": 4},
+    config={**_FAST, "matcher": "topk"},
 ))
 
 register_preset(ModelPreset(
     name="tiny-focal",
     description="Fast tier with sigmoid focal classification loss "
                 "instead of 2-way softmax cross-entropy.",
-    config={**_FAST, "cls_loss": "focal",
-            "focal_alpha": 0.25, "focal_gamma": 2.0},
+    config={**_FAST, "cls_loss": "focal"},
 ))
 
 register_preset(ModelPreset(
@@ -73,7 +72,7 @@ register_preset(ModelPreset(
     description="Paper scale + dilated context encoder + uniform top-k "
                 "matching + focal loss (the YOLOF-flavoured variant).",
     config={"context_encoder": "dilated", "encoder_dilations": (1, 2, 3),
-            "matcher": "topk", "topk_candidates": 4, "cls_loss": "focal"},
+            "matcher": "topk", "cls_loss": "focal"},
     tier="full",
 ))
 

@@ -174,15 +174,17 @@ def build_yollo_model(preset: Union[str, ModelPreset], dataset,
     :class:`~repro.runtime.FingerprintMismatchError`.
     """
     from repro.backbone import load_pretrained_backbone
+    from repro.core import YolloModel
 
-    overrides = {"max_query_length": max(8, dataset.max_query_length),
-                 **config_overrides}
-    config = lower_config(preset, **overrides)
+    config = lower_config(preset, **{
+        "max_query_length": max(8, dataset.max_query_length),
+        **config_overrides})
     backbone = load_pretrained_backbone(
         config.backbone, steps=pretrain_steps,
         image_height=config.image_height, image_width=config.image_width)
-    model = build_model(preset, len(dataset.vocab), backbone=backbone,
-                        **overrides)
+    # Built from the lowered ``config``: handing the overrides to
+    # :func:`build_model` again would collide with a ``backbone`` one.
+    model = YolloModel(config, len(dataset.vocab), backbone=backbone)
     if model_path:
         fingerprint = preset_fingerprint(preset, **config_overrides)
         model.load_state_dict(

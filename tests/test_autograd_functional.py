@@ -8,7 +8,6 @@ import pytest
 
 from repro.autograd import (
     Tensor,
-    avg_pool2d,
     conv2d,
     embedding_lookup,
     gradient_check,
@@ -211,26 +210,6 @@ class TestPooling:
         max_pool2d(x, 2).sum().backward()
         assert x.grad.sum() == 4
         assert x.grad[0, 0, 1, 1] == 1.0
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.ones((1, 1, 4, 4)))
-        assert np.allclose(avg_pool2d(x, 2).data, 1.0)
-
-    @pytest.mark.usefixtures("float64")
-    def test_avg_pool_grad(self):
-        gradient_check(lambda x: avg_pool2d(x, 2, 1), [make((2, 3, 5, 5))])
-
-    @pytest.mark.usefixtures("float64")
-    @pytest.mark.parametrize("kernel,stride,shape", [(3, 2, (2, 2, 9, 8)), (2, 3, (1, 2, 8, 7))])
-    def test_avg_pool_grad_overlap_and_gaps(self, kernel, stride, shape):
-        x = make(shape)
-        out = avg_pool2d(x, kernel, stride).data
-        for p in range(out.shape[2]):
-            for q in range(out.shape[3]):
-                window = x.data[:, :, p * stride:p * stride + kernel,
-                                q * stride:q * stride + kernel]
-                assert np.allclose(out[:, :, p, q], window.mean(axis=(2, 3)))
-        gradient_check(lambda x: avg_pool2d(x, kernel, stride), [x])
 
     def test_max_pool_stride(self):
         out = max_pool2d(make((1, 1, 6, 6)), 2, stride=3)

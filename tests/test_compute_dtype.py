@@ -19,7 +19,6 @@ from repro.core.word2pix import _word_mask_arrays
 from repro.data import REFCOCO, SceneGenerator, build_dataset
 from repro.data.loader import encode_batch
 from repro.lang import clause_token_masks, pad_clause_masks, parse
-from repro.text import sinusoidal_position_table
 from repro.zoo import available_presets, build_model
 
 #: Kernels of the compiled ``tiny`` plan at batch 1, with no cast among them.
@@ -97,7 +96,6 @@ def test_helper_masks_are_float32(dataset):
         token_mask,
         dataset.vocab.encode("the red car", length)[1],
         clause_masks,
-        sinusoidal_position_table(length, 16),
         _relation_weight_mask(2, 6, length, token_mask, True, False),
         *_attention_normalizers(
             _relation_weight_mask(2, 6, length, token_mask, True, True),

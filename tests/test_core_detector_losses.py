@@ -237,8 +237,8 @@ class TestYolloLoss:
         total = cfg.lambda_att * breakdown.att + breakdown.cls + cfg.lambda_reg * breakdown.reg
         assert float(breakdown.total.data) == pytest.approx(total, rel=1e-6)
 
-    def test_last_module_only_supervision(self, detector):
-        cfg = config(att_loss_on_all_modules=False)
+    def test_every_module_supervised(self, detector):
+        cfg = config()
         rng = np.random.default_rng(2)
         num_anchors = detector.anchor_grid.num_anchors
         masks = [
@@ -249,5 +249,4 @@ class TestYolloLoss:
         boxes = np.array([[8.0, 8.0, 24.0, 24.0]])
         breakdown = yollo_loss(masks, cls, reg, boxes, detector.anchor_grid, cfg)
         breakdown.total.backward()
-        assert masks[0].grad is None
-        assert masks[-1].grad is not None
+        assert all(mask.grad is not None for mask in masks)

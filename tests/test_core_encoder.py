@@ -52,15 +52,6 @@ def test_region_positions_break_translation_invariance(encoder):
     assert not np.allclose(out[0], out[1])
 
 
-def test_sinusoidal_variant():
-    config = YolloConfig(backbone="tiny", d_model=16, max_query_length=6,
-                         learned_positions=False)
-    encoder = FeatureEncoder(config, vocab_size=10)
-    assert encoder.position_table is None
-    out = encoder.encode_query(np.array([[1, 2]]))
-    assert out.shape == (1, 2, 16)
-
-
 def test_pretrained_embeddings_loaded():
     config = YolloConfig(backbone="tiny", d_model=16, max_query_length=6)
     matrix = np.full((20, 8), 0.5)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    BatchIterator,
     REFCOCO,
     REFCOCO_PLUS,
     REFCOCOG,
@@ -128,33 +127,9 @@ class TestBatching:
         assert batch["token_mask"].shape == (4, 7)
         assert batch["target_boxes"].shape == (4, 4)
 
-    def test_iterator_covers_all_samples(self, small_refcoco):
-        it = BatchIterator(small_refcoco["train"], small_refcoco.vocab, 7,
-                           batch_size=5, shuffle=False)
-        total = sum(batch["images"].shape[0] for batch in it)
-        assert total == len(small_refcoco["train"])
-
-    def test_drop_last(self, small_refcoco):
-        samples = small_refcoco["train"][:7]
-        it = BatchIterator(samples, small_refcoco.vocab, 7, batch_size=5,
-                           drop_last=True, shuffle=False)
-        batches = list(it)
-        assert len(batches) == 1
-        assert len(it) == 1
-
-    def test_len_without_drop(self, small_refcoco):
-        samples = small_refcoco["train"][:7]
-        it = BatchIterator(samples, small_refcoco.vocab, 7, batch_size=5)
-        assert len(it) == 2
-
-    def test_shuffle_changes_order(self, small_refcoco):
-        samples = small_refcoco["train"]
-        it = BatchIterator(samples, small_refcoco.vocab, 7, batch_size=len(samples),
-                           shuffle=True, rng=np.random.default_rng(0))
-        first = next(iter(it))["target_boxes"]
-        unshuffled = np.stack([s.target_box for s in samples])
-        assert not np.allclose(first, unshuffled)
-
-    def test_invalid_batch_size(self, small_refcoco):
-        with pytest.raises(ValueError):
-            BatchIterator([], small_refcoco.vocab, 7, batch_size=0)
+    def test_encode_batch_keeps_sample_order(self, small_refcoco):
+        samples = small_refcoco["train"][:5]
+        batch = encode_batch(samples, small_refcoco.vocab, max_query_length=7)
+        assert np.array_equal(batch["images"], np.stack([s.image for s in samples]))
+        assert np.array_equal(batch["target_boxes"],
+                              np.stack([s.target_box for s in samples]))

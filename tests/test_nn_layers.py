@@ -1,4 +1,4 @@
-"""Layers: linear, conv, embedding, dropout, activations, FFN."""
+"""Layers: linear, conv, embedding, activations, FFN."""
 
 import numpy as np
 import pytest
@@ -52,46 +52,15 @@ class TestEmbedding:
         assert emb(np.array([[1, 2], [3, 4]])).shape == (2, 2, 6)
 
 
-class TestDropout:
-    def test_eval_is_identity(self):
-        layer = nn.Dropout(0.5)
-        layer.eval()
-        x = make((4, 4))
-        assert np.allclose(layer(x).data, x.data)
-
-    def test_train_scales_kept_units(self):
-        layer = nn.Dropout(0.5)
-        x = Tensor(np.ones((2000,)))
-        out = layer(x).data
-        kept = out[out > 0]
-        assert np.allclose(kept, 2.0)
-        assert 0.3 < (out > 0).mean() < 0.7
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-
-    def test_zero_probability_identity(self):
-        x = make((3,))
-        assert np.allclose(nn.Dropout(0.0)(x).data, x.data)
-
-
 class TestActivations:
     def test_relu(self):
         assert np.allclose(nn.ReLU()(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
 
     def test_tanh_sigmoid_bounds(self):
         x = make((10,))
-        assert np.all(np.abs(nn.Tanh()(x).data) <= 1.0)
-        out = nn.Sigmoid()(x).data
+        assert np.all(np.abs(x.tanh().data) <= 1.0)
+        out = x.sigmoid().data
         assert np.all((out > 0) & (out < 1))
-
-    def test_leaky_relu(self):
-        out = nn.LeakyReLU(0.2)(Tensor([-1.0])).data
-        assert np.allclose(out, [-0.2])
-
-    def test_flatten(self):
-        assert nn.Flatten()(make((2, 3, 4))).shape == (2, 12)
 
 
 class TestFeedForward:

@@ -1,10 +1,10 @@
-"""Recurrent cells: LSTM, GRU, sequence unrolling with masks."""
+"""Recurrent cells: LSTM, sequence unrolling with masks."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradient_check
-from repro.nn import GRUCell, LSTM, LSTMCell
+from repro.nn import LSTM, LSTMCell
 
 
 def make(shape, seed=0):
@@ -33,19 +33,6 @@ class TestLSTMCell:
             return h + c
 
         gradient_check(run, [x])
-
-
-class TestGRUCell:
-    def test_shape(self):
-        cell = GRUCell(4, 5)
-        out = cell(make((2, 4)), cell.initial_state(2))
-        assert out.shape == (2, 5)
-
-    @pytest.mark.usefixtures("float64")
-    def test_grad(self):
-        cell = GRUCell(3, 4)
-        x = make((2, 3))
-        gradient_check(lambda x: cell(x, cell.initial_state(2)), [x])
 
 
 class TestLSTMSequence:

@@ -25,7 +25,7 @@ from repro.obs import (
     render_profile,
     trace_span,
 )
-from repro.viz import ascii_bar, render_bars_ascii
+from repro.viz import ascii_bar
 
 
 # ----------------------------------------------------------------------
@@ -421,17 +421,3 @@ class TestAsciiBars:
 
     def test_tiny_fraction_still_visible(self):
         assert ascii_bar(1e-6, width=10).count("#") == 1
-
-    def test_render_bars_scales_to_max(self):
-        chart = render_bars_ascii(["a", "bb"], [1.0, 2.0], width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("#") == 10  # max value fills the bar
-        assert lines[0].count("#") == 5
-
-    def test_render_bars_validates_lengths(self):
-        with pytest.raises(ValueError):
-            render_bars_ascii(["a"], [1.0, 2.0])
-
-    def test_render_bars_empty(self):
-        assert render_bars_ascii([], []) == ""

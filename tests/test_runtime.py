@@ -569,13 +569,14 @@ class TestKillResumeEquivalence:
     def test_scheduler_resume_continues_decay(self, tmp_path):
         """Resume restores the LR-schedule position, not step 0.
 
-        Regression: ``_Scheduler`` had no ``state_dict``, so a resumed
-        ``StepLR`` replayed its decay from scratch and the post-resume
-        trajectory diverged from the uninterrupted run.
+        Regression: schedules had no ``state_dict``, so a resumed one
+        replayed its decay from scratch and the post-resume trajectory
+        diverged from the uninterrupted run.
         """
-        from repro.optim import StepLR
+        from repro.optim import WarmupCosineLR
 
-        factory = lambda opt: StepLR(opt, step_size=3, gamma=0.5)
+        factory = lambda opt: WarmupCosineLR(opt, warmup_steps=2,
+                                             total_steps=self.TOTAL)
 
         straight = make_yollo_trainer(seed=7, scheduler=factory)
         straight.begin_run(iterations=self.TOTAL)
@@ -601,10 +602,10 @@ class TestKillResumeEquivalence:
         assert resumed.history.losses == straight.history.losses
 
     def test_scheduler_mismatch_refuses_load(self):
-        from repro.optim import StepLR
+        from repro.optim import WarmupCosineLR
 
         with_sched = make_yollo_trainer(
-            seed=7, scheduler=lambda opt: StepLR(opt, step_size=3)
+            seed=7, scheduler=lambda opt: WarmupCosineLR(opt, 2, self.TOTAL)
         )
         without = make_yollo_trainer(seed=7)
         with pytest.raises(ValueError, match="scheduler"):

@@ -12,7 +12,6 @@ from repro.text import (
     learned_position_table,
     lex,
     normalize_query,
-    sinusoidal_position_table,
     tokenize,
 )
 from repro.text.vocab import PAD_TOKEN, UNK_TOKEN
@@ -160,19 +159,6 @@ class TestVocabulary:
 
 
 class TestPositions:
-    def test_sinusoidal_shape_and_range(self):
-        table = sinusoidal_position_table(10, 8)
-        assert table.shape == (10, 8)
-        assert np.all(np.abs(table) <= 1.0)
-
-    def test_sinusoidal_rows_distinct(self):
-        table = sinusoidal_position_table(6, 8)
-        assert not np.allclose(table[0], table[1])
-
-    def test_sinusoidal_requires_even_dim(self):
-        with pytest.raises(ValueError):
-            sinusoidal_position_table(4, 3)
-
     def test_learned_shape(self):
         assert learned_position_table(5, 6).shape == (5, 6)
 

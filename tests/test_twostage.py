@@ -17,7 +17,6 @@ from repro.twostage import (
     crop_and_resize,
     spatial_features,
     train_listener,
-    train_rpn,
     train_speaker,
 )
 from tests.test_data_render import render_scene_float64
@@ -114,11 +113,6 @@ class TestRPN:
         proposals = rpn.propose(dataset["val"][0].image)
         assert proposals.boxes.shape[1] == 4
         assert len(proposals) <= 7
-
-    def test_training_reduces_loss(self, dataset):
-        rpn = RPNProposer(backbone="tiny")
-        losses = train_rpn(rpn, dataset["train"], steps=12, batch_size=4)
-        assert np.mean(losses[:4]) > np.mean(losses[-4:])
 
 
 class TestListener:

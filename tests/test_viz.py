@@ -7,7 +7,6 @@ from repro.viz import (
     draw_box,
     overlay_attention,
     render_attention_ascii,
-    render_scene_ascii,
     save_ppm,
 )
 
@@ -37,17 +36,6 @@ class TestAsciiAttention:
 
     def test_constant_map_no_crash(self):
         render_attention_ascii(np.ones((3, 3)))
-
-
-class TestAsciiScene:
-    def test_shape(self, image):
-        art = render_scene_ascii(image, cell=4)
-        assert len(art.splitlines()) == 6
-
-    def test_markers(self, image):
-        art = render_scene_ascii(image, target_box=np.array([0, 0, 8, 8]),
-                                 predicted_box=np.array([20, 12, 32, 20]))
-        assert "T" in art and "P" in art
 
 
 class TestPPM:

@@ -135,6 +135,26 @@ class TestConstructor:
             assert built[key].dtype == by_hand[key].dtype, key
             assert built[key].tobytes() == by_hand[key].tobytes(), key
 
+    def test_backbone_override_builds_same_weights(self, dataset, tmp_path,
+                                                   monkeypatch):
+        """A ``backbone`` override is lowered into the config once; it
+        used to reach :func:`build_model` a second time and raise
+        ``TypeError``.  Overriding with the preset's own trunk changes
+        nothing, so the weights match a default build byte for byte."""
+        from repro.utils import seed_everything
+        from repro.zoo import build_yollo_model
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        seed_everything(0)
+        default = build_yollo_model("tiny", dataset).state_dict()
+        seed_everything(0)
+        model = build_yollo_model("tiny", dataset, backbone="tiny")
+        assert model.config.backbone == "tiny"
+        overridden = model.state_dict()
+        assert list(overridden) == list(default)
+        for key in default:
+            assert overridden[key].tobytes() == default[key].tobytes(), key
+
 
 # ----------------------------------------------------------------------
 # Full-registry smoke: every preset earns its registry slot
