@@ -101,9 +101,6 @@ class BackbonePretrainTask(SupervisedTask):
         self.optimizer = Adam(backbone.parameters() + self.head.parameters(),
                               lr=lr)
         self.batch_size = batch_size
-        # Generative: there is no dataset, so the data-parallel sampler
-        # sees one batch-sized "epoch" and only decides slot sizes.
-        self.num_samples = batch_size
         self.image_size = [image_height, image_width]
         self.iteration = 0
         self.total_iterations = steps
@@ -136,6 +133,10 @@ class BackbonePretrainTask(SupervisedTask):
     def forward_backward(self) -> float:
         return self._forward_backward(self.batch_size, self.rng)
 
+    def global_batch(self, iteration: int) -> np.ndarray:
+        """The step's sample indices: generative, so only their count matters."""
+        return np.arange(self.batch_size)
+
     def slot_forward_backward(
         self, iteration: int, slot: int, indices: np.ndarray
     ) -> Tuple[float, Dict[str, float]]:
@@ -144,8 +145,7 @@ class BackbonePretrainTask(SupervisedTask):
         loss = self._forward_backward(len(indices), rng)
         return loss, self._pending
 
-    def set_reduced_step(self, flat: np.ndarray, loss: float,
-                         components: Dict[str, float]) -> None:
+    def set_reduced_step(self, loss: float, components: Dict[str, float]) -> None:
         """Record the slot-reduced accuracies for :meth:`apply_step`."""
         self._pending = dict(components)
 

@@ -9,9 +9,16 @@ The loop is structured as a :class:`repro.runtime.SupervisedTask`:
 ``forward_backward`` computes the loss and gradients for the next
 minibatch and ``apply_step`` performs the optimiser update, so a
 :class:`repro.runtime.TrainingSupervisor` can interpose anomaly guards
-and checkpointing between the two.  All mutable training state — model
-parameters, Adam moments, the RNG stream, the current epoch's shuffle
-order and cursor, and the recorded history — round-trips through
+and checkpointing between the two.
+
+Batches and anchor draws follow one schedule, a pure function of a
+seed drawn once at construction and of the iteration number (see
+:meth:`YolloTrainer.global_batch` and
+:meth:`YolloTrainer.slot_forward_backward`).  A single-process step is
+slot 0 of a one-slot decomposition, so a data-parallel run with one
+gradient slot steps through exactly the same trajectory.  All mutable
+training state — model parameters, Adam moments, the schedule seed,
+the iteration and the recorded history — round-trips through
 ``state_dict``/``load_state_dict``, which makes kill/resume bit-exact:
 training N iterations, checkpointing, and resuming for N more yields
 parameters and losses identical to an uninterrupted 2N-iteration run.
@@ -109,7 +116,9 @@ class YolloTrainer:
         self.logger = logger or ProgressLogger("yollo-train", enabled=False)
         #: Registry receiving ``train.*`` metrics (process-wide by default).
         self.metrics = metrics if metrics is not None else get_registry()
-        self._rng = rng if rng is not None else spawn_rng("yollo-trainer")
+        rng = rng if rng is not None else spawn_rng("yollo-trainer")
+        #: Seeds every epoch's permutation and every step's anchor draws.
+        self._schedule_seed = int(rng.integers(2**63))
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         #: Optional LR schedule, built from a factory ``optimizer -> scheduler``
         #: (e.g. ``lambda opt: WarmupCosineLR(opt, 10, 100)``) and stepped after
@@ -126,13 +135,7 @@ class YolloTrainer:
         self.eval_every = 0
         self._eval_subset: List = []
         self._epochs_announced = 1
-        self._epoch_order: Optional[np.ndarray] = None
-        self._epoch_cursor = 0
-        self._epoch = 0
         self._pending = None
-        #: Set by :meth:`set_reduced_step`: the reduced gradient buffer
-        #: every ``param.grad`` views, clipped in place as one vector.
-        self._flat_grads: Optional[np.ndarray] = None
         # Best-eval weight tracking (see begin_run(keep_best=...)).
         self._keep_best = False
         self._best_score: Optional[float] = None
@@ -180,9 +183,6 @@ class YolloTrainer:
         self._eval_subset = (
             list(self.dataset[eval_split][:eval_samples]) if eval_every else []
         )
-        self._epoch_order = None
-        self._epoch_cursor = 0
-        self._epoch = 0
         self._pending = None
         self._keep_best = keep_best
         self._best_score = None
@@ -221,27 +221,36 @@ class YolloTrainer:
     def parameters(self) -> List:
         return self.optimizer.parameters
 
-    def _next_batch(self) -> Dict[str, np.ndarray]:
-        n = len(self._train_samples)
-        if self._epoch_order is None or self._epoch_cursor >= n:
-            order = np.arange(n)
-            self._rng.shuffle(order)
-            self._epoch_order = order
-            self._epoch_cursor = 0
-            self._epoch += 1
-        chunk = self._epoch_order[
-            self._epoch_cursor : self._epoch_cursor + self.config.batch_size
-        ]
-        self._epoch_cursor += self.config.batch_size
-        samples = [self._train_samples[i] for i in chunk]
-        return encode_batch(samples, self.dataset.vocab, self.config.max_query_length)
+    def global_batch(self, iteration: int) -> np.ndarray:
+        """Training-sample indices of the 0-based step ``iteration``.
+
+        Epoch ``e`` visits the training set in the order of a
+        permutation drawn from ``(seed, e)``; an epoch is ``ceil(n /
+        batch_size)`` steps and its last batch is short.
+        """
+        epoch, position = divmod(iteration, self.iterations_per_epoch())
+        order = np.random.default_rng((self._schedule_seed, epoch)).permutation(
+            len(self._train_samples))
+        size = self.config.batch_size
+        return order[position * size:(position + 1) * size]
 
     def forward_backward(self) -> float:
         """Loss and gradients for the next minibatch; no parameter update."""
-        return self._forward_backward_batch(self._next_batch(), self._rng)
+        loss, _ = self.slot_forward_backward(
+            self.iteration, 0, self.global_batch(self.iteration))
+        return loss
 
-    def _forward_backward_batch(self, batch: Dict[str, np.ndarray],
-                                rng: np.random.Generator) -> float:
+    def slot_forward_backward(
+        self, iteration: int, slot: int, indices: np.ndarray
+    ) -> Tuple[float, Dict[str, float]]:
+        """Loss, loss components, and gradients of one micro-batch slot.
+
+        The anchor sampler draws from ``(seed, iteration, slot)``, so the
+        result does not depend on which rank computes the slot.  The
+        loss breakdown stays pending for :meth:`apply_step`.
+        """
+        samples = [self._train_samples[i] for i in indices]
+        batch = encode_batch(samples, self.dataset.vocab, self.config.max_query_length)
         with self.metrics.timer("train.forward_backward_seconds"):
             with trace_span("train.forward"):
                 output = self.model(
@@ -254,49 +263,17 @@ class YolloTrainer:
                     batch["target_boxes"],
                     self.model.anchor_grid,
                     self.config,
-                    rng=rng,
+                    rng=np.random.default_rng((self._schedule_seed, iteration, slot)),
                 )
             self.optimizer.zero_grad()
             with trace_span("train.backward"):
                 breakdown.total.backward()
         self._pending = breakdown
-        return float(breakdown.total.data)
+        return float(breakdown.total.data), {
+            "att": breakdown.att, "cls": breakdown.cls, "reg": breakdown.reg}
 
-    # ------------------------------------------------------------------
-    # Data-parallel protocol (driven by repro.dist.DistributedTrainer)
-    # ------------------------------------------------------------------
-    @property
-    def num_samples(self) -> int:
-        return len(self._train_samples)
-
-    @property
-    def batch_size(self) -> int:
-        return self.config.batch_size
-
-    def slot_forward_backward(
-        self, iteration: int, slot: int, indices: np.ndarray
-    ) -> Tuple[float, Dict[str, float]]:
-        """Loss, loss components, and gradients of one micro-batch slot.
-
-        The anchor sampler draws from the slot's own ``(iteration,
-        slot)`` stream, so the result does not depend on which rank
-        computes the slot; the trainer's own RNG is never consumed.
-        """
-        samples = [self._train_samples[i] for i in indices]
-        batch = encode_batch(samples, self.dataset.vocab, self.config.max_query_length)
-        loss = self._forward_backward_batch(
-            batch, spawn_rng(f"dist-loss-i{iteration}-s{slot}"))
-        breakdown, self._pending = self._pending, None
-        return loss, {"att": breakdown.att, "cls": breakdown.cls, "reg": breakdown.reg}
-
-    def set_reduced_step(self, flat: np.ndarray, loss: float,
-                         components: Dict[str, float]) -> None:
-        """Record the slot-reduced step for :meth:`apply_step`.
-
-        Every ``param.grad`` is already a view into ``flat``, so
-        clipping runs once on the whole buffer.
-        """
-        self._flat_grads = flat
+    def set_reduced_step(self, loss: float, components: Dict[str, float]) -> None:
+        """Record a data-parallel run's slot-reduced step for :meth:`apply_step`."""
         self._pending = LossBreakdown(total=Tensor(np.asarray(loss)), **components)
 
     def apply_step(self, loss_value: float) -> None:
@@ -304,8 +281,7 @@ class YolloTrainer:
         breakdown = self._pending
         self._pending = None
         with self.metrics.timer("train.apply_seconds"), trace_span("train.apply_step"):
-            clip_grad_norm(self.optimizer.parameters, GRAD_CLIP, flat=self._flat_grads)
-            self._flat_grads = None
+            clip_grad_norm(self.optimizer.parameters, GRAD_CLIP)
             self.optimizer.step()
             if self.scheduler is not None:
                 self.scheduler.step()
@@ -327,7 +303,6 @@ class YolloTrainer:
     def skip_step(self) -> None:
         """Advance past an anomalous step without touching the weights."""
         self._pending = None
-        self._flat_grads = None
         self.optimizer.zero_grad()
         self.iteration += 1
         self.history.iterations = self.iteration
@@ -367,6 +342,9 @@ class YolloTrainer:
             "vocab_size": len(self.dataset.vocab),
             "train_size": len(self._train_samples),
             "num_parameters": self.model.num_parameters(),
+            # Format 1 kept a stateful RNG and the epoch's order and cursor
+            # in the payload; its checkpoints cannot be loaded here.
+            "schedule_format": 2,
         }
 
     # ------------------------------------------------------------------
@@ -379,13 +357,8 @@ class YolloTrainer:
             "scheduler": (
                 None if self.scheduler is None else self.scheduler.state_dict()
             ),
-            "rng": self._rng.bit_generator.state,
+            "schedule_seed": self._schedule_seed,
             "iteration": self.iteration,
-            "epoch": self._epoch,
-            "epoch_cursor": self._epoch_cursor,
-            "epoch_order": (
-                None if self._epoch_order is None else self._epoch_order.copy()
-            ),
             "history": self.history.to_state(),
         }
 
@@ -401,11 +374,7 @@ class YolloTrainer:
             )
         if self.scheduler is not None:
             self.scheduler.load_state_dict(scheduler_state)
-        self._rng.bit_generator.state = state["rng"]
+        self._schedule_seed = int(state["schedule_seed"])
         self.iteration = int(state["iteration"])
-        self._epoch = int(state["epoch"])
-        self._epoch_cursor = int(state["epoch_cursor"])
-        order = state["epoch_order"]
-        self._epoch_order = None if order is None else np.asarray(order).copy()
         self.history = TrainingHistory.from_state(state["history"])
         self._pending = None

@@ -10,13 +10,13 @@ the split construction of Yu et al. (2016).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.expressions import ExpressionGenerator
 from repro.data.render import render_scene
-from repro.data.scenes import PERSON_CATEGORY, Scene, SceneGenerator, SceneObject
+from repro.data.scenes import PERSON_CATEGORY, Scene, SceneGenerator
 from repro.text.tokenizer import tokenize
 from repro.text.vocab import Vocabulary
 from repro.utils.seeding import spawn_rng

@@ -7,9 +7,9 @@ in Section 3.3 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -1,10 +1,12 @@
 """Distributed data-parallel training runtime.
 
-Process-based workers (``spawn``), a pipe-mesh collective layer,
-sharded sampling, and a replicated-step trainer that reduces gradient
-slots in slot order, keeping N workers bit-exact with a single-process
-run.  Every rank drives the same task object a single-process run
-steps (``YolloTrainer`` or ``BackbonePretrainTask``), built inside the
+Process-based workers (``spawn``), a pipe-mesh collective layer, and a
+replicated-step trainer that cuts the task's global batch into
+``grad_shards`` slots and reduces their gradients in slot order, so a
+run is bit-exact at every world size for a fixed slot count; a YOLLO
+run with one slot is bit-exact with the single-process run.  Every
+rank drives the same task object a single-process run steps
+(``YolloTrainer`` or ``BackbonePretrainTask``), built inside the
 worker by ``build_yollo_task`` / ``build_pretrain_task``.  See
 DESIGN.md ("Distributed training") for the protocol, the determinism
 contract, and the failure model.
@@ -21,7 +23,7 @@ from repro.dist.collective import (
     ProtocolError,
 )
 from repro.dist.flatten import TensorManifest, flatten_tensors, unflatten_tensors
-from repro.dist.sampler import ShardedSampler, owned_slots, slot_bounds
+from repro.dist.sampler import slot_bounds
 from repro.dist.tasks import build_pretrain_task, build_yollo_task
 from repro.dist.trainer import DistConfig, DistributedTrainer
 from repro.dist.worker import (
@@ -40,8 +42,6 @@ __all__ = [
     "TensorManifest",
     "flatten_tensors",
     "unflatten_tensors",
-    "ShardedSampler",
-    "owned_slots",
     "slot_bounds",
     "build_pretrain_task",
     "build_yollo_task",

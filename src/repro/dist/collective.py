@@ -8,8 +8,8 @@ data-parallel runtime needs:
 * ``broadcast`` — root fans an arbitrary picklable object out to every
   rank (initial weights, resume payloads, and each gradient slot from
   the rank that computed it);
-* ``gather`` / ``barrier`` — star patterns through one
-  root, built from the same ordered primitives.
+* ``barrier`` — a star pattern through rank 0, built from the same
+  ordered primitives.
 
 Every receive is bounded by a timeout (straggler detection) and every
 message carries an (op, sequence) header so a desynchronised group
@@ -21,7 +21,7 @@ turns either into a group-rebuild request.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -165,20 +165,3 @@ class Collective:
             else:
                 self._send(0, "bar-in", seq, None)
                 self._recv(0, "bar-out", seq)
-
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Collect one object per rank at ``root`` (rank order); None elsewhere."""
-        if self.world_size == 1:
-            return [obj]
-        seq = self._next_seq()
-        with trace_span("dist.gather"):
-            if self.rank == root:
-                out: List[Any] = []
-                for peer in range(self.world_size):
-                    if peer == root:
-                        out.append(obj)
-                    else:
-                        out.append(self._recv(peer, "gather", seq))
-                return out
-            self._send(root, "gather", seq, obj)
-            return None

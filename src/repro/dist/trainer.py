@@ -9,25 +9,31 @@ checkpointing all work unchanged.
 The task is the same object a single-process run steps
 (:class:`repro.core.YolloTrainer` or
 :class:`repro.backbone.pretrain.BackbonePretrainTask`).  Beyond the
-``SupervisedTask`` surface it provides ``num_samples`` and
-``batch_size`` (the sampler's shape),
+``SupervisedTask`` surface it provides ``global_batch(iteration)``
+(the step's sample indices),
 ``slot_forward_backward(iteration, slot, indices)`` (returns ``(loss,
 components)`` with gradients left on the parameters), and
-``set_reduced_step(flat, loss, components)`` (records the reduced step
-for ``apply_step``; the trainer has already pointed every
-``param.grad`` at its slice of ``flat``).
+``set_reduced_step(loss, components)`` (records the reduced step for
+``apply_step``; the trainer has already pointed every ``param.grad``
+at its slice of the reduced buffer).
 
 Determinism contract
 --------------------
-Every iteration's *global* batch is cut into ``grad_shards`` fixed
-micro-batch slots by a :class:`~repro.dist.ShardedSampler` built from
-the task's sample count and batch size.  Each slot's weighted gradient
-bucket is computed by exactly one rank (with a per-``(iteration,
-slot)`` RNG stream, so the result is rank-independent), broadcast to
-every rank, and summed **in slot order** everywhere.  The reduced
-gradient is therefore a pure function of the global seed and iteration
-— bit-identical for 1, 2, or 4 workers — and since every rank then
-applies the identical optimiser step, model replicas never drift.
+Every iteration's global batch, ``task.global_batch(iteration)``, is
+cut into ``grad_shards`` contiguous micro-batch slots by
+:func:`~repro.dist.slot_bounds`.  Each slot's gradient bucket, weighted
+by ``len(slot) / len(batch)``, is computed by exactly one rank from the
+task's per-``(iteration, slot)`` streams, broadcast to every rank, and
+summed **in slot order** everywhere.  For a fixed ``grad_shards`` the
+reduced gradient is therefore the same at any world size, every rank
+applies the identical optimiser step, and replicas never drift.  A
+``YolloTrainer``'s single-process step is its slot 0 of one, so with
+``grad_shards=1`` the run is bit-exact with
+``TrainingSupervisor(task)``.  More slots change the summation order
+and the per-slot anchor draws, so they train a different trajectory.
+``BackbonePretrainTask`` draws a single-process batch from its own
+stream and a slot's from a per-slot one, so its distributed runs match
+each other but not the single-process run.
 
 A communication thread broadcasts the slot buckets (in slot order)
 while the main thread is still computing the remaining owned slots, so
@@ -52,7 +58,7 @@ import numpy as np
 
 from repro.dist.collective import Collective
 from repro.dist.flatten import TensorManifest, flatten_tensors, unflatten_tensors
-from repro.dist.sampler import ShardedSampler, slot_bounds
+from repro.dist.sampler import slot_bounds
 from repro.obs import MetricsRegistry, get_registry, trace_span
 from repro.runtime.supervisor import SupervisedTask
 
@@ -86,9 +92,6 @@ class DistributedTrainer(SupervisedTask):
         self.collective = collective
         self.config = config or DistConfig()
         self.metrics = metrics if metrics is not None else get_registry()
-        self.sampler = ShardedSampler(num_samples=task.num_samples,
-                                      batch_size=task.batch_size,
-                                      grad_shards=self.config.grad_shards)
         self._templates = [p.data for p in task.parameters()]
         self._manifest = TensorManifest.of(self._templates)
         bounds = slot_bounds(self.config.grad_shards, collective.world_size)
@@ -167,8 +170,10 @@ class DistributedTrainer(SupervisedTask):
     # ------------------------------------------------------------------
     def forward_backward(self) -> float:
         iteration = self.task.iteration  # 0-based index of the upcoming step
-        slots = self.sampler.slots(iteration)
-        weights = self.sampler.slot_weights(iteration)
+        batch = self.task.global_batch(iteration)
+        bounds = slot_bounds(len(batch), self.config.grad_shards)
+        slots = [batch[lo:hi] for lo, hi in bounds]
+        weights = [(hi - lo) / len(batch) for lo, hi in bounds]
         with self.metrics.timer("dist.step_seconds"), trace_span("dist.step"):
             payloads = self._exchange(iteration, slots, weights)
             flat = np.zeros(self._manifest.total_size,
@@ -186,7 +191,7 @@ class DistributedTrainer(SupervisedTask):
         for param, view in zip(self.task.parameters(),
                                unflatten_tensors(flat, self._manifest)):
             param.grad = view
-        self.task.set_reduced_step(flat, loss, components)
+        self.task.set_reduced_step(loss, components)
         return loss
 
     def apply_step(self, loss: float) -> None:

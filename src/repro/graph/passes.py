@@ -28,9 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
-from repro.graph.ir import Graph, Node, Slot
+from repro.graph.ir import Graph, Node
 
 #: Ops never folded even when their inputs are constant: inputs bind at
 #: run time, constants already are folded.

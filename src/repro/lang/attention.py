@@ -17,7 +17,7 @@ clause count, so clause and flat queries share one compiled plan.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

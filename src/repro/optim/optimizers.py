@@ -142,29 +142,16 @@ class Adam(Optimizer):
         _load_buffers(self._v, state["v"], self.parameters, "v")
 
 
-def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float, *,
-                   flat: np.ndarray = None) -> float:
+def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clipping norm (useful for logging divergence).  A
     non-finite total norm leaves every gradient untouched: scaling by
     ``max_norm / nan`` would poison all parameters, whereas leaving the
     gradients alone lets anomaly guards detect and skip the step.
-
-    When ``flat`` is given it must be the flattened-bucket view of the
-    same gradients (every ``param.grad`` aliasing a slice of it, as the
-    distributed trainer arranges): the norm is computed over the single
-    buffer and the buffer is scaled in place, which both clips every
-    gradient through its view and makes the computation identical on
-    every data-parallel rank regardless of parameter count.
+    Gradients are scaled in place, so gradients that are views into one
+    buffer (as after a data-parallel reduction) scale that buffer.
     """
-    if flat is not None:
-        total = float(np.sqrt(float((flat**2).sum())))
-        if not np.isfinite(total):
-            return total
-        if total > max_norm and total > 0.0:
-            flat *= max_norm / total
-        return total
     params = [p for p in parameters if p.grad is not None]
     total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))
     if not np.isfinite(total):

@@ -3,8 +3,8 @@
 Makes every gradient-descent loop in the repo crash-safe and
 self-healing: atomic checksummed checkpoints with rotation and
 bit-exact resume (:mod:`checkpoint`), NaN/spike anomaly guards with
-skip-step and rollback (:mod:`guards`), retry/backoff with graceful
-degradation for flaky auxiliary stages (:mod:`retry`), a deterministic
+skip-step and rollback (:mod:`guards`), retry with jittered backoff
+for flaky auxiliary stages (:mod:`retry`), a deterministic
 fault-injection harness (:mod:`faults`), and the
 :class:`TrainingSupervisor` orchestrating all of it (:mod:`supervisor`).
 """
@@ -28,7 +28,6 @@ from repro.runtime.guards import (
 from repro.runtime.retry import (
     RetryExhaustedError,
     backoff_delay,
-    graceful,
     retry_call,
 )
 from repro.runtime.faults import FaultPlan, SimulatedCrash, corrupt_file
@@ -56,7 +55,6 @@ __all__ = [
     "RetryExhaustedError",
     "backoff_delay",
     "retry_call",
-    "graceful",
     "FaultPlan",
     "SimulatedCrash",
     "corrupt_file",

@@ -1,15 +1,15 @@
-"""Retry with exponential backoff and graceful degradation.
+"""Retry with jittered exponential backoff.
 
 Flaky auxiliary stages (checkpoint IO, periodic evaluation) must never
 kill a training run: transient failures are retried with jittered
-exponential backoff, and persistent failures of *optional* stages are
-logged and swallowed via :func:`graceful`.
+exponential backoff, and :class:`repro.runtime.TrainingSupervisor`
+logs and skips a stage whose retries are exhausted.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional, Tuple, Type
+from typing import Any, Callable, Tuple, Type
 
 from repro.utils.seeding import spawn_rng
 
@@ -82,23 +82,3 @@ def retry_call(
                 )
             sleep(delay)
 
-
-def graceful(
-    fn: Callable[[], Any],
-    *,
-    default: Any = None,
-    swallow: Tuple[Type[BaseException], ...] = (Exception,),
-    describe: str = "stage",
-    logger=None,
-) -> Tuple[bool, Any]:
-    """Run an optional stage; failures degrade to ``(False, default)``.
-
-    Used for stages whose failure must never terminate training (e.g. a
-    periodic evaluation): the exception is logged and swallowed.
-    """
-    try:
-        return True, fn()
-    except swallow as exc:
-        if logger is not None:
-            logger.log(f"{describe} failed, continuing without it: {exc!r}")
-        return False, default

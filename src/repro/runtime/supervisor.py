@@ -23,15 +23,11 @@ through a fault-tolerant run loop:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import MetricsRegistry, get_registry
-from repro.runtime.checkpoint import (
-    CheckpointManager,
-    FingerprintMismatchError,
-    config_fingerprint,
-)
+from repro.runtime.checkpoint import CheckpointManager, config_fingerprint
 from repro.runtime.guards import AnomalyGuard, GuardAction
 from repro.runtime.retry import RetryExhaustedError, retry_call
 from repro.utils.logging import ProgressLogger

@@ -8,7 +8,7 @@ best-IoU proposal above the distractor proposals of the same image.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

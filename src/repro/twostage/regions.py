@@ -9,7 +9,7 @@ cost the paper eliminates.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.autograd import Tensor, concatenate, no_grad
 from repro.data.refcoco import GroundingSample
-from repro.detection import iou_matrix
 from repro.nn import Embedding, Linear, LSTM, Module, softmax_cross_entropy
 from repro.optim import Adam
 from repro.runtime import CallbackTask, TrainingSupervisor

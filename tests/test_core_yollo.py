@@ -60,10 +60,8 @@ class TestTrainer:
     def test_loss_decreases_on_fixed_batch(self, dataset, cfg):
         model = YolloModel(cfg, vocab_size=len(dataset.vocab))
         trainer = YolloTrainer(model, dataset, cfg)
-        batch = encode_batch(dataset["train"][:4], dataset.vocab, cfg.max_query_length)
-
         def step():
-            loss = trainer._forward_backward_batch(batch, trainer._rng)
+            loss, _ = trainer.slot_forward_backward(trainer.iteration, 0, np.arange(4))
             trainer.apply_step(loss)
             return loss
 

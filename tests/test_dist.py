@@ -1,4 +1,4 @@
-"""Distributed runtime: flatten, sampler, collectives, bit-exactness.
+"""Distributed runtime: flatten, batch schedule, collectives, bit-exactness.
 
 The spawn-based integration tests are marked ``dist`` and run in the
 default (tier-1) suite — they exercise the real multi-process path at
@@ -14,23 +14,25 @@ import numpy as np
 import pytest
 
 from repro.backbone import load_pretrained_backbone
+from repro.core import YolloTrainer
 from repro.dist import (
     Collective,
     CollectiveTimeout,
     DistConfig,
+    DistributedTrainer,
     PeerLostError,
     ProtocolError,
-    ShardedSampler,
     TensorManifest,
     WorkerGroup,
     WorkerSpec,
     build_pretrain_task,
     build_yollo_task,
     flatten_tensors,
-    owned_slots,
     slot_bounds,
     unflatten_tensors,
 )
+from repro.runtime import TrainingSupervisor
+from repro.utils import seed_everything
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +72,7 @@ def test_manifest_validate_rejects_wrong_buffer():
 
 
 # ----------------------------------------------------------------------
-# Sharded sampling
+# Batch schedule and slot decomposition
 # ----------------------------------------------------------------------
 def test_slot_bounds_partition_is_balanced_and_contiguous():
     for total in (0, 1, 7, 16):
@@ -84,30 +86,25 @@ def test_slot_bounds_partition_is_balanced_and_contiguous():
                 assert hi == lo
 
 
-def test_owned_slots_cover_all_slots_disjointly():
-    for world in (1, 2, 3, 4):
-        seen = [s for r in range(world) for s in owned_slots(r, world, 4)]
-        assert sorted(seen) == list(range(4))
-
-
-def test_sharded_sampler_is_rank_invariant_and_covers_epoch():
-    a = ShardedSampler(num_samples=10, batch_size=4, grad_shards=4)
-    b = ShardedSampler(num_samples=10, batch_size=4, grad_shards=4)
-    per_epoch = a.iterations_per_epoch()
-    assert per_epoch == 3  # ceil(10 / 4)
-    epoch_indices = []
-    for iteration in range(per_epoch):
-        slots_a = a.slots(iteration)
-        slots_b = b.slots(iteration)
-        # Two independent sampler instances (≈ two ranks) agree exactly.
-        for x, y in zip(slots_a, slots_b):
-            assert np.array_equal(x, y)
-        weights = a.slot_weights(iteration)
-        assert abs(sum(weights) - 1.0) < 1e-12
-        epoch_indices.extend(int(i) for slot in slots_a for i in slot)
-    assert sorted(epoch_indices) == list(range(10))
+def test_global_batch_covers_each_epoch_and_agrees_across_trainers():
+    batch = 3
+    built = build_yollo_task(scale=0.03, config_overrides=dict(batch_size=batch))
+    task, twin = (YolloTrainer(built.model, built.dataset,
+                               rng=np.random.default_rng(3)) for _ in range(2))
+    n = len(built.dataset["train"])
+    per_epoch = task.iterations_per_epoch()
+    assert n % batch and per_epoch == -(-n // batch)
+    epochs = []
+    for epoch in range(2):
+        steps = range(epoch * per_epoch, (epoch + 1) * per_epoch)
+        batches = [task.global_batch(step) for step in steps]
+        for step, indices in zip(steps, batches):
+            assert np.array_equal(indices, twin.global_batch(step))
+        assert [len(b) for b in batches] == [batch] * (per_epoch - 1) + [n % batch]
+        epochs.append(np.concatenate(batches))
+        assert sorted(epochs[-1]) == list(range(n))
     # Different epochs shuffle differently.
-    assert not np.array_equal(a.epoch_order(0), a.epoch_order(1))
+    assert not np.array_equal(epochs[0], epochs[1])
 
 
 # ----------------------------------------------------------------------
@@ -153,14 +150,10 @@ def test_collective_broadcast_gather_barrier():
     def body(c):
         got = c.broadcast({"weights": c.rank} if c.rank == 1 else None, root=1)
         c.barrier()
-        gathered = c.gather(c.rank * 2, root=0)
-        return got, gathered
+        return got
 
     results = _run_ranks(3, body)
-    for rank in range(3):
-        got, gathered = results[rank]
-        assert got == {"weights": 1}
-        assert gathered == ([0, 2, 4] if rank == 0 else None)
+    assert results == {rank: {"weights": 1} for rank in range(3)}
 
 
 def test_collective_timeout_raises():
@@ -189,46 +182,10 @@ def test_desynchronised_op_raises_protocol_error():
 
 
 # ----------------------------------------------------------------------
-# Flat-bucket gradient clipping (equivalence with the per-tensor path)
-# ----------------------------------------------------------------------
-def test_clip_grad_norm_flat_matches_per_tensor():
-    from repro.autograd import Tensor
-    from repro.optim import clip_grad_norm
-
-    rng = np.random.default_rng(3)
-
-    def make_params():
-        params = []
-        for shape in [(4, 3), (7,), (2, 2, 2)]:
-            p = Tensor(np.zeros(shape), requires_grad=True)
-            p.grad = rng.normal(size=shape) * 10
-            params.append(p)
-        return params
-
-    reference = make_params()
-    rng = np.random.default_rng(3)
-    flat_params = make_params()
-
-    clip_grad_norm(reference, max_norm=1.0)
-
-    grads = [p.grad for p in flat_params]
-    flat, manifest = flatten_tensors(grads)
-    for param, view in zip(flat_params, unflatten_tensors(flat, manifest)):
-        param.grad = view
-    clip_grad_norm(flat_params, max_norm=1.0, flat=flat)
-
-    for ref, got in zip(reference, flat_params):
-        assert np.allclose(ref.grad, got.grad, rtol=1e-12, atol=0)
-    total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in flat_params))
-    assert total <= 1.0 + 1e-9
-
-
-# ----------------------------------------------------------------------
 # Task builders: the workers run the single-process task objects
 # ----------------------------------------------------------------------
 def test_builders_return_the_single_process_tasks(tmp_path, monkeypatch):
     from repro.backbone import build_backbone, pretrain
-    from repro.core import YolloTrainer
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     supervised = []
@@ -245,6 +202,22 @@ def test_builders_return_the_single_process_tasks(tmp_path, monkeypatch):
     trainer = build_yollo_task(scale=0.03, iterations=2)
     assert isinstance(trainer, YolloTrainer)
     assert trainer.total_iterations == 2
+
+
+def test_one_slot_distributed_yollo_run_equals_single_process():
+    """A single-process step is slot 0 of one: same batches, same anchors."""
+    kwargs = dict(dataset_name="RefCOCO", scale=0.05, iterations=5,
+                  preset="tiny", pretrain_steps=1,
+                  config_overrides=dict(batch_size=8))
+    seed_everything(0)
+    single = build_yollo_task(**kwargs)
+    TrainingSupervisor(single).run()
+    seed_everything(0)
+    task = build_yollo_task(**kwargs)
+    TrainingSupervisor(DistributedTrainer(
+        task, Collective(0, 1, {}), DistConfig(grad_shards=1))).run()
+    assert len(single.history.losses) == 5
+    _assert_states_equal(single.state_dict(), task.state_dict())
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Covers the acceptance criteria of the runtime layer: atomic checksummed
 checkpoints with rotation and corruption fallback, NaN skip-step and
-rollback recovery, retry/backoff with graceful degradation, and the
+rollback recovery, retry/backoff, and the
 bit-exact kill/resume equivalence of the supervised YOLLO trainer.
 """
 
@@ -31,7 +31,6 @@ from repro.runtime import (
     TrainingSupervisor,
     config_fingerprint,
     corrupt_file,
-    graceful,
     read_checkpoint,
     retry_call,
     write_checkpoint,
@@ -223,7 +222,7 @@ class TestAnomalyGuard:
 
 
 # ----------------------------------------------------------------------
-# Retry / graceful degradation
+# Retry with backoff
 # ----------------------------------------------------------------------
 class TestRetry:
     def test_succeeds_after_transient_failures(self):
@@ -256,12 +255,6 @@ class TestRetry:
 
         with pytest.raises(ValueError):
             retry_call(bad, attempts=3, retry_on=(OSError,), sleep=lambda _: None)
-
-    def test_graceful_swallows_and_reports(self):
-        ok, value = graceful(lambda: 1 / 0, default=-1)
-        assert not ok and value == -1
-        ok, value = graceful(lambda: 42)
-        assert ok and value == 42
 
 
 class TestBackoffDelay:
@@ -624,6 +617,34 @@ class TestKillResumeEquivalence:
         other.begin_run(iterations=2)
         with pytest.raises(FingerprintMismatchError):
             TrainingSupervisor(other, checkpoint_dir=str(tmp_path),
+                               checkpoint_every=1, resume=True).run()
+
+    def test_checkpoint_of_the_stateful_rng_schedule_is_refused(
+            self, tmp_path, monkeypatch):
+        """The payload of the old schedule (an RNG stream plus the epoch's
+        order and cursor) is refused by fingerprint, not a ``KeyError``."""
+        old = make_yollo_trainer(seed=7)
+        old.begin_run(iterations=2)
+        fingerprint = {key: value for key, value in old.fingerprint_data().items()
+                       if key != "schedule_format"}
+        n = len(old.dataset["train"])
+
+        def old_state():
+            state = YolloTrainer.state_dict(old)
+            del state["schedule_seed"]
+            state.update(rng=np.random.default_rng(0).bit_generator.state,
+                         epoch=1, epoch_cursor=4, epoch_order=np.arange(n))
+            return state
+
+        monkeypatch.setattr(old, "fingerprint_data", lambda: fingerprint)
+        monkeypatch.setattr(old, "state_dict", old_state)
+        TrainingSupervisor(old, checkpoint_dir=str(tmp_path),
+                           checkpoint_every=1).run()
+
+        resumed = make_yollo_trainer(seed=7)
+        resumed.begin_run(iterations=2)
+        with pytest.raises(FingerprintMismatchError):
+            TrainingSupervisor(resumed, checkpoint_dir=str(tmp_path),
                                checkpoint_every=1, resume=True).run()
 
 

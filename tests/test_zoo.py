@@ -189,9 +189,7 @@ class TestPresetSmoke:
 
         # one real optimisation step through the preset's matcher + loss
         trainer = YolloTrainer(model, dataset, config)
-        batch = encode_batch(dataset["train"][:2], dataset.vocab,
-                             config.max_query_length)
-        loss = trainer._forward_backward_batch(batch, trainer._rng)
+        loss, _ = trainer.slot_forward_backward(0, 0, np.arange(2))
         trainer.apply_step(loss)
         assert np.isfinite(loss)
 
