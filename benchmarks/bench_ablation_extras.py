@@ -31,7 +31,7 @@ def test_ablation_extras(context, results_dir, benchmark):
         _, grounder, _ = context.yollo(
             DATASET, tag=tag, epochs=context.preset.ablation_epochs, **overrides
         )
-        report = context.evaluate(grounder, f"yollo-{tag}", DATASET, "val")
+        report = context.evaluate(grounder, DATASET, "val")
         reports[label] = report
         rows.append([label, report.acc_at_50 * 100, report.acc_at_75 * 100,
                      report.miou * 100])

@@ -9,8 +9,7 @@ before it is fine-tuned inside YOLLO.
 
 from __future__ import annotations
 
-import os
-import shutil
+import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,8 +19,7 @@ from repro.data.render import render_scene
 from repro.data.scenes import CATEGORIES, COLORS, Scene, SceneGenerator
 from repro.nn import Linear, Module, softmax_cross_entropy
 from repro.optim import Adam
-from repro.runtime import (SupervisedTask, TrainingSupervisor, read_checkpoint,
-                           write_checkpoint)
+from repro.runtime import SupervisedTask, TrainingSupervisor, cached
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
@@ -64,17 +62,21 @@ def _sample_classification_batch(
     return np.stack(images), categories[: len(images)], colors[: len(images)]
 
 
+def pretrain_fingerprint(steps: int, batch_size: int = 16, lr: float = 1e-3,
+                         image_height: int = 48,
+                         image_width: int = 72) -> Dict[str, Any]:
+    """The pretrain task's checkpoint fingerprint, part of a backbone's key."""
+    # Format 1 drew single-process batches from a stateful ``rng``.
+    return {"task": "backbone-pretrain", "steps": steps, "batch_size": batch_size,
+            "lr": lr, "image": [image_height, image_width], "schedule_format": 2}
+
+
 class BackbonePretrainTask(SupervisedTask):
     """Backbone pretraining as one :class:`repro.runtime.SupervisedTask`.
 
-    :func:`pretrain_backbone` drives it in one process, drawing every
-    batch from ``rng``; :class:`repro.dist.DistributedTrainer` drives it
-    on every rank through :meth:`slot_forward_backward`, where each slot
-    renders ``len(indices)`` images from its own ``(iteration, slot)``
-    stream.  The task is generative, so the indices themselves are never
-    read.  The checkpoint payload (``iteration``, ``optimizer``,
-    ``modules``, ``rng``, ``extra``) and the fingerprint are those of
-    the closure loop this class replaced, so older checkpoints resume.
+    One schedule seed, drawn from ``rng`` at construction, seeds each
+    slot's render stream ``(seed, iteration, slot)``; a single-process
+    step is slot 0 of one.  Generative: only ``len(indices)`` is read.
     """
 
     def __init__(
@@ -88,16 +90,16 @@ class BackbonePretrainTask(SupervisedTask):
         rng: Optional[np.random.Generator] = None,
         logger: Optional[ProgressLogger] = None,
     ):
-        self.rng = rng if rng is not None else spawn_rng("backbone-pretrain")
+        rng = rng if rng is not None else spawn_rng("backbone-pretrain")
         self.logger = logger or ProgressLogger("pretrain", enabled=False)
         self.backbone = backbone
-        self.generator = SceneGenerator(height=image_height, width=image_width,
-                                        rng=self.rng)
+        self.generator = SceneGenerator(height=image_height, width=image_width)
         # The head must draw its initial weights from the pretrain's own
         # stream: pulling from the process-global generator here would
         # shift every later init for cache-miss runs only, making cold-
         # and warm-cache training runs diverge.
-        self.head = ClassificationHead(backbone.out_channels, rng=self.rng)
+        self.head = ClassificationHead(backbone.out_channels, rng=rng)
+        self._schedule_seed = int(rng.integers(2**63))
         self.optimizer = Adam(backbone.parameters() + self.head.parameters(),
                               lr=lr)
         self.batch_size = batch_size
@@ -112,10 +114,22 @@ class BackbonePretrainTask(SupervisedTask):
     def parameters(self) -> List:
         return self.optimizer.parameters
 
-    def _forward_backward(self, count: int, rng: np.random.Generator) -> float:
+    def forward_backward(self) -> float:
+        loss, _ = self.slot_forward_backward(
+            self.iteration, 0, self.global_batch(self.iteration))
+        return loss
+
+    def global_batch(self, iteration: int) -> np.ndarray:
+        """The step's sample indices: generative, so only their count matters."""
+        return np.arange(self.batch_size)
+
+    def slot_forward_backward(
+        self, iteration: int, slot: int, indices: np.ndarray
+    ) -> Tuple[float, Dict[str, float]]:
+        """One micro-batch slot: loss, accuracies, and gradients."""
         images, categories, colors = _sample_classification_batch(
-            self.generator, count, rng
-        )
+            self.generator, len(indices),
+            np.random.default_rng((self._schedule_seed, iteration, slot)))
         cat_logits, color_logits = self.head(self.backbone(Tensor(images)))
         loss = softmax_cross_entropy(cat_logits, categories) + softmax_cross_entropy(
             color_logits, colors
@@ -128,22 +142,7 @@ class BackbonePretrainTask(SupervisedTask):
             ),
             "color_acc": float((color_logits.data.argmax(axis=1) == colors).mean()),
         }
-        return float(loss.data)
-
-    def forward_backward(self) -> float:
-        return self._forward_backward(self.batch_size, self.rng)
-
-    def global_batch(self, iteration: int) -> np.ndarray:
-        """The step's sample indices: generative, so only their count matters."""
-        return np.arange(self.batch_size)
-
-    def slot_forward_backward(
-        self, iteration: int, slot: int, indices: np.ndarray
-    ) -> Tuple[float, Dict[str, float]]:
-        """One data-parallel slot: loss, accuracies, and gradients."""
-        rng = spawn_rng(f"dist-pretrain-i{iteration}-s{slot}")
-        loss = self._forward_backward(len(indices), rng)
-        return loss, self._pending
+        return float(loss.data), self._pending
 
     def set_reduced_step(self, loss: float, components: Dict[str, float]) -> None:
         """Record the slot-reduced accuracies for :meth:`apply_step`."""
@@ -166,13 +165,8 @@ class BackbonePretrainTask(SupervisedTask):
         self.iteration += 1
 
     def fingerprint_data(self) -> Dict[str, Any]:
-        return {
-            "task": "backbone-pretrain",
-            "steps": self.total_iterations,
-            "batch_size": self.batch_size,
-            "lr": self.optimizer.lr,
-            "image": self.image_size,
-        }
+        return pretrain_fingerprint(self.total_iterations, self.batch_size,
+                                    self.optimizer.lr, *self.image_size)
 
     def state_dict(self) -> Dict[str, Any]:
         return {
@@ -180,7 +174,7 @@ class BackbonePretrainTask(SupervisedTask):
             "optimizer": self.optimizer.state_dict(),
             "modules": {"backbone": self.backbone.state_dict(),
                         "head": self.head.state_dict()},
-            "rng": self.rng.bit_generator.state,
+            "schedule_seed": self._schedule_seed,
             "extra": {k: list(v) for k, v in self.history.items()},
         }
 
@@ -189,7 +183,7 @@ class BackbonePretrainTask(SupervisedTask):
         self.optimizer.load_state_dict(state["optimizer"])
         self.backbone.load_state_dict(state["modules"]["backbone"])
         self.head.load_state_dict(state["modules"]["head"])
-        self.rng.bit_generator.state = state["rng"]
+        self._schedule_seed = int(state["schedule_seed"])
         self.history = {k: list(v) for k, v in state["extra"].items()}
 
     def result(self) -> Dict[str, List[float]]:
@@ -234,53 +228,38 @@ def pretrain_backbone(
     return task.history
 
 
-def default_cache_dir() -> str:
-    """Directory for cached pre-trained backbone weights."""
-    return os.environ.get(
-        "REPRO_CACHE_DIR", os.path.join(os.path.expanduser("~"), ".cache", "repro")
-    )
+def backbone_key(name: str, backbone: Module, steps: int,
+                 image_height: int = 48, image_width: int = 72) -> Dict[str, Any]:
+    """The :func:`repro.runtime.cached` key of a pretrained backbone.
+
+    Arguments and state shapes only: no pretrain task is built.  Like a
+    downloaded ImageNet checkpoint, the weights ignore the global seed.
+    """
+    return {"pretrain": pretrain_fingerprint(steps, image_height=image_height,
+                                             image_width=image_width),
+            "backbone": name,
+            "seed": zlib.crc32(f"backbone-pretrain-{name}".encode("utf-8")),
+            "shapes": {k: list(v.shape) for k, v in backbone.state_dict().items()}}
 
 
-def load_pretrained_backbone(
-    name: str,
-    steps: int = 600,
-    image_height: int = 48,
-    image_width: int = 72,
-    cache_dir: Optional[str] = None,
-    logger: Optional[ProgressLogger] = None,
-):
+def load_pretrained_backbone(name: str, steps: int = 600, image_height: int = 48,
+                             image_width: int = 72,
+                             cache_dir: Optional[str] = None):
     """Build a backbone preset with synthetic-ImageNet weights, cached.
 
-    The first call for a given (preset, steps, size) trains and writes a
-    :mod:`repro.runtime` checkpoint under the cache directory; later
-    calls load it instantly.
-    This mirrors downloading the paper's ImageNet checkpoint.
+    This mirrors downloading the paper's ImageNet checkpoint: the first
+    call for a :func:`backbone_key` trains, later calls load.
     """
     from repro.backbone.factory import build_backbone
 
     backbone = build_backbone(name)
-    cache_dir = cache_dir or default_cache_dir()
-    os.makedirs(cache_dir, exist_ok=True)
-    cache_path = os.path.join(
-        cache_dir, f"backbone-{name}-{steps}-{image_height}x{image_width}.ckpt"
-    )
-    if os.path.exists(cache_path):
-        backbone.load_state_dict(read_checkpoint(cache_path).payload)
-        return backbone
-    # A killed pretrain resumes from its checkpoints instead of restarting;
-    # the checkpoint directory is removed once the final weights are cached.
-    checkpoint_dir = cache_path + ".ckpts"
-    pretrain_backbone(
-        backbone,
-        steps=steps,
-        image_height=image_height,
-        image_width=image_width,
-        rng=spawn_rng(f"backbone-pretrain-{name}"),
-        logger=logger,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=max(1, steps // 4),
-        resume=True,
-    )
-    write_checkpoint(cache_path, backbone.state_dict())
-    shutil.rmtree(checkpoint_dir, ignore_errors=True)
+    key = backbone_key(name, backbone, steps, image_height, image_width)
+
+    def pretrain() -> Dict[str, np.ndarray]:
+        pretrain_backbone(backbone, steps=steps, image_height=image_height,
+                          image_width=image_width,
+                          rng=np.random.default_rng(key["seed"]))
+        return backbone.state_dict()
+
+    backbone.load_state_dict(cached(cache_dir, "backbone", key, pretrain))
     return backbone

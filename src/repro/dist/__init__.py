@@ -3,8 +3,8 @@
 Process-based workers (``spawn``), a pipe-mesh collective layer, and a
 replicated-step trainer that cuts the task's global batch into
 ``grad_shards`` slots and reduces their gradients in slot order, so a
-run is bit-exact at every world size for a fixed slot count; a YOLLO
-run with one slot is bit-exact with the single-process run.  Every
+run is bit-exact at every world size for a fixed slot count; a run
+with one slot is bit-exact with the single-process run.  Every
 rank drives the same task object a single-process run steps
 (``YolloTrainer`` or ``BackbonePretrainTask``), built inside the
 worker by ``build_yollo_task`` / ``build_pretrain_task``.  See

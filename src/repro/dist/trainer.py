@@ -27,13 +27,11 @@ task's per-``(iteration, slot)`` streams, broadcast to every rank, and
 summed **in slot order** everywhere.  For a fixed ``grad_shards`` the
 reduced gradient is therefore the same at any world size, every rank
 applies the identical optimiser step, and replicas never drift.  A
-``YolloTrainer``'s single-process step is its slot 0 of one, so with
+task's single-process step is its slot 0 of one, so with
 ``grad_shards=1`` the run is bit-exact with
 ``TrainingSupervisor(task)``.  More slots change the summation order
-and the per-slot anchor draws, so they train a different trajectory.
-``BackbonePretrainTask`` draws a single-process batch from its own
-stream and a slot's from a per-slot one, so its distributed runs match
-each other but not the single-process run.
+and the per-slot anchor draws or renders, so they train a different
+trajectory.
 
 A communication thread broadcasts the slot buckets (in slot order)
 while the main thread is still computing the remaining owned slots, so

@@ -1,32 +1,32 @@
 """Shared experiment state: datasets, trained models, disk caching.
 
-Training a grounding model is the expensive step, and several tables
-need the same trained models, so the context trains each (model,
-dataset) pair exactly once and persists weights plus training curves
-under the cache directory.  Evaluation reports are cached as JSON keyed
-by (model, dataset, split), making a re-run of the full benchmark suite
-nearly free.
+Several tables need the same trained models, so every derived artifact
+— pretrained backbone, word2vec embeddings, YOLLO weights with their
+training curve, listener and speaker weights, evaluation reports — is
+one :func:`repro.runtime.cached` entry, keyed by everything it depends
+on: producer configuration and budget, unit seed, the shapes of the
+module it builds, the keys of the upstream entries it reads, and for a
+report the checksum of the weights it scored.  A changed model is
+retrained and re-scored; a re-run over the same directory trains nothing.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import zlib
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.backbone import load_pretrained_backbone
-from repro.backbone.pretrain import default_cache_dir
+from repro.backbone.pretrain import backbone_key
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
 from repro.data import DATASET_SPECS, GroundingDataset, build_dataset
 from repro.eval import MetricReport, TrainingCurve, evaluate_grounder
 from repro.experiments.config import ExperimentPreset, get_preset
 from repro.optim import WarmupCosineLR
-from repro.runtime import read_checkpoint, write_checkpoint
+from repro.runtime import cached, state_checksum
 from repro.text import SkipGramWord2Vec, Vocabulary, build_corpus
 from repro.twostage import (
     ListenerMatcher,
@@ -62,19 +62,15 @@ class ExperimentContext:
         self.model_preset = model_preset
         self.seed = seed
         self.logger = ProgressLogger("experiments", enabled=verbose)
-        root = cache_dir or default_cache_dir()
-        # A model preset gets its own cache namespace: trained weights,
-        # curves, and eval reports are a function of the architecture.
-        leaf = (self.preset.name if model_preset is None
-                else f"{self.preset.name}-{model_preset}")
-        self.cache_dir = os.path.join(root, "experiments", leaf)
-        os.makedirs(self.cache_dir, exist_ok=True)
+        #: Where every cached artifact goes (``None``: the default cache).
+        self.cache_dir = cache_dir
         seed_everything(seed)
 
         self._datasets: Dict[str, GroundingDataset] = {}
         self._scenario_datasets: Dict[str, GroundingDataset] = {}
         self._shared_vocab: Optional[Vocabulary] = None
         self._word2vec: Optional[np.ndarray] = None
+        self._word2vec_key: Optional[Dict[str, object]] = None
         self._yollo: Dict[str, Tuple[YolloModel, Grounder, TrainingCurve]] = {}
         self._baselines: Dict[Tuple[str, str], TwoStageGrounder] = {}
 
@@ -169,19 +165,21 @@ class ExperimentContext:
         """Skip-gram embeddings over the shared vocabulary (cached)."""
         if self._word2vec is None:
             vocab = self.shared_vocab()
-            path = os.path.join(self.cache_dir, "word2vec.ckpt")
-            if os.path.exists(path):
-                matrix = read_checkpoint(path).payload["embeddings"]
-                if matrix.shape[0] == len(vocab):
-                    self._word2vec = matrix
-                    return self._word2vec
-            self.logger.log("pre-training word2vec embeddings")
-            with self._unit_seed("word2vec"):
-                corpus = build_corpus(400, rng=spawn_rng("experiments-corpus"))
-                model = SkipGramWord2Vec(vocab, dim=24)
-                model.train(corpus, epochs=2)
-            self._word2vec = model.embedding_matrix()
-            write_checkpoint(path, {"embeddings": self._word2vec})
+            self._word2vec_key = {
+                "vocab": [vocab.id_to_token(i) for i in range(len(vocab))],
+                "corpus": 400, "dim": 24, "epochs": 2,
+                "unit": [self.seed, "word2vec"]}
+
+            def fit() -> Dict[str, np.ndarray]:
+                self.logger.log("pre-training word2vec embeddings")
+                with self._unit_seed("word2vec"):
+                    corpus = build_corpus(400, rng=spawn_rng("experiments-corpus"))
+                    model = SkipGramWord2Vec(vocab, dim=24)
+                    model.train(corpus, epochs=2)
+                return {"embeddings": model.embedding_matrix()}
+
+            self._word2vec = cached(self.cache_dir, "word2vec",
+                                    self._word2vec_key, fit)["embeddings"]
         return self._word2vec
 
     # ------------------------------------------------------------------
@@ -199,9 +197,9 @@ class ExperimentContext:
               epochs: Optional[int] = None,
               **config_overrides) -> Tuple[YolloModel, Grounder, TrainingCurve]:
         """Train (or load) a YOLLO model on the named dataset."""
-        key = f"{dataset_name}-{tag}"
-        if key in self._yollo:
-            return self._yollo[key]
+        name = f"{dataset_name}-{tag}"
+        if name in self._yollo:
+            return self._yollo[name]
 
         dataset = self.dataset(dataset_name)
         config = self.yollo_config(**config_overrides)
@@ -209,15 +207,11 @@ class ExperimentContext:
         # epochs == 0 means the caller only needs the architecture (e.g.
         # the Table-5 timing rows) — skip the ImageNet-substitute step.
         pretrain_steps = self.preset.pretrain_steps if epochs > 0 else 1
-        backbone = load_pretrained_backbone(
-            config.backbone, steps=pretrain_steps,
-            image_height=config.image_height, image_width=config.image_width,
-        )
+        backbone_args = dict(steps=pretrain_steps, image_height=config.image_height,
+                             image_width=config.image_width)
+        backbone = load_pretrained_backbone(config.backbone, cache_dir=self.cache_dir,
+                                            **backbone_args)
         embeddings = self.word2vec_matrix()
-
-        weights_path = os.path.join(self.cache_dir, f"yollo-{key}.ckpt")
-        curve_path = os.path.join(self.cache_dir, f"yollo-{key}-curve.json")
-        curve = TrainingCurve(label=dataset_name)
 
         def build() -> YolloModel:
             # Called inside a unit's RNG scope; the backbone was loaded
@@ -228,17 +222,19 @@ class ExperimentContext:
                               pretrained_embeddings=embeddings,
                               backbone=backbone)
 
-        if os.path.exists(weights_path) and os.path.exists(curve_path):
-            # Model init runs inside the unit's RNG scope so the produced
-            # weights are a function of (seed, unit_tag) alone.
-            with self._unit_seed(f"yollo-{key}"):
-                model = build()
-            model.load_state_dict(read_checkpoint(weights_path).payload)
-            with open(curve_path) as handle:
-                payload = json.load(handle)
-            curve.iterations = payload["iterations"]
-            curve.values = payload["values"]
-        else:
+        # The model the weights load into: inits inside the unit's RNG
+        # scope, so its weights are a function of (seed, unit_tag) alone.
+        with self._unit_seed(f"yollo-{name}"):
+            model = build()
+        key = {
+            "trainer": YolloTrainer(model, dataset, config).fingerprint_data(),
+            "epochs": epochs, "preset": asdict(self.preset),
+            "unit": [self.seed, f"yollo-{name}"], "shapes": _shapes(model),
+            "backbone": backbone_key(config.backbone, backbone, **backbone_args),
+            "word2vec": self._word2vec_key,
+        }
+
+        def train() -> Dict[str, object]:
             # A small fraction of derived seeds put training on a
             # degenerate trajectory (the validation curve never leaves
             # ~0).  Detect that and reroll the unit seed, keeping the
@@ -246,20 +242,20 @@ class ExperimentContext:
             # unlucky stream.
             best: Optional[Tuple[float, YolloModel, TrainingCurve]] = None
             for attempt in range(_YOLLO_TRAIN_ATTEMPTS):
-                unit_tag = (f"yollo-{key}" if attempt == 0
-                            else f"yollo-{key}-retry{attempt}")
+                unit_tag = (f"yollo-{name}" if attempt == 0
+                            else f"yollo-{name}-retry{attempt}")
                 self.logger.log(
                     f"training YOLLO[{tag}] on {dataset_name} ({epochs} epochs)")
                 per_epoch = -(-len(dataset["train"]) // config.batch_size)
                 total_steps = max(2, epochs * per_epoch)
                 with self._unit_seed(unit_tag):
-                    model = build()
+                    candidate = build()
                     # Warmup + cosine decay: the constant-LR runs were
                     # prone to late-training loss spikes that destroyed
                     # an already-good model; decaying into the tail
                     # stabilises them (keep_best is the backstop).
                     trainer = YolloTrainer(
-                        model, dataset, config, logger=self.logger,
+                        candidate, dataset, config, logger=self.logger,
                         scheduler=lambda opt: WarmupCosineLR(
                             opt, warmup_steps=max(1, total_steps // 20),
                             total_steps=total_steps,
@@ -274,21 +270,21 @@ class ExperimentContext:
                 curve.label = dataset_name
                 score = max(curve.values) if curve.values else 0.0
                 if best is None or score > best[0]:
-                    best = (score, model, curve)
+                    best = (score, candidate, curve)
                 if epochs == 0 or not curve.values or score >= _DEGENERATE_ACC:
                     break
                 self.logger.log(
                     f"YOLLO[{tag}] on {dataset_name} degenerate "
                     f"(best val ACC {score:.3f}); rerolling unit seed")
-            _, model, curve = best
-            write_checkpoint(weights_path, model.state_dict())
-            with open(curve_path, "w") as handle:
-                json.dump({"iterations": curve.iterations,
-                           "values": curve.values}, handle)
+            _, candidate, curve = best
+            return {"weights": candidate.state_dict(), "curve": asdict(curve)}
 
+        payload = cached(self.cache_dir, "yollo", key, train)
+        model.load_state_dict(payload["weights"])
+        curve = TrainingCurve(**payload["curve"])
         grounder = Grounder(model, dataset.vocab)
-        self._yollo[key] = (model, grounder, curve)
-        return self._yollo[key]
+        self._yollo[name] = (model, grounder, curve)
+        return self._yollo[name]
 
     # ------------------------------------------------------------------
     # Two-stage baselines
@@ -332,44 +328,48 @@ class ExperimentContext:
         return grounder
 
     def _trained_matcher(self, name: str, dataset_name: str, build, train):
-        path = os.path.join(self.cache_dir, f"{name}-{dataset_name}.ckpt")
-        with self._unit_seed(f"{name}-{dataset_name}"):
+        unit_tag = f"{name}-{dataset_name}"
+        with self._unit_seed(unit_tag):
             matcher = build()
-            if os.path.exists(path):
-                matcher.load_state_dict(read_checkpoint(path).payload)
-            else:
+            key = {"dataset": dataset_name, "preset": asdict(self.preset),
+                   "unit": [self.seed, unit_tag], "shapes": _shapes(matcher)}
+
+            def fit() -> Dict[str, np.ndarray]:
                 self.logger.log(f"training {name} baseline on {dataset_name}")
                 train(matcher)
-                write_checkpoint(path, matcher.state_dict())
+                return matcher.state_dict()
+
+            matcher.load_state_dict(cached(self.cache_dir, name, key, fit))
         return matcher
 
     # ------------------------------------------------------------------
-    # Evaluation (JSON-cached)
+    # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, grounder, model_key: str, dataset_name: str,
-                 split: str) -> MetricReport:
-        """Evaluate a grounder on one split, caching the report."""
-        path = os.path.join(
-            self.cache_dir, f"eval-{model_key}-{dataset_name}-{split}.json"
-        )
-        if os.path.exists(path):
-            with open(path) as handle:
-                payload = json.load(handle)
-            return MetricReport(
-                acc=payload["ACC"], acc_at_50=payload["ACC@0.5"],
-                acc_at_75=payload["ACC@0.75"], miou=payload["MIOU"],
-                ious=np.asarray(payload["ious"]),
-            )
-        dataset = self.dataset(dataset_name)
-        samples = dataset[split][: self.preset.eval_limit]
-        report = evaluate_grounder(grounder, samples)
-        payload = report.as_dict()
-        payload["ious"] = [float(v) for v in report.ious]
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        return report
+    def evaluate(self, grounder, dataset_name: str, split: str) -> MetricReport:
+        """Evaluate a grounder on one split, cached by the weights it scores with."""
+        if isinstance(grounder, TwoStageGrounder):
+            weights = {f"{kind}.{k}": v for kind, matcher in grounder.matchers.items()
+                       for k, v in matcher.state_dict().items()}
+            model = grounder.name
+        else:
+            weights, model = grounder.model.state_dict(), asdict(grounder.model.config)
+        # The preset fields include ``eval_limit``, the number of samples scored.
+        key = {"weights": state_checksum(weights), "model": model,
+               "dataset": dataset_name, "split": split,
+               "preset": asdict(self.preset), "seed": self.seed}
+
+        def score() -> Dict[str, object]:
+            samples = self.dataset(dataset_name)[split][: self.preset.eval_limit]
+            return asdict(evaluate_grounder(grounder, samples))
+
+        return MetricReport(**cached(self.cache_dir, "eval", key, score))
 
     def eval_splits(self, dataset_name: str) -> List[str]:
         """Evaluation splits for a dataset (RefCOCOg has only val)."""
         return [s for s in ("val", "testA", "testB")
                 if s in self.dataset(dataset_name).splits]
+
+
+def _shapes(module) -> Dict[str, List[int]]:
+    """Names and shapes of a module's state, the architecture in a key."""
+    return {name: list(value.shape) for name, value in module.state_dict().items()}

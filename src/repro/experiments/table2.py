@@ -35,9 +35,7 @@ def collect(context: ExperimentContext) -> Dict[str, Dict[Tuple[str, str], float
         row: Dict[Tuple[str, str], float] = {}
         for dataset_name, split in COLUMNS:
             grounder = context.baseline(kind, dataset_name)
-            report = context.evaluate(
-                grounder, f"baseline-{kind}", dataset_name, split
-            )
+            report = context.evaluate(grounder, dataset_name, split)
             row[(dataset_name, split)] = report.acc_at_50 * 100
         results[kind] = row
 
@@ -46,9 +44,7 @@ def collect(context: ExperimentContext) -> Dict[str, Dict[Tuple[str, str], float
     for train_name in DATASET_NAMES:
         _, grounder, _ = context.yollo(train_name)
         for dataset_name, split in COLUMNS:
-            report = context.evaluate(
-                grounder, f"yollo-{train_name}", dataset_name, split
-            )
+            report = context.evaluate(grounder, dataset_name, split)
             value = report.acc_at_50 * 100
             # ...and cross-domain (generalisation rows).
             results.setdefault(f"YOLLO (trained on {train_name})", {})[

@@ -19,9 +19,7 @@ def collect(context: ExperimentContext) -> Dict[Tuple[str, str], Dict[str, float
     for dataset_name in DATASET_NAMES:
         _, grounder, _ = context.yollo(dataset_name)
         for split in context.eval_splits(dataset_name):
-            report = context.evaluate(
-                grounder, f"yollo-{dataset_name}", dataset_name, split
-            )
+            report = context.evaluate(grounder, dataset_name, split)
             results[(dataset_name, split)] = {
                 key: value * 100 for key, value in report.as_dict().items()
             }

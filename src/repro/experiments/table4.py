@@ -31,7 +31,6 @@ def collect(context: ExperimentContext) -> Dict[str, Dict[Tuple[str, str], float
         for dataset_name in DATASET_NAMES:
             if not overrides:
                 _, grounder, _ = context.yollo(dataset_name)
-                model_key = f"yollo-{dataset_name}"
             else:
                 tag = ("ablation-noself" if "use_self_attention" in overrides
                        else "ablation-noco")
@@ -39,9 +38,8 @@ def collect(context: ExperimentContext) -> Dict[str, Dict[Tuple[str, str], float
                     dataset_name, tag=tag,
                     epochs=context.preset.ablation_epochs, **overrides,
                 )
-                model_key = f"yollo-{tag}-{dataset_name}"
             for split in context.eval_splits(dataset_name):
-                report = context.evaluate(grounder, model_key, dataset_name, split)
+                report = context.evaluate(grounder, dataset_name, split)
                 row[(dataset_name, split)] = report.acc_at_50 * 100
         results[arm_name] = row
     return results

@@ -15,8 +15,10 @@ from repro.runtime.checkpoint import (
     CheckpointError,
     CheckpointManager,
     FingerprintMismatchError,
+    cached,
     config_fingerprint,
     read_checkpoint,
+    state_checksum,
     write_checkpoint,
 )
 from repro.runtime.guards import (
@@ -45,8 +47,10 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointManager",
     "FingerprintMismatchError",
+    "cached",
     "config_fingerprint",
     "read_checkpoint",
+    "state_checksum",
     "write_checkpoint",
     "AnomalyGuard",
     "GuardAction",

@@ -1,8 +1,9 @@
 """Atomic, checksummed checkpoints: the one file format for weights.
 
-Training resumes, ``train --out`` models, cached backbones and fleet
-reloads are all written by :func:`write_checkpoint` and read by
-:func:`read_checkpoint`.  A checkpoint is a single file::
+Training resumes, ``train --out`` models, fleet reloads and every
+derived artifact :func:`cached` keeps are all written by
+:func:`write_checkpoint` and read by :func:`read_checkpoint`.  A
+checkpoint is a single file::
 
     MAGIC (14 bytes) || sha256 hexdigest of body (64 bytes) || "\\n" || body
 
@@ -17,7 +18,8 @@ back to the previous rotation when the newest file is corrupt.
 
 The fingerprint is a stable hash of the configuration; a checkpoint
 written under a different configuration is refused rather than silently
-producing a chimera run or model.
+producing a chimera run or model.  :func:`cached` names each derived
+artifact after the fingerprint of everything that determines it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ import json
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
+
+import numpy as np
+
+from repro.autograd.tensor import as_compute_array
 
 MAGIC = b"REPRO-CKPT-v1\n"
 _DIGEST_LEN = 64  # sha256 hexdigest
@@ -57,6 +63,24 @@ def config_fingerprint(data: Any) -> str:
     """Stable short hash of a JSON-serialisable configuration description."""
     blob = json.dumps(data, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def state_checksum(state: Dict[str, Any]) -> str:
+    """Content hash of a state dict: the weight values a model holds.
+
+    Keys are visited in sorted order and every value is hashed as its
+    bytes plus its shape, floats in the compute dtype, so a float64
+    payload hashes like the float32 copy a model loads from it, across
+    pickling, pipes and load/re-extract cycles.  Fleet reloads compare
+    it; evaluation reports are cached under it.
+    """
+    digest = hashlib.sha256()
+    for key in sorted(state):
+        value = np.ascontiguousarray(as_compute_array(state[key]))
+        digest.update(key.encode("utf-8"))
+        digest.update(str(value.shape).encode("ascii"))
+        digest.update(value.tobytes())
+    return digest.hexdigest()
 
 
 @dataclass
@@ -126,6 +150,31 @@ def read_checkpoint(path: str, fingerprint: Optional[str] = None) -> Checkpoint:
         )
     return Checkpoint(path=path, iteration=int(record["iteration"]),
                       fingerprint=stamp, payload=record["payload"])
+
+
+def cached(directory: Optional[str], kind: str, key: Any,
+           compute: Callable[[], Any]) -> Any:
+    """The payload cached under ``key``; ``compute()`` makes it on a miss.
+
+    One checkpoint ``<kind>-<config_fingerprint(key)>.ckpt`` stamped with
+    that fingerprint, in ``directory`` (default ``$REPRO_CACHE_DIR``,
+    else ``~/.cache/repro``).  ``key`` must hold everything the payload
+    depends on, upstream entries' keys included.  A corrupt entry is
+    recomputed.
+    """
+    directory = directory or os.environ.get("REPRO_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro")
+    fingerprint = config_fingerprint(key)
+    path = os.path.join(directory, f"{kind}-{fingerprint}.ckpt")
+    if os.path.exists(path):
+        try:
+            return read_checkpoint(path, fingerprint=fingerprint).payload
+        except CheckpointCorruptError:
+            pass
+    payload = compute()
+    os.makedirs(directory, exist_ok=True)
+    write_checkpoint(path, payload, fingerprint=fingerprint)
+    return payload
 
 
 class CheckpointManager:

@@ -32,6 +32,9 @@ from repro.runtime.guards import AnomalyGuard, GuardAction
 from repro.runtime.retry import RetryExhaustedError, retry_call
 from repro.utils.logging import ProgressLogger
 
+#: Attempts per periodic evaluation before its failure is logged and skipped.
+EVAL_RETRY_ATTEMPTS = 2
+
 
 class TrainingAborted(RuntimeError):
     """Raised when recovery is impossible (rollback budget exhausted)."""
@@ -125,7 +128,6 @@ class TrainingSupervisor:
         logger: Optional[ProgressLogger] = None,
         max_rollbacks: int = 5,
         io_retry_attempts: int = 3,
-        eval_retry_attempts: int = 2,
         retry_sleep: Callable[[float], None] = time.sleep,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -143,7 +145,6 @@ class TrainingSupervisor:
         self.guard = guard or AnomalyGuard(logger=self.logger)
         self.max_rollbacks = max_rollbacks
         self.io_retry_attempts = io_retry_attempts
-        self.eval_retry_attempts = eval_retry_attempts
         self.retry_sleep = retry_sleep
         self.manager: Optional[CheckpointManager] = None
         if checkpoint_dir is not None:
@@ -248,7 +249,7 @@ class TrainingSupervisor:
         try:
             retry_call(
                 attempt,
-                attempts=self.eval_retry_attempts,
+                attempts=EVAL_RETRY_ATTEMPTS,
                 base_delay=0.01,
                 retry_on=(Exception,),
                 describe=f"evaluation at iteration {iteration}",

@@ -46,11 +46,11 @@ from repro.serve.fleet import (
     ReplicaLost,
     UnknownModel,
 )
+from repro.runtime.checkpoint import state_checksum
 from repro.serve.replica import (
     LatencyGrounder,
     ReplicaSpec,
     build_latency_grounder,
-    state_checksum,
 )
 from repro.serve.soak import SoakReport, preset_reference_check, run_soak
 from repro.serve.stats import ServerStats, StatsRecorder

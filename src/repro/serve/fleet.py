@@ -61,15 +61,11 @@ import numpy as np
 from repro.autograd.tensor import as_compute_array
 from repro.core.response import GroundingResponse, thaw_response
 from repro.obs import HistogramSummary, MetricsRegistry
-from repro.runtime.checkpoint import read_checkpoint
+from repro.runtime.checkpoint import read_checkpoint, state_checksum
 from repro.runtime.retry import backoff_delay
 from repro.serve.cache import VersionedCache, image_digest
 from repro.text.tokenizer import normalize_query
-from repro.serve.replica import (
-    ReplicaSpec,
-    _replica_entry,
-    state_checksum,
-)
+from repro.serve.replica import ReplicaSpec, _replica_entry
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 

@@ -21,8 +21,8 @@ replica builds its grounder, wraps it in the ordinary micro-batching
 * ``("stop",)`` — drain the engine and exit cleanly.
 
 A heartbeat thread reports queue depth and served count every
-``heartbeat_interval`` so the router can route to the least-loaded
-replica and detect hung processes.  Deterministic replica kills are
+:data:`HEARTBEAT_INTERVAL` seconds so the router can route to the
+least-loaded replica and detect hung processes.  Deterministic replica kills are
 injected through :meth:`repro.runtime.faults.FaultPlan
 .on_replica_request`: the resulting :class:`SimulatedCrash` is turned
 into ``os._exit`` — the process dies with requests in flight, exactly
@@ -31,7 +31,6 @@ like a real kill.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -40,36 +39,14 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.autograd.tensor import as_compute_array
 from repro.core.response import GroundingResponse
-from repro.runtime.checkpoint import read_checkpoint
+from repro.runtime.checkpoint import read_checkpoint, state_checksum
 from repro.runtime.faults import FaultPlan, SimulatedCrash
 from repro.serve.engine import ServeEngine
 from repro.utils.seeding import seed_everything
 
-
-# ----------------------------------------------------------------------
-# Weight checksum handshake
-# ----------------------------------------------------------------------
-def state_checksum(state: Dict[str, Any]) -> str:
-    """Content hash of a state dict, canonicalised for the handshake.
-
-    Keys are visited in sorted order and every value is hashed as its
-    bytes plus its shape, floats in the compute dtype — what a model
-    holds after loading them — so the checksum depends only on the
-    weight values the model serves.  A float64 payload hashes like the
-    float32 copy a replica loads from it, before pickling, after a pipe
-    round-trip and after a load/re-extract cycle.  Router and replica
-    both compute this: the router over the checkpoint payload it read,
-    the replica over its model's re-extracted state after loading.
-    """
-    digest = hashlib.sha256()
-    for key in sorted(state):
-        value = np.ascontiguousarray(as_compute_array(state[key]))
-        digest.update(key.encode("utf-8"))
-        digest.update(str(value.shape).encode("ascii"))
-        digest.update(value.tobytes())
-    return digest.hexdigest()
+#: Seconds between a replica's heartbeats (queue depth, served count).
+HEARTBEAT_INTERVAL = 0.05
 
 
 def apply_weights(grounder, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -156,7 +133,6 @@ class ReplicaSpec:
     model_id: str = ""
     max_batch: int = 8
     cache_size: int = 256
-    heartbeat_interval: float = 0.05
     seed: int = 0
     #: Checkpoint applied right after build (respawned replicas join the
     #: fleet at the weights of the last completed rolling reload).
@@ -186,7 +162,7 @@ def _replica_entry(spec: ReplicaSpec, replica_id: int, generation: int,
                 conn.send(message)
 
         def heartbeat_loop() -> None:
-            while not stop_beats.wait(spec.heartbeat_interval):
+            while not stop_beats.wait(HEARTBEAT_INTERVAL):
                 try:
                     send(("heartbeat", engine.queue_depth, served[0]))
                 except (BrokenPipeError, OSError):

@@ -1,5 +1,7 @@
-"""Test-suite fixtures: deterministic seeding and dtype isolation."""
+"""Test-suite fixtures: a private artifact cache, deterministic seeding
+and dtype isolation."""
 
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,6 +37,23 @@ def record_grad_children():
         yield tracked
     finally:
         Tensor._make_child = original
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _session_cache_dir(tmp_path_factory):
+    """Every cached artifact of the session goes to one temporary directory.
+
+    Set in ``os.environ`` itself, not through ``monkeypatch``, so spawned
+    dist workers and fleet replicas inherit it; the user's cache is
+    neither read nor written.
+    """
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
+    yield
+    if previous is None:
+        del os.environ["REPRO_CACHE_DIR"]
+    else:
+        os.environ["REPRO_CACHE_DIR"] = previous
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -132,6 +132,45 @@ class TestPretraining:
         a, b = cold.state_dict(), warm.state_dict()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    def test_changed_key_is_recomputed_not_loaded(self, tmp_path, monkeypatch):
+        """Steps, the pretrain schedule format and the architecture are all
+        part of a cached backbone's key."""
+        from repro.backbone import pretrain
+
+        trained = []
+        real_pretrain = pretrain.pretrain_backbone
+
+        def spy(backbone, **kwargs):
+            trained.append(kwargs["steps"])
+            return real_pretrain(backbone, **kwargs)
+
+        monkeypatch.setattr(pretrain, "pretrain_backbone", spy)
+
+        def load(steps=1):
+            return load_pretrained_backbone("tiny", steps=steps,
+                                            cache_dir=str(tmp_path))
+
+        load()
+        load()
+        assert trained == [1]
+        load(steps=2)
+        assert trained == [1, 2]
+
+        real_tiny = BACKBONE_PRESETS["tiny"]
+        monkeypatch.setitem(BACKBONE_PRESETS, "tiny", lambda: MiniResNet(
+            stem_channels=8, stage_channels=(16, 24), blocks_per_stage=(1, 1),
+            norm="none"))
+        narrowed = load()
+        assert trained == [1, 2, 1]
+        assert narrowed.state_dict()["stem.weight"].shape[0] == 8
+        monkeypatch.setitem(BACKBONE_PRESETS, "tiny", real_tiny)
+
+        real_fingerprint = pretrain.pretrain_fingerprint
+        monkeypatch.setattr(pretrain, "pretrain_fingerprint", lambda *a, **k: {
+            **real_fingerprint(*a, **k), "schedule_format": 3})
+        load()
+        assert trained == [1, 2, 1, 1]
+
     def test_cache_roundtrips_buffers(self, tmp_path):
         # BatchNorm running statistics must survive the pretrain cache.
         first = load_pretrained_backbone("tiny-bn", steps=2, cache_dir=str(tmp_path))

@@ -211,8 +211,7 @@ SMALL = ["--scale", "0.03", "--pretrain-steps", "1"]
 
 @pytest.fixture(scope="module")
 def tiny_model_file(tmp_path_factory):
-    """``train --preset tiny --out`` once: the file, the model it wrote,
-    and the backbone cache it trained against."""
+    """``train --preset tiny --out`` once: the file and the model it wrote."""
     import repro.zoo
 
     root = tmp_path_factory.mktemp("model-file")
@@ -225,11 +224,10 @@ def tiny_model_file(tmp_path_factory):
         return save(model, out, preset)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
         patch.setattr(repro.zoo, "save_yollo_model", capture)
         assert main(["train", "--preset", "tiny", "--epochs", "1", "--quiet",
                      "--eval-every", "0", "--out", path] + SMALL) == 0
-    return path, written["model"], str(root / "cache")
+    return path, written["model"]
 
 
 class TestModelFile:
@@ -244,29 +242,25 @@ class TestModelFile:
         seed_everything(0)  # the CLI's --seed default
         return build_dataset(REFCOCO.scaled(0.03))
 
-    def test_other_preset_refuses_the_file(self, tiny_model_file,
-                                           monkeypatch):
+    def test_other_preset_refuses_the_file(self, tiny_model_file):
         from repro.runtime import FingerprintMismatchError
         from repro.zoo import build_yollo_model
 
-        path, _, cache = tiny_model_file
-        monkeypatch.setenv("REPRO_CACHE_DIR", cache)
+        path, _ = tiny_model_file
         with pytest.raises(FingerprintMismatchError):
             build_yollo_model("tiny-focal", self._dataset(), model_path=path)
         with pytest.raises(FingerprintMismatchError):
             main(["evaluate", "--preset", "tiny-focal", "--model", path]
                  + SMALL)
 
-    def test_fleet_reader_reproduces_the_trained_model(self, tiny_model_file,
-                                                       monkeypatch):
+    def test_fleet_reader_reproduces_the_trained_model(self, tiny_model_file):
         from repro.autograd import set_default_dtype
         from repro.core import Grounder, responses_equal
         from repro.runtime import read_checkpoint
         from repro.serve import state_checksum
         from repro.zoo import build_model, build_yollo_model
 
-        path, trained, cache = tiny_model_file
-        monkeypatch.setenv("REPRO_CACHE_DIR", cache)
+        path, trained = tiny_model_file
         set_default_dtype(np.float32)  # the CLI trains in float32
         dataset = self._dataset()
         payload = read_checkpoint(path).payload
@@ -285,8 +279,7 @@ class TestModelFile:
 
 
 class TestEndToEnd:
-    def test_train_then_evaluate_then_ground(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_train_then_evaluate_then_ground(self, tmp_path, capsys):
         checkpoint = str(tmp_path / "model.ckpt")
         common = ["--scale", "0.03", "--preset", "tiny", "--pretrain-steps", "1"]
 
@@ -306,8 +299,7 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "red dog" in out and "box:" in out
 
-    def test_train_with_model_preset(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_train_with_model_preset(self, tmp_path, capsys):
         checkpoint = str(tmp_path / "preset.ckpt")
         code = main(["train", "--preset", "tiny-topk", "--epochs", "1",
                      "--scale", "0.03", "--pretrain-steps", "1",
@@ -331,14 +323,13 @@ class TestEndToEnd:
                      "--out", str(tmp_path / "trace.json")] + common) == 0
         assert "Hot ops" in capsys.readouterr().out
 
-    def test_dist_workers_train_the_preset(self, tmp_path, monkeypatch):
+    def test_dist_workers_train_the_preset(self):
         """``train --workers`` builds the ``--preset`` model in every
         worker, not a default architecture."""
         from repro.cli import _dist_spec
         from repro.dist import build_yollo_task
         from repro.zoo import lower_config
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         args = build_parser().parse_args(
             ["train", "--workers", "2", "--preset", "tiny-word2pix",
              "--scale", "0.03", "--pretrain-steps", "1", "--epochs", "1"])
@@ -351,12 +342,10 @@ class TestEndToEnd:
         assert task.model.config.fusion == "word2pix"
 
     @pytest.mark.dist
-    def test_heterogeneous_preset_fleet_soak(self, tmp_path, capsys,
-                                             monkeypatch):
+    def test_heterogeneous_preset_fleet_soak(self, capsys):
         """Acceptance: two presets behind one router, every response
         bit-identical to its preset's single-engine output, zero
         cross-preset cache serves."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         code = main(["serve-fleet", "--presets", "tiny,tiny-word2pix",
                      "--replicas", "2", "--requests", "16", "--rate", "200",
                      "--scale", "0.03", "--seed", "3"])
@@ -366,9 +355,7 @@ class TestEndToEnd:
         assert "model=tiny" in out and "model=tiny-word2pix" in out
         assert "0 LOST" in out
 
-    def test_experiments_single_scenario_report(self, tmp_path, capsys,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_experiments_single_scenario_report(self, capsys):
         code = main(["experiments", "--scenario", "crowded",
                      "--preset", "smoke"])
         assert code == 0
@@ -377,9 +364,7 @@ class TestEndToEnd:
         assert "query mix" in out and "no_target" in out
         assert "oracle" in out and "largest-first" in out
 
-    def test_experiments_compositional_depth_breakdown(self, tmp_path,
-                                                       capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_experiments_compositional_depth_breakdown(self, capsys):
         code = main(["experiments", "--scenario", "compositional",
                      "--preset", "smoke"])
         assert code == 0
@@ -414,11 +399,9 @@ class TestEndToEnd:
         with pytest.raises(SystemExit):
             main(["parse"])
 
-    def test_profile_train_step_writes_chrome_trace(self, tmp_path, capsys,
-                                                    monkeypatch):
+    def test_profile_train_step_writes_chrome_trace(self, tmp_path, capsys):
         import json
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = str(tmp_path / "trace.json")
         code = main(["profile", "--target", "train-step", "--scale", "0.03",
                      "--out", out])
@@ -431,8 +414,7 @@ class TestEndToEnd:
         ts = [event["ts"] for event in payload["traceEvents"]]
         assert ts and ts == sorted(ts)
 
-    def test_profile_infer_compiled_smoke(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_profile_infer_compiled_smoke(self, tmp_path, capsys):
         out = str(tmp_path / "trace.json")
         code = main(["profile", "--target", "infer", "--compiled",
                      "--requests", "2", "--scale", "0.03", "--out", out])

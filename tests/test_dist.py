@@ -220,6 +220,20 @@ def test_one_slot_distributed_yollo_run_equals_single_process():
     _assert_states_equal(single.state_dict(), task.state_dict())
 
 
+def test_one_slot_distributed_pretrain_equals_single_process():
+    """A single-process pretrain step is slot 0 of one: same renders."""
+    kwargs = dict(backbone="tiny", steps=3, batch_size=8)
+    seed_everything(0)
+    single = build_pretrain_task(**kwargs)
+    TrainingSupervisor(single).run()
+    seed_everything(0)
+    task = build_pretrain_task(**kwargs)
+    TrainingSupervisor(DistributedTrainer(
+        task, Collective(0, 1, {}), DistConfig(grad_shards=1))).run()
+    assert len(single.history["loss"]) == 3
+    _assert_states_equal(single.state_dict(), task.state_dict())
+
+
 # ----------------------------------------------------------------------
 # Spawn integration (real worker processes)
 # ----------------------------------------------------------------------

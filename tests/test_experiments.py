@@ -1,12 +1,30 @@
 """Experiment harness: presets, context caching, utils (smoke scale)."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
+from repro.core import YolloTrainer
 from repro.experiments import ExperimentContext, PRESETS, get_preset
+from repro.experiments import context as context_module
 from repro.experiments.context import DATASET_NAMES
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a cached artifact was computed again")
+
+
+def _assert_states_equal(a, b):
+    assert set(a) == set(b)
+    assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def _assert_reports_equal(a, b):
+    assert (a.acc, a.acc_at_50, a.acc_at_75, a.miou) == (
+        b.acc, b.acc_at_50, b.acc_at_75, b.miou)
+    assert np.array_equal(a.ious, b.ious)
 
 
 class TestPresets:
@@ -62,13 +80,17 @@ class TestContext:
         assert context.eval_splits("RefCOCO") == ["val", "testA", "testB"]
         assert context.eval_splits("RefCOCOg") == ["val"]
 
-    def test_yollo_trained_once_and_cached(self, context):
+    def test_yollo_trained_once_and_cached(self, context, monkeypatch):
         model_a, _, curve = context.yollo("RefCOCO")
         model_b, _, _ = context.yollo("RefCOCO")
         assert model_a is model_b
         assert curve.label == "RefCOCO"
-        cached = [f for f in os.listdir(context.cache_dir) if f.startswith("yollo-RefCOCO-main")]
-        assert cached
+        # Forgotten in memory, the model comes back from disk untrained.
+        monkeypatch.setattr(YolloTrainer, "train", _refuse)
+        context._yollo.clear()
+        model_c, _, curve_c = context.yollo("RefCOCO")
+        assert model_c is not model_a and curve_c == curve
+        _assert_states_equal(model_a.state_dict(), model_c.state_dict())
 
     def test_yollo_reloads_from_disk(self, context):
         model_a, _, _ = context.yollo("RefCOCO")
@@ -78,13 +100,66 @@ class TestContext:
         params_b = dict(model_b.named_parameters())
         assert all(np.allclose(params_a[k].data, params_b[k].data) for k in params_a)
 
-    def test_evaluate_cached_to_json(self, context):
+    def test_evaluate_report_cached(self, context, monkeypatch):
         _, grounder, _ = context.yollo("RefCOCO")
-        first = context.evaluate(grounder, "yollo-RefCOCO", "RefCOCO", "val")
-        second = context.evaluate(grounder, "yollo-RefCOCO", "RefCOCO", "val")
-        assert first.acc_at_50 == second.acc_at_50
-        path = os.path.join(context.cache_dir, "eval-yollo-RefCOCO-RefCOCO-val.json")
-        assert os.path.exists(path)
+        first = context.evaluate(grounder, "RefCOCO", "val")
+        monkeypatch.setattr(context_module, "evaluate_grounder", _refuse)
+        second = context.evaluate(grounder, "RefCOCO", "val")
+        _assert_reports_equal(first, second)
+        assert len(first.ious) == min(len(context.dataset("RefCOCO")["val"]),
+                                      context.preset.eval_limit)
+
+    def test_evaluate_rescores_perturbed_weights(self, context, monkeypatch):
+        """The report is keyed by the weights, not by a model name."""
+        model, grounder, _ = context.yollo("RefCOCO")
+        before = context.evaluate(grounder, "RefCOCO", "val")
+        original = model.state_dict()
+        scored = []
+        real = context_module.evaluate_grounder
+
+        def spy(grounder, samples):
+            scored.append(len(samples))
+            return real(grounder, samples)
+
+        monkeypatch.setattr(context_module, "evaluate_grounder", spy)
+        rng = np.random.default_rng(0)
+        try:
+            for param in model.parameters():
+                param.data += rng.normal(0, 0.5, param.data.shape).astype(param.data.dtype)
+            perturbed = context.evaluate(grounder, "RefCOCO", "val")
+            assert len(scored) == 1
+            assert not np.array_equal(perturbed.ious, before.ious)
+        finally:
+            model.load_state_dict(original)
+        _assert_reports_equal(context.evaluate(grounder, "RefCOCO", "val"), before)
+        assert len(scored) == 1
+
+    def test_second_context_trains_nothing(self, context, monkeypatch):
+        """Every artifact comes back bit-equal from a warm directory."""
+        def units(ctx):
+            model, grounder, curve = ctx.yollo("RefCOCO")
+            baseline = ctx.baseline("speaker+listener", "RefCOCO")
+            reports = [ctx.evaluate(g, "RefCOCO", "val") for g in (grounder, baseline)]
+            states = [model.state_dict()] + [
+                m.state_dict() for m in baseline.matchers.values()]
+            return states, curve, reports, ctx.word2vec_matrix()
+
+        cold = units(context)
+        monkeypatch.setattr(YolloTrainer, "train", _refuse)
+        monkeypatch.setattr(context_module, "train_listener", _refuse)
+        monkeypatch.setattr(context_module, "train_speaker", _refuse)
+        monkeypatch.setattr(context_module, "evaluate_grounder", _refuse)
+        monkeypatch.setattr(context_module.SkipGramWord2Vec, "train", _refuse)
+        from repro.backbone import pretrain
+        monkeypatch.setattr(pretrain, "pretrain_backbone", _refuse)
+        warm = units(ExperimentContext(preset=context.preset,
+                                       cache_dir=context.cache_dir, verbose=False))
+        for a, b in zip(cold[0], warm[0]):
+            _assert_states_equal(a, b)
+        assert cold[1] == warm[1]
+        for a, b in zip(cold[2], warm[2]):
+            _assert_reports_equal(a, b)
+        assert np.array_equal(cold[3], warm[3])
 
     def test_baseline_builds(self, context):
         grounder = context.baseline("listener", "RefCOCO")
@@ -138,6 +213,22 @@ class TestScenarioTables:
             assert f"{name}/oracle" in report
 
 
+class TestCacheDirectory:
+    def test_every_artifact_goes_under_cache_dir(self, tmp_path, monkeypatch):
+        """Backbones included, and only as ``<kind>-<fingerprint>.ckpt``."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        context = ExperimentContext(preset=get_preset("smoke"),
+                                    cache_dir=str(tmp_path / "context"),
+                                    verbose=False)
+        context.yollo("RefCOCO", tag="timing", epochs=0)
+        assert not (tmp_path / "default").exists()
+        names = sorted(os.listdir(tmp_path / "context"))
+        assert [name.split("-")[0] for name in names] == [
+            "backbone", "word2vec", "yollo"]
+        assert all(re.fullmatch(r"[a-z0-9]+-[0-9a-f]{16}\.ckpt", name)
+                   for name in names)
+
+
 class TestModelPresetThreading:
     """The zoo's --model-preset path through the experiment context."""
 
@@ -151,14 +242,24 @@ class TestModelPresetThreading:
         # dataset-dependent padding still applied on top of the preset
         assert config.max_query_length == context.max_query_length()
 
-    def test_preset_gets_its_own_cache_namespace(self, tmp_path):
-        plain = ExperimentContext(preset=get_preset("smoke"),
-                                  cache_dir=str(tmp_path), verbose=False)
-        zoo = ExperimentContext(preset=get_preset("smoke"),
-                                model_preset="tiny-focal",
-                                cache_dir=str(tmp_path), verbose=False)
-        assert plain.cache_dir != zoo.cache_dir
-        assert "tiny-focal" in zoo.cache_dir
+    def test_preset_gets_its_own_cache_namespace(self, context, monkeypatch):
+        """Two model presets over one directory never share trained weights."""
+        plain = ExperimentContext(preset=context.preset,
+                                  cache_dir=context.cache_dir, verbose=False)
+        plain.yollo("RefCOCO")
+        trained = []
+        real = YolloTrainer.train
+
+        def spy(trainer, **kwargs):
+            trained.append(trainer.config.backbone)
+            return real(trainer, **kwargs)
+
+        monkeypatch.setattr(YolloTrainer, "train", spy)
+        zoo = ExperimentContext(preset=context.preset, model_preset="tiny-focal",
+                                cache_dir=context.cache_dir, verbose=False)
+        model, _, _ = zoo.yollo("RefCOCO")
+        assert trained and set(trained) == {"tiny"}  # rerolls included
+        assert model.config.cls_loss == "focal"
 
     def test_unknown_model_preset_fails_fast(self, tmp_path):
         from repro.zoo import UnknownPresetError
