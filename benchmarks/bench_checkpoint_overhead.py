@@ -7,7 +7,6 @@ checkpoint seconds over the checkpoint-free run's wall time.  That
 shows whether the runtime layer stays off the hot path.
 """
 
-import os
 import shutil
 import tempfile
 

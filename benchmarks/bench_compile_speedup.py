@@ -18,7 +18,6 @@ diverging numerics would be meaningless.
 import copy
 import time
 
-import numpy as np
 import pytest
 from conftest import write_artifact
 

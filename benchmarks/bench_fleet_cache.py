@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from conftest import write_artifact
 
-from repro.data.refcoco import GroundingSample
+from repro.data.refcoco import request_sample
 from repro.runtime import CheckpointManager
 from repro.serve import (
     FleetConfig,
@@ -49,13 +49,8 @@ def _watchdog():
 
 def _make_pool(count):
     rng = spawn_rng("fleet-cache-pool")
-    return [
-        GroundingSample(image=rng.random((8, 8, 3)),
-                        query=f"cached object {i}", tokens=[],
-                        target_box=np.zeros(4), target_index=-1,
-                        scene=None, split="bench")
-        for i in range(count)
-    ]
+    return [request_sample(rng.random((8, 8, 3)), f"cached object {i}")
+            for i in range(count)]
 
 
 def test_router_cache_hit_beats_replica_round_trip(results_dir, tmp_path):

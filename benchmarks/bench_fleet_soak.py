@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from conftest import write_artifact
 
-from repro.data.refcoco import GroundingSample
+from repro.data.refcoco import request_sample
 from repro.runtime import CheckpointManager, FaultPlan
 from repro.serve import (
     FleetConfig,
@@ -57,13 +57,8 @@ def _watchdog():
 
 def _make_pool(count=8):
     rng = spawn_rng("fleet-bench-pool")
-    return [
-        GroundingSample(image=rng.random((8, 8, 3)),
-                        query=f"benchmark object {i}", tokens=[],
-                        target_box=np.zeros(4), target_index=-1,
-                        scene=None, split="bench")
-        for i in range(count)
-    ]
+    return [request_sample(rng.random((8, 8, 3)), f"benchmark object {i}")
+            for i in range(count)]
 
 
 def _spec(latency, fault_plan=None, max_batch=4):

@@ -33,7 +33,7 @@ from repro.serve import (
 )
 from repro.utils import seed_everything
 from repro.zoo import (
-    available_presets, build_model, build_preset_grounder, get_preset,
+    available_presets, build_model, build_preset_grounder,
     lower_config,
 )
 

@@ -49,7 +49,7 @@ def main() -> None:
     listener = ListenerMatcher(dataset.vocab, max_query_length=dataset.max_query_length)
     train_listener(listener, train, proposer, steps=300)
     speaker = SpeakerScorer(dataset.vocab, max_query_length=dataset.max_query_length)
-    train_speaker(speaker, train, steps=300, mmi_margin=0.1)
+    train_speaker(speaker, train, steps=300)
     two_stage = TwoStageGrounder(proposer, {"speaker": speaker, "listener": listener})
 
     print("== Training YOLLO (one-stage) ==")

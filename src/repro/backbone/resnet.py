@@ -35,19 +35,19 @@ def make_norm(kind: str, channels: int) -> Module:
 class BasicBlock(Module):
     """Two 3x3 convolutions with a residual connection.
 
-    A 1x1 projection is inserted on the skip path when the spatial or
-    channel shape changes, as in He et al. (2016).
+    A 1x1 projection is inserted on the skip path when the channel
+    count changes, as in He et al. (2016); downsampling is the stage's
+    max pool, so every block keeps stride 1.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
-                 norm: str = "group"):
+    def __init__(self, in_channels: int, out_channels: int, norm: str = "group"):
         super().__init__()
-        self.conv1 = Conv2d(in_channels, out_channels, 3, stride=stride, padding=1, bias=False)
+        self.conv1 = Conv2d(in_channels, out_channels, 3, stride=1, padding=1, bias=False)
         self.bn1 = make_norm(norm, out_channels)
         self.conv2 = Conv2d(out_channels, out_channels, 3, stride=1, padding=1, bias=False)
         self.bn2 = make_norm(norm, out_channels)
-        if stride != 1 or in_channels != out_channels:
-            self.shortcut = Conv2d(in_channels, out_channels, 1, stride=stride, bias=False)
+        if in_channels != out_channels:
+            self.shortcut = Conv2d(in_channels, out_channels, 1, stride=1, bias=False)
             self.shortcut_bn = make_norm(norm, out_channels)
         else:
             self.shortcut = None
@@ -83,7 +83,6 @@ class MiniResNet(Module):
 
     def __init__(
         self,
-        in_channels: int = 3,
         stem_channels: int = 16,
         stage_channels: Sequence[int] = (24, 32),
         blocks_per_stage: Sequence[int] = (1, 1),
@@ -92,7 +91,7 @@ class MiniResNet(Module):
         super().__init__()
         if len(stage_channels) != len(blocks_per_stage):
             raise ValueError("stage_channels and blocks_per_stage must align")
-        self.stem = Conv2d(in_channels, stem_channels, 3, stride=1, padding=1, bias=False)
+        self.stem = Conv2d(3, stem_channels, 3, stride=1, padding=1, bias=False)
         self.stem_bn = make_norm(norm, stem_channels)
         self.stem_pool = MaxPool2d(2)
 

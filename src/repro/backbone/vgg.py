@@ -22,25 +22,22 @@ class _ConvBNReLU(Module):
 class MiniVGG(Module):
     """Stacked 3x3 conv blocks with max-pool downsampling.
 
-    Each stage is ``convs_per_stage`` conv+BN+ReLU layers followed by a
-    2x2 max pool, giving the same output stride as :class:`MiniResNet`
-    with matching ``stage_channels`` length.
+    Each stage is one conv+BN+ReLU layer followed by a 2x2 max pool,
+    giving the same output stride as :class:`MiniResNet` with matching
+    ``stage_channels`` length.
     """
 
     def __init__(
         self,
-        in_channels: int = 3,
         stage_channels: Sequence[int] = (16, 24, 32),
-        convs_per_stage: int = 1,
         norm: str = "group",
     ):
         super().__init__()
         layers = []
-        channels = in_channels
+        channels = 3
         for stage_width in stage_channels:
-            for _ in range(convs_per_stage):
-                layers.append(_ConvBNReLU(channels, stage_width, norm=norm))
-                channels = stage_width
+            layers.append(_ConvBNReLU(channels, stage_width, norm=norm))
+            channels = stage_width
             layers.append(MaxPool2d(2))
         self.features = Sequential(*layers)
         self.out_channels = channels

@@ -350,16 +350,11 @@ def cmd_serve_fleet(args) -> int:
             seed=args.seed, fault_plan=fault_plan,
         )
     elif args.simulated:
-        from repro.data.refcoco import GroundingSample
+        from repro.data.refcoco import request_sample
 
         rng = spawn_rng("serve-fleet-pool")
-        pool = [
-            GroundingSample(image=rng.random((8, 8, 3)),
-                            query=f"synthetic object {i}", tokens=[],
-                            target_box=np.zeros(4), target_index=-1,
-                            scene=None, split="serve")
-            for i in range(16)
-        ]
+        pool = [request_sample(rng.random((8, 8, 3)), f"synthetic object {i}")
+                for i in range(16)]
         spec = ReplicaSpec(
             builder=build_latency_grounder,
             builder_kwargs={"latency": args.latency},

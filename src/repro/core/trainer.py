@@ -48,6 +48,8 @@ from repro.utils.seeding import spawn_rng
 
 #: Global gradient-norm bound applied before every optimiser update.
 GRAD_CLIP = 5.0
+#: Split the periodic evaluations score.
+EVAL_SPLIT = "val"
 
 
 @dataclass
@@ -153,7 +155,6 @@ class YolloTrainer:
         epochs: Optional[int] = None,
         iterations: Optional[int] = None,
         eval_every: int = 0,
-        eval_split: str = "val",
         eval_samples: int = 32,
         keep_best: bool = False,
     ) -> "YolloTrainer":
@@ -181,7 +182,7 @@ class YolloTrainer:
         self.iteration = 0
         self.eval_every = eval_every
         self._eval_subset = (
-            list(self.dataset[eval_split][:eval_samples]) if eval_every else []
+            list(self.dataset[EVAL_SPLIT][:eval_samples]) if eval_every else []
         )
         self._pending = None
         self._keep_best = keep_best
@@ -196,7 +197,6 @@ class YolloTrainer:
         self,
         epochs: Optional[int] = None,
         eval_every: int = 0,
-        eval_split: str = "val",
         eval_samples: int = 32,
         keep_best: bool = False,
     ) -> TrainingHistory:
@@ -210,8 +210,7 @@ class YolloTrainer:
         of applying it.
         """
         self.begin_run(epochs=epochs, eval_every=eval_every,
-                       eval_split=eval_split, eval_samples=eval_samples,
-                       keep_best=keep_best)
+                       eval_samples=eval_samples, keep_best=keep_best)
         TrainingSupervisor(self, logger=self.logger).run()
         return self.history
 

@@ -17,6 +17,9 @@ from repro.detection import clip_boxes, decode_offsets, nms
 from repro.nn import Module
 from repro.obs import trace_span
 
+#: IoU above which a lower-scored decoded box is suppressed when ranking.
+NMS_IOU = 0.6
+
 
 @dataclass
 class YolloOutput:
@@ -210,8 +213,8 @@ class YolloModel(Module):
         return probs, offsets, last_mask
 
     def _rank_sample(self, anchors: np.ndarray, probs: np.ndarray,
-                     offsets: np.ndarray, top_k: int, nms_iou: float):
-        """NMS-ranked decode of one sample's in-bounds anchors.
+                     offsets: np.ndarray, top_k: int):
+        """NMS-ranked decode (at :data:`NMS_IOU`) of one sample's in-bounds anchors.
 
         Returns ``(boxes, scores, anchor_indices)`` best-first; the
         indices address the full anchor grid.  Every in-bounds anchor is
@@ -225,7 +228,7 @@ class YolloModel(Module):
             self.config.image_height, self.config.image_width,
         )
         scores = probs[valid]
-        keep = nms(boxes, scores, iou_threshold=nms_iou, max_keep=top_k)
+        keep = nms(boxes, scores, iou_threshold=NMS_IOU, max_keep=top_k)
         return boxes[keep], scores[keep], np.flatnonzero(valid)[keep]
 
     def predict(self, images: np.ndarray, token_ids: np.ndarray,
@@ -245,7 +248,7 @@ class YolloModel(Module):
         predictions: List[GroundingPrediction] = []
         for b in range(probs.shape[0]):
             boxes, scores, indices = self._rank_sample(
-                anchors, probs[b], offsets[b], top_k=1, nms_iou=0.6)
+                anchors, probs[b], offsets[b], top_k=1)
             predictions.append(
                 GroundingPrediction(
                     box=boxes[0],
@@ -260,13 +263,12 @@ class YolloModel(Module):
                        token_mask: Optional[np.ndarray] = None,
                        top_k: int = 5,
                        not_found_threshold: float = 0.0,
-                       nms_iou: float = 0.6,
                        clause_masks: Optional[np.ndarray] = None,
                        ) -> List[GroundingResponse]:
         """Decode a ranked answer list per sample (the scenario protocol).
 
         Every in-bounds anchor is decoded, greedily NMS-suppressed at
-        ``nms_iou``, and the ``top_k`` survivors are returned best-first
+        :data:`NMS_IOU`, and the ``top_k`` survivors are returned best-first
         with their target probabilities.  ``not_found`` is declared when
         no survivor clears ``not_found_threshold`` — the calibrated
         decision crowded-scene no-target queries require (a top-1 argmax
@@ -281,7 +283,7 @@ class YolloModel(Module):
         responses: List[GroundingResponse] = []
         for b in range(probs.shape[0]):
             boxes, scores, _ = self._rank_sample(
-                anchors, probs[b], offsets[b], top_k, nms_iou)
+                anchors, probs[b], offsets[b], top_k)
             responses.append(GroundingResponse(
                 boxes=boxes,
                 scores=scores,

@@ -29,6 +29,7 @@ from repro.data.refcoco import (
     REFCOCOG,
     build_dataset,
     dataset_statistics,
+    request_sample,
 )
 from repro.data.loader import encode_batch
 
@@ -47,6 +48,7 @@ __all__ = [
     "DatasetSpec",
     "GroundingSample",
     "GroundingDataset",
+    "request_sample",
     "build_dataset",
     "dataset_statistics",
     "REFCOCO",

@@ -87,6 +87,19 @@ class GroundingSample:
     split: str
 
 
+def request_sample(image: np.ndarray, query: str) -> GroundingSample:
+    """A sample carrying only a request (no scene or target box)."""
+    return GroundingSample(
+        image=image,
+        query=query,
+        tokens=tokenize(query),
+        target_box=np.zeros(4),
+        target_index=-1,
+        scene=None,
+        split="serve",
+    )
+
+
 class GroundingDataset:
     """A built dataset: samples per split plus a shared vocabulary."""
 

@@ -17,6 +17,9 @@ from repro.autograd import get_default_dtype
 from repro.data.scenes import COLOR_VALUES, Scene, SceneObject
 from repro.utils.seeding import spawn_rng
 
+#: Standard deviation of the Gaussian sensor noise on every render.
+NOISE_STD = 0.02
+
 
 def _normalized_grid(height: int, width: int):
     """Coordinate grids in [-1, 1] spanning the glyph's bounding box."""
@@ -116,16 +119,16 @@ def render_object(canvas: np.ndarray, obj: SceneObject) -> None:
     region[:, glyph] = color[:, None]
 
 
-def render_scene(scene: Scene, noise_std: float = 0.02,
-                 rng: np.random.Generator = None) -> np.ndarray:
+def render_scene(scene: Scene, rng: np.random.Generator = None) -> np.ndarray:
     """Render a scene to a ``(3, H, W)`` image in ``[0, 1]``.
 
     The background is a dim horizontal gradient (so absolute position is
     weakly visible to the CNN, as in natural photographs) plus Gaussian
-    sensor noise.  The scene is painted, noised and clipped in place on
-    one float64 canvas, and only the result is rounded to the compute
-    dtype: each pixel is the rounding of the float64 pixel, and no
-    float64 temporary outlives the call.
+    sensor noise of standard deviation :data:`NOISE_STD`.  The scene is
+    painted, noised and clipped in place on one float64 canvas, and only
+    the result is rounded to the compute dtype: each pixel is the
+    rounding of the float64 pixel, and no float64 temporary outlives the
+    call.
     """
     rng = rng if rng is not None else spawn_rng("render")
     canvas = np.zeros((3, scene.height, scene.width))
@@ -133,7 +136,7 @@ def render_scene(scene: Scene, noise_std: float = 0.02,
     canvas += gradient
     for obj in scene.objects:
         render_object(canvas, obj)
-    if noise_std > 0:
-        canvas += rng.normal(0.0, noise_std, size=canvas.shape)
+    if NOISE_STD > 0:
+        canvas += rng.normal(0.0, NOISE_STD, size=canvas.shape)
     np.clip(canvas, 0.0, 1.0, out=canvas)
     return canvas.astype(get_default_dtype())

@@ -19,6 +19,8 @@ from repro.detection.boxes import iou_matrix
 from repro.utils.seeding import spawn_rng
 
 PERSON_CATEGORY = "person"
+#: Rejection-sampling budget for placing one object without overlap.
+MAX_PLACE_ATTEMPTS = 60
 
 #: Object categories; each maps to a distinct rendered glyph.
 CATEGORIES: Tuple[str, ...] = (
@@ -125,8 +127,8 @@ class SceneGenerator:
         When True (required for the RefCOCO+ flavour) same-category
         instances always receive pairwise distinct colours so appearance
         alone can disambiguate.
-    max_place_attempts:
-        Rejection-sampling budget for non-overlapping placement.
+
+    Placement tries at most :data:`MAX_PLACE_ATTEMPTS` boxes per object.
     """
 
     def __init__(
@@ -138,7 +140,6 @@ class SceneGenerator:
         min_size: int = 10,
         max_size: int = 26,
         max_overlap_iou: float = 0.08,
-        max_place_attempts: int = 60,
         rng: Optional[np.random.Generator] = None,
     ):
         if height < 4 * min_size // 2 or width < 4 * min_size // 2:
@@ -150,7 +151,6 @@ class SceneGenerator:
         self.min_size = min_size
         self.max_size = max_size
         self.max_overlap_iou = max_overlap_iou
-        self.max_place_attempts = max_place_attempts
         self._rng = rng if rng is not None else spawn_rng("scene-generator")
 
     # ------------------------------------------------------------------
@@ -214,7 +214,7 @@ class SceneGenerator:
     def _place_object(self, scene: Scene, category: str,
                       rng: np.random.Generator) -> Optional[SceneObject]:
         existing = scene.boxes()
-        for _ in range(self.max_place_attempts):
+        for _ in range(MAX_PLACE_ATTEMPTS):
             box = self._sample_box(rng)
             if len(existing) and iou_matrix(box[None], existing).max() > self.max_overlap_iou:
                 continue

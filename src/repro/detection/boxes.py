@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 _EPS = 1e-8
+#: Clamp on the log width/height offsets :func:`decode_offsets` applies.
+MAX_LOG_WH = 4.0
 
 
 def box_area(boxes: np.ndarray) -> np.ndarray:
@@ -85,16 +87,16 @@ def encode_offsets(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.stack([tx, ty, tw, th], axis=-1)
 
 
-def decode_offsets(anchors: np.ndarray, offsets: np.ndarray, max_log_wh: float = 4.0) -> np.ndarray:
+def decode_offsets(anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Apply predicted offsets to anchors, inverting :func:`encode_offsets`.
 
-    ``max_log_wh`` clamps the exponent so early-training garbage cannot
-    overflow to astronomically large boxes.
+    :data:`MAX_LOG_WH` clamps the exponent so early-training garbage
+    cannot overflow to astronomically large boxes.
     """
     anchor_c = boxes_to_cxcywh(anchors)
     offsets = np.asarray(offsets, dtype=np.float64)
     cx = anchor_c[..., 0] + offsets[..., 0] * anchor_c[..., 2]
     cy = anchor_c[..., 1] + offsets[..., 1] * anchor_c[..., 3]
-    w = anchor_c[..., 2] * np.exp(np.clip(offsets[..., 2], -max_log_wh, max_log_wh))
-    h = anchor_c[..., 3] * np.exp(np.clip(offsets[..., 3], -max_log_wh, max_log_wh))
+    w = anchor_c[..., 2] * np.exp(np.clip(offsets[..., 2], -MAX_LOG_WH, MAX_LOG_WH))
+    h = anchor_c[..., 3] * np.exp(np.clip(offsets[..., 3], -MAX_LOG_WH, MAX_LOG_WH))
     return cxcywh_to_boxes(np.stack([cx, cy, w, h], axis=-1))

@@ -9,6 +9,14 @@ import numpy as np
 
 from repro.detection.boxes import boxes_to_cxcywh, encode_offsets, iou_matrix
 
+#: Whether :class:`AnchorMatcher` forces the best-IoU anchor positive
+#: when no anchor clears ``rho_high``.
+FORCE_MATCH = True
+#: Positives per target of :class:`UniformTopKMatcher`.
+TOPK = 4
+#: IoU at or above which a non-selected anchor is ignored, not negative.
+IGNORE_THRESHOLD = 0.7
+
 
 @dataclass
 class MatchResult:
@@ -43,17 +51,16 @@ class AnchorMatcher:
     Anchors with IoU >= ``rho_high`` become positives; anchors with
     IoU < ``rho_low`` become negatives; the band in between is ignored.
     If no anchor clears ``rho_high``, the best-IoU anchor is forced
-    positive so every sample has at least one positive (standard RPN
-    practice, required because the target is a single box).
+    positive (:data:`FORCE_MATCH`) so every sample has at least one
+    positive (standard RPN practice, required because the target is a
+    single box).
     """
 
-    def __init__(self, rho_high: float = 0.5, rho_low: float = 0.25,
-                 force_match: bool = True):
+    def __init__(self, rho_high: float = 0.5, rho_low: float = 0.25):
         if not 0.0 <= rho_low <= rho_high <= 1.0:
             raise ValueError(f"invalid thresholds: rho_low={rho_low}, rho_high={rho_high}")
         self.rho_high = rho_high
         self.rho_low = rho_low
-        self.force_match = force_match
 
     def match(self, anchors: np.ndarray, target_box: np.ndarray) -> MatchResult:
         """Produce labels and regression targets for one ground-truth box."""
@@ -66,7 +73,7 @@ class AnchorMatcher:
         labels = np.full(ious.shape, -1, dtype=np.int64)
         labels[ious < self.rho_low] = 0
         labels[ious >= self.rho_high] = 1
-        if self.force_match:
+        if FORCE_MATCH:
             unmatched = np.flatnonzero(~(labels == 1).any(axis=1))
             labels[unmatched, ious[unmatched].argmax(axis=1)] = 1
         return _results(labels, anchors, targets, ious)
@@ -76,27 +83,18 @@ class UniformTopKMatcher:
     """YOLOF-style uniform matching for the single-target grounding case.
 
     Instead of thresholding IoU (which hands large objects many positives
-    and small objects almost none), the ``k`` anchors whose centers lie
-    closest to the target's center become the positives — *exactly* ``k``
-    per target, uniformly across object scales.  Everything else is
-    negative, except non-selected anchors whose IoU with the target is at
-    least ``ignore_threshold``: those are close enough that pushing them
-    to background would fight the regression head, so they are ignored
+    and small objects almost none), the :data:`TOPK` anchors whose centers
+    lie closest to the target's center become the positives — *exactly*
+    that many per target, uniformly across object scales.  Everything else
+    is negative, except non-selected anchors whose IoU with the target is
+    at least :data:`IGNORE_THRESHOLD`: those are close enough that pushing
+    them to background would fight the regression head, so they are ignored
     (label ``-1``), mirroring the reference implementation's
     ``ignore_thresh`` band.
 
     Ties in center distance are broken by anchor index (``argsort`` is
     stable over the lexicographic key), so matching is deterministic.
     """
-
-    def __init__(self, topk: int = 4, ignore_threshold: float = 0.7):
-        if topk < 1:
-            raise ValueError(f"topk must be at least 1, got {topk}")
-        if not 0.0 <= ignore_threshold <= 1.0:
-            raise ValueError(
-                f"ignore_threshold must be in [0, 1], got {ignore_threshold}")
-        self.topk = topk
-        self.ignore_threshold = ignore_threshold
 
     def match(self, anchors: np.ndarray, target_box: np.ndarray) -> MatchResult:
         """Produce labels and regression targets for one ground-truth box."""
@@ -111,10 +109,10 @@ class UniformTopKMatcher:
         target_centers = boxes_to_cxcywh(targets)[:, None, :2]
         distances = np.abs(anchor_centers - target_centers).sum(axis=-1)
 
-        k = min(self.topk, len(anchors))
+        k = min(TOPK, len(anchors))
         selected = np.argsort(distances, axis=1, kind="stable")[:, :k]
         labels = np.zeros(ious.shape, dtype=np.int64)
-        labels[ious >= self.ignore_threshold] = -1
+        labels[ious >= IGNORE_THRESHOLD] = -1
         labels[np.arange(len(targets))[:, None], selected] = 1
         return _results(labels, anchors, targets, ious)
 

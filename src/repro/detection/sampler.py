@@ -7,22 +7,22 @@ import numpy as np
 from repro.detection.matcher import MatchResult
 from repro.utils.seeding import get_rng
 
+#: Largest share of a sampled minibatch that may be positives.
+POSITIVE_FRACTION = 0.5
+
 
 class BalancedSampler:
     """Sample a fixed-size minibatch of anchors for the detection losses.
 
-    Up to ``positive_fraction * batch_size`` positives are drawn; the
+    Up to ``POSITIVE_FRACTION * batch_size`` positives are drawn; the
     remainder is filled with negatives.  Returns flat anchor indices and
     matching 0/1 labels.
     """
 
-    def __init__(self, batch_size: int = 256, positive_fraction: float = 0.5):
+    def __init__(self, batch_size: int = 256):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if not 0.0 < positive_fraction <= 1.0:
-            raise ValueError("positive_fraction must be in (0, 1]")
         self.batch_size = batch_size
-        self.positive_fraction = positive_fraction
 
     def sample(self, match: MatchResult, rng: np.random.Generator = None):
         """Return ``(indices, labels)`` arrays for one sample's anchors."""
@@ -30,7 +30,7 @@ class BalancedSampler:
         positives = match.positive_indices
         negatives = match.negative_indices
 
-        max_pos = int(round(self.batch_size * self.positive_fraction))
+        max_pos = int(round(self.batch_size * POSITIVE_FRACTION))
         if len(positives) > max_pos:
             positives = rng.choice(positives, size=max_pos, replace=False)
         num_neg = min(self.batch_size - len(positives), len(negatives))

@@ -90,15 +90,12 @@ def flatten_tensors(
     return flat, manifest
 
 
-def unflatten_tensors(
-    flat: np.ndarray, manifest: TensorManifest, copy: bool = False
-) -> List[np.ndarray]:
+def unflatten_tensors(flat: np.ndarray, manifest: TensorManifest) -> List[np.ndarray]:
     """Recover per-tensor arrays from a flat buffer.
 
-    With ``copy=False`` each returned array is a reshaped *view* of the
-    buffer whenever its dtype matches the buffer's dtype — mutating the
-    buffer in place (e.g. gradient clipping) is then visible through
-    every view.
+    Each returned array is a reshaped *view* of the buffer whenever its
+    dtype matches the buffer's dtype — mutating the buffer in place
+    (e.g. gradient clipping) is then visible through every view.
     """
     manifest.validate(flat)
     out: List[np.ndarray] = []
@@ -108,7 +105,5 @@ def unflatten_tensors(
         chunk = flat[offset:offset + size].reshape(shape)
         if str(chunk.dtype) != dtype:
             chunk = chunk.astype(dtype)
-        elif copy:
-            chunk = chunk.copy()
         out.append(chunk)
     return out

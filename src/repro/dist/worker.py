@@ -42,6 +42,11 @@ from repro.runtime.retry import RetryExhaustedError, retry_call
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import seed_everything, spawn_rng
 
+#: Relaunches after a failed generation before the run is given up.
+MAX_REBUILDS = 2
+#: Seconds between the controller's polls of the workers' report pipes.
+POLL_INTERVAL = 0.05
+
 
 class WorkerGroupError(RuntimeError):
     """The group could not complete the run (rebuild budget exhausted)."""
@@ -70,7 +75,6 @@ class WorkerSpec:
     seed: int = 0
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 0
-    keep: int = 3
     resume: bool = False
     fault_plan: Optional[FaultPlan] = None
     fault_rank: Optional[int] = None
@@ -132,7 +136,7 @@ def _worker_entry(spec: WorkerSpec, rank: int, world_size: int,
             )
 
             manager = CheckpointManager(
-                spec.checkpoint_dir, keep=spec.keep,
+                spec.checkpoint_dir,
                 fingerprint=config_fingerprint(trainer.fingerprint_data()),
                 logger=logger,
             )
@@ -152,7 +156,6 @@ def _worker_entry(spec: WorkerSpec, rank: int, world_size: int,
             trainer,
             checkpoint_dir=spec.checkpoint_dir if rank == 0 else None,
             checkpoint_every=spec.checkpoint_every if rank == 0 else 0,
-            keep=spec.keep,
             resume=False,  # handled collectively above
             fault_plan=fault_plan,
             logger=logger,
@@ -217,14 +220,11 @@ class WorkerGroup:
     """Launch and supervise one data-parallel worker fleet."""
 
     def __init__(self, spec: WorkerSpec, world_size: int,
-                 max_rebuilds: int = 2, poll_interval: float = 0.05,
                  logger: Optional[ProgressLogger] = None):
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.spec = spec
         self.world_size = world_size
-        self.max_rebuilds = max_rebuilds
-        self.poll_interval = poll_interval
         self.logger = logger or ProgressLogger("dist-group", enabled=False)
         self._ctx = multiprocessing.get_context("spawn")
 
@@ -268,7 +268,7 @@ class WorkerGroup:
         try:
             report = retry_call(
                 attempt,
-                attempts=self.max_rebuilds + 1,
+                attempts=MAX_REBUILDS + 1,
                 base_delay=0.1,
                 retry_on=(_GenerationFailed,),
                 describe="distributed worker group",
@@ -356,7 +356,7 @@ class WorkerGroup:
                         )
                         pending.discard(rank)
                 if not progressed:
-                    time.sleep(self.poll_interval)
+                    time.sleep(POLL_INTERVAL)
         finally:
             deadline = time.time() + 10.0
             for rank, process in processes.items():

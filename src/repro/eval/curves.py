@@ -5,6 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+#: Share of the best value at which a curve counts as converged.
+CONVERGENCE_FRACTION = 0.95
+#: Columns and rows of :meth:`TrainingCurve.render_ascii` plots.
+PLOT_WIDTH, PLOT_HEIGHT = 60, 12
+
 
 @dataclass
 class TrainingCurve:
@@ -25,14 +30,14 @@ class TrainingCurve:
     def best(self) -> float:
         return max(self.values) if self.values else 0.0
 
-    def convergence_iteration(self, fraction: float = 0.95) -> int:
-        """First iteration reaching ``fraction`` of the best value.
+    def convergence_iteration(self) -> int:
+        """First iteration reaching :data:`CONVERGENCE_FRACTION` of the best value.
 
         Quantifies the paper's "converges within 5000 iterations" claim.
         """
         if not self.values:
             return 0
-        target = self.best() * fraction
+        target = self.best() * CONVERGENCE_FRACTION
         for iteration, value in zip(self.iterations, self.values):
             if value >= target:
                 return iteration
@@ -41,15 +46,15 @@ class TrainingCurve:
     def as_series(self) -> List[Tuple[int, float]]:
         return list(zip(self.iterations, self.values))
 
-    def render_ascii(self, width: int = 60, height: int = 12) -> str:
+    def render_ascii(self) -> str:
         """Plot the curve as ASCII art for terminal reports."""
         if not self.values:
             return f"{self.label}: (empty)"
         vmax = max(self.values) or 1.0
-        rows = [[" "] * width for _ in range(height)]
+        rows = [[" "] * PLOT_WIDTH for _ in range(PLOT_HEIGHT)]
         for i, value in enumerate(self.values):
-            col = int(i / max(1, len(self.values) - 1) * (width - 1))
-            row = height - 1 - int(value / vmax * (height - 1))
+            col = int(i / max(1, len(self.values) - 1) * (PLOT_WIDTH - 1))
+            row = PLOT_HEIGHT - 1 - int(value / vmax * (PLOT_HEIGHT - 1))
             rows[row][col] = "*"
         lines = ["".join(r) for r in rows]
         header = f"{self.label} (max={vmax:.3f}, final={self.final():.3f})"

@@ -18,6 +18,12 @@ from repro.core.response import GroundingResponse
 from repro.data.refcoco import GroundingSample
 from repro.detection import box_area, iou_matrix
 
+#: Samples per grounder call in :func:`evaluate_grounder`.
+EVAL_BATCH_SIZE = 32
+#: The ``k`` and IoU threshold of :func:`recall_by_clause_depth`'s recall@k.
+DEPTH_RECALL_K = 1
+DEPTH_RECALL_IOU = 0.5
+
 #: The IoU thresholds of the COCO-style ACC metric (0.5:0.05:0.95).
 SWEEP_THRESHOLDS = tuple(np.arange(0.5, 0.96, 0.05).round(2))
 
@@ -84,12 +90,12 @@ class MetricReport:
         }
 
 
-def evaluate_grounder(grounder: GrounderFn, samples: Sequence[GroundingSample],
-                      batch_size: int = 32) -> MetricReport:
+def evaluate_grounder(grounder: GrounderFn,
+                      samples: Sequence[GroundingSample]) -> MetricReport:
     """Run a grounder over samples and score each response's top box."""
     predicted: List[np.ndarray] = []
-    for start in range(0, len(samples), batch_size):
-        chunk = list(samples[start : start + batch_size])
+    for start in range(0, len(samples), EVAL_BATCH_SIZE):
+        chunk = list(samples[start : start + EVAL_BATCH_SIZE])
         predicted.extend(response.top_box for response in grounder(chunk))
     targets = np.stack([s.target_box for s in samples]) if samples else np.empty((0, 4))
     ious = pairwise_ious(np.array(predicted).reshape(-1, 4), targets)
@@ -152,11 +158,9 @@ def group_by_clause_depth(queries: Sequence[str]) -> Dict[int, List[int]]:
 
 def recall_by_clause_depth(ranked_boxes: Sequence[np.ndarray],
                            target_boxes: Sequence[np.ndarray],
-                           queries: Sequence[str],
-                           k: int = 1,
-                           iou_threshold: float = 0.5,
-                           ) -> Dict[int, float]:
-    """Per-clause-depth recall@k — the Table 2b depth breakdown.
+                           queries: Sequence[str]) -> Dict[int, float]:
+    """Per-clause-depth recall@k (:data:`DEPTH_RECALL_K`) — the Table 2b
+    depth breakdown.
 
     Groups queries by parse depth and scores each group with
     :func:`recall_at_k`; a query's grounding difficulty should grow
@@ -168,7 +172,7 @@ def recall_by_clause_depth(ranked_boxes: Sequence[np.ndarray],
     return {
         depth: recall_at_k([ranked_boxes[i] for i in indices],
                            [target_boxes[i] for i in indices],
-                           k=k, iou_threshold=iou_threshold)
+                           k=DEPTH_RECALL_K, iou_threshold=DEPTH_RECALL_IOU)
         for depth, indices in group_by_clause_depth(queries).items()
     }
 

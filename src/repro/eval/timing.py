@@ -24,6 +24,8 @@ from repro.obs.profiler import SpanTotals, collect_spans
 
 #: Span names whose time counts as "model time" for a timed call.
 MODEL_SPANS = ("yollo.forward", "twostage.match")
+#: Untimed calls :func:`time_grounder` makes before it starts timing.
+TIMING_WARMUP = 2
 
 
 @dataclass
@@ -48,7 +50,6 @@ class TimingReport:
 def time_grounder(
     grounder: GrounderFn,
     samples: Sequence[GroundingSample],
-    warmup: int = 2,
     proposal_timer: Optional[Callable[[GroundingSample], float]] = None,
 ) -> TimingReport:
     """Time a grounder one sample at a time.
@@ -63,7 +64,7 @@ def time_grounder(
     already part of ``latency`` and would double-count in ``total_mean``.
     """
     samples = list(samples)
-    for sample in samples[:warmup]:
+    for sample in samples[:TIMING_WARMUP]:
         grounder([sample])
 
     durations = []

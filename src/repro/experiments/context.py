@@ -12,6 +12,7 @@ retrained and re-scored; a re-run over the same directory trains nothing.
 
 from __future__ import annotations
 
+import copy
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -48,23 +49,24 @@ DATASET_NAMES = tuple(DATASET_SPECS)
 _DEGENERATE_ACC = 0.05
 #: Training attempts per (model, dataset) unit before keeping the best.
 _YOLLO_TRAIN_ATTEMPTS = 3
+#: Base seed every unit's RNG scope derives from.
+SEED = 7
 
 
 class ExperimentContext:
     """Lazily builds and caches everything the tables need."""
 
     def __init__(self, preset: Optional[ExperimentPreset] = None,
-                 cache_dir: Optional[str] = None, seed: int = 7,
+                 cache_dir: Optional[str] = None,
                  verbose: bool = True, model_preset: Optional[str] = None):
         self.preset = preset or get_preset()
         if model_preset is not None:
             get_model_preset(model_preset)  # fail fast on unknown names
         self.model_preset = model_preset
-        self.seed = seed
         self.logger = ProgressLogger("experiments", enabled=verbose)
         #: Where every cached artifact goes (``None``: the default cache).
         self.cache_dir = cache_dir
-        seed_everything(seed)
+        seed_everything(SEED)
 
         self._datasets: Dict[str, GroundingDataset] = {}
         self._scenario_datasets: Dict[str, GroundingDataset] = {}
@@ -84,12 +86,12 @@ class ExperimentContext:
         not on which benchmark process happened to train first, and not
         on whether earlier units were served from the disk cache.
         """
-        derived = zlib.crc32(f"{self.seed}:{tag}".encode("utf-8")) & 0x7FFFFFFF
+        derived = zlib.crc32(f"{SEED}:{tag}".encode("utf-8")) & 0x7FFFFFFF
         seed_everything(derived)
         try:
             yield
         finally:
-            seed_everything(self.seed)
+            seed_everything(SEED)
 
     # ------------------------------------------------------------------
     # Datasets and vocabulary
@@ -168,7 +170,7 @@ class ExperimentContext:
             self._word2vec_key = {
                 "vocab": [vocab.id_to_token(i) for i in range(len(vocab))],
                 "corpus": 400, "dim": 24, "epochs": 2,
-                "unit": [self.seed, "word2vec"]}
+                "unit": [SEED, "word2vec"]}
 
             def fit() -> Dict[str, np.ndarray]:
                 self.logger.log("pre-training word2vec embeddings")
@@ -218,9 +220,12 @@ class ExperimentContext:
             # before it, so the scope's stream goes to model init alone.
             # ``config`` is the preset lowered with these overrides; passing
             # the overrides again would collide with a ``backbone`` one.
+            # Each model fine-tunes its own copy of the pretrained backbone:
+            # a reroll attempt starts from the pretrained weights, not from
+            # the trunk the previous attempt trained.
             return YolloModel(config, len(dataset.vocab),
                               pretrained_embeddings=embeddings,
-                              backbone=backbone)
+                              backbone=copy.deepcopy(backbone))
 
         # The model the weights load into: inits inside the unit's RNG
         # scope, so its weights are a function of (seed, unit_tag) alone.
@@ -229,9 +234,11 @@ class ExperimentContext:
         key = {
             "trainer": YolloTrainer(model, dataset, config).fingerprint_data(),
             "epochs": epochs, "preset": asdict(self.preset),
-            "unit": [self.seed, f"yollo-{name}"], "shapes": _shapes(model),
+            "unit": [SEED, f"yollo-{name}"], "shapes": _shapes(model),
             "backbone": backbone_key(config.backbone, backbone, **backbone_args),
             "word2vec": self._word2vec_key,
+            # Format 1 shared one backbone module across reroll attempts.
+            "reroll_format": 2,
         }
 
         def train() -> Dict[str, object]:
@@ -320,7 +327,7 @@ class ExperimentContext:
                 lambda: SpeakerScorer(vocab, max_query_length=max_len),
                 lambda m: train_speaker(
                     m, dataset["train"], steps=self.preset.baseline_steps,
-                    mmi_margin=0.1, logger=self.logger,
+                    logger=self.logger,
                 ),
             )
         grounder = TwoStageGrounder(proposer, matchers)
@@ -332,7 +339,7 @@ class ExperimentContext:
         with self._unit_seed(unit_tag):
             matcher = build()
             key = {"dataset": dataset_name, "preset": asdict(self.preset),
-                   "unit": [self.seed, unit_tag], "shapes": _shapes(matcher)}
+                   "unit": [SEED, unit_tag], "shapes": _shapes(matcher)}
 
             def fit() -> Dict[str, np.ndarray]:
                 self.logger.log(f"training {name} baseline on {dataset_name}")
@@ -356,7 +363,7 @@ class ExperimentContext:
         # The preset fields include ``eval_limit``, the number of samples scored.
         key = {"weights": state_checksum(weights), "model": model,
                "dataset": dataset_name, "split": split,
-               "preset": asdict(self.preset), "seed": self.seed}
+               "preset": asdict(self.preset), "seed": SEED}
 
         def score() -> Dict[str, object]:
             samples = self.dataset(dataset_name)[split][: self.preset.eval_limit]

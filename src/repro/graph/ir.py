@@ -24,6 +24,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+#: Most frequent ops :meth:`Graph.summary` names.
+SUMMARY_TOP = 12
+
 
 class Slot:
     """Marker inside a call template: ``inputs[index]`` goes here."""
@@ -157,9 +160,10 @@ class Graph:
     # ------------------------------------------------------------------
     # Debugging
     # ------------------------------------------------------------------
-    def summary(self, top: int = 12) -> str:
+    def summary(self) -> str:
+        """One line: node counts and the :data:`SUMMARY_TOP` commonest ops."""
         counts = sorted(self.op_counts().items(), key=lambda kv: -kv[1])
-        ops = ", ".join(f"{op}x{n}" for op, n in counts[:top])
+        ops = ", ".join(f"{op}x{n}" for op, n in counts[:SUMMARY_TOP])
         return (
             f"graph '{self.name}': {len(self.nodes)} nodes "
             f"({len(self.inputs)} inputs, {len(self.outputs)} outputs): {ops}"

@@ -21,11 +21,11 @@ def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
     return fan_in, fan_out
 
 
-def xavier_uniform(shape, gain: float = 1.0, rng: np.random.Generator = None) -> np.ndarray:
+def xavier_uniform(shape, rng: np.random.Generator = None) -> np.ndarray:
     """Glorot uniform: suitable for tanh/sigmoid and attention projections."""
     rng = rng or get_rng()
     fan_in, fan_out = _fan_in_out(tuple(shape))
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -8,6 +8,13 @@ import numpy as np
 
 from repro.autograd import Tensor, as_tensor, get_default_dtype, log_softmax, where
 
+#: Focal loss class balance ``alpha`` (``None`` disables it) and
+#: modulation exponent ``gamma`` (0 disables it), RetinaNet's defaults.
+FOCAL_ALPHA: Optional[float] = 0.25
+FOCAL_GAMMA = 2.0
+#: Crossover between the quadratic and linear parts of :func:`smooth_l1`.
+SMOOTH_L1_BETA = 1.0
+
 
 def softmax_cross_entropy(
     logits: Tensor,
@@ -64,34 +71,31 @@ def binary_cross_entropy_with_logits(
 def sigmoid_focal_loss(
     logits: Tensor,
     targets: np.ndarray,
-    alpha: Optional[float] = 0.25,
-    gamma: float = 2.0,
     weights: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Focal loss over raw logits (RetinaNet Eq. (4), sigmoid form).
 
     Per element: ``FL = alpha_t * (1 - p_t)^gamma * BCE`` where
-    ``p_t = p`` for positives and ``1 - p`` for negatives.  The
+    ``p_t = p`` for positives and ``1 - p`` for negatives, with
+    ``alpha = FOCAL_ALPHA`` and ``gamma = FOCAL_GAMMA``.  The
     ``(1 - p_t)^gamma`` factor down-weights already-confident easy
     examples so dense negative anchors stop drowning the rare positives.
 
-    ``alpha=None`` disables the class balance factor, and ``gamma=0``
-    skips the modulation entirely, making the result *exactly*
-    :func:`binary_cross_entropy_with_logits` — the reduction-equivalence
-    anchor the loss registry's tests pin down.
+    ``FOCAL_ALPHA = None`` disables the class balance factor, and
+    ``FOCAL_GAMMA = 0`` skips the modulation entirely, making the result
+    *exactly* :func:`binary_cross_entropy_with_logits` — the
+    reduction-equivalence anchor the loss registry's tests pin down.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
     targets_arr = np.asarray(targets, dtype=get_default_dtype())
     targets_t = Tensor(targets_arr)
     per_element = _bce_elements(logits, targets_t)
-    if gamma > 0:
+    if FOCAL_GAMMA > 0:
         p = logits.sigmoid()
         # 1 - p_t == p for negatives, 1 - p for positives.
         one_minus_pt = p + targets_t * (1.0 - p * 2.0)
-        per_element = per_element * one_minus_pt ** gamma
-    if alpha is not None:
-        alpha_t = np.where(targets_arr > 0.5, alpha, 1.0 - alpha)
+        per_element = per_element * one_minus_pt ** FOCAL_GAMMA
+    if FOCAL_ALPHA is not None:
+        alpha_t = np.where(targets_arr > 0.5, FOCAL_ALPHA, 1.0 - FOCAL_ALPHA)
         per_element = per_element * Tensor(alpha_t)
     return _weighted_mean(per_element, weights)
 
@@ -99,14 +103,13 @@ def sigmoid_focal_loss(
 def smooth_l1(
     predictions: Tensor,
     targets: np.ndarray,
-    beta: float = 1.0,
 ) -> Tensor:
     """Elementwise smooth-L1 (Huber) as in Fast R-CNN Eq. (3); returns per-element losses."""
     diff = predictions - as_tensor(np.asarray(targets, dtype=get_default_dtype()))
     abs_diff = diff.abs()
-    quadratic = (diff * diff) * (0.5 / beta)
-    linear = abs_diff - 0.5 * beta
-    return where(abs_diff.data < beta, quadratic, linear)
+    quadratic = (diff * diff) * (0.5 / SMOOTH_L1_BETA)
+    linear = abs_diff - 0.5 * SMOOTH_L1_BETA
+    return where(abs_diff.data < SMOOTH_L1_BETA, quadratic, linear)
 
 
 def margin_ranking_loss(positive: Tensor, negative: Tensor, margin: float = 0.1) -> Tensor:

@@ -25,8 +25,8 @@ class StateDictShapeError(ValueError):
 class Parameter(Tensor):
     """A tensor registered as a trainable weight of a :class:`Module`."""
 
-    def __init__(self, data, name: str = ""):
-        super().__init__(np.asarray(data, dtype=get_default_dtype()), requires_grad=True, name=name)
+    def __init__(self, data):
+        super().__init__(np.asarray(data, dtype=get_default_dtype()), requires_grad=True)
 
 
 class Module:

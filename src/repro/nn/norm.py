@@ -7,6 +7,14 @@ import numpy as np
 from repro.autograd import Tensor
 from repro.nn.module import Module, Parameter
 
+#: Added to the variance before its root in every normalisation layer.
+EPS = 1e-5
+#: Weight of each new batch in :class:`BatchNorm2d`'s running statistics.
+BATCH_NORM_MOMENTUM = 0.1
+#: Channel groups of :class:`GroupNorm2d` (one group when the channel
+#: count is not a multiple).
+NUM_GROUPS = 4
+
 
 class BatchNorm2d(Module):
     """Batch normalisation over NCHW activations.
@@ -18,11 +26,9 @@ class BatchNorm2d(Module):
     eval-mode predictions bit-exactly.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
         self.weight = Parameter(np.ones(num_features))
         self.bias = Parameter(np.zeros(num_features))
         self.register_buffer("running_mean", np.zeros(num_features))
@@ -35,17 +41,17 @@ class BatchNorm2d(Module):
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)
             self.running_mean = (
-                (1 - self.momentum) * self.running_mean
-                + self.momentum * mean.data.reshape(-1)
+                (1 - BATCH_NORM_MOMENTUM) * self.running_mean
+                + BATCH_NORM_MOMENTUM * mean.data.reshape(-1)
             )
             self.running_var = (
-                (1 - self.momentum) * self.running_var
-                + self.momentum * var.data.reshape(-1)
+                (1 - BATCH_NORM_MOMENTUM) * self.running_var
+                + BATCH_NORM_MOMENTUM * var.data.reshape(-1)
             )
         else:
             mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
             var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-        normalised = (x - mean) / (var + self.eps) ** 0.5
+        normalised = (x - mean) / (var + EPS) ** 0.5
         scale = self.weight.reshape(1, -1, 1, 1)
         shift = self.bias.reshape(1, -1, 1, 1)
         return normalised * scale + shift
@@ -59,13 +65,10 @@ class GroupNorm2d(Module):
     here because grounding inference runs with batch size 1.
     """
 
-    def __init__(self, num_features: int, num_groups: int = 4, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         super().__init__()
-        if num_features % num_groups != 0:
-            num_groups = 1
         self.num_features = num_features
-        self.num_groups = num_groups
-        self.eps = eps
+        self.num_groups = NUM_GROUPS if num_features % NUM_GROUPS == 0 else 1
         self.weight = Parameter(np.ones(num_features))
         self.bias = Parameter(np.zeros(num_features))
 
@@ -76,7 +79,7 @@ class GroupNorm2d(Module):
         grouped = x.reshape(batch, self.num_groups, channels // self.num_groups, height, width)
         mean = grouped.mean(axis=(2, 3, 4), keepdims=True)
         var = grouped.var(axis=(2, 3, 4), keepdims=True)
-        normalised = (grouped - mean) / (var + self.eps) ** 0.5
+        normalised = (grouped - mean) / (var + EPS) ** 0.5
         normalised = normalised.reshape(batch, channels, height, width)
         scale = self.weight.reshape(1, -1, 1, 1)
         shift = self.bias.reshape(1, -1, 1, 1)
@@ -86,15 +89,14 @@ class GroupNorm2d(Module):
 class LayerNorm(Module):
     """Layer normalisation over the last dimension (per-position)."""
 
-    def __init__(self, normalized_shape: int, eps: float = 1e-5):
+    def __init__(self, normalized_shape: int):
         super().__init__()
         self.normalized_shape = normalized_shape
-        self.eps = eps
         self.weight = Parameter(np.ones(normalized_shape))
         self.bias = Parameter(np.zeros(normalized_shape))
 
     def forward(self, x: Tensor) -> Tensor:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        normalised = (x - mean) / (var + self.eps) ** 0.5
+        normalised = (x - mean) / (var + EPS) ** 0.5
         return normalised * self.weight + self.bias

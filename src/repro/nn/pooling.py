@@ -7,15 +7,14 @@ from repro.nn.module import Module
 
 
 class MaxPool2d(Module):
-    """Max pooling over NCHW input."""
+    """Max pooling over NCHW input in non-overlapping windows."""
 
-    def __init__(self, kernel_size: int, stride: int = None):
+    def __init__(self, kernel_size: int):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel_size, self.stride)
+        return max_pool2d(x, self.kernel_size, self.kernel_size)
 
 
 class GlobalAvgPool2d(Module):

@@ -1,11 +1,9 @@
-"""Gradient-descent optimisers and a learning-rate schedule."""
+"""The Adam optimiser and a learning-rate schedule."""
 
-from repro.optim.optimizers import SGD, Adam, Optimizer, clip_grad_norm
+from repro.optim.optimizers import Adam, clip_grad_norm
 from repro.optim.schedulers import WarmupCosineLR
 
 __all__ = [
-    "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "WarmupCosineLR",

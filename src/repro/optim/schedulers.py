@@ -1,11 +1,11 @@
-"""Learning-rate schedule driving :class:`repro.optim.Optimizer` objects."""
+"""Learning-rate schedule driving a :class:`repro.optim.Adam` optimiser."""
 
 from __future__ import annotations
 
 import math
 from typing import Dict
 
-from repro.optim.optimizers import Optimizer
+from repro.optim.optimizers import Adam
 
 
 class WarmupCosineLR:
@@ -15,7 +15,7 @@ class WarmupCosineLR:
     optimiser's learning rate for that step.
     """
 
-    def __init__(self, optimizer: Optimizer, warmup_steps: int, total_steps: int,
+    def __init__(self, optimizer: Adam, warmup_steps: int, total_steps: int,
                  min_lr: float = 0.0):
         if total_steps <= warmup_steps:
             raise ValueError("total_steps must exceed warmup_steps")

@@ -18,6 +18,14 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
+#: Consecutive anomalous steps skipped before the guard rolls back.
+MAX_CONSECUTIVE = 3
+#: A finite loss above ``SPIKE_FACTOR`` times the median of the last
+#: ``SPIKE_WINDOW`` healthy losses is an anomaly; the check arms once
+#: the window is full, so early training volatility is never punished.
+SPIKE_FACTOR = 25.0
+SPIKE_WINDOW = 25
+
 
 class GuardAction(enum.Enum):
     PROCEED = "proceed"
@@ -47,31 +55,13 @@ def nonfinite_gradients(parameters: Iterable) -> List[int]:
 
 
 class AnomalyGuard:
-    """Classify each training step as proceed / skip / rollback.
+    """Classify each training step as proceed / skip / rollback."""
 
-    Parameters
-    ----------
-    max_consecutive:
-        Number of consecutive anomalous steps tolerated (each skipped)
-        before escalating to a rollback.
-    spike_factor / spike_window:
-        A finite loss greater than ``spike_factor`` times the median of
-        the last ``spike_window`` healthy losses counts as an anomaly.
-        Spike detection only arms once the window is full, so early
-        training volatility is never punished.
-    """
-
-    def __init__(self, max_consecutive: int = 3, spike_factor: float = 25.0,
-                 spike_window: int = 25, logger=None):
-        if max_consecutive < 1:
-            raise ValueError("max_consecutive must be at least 1")
-        self.max_consecutive = max_consecutive
-        self.spike_factor = spike_factor
-        self.spike_window = spike_window
+    def __init__(self, logger=None):
         self.logger = logger
         self.consecutive = 0
         self.anomaly_count = 0
-        self._recent: deque = deque(maxlen=spike_window)
+        self._recent: deque = deque(maxlen=SPIKE_WINDOW)
 
     # ------------------------------------------------------------------
     def _find_anomaly(self, loss: float, parameters: Iterable) -> Optional[str]:
@@ -80,10 +70,10 @@ class AnomalyGuard:
         bad = nonfinite_gradients(parameters)
         if bad:
             return f"non-finite gradients in {len(bad)} parameter(s)"
-        if (self.spike_factor and len(self._recent) == self.spike_window):
+        if len(self._recent) == SPIKE_WINDOW:
             median = float(np.median(list(self._recent)))
-            if median > 0.0 and loss > self.spike_factor * median:
-                return (f"loss spike ({loss:.3g} > {self.spike_factor:g}x "
+            if median > 0.0 and loss > SPIKE_FACTOR * median:
+                return (f"loss spike ({loss:.3g} > {SPIKE_FACTOR:g}x "
                         f"median {median:.3g})")
         return None
 
@@ -98,7 +88,7 @@ class AnomalyGuard:
         self.anomaly_count += 1
         if self.logger is not None:
             self.logger.log(f"anomaly #{self.consecutive}: {reason}")
-        if self.consecutive >= self.max_consecutive:
+        if self.consecutive >= MAX_CONSECUTIVE:
             return GuardVerdict(GuardAction.ROLLBACK, reason)
         return GuardVerdict(GuardAction.SKIP, reason)
 

@@ -13,6 +13,10 @@ from typing import Any, Callable, Tuple, Type
 
 from repro.utils.seeding import spawn_rng
 
+#: Cap (seconds) and fractional jitter of :func:`retry_call`'s backoff.
+RETRY_MAX_DELAY = 2.0
+RETRY_JITTER = 0.5
+
 
 class RetryExhaustedError(RuntimeError):
     """All retry attempts failed; the last exception is chained as cause."""
@@ -47,8 +51,6 @@ def retry_call(
     *,
     attempts: int = 3,
     base_delay: float = 0.05,
-    max_delay: float = 2.0,
-    jitter: float = 0.5,
     retry_on: Tuple[Type[BaseException], ...] = (OSError,),
     describe: str = "operation",
     sleep: Callable[[float], None] = time.sleep,
@@ -58,7 +60,8 @@ def retry_call(
     """Call ``fn`` up to ``attempts`` times with exponential backoff.
 
     The backoff for attempt *k* is ``base_delay * 2**(k-1)`` capped at
-    ``max_delay``, multiplied by a random factor in ``[1, 1+jitter]``
+    :data:`RETRY_MAX_DELAY`, multiplied by a random factor in
+    ``[1, 1 + RETRY_JITTER]``
     so that parallel workers retrying a shared resource de-synchronise.
     ``sleep`` and ``rng`` are injectable for deterministic tests.
     """
@@ -74,7 +77,8 @@ def retry_call(
                     f"{describe} failed after {attempts} attempt(s): {exc!r}"
                 ) from exc
             delay = backoff_delay(attempt, base_delay=base_delay,
-                                  max_delay=max_delay, jitter=jitter, rng=rng)
+                                  max_delay=RETRY_MAX_DELAY,
+                                  jitter=RETRY_JITTER, rng=rng)
             if logger is not None:
                 logger.log(
                     f"{describe} failed (attempt {attempt}/{attempts}): "

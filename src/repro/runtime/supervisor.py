@@ -34,6 +34,10 @@ from repro.utils.logging import ProgressLogger
 
 #: Attempts per periodic evaluation before its failure is logged and skipped.
 EVAL_RETRY_ATTEMPTS = 2
+#: Attempts per checkpoint write before it is logged and skipped.
+IO_RETRY_ATTEMPTS = 3
+#: Rollbacks one run survives; the next anomaly streak aborts it.
+MAX_ROLLBACKS = 5
 
 
 class TrainingAborted(RuntimeError):
@@ -121,13 +125,9 @@ class TrainingSupervisor:
         task: SupervisedTask,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 0,
-        keep: int = 3,
         resume: bool = False,
-        guard: Optional[AnomalyGuard] = None,
         fault_plan=None,
         logger: Optional[ProgressLogger] = None,
-        max_rollbacks: int = 5,
-        io_retry_attempts: int = 3,
         retry_sleep: Callable[[float], None] = time.sleep,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -142,15 +142,12 @@ class TrainingSupervisor:
         #: the :class:`SupervisorReport` counters stay authoritative for a
         #: single run, the registry aggregates across runs.
         self.metrics = metrics if metrics is not None else get_registry()
-        self.guard = guard or AnomalyGuard(logger=self.logger)
-        self.max_rollbacks = max_rollbacks
-        self.io_retry_attempts = io_retry_attempts
+        self.guard = AnomalyGuard(logger=self.logger)
         self.retry_sleep = retry_sleep
         self.manager: Optional[CheckpointManager] = None
         if checkpoint_dir is not None:
             self.manager = CheckpointManager(
                 checkpoint_dir,
-                keep=keep,
                 fingerprint=config_fingerprint(task.fingerprint_data()),
                 fault_plan=fault_plan,
                 logger=self.logger,
@@ -223,7 +220,7 @@ class TrainingSupervisor:
                   reason: str) -> None:
         report.rollbacks += 1
         self.metrics.counter("runtime.rollbacks").inc()
-        if report.rollbacks > self.max_rollbacks:
+        if report.rollbacks > MAX_ROLLBACKS:
             raise TrainingAborted(
                 f"aborting after {report.rollbacks - 1} rollbacks "
                 f"(last anomaly: {reason})"
@@ -268,7 +265,7 @@ class TrainingSupervisor:
         try:
             retry_call(
                 lambda: self.manager.save(payload, iteration),
-                attempts=self.io_retry_attempts,
+                attempts=IO_RETRY_ATTEMPTS,
                 base_delay=0.01,
                 retry_on=(OSError,),
                 describe=f"checkpoint write at iteration {iteration}",

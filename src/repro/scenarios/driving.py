@@ -58,6 +58,15 @@ NOUNS: Dict[str, str] = {
 
 ORDINAL_WORDS = ("nearest", "second", "third", "fourth")
 
+#: Road canvas size, objects per scene and object size range (pixels).
+SCENE_HEIGHT, SCENE_WIDTH = 48, 72
+MIN_OBJECTS, MAX_OBJECTS = 5, 8
+MIN_SIZE, MAX_SIZE = 8, 20
+#: Largest IoU a new object may have with one already placed, and the
+#: rejection-sampling budget for placing it.
+MAX_OVERLAP_IOU = 0.08
+MAX_PLACE_ATTEMPTS = 60
+
 @dataclass(frozen=True)
 class DrivingConstraints:
     """An ego-anchored compositional reference: category, colour, side,
@@ -83,23 +92,9 @@ class DrivingConstraints:
 class DrivingSceneGenerator:
     """Sample road scenes: rejection-placed driving-category objects."""
 
-    def __init__(self, height: int = 48, width: int = 72,
-                 min_objects: int = 5, max_objects: int = 8,
-                 min_size: int = 8, max_size: int = 20,
-                 max_overlap_iou: float = 0.08,
-                 max_place_attempts: int = 60):
-        self.height = height
-        self.width = width
-        self.min_objects = min_objects
-        self.max_objects = max_objects
-        self.min_size = min_size
-        self.max_size = max_size
-        self.max_overlap_iou = max_overlap_iou
-        self.max_place_attempts = max_place_attempts
-
     def generate(self, rng: np.random.Generator) -> Scene:
-        scene = Scene(self.height, self.width)
-        count = int(rng.integers(self.min_objects, self.max_objects + 1))
+        scene = Scene(SCENE_HEIGHT, SCENE_WIDTH)
+        count = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
         # At least two of one vehicle category, so ordinal and depth
         # references have something to rank.
         main = str(rng.choice(("car", "truck")))
@@ -117,20 +112,20 @@ class DrivingSceneGenerator:
     def _place(self, scene: Scene, category: str,
                rng: np.random.Generator) -> Optional[SceneObject]:
         existing = scene.boxes()
-        for _ in range(self.max_place_attempts):
-            size = float(rng.integers(self.min_size, self.max_size + 1))
+        for _ in range(MAX_PLACE_ATTEMPTS):
+            size = float(rng.integers(MIN_SIZE, MAX_SIZE + 1))
             aspect = {"car": 1.6, "truck": 1.4, "person": 0.5,
                       "cone": 0.7}[category]
             width = max(4.0, size * aspect)
             height = size
-            if width >= self.width - 2 or height >= self.height - 2:
+            if width >= SCENE_WIDTH - 2 or height >= SCENE_HEIGHT - 2:
                 continue
-            x1 = float(rng.uniform(1.0, self.width - width - 1.0))
-            y1 = float(rng.uniform(1.0, self.height - height - 1.0))
+            x1 = float(rng.uniform(1.0, SCENE_WIDTH - width - 1.0))
+            y1 = float(rng.uniform(1.0, SCENE_HEIGHT - height - 1.0))
             box = np.asarray([x1, y1, x1 + width, y1 + height])
             if len(existing) \
                     and iou_matrix(box[None], existing).max() \
-                    > self.max_overlap_iou:
+                    > MAX_OVERLAP_IOU:
                 continue
             return SceneObject(category=category,
                                color=str(rng.choice(COLORS)), box=box)

@@ -39,6 +39,14 @@ from repro.text.tokenizer import tokenize
 from repro.text.vocab import Vocabulary
 from repro.utils.seeding import spawn_rng
 
+#: Width of the shared image/text embedding space.
+EMBED_DIM = 24
+#: InfoNCE softmax temperature.
+TEMPERATURE = 0.1
+#: Pairs per step and Adam learning rate of :func:`train_weak_model`.
+BATCH_SIZE = 8
+LEARNING_RATE = 5e-3
+
 
 class WeakContrastiveModel(Module):
     """Two-tower image/expression embedding model.
@@ -50,17 +58,15 @@ class WeakContrastiveModel(Module):
     temperature at loss time.
     """
 
-    def __init__(self, vocab_size: int, embed_dim: int = 24,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, vocab_size: int, rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng if rng is not None else spawn_rng("weak-model")
-        self.embed_dim = embed_dim
         self.conv1 = Conv2d(3, 16, 3, stride=2, padding=1, rng=rng)
-        self.conv2 = Conv2d(16, embed_dim, 3, stride=2, padding=1, rng=rng)
+        self.conv2 = Conv2d(16, EMBED_DIM, 3, stride=2, padding=1, rng=rng)
         self.pool = GlobalAvgPool2d()
-        self.image_proj = Linear(embed_dim, embed_dim, rng=rng)
-        self.token_embed = Embedding(vocab_size, embed_dim, rng=rng)
-        self.text_proj = Linear(embed_dim, embed_dim, rng=rng)
+        self.image_proj = Linear(EMBED_DIM, EMBED_DIM, rng=rng)
+        self.token_embed = Embedding(vocab_size, EMBED_DIM, rng=rng)
+        self.text_proj = Linear(EMBED_DIM, EMBED_DIM, rng=rng)
 
     @staticmethod
     def _l2_normalize(features: Tensor) -> Tensor:
@@ -93,8 +99,7 @@ class WeakContrastiveModel(Module):
         return image_emb.matmul(text_emb.T)
 
 
-def contrastive_loss(similarity: Tensor,
-                     temperature: float = 0.1) -> Tensor:
+def contrastive_loss(similarity: Tensor) -> Tensor:
     """Symmetric in-batch InfoNCE over an (n, n) similarity matrix.
 
     Row ``i``'s positive is column ``i`` (the paired expression) and
@@ -103,7 +108,7 @@ def contrastive_loss(similarity: Tensor,
     """
     n = similarity.shape[0]
     targets = np.arange(n)
-    logits = similarity * (1.0 / temperature)
+    logits = similarity * (1.0 / TEMPERATURE)
     image_to_text = softmax_cross_entropy(logits, targets)
     text_to_image = softmax_cross_entropy(logits.T, targets)
     return (image_to_text + text_to_image) * 0.5
@@ -119,8 +124,6 @@ def train_weak_model(
     samples: Sequence[ScenarioSample],
     vocab: Vocabulary,
     steps: int = 30,
-    batch_size: int = 8,
-    learning_rate: float = 5e-3,
     rng: Optional[np.random.Generator] = None,
 ) -> Dict[str, object]:
     """Fit a :class:`WeakContrastiveModel` on pairing-only samples.
@@ -136,12 +139,12 @@ def train_weak_model(
     rng = rng if rng is not None else spawn_rng("weak-train")
     max_length = max(len(s.tokens) for s in samples)
     model = WeakContrastiveModel(len(vocab), rng=rng)
-    optimizer = Adam(model.parameters(), lr=learning_rate)
+    optimizer = Adam(model.parameters(), lr=LEARNING_RATE)
     losses: List[float] = []
 
     def forward_backward(step: int) -> float:
         batch_indices = rng.choice(
-            len(samples), size=min(batch_size, len(samples)), replace=False)
+            len(samples), size=min(BATCH_SIZE, len(samples)), replace=False)
         batch = [samples[int(i)] for i in batch_indices]
         images = np.stack([s.image for s in batch])
         token_ids, token_mask = _encode_batch(batch, vocab, max_length)

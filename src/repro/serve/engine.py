@@ -35,11 +35,11 @@ import numpy as np
 from repro.autograd import no_grad
 from repro.autograd.tensor import as_compute_array
 from repro.core.response import GroundingResponse, thaw_response
-from repro.data.refcoco import GroundingSample
+from repro.data.refcoco import GroundingSample, request_sample
 from repro.obs import MetricsRegistry, trace_span
 from repro.serve.cache import VersionedCache, image_digest
 from repro.serve.stats import ServerStats, StatsRecorder
-from repro.text.tokenizer import normalize_query, tokenize
+from repro.text.tokenizer import normalize_query
 
 #: Queue sentinel that tells the worker to drain out.
 _SHUTDOWN = object()
@@ -72,19 +72,6 @@ class _Pending:
     key: Tuple[str, str]
     future: Future
     enqueued: float
-
-
-def _make_sample(image: np.ndarray, query: str) -> GroundingSample:
-    """Wrap a raw request into the sample type grounders consume."""
-    return GroundingSample(
-        image=image,
-        query=query,
-        tokens=tokenize(query),
-        target_box=np.zeros(4),
-        target_index=-1,
-        scene=None,
-        split="serve",
-    )
 
 
 class ServeEngine:
@@ -260,7 +247,7 @@ class ServeEngine:
             if self._stopping:
                 raise EngineStopped("engine is stopping; request rejected")
             self.start()
-            self._queue.put(_Pending(_make_sample(image, query), key, future, now))
+            self._queue.put(_Pending(request_sample(image, query), key, future, now))
         return future
 
     def ground(self, image: np.ndarray, query: str,

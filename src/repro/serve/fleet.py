@@ -70,8 +70,18 @@ from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
 
+#: Outstanding requests per replica before the dispatcher holds back
+#: (load is shed at admission, not piled up behind one replica).
+MAX_REPLICA_INFLIGHT = 32
+#: Total attempts per request (2 = one retry on a different replica).
+RETRY_ATTEMPTS = 2
+#: Base and cap (seconds) of the retry and respawn backoff delays.
+RETRY_BASE_DELAY = 0.005
+RETRY_MAX_DELAY = 0.25
 #: Fractional jitter on retry and respawn backoff delays.
 RETRY_JITTER = 0.5
+#: Seconds :meth:`FleetRouter.stop` drains unless given a timeout.
+STOP_TIMEOUT = 30.0
 #: Seconds a spawned replica may take to report ready.
 SPAWN_TIMEOUT = 120.0
 #: Generations a replica slot may reach before it stays dead.
@@ -117,35 +127,25 @@ class UnknownModel(FleetError):
 
 @dataclass
 class FleetConfig:
-    """Tuning knobs for :class:`FleetRouter`."""
+    """The :class:`FleetRouter` settings a deployment chooses; in-flight
+    cap, retry and stop drain time are this module's constants."""
 
     replicas: int = 2
     #: Bounded admission queue; a full queue sheds with ``Overloaded``.
     max_queue: int = 64
-    #: Outstanding requests allowed per replica before the dispatcher
-    #: holds back (keeps shed decisions at admission, not in a pile-up
-    #: behind one replica).
-    max_replica_inflight: int = 32
     #: Router-tier response cache entries (0 disables).  Repeats hit in
     #: the router without a replica round-trip; a completed rolling
     #: reload invalidates the cache so stale responses are never served.
     router_cache: int = 256
     #: Per-attempt deadline (seconds) used when ``submit`` gives none.
     default_deadline: float = 30.0
-    #: Total attempts per request (2 = one retry on a different replica).
-    retry_attempts: int = 2
-    retry_base_delay: float = 0.005
-    retry_max_delay: float = 0.25
     heartbeat_timeout: float = 5.0
-    stop_timeout: float = 30.0
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
         if self.max_queue < 1:
             raise ValueError("max_queue must be at least 1")
-        if self.retry_attempts < 1:
-            raise ValueError("retry_attempts must be at least 1")
         if self.router_cache < 0:
             raise ValueError("router_cache must be non-negative")
 
@@ -408,7 +408,7 @@ class FleetRouter:
 
     def stop(self, timeout: Optional[float] = None) -> None:
         """Drain in-flight work, stop replicas, resolve every future."""
-        timeout = timeout if timeout is not None else self.config.stop_timeout
+        timeout = timeout if timeout is not None else STOP_TIMEOUT
         with self._lock:
             if self._closed:
                 return
@@ -761,7 +761,7 @@ class FleetRouter:
             slot for slot in self._slots.values()
             if slot.state == "up"
             and (model is None or slot.model_id == model)
-            and len(slot.in_flight) < self.config.max_replica_inflight
+            and len(slot.in_flight) < MAX_REPLICA_INFLIGHT
         ]
         if not candidates:
             return None
@@ -806,11 +806,11 @@ class FleetRouter:
         with self._lock:
             if req.done:
                 return
-            if req.attempts < self.config.retry_attempts:
+            if req.attempts < RETRY_ATTEMPTS:
                 delay = backoff_delay(
                     req.attempts,
-                    base_delay=self.config.retry_base_delay,
-                    max_delay=self.config.retry_max_delay,
+                    base_delay=RETRY_BASE_DELAY,
+                    max_delay=RETRY_MAX_DELAY,
                     jitter=RETRY_JITTER,
                     rng=self._rng,
                 )
@@ -930,8 +930,8 @@ class FleetRouter:
             if not self._closed and slot.generation + 1 <= MAX_RESPAWNS:
                 slot.respawn_at = self._now() + backoff_delay(
                     slot.generation + 1,
-                    base_delay=self.config.retry_base_delay,
-                    max_delay=self.config.retry_max_delay,
+                    base_delay=RETRY_BASE_DELAY,
+                    max_delay=RETRY_MAX_DELAY,
                     jitter=RETRY_JITTER,
                     rng=self._rng,
                 )

@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.response import GroundingResponse, responses_equal
+from repro.data.refcoco import request_sample
 from repro.obs.metrics import Histogram, HistogramSummary
 from repro.serve.cache import image_digest
-from repro.serve.engine import _make_sample
 from repro.serve.fleet import (
     DeadlineExceeded,
     FleetError,
@@ -56,6 +56,12 @@ from repro.serve.fleet import (
 )
 from repro.serve.trace import TimedRequest
 from repro.utils.seeding import seed_everything
+
+#: Largest share of submitted requests :meth:`SoakReport.check` lets the
+#: fleet shed, and the smallest router-tier cache hit rate it accepts;
+#: ``None`` leaves the invariant unchecked.
+MAX_SHED_FRACTION: Optional[float] = None
+MIN_CACHE_HIT_RATE: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,6 @@ class SoakReport:
 
     def check(self, slo_p99: Optional[float] = None,
               expected_replicas: Optional[int] = None,
-              max_shed_fraction: Optional[float] = None,
-              min_cache_hit_rate: Optional[float] = None,
               scenario_slo_p99: Optional[float] = None) -> List[str]:
         """Return the list of violated invariants (empty == pass)."""
         violations: List[str] = []
@@ -137,18 +141,18 @@ class SoakReport:
             violations.append(
                 f"{self.stats.alive} replicas alive, expected "
                 f"{expected_replicas}")
-        if max_shed_fraction is not None and self.submitted:
+        if MAX_SHED_FRACTION is not None and self.submitted:
             fraction = self.shed / self.submitted
-            if fraction > max_shed_fraction:
+            if fraction > MAX_SHED_FRACTION:
                 violations.append(
                     f"shed fraction {fraction:.2%} exceeds "
-                    f"{max_shed_fraction:.2%}")
-        if min_cache_hit_rate is not None \
-                and self.stats.cache_hit_rate < min_cache_hit_rate:
+                    f"{MAX_SHED_FRACTION:.2%}")
+        if MIN_CACHE_HIT_RATE is not None \
+                and self.stats.cache_hit_rate < MIN_CACHE_HIT_RATE:
             violations.append(
                 f"router-tier cache hit rate "
                 f"{self.stats.cache_hit_rate:.2%} below "
-                f"{min_cache_hit_rate:.2%} "
+                f"{MIN_CACHE_HIT_RATE:.2%} "
                 f"({self.stats.cache_hits} hits / "
                 f"{self.stats.cache_misses} misses)")
         if self.reload_error is not None:
@@ -239,7 +243,7 @@ def preset_reference_check(
             key = (name, image_digest(request.image), str(request.query))
             if request.model == name and key not in expected:
                 expected[key] = reference(
-                    [_make_sample(request.image, request.query)])[0]
+                    [request_sample(request.image, request.query)])[0]
     seed_everything(seed)
 
     def content_check(request: TimedRequest,

@@ -15,6 +15,11 @@ import numpy as np
 from repro.text.vocab import Vocabulary
 from repro.utils.seeding import spawn_rng
 
+#: Context half-window, negatives per positive pair and learning rate.
+WINDOW = 2
+NEGATIVES = 5
+LR = 0.05
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
@@ -29,20 +34,12 @@ class SkipGramWord2Vec:
         Vocabulary covering the corpus; PAD keeps a zero vector.
     dim:
         Embedding dimensionality.
-    window:
-        Context half-window size.
-    negatives:
-        Negative samples per positive pair.
     """
 
-    def __init__(self, vocab: Vocabulary, dim: int = 32, window: int = 2,
-                 negatives: int = 5, lr: float = 0.05,
+    def __init__(self, vocab: Vocabulary, dim: int = 32,
                  rng: np.random.Generator = None):
         self.vocab = vocab
         self.dim = dim
-        self.window = window
-        self.negatives = negatives
-        self.lr = lr
         self._rng = rng or spawn_rng("word2vec")
         scale = 0.5 / dim
         self.input_vectors = self._rng.uniform(-scale, scale, size=(len(vocab), dim))
@@ -74,8 +71,8 @@ class SkipGramWord2Vec:
             for sent_idx in order:
                 ids = encoded[sent_idx]
                 for center_pos, center in enumerate(ids):
-                    lo = max(0, center_pos - self.window)
-                    hi = min(len(ids), center_pos + self.window + 1)
+                    lo = max(0, center_pos - WINDOW)
+                    hi = min(len(ids), center_pos + WINDOW + 1)
                     for ctx_pos in range(lo, hi):
                         if ctx_pos == center_pos:
                             continue
@@ -85,7 +82,7 @@ class SkipGramWord2Vec:
 
     def _update(self, center: int, context: int, distribution: np.ndarray) -> float:
         """One negative-sampling SGD step; returns the pair loss."""
-        negatives = self._rng.choice(len(self.vocab), size=self.negatives, p=distribution)
+        negatives = self._rng.choice(len(self.vocab), size=NEGATIVES, p=distribution)
         targets = np.concatenate([[context], negatives])
         labels = np.zeros(len(targets))
         labels[0] = 1.0
@@ -96,8 +93,8 @@ class SkipGramWord2Vec:
         errors = scores - labels
 
         grad_center = errors @ target_vecs
-        self.output_vectors[targets] -= self.lr * errors[:, None] * center_vec[None, :]
-        self.input_vectors[center] -= self.lr * grad_center
+        self.output_vectors[targets] -= LR * errors[:, None] * center_vec[None, :]
+        self.input_vectors[center] -= LR * grad_center
 
         positive_loss = -np.log(max(scores[0], 1e-12))
         negative_loss = -np.log(np.maximum(1.0 - scores[1:], 1e-12)).sum()

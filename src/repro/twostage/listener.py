@@ -24,19 +24,27 @@ from repro.twostage.regions import RegionEncoder
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
+#: Width of the query word embeddings and of the joint embedding space.
+WORD_DIM = 24
+EMBED_DIM = 32
+#: :func:`train_listener`'s Adam learning rate, ranking margin, and
+#: distractor proposals sampled per step.
+LR = 2e-3
+MARGIN = 0.2
+NEGATIVES_PER_STEP = 8
+
 
 class ListenerMatcher(Module):
     """Score (query, proposal) pairs by joint-embedding similarity."""
 
-    def __init__(self, vocab: Vocabulary, embed_dim: int = 32,
-                 word_dim: int = 24, max_query_length: int = 20):
+    def __init__(self, vocab: Vocabulary, max_query_length: int = 20):
         super().__init__()
         self.vocab = vocab
         self.max_query_length = max_query_length
-        self.word_embedding = Embedding(len(vocab), word_dim, padding_idx=vocab.pad_id)
-        self.query_lstm = LSTM(word_dim, embed_dim)
-        self.query_proj = Linear(embed_dim, embed_dim)
-        self.region_encoder = RegionEncoder(embed_dim=embed_dim)
+        self.word_embedding = Embedding(len(vocab), WORD_DIM, padding_idx=vocab.pad_id)
+        self.query_lstm = LSTM(WORD_DIM, EMBED_DIM)
+        self.query_proj = Linear(EMBED_DIM, EMBED_DIM)
+        self.region_encoder = RegionEncoder(EMBED_DIM)
 
     def encode_query(self, token_ids: np.ndarray, token_mask: np.ndarray) -> Tensor:
         """Token ids ``(B, L)`` -> query embeddings ``(B, d)``."""
@@ -64,9 +72,6 @@ def train_listener(
     samples: Sequence[GroundingSample],
     proposer,
     steps: int = 400,
-    lr: float = 2e-3,
-    margin: float = 0.2,
-    negatives_per_step: int = 8,
     rng: Optional[np.random.Generator] = None,
     logger: Optional[ProgressLogger] = None,
     checkpoint_dir: Optional[str] = None,
@@ -76,7 +81,7 @@ def train_listener(
     """Train the listener over stage-i proposals with a ranking loss.
 
     For each sample the proposal with the best IoU against the target is
-    the positive; up to ``negatives_per_step`` distractor proposals are
+    the positive; up to :data:`NEGATIVES_PER_STEP` distractor proposals are
     sampled as negatives (scoring all ~100 proposals per step would be
     needlessly slow — inference still scores all of them).  Samples
     whose proposals all miss the target (IoU < 0.3) are skipped — the
@@ -89,7 +94,7 @@ def train_listener(
     """
     rng = rng if rng is not None else spawn_rng("listener-train")
     logger = logger or ProgressLogger("listener", enabled=False)
-    optimizer = Adam(listener.parameters(), lr=lr)
+    optimizer = Adam(listener.parameters(), lr=LR)
     proposal_cache = {}
     losses: List[float] = []
 
@@ -107,8 +112,8 @@ def train_listener(
         negatives = np.flatnonzero(ious < 0.3)
         if not len(negatives):
             return None
-        if len(negatives) > negatives_per_step:
-            negatives = rng.choice(negatives, size=negatives_per_step, replace=False)
+        if len(negatives) > NEGATIVES_PER_STEP:
+            negatives = rng.choice(negatives, size=NEGATIVES_PER_STEP, replace=False)
         picked = np.concatenate([[positive], negatives])
 
         token_ids, token_mask = listener.vocab.encode(
@@ -117,7 +122,7 @@ def train_listener(
         scores = listener.score_proposals(
             sample.image, proposals.boxes[picked], token_ids, token_mask
         )
-        loss = margin_ranking_loss(scores[0], scores[1:], margin=margin)
+        loss = margin_ranking_loss(scores[0], scores[1:], margin=MARGIN)
         optimizer.zero_grad()
         loss.backward()
         return float(loss.data)
@@ -134,8 +139,8 @@ def train_listener(
         optimizer=optimizer,
         modules={"listener": listener},
         rng=rng,
-        fingerprint_data={"task": "listener-train", "steps": steps, "lr": lr,
-                          "margin": margin, "negatives": negatives_per_step},
+        fingerprint_data={"task": "listener-train", "steps": steps, "lr": LR,
+                          "margin": MARGIN, "negatives": NEGATIVES_PER_STEP},
         extra_state=lambda: {"losses": list(losses)},
         load_extra_state=lambda saved: losses.__setitem__(
             slice(None), saved["losses"]

@@ -4,7 +4,7 @@ Two implementations:
 
 * :class:`SegmentationProposer` — a deterministic selective-search-style
   proposer: foreground segmentation, connected components, plus jittered
-  and merged variants.  Its ``quality`` knob controls box misalignment
+  and merged variants.  Its :data:`QUALITY` controls box misalignment
   and target misses, modelling the detector pathologies of Section 1.
 * :class:`RPNProposer` — a class-agnostic region proposal network (the
   Faster-R-CNN stand-in): backbone + objectness/offset heads over the
@@ -29,6 +29,20 @@ from repro.detection import AnchorGrid, clip_boxes, decode_offsets, nms
 from repro.nn import Conv2d, Module
 from repro.utils.seeding import spawn_rng
 
+#: :class:`SegmentationProposer` quality in (0, 1]: scales both the box
+#: jitter and the per-component miss rate (1 is the cleanest).
+QUALITY = 0.7
+#: Perturbed copies of each component box.
+JITTER_COPIES = 10
+#: Proposals kept per image by :class:`SegmentationProposer`.
+SEGMENTATION_MAX_PROPOSALS = 100
+#: :class:`RPNProposer` conv width, anchors, proposals kept, NMS IoU.
+RPN_HIDDEN = 32
+RPN_SCALES = (12.0, 18.0, 26.0)
+RPN_RATIOS = (0.5, 1.0, 2.0)
+RPN_MAX_PROPOSALS = 20
+RPN_NMS_IOU = 0.7
+
 
 @dataclass
 class ProposalSet:
@@ -46,19 +60,12 @@ class SegmentationProposer:
 
     Foreground pixels (those deviating from the smooth background) are
     grouped into connected components; each component contributes its
-    bounding box plus ``jitter_copies`` perturbed variants, and adjacent
-    component pairs contribute merged boxes.  ``quality`` in (0, 1]
+    bounding box plus :data:`JITTER_COPIES` perturbed variants, and
+    adjacent component pairs contribute merged boxes.  :data:`QUALITY`
     scales both the jitter magnitude and the per-component miss rate.
     """
 
-    def __init__(self, quality: float = 0.7, jitter_copies: int = 10,
-                 max_proposals: int = 100,
-                 rng: Optional[np.random.Generator] = None):
-        if not 0.0 < quality <= 1.0:
-            raise ValueError("quality must be in (0, 1]")
-        self.quality = quality
-        self.jitter_copies = jitter_copies
-        self.max_proposals = max_proposals
+    def __init__(self, rng: Optional[np.random.Generator] = None):
         self._rng = rng if rng is not None else spawn_rng("seg-proposer")
 
     def propose(self, image: np.ndarray) -> ProposalSet:
@@ -67,7 +74,7 @@ class SegmentationProposer:
         _, height, width = image.shape
         foreground = self._foreground_mask(image)
         labels, count = ndimage.label(foreground)
-        jitter_scale = 2.5 * (1.0 - self.quality) + 0.5
+        jitter_scale = 2.5 * (1.0 - QUALITY) + 0.5
 
         boxes: List[np.ndarray] = []
         components: List[np.ndarray] = []
@@ -78,10 +85,10 @@ class SegmentationProposer:
             if (box[2] - box[0]) * (box[3] - box[1]) < 9:
                 continue
             components.append(box)
-            if rng.random() > self.quality * 0.3 + 0.7:  # occasional hard miss
+            if rng.random() > QUALITY * 0.3 + 0.7:  # occasional hard miss
                 continue
             boxes.append(box)
-            for _ in range(self.jitter_copies):
+            for _ in range(JITTER_COPIES):
                 noise = rng.normal(0.0, jitter_scale, size=4)
                 boxes.append(box + noise)
         for i in range(len(components)):
@@ -96,7 +103,7 @@ class SegmentationProposer:
         if not boxes:  # degenerate image: fall back to the full frame
             boxes = [np.asarray([0.0, 0.0, width, height])]
 
-        stacked = clip_boxes(np.stack(boxes), height, width)[: self.max_proposals]
+        stacked = clip_boxes(np.stack(boxes), height, width)[:SEGMENTATION_MAX_PROPOSALS]
         scores = np.linspace(1.0, 0.5, len(stacked))
         return ProposalSet(boxes=stacked, scores=scores)
 
@@ -112,25 +119,21 @@ class RPNProposer(Module):
     """Class-agnostic RPN (the Faster-R-CNN stage-i stand-in)."""
 
     def __init__(self, image_height: int = 48, image_width: int = 72,
-                 backbone: str = "tiny", hidden: int = 32,
-                 scales=(12.0, 18.0, 26.0), ratios=(0.5, 1.0, 2.0),
-                 max_proposals: int = 20, nms_iou: float = 0.7):
+                 backbone: str = "tiny"):
         super().__init__()
         self.backbone = build_backbone(backbone)
         self.image_height = image_height
         self.image_width = image_width
-        self.max_proposals = max_proposals
-        self.nms_iou = nms_iou
         grid_h = image_height // self.backbone.stride
         grid_w = image_width // self.backbone.stride
         self.anchor_grid = AnchorGrid(
             grid_h=grid_h, grid_w=grid_w, stride=self.backbone.stride,
-            scales=tuple(scales), aspect_ratios=tuple(ratios),
+            scales=RPN_SCALES, aspect_ratios=RPN_RATIOS,
         )
         k = self.anchor_grid.num_anchors_per_cell
-        self.conv = Conv2d(self.backbone.out_channels, hidden, 3, padding=1)
-        self.cls_head = Conv2d(hidden, 2 * k, 1)
-        self.reg_head = Conv2d(hidden, 4 * k, 1)
+        self.conv = Conv2d(self.backbone.out_channels, RPN_HIDDEN, 3, padding=1)
+        self.cls_head = Conv2d(RPN_HIDDEN, 2 * k, 1)
+        self.reg_head = Conv2d(RPN_HIDDEN, 4 * k, 1)
 
     def forward(self, images: Tensor):
         """Images -> per-anchor (cls logits (B,A,2), offsets (B,A,4))."""
@@ -152,9 +155,9 @@ class RPNProposer(Module):
             probs = softmax(cls, axis=-1).data[0, :, 1]
             offsets = reg.data[0]
         anchors = self.anchor_grid.all_anchors()
-        order = np.argsort(-probs, kind="stable")[: self.max_proposals * 4]
+        order = np.argsort(-probs, kind="stable")[: RPN_MAX_PROPOSALS * 4]
         decoded = decode_offsets(anchors[order], offsets[order])
         decoded = clip_boxes(decoded, self.image_height, self.image_width)
-        keep = nms(decoded, probs[order], iou_threshold=self.nms_iou,
-                   max_keep=self.max_proposals)
+        keep = nms(decoded, probs[order], iou_threshold=RPN_NMS_IOU,
+                   max_keep=RPN_MAX_PROPOSALS)
         return ProposalSet(boxes=decoded[keep], scores=probs[order][keep])

@@ -16,6 +16,11 @@ import numpy as np
 from repro.autograd import Tensor, concatenate
 from repro.nn import Linear, Module
 
+#: Side of the square each proposal crop is resized to.
+CROP_SIZE = 32
+#: Backbone preset every proposal crop is encoded with.
+BACKBONE = "resnet50"
+
 
 def crop_and_resize(image: np.ndarray, box: np.ndarray,
                     out_size: Tuple[int, int] = (16, 16)) -> np.ndarray:
@@ -53,13 +58,11 @@ class RegionEncoder(Module):
     spatial features to ``embed_dim`` vectors.
     """
 
-    def __init__(self, embed_dim: int = 32, crop_size: int = 32,
-                 backbone: str = "resnet50"):
+    def __init__(self, embed_dim: int):
         super().__init__()
         from repro.backbone import build_backbone
 
-        self.crop_size = crop_size
-        self.backbone = build_backbone(backbone)
+        self.backbone = build_backbone(BACKBONE)
         self.fc = Linear(self.backbone.out_channels + 5, embed_dim)
 
     def encode_crops(self, crops: np.ndarray, spatial: np.ndarray) -> Tensor:
@@ -73,7 +76,7 @@ class RegionEncoder(Module):
         """Encode every box of one image: ``(P, d)``."""
         boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         crops = np.stack(
-            [crop_and_resize(image, box, (self.crop_size, self.crop_size)) for box in boxes]
+            [crop_and_resize(image, box, (CROP_SIZE, CROP_SIZE)) for box in boxes]
         )
         spatial = spatial_features(boxes, image.shape[1], image.shape[2])
         return self.encode_crops(crops, spatial)

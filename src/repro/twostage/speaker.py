@@ -25,6 +25,15 @@ from repro.twostage.regions import RegionEncoder
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
+#: Widths of the word embeddings, region embedding and LSTM state.
+WORD_DIM = 24
+EMBED_DIM = 32
+HIDDEN_DIM = 48
+#: :func:`train_speaker`'s Adam learning rate.
+LR = 2e-3
+#: Margin of the MMI term (0 trains plain captioning).
+MMI_MARGIN = 0.1
+
 
 class SpeakerScorer(Module):
     """Region-conditioned LSTM language model over queries.
@@ -33,16 +42,14 @@ class SpeakerScorer(Module):
     show-and-tell conditioning variant that avoids state surgery).
     """
 
-    def __init__(self, vocab: Vocabulary, embed_dim: int = 32,
-                 word_dim: int = 24, hidden_dim: int = 48,
-                 max_query_length: int = 20):
+    def __init__(self, vocab: Vocabulary, max_query_length: int = 20):
         super().__init__()
         self.vocab = vocab
         self.max_query_length = max_query_length
-        self.word_embedding = Embedding(len(vocab), word_dim, padding_idx=vocab.pad_id)
-        self.lstm = LSTM(word_dim + embed_dim, hidden_dim)
-        self.output = Linear(hidden_dim, len(vocab))
-        self.region_encoder = RegionEncoder(embed_dim=embed_dim)
+        self.word_embedding = Embedding(len(vocab), WORD_DIM, padding_idx=vocab.pad_id)
+        self.lstm = LSTM(WORD_DIM + EMBED_DIM, HIDDEN_DIM)
+        self.output = Linear(HIDDEN_DIM, len(vocab))
+        self.region_encoder = RegionEncoder(EMBED_DIM)
 
     def sequence_logits(self, region_embed: Tensor, token_ids: np.ndarray,
                         token_mask: np.ndarray) -> Tensor:
@@ -97,8 +104,6 @@ def train_speaker(
     speaker: SpeakerScorer,
     samples: Sequence[GroundingSample],
     steps: int = 400,
-    lr: float = 2e-3,
-    mmi_margin: float = 0.0,
     rng: Optional[np.random.Generator] = None,
     logger: Optional[ProgressLogger] = None,
     checkpoint_dir: Optional[str] = None,
@@ -107,8 +112,8 @@ def train_speaker(
 ) -> List[float]:
     """Train the speaker to caption ground-truth regions.
 
-    ``mmi_margin > 0`` enables the MMI objective: the target region's
-    query likelihood must beat a random distractor region's by the
+    With the MMI objective (:data:`MMI_MARGIN` > 0), the target region's
+    query likelihood must also beat a random distractor region's by the
     margin (Mao et al., 2016).
 
     The loop runs under a :class:`repro.runtime.TrainingSupervisor`,
@@ -118,7 +123,7 @@ def train_speaker(
     """
     rng = rng if rng is not None else spawn_rng("speaker-train")
     logger = logger or ProgressLogger("speaker", enabled=False)
-    optimizer = Adam(speaker.parameters(), lr=lr)
+    optimizer = Adam(speaker.parameters(), lr=LR)
     losses: List[float] = []
 
     def forward_backward(step: int) -> float:
@@ -134,7 +139,7 @@ def train_speaker(
             weights=token_mask.reshape(-1),
         )
 
-        if mmi_margin > 0 and len(sample.scene.objects) > 1:
+        if MMI_MARGIN > 0 and len(sample.scene.objects) > 1:
             distractors = [
                 o.box for i, o in enumerate(sample.scene.objects)
                 if i != sample.target_index
@@ -144,7 +149,7 @@ def train_speaker(
             likelihoods = speaker.log_likelihoods(
                 sample.image, pair, token_ids, token_mask
             )
-            margin_term = (likelihoods[1] - likelihoods[0] + mmi_margin).maximum(0.0)
+            margin_term = (likelihoods[1] - likelihoods[0] + MMI_MARGIN).maximum(0.0)
             loss = loss + margin_term
 
         optimizer.zero_grad()
@@ -163,8 +168,8 @@ def train_speaker(
         optimizer=optimizer,
         modules={"speaker": speaker},
         rng=rng,
-        fingerprint_data={"task": "speaker-train", "steps": steps, "lr": lr,
-                          "mmi_margin": mmi_margin},
+        fingerprint_data={"task": "speaker-train", "steps": steps, "lr": LR,
+                          "mmi_margin": MMI_MARGIN},
         extra_state=lambda: {"losses": list(losses)},
         load_extra_state=lambda saved: losses.__setitem__(
             slice(None), saved["losses"]

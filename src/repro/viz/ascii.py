@@ -12,10 +12,14 @@ import numpy as np
 
 #: Light-to-dark ramp for heat maps.
 _RAMP = " .:-=+*#%@"
+#: Characters per attention cell (2 keeps cells roughly square).
+CELL_WIDTH = 2
+#: Fill character of :func:`ascii_bar`.
+BAR_FILL = "#"
 
 
 def render_attention_ascii(attention: np.ndarray, box: Optional[np.ndarray] = None,
-                           stride: float = 1.0, width: int = 2) -> str:
+                           stride: float = 1.0) -> str:
     """Render a ``(gh, gw)`` attention map as an ASCII heat map.
 
     ``box`` (image coordinates, divided by ``stride``) is drawn as a
@@ -26,7 +30,7 @@ def render_attention_ascii(attention: np.ndarray, box: Optional[np.ndarray] = No
     normalised = (attention - lo) / (hi - lo + 1e-12)
     grid_h, grid_w = attention.shape
     chars = [
-        [_RAMP[int(round(v * (len(_RAMP) - 1)))] * width for v in row]
+        [_RAMP[int(round(v * (len(_RAMP) - 1)))] * CELL_WIDTH for v in row]
         for row in normalised
     ]
     if box is not None:
@@ -43,7 +47,7 @@ def render_attention_ascii(attention: np.ndarray, box: Optional[np.ndarray] = No
     return "\n".join("".join(row) for row in chars)
 
 
-def ascii_bar(fraction: float, width: int = 20, fill: str = "#") -> str:
+def ascii_bar(fraction: float, width: int = 20) -> str:
     """Render ``fraction`` (clamped to [0, 1]) as a fixed-width bar.
 
     A non-zero fraction always shows at least one fill character so tiny
@@ -53,4 +57,4 @@ def ascii_bar(fraction: float, width: int = 20, fill: str = "#") -> str:
     cells = int(round(fraction * width))
     if fraction > 0.0 and cells == 0:
         cells = 1
-    return fill * cells + " " * (width - cells)
+    return BAR_FILL * cells + " " * (width - cells)

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Weight of the attention heat in :func:`overlay_attention`.
+OVERLAY_ALPHA = 0.55
+#: Line width (pixels) of :func:`draw_box` rectangles.
+BOX_THICKNESS = 1
+
 
 def save_ppm(path: str, image: np.ndarray) -> None:
     """Write a ``(3, H, W)`` float image in [0, 1] as a binary PPM file."""
@@ -17,8 +22,7 @@ def save_ppm(path: str, image: np.ndarray) -> None:
         handle.write(pixels.tobytes())
 
 
-def overlay_attention(image: np.ndarray, attention: np.ndarray,
-                      alpha: float = 0.55) -> np.ndarray:
+def overlay_attention(image: np.ndarray, attention: np.ndarray) -> np.ndarray:
     """Blend a low-resolution attention map over an RGB image (red heat).
 
     ``attention`` of shape ``(gh, gw)`` is nearest-neighbour upsampled
@@ -37,13 +41,13 @@ def overlay_attention(image: np.ndarray, attention: np.ndarray,
     upsampled = attention[rows[:, None], cols[None, :]]
     lo, hi = upsampled.min(), upsampled.max()
     heat = (upsampled - lo) / (hi - lo + 1e-12)
-    out = image * (1.0 - alpha * heat[None])
-    out[0] += alpha * heat
+    out = image * (1.0 - OVERLAY_ALPHA * heat[None])
+    out[0] += OVERLAY_ALPHA * heat
     return np.clip(out, 0.0, 1.0)
 
 
 def draw_box(image: np.ndarray, box: np.ndarray,
-             color=(1.0, 0.0, 0.0), thickness: int = 1) -> np.ndarray:
+             color=(1.0, 0.0, 0.0)) -> np.ndarray:
     """Return a copy of the image with a rectangle drawn on it."""
     out = np.asarray(image, dtype=np.float64).copy()
     _, height, width = out.shape
@@ -52,7 +56,7 @@ def draw_box(image: np.ndarray, box: np.ndarray,
     x2 = int(np.clip(box[2] - 1, x1, width - 1))
     y2 = int(np.clip(box[3] - 1, y1, height - 1))
     color_arr = np.asarray(color)[:, None]
-    for t in range(thickness):
+    for t in range(BOX_THICKNESS):
         top, bottom = min(y1 + t, height - 1), max(y2 - t, 0)
         left, right = min(x1 + t, width - 1), max(x2 - t, 0)
         out[:, top, x1 : x2 + 1] = color_arr

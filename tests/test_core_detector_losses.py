@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, softmax
+from repro.autograd import Tensor
 from repro.core import TargetDetectionNetwork, YolloConfig
 from repro.core.losses import (
     attention_mask_loss,

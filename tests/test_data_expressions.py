@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.data import ExpressionGenerator, Scene, SceneObject
 from repro.data.expressions import (

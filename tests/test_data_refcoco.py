@@ -5,7 +5,6 @@ import pytest
 
 from repro.data import (
     REFCOCO,
-    REFCOCO_PLUS,
     REFCOCOG,
     build_dataset,
     dataset_statistics,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import COLOR_VALUES, Scene, SceneGenerator, SceneObject
+from repro.data import render
 from repro.data.render import GLYPHS, render_object, render_scene
 
 
@@ -29,14 +30,16 @@ def test_output_shape_and_range():
     assert image.min() >= 0.0 and image.max() <= 1.0
 
 
-def test_object_pixels_take_color():
-    image = render_scene(scene_with("cup", "blue"), noise_std=0.0)
+def test_object_pixels_take_color(monkeypatch):
+    monkeypatch.setattr(render, "NOISE_STD", 0.0)
+    image = render_scene(scene_with("cup", "blue"))
     center = image[:, 20, 20]
     assert np.allclose(center, COLOR_VALUES["blue"])
 
 
-def test_background_darker_than_objects():
-    image = render_scene(scene_with(color="white"), noise_std=0.0)
+def test_background_darker_than_objects(monkeypatch):
+    monkeypatch.setattr(render, "NOISE_STD", 0.0)
+    image = render_scene(scene_with(color="white"))
     assert image[:, 0, 0].mean() < 0.2
 
 
@@ -66,20 +69,23 @@ def test_determinism_with_seeded_rng():
     assert np.array_equal(a, b)
 
 
-def test_noise_controlled_by_std():
-    clean = render_scene(scene_with(), noise_std=0.0)
-    noisy = render_scene(scene_with(), noise_std=0.05, rng=np.random.default_rng(1))
+def test_noise_controlled_by_std(monkeypatch):
+    monkeypatch.setattr(render, "NOISE_STD", 0.0)
+    clean = render_scene(scene_with())
+    monkeypatch.setattr(render, "NOISE_STD", 0.05)
+    noisy = render_scene(scene_with(), rng=np.random.default_rng(1))
     assert not np.array_equal(clean, noisy)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("noise_std", [0.0, 0.02, 0.3])
-def test_image_is_the_float32_rounding_of_the_float64_render(seed, noise_std):
+def test_image_is_the_float32_rounding_of_the_float64_render(seed, noise_std,
+                                                            monkeypatch):
+    monkeypatch.setattr(render, "NOISE_STD", noise_std)
     generator = SceneGenerator(rng=np.random.default_rng(seed))
     for index in range(4):
         scene = generator.generate()
-        image = render_scene(scene, noise_std=noise_std,
-                             rng=np.random.default_rng([seed, index]))
+        image = render_scene(scene, rng=np.random.default_rng([seed, index]))
         reference = render_scene_float64(scene, noise_std=noise_std,
                                          rng=np.random.default_rng([seed, index]))
         assert image.dtype == np.float32

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.detection import AnchorMatcher, BalancedSampler, iou_matrix, nms
+from repro.detection import matcher as matcher_module
 
 
 def anchors_around(target, offsets):
@@ -31,10 +32,11 @@ class TestAnchorMatcher:
         assert (match.labels == 1).sum() == 1
         assert match.labels[0] == 1  # best IoU anchor forced positive
 
-    def test_force_match_disabled(self):
+    def test_force_match_disabled(self, monkeypatch):
+        monkeypatch.setattr(matcher_module, "FORCE_MATCH", False)
         target = np.array([10.0, 10.0, 30.0, 30.0])
         anchors = anchors_around(target, [0.8, 2.0])
-        match = AnchorMatcher(force_match=False).match(anchors, target)
+        match = AnchorMatcher().match(anchors, target)
         assert not (match.labels == 1).any()
 
     def test_offsets_decode_back_to_target(self):
@@ -71,7 +73,7 @@ class TestBalancedSampler:
         )
 
     def test_caps_positives(self):
-        sampler = BalancedSampler(batch_size=8, positive_fraction=0.5)
+        sampler = BalancedSampler(batch_size=8)
         indices, labels = sampler.sample(self._match(20, 20), np.random.default_rng(0))
         assert (labels == 1).sum() == 4
         assert len(indices) == 8
@@ -90,8 +92,6 @@ class TestBalancedSampler:
     def test_validation(self):
         with pytest.raises(ValueError):
             BalancedSampler(batch_size=0)
-        with pytest.raises(ValueError):
-            BalancedSampler(positive_fraction=0.0)
 
 
 class TestNMS:
@@ -195,7 +195,7 @@ class TestUniformTopKMatcher:
         from repro.detection import UniformTopKMatcher
 
         anchors = self._grid_anchors()
-        matcher = UniformTopKMatcher(topk=4, ignore_threshold=0.7)
+        matcher = UniformTopKMatcher()
         for target in (
             np.array([12.0, 12.0, 18.0, 18.0]),    # small object
             np.array([5.0, 5.0, 55.0, 55.0]),      # large object
@@ -209,7 +209,7 @@ class TestUniformTopKMatcher:
         from repro.detection import UniformTopKMatcher
 
         anchors = self._grid_anchors(n=1)
-        match = UniformTopKMatcher(topk=4).match(
+        match = UniformTopKMatcher().match(
             anchors, np.array([2.0, 2.0, 8.0, 8.0]))
         assert (match.labels == 1).sum() == 1
 
@@ -218,7 +218,7 @@ class TestUniformTopKMatcher:
 
         anchors = self._grid_anchors()
         target = np.array([8.0, 8.0, 22.0, 22.0])  # centered at (15, 15)
-        match = UniformTopKMatcher(topk=4).match(anchors, target)
+        match = UniformTopKMatcher().match(anchors, target)
         from repro.detection.boxes import boxes_to_cxcywh
 
         centers = boxes_to_cxcywh(anchors)[:, :2]
@@ -227,9 +227,10 @@ class TestUniformTopKMatcher:
         cutoff = np.sort(distances)[3]
         assert (distances[chosen] <= cutoff).all()
 
-    def test_high_iou_nonselected_anchors_are_ignored(self):
+    def test_high_iou_nonselected_anchors_are_ignored(self, monkeypatch):
         from repro.detection import UniformTopKMatcher
 
+        monkeypatch.setattr(matcher_module, "TOPK", 1)
         target = np.array([10.0, 10.0, 30.0, 30.0])
         # one exact-overlap anchor, one slight shift (IoU ~0.85), one far
         anchors = np.stack([
@@ -237,21 +238,21 @@ class TestUniformTopKMatcher:
             target + np.array([1.0, 0.0, 1.0, 0.0]),
             target + np.array([100.0, 0.0, 100.0, 0.0]),
         ])
-        match = UniformTopKMatcher(topk=1, ignore_threshold=0.7).match(
-            anchors, target)
+        match = UniformTopKMatcher().match(anchors, target)
         assert match.labels[0] == 1          # nearest center: positive
         assert match.labels[1] == -1, (
-            "IoU above ignore_threshold must be ignored, not negative")
+            "IoU above IGNORE_THRESHOLD must be ignored, not negative")
         assert match.labels[2] == 0
 
-    def test_ignore_threshold_one_disables_band(self):
+    def test_ignore_threshold_one_disables_band(self, monkeypatch):
         from repro.detection import UniformTopKMatcher
 
+        monkeypatch.setattr(matcher_module, "TOPK", 1)
+        monkeypatch.setattr(matcher_module, "IGNORE_THRESHOLD", 1.0)
         target = np.array([10.0, 10.0, 30.0, 30.0])
         anchors = np.stack([target,
                             target + np.array([1.0, 0.0, 1.0, 0.0])])
-        match = UniformTopKMatcher(topk=1, ignore_threshold=1.0).match(
-            anchors, target)
+        match = UniformTopKMatcher().match(anchors, target)
         assert match.labels.tolist() == [1, 0]
 
     def test_deterministic_tie_break(self):
@@ -259,7 +260,7 @@ class TestUniformTopKMatcher:
 
         anchors = self._grid_anchors()
         target = np.array([10.0, 10.0, 30.0, 30.0])
-        matcher = UniformTopKMatcher(topk=4)
+        matcher = UniformTopKMatcher()
         one = matcher.match(anchors, target).labels
         two = matcher.match(anchors[::1], target).labels
         assert one.tolist() == two.tolist()
@@ -269,19 +270,11 @@ class TestUniformTopKMatcher:
 
         anchors = self._grid_anchors()
         target = np.array([12.0, 14.0, 31.0, 27.0])
-        match = UniformTopKMatcher(topk=4).match(anchors, target)
+        match = UniformTopKMatcher().match(anchors, target)
         positives = match.positive_indices
         decoded = decode_offsets(anchors[positives], match.offsets[positives])
         assert np.allclose(decoded, np.broadcast_to(target, decoded.shape),
                            atol=1e-6)
-
-    def test_rejects_bad_parameters(self):
-        from repro.detection import UniformTopKMatcher
-
-        with pytest.raises(ValueError):
-            UniformTopKMatcher(topk=0)
-        with pytest.raises(ValueError):
-            UniformTopKMatcher(ignore_threshold=1.5)
 
 
 def reference_match(matcher, anchors, target_box):
@@ -295,15 +288,16 @@ def reference_match(matcher, anchors, target_box):
     if isinstance(matcher, UniformTopKMatcher):
         distances = np.abs(boxes_to_cxcywh(anchors)[:, :2]
                            - boxes_to_cxcywh(target)[0, :2]).sum(axis=1)
-        selected = np.argsort(distances, kind="stable")[:min(matcher.topk, len(anchors))]
+        selected = np.argsort(distances, kind="stable")[
+            :min(matcher_module.TOPK, len(anchors))]
         labels = np.zeros(len(anchors), dtype=np.int64)
-        labels[ious >= matcher.ignore_threshold] = -1
+        labels[ious >= matcher_module.IGNORE_THRESHOLD] = -1
         labels[selected] = 1
     else:
         labels = np.full(len(anchors), -1, dtype=np.int64)
         labels[ious < matcher.rho_low] = 0
         labels[ious >= matcher.rho_high] = 1
-        if matcher.force_match and not (labels == 1).any():
+        if matcher_module.FORCE_MATCH and not (labels == 1).any():
             labels[int(ious.argmax())] = 1
     offsets = encode_offsets(anchors, np.broadcast_to(target, anchors.shape))
     return labels, offsets, ious
@@ -312,16 +306,20 @@ def reference_match(matcher, anchors, target_box):
 class TestMatchBatch:
     """``match_batch`` gives every box the bytes the one-box loop gave."""
 
-    @pytest.mark.parametrize("make", [
-        lambda m: m.AnchorMatcher(),
-        lambda m: m.AnchorMatcher(rho_high=0.9, rho_low=0.1, force_match=False),
-        lambda m: m.UniformTopKMatcher(topk=4),
-        lambda m: m.UniformTopKMatcher(topk=1, ignore_threshold=0.3),
+    @pytest.mark.parametrize("make,constants", [
+        (lambda m: m.AnchorMatcher(), {}),
+        (lambda m: m.AnchorMatcher(rho_high=0.9, rho_low=0.1),
+         {"FORCE_MATCH": False}),
+        (lambda m: m.UniformTopKMatcher(), {}),
+        (lambda m: m.UniformTopKMatcher(),
+         {"TOPK": 1, "IGNORE_THRESHOLD": 0.3}),
     ], ids=["iou", "iou-no-force", "topk", "topk-1"])
-    def test_equals_one_box_loop(self, make):
+    def test_equals_one_box_loop(self, make, constants, monkeypatch):
         from repro import detection
         from repro.detection.anchors import AnchorGrid
 
+        for name, value in constants.items():
+            monkeypatch.setattr(matcher_module, name, value)
         matcher = make(detection)
         anchors = AnchorGrid(6, 9, 8).all_anchors()
         rng = np.random.default_rng(3)

@@ -22,7 +22,6 @@ from repro.dist import (
     DistributedTrainer,
     PeerLostError,
     ProtocolError,
-    TensorManifest,
     WorkerGroup,
     WorkerSpec,
     build_pretrain_task,
@@ -308,7 +307,7 @@ def test_worker_crash_triggers_rebuild_and_completion():
             fault_plan=FaultPlan(crash_at_iteration=2),
             fault_rank=1,
         )
-        report = WorkerGroup(spec, world_size=2, max_rebuilds=2).run()
+        report = WorkerGroup(spec, world_size=2).run()
     assert report.generations == 2
     assert report.launched_world_size == 2
     assert report.world_size == 1  # finished at the reduced world size

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.core import GroundingResponse
 from repro.data import REFCOCO, build_dataset
 from repro.data.loader import encode_batch
+from repro.eval import curves, timing
+from repro.eval import metrics as eval_metrics
 from repro.eval import (
     TrainingCurve,
     accuracy_at_iou,
@@ -122,23 +124,25 @@ class TestMetrics:
         report = evaluate_grounder(zero_grounder, dataset["val"])
         assert report.acc_at_50 == 0.0
 
-    def test_evaluate_batches_correctly(self, dataset):
+    def test_evaluate_batches_correctly(self, dataset, monkeypatch):
+        monkeypatch.setattr(eval_metrics, "EVAL_BATCH_SIZE", 3)
         calls = []
 
         def grounder(samples):
             calls.append(len(samples))
             return perfect(samples)
 
-        evaluate_grounder(grounder, dataset["val"], batch_size=3)
+        evaluate_grounder(grounder, dataset["val"])
         assert sum(calls) == len(dataset["val"])
         assert max(calls) <= 3
 
-    def test_yollo_ious_match_predict_boxes_bytewise(self, dataset):
+    def test_yollo_ious_match_predict_boxes_bytewise(self, dataset, monkeypatch):
         # Scoring response top boxes must reproduce scoring the paper's
         # single predicted box, so cached eval reports stay valid.
         grounder = tiny_grounder(dataset)
         samples = list(dataset["val"])
-        report = evaluate_grounder(grounder, samples, batch_size=5)
+        monkeypatch.setattr(eval_metrics, "EVAL_BATCH_SIZE", 5)
+        report = evaluate_grounder(grounder, samples)
         batch = encode_batch(samples, dataset.vocab, grounder.max_query_length)
         boxes = np.stack([p.box for p in grounder.model.predict(
             batch["images"], batch["token_ids"], batch["token_mask"])])
@@ -151,8 +155,9 @@ class TestMetrics:
 
 
 class TestTiming:
-    def test_reports_stats(self, dataset):
-        report = time_grounder(zero_grounder, dataset["val"][:4], warmup=1)
+    def test_reports_stats(self, dataset, monkeypatch):
+        monkeypatch.setattr(timing, "TIMING_WARMUP", 1)
+        report = time_grounder(zero_grounder, dataset["val"][:4])
         assert report.latency.count == 4
         assert report.latency.mean >= 0.0
         assert report.total_mean == report.latency.mean
@@ -164,23 +169,25 @@ class TestTiming:
         assert report.proposal_mean == pytest.approx(0.5)
         assert report.total_mean == pytest.approx(report.latency.mean + 0.5)
 
-    def test_model_time_from_spans(self, dataset):
+    def test_model_time_from_spans(self, dataset, monkeypatch):
         from repro.obs import trace_span
 
+        monkeypatch.setattr(timing, "TIMING_WARMUP", 0)
         def grounder(samples):
             with trace_span("yollo.forward"):
                 pass  # the span *is* the model time here
             return zero_grounder(samples)
 
-        report = time_grounder(grounder, dataset["val"][:3], warmup=0)
+        report = time_grounder(grounder, dataset["val"][:3])
         assert report.model_mean > 0.0
         assert report.model_mean <= report.latency.mean
         assert report.overhead_mean == pytest.approx(
             report.latency.mean - report.model_mean
         )
 
-    def test_unspanned_grounder_has_zero_model_time(self, dataset):
-        report = time_grounder(zero_grounder, dataset["val"][:2], warmup=0)
+    def test_unspanned_grounder_has_zero_model_time(self, dataset, monkeypatch):
+        monkeypatch.setattr(timing, "TIMING_WARMUP", 0)
+        report = time_grounder(zero_grounder, dataset["val"][:2])
         assert report.model_mean == 0.0
         assert report.overhead_mean == report.latency.mean
 
@@ -203,13 +210,15 @@ class TestTrainingCurve:
         curve = TrainingCurve("x")
         for i, v in [(1, 0.1), (2, 0.5), (3, 0.96), (4, 1.0)]:
             curve.record(i, v)
-        assert curve.convergence_iteration(0.95) == 3
+        assert curve.convergence_iteration() == 3
 
-    def test_ascii_rendering(self):
+    def test_ascii_rendering(self, monkeypatch):
+        monkeypatch.setattr(curves, "PLOT_WIDTH", 20)
+        monkeypatch.setattr(curves, "PLOT_HEIGHT", 5)
         curve = TrainingCurve("demo")
         for i in range(10):
             curve.record(i, i / 10)
-        art = curve.render_ascii(width=20, height=5)
+        art = curve.render_ascii()
         assert "demo" in art and "*" in art
 
 
@@ -288,7 +297,7 @@ class TestClauseDepthRecall:
         queries = ["the red car", "the dog to the left of the car"]
         targets = [self._boxes([0, 0, 10, 10]), self._boxes([5, 5, 15, 15])]
         ranked = [targets[0], self._boxes([90, 90, 99, 99])]  # depth-1 miss
-        result = recall_by_clause_depth(ranked, targets, queries, k=1)
+        result = recall_by_clause_depth(ranked, targets, queries)
         assert result[0] == 1.0
         assert result[1] == 0.0
 

@@ -213,6 +213,43 @@ class TestScenarioTables:
             assert f"{name}/oracle" in report
 
 
+class TestReroll:
+    def test_attempts_start_pretrained_and_the_best_is_kept(self, tmp_path,
+                                                          monkeypatch):
+        """Each reroll attempt fine-tunes its own copy of the pretrained
+        backbone; the stored weights are the best attempt's own, trunk
+        included."""
+        from repro.backbone import load_pretrained_backbone
+
+        context = ExperimentContext(preset=get_preset("smoke"),
+                                    cache_dir=str(tmp_path), verbose=False)
+        attempts = []
+        real = YolloTrainer.train
+
+        def spy(trainer, **kwargs):
+            start = trainer.model.encoder.backbone.state_dict()
+            history = real(trainer, **kwargs)
+            score = max(history.curve.values, default=0.0)
+            attempts.append((start, trainer.model.state_dict(), score))
+            return history
+
+        monkeypatch.setattr(YolloTrainer, "train", spy)
+        # No attempt clears this bar, so every attempt trains.
+        monkeypatch.setattr(context_module, "_DEGENERATE_ACC", 1.01)
+        model, _, _ = context.yollo("RefCOCO")
+        assert len(attempts) == context_module._YOLLO_TRAIN_ATTEMPTS == 3
+
+        config = context.yollo_config()
+        pretrained = load_pretrained_backbone(
+            config.backbone, steps=context.preset.pretrain_steps,
+            image_height=config.image_height, image_width=config.image_width,
+            cache_dir=context.cache_dir).state_dict()
+        for start, _, _ in attempts:
+            _assert_states_equal(start, pretrained)
+        best = max(range(len(attempts)), key=lambda i: attempts[i][2])
+        _assert_states_equal(model.state_dict(), attempts[best][1])
+
+
 class TestCacheDirectory:
     def test_every_artifact_goes_under_cache_dir(self, tmp_path, monkeypatch):
         """Backbones included, and only as ``<kind>-<fingerprint>.ckpt``."""

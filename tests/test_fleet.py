@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core import responses_equal
-from repro.data.refcoco import GroundingSample
+from repro.data.refcoco import request_sample
 from repro.runtime import CheckpointManager, FaultPlan
 from repro.serve import (
     DeadlineExceeded,
     FleetConfig,
     FleetRouter,
     FleetStopped,
-    LatencyGrounder,
     Overloaded,
     ReloadError,
     ReplicaSpec,
@@ -29,6 +28,7 @@ from repro.serve import (
     state_checksum,
     timed_trace,
 )
+from repro.serve import fleet, soak
 from repro.serve.replica import apply_weights
 from repro.utils.seeding import spawn_rng
 
@@ -43,14 +43,8 @@ def _watchdog():
 
 def make_samples(count, shape=(8, 8, 3), seed_name="fleet-samples"):
     rng = spawn_rng(seed_name)
-    return [
-        GroundingSample(
-            image=rng.random(shape), query=f"object number {i}",
-            tokens=[], target_box=np.zeros(4), target_index=-1,
-            scene=None, split="test",
-        )
-        for i in range(count)
-    ]
+    return [request_sample(rng.random(shape), f"object number {i}")
+            for i in range(count)]
 
 
 def latency_spec(latency=0.002, **overrides):
@@ -146,8 +140,6 @@ class TestFleetConfig:
             FleetConfig(replicas=0)
         with pytest.raises(ValueError):
             FleetConfig(max_queue=0)
-        with pytest.raises(ValueError):
-            FleetConfig(retry_attempts=0)
 
 
 # ----------------------------------------------------------------------
@@ -186,10 +178,10 @@ class TestFleetServing:
         assert stats.latency.count == stats.completed == len(samples)
         assert f"n={len(samples)}" in stats.render()
 
-    def test_overload_sheds_with_typed_rejection(self):
+    def test_overload_sheds_with_typed_rejection(self, monkeypatch):
+        monkeypatch.setattr(fleet, "MAX_REPLICA_INFLIGHT", 1)
         samples = make_samples(2)
-        cfg = FleetConfig(replicas=1, max_queue=2, max_replica_inflight=1,
-                          default_deadline=30.0)
+        cfg = FleetConfig(replicas=1, max_queue=2, default_deadline=30.0)
         with FleetRouter(latency_spec(latency=0.05, max_batch=1), cfg) \
                 as router:
             assert router.wait_healthy(60.0)
@@ -207,11 +199,11 @@ class TestFleetServing:
         assert outcomes["ok"] + outcomes["shed"] == 10
         assert router.stats().shed == outcomes["shed"]
 
-    def test_deadline_retries_then_types_out(self):
+    def test_deadline_retries_then_types_out(self, monkeypatch):
+        monkeypatch.setattr(fleet, "RETRY_BASE_DELAY", 0.001)
+        monkeypatch.setattr(fleet, "RETRY_MAX_DELAY", 0.01)
         samples = make_samples(1)
-        cfg = FleetConfig(replicas=2, max_queue=16,
-                          retry_attempts=2, retry_base_delay=0.001,
-                          retry_max_delay=0.01)
+        cfg = FleetConfig(replicas=2, max_queue=16)
         # every forward takes 0.4s; a 0.05s deadline can never be met
         with FleetRouter(latency_spec(latency=0.4, max_batch=1), cfg) \
                 as router:
@@ -441,7 +433,7 @@ class TestRouterCache:
         assert stats.cache_hits >= 1
         assert stats.cache_epoch == 0
 
-    def test_soak_repeated_queries_reload_and_crash(self, tmp_path):
+    def test_soak_repeated_queries_reload_and_crash(self, tmp_path, monkeypatch):
         """The acceptance-criteria soak: repeated-query trace, mid-run
         rolling reload, injected crash — hit rate > 0, zero stale."""
         samples = make_samples(3)
@@ -469,7 +461,8 @@ class TestRouterCache:
         assert report.reload_error is None, report.render()
         assert report.stats.respawns >= 1, report.render()
         assert report.stats.cache_hits > 0, report.render()
-        violations = report.check(min_cache_hit_rate=0.01)
+        monkeypatch.setattr(soak, "MIN_CACHE_HIT_RATE", 0.01)
+        violations = report.check()
         assert violations == [], violations
         assert "cache" in report.stats.render()
 
@@ -503,7 +496,7 @@ class TestSoakHarness:
         violations = report.check(expected_replicas=None, slo_p99=None)
         assert violations == [], violations
 
-    def test_report_check_flags_violations(self):
+    def test_report_check_flags_violations(self, monkeypatch):
         from repro.obs import Histogram
         from repro.serve import FleetStats, SoakReport
 
@@ -517,12 +510,14 @@ class TestSoakHarness:
             replicas=({"index": 0, "state": "up", "generation": 0,
                        "depth": 0, "in_flight": 0, "served": 8},),
         )
-        report = SoakReport(submitted=10, ok=8, shed=0, deadline=0,
+        report = SoakReport(submitted=10, ok=7, shed=1, deadline=0,
                             failed=0, lost=2, wall_seconds=1.0, stats=stats,
                             scenario_latency={"driving": latency.summary()})
+        monkeypatch.setattr(soak, "MAX_SHED_FRACTION", 0.05)
         violations = report.check(slo_p99=0.1, expected_replicas=3,
                                   scenario_slo_p99=0.1)
         assert any("lost" in v for v in violations)
+        assert any(v.startswith("shed fraction 10.00%") for v in violations)
         assert any(v.startswith("p99") for v in violations)
         assert any("scenario 'driving' p99" in v for v in violations)
         assert any("replicas" in v for v in violations)
@@ -652,17 +647,17 @@ class TestHeterogeneousFleet:
 
 @pytest.mark.dist
 class TestFleetStopSemantics:
-    def test_stop_resolves_every_outstanding_future(self):
+    def test_stop_resolves_every_outstanding_future(self, monkeypatch):
+        monkeypatch.setattr(fleet, "MAX_REPLICA_INFLIGHT", 2)
         samples = make_samples(2)
-        cfg = FleetConfig(replicas=1, max_queue=64, max_replica_inflight=2,
-                          default_deadline=60.0, stop_timeout=0.2)
+        cfg = FleetConfig(replicas=1, max_queue=64, default_deadline=60.0)
         router = FleetRouter(latency_spec(latency=0.2, max_batch=1),
                              cfg).start()
         assert router.wait_healthy(60.0)
         futures = [router.submit(samples[i % 2].image, f"slow {i}")
                    for i in range(12)]
         time.sleep(0.05)
-        router.stop()  # 0.2s grace cannot drain 12 x 0.2s requests
+        router.stop(timeout=0.2)  # cannot drain 12 x 0.2s requests
         unresolved = [f for f in futures if not f.done()]
         assert unresolved == [], f"{len(unresolved)} futures left hanging"
         kinds = set()

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.autograd import set_default_dtype
-from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
+from repro.core import YolloConfig, YolloModel, YolloTrainer
 from repro.data import REFCOCO, build_dataset
-from repro.eval import evaluate_grounder, time_grounder
+from repro.eval import evaluate_grounder, time_grounder, timing
 from repro.twostage import ListenerMatcher, SegmentationProposer, TwoStageGrounder
+from repro.twostage import listener as listener_module
 from repro.utils import seed_everything
 
 
@@ -72,9 +73,10 @@ def test_predictions_are_nondegenerate(setup):
     assert np.all(widths > 1.0) and np.all(heights > 1.0)
 
 
-def test_same_eval_path_for_both_paradigms(setup):
+def test_same_eval_path_for_both_paradigms(setup, monkeypatch):
     dataset, _, _, trainer, _ = setup
-    listener = ListenerMatcher(dataset.vocab, embed_dim=12,
+    monkeypatch.setattr(listener_module, "EMBED_DIM", 12)
+    listener = ListenerMatcher(dataset.vocab,
                                max_query_length=dataset.max_query_length)
     two_stage = TwoStageGrounder(
         SegmentationProposer(rng=np.random.default_rng(0)), {"listener": listener}
@@ -84,9 +86,10 @@ def test_same_eval_path_for_both_paradigms(setup):
         assert 0.0 <= report.acc_at_50 <= 1.0
 
 
-def test_timing_protocol_for_both_paradigms(setup):
+def test_timing_protocol_for_both_paradigms(setup, monkeypatch):
+    monkeypatch.setattr(timing, "TIMING_WARMUP", 1)
     dataset, _, _, trainer, _ = setup
-    report = time_grounder(trainer.grounder, dataset["val"][:3], warmup=1)
+    report = time_grounder(trainer.grounder, dataset["val"][:3])
     assert report.latency.mean > 0
 
 

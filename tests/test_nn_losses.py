@@ -12,6 +12,7 @@ from repro.nn import (
     smooth_l1,
     softmax_cross_entropy,
 )
+from repro.nn import losses
 
 
 def make(shape, seed=0):
@@ -82,8 +83,9 @@ class TestSmoothL1:
         loss = smooth_l1(Tensor(np.array([3.0])), np.array([0.0]))
         assert np.isclose(loss.data[0], 3.0 - 0.5)
 
-    def test_beta_changes_crossover(self):
-        loss = smooth_l1(Tensor(np.array([1.5])), np.array([0.0]), beta=2.0)
+    def test_beta_changes_crossover(self, monkeypatch):
+        monkeypatch.setattr(losses, "SMOOTH_L1_BETA", 2.0)
+        loss = smooth_l1(Tensor(np.array([1.5])), np.array([0.0]))
         assert np.isclose(loss.data[0], 1.5**2 / 4.0)
 
     @pytest.mark.usefixtures("float64")
@@ -126,30 +128,37 @@ def test_property_smooth_l1_symmetric(seed):
 
 
 class TestSigmoidFocalLoss:
-    def test_gamma_zero_no_alpha_is_exactly_bce(self):
+    @staticmethod
+    def _plain(monkeypatch, gamma=0.0):
+        """Turn off the class balance and set the modulation exponent."""
+        monkeypatch.setattr(losses, "FOCAL_ALPHA", None)
+        monkeypatch.setattr(losses, "FOCAL_GAMMA", gamma)
+
+    def test_gamma_zero_no_alpha_is_exactly_bce(self, monkeypatch):
         from repro.nn import sigmoid_focal_loss
 
+        self._plain(monkeypatch)
         logits = make((4, 6), seed=3)
         targets = (np.random.default_rng(4).random((4, 6)) > 0.5).astype(float)
-        focal = sigmoid_focal_loss(logits, targets, alpha=None, gamma=0.0)
+        focal = sigmoid_focal_loss(logits, targets)
         bce = binary_cross_entropy_with_logits(
             Tensor(logits.data), targets)
         assert float(focal.data) == float(bce.data), (
             "gamma=0 + alpha=None must reduce to BCE bit-for-bit")
 
-    def test_weighted_reduction_matches_bce_at_gamma_zero(self):
+    def test_weighted_reduction_matches_bce_at_gamma_zero(self, monkeypatch):
         from repro.nn import sigmoid_focal_loss
 
+        self._plain(monkeypatch)
         logits = make((8,), seed=5)
         targets = np.array([1.0, 0, 1, 0, 1, 0, 1, 0])
         weights = np.array([1.0, 1, 0, 0, 1, 1, 0, 0])
-        focal = sigmoid_focal_loss(logits, targets, alpha=None, gamma=0.0,
-                                   weights=weights)
+        focal = sigmoid_focal_loss(logits, targets, weights=weights)
         bce = binary_cross_entropy_with_logits(
             Tensor(logits.data), targets, weights=weights)
         assert float(focal.data) == float(bce.data)
 
-    def test_modulation_downweights_easy_examples(self):
+    def test_modulation_downweights_easy_examples(self, monkeypatch):
         from repro.nn import sigmoid_focal_loss
 
         # A confidently-correct positive (easy) vs an uncertain one
@@ -158,8 +167,10 @@ class TestSigmoidFocalLoss:
         hard = Tensor(np.array([0.1]), requires_grad=True)
         targets = np.array([1.0])
         for logits in (easy, hard):
-            bce = sigmoid_focal_loss(logits, targets, alpha=None, gamma=0.0)
-            focal = sigmoid_focal_loss(logits, targets, alpha=None, gamma=2.0)
+            self._plain(monkeypatch, gamma=0.0)
+            bce = sigmoid_focal_loss(logits, targets)
+            self._plain(monkeypatch, gamma=2.0)
+            focal = sigmoid_focal_loss(logits, targets)
             ratio = float(focal.data) / float(bce.data)
             if logits is easy:
                 easy_ratio = ratio
@@ -167,14 +178,13 @@ class TestSigmoidFocalLoss:
                 hard_ratio = ratio
         assert easy_ratio < hard_ratio < 1.0
 
-    def test_alpha_balances_classes(self):
+    def test_alpha_balances_classes(self, monkeypatch):
         from repro.nn import sigmoid_focal_loss
 
+        monkeypatch.setattr(losses, "FOCAL_GAMMA", 0.0)
         logits = Tensor(np.zeros(2))
-        positive = sigmoid_focal_loss(logits, np.array([1.0, 1.0]),
-                                      alpha=0.25, gamma=0.0)
-        negative = sigmoid_focal_loss(logits, np.array([0.0, 0.0]),
-                                      alpha=0.25, gamma=0.0)
+        positive = sigmoid_focal_loss(logits, np.array([1.0, 1.0]))
+        negative = sigmoid_focal_loss(logits, np.array([0.0, 0.0]))
         # identical logits, symmetric targets: only alpha distinguishes
         assert float(positive.data) == pytest.approx(
             float(negative.data) / 3.0)
@@ -185,22 +195,17 @@ class TestSigmoidFocalLoss:
 
         targets = (np.random.default_rng(7).random((3, 4)) > 0.5).astype(float)
         gradient_check(
-            lambda l: sigmoid_focal_loss(l, targets, alpha=0.25, gamma=2.0),
+            lambda l: sigmoid_focal_loss(l, targets),
             [make((3, 4), seed=8)],
         )
 
     @pytest.mark.usefixtures("float64")
-    def test_grad_gamma_one(self):
+    def test_grad_gamma_one(self, monkeypatch):
         from repro.nn import sigmoid_focal_loss
 
+        self._plain(monkeypatch, gamma=1.0)
         targets = np.array([[1.0, 0.0], [0.0, 1.0]])
         gradient_check(
-            lambda l: sigmoid_focal_loss(l, targets, alpha=None, gamma=1.0),
+            lambda l: sigmoid_focal_loss(l, targets),
             [make((2, 2), seed=9)],
         )
-
-    def test_rejects_negative_gamma(self):
-        from repro.nn import sigmoid_focal_loss
-
-        with pytest.raises(ValueError):
-            sigmoid_focal_loss(make((2, 2)), np.zeros((2, 2)), gamma=-1.0)

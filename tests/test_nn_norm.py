@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradient_check
-from repro.nn import BatchNorm2d, GroupNorm2d, LayerNorm
+from repro.nn import BatchNorm2d, GroupNorm2d, LayerNorm, norm
 
 
 def make(shape, seed=0):
@@ -19,8 +19,9 @@ class TestBatchNorm2d:
         assert np.allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
         assert np.allclose(out.std(axis=(0, 2, 3)), 1.0, atol=1e-2)
 
-    def test_running_stats_updated(self):
-        bn = BatchNorm2d(2, momentum=0.5)
+    def test_running_stats_updated(self, monkeypatch):
+        monkeypatch.setattr(norm, "BATCH_NORM_MOMENTUM", 0.5)
+        bn = BatchNorm2d(2)
         bn(make((4, 2, 3, 3)))
         assert not np.allclose(bn.running_mean, 0.0)
 
@@ -32,7 +33,7 @@ class TestBatchNorm2d:
         x = make((1, 2, 3, 3), 99)
         out = bn(x).data
         expected = (x.data - bn.running_mean.reshape(1, -1, 1, 1)) / np.sqrt(
-            bn.running_var.reshape(1, -1, 1, 1) + bn.eps
+            bn.running_var.reshape(1, -1, 1, 1) + norm.EPS
         )
         assert np.allclose(out, expected)
 
@@ -87,12 +88,14 @@ class TestGroupNorm2d:
         assert np.allclose(gn(x).data, train_out)
 
     def test_falls_back_to_one_group(self):
-        gn = GroupNorm2d(6, num_groups=4)  # 6 % 4 != 0
+        gn = GroupNorm2d(6)  # 6 % NUM_GROUPS != 0
         assert gn.num_groups == 1
 
     @pytest.mark.usefixtures("float64")
-    def test_grad(self):
-        gn = GroupNorm2d(4, num_groups=2)
+    def test_grad(self, monkeypatch):
+        monkeypatch.setattr(norm, "NUM_GROUPS", 2)
+        gn = GroupNorm2d(4)
+        assert gn.num_groups == 2
         gradient_check(lambda *i: gn(i[0]), [make((2, 4, 3, 3))] + gn.parameters(),
                        atol=1e-3, rtol=1e-3)
 

@@ -5,46 +5,23 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.nn import Linear, Parameter
-from repro.optim import SGD, Adam, WarmupCosineLR, clip_grad_norm
+from repro.optim import Adam, WarmupCosineLR, clip_grad_norm
 
 
 def quadratic_param():
     return Parameter(np.array([5.0, -3.0]))
 
 
-class TestSGD:
-    def test_plain_step(self):
-        p = quadratic_param()
-        p.grad = np.array([1.0, -1.0])
-        SGD([p], lr=0.1).step()
-        assert np.allclose(p.data, [4.9, -2.9])
-
-    def test_momentum_accumulates(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        for _ in range(2):
-            p.grad = np.array([1.0, 0.0])
-            opt.step()
-        # Second step uses velocity 1.9.
-        assert np.isclose(p.data[0], 5.0 - 0.1 - 0.1 * 1.9)
-
-    def test_weight_decay(self):
-        p = quadratic_param()
-        p.grad = np.zeros(2)
-        SGD([p], lr=0.1, weight_decay=1.0).step()
-        assert np.allclose(p.data, [4.5, -2.7])
+class TestAdam:
+    def test_empty_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
     def test_skips_gradless_params(self):
         p = quadratic_param()
-        SGD([p], lr=0.1).step()
+        Adam([p], lr=0.1).step()
         assert np.allclose(p.data, [5.0, -3.0])
 
-    def test_empty_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-
-class TestAdam:
     def test_converges_on_quadratic(self):
         p = quadratic_param()
         opt = Adam([p], lr=0.2)
@@ -92,14 +69,14 @@ class TestClipGradNorm:
 
 class TestSchedulers:
     def test_warmup_cosine_shape(self):
-        opt = SGD([quadratic_param()], lr=1.0)
+        opt = Adam([quadratic_param()], lr=1.0)
         sched = WarmupCosineLR(opt, warmup_steps=2, total_steps=10)
         lrs = [sched.step() for _ in range(10)]
         assert lrs[0] < lrs[1] <= 1.0  # warmup rises
         assert lrs[-1] < 0.1  # decays toward zero
 
     def test_warmup_cosine_validates(self):
-        opt = SGD([quadratic_param()], lr=1.0)
+        opt = Adam([quadratic_param()], lr=1.0)
         with pytest.raises(ValueError):
             WarmupCosineLR(opt, warmup_steps=5, total_steps=5)
 
@@ -110,14 +87,14 @@ class TestSchedulers:
     def test_state_dict_resumes_schedule_position(self, make_sched):
         # Regression: schedulers used to restart from step 0 on resume,
         # replaying the warmup/decay from scratch.
-        opt = SGD([quadratic_param()], lr=1.0)
+        opt = Adam([quadratic_param()], lr=1.0)
         sched = make_sched(opt)
         for _ in range(5):
             sched.step()
         snapshot = sched.state_dict()
         straight = [sched.step() for _ in range(5)]
 
-        fresh_opt = SGD([quadratic_param()], lr=1.0)
+        fresh_opt = Adam([quadratic_param()], lr=1.0)
         fresh = make_sched(fresh_opt)
         fresh.load_state_dict(snapshot)
         assert fresh.step_count == 5
@@ -126,7 +103,7 @@ class TestSchedulers:
         assert resumed == straight
 
     def test_cross_type_scheduler_load_rejected(self):
-        cosine = WarmupCosineLR(SGD([quadratic_param()], lr=1.0),
+        cosine = WarmupCosineLR(Adam([quadratic_param()], lr=1.0),
                                 warmup_steps=2, total_steps=10)
         foreign = {**cosine.state_dict(), "type": "OtherLR"}
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import pytest
 from repro.core import YolloConfig, YolloModel, YolloTrainer, responses_equal
 from repro.data import REFCOCO, build_dataset
 from repro.nn import Parameter
-from repro.optim import SGD, Adam, clip_grad_norm
+from repro.optim import Adam, clip_grad_norm
 from repro.runtime import (
     AnomalyGuard,
     CallbackTask,
@@ -35,6 +35,7 @@ from repro.runtime import (
     retry_call,
     write_checkpoint,
 )
+from repro.runtime import guards, supervisor as supervisor_module
 from repro.utils import seed_everything
 
 
@@ -48,7 +49,7 @@ def payload(value: float) -> dict:
 def make_toy_task(total: int = 20, lr: float = 0.1):
     """Gradient descent on ||p||^2 via the CallbackTask adapter."""
     param = Parameter(np.array([2.0, -3.0]))
-    optimizer = SGD([param], lr=lr)
+    optimizer = Adam([param], lr=lr)
     losses = []
 
     def forward_backward(step: int) -> float:
@@ -191,7 +192,7 @@ class TestAnomalyGuard:
         assert guard.assess(1.0).action is GuardAction.PROCEED
 
     def test_nan_loss_skips_then_rolls_back(self):
-        guard = AnomalyGuard(max_consecutive=3)
+        guard = AnomalyGuard()
         assert guard.assess(float("nan")).action is GuardAction.SKIP
         assert guard.assess(float("inf")).action is GuardAction.SKIP
         assert guard.assess(float("nan")).action is GuardAction.ROLLBACK
@@ -203,14 +204,17 @@ class TestAnomalyGuard:
         assert verdict.action is GuardAction.SKIP
         assert "gradient" in verdict.reason
 
-    def test_healthy_step_resets_streak(self):
-        guard = AnomalyGuard(max_consecutive=2)
+    def test_healthy_step_resets_streak(self, monkeypatch):
+        monkeypatch.setattr(guards, "MAX_CONSECUTIVE", 2)
+        guard = AnomalyGuard()
         guard.assess(float("nan"))
         guard.assess(1.0)
         assert guard.assess(float("nan")).action is GuardAction.SKIP
 
-    def test_loss_spike_detected_once_window_full(self):
-        guard = AnomalyGuard(spike_factor=10.0, spike_window=5)
+    def test_loss_spike_detected_once_window_full(self, monkeypatch):
+        monkeypatch.setattr(guards, "SPIKE_FACTOR", 10.0)
+        monkeypatch.setattr(guards, "SPIKE_WINDOW", 5)
+        guard = AnomalyGuard()
         for _ in range(4):
             assert guard.assess(1.0).action is GuardAction.PROCEED
         # Window not yet full: a huge loss is still tolerated.
@@ -297,9 +301,10 @@ class TestBackoffDelay:
         with pytest.raises(ValueError):
             backoff_delay(-1)
 
-    def test_retry_call_sleeps_follow_backoff_schedule(self):
-        from repro.runtime import backoff_delay
+    def test_retry_call_sleeps_follow_backoff_schedule(self, monkeypatch):
+        from repro.runtime import backoff_delay, retry
 
+        monkeypatch.setattr(retry, "RETRY_MAX_DELAY", 0.12)
         sleeps = []
 
         def always_fails():
@@ -307,8 +312,7 @@ class TestBackoffDelay:
 
         with pytest.raises(RetryExhaustedError):
             retry_call(always_fails, attempts=4, base_delay=0.05,
-                       max_delay=0.12, jitter=0.5, sleep=sleeps.append,
-                       rng=np.random.default_rng(11))
+                       sleep=sleeps.append, rng=np.random.default_rng(11))
         replay_rng = np.random.default_rng(11)
         expected = [backoff_delay(k, base_delay=0.05, max_delay=0.12,
                                   jitter=0.5, rng=replay_rng)
@@ -377,34 +381,33 @@ class TestSupervisorRecovery:
         assert len(losses) == 9  # the poisoned step was discarded
         assert np.isfinite(param.data).all()
 
-    def test_rollback_after_repeated_anomalies(self, tmp_path):
+    def test_rollback_after_repeated_anomalies(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(guards, "MAX_CONSECUTIVE", 2)
         task, param, losses = make_toy_task(total=12)
         plan = FaultPlan(nan_grad_at={5, 6})  # two consecutive transients
-        guard = AnomalyGuard(max_consecutive=2)
         report = TrainingSupervisor(task, checkpoint_dir=str(tmp_path),
-                                    checkpoint_every=2, guard=guard,
-                                    fault_plan=plan).run()
+                                    checkpoint_every=2, fault_plan=plan).run()
         assert report.rollbacks == 1
         assert report.skipped_steps == 1  # first anomaly skipped, second rolled back
         assert report.iterations == 12
         assert np.isfinite(param.data).all()
 
-    def test_rollback_budget_exhaustion_aborts(self, tmp_path):
+    def test_rollback_budget_exhaustion_aborts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(guards, "MAX_CONSECUTIVE", 1)
+        monkeypatch.setattr(supervisor_module, "MAX_ROLLBACKS", 3)
         task, _, _ = make_toy_task(total=6)
         # Persistent NaN at every iteration: rollback cannot help.
         plan = FaultPlan(nan_grad_at=set(range(1, 100)), fire_once=False)
-        guard = AnomalyGuard(max_consecutive=1)
         supervisor = TrainingSupervisor(task, checkpoint_dir=str(tmp_path),
-                                        checkpoint_every=2, guard=guard,
-                                        fault_plan=plan, max_rollbacks=3)
+                                        checkpoint_every=2, fault_plan=plan)
         with pytest.raises(TrainingAborted):
             supervisor.run()
 
-    def test_rollback_without_any_checkpoint_uses_start_snapshot(self):
+    def test_rollback_without_any_checkpoint_uses_start_snapshot(self, monkeypatch):
+        monkeypatch.setattr(guards, "MAX_CONSECUTIVE", 2)
         task, param, _ = make_toy_task(total=8)
         plan = FaultPlan(nan_grad_at={2, 3})
-        guard = AnomalyGuard(max_consecutive=2)
-        report = TrainingSupervisor(task, guard=guard, fault_plan=plan).run()
+        report = TrainingSupervisor(task, fault_plan=plan).run()
         assert report.rollbacks == 1
         assert report.iterations == 8
         assert np.isfinite(param.data).all()
@@ -419,13 +422,14 @@ class TestSupervisorRecovery:
         assert report.checkpoint_failures == 0  # retry recovered
         assert report.checkpoint_writes >= 2
 
-    def test_persistent_checkpoint_failure_degrades_gracefully(self, tmp_path):
+    def test_persistent_checkpoint_failure_degrades_gracefully(self, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setattr(supervisor_module, "IO_RETRY_ATTEMPTS", 2)
         task, _, losses = make_toy_task(total=6)
         # Every write attempt of the first logical save fails.
         plan = FaultPlan(checkpoint_io_error_on=set(range(100)), fire_once=False)
         report = TrainingSupervisor(task, checkpoint_dir=str(tmp_path),
                                     checkpoint_every=2, fault_plan=plan,
-                                    io_retry_attempts=2,
                                     retry_sleep=lambda _: None).run()
         assert report.iterations == 6  # the run still completed
         assert report.checkpoint_failures >= 1
@@ -657,12 +661,8 @@ class TestOptimizerState:
         optimizer = optimizer_cls([param], **kwargs)
         return param, optimizer
 
-    @pytest.mark.parametrize("cls,kwargs", [
-        (SGD, {"lr": 0.1, "momentum": 0.9}),
-        (Adam, {"lr": 0.05}),
-    ])
-    def test_snapshot_restores_exact_trajectory(self, cls, kwargs):
-        param, optimizer = self._trajectory(cls, **kwargs)
+    def test_snapshot_restores_exact_trajectory(self):
+        param, optimizer = self._trajectory(Adam, lr=0.05)
         for _ in range(3):
             param.grad = 2.0 * param.data
             optimizer.step()
@@ -683,10 +683,10 @@ class TestOptimizerState:
         assert np.array_equal(param.data, after_straight)
 
     def test_cross_type_load_rejected(self):
-        param, sgd = self._trajectory(SGD, lr=0.1)
         _, adam = self._trajectory(Adam, lr=0.1)
+        foreign = {**adam.state_dict(), "type": "SGD"}
         with pytest.raises(ValueError):
-            adam.load_state_dict(sgd.state_dict())
+            adam.load_state_dict(foreign)
 
     def test_wrong_shape_rejected(self):
         _, adam = self._trajectory(Adam, lr=0.1)

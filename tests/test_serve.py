@@ -14,7 +14,7 @@ from repro.core import (
     YolloModel,
     responses_equal,
 )
-from repro.data import REFCOCO, build_dataset
+from repro.data import REFCOCO, build_dataset, request_sample
 from repro.eval import evaluate_grounder, pairwise_ious
 from repro.serve import (
     EngineDrainTimeout,
@@ -27,6 +27,8 @@ from repro.serve import (
     synthetic_trace,
 )
 from repro.twostage import ListenerMatcher, SegmentationProposer, TwoStageGrounder
+from repro.twostage import listener as listener_module
+from repro.twostage import proposals
 from repro.utils import seed_everything
 
 
@@ -376,13 +378,13 @@ class TestStopSemantics:
         # pre-fix race) must be resolved by stop(), not left hanging.
         from concurrent.futures import Future
 
-        from repro.serve.engine import _SHUTDOWN, _Pending, _make_sample
+        from repro.serve.engine import _SHUTDOWN, _Pending
 
         engine = ServeEngine(StubGrounder(), cache_size=0)
         orphan: Future = Future()
         engine._queue.put(_SHUTDOWN)
         engine._queue.put(_Pending(
-            _make_sample(make_image(3), "orphan"), ("k", "orphan"),
+            request_sample(make_image(3), "orphan"), ("k", "orphan"),
             orphan, 0.0))
         engine.stop()
         with pytest.raises(EngineStopped):
@@ -391,12 +393,12 @@ class TestStopSemantics:
     def test_stop_never_started_engine_fails_stranded_futures(self):
         from concurrent.futures import Future
 
-        from repro.serve.engine import _Pending, _make_sample
+        from repro.serve.engine import _Pending
 
         engine = ServeEngine(StubGrounder(), cache_size=0)
         orphan: Future = Future()
         engine._queue.put(_Pending(
-            _make_sample(make_image(4), "orphan"), ("k", "orphan"),
+            request_sample(make_image(4), "orphan"), ("k", "orphan"),
             orphan, 0.0))
         engine.stop()
         with pytest.raises(EngineStopped):
@@ -526,17 +528,19 @@ class TestSyntheticTrace:
 # End-to-end with the real YOLLO grounder
 # ----------------------------------------------------------------------
 class TestServeYollo:
-    def test_engine_matches_direct_predictions(self, tiny_grounder):
+    def test_engine_matches_direct_predictions(self, tiny_grounder, monkeypatch):
         yollo, dataset = tiny_grounder
         samples = list(dataset["val"])
         targets = np.stack([s.target_box for s in samples])
-        listener = ListenerMatcher(dataset.vocab, embed_dim=12,
+        monkeypatch.setattr(listener_module, "EMBED_DIM", 12)
+        listener = ListenerMatcher(dataset.vocab,
                                    max_query_length=dataset.max_query_length)
         # Full quality and no jitter: proposals depend on the image only,
         # so the evaluator's pass and the served pass see the same ones.
-        two_stage = TwoStageGrounder(
-            SegmentationProposer(quality=1.0, jitter_copies=0),
-            {"listener": listener})
+        monkeypatch.setattr(proposals, "QUALITY", 1.0)
+        monkeypatch.setattr(proposals, "JITTER_COPIES", 0)
+        two_stage = TwoStageGrounder(SegmentationProposer(),
+                                     {"listener": listener})
         for grounder in (yollo, two_stage):
             direct = top_boxes(grounder(samples))
             report = evaluate_grounder(grounder, samples)

@@ -1,9 +1,6 @@
 """Text stack: tokenizer, vocabulary, positions, word2vec, corpus."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.text import (
     SkipGramWord2Vec,

@@ -19,7 +19,7 @@ from repro.cli import main
 from repro.core import YolloTrainer
 from repro.data import REFCOCO, build_dataset
 from repro.nn import Parameter
-from repro.optim import SGD
+from repro.optim import Adam
 from repro.runtime import CallbackTask, TrainingSupervisor
 from repro.twostage import (
     ListenerMatcher,
@@ -28,6 +28,7 @@ from repro.twostage import (
     train_listener,
     train_speaker,
 )
+from repro.twostage import listener, proposals, speaker
 from repro.utils import seed_everything
 from repro.zoo import build_model
 from tests.test_runtime import make_toy_task, make_yollo_trainer
@@ -43,7 +44,7 @@ def dataset():
 # ----------------------------------------------------------------------
 def test_none_loss_iteration_keeps_eval_and_checkpoint_schedule(tmp_path):
     param = Parameter(np.array([1.0, -2.0]))
-    optimizer = SGD([param], lr=0.1)
+    optimizer = Adam([param], lr=0.1)
     evaluated = []
 
     def forward_backward(step: int):
@@ -184,13 +185,16 @@ def _copy_weights(source, target):
     return target
 
 
-def test_listener_losses_independent_of_checkpoint_dir(dataset, tmp_path):
-    kwargs = dict(embed_dim=12, max_query_length=dataset.max_query_length)
+def test_listener_losses_independent_of_checkpoint_dir(dataset, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(proposals, "QUALITY", 1.0)
+    monkeypatch.setattr(listener, "EMBED_DIM", 12)
+    kwargs = dict(max_query_length=dataset.max_query_length)
     first = ListenerMatcher(dataset.vocab, **kwargs)
     second = _copy_weights(first, ListenerMatcher(dataset.vocab, **kwargs))
 
     def run(listener, checkpoint_dir):
-        proposer = SegmentationProposer(quality=1.0, rng=np.random.default_rng(1))
+        proposer = SegmentationProposer(rng=np.random.default_rng(1))
         return train_listener(listener, dataset["train"], proposer, steps=12,
                               rng=np.random.default_rng(2),
                               checkpoint_dir=checkpoint_dir)
@@ -200,8 +204,10 @@ def test_listener_losses_independent_of_checkpoint_dir(dataset, tmp_path):
     assert plain and plain == stored
 
 
-def test_speaker_losses_independent_of_checkpoint_dir(dataset, tmp_path):
-    kwargs = dict(embed_dim=12, max_query_length=dataset.max_query_length)
+def test_speaker_losses_independent_of_checkpoint_dir(dataset, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(speaker, "EMBED_DIM", 12)
+    kwargs = dict(max_query_length=dataset.max_query_length)
     first = SpeakerScorer(dataset.vocab, **kwargs)
     second = _copy_weights(first, SpeakerScorer(dataset.vocab, **kwargs))
     plain = train_speaker(first, dataset["train"], steps=6,

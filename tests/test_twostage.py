@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
 from repro.data import REFCOCO, SceneGenerator, build_dataset
 from repro.data.render import render_scene
 from repro.detection import iou_matrix
@@ -19,6 +18,10 @@ from repro.twostage import (
     train_listener,
     train_speaker,
 )
+from repro.twostage import listener as listener_module
+from repro.twostage import proposals as proposals_module
+from repro.twostage import regions as regions_module
+from repro.twostage import speaker as speaker_module
 from tests.test_data_render import render_scene_float64
 
 
@@ -27,9 +30,12 @@ def dataset():
     return build_dataset(REFCOCO.scaled(0.04))
 
 
-@pytest.fixture(scope="module")
-def matcher_kwargs(dataset):
-    return dict(embed_dim=12, max_query_length=dataset.max_query_length)
+@pytest.fixture
+def matcher_kwargs(dataset, monkeypatch):
+    # Narrow embeddings keep the matchers quick to build and train.
+    monkeypatch.setattr(listener_module, "EMBED_DIM", 12)
+    monkeypatch.setattr(speaker_module, "EMBED_DIM", 12)
+    return dict(max_query_length=dataset.max_query_length)
 
 
 class TestRegions:
@@ -48,8 +54,9 @@ class TestRegions:
         assert feats.shape == (1, 5)
         assert np.isclose(feats[0, 4], 36 * 24 / (48 * 72))
 
-    def test_region_encoder_shapes(self, dataset):
-        encoder = RegionEncoder(embed_dim=12, backbone="tiny")
+    def test_region_encoder_shapes(self, dataset, monkeypatch):
+        monkeypatch.setattr(regions_module, "BACKBONE", "tiny")
+        encoder = RegionEncoder(12)
         image = dataset["val"][0].image
         boxes = np.array([[0.0, 0.0, 20.0, 20.0], [10.0, 10.0, 40.0, 30.0]])
         out = encoder(image, boxes)
@@ -57,20 +64,22 @@ class TestRegions:
 
 
 class TestSegmentationProposer:
-    def test_finds_objects(self, dataset):
-        proposer = SegmentationProposer(quality=1.0, rng=np.random.default_rng(0))
+    def test_finds_objects(self, dataset, monkeypatch):
+        monkeypatch.setattr(proposals_module, "QUALITY", 1.0)
+        proposer = SegmentationProposer(rng=np.random.default_rng(0))
         hits = []
         for sample in dataset["val"]:
             proposals = proposer.propose(sample.image)
             hits.append(iou_matrix(proposals.boxes, sample.target_box[None]).max() > 0.4)
         assert np.mean(hits) >= 0.5
 
-    def test_lower_quality_lowers_recall(self, dataset):
+    def test_lower_quality_lowers_recall(self, dataset, monkeypatch):
         # Averaged over proposer seeds and the larger train split: a
         # single-seed measurement on the 4-sample val split swings by
         # 0.25 per flipped sample, drowning the quality effect in noise.
         def recall(quality, seed):
-            proposer = SegmentationProposer(quality=quality, rng=np.random.default_rng(seed))
+            monkeypatch.setattr(proposals_module, "QUALITY", quality)
+            proposer = SegmentationProposer(rng=np.random.default_rng(seed))
             return np.mean([
                 iou_matrix(proposer.propose(s.image).boxes, s.target_box[None]).max() > 0.5
                 for s in dataset["train"]
@@ -80,13 +89,10 @@ class TestSegmentationProposer:
         low = np.mean([recall(0.3, seed) for seed in range(5)])
         assert high >= low - 0.15
 
-    def test_respects_max_proposals(self, dataset):
-        proposer = SegmentationProposer(max_proposals=5, rng=np.random.default_rng(0))
+    def test_respects_max_proposals(self, dataset, monkeypatch):
+        monkeypatch.setattr(proposals_module, "SEGMENTATION_MAX_PROPOSALS", 5)
+        proposer = SegmentationProposer(rng=np.random.default_rng(0))
         assert len(proposer.propose(dataset["val"][0].image)) <= 5
-
-    def test_quality_validation(self):
-        with pytest.raises(ValueError):
-            SegmentationProposer(quality=0.0)
 
     def test_float32_and_float64_renders_give_identical_proposals(self):
         generator = SceneGenerator(rng=np.random.default_rng(8))
@@ -108,8 +114,9 @@ class TestSegmentationProposer:
 
 
 class TestRPN:
-    def test_propose_shapes(self, dataset):
-        rpn = RPNProposer(backbone="tiny", max_proposals=7)
+    def test_propose_shapes(self, dataset, monkeypatch):
+        monkeypatch.setattr(proposals_module, "RPN_MAX_PROPOSALS", 7)
+        rpn = RPNProposer(backbone="tiny")
         proposals = rpn.propose(dataset["val"][0].image)
         assert proposals.boxes.shape[1] == 4
         assert len(proposals) <= 7
@@ -125,9 +132,11 @@ class TestListener:
         scores = listener(sample.image, proposals, ids, mask)
         assert scores.shape == (len(proposals),)
 
-    def test_training_runs_and_reduces_loss(self, dataset, matcher_kwargs):
+    def test_training_runs_and_reduces_loss(self, dataset, matcher_kwargs,
+                                            monkeypatch):
+        monkeypatch.setattr(proposals_module, "QUALITY", 1.0)
         listener = ListenerMatcher(dataset.vocab, **matcher_kwargs)
-        proposer = SegmentationProposer(quality=1.0, rng=np.random.default_rng(1))
+        proposer = SegmentationProposer(rng=np.random.default_rng(1))
         losses = train_listener(listener, dataset["train"], proposer, steps=40)
         assert losses, "expected at least one valid training step"
         assert np.mean(losses[-5:]) <= np.mean(losses[:5]) + 0.1
@@ -143,14 +152,15 @@ class TestSpeaker:
         assert scores.shape == (2,)
         assert np.all(scores.data <= 0.0)  # log probabilities
 
-    def test_training_reduces_loss(self, dataset, matcher_kwargs):
+    def test_training_reduces_loss(self, dataset, matcher_kwargs, monkeypatch):
+        monkeypatch.setattr(speaker_module, "MMI_MARGIN", 0.0)  # captioning only
         speaker = SpeakerScorer(dataset.vocab, **matcher_kwargs)
         losses = train_speaker(speaker, dataset["train"], steps=30)
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
     def test_mmi_margin_runs(self, dataset, matcher_kwargs):
         speaker = SpeakerScorer(dataset.vocab, **matcher_kwargs)
-        losses = train_speaker(speaker, dataset["train"], steps=5, mmi_margin=0.2)
+        losses = train_speaker(speaker, dataset["train"], steps=5)
         assert len(losses) == 5
 
 
@@ -224,7 +234,7 @@ class TestInferenceKeepsMode:
     def test_mode_restored(self, dataset, matcher_kwargs, kind, training):
         sample = dataset["val"][0]
         if kind == "rpn":
-            module = RPNProposer(backbone="tiny", max_proposals=5)
+            module = RPNProposer(backbone="tiny")
             module.train(training)
             module.propose(sample.image)
         else:

@@ -1,9 +1,11 @@
-"""Every module-level import in ``src/repro`` is used by its module.
+"""Every module-level import is used by its module.
 
-The repo has no linter; this is the lint step for unused imports.
-Package ``__init__`` modules are skipped: they import to re-export.
-A name counts as used when the module reads it anywhere (code,
-annotations, decorators) or names it in a string annotation.
+The repo has no linter; this is the lint step for unused imports.  It
+covers ``src/repro``, ``tests``, ``examples`` and the top-level
+``benchmarks/*.py`` (not ``benchmarks/perf``).  Package ``__init__``
+modules are skipped: they import to re-export.  A name counts as used
+when the module reads it anywhere (code, annotations, decorators) or
+names it in a string annotation.
 """
 
 import ast
@@ -11,8 +13,19 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+MODULES = sorted(
+    p for p in [*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                *(ROOT / "examples").rglob("*.py"),
+                *(ROOT / "benchmarks").glob("*.py")]
+    if p.name != "__init__.py"
+)
+
+
+def _module_id(path: Path) -> str:
+    """``src/repro`` modules by their package path, the rest by repo path."""
+    return str(path.relative_to(SRC if SRC in path.parents else ROOT))
 
 
 def _imported_names(tree: ast.Module):
@@ -49,11 +62,10 @@ def _used_names(tree: ast.Module):
     return used
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[_module_id(p) for p in MODULES])
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)
     unused = [f"{name} (line {line})"
               for name, line in _imported_names(tree) if name not in used]
-    assert not unused, f"unused imports in {path.relative_to(SRC)}: {unused}"
+    assert not unused, f"unused imports in {path.relative_to(ROOT)}: {unused}"

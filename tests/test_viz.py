@@ -9,6 +9,7 @@ from repro.viz import (
     render_attention_ascii,
     save_ppm,
 )
+from repro.viz import ascii as ascii_module
 
 
 @pytest.fixture
@@ -18,15 +19,16 @@ def image(rng):
 
 class TestAsciiAttention:
     def test_dimensions(self):
-        art = render_attention_ascii(np.random.default_rng(0).random((4, 6)), width=2)
+        art = render_attention_ascii(np.random.default_rng(0).random((4, 6)))
         lines = art.splitlines()
         assert len(lines) == 4
         assert all(len(line) == 12 for line in lines)
 
-    def test_hot_cell_uses_darker_char(self):
+    def test_hot_cell_uses_darker_char(self, monkeypatch):
+        monkeypatch.setattr(ascii_module, "CELL_WIDTH", 1)
         attention = np.zeros((3, 3))
         attention[1, 1] = 1.0
-        art = render_attention_ascii(attention, width=1)
+        art = render_attention_ascii(attention)
         assert art.splitlines()[1][1] == "@"
 
     def test_box_markers_drawn(self):
