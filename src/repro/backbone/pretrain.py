@@ -23,6 +23,10 @@ from repro.runtime import SupervisedTask, TrainingSupervisor, cached
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import spawn_rng
 
+#: Images per pretrain step and the Adam learning rate of the pretrain.
+BATCH_SIZE = 16
+LEARNING_RATE = 1e-3
+
 
 class ClassificationHead(Module):
     """Global-max-pool features into category and colour logits.
@@ -62,13 +66,13 @@ def _sample_classification_batch(
     return np.stack(images), categories[: len(images)], colors[: len(images)]
 
 
-def pretrain_fingerprint(steps: int, batch_size: int = 16, lr: float = 1e-3,
-                         image_height: int = 48,
+def pretrain_fingerprint(steps: int, image_height: int = 48,
                          image_width: int = 72) -> Dict[str, Any]:
     """The pretrain task's checkpoint fingerprint, part of a backbone's key."""
     # Format 1 drew single-process batches from a stateful ``rng``.
-    return {"task": "backbone-pretrain", "steps": steps, "batch_size": batch_size,
-            "lr": lr, "image": [image_height, image_width], "schedule_format": 2}
+    return {"task": "backbone-pretrain", "steps": steps, "batch_size": BATCH_SIZE,
+            "lr": LEARNING_RATE, "image": [image_height, image_width],
+            "schedule_format": 2}
 
 
 class BackbonePretrainTask(SupervisedTask):
@@ -83,8 +87,6 @@ class BackbonePretrainTask(SupervisedTask):
         self,
         backbone: Module,
         steps: int = 60,
-        batch_size: int = 16,
-        lr: float = 1e-3,
         image_height: int = 48,
         image_width: int = 72,
         rng: Optional[np.random.Generator] = None,
@@ -101,8 +103,7 @@ class BackbonePretrainTask(SupervisedTask):
         self.head = ClassificationHead(backbone.out_channels, rng=rng)
         self._schedule_seed = int(rng.integers(2**63))
         self.optimizer = Adam(backbone.parameters() + self.head.parameters(),
-                              lr=lr)
-        self.batch_size = batch_size
+                              lr=LEARNING_RATE)
         self.image_size = [image_height, image_width]
         self.iteration = 0
         self.total_iterations = steps
@@ -121,7 +122,7 @@ class BackbonePretrainTask(SupervisedTask):
 
     def global_batch(self, iteration: int) -> np.ndarray:
         """The step's sample indices: generative, so only their count matters."""
-        return np.arange(self.batch_size)
+        return np.arange(BATCH_SIZE)
 
     def slot_forward_backward(
         self, iteration: int, slot: int, indices: np.ndarray
@@ -165,8 +166,7 @@ class BackbonePretrainTask(SupervisedTask):
         self.iteration += 1
 
     def fingerprint_data(self) -> Dict[str, Any]:
-        return pretrain_fingerprint(self.total_iterations, self.batch_size,
-                                    self.optimizer.lr, *self.image_size)
+        return pretrain_fingerprint(self.total_iterations, *self.image_size)
 
     def state_dict(self) -> Dict[str, Any]:
         return {
@@ -193,8 +193,6 @@ class BackbonePretrainTask(SupervisedTask):
 def pretrain_backbone(
     backbone: Module,
     steps: int = 60,
-    batch_size: int = 16,
-    lr: float = 1e-3,
     image_height: int = 48,
     image_width: int = 72,
     rng: Optional[np.random.Generator] = None,
@@ -214,9 +212,8 @@ def pretrain_backbone(
     a killed run from the newest checkpoint.
     """
     task = BackbonePretrainTask(
-        backbone, steps=steps, batch_size=batch_size, lr=lr,
-        image_height=image_height, image_width=image_width, rng=rng,
-        logger=logger,
+        backbone, steps=steps, image_height=image_height,
+        image_width=image_width, rng=rng, logger=logger,
     )
     TrainingSupervisor(
         task,

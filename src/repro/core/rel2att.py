@@ -10,7 +10,9 @@ attention vector, and re-weights both input sequences element-wise.
 
 Padding-aware masking excludes PAD query positions from the relation
 averages.  The ablation switches of Table 4 wipe the self- or
-co-attention blocks of ``R`` before the averages are taken.
+co-attention blocks of ``R`` before the averages are taken.  A learnable
+gate, initialised at 0, scales the self-attention blocks, so a fresh
+module attends through the co-attention blocks alone.
 """
 
 from __future__ import annotations
@@ -45,14 +47,25 @@ def _relation_weight_mask(
         valid[:, num_regions:] = token_mask
     weights = valid[:, :, None] * valid[:, None, :]
 
-    block = np.ones((k, k), dtype=valid.dtype)
+    self_blocks = _self_attention_blocks(num_regions, num_tokens)
+    block = np.ones_like(self_blocks)
     if not use_self_attention:
-        block[:num_regions, :num_regions] = 0.0
-        block[num_regions:, num_regions:] = 0.0
+        block -= self_blocks
     if not use_co_attention:
-        block[:num_regions, num_regions:] = 0.0
-        block[num_regions:, :num_regions] = 0.0
+        block -= 1.0 - self_blocks
     return weights * block[None]
+
+
+def _self_attention_blocks(num_regions: int, num_tokens: int) -> np.ndarray:
+    """``(k, k)`` selector, 1 on the R_vv and R_tt blocks, 0 elsewhere.
+
+    Depends on the sequence lengths alone, so a compiled plan freezes it.
+    """
+    k = num_regions + num_tokens
+    blocks = np.zeros((k, k), dtype=get_default_dtype())
+    blocks[:num_regions, :num_regions] = 1.0
+    blocks[num_regions:, num_regions:] = 1.0
+    return blocks
 
 
 def _block_sums(matrix, rows, m: int, balanced: bool) -> list:
@@ -129,6 +142,12 @@ class Rel2AttModule(Module):
         # pure reparameterisation (the FFN output scale could learn the
         # same factor, far more slowly).
         self.att_gain = Parameter(np.array(config.att_gain_init))
+        # Zero-init gate on the self-attention blocks.  R_vv and R_tt
+        # never see the other modality; at init their random structure
+        # (times att_gain) drowns the query's signal and decides whether
+        # a run learns to ground, so a fresh block starts as the
+        # w/o-self-attention arm and lets training open the gate.
+        self.self_gate = Parameter(np.array(0.0))
 
     def relation_map(self, image_seq: Tensor, query_seq: Tensor) -> Tensor:
         """Compute the raw dense relation map ``R`` (Eq. 3)."""
@@ -190,7 +209,11 @@ class Rel2AttModule(Module):
             batch, m, n, token_mask,
             self.config.use_self_attention, self.config.use_co_attention,
         )
-        masked = relation * Tensor(weights)
+        # The gate scales the self-attention entries only; the averages
+        # keep the full mask's normalisers.
+        self_blocks = _self_attention_blocks(m, n)
+        gate = Tensor(self_blocks) * self.self_gate + Tensor(1.0 - self_blocks)
+        masked = relation * Tensor(weights) * gate
         att = self._attention_scores(masked, weights, m)[:, 0]  # (B, k)
         if clause_masks is not None:
             # Every clause's averages at once, pooled over the clause

@@ -41,8 +41,6 @@ def build_yollo_task(
 def build_pretrain_task(
     backbone: str = "tiny",
     steps: int = 4,
-    batch_size: int = 16,
-    lr: float = 1e-3,
     image_height: int = 48,
     image_width: int = 72,
 ):
@@ -50,6 +48,6 @@ def build_pretrain_task(
     from repro.backbone import BackbonePretrainTask, build_backbone
 
     return BackbonePretrainTask(
-        build_backbone(backbone), steps=steps, batch_size=batch_size, lr=lr,
+        build_backbone(backbone), steps=steps,
         image_height=image_height, image_width=image_width,
     )

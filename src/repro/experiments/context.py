@@ -43,12 +43,6 @@ from repro.zoo import get_preset as get_model_preset, lower_config
 
 DATASET_NAMES = tuple(DATASET_SPECS)
 
-#: A trained model whose validation curve never clears this ACC@0.5 is
-#: considered degenerate (it never learned to localise at all) and its
-#: unit seed is rerolled.
-_DEGENERATE_ACC = 0.05
-#: Training attempts per (model, dataset) unit before keeping the best.
-_YOLLO_TRAIN_ATTEMPTS = 3
 #: Base seed every unit's RNG scope derives from.
 SEED = 7
 
@@ -215,78 +209,50 @@ class ExperimentContext:
                                             **backbone_args)
         embeddings = self.word2vec_matrix()
 
-        def build() -> YolloModel:
-            # Called inside a unit's RNG scope; the backbone was loaded
-            # before it, so the scope's stream goes to model init alone.
-            # ``config`` is the preset lowered with these overrides; passing
-            # the overrides again would collide with a ``backbone`` one.
-            # Each model fine-tunes its own copy of the pretrained backbone:
-            # a reroll attempt starts from the pretrained weights, not from
-            # the trunk the previous attempt trained.
-            return YolloModel(config, len(dataset.vocab),
-                              pretrained_embeddings=embeddings,
-                              backbone=copy.deepcopy(backbone))
+        unit_tag = f"yollo-{name}"
+        per_epoch = -(-len(dataset["train"]) // config.batch_size)
+        total_steps = max(2, epochs * per_epoch)
+        # Init and training share the unit's RNG scope, so the weights
+        # are a function of (seed, unit_tag) alone.  ``config`` is the
+        # preset lowered with these overrides; passing the overrides
+        # again would collide with a ``backbone`` one.  The model
+        # fine-tunes its own copy of the pretrained backbone.
+        with self._unit_seed(unit_tag):
+            model = YolloModel(config, len(dataset.vocab),
+                               pretrained_embeddings=embeddings,
+                               backbone=copy.deepcopy(backbone))
+            # Warmup + cosine decay: the constant-LR runs were prone to
+            # late-training loss spikes that destroyed an already-good
+            # model; decaying into the tail stabilises them (keep_best
+            # is the backstop).
+            trainer = YolloTrainer(
+                model, dataset, config, logger=self.logger,
+                scheduler=lambda opt: WarmupCosineLR(
+                    opt, warmup_steps=max(1, total_steps // 20),
+                    total_steps=total_steps,
+                    min_lr=0.1 * config.learning_rate,
+                ),
+            )
 
-        # The model the weights load into: inits inside the unit's RNG
-        # scope, so its weights are a function of (seed, unit_tag) alone.
-        with self._unit_seed(f"yollo-{name}"):
-            model = build()
-        key = {
-            "trainer": YolloTrainer(model, dataset, config).fingerprint_data(),
-            "epochs": epochs, "preset": asdict(self.preset),
-            "unit": [SEED, f"yollo-{name}"], "shapes": _shapes(model),
-            "backbone": backbone_key(config.backbone, backbone, **backbone_args),
-            "word2vec": self._word2vec_key,
-            # Format 1 shared one backbone module across reroll attempts.
-            "reroll_format": 2,
-        }
-
-        def train() -> Dict[str, object]:
-            # A small fraction of derived seeds put training on a
-            # degenerate trajectory (the validation curve never leaves
-            # ~0).  Detect that and reroll the unit seed, keeping the
-            # best attempt, so the benchmark suite doesn't hinge on one
-            # unlucky stream.
-            best: Optional[Tuple[float, YolloModel, TrainingCurve]] = None
-            for attempt in range(_YOLLO_TRAIN_ATTEMPTS):
-                unit_tag = (f"yollo-{name}" if attempt == 0
-                            else f"yollo-{name}-retry{attempt}")
+            def train() -> Dict[str, object]:
                 self.logger.log(
                     f"training YOLLO[{tag}] on {dataset_name} ({epochs} epochs)")
-                per_epoch = -(-len(dataset["train"]) // config.batch_size)
-                total_steps = max(2, epochs * per_epoch)
-                with self._unit_seed(unit_tag):
-                    candidate = build()
-                    # Warmup + cosine decay: the constant-LR runs were
-                    # prone to late-training loss spikes that destroyed
-                    # an already-good model; decaying into the tail
-                    # stabilises them (keep_best is the backstop).
-                    trainer = YolloTrainer(
-                        candidate, dataset, config, logger=self.logger,
-                        scheduler=lambda opt: WarmupCosineLR(
-                            opt, warmup_steps=max(1, total_steps // 20),
-                            total_steps=total_steps,
-                            min_lr=0.1 * config.learning_rate,
-                        ),
-                    )
-                    history = trainer.train(epochs=epochs,
-                                            eval_every=self.preset.eval_every,
-                                            eval_samples=self.preset.eval_limit,
-                                            keep_best=True)
+                history = trainer.train(epochs=epochs,
+                                        eval_every=self.preset.eval_every,
+                                        eval_samples=self.preset.eval_limit,
+                                        keep_best=True)
                 curve = history.curve
                 curve.label = dataset_name
-                score = max(curve.values) if curve.values else 0.0
-                if best is None or score > best[0]:
-                    best = (score, candidate, curve)
-                if epochs == 0 or not curve.values or score >= _DEGENERATE_ACC:
-                    break
-                self.logger.log(
-                    f"YOLLO[{tag}] on {dataset_name} degenerate "
-                    f"(best val ACC {score:.3f}); rerolling unit seed")
-            _, candidate, curve = best
-            return {"weights": candidate.state_dict(), "curve": asdict(curve)}
+                return {"weights": model.state_dict(), "curve": asdict(curve)}
 
-        payload = cached(self.cache_dir, "yollo", key, train)
+            key = {
+                "trainer": trainer.fingerprint_data(), "epochs": epochs,
+                "preset": asdict(self.preset), "unit": [SEED, unit_tag],
+                "shapes": _shapes(model),
+                "backbone": backbone_key(config.backbone, backbone, **backbone_args),
+                "word2vec": self._word2vec_key,
+            }
+            payload = cached(self.cache_dir, "yollo", key, train)
         model.load_state_dict(payload["weights"])
         curve = TrainingCurve(**payload["curve"])
         grounder = Grounder(model, dataset.vocab)

@@ -37,7 +37,7 @@ def backoff_delay(
     ``[1, 1+jitter]`` drawn from ``rng`` so that parallel clients
     retrying a shared resource de-synchronise.  This is the single
     backoff schedule shared by :func:`retry_call` and the serving
-    fleet's deadline-retry and respawn paths.
+    fleet's retry-on-deadline and respawn paths.
     """
     if attempt < 1:
         raise ValueError("attempt is 1-based and must be at least 1")

@@ -57,13 +57,6 @@ from repro.serve.fleet import (
 from repro.serve.trace import TimedRequest
 from repro.utils.seeding import seed_everything
 
-#: Largest share of submitted requests :meth:`SoakReport.check` lets the
-#: fleet shed, and the smallest router-tier cache hit rate it accepts;
-#: ``None`` leaves the invariant unchecked.
-MAX_SHED_FRACTION: Optional[float] = None
-MIN_CACHE_HIT_RATE: Optional[float] = None
-
-
 @dataclass(frozen=True)
 class SoakReport:
     """Outcome of one soak run: per-request classification plus stats."""
@@ -141,20 +134,6 @@ class SoakReport:
             violations.append(
                 f"{self.stats.alive} replicas alive, expected "
                 f"{expected_replicas}")
-        if MAX_SHED_FRACTION is not None and self.submitted:
-            fraction = self.shed / self.submitted
-            if fraction > MAX_SHED_FRACTION:
-                violations.append(
-                    f"shed fraction {fraction:.2%} exceeds "
-                    f"{MAX_SHED_FRACTION:.2%}")
-        if MIN_CACHE_HIT_RATE is not None \
-                and self.stats.cache_hit_rate < MIN_CACHE_HIT_RATE:
-            violations.append(
-                f"router-tier cache hit rate "
-                f"{self.stats.cache_hit_rate:.2%} below "
-                f"{MIN_CACHE_HIT_RATE:.2%} "
-                f"({self.stats.cache_hits} hits / "
-                f"{self.stats.cache_misses} misses)")
         if self.reload_error is not None:
             violations.append(f"rolling reload failed: {self.reload_error}")
         return violations

@@ -138,7 +138,10 @@ def preset_fingerprint(preset: Union[str, ModelPreset],
     """
     preset = _resolve(preset)
     config = lower_config(preset, **extra_overrides)
-    return config_fingerprint({"preset": preset.name, **asdict(config)})
+    # Format 1 had no Rel2Att self-attention gate; its files are refused
+    # here rather than at the strict ``load_state_dict``.
+    return config_fingerprint({"preset": preset.name, "weights_format": 2,
+                               **asdict(config)})
 
 
 def build_model(preset: Union[str, ModelPreset], vocab_size: int,

@@ -94,9 +94,12 @@ class TestPresets:
 
 
 class TestPretraining:
-    def test_history_recorded(self):
+    def test_history_recorded(self, monkeypatch):
+        from repro.backbone import pretrain
+
+        monkeypatch.setattr(pretrain, "BATCH_SIZE", 4)
         net = build_backbone("tiny")
-        history = pretrain_backbone(net, steps=3, batch_size=4)
+        history = pretrain_backbone(net, steps=3)
         assert len(history["loss"]) == 3
         assert all(np.isfinite(history["loss"]))
 

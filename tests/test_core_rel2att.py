@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.core import Rel2AttModule, Rel2AttStack, YolloConfig
-from repro.core.rel2att import _relation_weight_mask
+from repro.core.rel2att import _relation_weight_mask, _self_attention_blocks
 
 
 def config(**overrides):
@@ -106,6 +106,49 @@ class TestRel2AttModule:
         av, at, _, _ = module(v, t)
         (av.sum() + at.sum()).backward()
         assert v.grad is not None and t.grad is not None
+
+
+class TestSelfAttentionGate:
+    def test_one_scalar_parameter_at_zero(self):
+        module = Rel2AttModule(config())
+        names = {name for name, _ in module.named_parameters()
+                 if not name.startswith("ffn_")}
+        assert names == {"att_gain", "self_gate"}
+        assert module.self_gate.shape == () and module.self_gate.data == 0.0
+
+    @pytest.mark.parametrize("clauses", [False, True])
+    def test_fresh_block_is_the_no_self_attention_arm(self, clauses):
+        """At init the gated block gives, bit for bit, what the same
+        weights give with the self-attention blocks wiped."""
+        gated = Rel2AttModule(config())
+        ablated = Rel2AttModule(config(use_self_attention=False))
+        ablated.load_state_dict(gated.state_dict())
+        v, t = sequences(m=6, n=3, batch=2, seed=4)
+        token_mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        masks = None
+        if clauses:
+            masks = np.zeros((2, 2, 3))
+            masks[:, 0, :2] = 1.0
+            masks[:, 1, 1:] = 1.0
+        for a, b in zip(gated(v, t, token_mask, masks),
+                        ablated(v, t, token_mask, masks)):
+            assert np.array_equal(a.data, b.data)
+
+    def test_open_gate_brings_self_attention_back(self):
+        module = Rel2AttModule(config())
+        v, t = sequences()
+        _, _, closed, _ = module(v, t)
+        module.self_gate.data[...] = 1.0
+        _, _, opened, _ = module(v, t)
+        assert not np.allclose(closed.data, opened.data)
+
+    def test_gate_gets_a_gradient(self):
+        module = Rel2AttModule(config())
+        v, t = sequences()
+        _, _, att_v, att_t = module(v, t)
+        (att_v.sum() + att_t.sum()).backward()
+        assert module.self_gate.grad is not None
+        assert module.self_gate.grad != 0.0
 
 
 class TestClauseConditioning:
@@ -209,8 +252,11 @@ class TestClausePoolingReference:
             weights = _relation_weight_mask(
                 batch, m, n, row, cfg.use_self_attention,
                 cfg.use_co_attention)
+            blocks = _self_attention_blocks(m, n)
+            gated = Tensor(weights * (blocks * module.self_gate.data
+                                      + (1.0 - blocks)))
             att = module._attention_scores(
-                relation * Tensor(weights), weights, m).data[:, 0]
+                relation * gated, weights, m).data[:, 0]
             image += att[:, :m] * act
             text += att[:, m:] * row
             coverage += row
@@ -225,6 +271,7 @@ class TestClausePoolingReference:
     @pytest.mark.usefixtures("float64")
     def test_matches_per_clause_scores(self, overrides):
         module = Rel2AttModule(config(**overrides))
+        module.self_gate.data[...] = 0.6  # an open gate is pooled too
         v, t = sequences(m=6, n=5, batch=4, seed=3)
         token_mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0],
                                [1, 1, 1, 1, 0], [1, 1, 0, 0, 0]], float)

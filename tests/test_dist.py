@@ -195,8 +195,9 @@ def test_builders_return_the_single_process_tasks(tmp_path, monkeypatch):
         return real_supervisor(task, **kwargs)
 
     monkeypatch.setattr(pretrain, "TrainingSupervisor", spy)
-    pretrain.pretrain_backbone(build_backbone("tiny"), steps=1, batch_size=2)
-    assert type(build_pretrain_task(steps=1, batch_size=2)) is type(supervised[0])
+    monkeypatch.setattr(pretrain, "BATCH_SIZE", 2)
+    pretrain.pretrain_backbone(build_backbone("tiny"), steps=1)
+    assert type(build_pretrain_task(steps=1)) is type(supervised[0])
 
     trainer = build_yollo_task(scale=0.03, iterations=2)
     assert isinstance(trainer, YolloTrainer)
@@ -219,9 +220,12 @@ def test_one_slot_distributed_yollo_run_equals_single_process():
     _assert_states_equal(single.state_dict(), task.state_dict())
 
 
-def test_one_slot_distributed_pretrain_equals_single_process():
+def test_one_slot_distributed_pretrain_equals_single_process(monkeypatch):
     """A single-process pretrain step is slot 0 of one: same renders."""
-    kwargs = dict(backbone="tiny", steps=3, batch_size=8)
+    from repro.backbone import pretrain
+
+    monkeypatch.setattr(pretrain, "BATCH_SIZE", 8)
+    kwargs = dict(backbone="tiny", steps=3)
     seed_everything(0)
     single = build_pretrain_task(**kwargs)
     TrainingSupervisor(single).run()
@@ -254,7 +258,7 @@ def _assert_states_equal(a, b, path=""):
 def _pretrain_spec(**overrides):
     base = dict(
         builder=build_pretrain_task,
-        task_kwargs=dict(backbone="tiny", steps=3, batch_size=8, lr=1e-3),
+        task_kwargs=dict(backbone="tiny", steps=3),
         dist=DistConfig(grad_shards=4, timeout=60.0),
         seed=0,
         warmup=load_pretrained_backbone,
@@ -299,8 +303,7 @@ def test_worker_crash_triggers_rebuild_and_completion():
 
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         spec = _pretrain_spec(
-            task_kwargs=dict(backbone="tiny", steps=4, batch_size=8,
-                             lr=1e-3),
+            task_kwargs=dict(backbone="tiny", steps=4),
             dist=DistConfig(grad_shards=4, timeout=30.0),
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=1,
@@ -317,8 +320,7 @@ def test_worker_crash_triggers_rebuild_and_completion():
     # checkpoint/resume plus the rank-invariant slot decomposition make
     # the fault invisible to the final state.
     clean = WorkerGroup(
-        _pretrain_spec(task_kwargs=dict(backbone="tiny", steps=4,
-                                        batch_size=8, lr=1e-3)),
+        _pretrain_spec(task_kwargs=dict(backbone="tiny", steps=4)),
         world_size=1,
     ).run()
     _assert_states_equal(clean.final_state, report.final_state)

@@ -239,7 +239,7 @@ class TestPasses:
         grounder(dataset["val"][:3])
         (plan,) = grounder.plan_cache._plans.values()
         nodes = [node for _, node, _ in plan._schedule]
-        assert plan.num_kernels == (207 if clauses else 147)
+        assert plan.num_kernels == (209 if clauses else 149)
         assert plan.fallbacks == 0
         assert not any(node.op == "bn_affine" for node in nodes)
         steps = Counter(

@@ -76,8 +76,7 @@ def test_resume_without_checkpoint_dir_is_rejected():
     with pytest.raises(ValueError, match="checkpoint_dir"):
         TrainingSupervisor(task, resume=True)
     with pytest.raises(ValueError, match="checkpoint_dir"):
-        pretrain_backbone(build_backbone("tiny"), steps=1, batch_size=2,
-                          resume=True)
+        pretrain_backbone(build_backbone("tiny"), steps=1, resume=True)
 
 
 def test_cli_resume_without_checkpoint_dir_exits_with_message():
@@ -218,12 +217,14 @@ def test_speaker_losses_independent_of_checkpoint_dir(dataset, tmp_path,
     assert len(plain) == 6 and plain == stored
 
 
-def test_pretrain_history_independent_of_checkpoint_dir(tmp_path):
+def test_pretrain_history_independent_of_checkpoint_dir(tmp_path, monkeypatch):
+    from repro.backbone import pretrain
+
+    monkeypatch.setattr(pretrain, "BATCH_SIZE", 4)
     first = build_backbone("tiny")
     second = _copy_weights(first, build_backbone("tiny"))
-    plain = pretrain_backbone(first, steps=3, batch_size=4,
-                              rng=np.random.default_rng(4))
-    stored = pretrain_backbone(second, steps=3, batch_size=4,
+    plain = pretrain_backbone(first, steps=3, rng=np.random.default_rng(4))
+    stored = pretrain_backbone(second, steps=3,
                                rng=np.random.default_rng(4),
                                checkpoint_dir=str(tmp_path))
     assert len(plain["loss"]) == 3 and plain == stored

@@ -155,6 +155,30 @@ class TestConstructor:
         for key in default:
             assert overridden[key].tobytes() == default[key].tobytes(), key
 
+    def test_pre_gate_model_file_is_refused_by_its_stamp(self, dataset,
+                                                         tmp_path,
+                                                         monkeypatch):
+        """A file saved before Rel2Att had its self-attention gate carries
+        the old fingerprint (no format entry) and is refused by it, not
+        later by the strict ``load_state_dict`` on a missing key."""
+        from dataclasses import asdict
+
+        from repro.runtime import config_fingerprint, write_checkpoint
+        from repro.zoo import build_yollo_model
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        model = build_model("tiny", vocab_size=len(dataset.vocab),
+                            max_query_length=_maxlen(dataset))
+        state = {name: value for name, value in model.state_dict().items()
+                 if not name.endswith("self_gate")}
+        parent = config_fingerprint({"preset": "tiny",
+                                     **asdict(lower_config("tiny"))})
+        assert parent != preset_fingerprint("tiny")
+        path = write_checkpoint(str(tmp_path / "pre-gate.ckpt"), state,
+                                fingerprint=parent)
+        with pytest.raises(FingerprintMismatchError):
+            build_yollo_model("tiny", dataset, model_path=path)
+
 
 # ----------------------------------------------------------------------
 # Full-registry smoke: every preset earns its registry slot
