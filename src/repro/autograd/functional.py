@@ -1,22 +1,31 @@
 """Structured differentiable operations: convolution, max pooling, softmax.
 
-Every windowed op reads its input through :func:`_taps`: one strided
-view per kernel tap ``(i, j)``, in row-major tap order, dilation
-included.  Convolution's forward gathers the taps of the padded input
-into a ``(N, C, KH, KW, OH, OW)`` column tensor (im2col), after which
-it is one batched ``matmul`` — a GEMM per sample, landing directly in
-NCHW, so a sample's bytes do not depend on its batch.  This is the
-only conv forward: the graph executor calls :func:`_im2col` into its
-persistent buffers and repeats the GEMM.  The columns die with the
-forward; the backward keeps only the input and runs per tap over wide
-rows (see :func:`conv2d`), so a train step holds no column tensor.
+Every windowed op reads its input through :func:`_windows`: one
+unchecked ``as_strided`` view ``(N, C, KH, KW, OH, OW)`` whose element
+``[:, :, i, j]`` is the strided view of kernel tap ``(i, j)``, dilation
+included (:func:`_taps` lists those views in row-major tap order).
+Convolution's forward copies the window of the padded input into a
+column tensor of the same shape (im2col, one ``np.copyto``), after
+which it is one batched ``matmul`` — a GEMM per sample, landing
+directly in NCHW, so a sample's bytes do not depend on its batch.  A
+1x1, stride-1, unpadded conv skips the copy: its columns are the input
+itself, viewed as ``(N, C, H*W)``.  This is the only conv forward: the
+graph executor copies the window it builds once over its padded scratch
+buffer into persistent columns and repeats the GEMM.  The columns die
+with the forward; the backward keeps only the input and runs per tap
+over wide rows (see :func:`conv2d`), so a train step holds no column
+tensor.
 
 Pooling builds no column tensor.  Max pooling is a running
-``np.maximum`` over the tap views (:func:`_max_pool`, which the graph
-executor also calls into its arena buffer) and its backward hands each
-output's gradient to the first tap, in row-major order, equal to the
-max, which is ``argmax``'s tie rule.  The backward adds into the
-input-gradient views with ``+=``, so overlapping windows accumulate.
+``np.maximum`` over the tap views (:func:`_max_pool`; the graph
+executor runs :func:`_running_max` over tap views it binds once into
+its arena) and its backward hands each output's gradient to the first
+tap, in row-major order, equal to the max, which is ``argmax``'s tie
+rule.  When the windows tile the input (stride equal to kernel, no
+rows or columns left over) each input belongs to one tap of one window,
+so the backward writes every tap's gradient straight into an empty
+buffer; other geometries add into a zeroed one with ``+=``, so
+overlapping windows accumulate.
 """
 
 from __future__ import annotations
@@ -37,27 +46,26 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return (int(value[0]), int(value[1]))
 
 
-def _taps(
+def _windows(
     x: np.ndarray,
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     dilation: Tuple[int, int] = (1, 1),
     width: int = None,
-) -> List[np.ndarray]:
-    """Strided views of an NCHW array, one per kernel tap, row-major.
+) -> np.ndarray:
+    """The ``(N, C, KH, KW, OH, OW)`` strided window of an NCHW array.
 
-    Tap ``(i, j)`` is the ``(N, C, OH, OW)`` window starting at
-    ``(i*dh, j*dw)``: element ``[..., p, q]`` is the input a window at
-    output ``(p, q)`` reads through that tap.  The views share ``x``'s
-    memory, so writing into them writes into ``x``.
+    Element ``[:, :, i, j, p, q]`` is the input a window at output
+    ``(p, q)`` reads through tap ``(i, j)``, which starts at
+    ``(i*dh, j*dw)``.  The window shares ``x``'s memory, so writing into
+    it writes into ``x``.
 
-    ``width``, when given, replaces ``OW``: each view row reads ``width``
-    columns from its start.  All views come from one unchecked
-    ``as_strided`` window, so a ``width`` above ``OW`` runs on past the
-    row's end into the next row of ``x``'s memory: the first values of
-    the next row, and after the last row the memory that follows ``x``.
-    That needs C-contiguous rows and, for the last tap, a spare row of
-    the buffer ``x`` is sliced from.
+    ``width``, when given, replaces ``OW``: each row reads ``width``
+    columns from its start.  The view is unchecked, so a ``width`` above
+    ``OW`` runs on past the row's end into the next row of ``x``'s
+    memory: the first values of the next row, and after the last row the
+    memory that follows ``x``.  That needs C-contiguous rows and, for the
+    last tap, a spare row of the buffer ``x`` is sliced from.
     """
     h, w = x.shape[2], x.shape[3]
     kh, kw = kernel
@@ -66,9 +74,22 @@ def _taps(
     oh = (h - dh * (kh - 1) - 1) // sh + 1
     ow = (w - dw * (kw - 1) - 1) // sw + 1
     s0, s1, s2, s3 = x.strides
-    view = as_strided(x, x.shape[:2] + (kh, kw, oh, ow if width is None else width),
+    return as_strided(x, x.shape[:2] + (kh, kw, oh, ow if width is None else width),
                       (s0, s1, dh * s2, dw * s3, sh * s2, sw * s3))
-    return [view[:, :, i, j] for i in range(kh) for j in range(kw)]
+
+
+def _taps(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    dilation: Tuple[int, int] = (1, 1),
+    width: int = None,
+) -> List[np.ndarray]:
+    """The :func:`_windows` view of each kernel tap, row-major: tap
+    ``(i, j)`` is the ``(N, C, OH, OW)`` window starting at
+    ``(i*dh, j*dw)``."""
+    view = _windows(x, kernel, stride, dilation, width)
+    return [view[:, :, i, j] for i in range(kernel[0]) for j in range(kernel[1])]
 
 
 def _im2col(
@@ -78,19 +99,33 @@ def _im2col(
     dilation: Tuple[int, int] = (1, 1),
     out: np.ndarray = None,
 ) -> np.ndarray:
-    """Gather the kernel taps of an already-padded NCHW array.
+    """Gather the kernel taps of an already-padded NCHW array: one copy
+    of its :func:`_windows` view.
 
     ``out``, when given, must be a contiguous ``(N, C, KH, KW, OH, OW)``
-    buffer and is filled in place (used by the graph executor's
-    persistent buffers).
+    buffer and is filled in place.
     """
-    taps = _taps(x, kernel, stride, dilation)
-    n, c, oh, ow = taps[0].shape
-    kh, kw = kernel
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype) if out is None else out
-    for (i, j), tap in zip(np.ndindex(kh, kw), taps):
-        cols[:, :, i, j] = tap
-    return cols
+    window = _windows(x, kernel, stride, dilation)
+    if out is None:
+        return window.copy()
+    np.copyto(out, window)
+    return out
+
+
+def _is_pointwise(kernel: Tuple[int, int], stride: Tuple[int, int],
+                  padding: Tuple[int, int]) -> bool:
+    """A 1x1, stride-1, unpadded conv, whose columns are its input."""
+    return kernel == (1, 1) and stride == (1, 1) and padding == (0, 0)
+
+
+def _zero_pad(x: np.ndarray, ph: int, pw: int, spare: int = 0) -> np.ndarray:
+    """``x`` copied into a zeroed ``(N, C, H + 2*ph + spare, W + 2*pw)``
+    buffer at ``(ph, pw)``: ``np.pad``'s bytes with one copy, plus
+    ``spare`` zero rows at the bottom."""
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2 * ph + spare, w + 2 * pw), dtype=x.dtype)
+    padded[:, :, ph : ph + h, pw : pw + w] = x
+    return padded
 
 
 def conv2d(
@@ -122,12 +157,17 @@ def conv2d(
     f, c, kh, kw = weight.shape
     ph, pw = padding
 
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    cols = _im2col(x_pad, (kh, kw), stride, dilation)
-    n, oh, ow = cols.shape[0], cols.shape[4], cols.shape[5]
+    n = x.shape[0]
+    if _is_pointwise((kh, kw), stride, padding):
+        oh, ow = x.shape[2], x.shape[3]
+        cols3 = x.data.reshape(n, c, oh * ow)
+    else:
+        x_pad = _zero_pad(x.data, ph, pw) if (ph or pw) else x.data
+        cols = _im2col(x_pad, (kh, kw), stride, dilation)
+        oh, ow = cols.shape[4], cols.shape[5]
+        cols3 = cols.reshape(n, c * kh * kw, oh * ow)
     # One GEMM per sample: (F, C*KH*KW) @ (C*KH*KW, OH*OW), already NCHW.
     w2 = weight.data.reshape(f, c * kh * kw)
-    cols3 = cols.reshape(n, c * kh * kw, oh * ow)
     value = np.matmul(w2, cols3).reshape(n, f, oh, ow)
     if bias is not None:
         value += bias.data.reshape(1, -1, 1, 1)
@@ -152,8 +192,7 @@ def conv2d(
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
             if weight.requires_grad:
                 if ph or pw or spare:
-                    xp = np.zeros((n, c, hp + spare, wp), dtype=x.dtype)
-                    xp[:, :, ph : ph + in_h, pw : pw + in_w] = x.data
+                    xp = _zero_pad(x.data, ph, pw, spare)
                 else:
                     xp = np.ascontiguousarray(x.data)
                 grad_w = np.empty(weight.shape, dtype=grad.dtype)
@@ -180,15 +219,9 @@ def conv2d(
     return out
 
 
-def _max_pool(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
-              out: np.ndarray = None) -> np.ndarray:
-    """Max pooling of an NCHW array: a running maximum over the tap views.
-
-    The one max-pool kernel: eager forward calls it, and the graph
-    executor calls it with ``out`` set to its arena buffer.  A NaN in a
-    window makes that output NaN, as ``argmax`` would pick it.
-    """
-    taps = _taps(x, kernel, stride)
+def _running_max(taps: List[np.ndarray], out: np.ndarray = None) -> np.ndarray:
+    """The running ``np.maximum`` over tap views, into ``out`` if given.
+    A NaN in a window makes that output NaN, as ``argmax`` would pick it."""
     if out is None:
         out = taps[0].copy()
     else:
@@ -196,6 +229,14 @@ def _max_pool(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
     for tap in taps[1:]:
         np.maximum(out, tap, out=out)
     return out
+
+
+def _max_pool(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
+              out: np.ndarray = None) -> np.ndarray:
+    """Max pooling of an NCHW array: :func:`_running_max` over its tap
+    views.  Eager forward calls it, and so does the graph executor when
+    it cannot bind the tap views once."""
+    return _running_max(_taps(x, kernel, stride), out)
 
 
 def max_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
@@ -207,14 +248,20 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
 
     out = x._make_child(value, (x,))
     if out.requires_grad:
+        h, w = x.shape[2], x.shape[3]
+        oh, ow = value.shape[2], value.shape[3]
+        tiled = stride == kernel and oh * kernel[0] == h and ow * kernel[1] == w
 
         def backward(grad: np.ndarray) -> None:
             # Each output's gradient goes to the first tap equal to its
             # max; ``unclaimed`` marks outputs no earlier tap has taken.
             # ``grad * hit`` is several times faster than a ``where=``
             # add; a non-finite ``grad`` (a step that is lost anyway)
-            # also turns the window's other input gradients NaN.
-            grad_x = np.zeros(x.shape, dtype=grad.dtype)
+            # also turns the window's other input gradients NaN.  Tiled
+            # windows write each input once, so the product goes straight
+            # into its tap (a negative gradient leaves -0.0, not 0.0, on
+            # the inputs it does not reach).
+            grad_x = (np.empty if tiled else np.zeros)(x.shape, dtype=grad.dtype)
             unclaimed = None
             for tap, grad_tap in zip(_taps(x.data, kernel, stride),
                                      _taps(grad_x, kernel, stride)):
@@ -224,7 +271,10 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
                 else:
                     hit &= unclaimed
                     unclaimed ^= hit
-                grad_tap += grad * hit
+                if tiled:
+                    np.multiply(grad, hit, out=grad_tap)
+                else:
+                    grad_tap += grad * hit
             x._accumulate(grad_x)
 
         out._backward = backward

@@ -13,6 +13,12 @@ averages.  The ablation switches of Table 4 wipe the self- or
 co-attention blocks of ``R`` before the averages are taken.  A learnable
 gate, initialised at 0, scales the self-attention blocks, so a fresh
 module attends through the co-attention blocks alone.
+
+Everything the masks decide — the weight mask, the normalisers of the
+averages, the clause-pooling arrays — depends on the token and clause
+masks alone, not on a block's input or weights, so a
+:class:`Rel2AttStack` builds it once per forward
+(:class:`RelationMasks`) and hands it to every block.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, concatenate, get_default_dtype
+from repro.autograd import Tensor, as_tensor, concatenate, get_default_dtype
 from repro.core.config import YolloConfig
 from repro.nn import FeedForward, Module, Parameter, Sequential
 from repro.obs import trace_span
@@ -124,6 +130,43 @@ def _clause_pooling_arrays(
     return rows, 1.0 - conditioned, pool
 
 
+class RelationMasks:
+    """The mask-derived operands of one forward, as tensors.
+
+    ``weights`` is the :func:`_relation_weight_mask` ``(B, k, k)``,
+    ``normalizers`` the divisors of its flat averages, ``self_blocks``
+    and ``other_blocks`` the :func:`_self_attention_blocks` selector and
+    its complement.  With clause masks, ``clause`` holds ``(rows,
+    normalizers, keep, pool)`` of :func:`_clause_pooling_arrays` and the
+    per-clause averages; else it is ``None``.  All of it depends on the
+    sequence lengths and masks alone, so every block of a stack shares
+    one instance.
+    """
+
+    def __init__(self, config: YolloConfig, batch: int, num_regions: int,
+                 num_tokens: int, token_mask: Optional[np.ndarray],
+                 clause_masks: Optional[np.ndarray]):
+        m, balanced = num_regions, config.block_balanced_attention
+        weights = _relation_weight_mask(
+            batch, m, num_tokens, token_mask,
+            config.use_self_attention, config.use_co_attention,
+        )
+        self.weights = Tensor(weights)
+        self.normalizers = [Tensor(d) for d in
+                            _attention_normalizers(weights, None, m, balanced)]
+        blocks = _self_attention_blocks(m, num_tokens)
+        self.self_blocks = Tensor(blocks)
+        self.other_blocks = Tensor(1.0 - blocks)
+        self.token_mask = None if token_mask is None else Tensor(token_mask)
+        self.clause: Optional[Tuple[Tensor, List[Tensor], Tensor, Tensor]] = None
+        if clause_masks is not None:
+            rows, keep, pool = _clause_pooling_arrays(clause_masks, token_mask, m)
+            self.clause = (Tensor(rows),
+                           [Tensor(d) for d in
+                            _attention_normalizers(weights, rows, m, balanced)],
+                           Tensor(keep), Tensor(pool))
+
+
 class Rel2AttModule(Module):
     """One Rel2Att block: relation map -> attention masks -> re-weighting."""
 
@@ -155,16 +198,23 @@ class Rel2AttModule(Module):
         x2 = concatenate([self.ffn_v2(image_seq), self.ffn_t2(query_seq)], axis=1)
         return x1.matmul(x2.swapaxes(1, 2)) / np.sqrt(self.config.d_rel)
 
-    def _attention_scores(self, masked: Tensor, weights: np.ndarray,
-                          m: int, rows: Optional[np.ndarray] = None
-                          ) -> Tensor:
+    def _attention_scores(self, masked: Tensor, weights: Optional[np.ndarray],
+                          m: int, rows=None,
+                          normalizers: Optional[List[Tensor]] = None) -> Tensor:
         """Joint attention vectors ``(B, C, k)`` from the masked relation
-        map ``relation * weights``, one per clause row (``C = 1`` flat)."""
+        map ``relation * weights``, one per clause row (``C = 1`` flat).
+
+        ``normalizers``, when given, are the divisors the weight mask
+        gives for these ``rows`` (see :class:`RelationMasks`); else they
+        are computed from ``weights``.
+        """
         balanced = self.config.block_balanced_attention
-        parts = _block_sums(masked, None if rows is None else Tensor(rows),
+        if normalizers is None:
+            normalizers = [Tensor(d) for d in
+                           _attention_normalizers(weights, rows, m, balanced)]
+        parts = _block_sums(masked, None if rows is None else as_tensor(rows),
                             m, balanced)
-        scores = [part / Tensor(normalizer) for part, normalizer in zip(
-            parts, _attention_normalizers(weights, rows, m, balanced))]
+        scores = [part / normalizer for part, normalizer in zip(parts, normalizers)]
         if balanced:
             # Average each block of R separately before summing, so the
             # co-attention blocks (n entries) carry the same weight as
@@ -184,6 +234,7 @@ class Rel2AttModule(Module):
         query_seq: Tensor,
         token_mask: Optional[np.ndarray] = None,
         clause_masks: Optional[np.ndarray] = None,
+        masks: Optional[RelationMasks] = None,
     ) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
         """Return ``(V_attended, T_attended, att_v, att_t)``.
 
@@ -200,34 +251,35 @@ class Rel2AttModule(Module):
         (all-zero rows included) keep the flat average, equal to
         ``clause_masks=None``.  No parameters are added, so the
         state-dict layout is unchanged.
+
+        ``masks``, when given, are the :class:`RelationMasks` of these
+        lengths and masks, built once by the stack; ``token_mask`` and
+        ``clause_masks`` are then not read.
         """
         batch, m = image_seq.shape[0], image_seq.shape[1]
         n = query_seq.shape[1]
+        if masks is None:
+            masks = RelationMasks(self.config, batch, m, n, token_mask, clause_masks)
         relation = self.relation_map(image_seq, query_seq)
 
-        weights = _relation_weight_mask(
-            batch, m, n, token_mask,
-            self.config.use_self_attention, self.config.use_co_attention,
-        )
         # The gate scales the self-attention entries only; the averages
         # keep the full mask's normalisers.
-        self_blocks = _self_attention_blocks(m, n)
-        gate = Tensor(self_blocks) * self.self_gate + Tensor(1.0 - self_blocks)
-        masked = relation * Tensor(weights) * gate
-        att = self._attention_scores(masked, weights, m)[:, 0]  # (B, k)
-        if clause_masks is not None:
+        gate = masks.self_blocks * self.self_gate + masks.other_blocks
+        masked = relation * masks.weights * gate
+        att = self._attention_scores(masked, None, m,
+                                     normalizers=masks.normalizers)[:, 0]  # (B, k)
+        if masks.clause is not None:
             # Every clause's averages at once, pooled over the clause
             # axis; no Python branch reads the masks, so a traced plan
             # replays any mask pattern.
-            rows, keep, pool = _clause_pooling_arrays(
-                clause_masks, token_mask, m)
-            per_clause = self._attention_scores(masked, weights, m, rows)
-            att = att * Tensor(keep) + (per_clause * Tensor(pool)).sum(axis=1)
+            rows, normalizers, keep, pool = masks.clause
+            per_clause = self._attention_scores(masked, None, m, rows, normalizers)
+            att = att * keep + (per_clause * pool).sum(axis=1)
 
         att_v = att[:, :m]
         att_t = att[:, m:]
-        if token_mask is not None:
-            att_t = att_t * Tensor(token_mask)
+        if masks.token_mask is not None:
+            att_t = att_t * masks.token_mask
 
         # Re-weight with tanh-bounded attention: the raw logits are kept
         # for the mask loss, but unbounded multiplicative re-weighting
@@ -244,7 +296,9 @@ class Rel2AttStack(Module):
     Each module's attended outputs are added back to its inputs
     (residual propagation, Section 3.2) before feeding the next module.
     Returns the final image sequence plus the per-module raw attention
-    masks used by the attention loss and visualisations.
+    masks used by the attention loss and visualisations.  The
+    :class:`RelationMasks` are built once per forward and shared by
+    every block.
     """
 
     def __init__(self, config: YolloConfig):
@@ -263,10 +317,11 @@ class Rel2AttStack(Module):
     ) -> Tuple[Tensor, List[Tensor]]:
         attention_masks: List[Tensor] = []
         v, t = image_seq, query_seq
+        masks = RelationMasks(self.config, v.shape[0], v.shape[1], t.shape[1],
+                              token_mask, clause_masks)
         for block, span_name in zip(self.blocks, self._span_names):
             with trace_span(span_name):
-                attended_v, attended_t, att_v, _ = block(
-                    v, t, token_mask, clause_masks)
+                attended_v, attended_t, att_v, _ = block(v, t, masks=masks)
                 v = v + attended_v
                 t = t + attended_t
             attention_masks.append(att_v)

@@ -13,12 +13,17 @@ from repro.core.detector import TargetDetectionNetwork
 from repro.core.encoder import FeatureEncoder
 from repro.core.response import GroundingResponse
 from repro.core.word2pix import build_fusion_stack
-from repro.detection import clip_boxes, decode_offsets, nms
+from repro.detection import clip_boxes, nms
+from repro.detection.boxes import decode_centered
 from repro.nn import Module
 from repro.obs import trace_span
 
 #: IoU above which a lower-scored decoded box is suppressed when ranking.
 NMS_IOU = 0.6
+
+#: Anchors the ranked decode first decodes per box it must keep; the
+#: score-ordered prefix doubles until enough boxes survive NMS.
+PREFIX_PER_KEPT = 8
 
 
 @dataclass
@@ -179,14 +184,17 @@ class YolloModel(Module):
 
     def _predict_arrays(self, images: np.ndarray, token_ids: np.ndarray,
                         token_mask: Optional[np.ndarray],
-                        clause_masks: Optional[np.ndarray] = None):
+                        clause_masks: Optional[np.ndarray] = None,
+                        attention: bool = True):
         """Shared inference pass for :meth:`predict`/:meth:`predict_ranked`.
 
         Returns ``(probs, offsets, last_mask)`` as plain arrays, with
         cross-boundary anchors' probabilities forced to -1 (standard RPN
         practice): an anchor hanging off the image decodes to a clipped
         sliver, and its classification score is weakly supervised, so
-        letting it win produces degenerate boxes.
+        letting it win produces degenerate boxes.  ``last_mask``, the
+        softmax of the last attention mask, is ``None`` unless
+        ``attention``.
         """
         with self.evaluating(), no_grad():
             if getattr(self, "_plan_cache", None) is not None:
@@ -198,7 +206,8 @@ class YolloModel(Module):
             with trace_span("yollo.decode"):
                 probs = softmax(output.cls_logits, axis=-1).data[..., 1]  # (B, A)
                 offsets = output.reg_offsets.data
-                last_mask = softmax(output.attention_masks[-1], axis=-1).data
+                last_mask = (softmax(output.attention_masks[-1], axis=-1).data
+                             if attention else None)
 
         anchors = self.anchor_grid.all_anchors()
         margin = 0.25 * self.anchor_grid.stride
@@ -212,24 +221,36 @@ class YolloModel(Module):
             probs = np.where(inside[None, :], probs, -1.0)
         return probs, offsets, last_mask
 
-    def _rank_sample(self, anchors: np.ndarray, probs: np.ndarray,
-                     offsets: np.ndarray, top_k: int):
+    def _rank_sample(self, probs: np.ndarray, offsets: np.ndarray, top_k: int):
         """NMS-ranked decode (at :data:`NMS_IOU`) of one sample's in-bounds anchors.
 
         Returns ``(boxes, scores, anchor_indices)`` best-first; the
-        indices address the full anchor grid.  Every in-bounds anchor is
-        decoded at once, so one vectorised pass serves any ``top_k``.
+        indices address the full anchor grid.  Greedy NMS keeps or drops
+        a box by the boxes scored above it alone, so the in-bounds
+        anchors are sorted by score once (stable, as :func:`nms` sorts)
+        and only a score-ordered prefix is decoded and suppressed: first
+        :data:`PREFIX_PER_KEPT` anchors per box to keep, doubling until
+        ``top_k`` boxes survive or the list runs out.  The answer, bytes
+        and dtypes included, is that of decoding every in-bounds anchor.
         """
         valid = probs >= 0.0  # cross-boundary anchors carry -1
         if not valid.any():
             valid = np.ones_like(probs, dtype=bool)
-        boxes = clip_boxes(
-            decode_offsets(anchors[valid], offsets[valid]),
-            self.config.image_height, self.config.image_width,
-        )
-        scores = probs[valid]
-        keep = nms(boxes, scores, iou_threshold=NMS_IOU, max_keep=top_k)
-        return boxes[keep], scores[keep], np.flatnonzero(valid)[keep]
+        indices = np.flatnonzero(valid)
+        order = indices[np.argsort(-probs[indices], kind="stable")]
+        centers = self.anchor_grid.anchor_centers()
+        size = PREFIX_PER_KEPT * top_k
+        while True:
+            prefix = order[:size]
+            boxes = clip_boxes(
+                decode_centered(centers[prefix], offsets[prefix]),
+                self.config.image_height, self.config.image_width,
+            )
+            scores = probs[prefix]
+            keep = nms(boxes, scores, iou_threshold=NMS_IOU, max_keep=top_k)
+            if len(keep) == top_k or len(prefix) == len(order):
+                return boxes[keep], scores[keep], prefix[keep]
+            size *= 2
 
     def predict(self, images: np.ndarray, token_ids: np.ndarray,
                 token_mask: Optional[np.ndarray] = None,
@@ -243,12 +264,10 @@ class YolloModel(Module):
         """
         probs, offsets, last_mask = self._predict_arrays(
             images, token_ids, token_mask, clause_masks)
-        anchors = self.anchor_grid.all_anchors()
         grid_h, grid_w = self.encoder.grid_h, self.encoder.grid_w
         predictions: List[GroundingPrediction] = []
         for b in range(probs.shape[0]):
-            boxes, scores, indices = self._rank_sample(
-                anchors, probs[b], offsets[b], top_k=1)
+            boxes, scores, indices = self._rank_sample(probs[b], offsets[b], top_k=1)
             predictions.append(
                 GroundingPrediction(
                     box=boxes[0],
@@ -267,23 +286,23 @@ class YolloModel(Module):
                        ) -> List[GroundingResponse]:
         """Decode a ranked answer list per sample (the scenario protocol).
 
-        Every in-bounds anchor is decoded, greedily NMS-suppressed at
-        :data:`NMS_IOU`, and the ``top_k`` survivors are returned best-first
-        with their target probabilities.  ``not_found`` is declared when
-        no survivor clears ``not_found_threshold`` — the calibrated
-        decision crowded-scene no-target queries require (a top-1 argmax
-        box cannot say "absent").  The per-sample work stays vectorised:
-        one decode over all anchors, one NMS over the score-sorted list.
+        The in-bounds anchors are ranked by score, greedily
+        NMS-suppressed at :data:`NMS_IOU`, and the ``top_k`` survivors are
+        returned best-first with their target probabilities.
+        ``not_found`` is declared when no survivor clears
+        ``not_found_threshold`` — the calibrated decision crowded-scene
+        no-target queries require (a top-1 argmax box cannot say
+        "absent").  Only the score-ordered prefix that NMS needs is
+        decoded (see :meth:`_rank_sample`), with the same answer as
+        decoding every anchor.
         """
         if top_k < 1:
             raise ValueError("top_k must be at least 1")
         probs, offsets, _ = self._predict_arrays(
-            images, token_ids, token_mask, clause_masks)
-        anchors = self.anchor_grid.all_anchors()
+            images, token_ids, token_mask, clause_masks, attention=False)
         responses: List[GroundingResponse] = []
         for b in range(probs.shape[0]):
-            boxes, scores, _ = self._rank_sample(
-                anchors, probs[b], offsets[b], top_k)
+            boxes, scores, _ = self._rank_sample(probs[b], offsets[b], top_k)
             responses.append(GroundingResponse(
                 boxes=boxes,
                 scores=scores,

@@ -13,6 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.detection.boxes import boxes_to_cxcywh
+
 
 @dataclass(frozen=True)
 class AnchorGrid:
@@ -81,6 +83,17 @@ class AnchorGrid:
         anchors = (shifts[:, None, :] + base[None, :, :]).reshape(-1, 4)
         anchors.setflags(write=False)
         return anchors
+
+    def anchor_centers(self) -> np.ndarray:
+        """:meth:`all_anchors` as ``(cx, cy, w, h)`` rows, built once and
+        read-only, for :func:`repro.detection.boxes.decode_centered`."""
+        return self._centers
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
+        centers = boxes_to_cxcywh(self._anchors)
+        centers.setflags(write=False)
+        return centers
 
     def cell_index(self, anchor_index: int) -> Tuple[int, int, int]:
         """Map a flat anchor index back to ``(row, col, k)``."""

@@ -93,7 +93,14 @@ def decode_offsets(anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     :data:`MAX_LOG_WH` clamps the exponent so early-training garbage
     cannot overflow to astronomically large boxes.
     """
-    anchor_c = boxes_to_cxcywh(anchors)
+    return decode_centered(boxes_to_cxcywh(anchors), offsets)
+
+
+def decode_centered(anchor_c: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """:func:`decode_offsets` for anchors given as ``(cx, cy, w, h)``,
+    which a fixed grid converts once (:meth:`AnchorGrid.anchor_centers`).
+    Every box is decoded from its own row alone, so decoding a subset of
+    rows gives those rows' bytes of decoding them all."""
     offsets = np.asarray(offsets, dtype=np.float64)
     cx = anchor_c[..., 0] + offsets[..., 0] * anchor_c[..., 2]
     cy = anchor_c[..., 1] + offsets[..., 1] * anchor_c[..., 3]

@@ -2,15 +2,19 @@
 
 Used by YOLLO's ranked decode (``YolloModel.predict_ranked`` and
 ``predict``) and by the two-stage RPN proposal stage
-(``RPNProposer.propose``).  IoU rows are computed only for boxes that
+(``RPNProposer.propose``).  Whether a box is kept depends only on the
+boxes scored above it, so NMS over a score-ordered prefix keeps what
+NMS over the whole list keeps within that prefix; the ranked decode
+relies on this to decode only the prefix it needs
+(``YolloModel._rank_sample``).  IoU rows are computed only for boxes that
 can still be kept: when a kept box has no row yet, one ``iou_matrix``
 call covers it and the next live candidates that could fill the
 remaining ``max_keep`` slots.  Each call is at most ``(max_keep - 1, n)``
 and no row is computed twice, so the cost is O(max_keep * n) per call
 and O(rows * n) overall with ``rows <= n`` — far below the full n x n
-matrix when ``max_keep`` is small next to n (the decode keeps 5 of a
-few hundred anchors).  ``max_keep=None`` may keep every box, so it
-builds the full matrix in one call.
+matrix when ``max_keep`` is small next to n (the ranked decode keeps 5
+of a prefix of 40 anchors, the RPN 20 of its 80 best).  ``max_keep=None``
+may keep every box, so it builds the full matrix in one call.
 """
 
 from __future__ import annotations

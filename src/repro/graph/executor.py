@@ -31,17 +31,23 @@ buffer's lifetime) lays out the arena: a buffer's region returns to a
 pool keyed by size once its value dies and is handed to a later buffer
 of that size.  A node's inputs are released only *after* its own output
 region is acquired, so a kernel never reads and writes the same
-storage.  Convolutions run eager ``conv2d``'s own kernel (im2col gather
-plus one batched GEMM, dilation included): the padded input and the
-columns live in one scratch region after the arena, shared by every
-conv because each conv's scratch is dead once it returns, and the pad
-border is zeroed on every call.  The GEMM writes straight into the NCHW
-arena buffer; max pooling runs eager's ``_max_pool`` into its arena
-buffer the same way.  ``plan.workspace_bytes`` is arena plus scratch.
+storage.  Convolutions run eager ``conv2d``'s own kernel (one copy of
+the ``as_strided`` window into columns plus one batched GEMM, dilation
+included): the padded input and the columns live in one scratch region
+after the arena, shared by every conv because each conv's scratch is
+dead once it returns, and the pad border is zeroed on every call.  The
+GEMM writes straight into the NCHW arena buffer; a pointwise (1x1,
+stride-1, unpadded) conv needs no scratch and multiplies its input in
+place, as eager does.  Max pooling runs eager's running maximum into
+its arena buffer the same way.  ``plan.workspace_bytes`` is arena plus
+scratch.
 
 **One workspace per cache.**  A plan's kernels are closures over views
 into a workspace buffer, rebuilt only when the buffer they see changes,
-so ``run`` pays nothing per call for the indirection.  A
+so ``run`` pays nothing per call for the indirection: each conv's
+window over its padded buffer and each max pool's tap views over its
+producer's buffer are built once, when the kernels are bound.  Those
+views live only in the closures, so unbinding a plan drops every one.  A
 :class:`PlanCache` owns one workspace, sized to its largest plan, and
 one lock under which its plans run one at a time; a plan built for the
 cache runs its first run there too.  Resizing that buffer unbinds every
@@ -68,7 +74,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd.functional import _im2col, _max_pool, _pair
+from repro.autograd.functional import (
+    _im2col, _is_pointwise, _max_pool, _pair, _running_max, _taps, _windows,
+)
 from repro.autograd.tensor import Tensor, _is_basic_index, no_grad
 from repro.graph.ir import Graph, Node, Slot
 from repro.graph.trace import TracedGraph
@@ -295,9 +303,18 @@ class ExecutionPlan:
 
     def _bind(self, buffer: np.ndarray) -> None:
         """Build every kernel over views into ``buffer``, the buffer of
-        this plan's workspace; the caller holds the workspace lock."""
+        this plan's workspace; the caller holds the workspace lock.
+
+        Every view of ``buffer`` made here lives only in the kernels'
+        closures (``outs`` dies when this returns), so :meth:`_unbind`
+        drops them all with the kernels.  Kernels are built in schedule
+        order, so a consumer sees whether its producer is a generic
+        replay, which writes no arena buffer.
+        """
+        outs = {node.id: _view(buffer, self._offsets[node.id], node.shape, node.dtype)
+                for _, node, _ in self._schedule if node.id in self._offsets}
         self._steps = [
-            (slot, self._generic.get(node.id) or self._build_kernel(node, buffer))
+            (slot, self._generic.get(node.id) or self._build_kernel(node, buffer, outs))
             for slot, node, _ in self._schedule
         ]
         self._bound: Optional[np.ndarray] = buffer
@@ -396,12 +413,13 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
     # Kernel construction
     # ------------------------------------------------------------------
-    def _build_kernel(self, node: Node, buffer: np.ndarray) -> Callable[[], Any]:
+    def _build_kernel(self, node: Node, buffer: np.ndarray,
+                      outs: Dict[int, np.ndarray]) -> Callable[[], Any]:
         """The node's dedicated kernel, writing a pooled output into its
-        region of ``buffer``; the generic replay when it has none."""
+        view ``outs[node.id]`` of ``buffer``; the generic replay when it
+        has none."""
         slots = self._slots
-        offset = self._offsets.get(node.id)
-        out = None if offset is None else _view(buffer, offset, node.shape, node.dtype)
+        out = outs.get(node.id)
         in_slots = [self._slot_of[src.id] for src in node.inputs]
         args = node.attrs.get("args", ())
         kwargs = node.attrs.get("kwargs", {})
@@ -549,7 +567,7 @@ class ExecutionPlan:
             return kernel_embedding
 
         if op == "max_pool2d":
-            return self._build_max_pool_kernel(node, in_slots, args, kwargs, out)
+            return self._build_max_pool_kernel(node, in_slots, args, kwargs, out, outs)
 
         if op == "external":
             fn = node.attrs["fn"]
@@ -596,18 +614,36 @@ class ExecutionPlan:
         return kernel_var
 
     def _build_max_pool_kernel(self, node: Node, in_slots: List[int],
-                               args: Tuple, kwargs: Dict,
-                               out: np.ndarray) -> Callable[[], np.ndarray]:
-        """Eager ``max_pool2d``'s own kernel, writing into the arena buffer."""
+                               args: Tuple, kwargs: Dict, out: np.ndarray,
+                               outs: Dict[int, np.ndarray]) -> Callable[[], np.ndarray]:
+        """Eager ``max_pool2d``'s own kernel, writing into the arena buffer.
+
+        When the input is the arena buffer its producer's dedicated
+        kernel writes, the tap views over it are bound here, once.  A
+        producer that is a generic replay writes no arena buffer and
+        does not qualify; one that falls back later, while the plan's
+        first run validates it, returns another array, which the
+        identity check sends down the unbound path.
+        """
         slots = self._slots
         ia = in_slots[0]
         kernel = _pair(_literal(args, kwargs, 1, "kernel", None))
         stride_arg = _literal(args, kwargs, 2, "stride", None)
         stride = kernel if stride_arg is None else _pair(stride_arg)
+        src = node.inputs[0].id
+        source = None if src in self._generic else outs.get(src)
+        if source is None:
+            def kernel_max_pool():
+                return _max_pool(slots[ia], kernel, stride, out=out)
+            return kernel_max_pool
+        taps = _taps(source, kernel, stride)
 
-        def kernel_max_pool():
-            return _max_pool(slots[ia], kernel, stride, out=out)
-        return kernel_max_pool
+        def kernel_bound_max_pool():
+            x = slots[ia]
+            if x is source:
+                return _running_max(taps, out)
+            return _max_pool(x, kernel, stride, out=out)
+        return kernel_bound_max_pool
 
     # -- convolution ----------------------------------------------------
     def _conv_params(self, node: Node) -> Optional[Tuple]:
@@ -631,11 +667,15 @@ class ExecutionPlan:
                 _pair(_literal(args, kwargs, 4, "padding", 0)),
                 _pair(_literal(args, kwargs, 5, "dilation", 1)))
 
-    def _conv_scratch(self, node: Node) -> Tuple[Optional[Tuple[int, ...]], Tuple[int, ...], int, int]:
+    def _conv_scratch(self, node: Node) -> Tuple[Optional[Tuple[int, ...]],
+                                                 Optional[Tuple[int, ...]], int, int]:
         """The conv's padded-input shape (``None`` without padding), its
-        ``(N, C, KH, KW, OH, OW)`` column shape, the columns' byte offset
-        in the scratch region, and the bytes the conv needs there."""
-        weight, _, _, (ph, pw), _ = self._conv_params(node)
+        ``(N, C, KH, KW, OH, OW)`` column shape (``None`` for a pointwise
+        conv, which multiplies its input in place), the columns' byte
+        offset in the scratch region, and the bytes the conv needs there."""
+        weight, _, stride, (ph, pw), _ = self._conv_params(node)
+        if _is_pointwise(weight.shape[2:], stride, (ph, pw)):
+            return None, None, 0, 0
         n, c, h, w = node.inputs[0].shape
         itemsize = node.inputs[0].dtype.itemsize
         padded = (n, c, h + 2 * ph, w + 2 * pw) if ph or pw else None
@@ -651,8 +691,11 @@ class ExecutionPlan:
         conv scratch region, multiplied straight into the output buffer
         viewed as ``(N, F, OH*OW)``, and the fused bias/BN/ReLU epilogue
         runs in place in NCHW — the same arithmetic as eager, so the
-        result is bitwise identical.  Other convs and other plans write
-        the scratch region too, so the pad border is zeroed on every call.
+        result is bitwise identical.  The window over the padded buffer
+        is built here, once; each call copies it into the columns.
+        Other convs and other plans write the scratch region too, so the
+        pad border is zeroed on every call.  A pointwise conv multiplies
+        its input in place, as eager does.
         """
         params = self._conv_params(node)
         if params is None:
@@ -664,34 +707,46 @@ class ExecutionPlan:
         epilogue = self._build_conv_epilogue(node, bias)
         n, c, h, w = x_node.shape
         f, _, kh, kw = weight.shape
+        out3 = out.reshape(n, f, node.shape[2] * node.shape[3])
+        w2 = weight.reshape(f, c * kh * kw)
         padded_shape, cols_shape, cols_at, _ = self._conv_scratch(node)
+
+        if cols_shape is None:
+            def kernel_pointwise_conv() -> np.ndarray:
+                np.matmul(w2, slots[ix].reshape(n, c, h * w), out=out3)
+                epilogue(out)
+                return out
+            return kernel_pointwise_conv
+
         scratch = self.arena_bytes
         cols = _view(buffer, scratch + cols_at, cols_shape, x_node.dtype)
         cols3 = cols.reshape(n, c * kh * kw, cols_shape[4] * cols_shape[5])
-        out3 = out.reshape(n, f, cols_shape[4] * cols_shape[5])
-        w2 = weight.reshape(f, c * kh * kw)
-        padded = interior = None
-        borders: List[np.ndarray] = []
-        if padded_shape is not None:
-            padded = _view(buffer, scratch, padded_shape, x_node.dtype)
-            interior = padded[:, :, ph:ph + h, pw:pw + w]
-            if ph:
-                borders += [padded[:, :, :ph], padded[:, :, ph + h:]]
-            if pw:
-                borders += [padded[:, :, ph:ph + h, :pw], padded[:, :, ph:ph + h, pw + w:]]
+        if padded_shape is None:
+            def kernel_conv() -> np.ndarray:
+                _im2col(slots[ix], (kh, kw), stride, dilation, out=cols)
+                np.matmul(w2, cols3, out=out3)
+                epilogue(out)
+                return out
+            return kernel_conv
 
-        def kernel_conv() -> np.ndarray:
-            x = slots[ix]
-            if padded is not None:
-                for border in borders:
-                    border.fill(0)
-                np.copyto(interior, x)
-                x = padded
-            _im2col(x, (kh, kw), stride, dilation, out=cols)
+        padded = _view(buffer, scratch, padded_shape, x_node.dtype)
+        interior = padded[:, :, ph:ph + h, pw:pw + w]
+        window = _windows(padded, (kh, kw), stride, dilation)
+        borders: List[np.ndarray] = []
+        if ph:
+            borders += [padded[:, :, :ph], padded[:, :, ph + h:]]
+        if pw:
+            borders += [padded[:, :, ph:ph + h, :pw], padded[:, :, ph:ph + h, pw + w:]]
+
+        def kernel_padded_conv() -> np.ndarray:
+            for border in borders:
+                border.fill(0)
+            np.copyto(interior, slots[ix])
+            np.copyto(cols, window)
             np.matmul(w2, cols3, out=out3)
             epilogue(out)
             return out
-        return kernel_conv
+        return kernel_padded_conv
 
     def _build_conv_epilogue(self, node: Node, bias: Optional[np.ndarray]) -> Callable:
         """In-place bias, folded BN and ReLU on the NCHW conv output.

@@ -22,8 +22,8 @@ from repro.lang import clause_token_masks, pad_clause_masks, parse
 from repro.zoo import available_presets, build_model
 
 #: Kernels of the compiled ``tiny`` plan at batch 1, with no cast among them.
-FLAT_KERNELS = 149
-CLAUSE_KERNELS = 209
+FLAT_KERNELS = 143
+CLAUSE_KERNELS = 194
 
 
 @pytest.fixture(scope="module")

@@ -291,6 +291,46 @@ class TestClausePoolingReference:
 
 
 class TestRel2AttStack:
+    @staticmethod
+    def per_block(stack, v, t, token_mask, clause_masks):
+        """The stack's forward with every block building its own masks."""
+        attention = []
+        for block in stack.blocks:
+            attended_v, attended_t, att_v, _ = block(v, t, token_mask, clause_masks)
+            v, t = v + attended_v, t + attended_t
+            attention.append(att_v)
+        return v, attention
+
+    @pytest.mark.parametrize("clauses", [False, True], ids=["flat", "clauses"])
+    def test_masks_built_once_per_forward(self, monkeypatch, clauses):
+        import repro.core.rel2att as rel2att
+
+        stack = Rel2AttStack(config(num_rel2att=3))
+        for index, block in enumerate(stack.blocks):
+            block.self_gate.data[...] = 0.25 * index  # open gates differ
+        v, t = sequences(m=6, n=4, batch=3, seed=5)
+        token_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], float)
+        clause_masks = None
+        if clauses:
+            clause_masks = np.zeros((3, 2, 4))
+            clause_masks[:, 0, :2] = 1.0
+            clause_masks[:, 1, 1:] = 1.0
+        calls = []
+        build = rel2att._relation_weight_mask
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(rel2att, "_relation_weight_mask", counted)
+        out, attention = stack(v, t, token_mask, clause_masks)
+        assert len(calls) == 1
+        ref_out, ref_attention = self.per_block(stack, v, t, token_mask, clause_masks)
+        assert len(calls) == 1 + len(stack.blocks)
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        for a, b in zip(attention, ref_attention):
+            assert a.data.tobytes() == b.data.tobytes()
+
     def test_stack_depth_respected(self):
         stack = Rel2AttStack(config())
         v, t = sequences()

@@ -6,7 +6,9 @@ import pytest
 from repro.autograd import Tensor
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
 from repro.data import REFCOCO, build_dataset
+from repro.core.yollo import NMS_IOU
 from repro.data.loader import encode_batch
+from repro.detection import clip_boxes, decode_offsets, nms
 from repro.runtime import read_checkpoint, write_checkpoint
 
 
@@ -54,6 +56,62 @@ class TestForward:
         model.train()
         model.predict(batch["images"], batch["token_ids"], batch["token_mask"])
         assert model.training
+
+
+class TestRankedDecode:
+    """``_rank_sample`` decodes a score-ordered prefix; its answer is the
+    decode of every in-bounds anchor, bytes and dtypes included."""
+
+    @staticmethod
+    def reference(model, probs, offsets, top_k):
+        anchors = model.anchor_grid.all_anchors()
+        valid = probs >= 0.0
+        if not valid.any():
+            valid = np.ones_like(probs, dtype=bool)
+        boxes = clip_boxes(decode_offsets(anchors[valid], offsets[valid]),
+                           model.config.image_height, model.config.image_width)
+        scores = probs[valid]
+        keep = nms(boxes, scores, iou_threshold=NMS_IOU, max_keep=top_k)
+        return boxes[keep], scores[keep], np.flatnonzero(valid)[keep]
+
+    @staticmethod
+    def cases(num_anchors, seed):
+        """Seeded probabilities (about a third cross-boundary, at -1) and
+        offsets, the same probabilities rounded to one decimal so scores
+        tie, and a row with no in-bounds anchor."""
+        rng = np.random.default_rng(seed)
+        dtype = (np.float32, np.float64)[seed % 2]
+        probs = rng.uniform(size=num_anchors).astype(dtype)
+        probs[rng.uniform(size=num_anchors) < 0.35] = -1.0
+        offsets = rng.normal(scale=0.6, size=(num_anchors, 4)).astype(dtype)
+        tied = np.where(probs >= 0.0, np.round(probs, 1), probs).astype(dtype)
+        outside = np.full(num_anchors, -1.0, dtype=dtype)
+        return [(probs, offsets), (tied, offsets), (outside, offsets)]
+
+    def test_prefix_decode_matches_decoding_every_anchor(self, model):
+        num_anchors = model.anchor_grid.num_anchors
+        checked = 0
+        for seed in range(12):
+            for probs, offsets in self.cases(num_anchors, seed):
+                for top_k in (1, 5, num_anchors, num_anchors + 7):
+                    got = model._rank_sample(probs, offsets, top_k)
+                    want = self.reference(model, probs, offsets, top_k)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
+                    checked += 1
+        assert checked == 12 * 3 * 4
+
+    def test_model_outputs_rank_as_before(self, dataset, cfg, model):
+        batch = encode_batch(dataset["val"][:4], dataset.vocab, cfg.max_query_length)
+        probs, offsets, _ = model._predict_arrays(
+            batch["images"], batch["token_ids"], batch["token_mask"], attention=False)
+        for b in range(len(probs)):
+            for top_k in (1, 5, 50):
+                got = model._rank_sample(probs[b], offsets[b], top_k)
+                want = self.reference(model, probs[b], offsets[b], top_k)
+                assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                           for x, y in zip(got, want))
 
 
 class TestTrainer:

@@ -239,7 +239,7 @@ class TestPasses:
         grounder(dataset["val"][:3])
         (plan,) = grounder.plan_cache._plans.values()
         nodes = [node for _, node, _ in plan._schedule]
-        assert plan.num_kernels == (209 if clauses else 149)
+        assert plan.num_kernels == (194 if clauses else 143)
         assert plan.fallbacks == 0
         assert not any(node.op == "bn_affine" for node in nodes)
         steps = Counter(
@@ -361,13 +361,48 @@ class TestExecutor:
         target = next(node for node in traced.graph.nodes if node.op == "matmul")
 
         class WrongPlan(ExecutionPlan):
-            def _build_kernel(self, node, buffer):
-                kernel = super()._build_kernel(node, buffer)
+            def _build_kernel(self, node, buffer, outs):
+                kernel = super()._build_kernel(node, buffer, outs)
                 return (lambda: kernel() + 1.0) if node is target else kernel
 
         plan = WrongPlan(traced)
         assert plan.fallbacks == clean.fallbacks + 1
         x = np.random.default_rng(3).normal(size=(8, 4)).astype(get_default_dtype())
+        assert plan.run(x).data.tobytes() == fn(Tensor(x)).data.tobytes()
+
+    @pytest.mark.parametrize("when", ["bound", "validated"])
+    def test_max_pool_binds_taps_only_over_a_written_buffer(self, when):
+        """A max pool binds its tap views over its producer's arena
+        buffer, unless the producer is a generic replay: one from the
+        start (``bound``) or one whose kernel fails its check in the
+        first run (``validated``).  Then it reads the replay's output."""
+        rng = np.random.default_rng(4)
+        weight = Tensor(rng.normal(size=(3, 2, 3, 3)))
+
+        def fn(x):
+            return autograd.max_pool2d(autograd.conv2d(x, weight, padding=1).relu(), 2)
+
+        x0 = rng.normal(size=(1, 2, 6, 8)).astype(get_default_dtype())
+        traced = trace(fn, Tensor(x0))
+        optimize_graph(traced.graph)
+        conv = next(node for node in traced.graph.nodes if node.op == "conv2d")
+
+        class FallbackPlan(ExecutionPlan):
+            def _build_kernel(self, node, buffer, outs):
+                if node is not conv:
+                    return super()._build_kernel(node, buffer, outs)
+                if when == "bound":
+                    return self._build_generic_kernel(node)
+                kernel = super()._build_kernel(node, buffer, outs)
+                return lambda: kernel() + 1.0
+
+        plan = FallbackPlan(traced)
+        assert plan.fallbacks == 1  # the conv alone
+        pool = next(k for (_, node, _), (_, k) in zip(plan._schedule, plan._steps)
+                    if node.op == "max_pool2d")
+        assert pool.__name__ == ("kernel_max_pool" if when == "bound"
+                                 else "kernel_bound_max_pool")
+        x = rng.normal(size=(1, 2, 6, 8)).astype(get_default_dtype())
         assert plan.run(x).data.tobytes() == fn(Tensor(x)).data.tobytes()
 
     def test_first_answer_is_the_traced_call_handed_over_once(self):
@@ -624,13 +659,33 @@ class TestSharedWorkspace:
             array = array.base
         return array
 
+    @staticmethod
+    def _closure_arrays(kernel):
+        """Arrays a kernel closes over, directly or in a list or tuple
+        (the conv's pad borders, the max pool's bound tap views)."""
+        for cell in kernel.__closure__ or ():
+            value = cell.cell_contents
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            yield from (item for item in items if isinstance(item, np.ndarray))
+
     def test_sixteen_batch_shapes_hold_one_workspace(self, dataset):
+        import weakref
+
+        from repro.graph.executor import _POOLED_OPS
+
         model, _ = make_model(dataset)
         grounder = Grounder(model, dataset.vocab).compile()
+        cache = grounder.plan_cache
         batches = self._batches(dataset, range(1, 17))
+        buffers = []  # weak references to every buffer the workspace had
         for batch in batches.values():
             grounder(batch)
-        cache = grounder.plan_cache
+            if not buffers or buffers[-1]() is not cache._workspace.buffer:
+                buffers.append(weakref.ref(cache._workspace.buffer))
+        assert len(buffers) > 1
+        # Growing the workspace unbinds every plan: nothing outside the
+        # dropped kernels may keep a superseded buffer alive.
+        assert [ref() is None for ref in buffers[:-1]] == [True] * (len(buffers) - 1)
         plans = list(cache._plans.values())
         assert len(plans) == 16 and all(p.fallbacks == 0 for p in plans)
         largest = max(plans, key=lambda p: p.workspace_bytes)
@@ -638,27 +693,28 @@ class TestSharedWorkspace:
         stats = cache.stats()
         assert stats["workspace_bytes"] == largest.workspace_bytes
         assert stats["workspace_bytes"] < sum(p.workspace_bytes for p in plans)
-        # No plan or conv kernel owns a buffer of its own: every array a
+        # No plan or kernel owns a buffer of its own: every array a
         # pooled kernel closes over is a view of the cache's workspace
         # or a trace-time constant.
         for batch in batches.values():
             grounder(batch)  # every plan binds into the final buffer
+        assert [ref() is None for ref in buffers[:-1]] == [True] * (len(buffers) - 1)
         buffer = cache._workspace.buffer
+        assert buffers[-1]() is buffer
         constants = {id(self._root(node.value)) for p in plans
                      for node in p.graph.nodes if node.is_constant
                      and isinstance(node.value, np.ndarray)}
-        convs = 0
+        checked = {}
         for plan in plans:
             assert plan._workspace is cache._workspace and plan._bound is buffer
             for (_, node, _), (_, kernel) in zip(plan._schedule, plan._steps):
-                if node.op not in ("conv2d", "matmul", "softmax", "add"):
+                if node.op not in _POOLED_OPS:
                     continue
-                convs += node.op == "conv2d"
-                for cell in kernel.__closure__ or ():
-                    if isinstance(cell.cell_contents, np.ndarray):
-                        root = self._root(cell.cell_contents)
-                        assert root is buffer or id(root) in constants, node.name
-        assert convs > 0
+                for array in self._closure_arrays(kernel):
+                    root = self._root(array)
+                    assert root is buffer or id(root) in constants, node.name
+                    checked[node.op] = checked.get(node.op, 0) + 1
+        assert {"conv2d", "max_pool2d", "matmul", "add"} <= set(checked), checked
         # Answers after every plan ran in the one workspace: unchanged.
         eager = Grounder(make_model(dataset)[0], dataset.vocab)
         for batch in (batches[16], batches[3]):
